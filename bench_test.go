@@ -341,29 +341,6 @@ func BenchmarkAblationAMOEncodings(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationIncrementalVsFresh measures solver reuse across
-// Push/Pop scopes against constructing a fresh solver per query.
-func BenchmarkAblationIncrementalVsFresh(b *testing.B) {
-	regions := bench.SyntheticRegions(24, true)
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sc := constraints.NewSemanticChecker()
-			sc.FindCollisions(regions, 32) // one solver, Push/Pop per pair
-		}
-	})
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			// a new checker (and solver) per pair
-			for j := 0; j < len(regions); j++ {
-				for k := j + 1; k < len(regions); k++ {
-					sc := constraints.NewSemanticChecker()
-					sc.FindCollisions([]addr.Region{regions[j], regions[k]}, 32)
-				}
-			}
-		}
-	})
-}
-
 // ---- substrate micro-benchmarks ----
 
 func BenchmarkSATPigeonhole(b *testing.B) {

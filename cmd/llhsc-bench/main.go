@@ -8,11 +8,9 @@
 //	llhsc-bench                              # run everything
 //	llhsc-bench -exp e5                      # run one experiment
 //	llhsc-bench -parallel-json BENCH_parallel.json   # emit the E13 artifact
-//	llhsc-bench -semantic-json BENCH_semantic.json   # emit the E14 artifact
 //	llhsc-bench -obs-json BENCH_obs.json             # emit the E15 artifact
 //	llhsc-bench -lifted-json BENCH_lifted.json       # emit the E16 artifact
 //	llhsc-bench -persist-json BENCH_persist.json     # emit the E17 artifact
-//	llhsc-bench -word-json BENCH_word.json           # emit the E18 artifact
 //	llhsc-bench -obsdeep-json BENCH_obsdeep.json     # emit the E19 artifact
 //	llhsc-bench -list
 package main
@@ -39,8 +37,6 @@ func run(args []string) error {
 	parallelJSON := fs.String("parallel-json", "",
 		"write the E13 parallel-speedup measurement to this JSON file and exit")
 	parallelVMs := fs.Int("parallel-vms", 8, "product-line size for -parallel-json")
-	semanticJSON := fs.String("semantic-json", "",
-		"write the E14 semantic-strategy measurement to this JSON file and exit")
 	obsJSON := fs.String("obs-json", "",
 		"write the E15 observability-overhead measurement to this JSON file and exit")
 	obsVMs := fs.Int("obs-vms", 6, "product-line size for -obs-json")
@@ -49,8 +45,6 @@ func run(args []string) error {
 	persistJSON := fs.String("persist-json", "",
 		"write the E17 warm-restart recovery measurement to this JSON file and exit")
 	persistVMs := fs.Int("persist-vms", 6, "product-line size for -persist-json")
-	wordJSON := fs.String("word-json", "",
-		"write the E18 word-tier measurement to this JSON file and exit")
 	obsdeepJSON := fs.String("obsdeep-json", "",
 		"write the E19 deep-diagnostics overhead measurement to this JSON file and exit")
 	obsdeepVMs := fs.Int("obsdeep-vms", 6, "product-line size for -obsdeep-json")
@@ -62,13 +56,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *parallelJSON)
-		return nil
-	}
-	if *semanticJSON != "" {
-		if err := bench.WriteSemanticJSON(*semanticJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *semanticJSON)
 		return nil
 	}
 	if *obsJSON != "" {
@@ -90,13 +77,6 @@ func run(args []string) error {
 			return err
 		}
 		fmt.Printf("wrote %s\n", *persistJSON)
-		return nil
-	}
-	if *wordJSON != "" {
-		if err := bench.WriteWordJSON(*wordJSON); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *wordJSON)
 		return nil
 	}
 	if *obsdeepJSON != "" {

@@ -10,7 +10,7 @@
 //	             [-max-body 4194304] [-solver-conflicts 0]
 //	             [-shutdown-grace 15s] [-parallel 0] [-cache-size 256]
 //	             [-cache-dir ""] [-cache-max-bytes 0] [-degrade off]
-//	             [-semantic-strategy sweep] [-mode enumerate]
+//	             [-mode enumerate]
 //	             [-pprof 0] [-log-requests=true] [-flight-size 64]
 //	             [-flight-dump ""] [-slow-query-ms 0] [-slow-query-dir ""]
 //
@@ -67,7 +67,6 @@ import (
 	"time"
 
 	"llhsc/internal/buildinfo"
-	"llhsc/internal/constraints"
 	"llhsc/internal/core"
 	"llhsc/internal/obs"
 	"llhsc/internal/sat"
@@ -116,9 +115,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		"total on-disk byte cap for -cache-dir; oldest segments are dropped first (0 = the built-in default)")
 	degrade := fs.String("degrade", "off",
 		"overload shedding for /check: off, auto (lint-only while the in-flight semaphore stays saturated), force")
-	var strategy constraints.SemanticStrategy
-	fs.Var(&strategy, "semantic-strategy",
-		"semantic-check strategy: word (interval tier, sweep spelling), sweep (O(n log n) prefilter + word tier + SMT), assume (one incremental solver + word tier), pairwise (one solve per pair, no word tier), word-off (sweep without the word tier)")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
 		"default checking mode for /check: enumerate (per-product) or lifted (whole product line, one solver session); requests may override per-call")
@@ -152,7 +148,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		CacheDir:           *cacheDir,
 		CacheMaxBytes:      *cacheMaxBytes,
 		Degrade:            *degrade,
-		SemanticStrategy:   strategy,
 		Mode:               mode,
 		Registry:           obs.NewRegistry(), // serves GET /metrics
 		FlightSize:         *flightSize,

@@ -26,7 +26,6 @@ import (
 	"strings"
 
 	"llhsc/internal/buildinfo"
-	"llhsc/internal/constraints"
 	"llhsc/internal/core"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
@@ -78,8 +77,8 @@ func run(args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  llhsc check    -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-schemas <dir>] [-parallel n] [-mode enumerate|lifted] [-semantic-strategy word|sweep|assume|pairwise|word-off] [-trace] [-trace-json <file>] [-slow-query-ms <t> [-slow-query-dir <dir>]]
-  llhsc generate -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-o <dir>] [-parallel n] [-mode enumerate|lifted] [-semantic-strategy word|sweep|assume|pairwise|word-off]
+  llhsc check    -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-schemas <dir>] [-parallel n] [-mode enumerate|lifted] [-trace] [-trace-json <file>] [-slow-query-ms <t> [-slow-query-dir <dir>]]
+  llhsc generate -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-o <dir>] [-parallel n] [-mode enumerate|lifted]
   llhsc products -fm <file> [-limit n]
   llhsc infer-fm -core <dts> [-I <dir> ...] [-D <name[=value]> ...]
   llhsc replay   <bundle.json> [...]   (re-execute slow-query reproducer bundles)
@@ -156,9 +155,6 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 	outDir := fs.String("o", "out", "output directory (generate only)")
 	parallel := fs.Int("parallel", 0,
 		"worker count for per-VM checking (0 = GOMAXPROCS, 1 = serial)")
-	var strategy constraints.SemanticStrategy
-	fs.Var(&strategy, "semantic-strategy",
-		"semantic-check strategy: word (interval tier, sweep spelling), sweep (O(n log n) prefilter + word tier + SMT), assume (one incremental solver + word tier), pairwise (one solve per pair, no word tier), word-off (sweep without the word tier)")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
 		"checking mode: enumerate (derive and check each requested product) or lifted (verify the whole product line in one incremental solver session)")
@@ -217,13 +213,12 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 	}
 
 	pipeline := &core.Pipeline{
-		Core:             tree,
-		Deltas:           deltas,
-		Model:            model,
-		Schemas:          schemas,
-		VMConfigs:        configs,
-		SemanticStrategy: strategy,
-		Mode:             mode,
+		Core:      tree,
+		Deltas:    deltas,
+		Model:     model,
+		Schemas:   schemas,
+		VMConfigs: configs,
+		Mode:      mode,
 	}
 	if *slowQueryMs > 0 {
 		pipeline.SlowQuery = obs.NewSlowQueryLog(os.Stderr, *slowQueryMs)

@@ -1,7 +1,11 @@
 // Experiment E19: deep-diagnostics overhead. The slow-query
 // instrumentation (DESIGN.md §15) hooks every semantic pair decision
 // and lifted reachability query; E19 measures what that observation
-// costs relative to the uninstrumented pipeline, in three modes:
+// costs relative to the uninstrumented pipeline. It runs the heavy line
+// in lifted mode: on a clean line the semantic sweep leaves no
+// candidate pair to decide (every candidate is a collision), so the
+// lifted reachability queries are the decisions left to observe. Three
+// modes:
 //
 //   - off          — SlowQuery nil, so the checkers' OnQuery hooks stay
 //     nil and the decision loops keep their zero-allocation path (the
@@ -71,6 +75,7 @@ func MeasureDeepObsOverhead(vms, rounds int) (*DeepObsResult, error) {
 		if err != nil {
 			return nil, err
 		}
+		pipeline.Mode = core.ModeLifted // see the file comment
 		log := mode.newLog()
 		pipeline.SlowQuery = log
 		best := 0.0

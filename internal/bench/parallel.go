@@ -8,8 +8,8 @@ import (
 	"os"
 	"time"
 
-	"llhsc/internal/constraints"
 	"llhsc/internal/core"
+	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 )
 
@@ -19,6 +19,12 @@ import (
 // near-equal weight per tree (VMs + platform union), the run
 // parallelizes cleanly instead of being dominated by one big platform
 // job (Amdahl).
+//
+// E13 measures how per-tree solver work parallelizes, and the line's
+// disjoint UART regions give the semantic family none (its sweep
+// prunes them all). So every UART claims heavyIRQsPerUART interrupt
+// lines of its own: the interrupt family's O(n²) Push/Pop solves over
+// those lines carry the per-tree solver work, and the line stays valid.
 func HeavyProductLine(vms int) (*core.Pipeline, error) {
 	pipeline, err := SyntheticProductLine(vms, vms, vms)
 	if err != nil {
@@ -31,14 +37,22 @@ func HeavyProductLine(vms int) (*core.Pipeline, error) {
 		}
 		pipeline.VMConfigs[k] = cfg
 	}
-	// E13 measures how per-tree solver work parallelizes, so keep the
-	// pairwise semantic baseline: the sweep strategy (the production
-	// default) prunes this line's disjoint devices to zero SMT queries,
-	// which would leave nothing worth distributing. E14 is the
-	// experiment that compares the strategies themselves.
-	pipeline.SemanticStrategy = constraints.StrategyPairwise
+	for u := 0; u < vms; u++ {
+		uart := pipeline.Core.Root.Child(fmt.Sprintf("uart@%x", 0x10000000+u*0x10000))
+		if uart == nil {
+			return nil, fmt.Errorf("bench: synthetic line has no uart%d", u)
+		}
+		irqs := make([]uint32, heavyIRQsPerUART)
+		for i := range irqs {
+			irqs[i] = uint32(32 + u*heavyIRQsPerUART + i)
+		}
+		uart.SetProperty(&dts.Property{Name: "interrupts", Value: dts.CellsValue(irqs...)})
+	}
 	return pipeline, nil
 }
+
+// heavyIRQsPerUART sizes HeavyProductLine's interrupt work.
+const heavyIRQsPerUART = 4
 
 // ParallelPoint is one measured configuration of experiment E13.
 type ParallelPoint struct {

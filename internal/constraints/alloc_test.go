@@ -58,7 +58,7 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 	ctx := context.Background()
 	allocsFor := func(ps [][2]int) float64 {
 		return testing.AllocsPerRun(200, func() {
-			out, err := sc.findAssume(ctx, regions, 64, ps)
+			out, err := sc.decidePairs(ctx, regions, 64, ps)
 			if err != nil {
 				t.Fatal(err)
 			}

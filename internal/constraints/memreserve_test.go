@@ -3,8 +3,6 @@ package constraints
 import (
 	"strings"
 	"testing"
-
-	"llhsc/internal/addr"
 )
 
 func TestMemReserveClean(t *testing.T) {
@@ -123,62 +121,4 @@ func TestMemReserveNoEntries(t *testing.T) {
 	if vs := (MemReserveChecker{}).Check(tree); vs != nil {
 		t.Errorf("no reserves should mean no violations: %v", vs)
 	}
-}
-
-func TestIncrementalSemanticChecker(t *testing.T) {
-	c := NewIncrementalSemanticChecker(32)
-	r1 := addrRegion(0x1000, 0x1000, "/a")
-	r2 := addrRegion(0x3000, 0x1000, "/b")
-	r3 := addrRegion(0x1800, 0x100, "/c") // overlaps r1
-
-	if got := c.Add(r1); len(got) != 0 {
-		t.Errorf("first region collided: %v", got)
-	}
-	if got := c.Add(r2); len(got) != 0 {
-		t.Errorf("disjoint region collided: %v", got)
-	}
-	got := c.Add(r3)
-	if len(got) != 1 {
-		t.Fatalf("collisions = %v, want 1", got)
-	}
-	if got[0].A.Path != "/a" || got[0].B.Path != "/c" {
-		t.Errorf("collision = %v", got[0])
-	}
-	if !got[0].A.Contains(got[0].Witness) || !got[0].B.Contains(got[0].Witness) {
-		t.Errorf("witness %#x not shared", got[0].Witness)
-	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
-	}
-}
-
-func TestIncrementalMatchesBatch(t *testing.T) {
-	// the incremental checker must agree with FindCollisions
-	regions := []addr.Region{
-		addrRegion(0x1000, 0x1000, "/a"),
-		addrRegion(0x1800, 0x1000, "/b"),
-		addrRegion(0x5000, 0x1000, "/c"),
-		addrRegion(0x5800, 0x1000, "/d"),
-		addrRegion(0x9000, 0x1000, "/e"),
-	}
-	inc := NewIncrementalSemanticChecker(32)
-	gotInc := inc.AddAll(regions)
-	gotBatch := NewSemanticChecker().FindCollisions(regions, 32)
-	if len(gotInc) != len(gotBatch) {
-		t.Fatalf("incremental %d collisions, batch %d", len(gotInc), len(gotBatch))
-	}
-}
-
-func TestIncrementalVirtualExemption(t *testing.T) {
-	c := NewIncrementalSemanticChecker(32)
-	mem := addr.Region{Base: 0x1000, Size: 0x1000, Path: "/mem", Kind: addr.KindMemory}
-	veth := addr.Region{Base: 0x1800, Size: 0x100, Path: "/veth", Kind: addr.KindVirtual}
-	c.Add(mem)
-	if got := c.Add(veth); len(got) != 0 {
-		t.Errorf("virtual window inside RAM must be exempt: %v", got)
-	}
-}
-
-func addrRegion(base, size uint64, path string) addr.Region {
-	return addr.Region{Base: base, Size: size, Path: path, Kind: addr.KindDevice}
 }

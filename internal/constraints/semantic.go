@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"llhsc/internal/addr"
@@ -14,19 +13,9 @@ import (
 	"llhsc/internal/smt"
 )
 
-// witnessBufPool recycles the assumption scratch minimizeBV fills per
-// witness probe sequence (base literals plus one pinned bit per probe).
-// The solver copies assumptions into its own literal buffer, so the
-// scratch never escapes a call; pooling it makes witness minimization
-// allocation-free after warm-up even across checker goroutines.
-var witnessBufPool = sync.Pool{New: func() interface{} {
-	buf := make([]*smt.Term, 0, 2+64+1) // two activations + 64 bit pins + probe
-	return &buf
-}}
-
-// Collision is a detected overlap between two address regions, with the
-// witness address produced by the solver's model (the counterexample of
-// Section IV-C).
+// Collision is a detected overlap between two address regions, with a
+// witness address contained in both: the least shared address, i.e.
+// the minimal model of the counterexample query of Section IV-C.
 type Collision struct {
 	A, B    addr.Region
 	Witness uint64 // an address contained in both regions
@@ -57,14 +46,18 @@ func (c Collision) Violations() []Violation {
 }
 
 // SemanticChecker verifies the memory-consistency property of Section
-// IV-C: no two mutually exclusive address regions may overlap. Each
-// candidate pair (i, j) is encoded as the bit-vector satisfiability
-// problem
+// IV-C: no two mutually exclusive address regions may overlap. The
+// paper encodes each candidate pair (i, j) as the bit-vector
+// satisfiability problem
 //
 //	b_i <= x ∧ x < b_i + s_i ∧ b_j <= x ∧ x < b_j + s_j
 //
-// over a fresh address variable x. A satisfiable query is a violation
+// over a fresh address variable x; a satisfiable query is a violation
 // of formula (7) and the model value of x is the collision witness.
+// Every region here is concrete, so the checker decides that query
+// arithmetically (DecideConcretePair) with the least shared address as
+// witness; the test suite's bit-blasting oracle holds it to the SMT
+// encoding (overlapTerm) pair for pair.
 //
 // (The paper's formula (7) uses two bound variables x1 < x2; read
 // literally that is satisfied by ANY two regions that are not a single
@@ -78,51 +71,42 @@ type SemanticChecker struct {
 	// against each other (needed for the truncation scenario of E6).
 	// Enabled by default via NewSemanticChecker.
 	CheckMemoryBanks bool
-	// Budget bounds the underlying solver's work (per CheckContext /
-	// FindCollisionsContext call). The zero value imposes no limits.
-	Budget sat.Budget
-	// Strategy selects how pair queries reach the solver (see
-	// SemanticStrategy). The zero value is StrategySweep.
-	Strategy SemanticStrategy
-	// OnQuery, when non-nil, receives one QueryRecord per pair decision
-	// — word tier and SAT tier alike — with wall time and the per-query
-	// solver-work delta (including witness extraction). The hook runs
-	// inline on the checking goroutine; keep it cheap. Leaving it nil
-	// (the default) keeps the decision loops on their zero-allocation
-	// path: not even a QueryRecord is built (see alloc_test.go).
+	// OnQuery, when non-nil, receives one QueryRecord per pair decision,
+	// with its wall time. The hook runs inline on the checking goroutine;
+	// keep it cheap. Leaving it nil (the default) keeps the decision loop
+	// on its zero-allocation path: not even a QueryRecord is built (see
+	// alloc_test.go).
 	OnQuery func(obs.QueryRecord)
 
 	stats SemanticStats
 }
 
-// SemanticStats describes the solver work of the most recent
-// FindCollisionsContext (or Check) call. Like the solver it wraps, a
-// checker records stats for one goroutine at a time — build one checker
-// per goroutine, as core.Pipeline does. The same shape doubles as the
-// optional stats sink of InterruptChecker and MemReserveChecker, so
-// the pipeline aggregates every SMT-backed family uniformly.
+// SemanticStats describes the work of the most recent
+// FindCollisionsContext (or Check) call. A checker records stats for
+// one goroutine at a time — build one checker per goroutine, as
+// core.Pipeline does. The same shape doubles as the optional stats sink
+// of InterruptChecker and MemReserveChecker, so the pipeline aggregates
+// every family uniformly; the solver fields are filled only by those
+// SMT-backed families.
 type SemanticStats struct {
-	// Pairs is the number of candidate pairs submitted to the solver.
+	// Pairs is the number of candidate pairs decided (for the interrupt
+	// family: pair queries posed to the solver).
 	Pairs int
-	// PairsPruned is how many of the naive n·(n-1)/2 region pairs never
-	// reached the solver — the sweep prefilter's (and the eligibility
-	// rules') measurable payoff. 0 for strategies that submit the full
-	// eligible schedule only when nothing was cut.
+	// PairsPruned is how many of the naive n·(n-1)/2 region pairs the
+	// sweep prefilter and the eligibility rules cut before any decision.
 	PairsPruned int
 	// WordDecided is how many candidate pairs the word-level tier
-	// (DESIGN.md §13) decided with plain interval arithmetic, keeping
-	// them off the solver entirely. On concrete-address trees under the
-	// default strategy this equals Pairs and SolverCalls stays 0.
+	// (DESIGN.md §13) decided with plain interval arithmetic. For the
+	// semantic family it always equals Pairs.
 	WordDecided int
-	// SolverCalls counts SMT check invocations, including canonical
-	// witness extraction (and its bitwise minimization probes) for
-	// confirmed collisions.
+	// SolverCalls counts SMT check invocations (memreserve and
+	// interrupt families; 0 for the semantic family).
 	SolverCalls int
 	// Collisions found.
 	Collisions int
 	// Solver aggregates the underlying SAT-solver work (conflicts,
 	// propagations, restarts, ...) across every solver instance the
-	// call created, including witness extraction.
+	// call created.
 	Solver sat.Stats
 	// InternHits / InternMisses aggregate the smt.Context hash-consing
 	// counters across those same instances.
@@ -155,8 +139,8 @@ func (sc *SemanticChecker) Check(tree *dts.Tree) ([]Collision, []Violation) {
 	return collisions, violations
 }
 
-// CheckContext is Check under a context and the checker's Budget. A
-// non-nil error (a *sat.LimitError) means the search was cut short;
+// CheckContext is Check under a context. A non-nil error (a
+// *sat.LimitError) means cancellation cut the search short;
 // collisions and violations found up to that point are still returned.
 func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Collision, []Violation, error) {
 	regions, err := addr.CollectRegions(tree)
@@ -196,7 +180,8 @@ func (sc *SemanticChecker) candidatePairs(regions []addr.Region) [][2]int {
 	return pairs
 }
 
-// pairEligible applies the exemption rules shared by every strategy:
+// pairEligible applies the exemption rules shared by the sweep, the
+// one-shot AnyCollision query and the all-pairs schedule:
 // same-node pairs are skipped unless they are distinct memory banks
 // under CheckMemoryBanks, and virtual-device windows never clash with
 // memory regions (see candidatePairs).
@@ -223,33 +208,23 @@ func eligiblePair(a, b addr.Region, checkMemoryBanks bool) bool {
 	return true
 }
 
-// FindCollisions checks the candidate pairs chosen by the configured
-// Strategy and returns all collisions, sorted by region path for
-// determinism.
+// FindCollisions returns every collision between eligible regions,
+// sorted by region path for determinism.
 func (sc *SemanticChecker) FindCollisions(regions []addr.Region, width int) []Collision {
 	out, _ := sc.FindCollisionsContext(context.Background(), regions, width)
 	return out
 }
 
-// FindCollisionsContext is FindCollisions under a context and the
-// checker's Budget. When a limit stops the search it returns the
-// collisions confirmed so far plus a *sat.LimitError; remaining pairs
-// are unchecked. All strategies return identical collision lists
-// (verdicts and witnesses); see DESIGN.md §9.
+// FindCollisionsContext is FindCollisions under a context. It runs in
+// two steps (DESIGN.md §9): the sweep-line prefilter computes the exact
+// set of eligible pairs whose intervals overlap, then the word tier
+// (DecideConcretePair) decides each candidate and computes its witness
+// arithmetically. No solver is built. When the context is canceled it
+// returns the collisions confirmed so far plus a *sat.LimitError;
+// remaining pairs are unchecked.
 func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []addr.Region, width int) ([]Collision, error) {
 	sc.stats = SemanticStats{}
-	var (
-		out []Collision
-		err error
-	)
-	switch sc.Strategy {
-	case StrategyPairwise:
-		out, err = sc.findPairwise(ctx, regions, width)
-	case StrategyAssume:
-		out, err = sc.findAssume(ctx, regions, width, sc.candidatePairs(regions))
-	default: // StrategySweep, StrategyWord, StrategyWordOff
-		out, err = sc.findAssume(ctx, regions, width, sc.sweepCandidates(regions, width))
-	}
+	out, err := sc.decidePairs(ctx, regions, width, sc.sweepCandidates(regions, width))
 	sc.stats.Collisions = len(out)
 	// Pruning payoff relative to the naive all-pairs schedule the
 	// paper's formulation implies. Counting the eligible-only baseline
@@ -261,253 +236,31 @@ func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []
 	return out, err
 }
 
-// findPairwise is the original per-pair formulation: one Push/Pop scope
-// and one full solve per candidate. Witnesses come from the same
-// canonical per-pair query every strategy uses (witnessFor) rather than
-// the shared solver's model — the shared solver's saved phases would
-// otherwise leak earlier pairs' search history into later witnesses,
-// making reports depend on pair order.
-func (sc *SemanticChecker) findPairwise(ctx context.Context, regions []addr.Region, width int) ([]Collision, error) {
-	pairs := sc.candidatePairs(regions)
+// decidePairs decides the given candidate pairs with the word tier.
+// The context is polled once per pair, since no solver is there to
+// poll it. With OnQuery nil the loop allocates only for collisions.
+func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Region, width int, pairs [][2]int) ([]Collision, error) {
 	sc.stats.Pairs = len(pairs)
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	sctx := smt.NewContext()
-	solver := smt.NewSolver(sctx)
-	solver.SetBudget(sc.Budget)
-	defer func() { sc.stats.absorb(solver) }()
-	x := sctx.BVVar("x", width)
-
 	var out []Collision
-	var lim error
 	for _, pair := range pairs {
+		if err := ctx.Err(); err != nil {
+			return out, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
+		}
 		a, b := regions[pair[0]], regions[pair[1]]
 		var t0 time.Time
-		var before sat.Stats
-		callsBefore := sc.stats.SolverCalls
 		if sc.OnQuery != nil {
 			t0 = time.Now()
-			before = sc.stats.Solver.Add(solver.Stats().SAT)
 		}
-		solver.Push()
-		solver.Assert(overlapTerm(sctx, x, a, width))
-		solver.Assert(overlapTerm(sctx, x, b, width))
-		st, err := solver.CheckContext(ctx)
-		sc.stats.SolverCalls++
-		solver.Pop()
-		var w uint64
-		if st == sat.Sat {
-			var werr error
-			w, werr = sc.witnessFor(ctx, a, b, width)
-			if werr != nil {
-				lim = werr
-			} else {
-				out = append(out, Collision{A: a, B: b, Witness: w})
-			}
-		}
-		if lim == nil && err != nil {
-			lim = err
+		overlap, w := DecideConcretePair(a, b, width)
+		sc.stats.WordDecided++
+		if overlap {
+			out = append(out, Collision{A: a, B: b, Witness: w})
 		}
 		if sc.OnQuery != nil {
-			// stats.Solver already holds the witness solvers' work
-			// (witnessFor absorbs on return), so the delta against the
-			// combined snapshot covers the whole decision.
-			after := sc.stats.Solver.Add(solver.Stats().SAT)
-			sc.emitPair("sat", a, b, st == sat.Sat, w, time.Since(t0),
-				after.Sub(before), sc.stats.SolverCalls-callsBefore, lim)
-		}
-		if lim != nil {
-			break
+			sc.emitPair(a, b, overlap, w, time.Since(t0))
 		}
 	}
-	return out, lim
-}
-
-// findAssume decides the given candidate pairs, word tier first: when
-// the strategy enables it (the default), each pair is decided by exact
-// interval arithmetic (DecideConcretePair) and never reaches a solver —
-// on concrete-address trees no smt.Context or CNF is ever constructed.
-// Pairs the word tier cannot decide fall through to one long-lived
-// solver, created lazily on first use: region i's containment formula
-// is asserted once behind an activation literal act_i (blasted lazily,
-// only for regions that appear in a pair), and a pair is checked by
-// solving under the assumptions {act_i, act_j}. Confirmed collisions
-// get their witness from a canonical per-pair query (witnessFor) so the
-// reported address is independent of the shared solver's search history
-// — together with the word tier's least-shared-address witness this is
-// what keeps reports byte-identical across strategies and tiers.
-func (sc *SemanticChecker) findAssume(ctx context.Context, regions []addr.Region, width int, pairs [][2]int) ([]Collision, error) {
-	sc.stats.Pairs = len(pairs)
-	if len(pairs) == 0 {
-		return nil, nil
-	}
-	useWord := sc.Strategy.wordTierEnabled()
-	var (
-		sctx   *smt.Context
-		solver *smt.Solver
-		x      *smt.Term
-		acts   []*smt.Term
-	)
-	defer func() {
-		if solver != nil {
-			sc.stats.absorb(solver)
-		}
-	}()
-	act := func(i int) *smt.Term {
-		if acts[i] == nil {
-			acts[i] = sctx.BoolVar(fmt.Sprintf("act%d", i))
-			solver.Assert(sctx.Implies(acts[i], overlapTerm(sctx, x, regions[i], width)))
-		}
-		return acts[i]
-	}
-
-	var out []Collision
-	var lim error
-	assumptions := make([]*smt.Term, 0, 2)
-	for _, pair := range pairs {
-		a, b := regions[pair[0]], regions[pair[1]]
-		if useWord {
-			// The solver path polls the context inside every solve; the
-			// word path must poll it itself to keep cancellation
-			// semantics identical.
-			if err := ctx.Err(); err != nil {
-				lim = &sat.LimitError{Reason: sat.StopCanceled, Err: err}
-				break
-			}
-			var t0 time.Time
-			if sc.OnQuery != nil {
-				t0 = time.Now()
-			}
-			overlap, w := DecideConcretePair(a, b, width)
-			sc.stats.WordDecided++
-			if overlap {
-				out = append(out, Collision{A: a, B: b, Witness: w})
-			}
-			if sc.OnQuery != nil {
-				sc.emitPair("word", a, b, overlap, w, time.Since(t0), sat.Stats{}, 0, nil)
-			}
-			continue
-		}
-		if solver == nil {
-			sctx = smt.NewContext()
-			solver = smt.NewSolver(sctx)
-			solver.SetBudget(sc.Budget)
-			x = sctx.BVVar("x", width)
-			acts = make([]*smt.Term, len(regions))
-		}
-		var t0 time.Time
-		var before sat.Stats
-		callsBefore := sc.stats.SolverCalls
-		if sc.OnQuery != nil {
-			t0 = time.Now()
-			before = sc.stats.Solver.Add(solver.Stats().SAT)
-		}
-		// Only the pair's literals are assumed; the others stay free.
-		// Forcing every inactive literal false measures slower here —
-		// each extra assumption is a decision level whose watch lists
-		// must be re-scanned on every solve — and a free literal's
-		// implication can only over-constrain x, never flip a verdict.
-		assumptions = assumptions[:0]
-		assumptions = append(assumptions, act(pair[0]), act(pair[1]))
-		st, err := solver.CheckAssumingContext(ctx, assumptions...)
-		sc.stats.SolverCalls++
-		var w uint64
-		if st == sat.Sat {
-			var werr error
-			w, werr = sc.witnessFor(ctx, a, b, width)
-			if werr != nil {
-				lim = werr
-			} else {
-				out = append(out, Collision{A: a, B: b, Witness: w})
-			}
-		}
-		if lim == nil && err != nil {
-			lim = err
-		}
-		if sc.OnQuery != nil {
-			after := sc.stats.Solver.Add(solver.Stats().SAT)
-			sc.emitPair("sat", a, b, st == sat.Sat, w, time.Since(t0),
-				after.Sub(before), sc.stats.SolverCalls-callsBefore, lim)
-		}
-		if lim != nil {
-			break
-		}
-	}
-	return out, lim
-}
-
-// witnessFor reproduces the paper's per-pair counterexample query on a
-// fresh solver, so the witness model depends only on the pair — not on
-// which strategy established satisfiability or what the shared solver
-// had learnt before. SMT stays the witness oracle (DESIGN.md §9). The
-// model is then minimized bitwise so the reported witness is the least
-// shared address — the same value the word-level tier computes as
-// max(lo_a, lo_b), which is what keeps witnesses byte-identical across
-// tiers (DESIGN.md §13).
-func (sc *SemanticChecker) witnessFor(ctx context.Context, a, b addr.Region, width int) (uint64, error) {
-	sctx := smt.NewContext()
-	solver := smt.NewSolver(sctx)
-	solver.SetBudget(sc.Budget)
-	defer func() { sc.stats.absorb(solver) }()
-	x := sctx.BVVar("x", width)
-	solver.Assert(overlapTerm(sctx, x, a, width))
-	solver.Assert(overlapTerm(sctx, x, b, width))
-	st, err := solver.CheckContext(ctx)
-	sc.stats.SolverCalls++
-	if err != nil {
-		return 0, err
-	}
-	if st != sat.Sat {
-		// Unreachable: the caller established satisfiability of the
-		// same (exact) encoding. Report 0 rather than panicking.
-		return 0, nil
-	}
-	return minimizeBV(ctx, solver, x, width, &sc.stats, nil)
-}
-
-// minimizeBV narrows a satisfiable solver's model of x down to the
-// numerically smallest value, by fixing bits most-significant-first:
-// each probe asks whether the bit can be 0 given the bits already
-// fixed; if not it is pinned to 1. Lexicographic minimization of the
-// bit string is numeric minimization for an unsigned vector, so after
-// width probes the fixed bits ARE the minimal model — no final model
-// extraction is needed. base carries assumptions that scope the query
-// (e.g. a pair's activation literals on a shared solver); the caller
-// must have just established Sat under exactly those assumptions.
-// Each probe is counted as a solver call in stats when non-nil.
-func minimizeBV(ctx context.Context, solver *smt.Solver, x *smt.Term, width int, stats *SemanticStats, base []*smt.Term) (uint64, error) {
-	sctx := solver.Context()
-	buf := witnessBufPool.Get().(*[]*smt.Term)
-	assume := append((*buf)[:0], base...)
-	defer func() {
-		// Terms are owned by their (per-checker) Context; drop the
-		// references so a pooled buffer cannot pin a dead Context.
-		for i := range assume {
-			assume[i] = nil
-		}
-		*buf = assume[:0]
-		witnessBufPool.Put(buf)
-	}()
-	var val uint64
-	for i := width - 1; i >= 0; i-- {
-		bit := sctx.Extract(x, i, i)
-		zero := sctx.Eq(bit, sctx.BVConst(1, 0))
-		st, err := solver.CheckAssumingContext(ctx, append(assume, zero)...)
-		if stats != nil {
-			stats.SolverCalls++
-		}
-		if err != nil {
-			return 0, err
-		}
-		if st == sat.Sat {
-			assume = append(assume, zero)
-		} else {
-			assume = append(assume, sctx.Eq(bit, sctx.BVConst(1, 1)))
-			val |= 1 << uint(i)
-		}
-	}
-	return val, nil
+	return out, nil
 }
 
 // RegionLabel is the stable identity of one region in query records
@@ -520,25 +273,18 @@ func RegionLabel(r addr.Region) string {
 // emitPair builds and delivers one pair-decision record. Called only
 // when OnQuery is non-nil, so the disabled path never reaches the
 // formatting below.
-func (sc *SemanticChecker) emitPair(tier string, a, b addr.Region, overlap bool, witness uint64, elapsed time.Duration, d sat.Stats, calls int, lim error) {
+func (sc *SemanticChecker) emitPair(a, b addr.Region, overlap bool, witness uint64, elapsed time.Duration) {
 	q := obs.QueryRecord{
-		Family:       "semantic",
-		Tier:         tier,
-		A:            RegionLabel(a),
-		B:            RegionLabel(b),
-		Verdict:      "disjoint",
-		Millis:       float64(elapsed) / float64(time.Millisecond),
-		SolverCalls:  calls,
-		Conflicts:    d.Conflicts,
-		Decisions:    d.Decisions,
-		Propagations: d.Propagations,
+		Family:  "semantic",
+		Tier:    "word",
+		A:       RegionLabel(a),
+		B:       RegionLabel(b),
+		Verdict: "disjoint",
+		Millis:  float64(elapsed) / float64(time.Millisecond),
 	}
 	if overlap {
 		q.Verdict = "overlap"
 		q.Witness = fmt.Sprintf("0x%x", witness)
-	}
-	if lim != nil {
-		q.Verdict = "limit"
 	}
 	sc.OnQuery(q)
 }
@@ -565,9 +311,8 @@ func (sc *SemanticChecker) AnyCollision(regions []addr.Region, width int) (Colli
 	return c, ok
 }
 
-// AnyCollisionContext is AnyCollision under a context and the checker's
-// Budget; a non-nil error means the single query was cut short and the
-// answer is unknown.
+// AnyCollisionContext is AnyCollision under a context; a non-nil error
+// means the single query was cut short and the answer is unknown.
 func (sc *SemanticChecker) AnyCollisionContext(ctx context.Context, regions []addr.Region, width int) (Collision, bool, error) {
 	pairs := sc.candidatePairs(regions)
 	if len(pairs) == 0 {
@@ -575,7 +320,6 @@ func (sc *SemanticChecker) AnyCollisionContext(ctx context.Context, regions []ad
 	}
 	sctx := smt.NewContext()
 	solver := smt.NewSolver(sctx)
-	solver.SetBudget(sc.Budget)
 	x := sctx.BVVar("x", width)
 
 	inRegion := make([]*smt.Term, len(regions))

@@ -2,111 +2,10 @@ package constraints
 
 import (
 	"container/heap"
-	"fmt"
 	"sort"
 
 	"llhsc/internal/addr"
 )
-
-// SemanticStrategy selects how SemanticChecker discharges the pairwise
-// overlap queries of formula (7). Every strategy produces the same
-// verdicts and witnesses (the cross-validation tests assert this); they
-// differ only in how much work reaches the SMT solver.
-type SemanticStrategy int
-
-const (
-	// StrategySweep (the default) runs an O(n log n) sweep-line over
-	// the regions' arithmetic intervals to compute the exact set of
-	// overlapping candidate pairs, then confirms each candidate — and
-	// extracts its witness — with the SMT solver. The solver remains
-	// the ground truth for every reported collision; the sweep only
-	// prunes pairs whose queries would be trivially unsatisfiable.
-	StrategySweep SemanticStrategy = iota
-	// StrategyAssume checks every candidate pair, but on one long-lived
-	// solver: each region's containment formula is blasted once behind
-	// an activation literal and a pair is decided by solving under the
-	// two literals as assumptions (the incremental usage the paper's
-	// Section VI describes for Z3).
-	StrategyAssume
-	// StrategyPairwise is the original formulation: one Push/Pop scope
-	// and one full solve per candidate pair. Kept as the baseline for
-	// E14 and for cross-validation. The word-level tier is off: every
-	// candidate reaches the solver.
-	StrategyPairwise
-	// StrategyWord is the explicit spelling of the default behaviour:
-	// the sweep-line schedule with the word-level decision tier
-	// (DESIGN.md §13) deciding concrete pairs arithmetically before any
-	// solver exists. Identical to StrategySweep; present so flags and
-	// cache keys can name the tier directly.
-	StrategyWord
-	// StrategyWordOff is the escape hatch: the sweep-line schedule with
-	// the word-level tier disabled, so every surviving candidate is
-	// bit-blasted as before this tier existed. Verdicts and witnesses
-	// are byte-identical to the word tier's (the cross-validation tests
-	// assert this); only the work profile differs.
-	StrategyWordOff
-)
-
-// wordTierEnabled reports whether the word-level decision tier fires
-// beneath this strategy. It is the default fast tier under sweep and
-// assume; pairwise and word-off keep every pair on the solver.
-func (s SemanticStrategy) wordTierEnabled() bool {
-	switch s {
-	case StrategySweep, StrategyAssume, StrategyWord:
-		return true
-	default:
-		return false
-	}
-}
-
-// String returns the flag spelling of the strategy.
-func (s SemanticStrategy) String() string {
-	switch s {
-	case StrategySweep:
-		return "sweep"
-	case StrategyAssume:
-		return "assume"
-	case StrategyPairwise:
-		return "pairwise"
-	case StrategyWord:
-		return "word"
-	case StrategyWordOff:
-		return "word-off"
-	default:
-		return fmt.Sprintf("SemanticStrategy(%d)", int(s))
-	}
-}
-
-// Set implements flag.Value, so binaries can register a
-// *SemanticStrategy directly with flag.Var and an invalid spelling
-// fails at flag-parse time with the list of valid ones, before any
-// input is read.
-func (s *SemanticStrategy) Set(v string) error {
-	parsed, err := ParseSemanticStrategy(v)
-	if err != nil {
-		return err
-	}
-	*s = parsed
-	return nil
-}
-
-// ParseSemanticStrategy parses a -semantic-strategy flag value.
-func ParseSemanticStrategy(s string) (SemanticStrategy, error) {
-	switch s {
-	case "sweep", "":
-		return StrategySweep, nil
-	case "assume":
-		return StrategyAssume, nil
-	case "pairwise":
-		return StrategyPairwise, nil
-	case "word":
-		return StrategyWord, nil
-	case "word-off":
-		return StrategyWordOff, nil
-	default:
-		return 0, fmt.Errorf("unknown semantic strategy %q (want sweep, assume, pairwise, word or word-off)", s)
-	}
-}
 
 // interval is the arithmetic model of overlapTerm: the set of addresses
 // x at the checker's bit width with b <= x < b+s, under the same
@@ -184,8 +83,8 @@ func (h sweepHeap) min() sweepItem { return h[0] }
 // later. Every region still active when a new one starts overlaps it
 // (active.lo <= new.lo < active.hi), so candidate emission is
 // enumeration, not testing. Pairs come back sorted by (i, j) index —
-// the same order candidatePairs produces — so downstream output
-// ordering is strategy-independent.
+// the same order candidatePairs produces — so the production path and
+// the all-pairs test oracle emit collisions in the same order.
 func (sc *SemanticChecker) sweepCandidates(regions []addr.Region, width int) [][2]int {
 	items := make([]sweepItem, 0, len(regions))
 	for i, r := range regions {

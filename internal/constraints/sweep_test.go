@@ -12,33 +12,6 @@ import (
 	"llhsc/internal/sat"
 )
 
-func TestParseSemanticStrategy(t *testing.T) {
-	for _, tt := range []struct {
-		in   string
-		want SemanticStrategy
-		ok   bool
-	}{
-		{"sweep", StrategySweep, true},
-		{"", StrategySweep, true},
-		{"assume", StrategyAssume, true},
-		{"pairwise", StrategyPairwise, true},
-		{"z3", 0, false},
-		{"Sweep", 0, false},
-	} {
-		got, err := ParseSemanticStrategy(tt.in)
-		if (err == nil) != tt.ok || got != tt.want {
-			t.Errorf("ParseSemanticStrategy(%q) = %v, %v; want %v, ok=%v",
-				tt.in, got, err, tt.want, tt.ok)
-		}
-	}
-	for _, s := range []SemanticStrategy{StrategySweep, StrategyAssume, StrategyPairwise} {
-		got, err := ParseSemanticStrategy(s.String())
-		if err != nil || got != s {
-			t.Errorf("round trip %v: got %v, %v", s, got, err)
-		}
-	}
-}
-
 // TestRegionInterval pins the arithmetic model to overlapTerm's
 // truncation rules: empty regions admit no address, regions reaching or
 // wrapping past 2^width keep only their (truncated) lower bound.
@@ -156,57 +129,40 @@ func TestSweepCandidatesMatchOracle(t *testing.T) {
 }
 
 // TestStrategiesAgreeOnRandomRegions is the randomized cross-validation
-// of DESIGN.md §9 and §13: every strategy must report the same
-// colliding pairs, every witness must inhabit both regions under the
-// width's truncation semantics, and — because all strategies now share
-// one canonical witness (the least shared address, computed by the
-// word tier arithmetically and by the solver path through bitwise
-// minimization) — the collision lists must be byte-identical across
-// the board, word tier against bit-blaster included.
+// of DESIGN.md §9 and §13 between the two ways of deciding formula (7):
+// the production path (sweep, then word tier) and the bit-blasting
+// oracle over every eligible pair. Both must report the same colliding
+// pairs with byte-identical witnesses, and every witness must inhabit
+// both regions under the width's truncation semantics.
 func TestStrategiesAgreeOnRandomRegions(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for iter := 0; iter < 25; iter++ {
 		width := []int{32, 12}[iter%2]
 		regions := randomRegions(rng, 4+rng.Intn(8), width)
-		results := make(map[SemanticStrategy][]Collision)
-		for _, strat := range []SemanticStrategy{
-			StrategyPairwise, StrategyAssume, StrategySweep, StrategyWord, StrategyWordOff,
-		} {
-			sc := NewSemanticChecker()
-			sc.Strategy = strat
-			out, err := sc.FindCollisionsContext(context.Background(), regions, width)
-			if err != nil {
-				t.Fatalf("iter %d: %s: %v", iter, strat, err)
-			}
-			results[strat] = out
-			for _, col := range out {
-				for _, r := range []addr.Region{col.A, col.B} {
-					iv, ok := regionInterval(r, width)
-					if !ok || col.Witness < iv.lo || (!iv.top && col.Witness >= iv.hi) {
-						t.Errorf("iter %d: %s reports witness %#x outside region %+v (width %d)",
-							iter, strat, col.Witness, r, width)
-					}
+		got, err := NewSemanticChecker().FindCollisionsContext(context.Background(), regions, width)
+		if err != nil {
+			t.Fatalf("iter %d: %v", iter, err)
+		}
+		for _, col := range got {
+			for _, r := range []addr.Region{col.A, col.B} {
+				iv, ok := regionInterval(r, width)
+				if !ok || col.Witness < iv.lo || (!iv.top && col.Witness >= iv.hi) {
+					t.Errorf("iter %d: witness %#x outside region %+v (width %d)",
+						iter, col.Witness, r, width)
 				}
 			}
 		}
-		ref := results[StrategyPairwise]
-		for _, strat := range []SemanticStrategy{StrategyAssume, StrategySweep, StrategyWord, StrategyWordOff} {
-			out := results[strat]
-			if len(out) != len(ref) {
-				t.Fatalf("iter %d (width %d): %s found %d collisions, pairwise %d\nregions: %+v",
-					iter, width, strat, len(out), len(ref), regions)
-			}
-			if !reflect.DeepEqual(out, ref) {
-				t.Fatalf("iter %d (width %d): %s disagrees with pairwise (verdicts or witnesses):\n%v\n%v",
-					iter, width, strat, out, ref)
-			}
+		want := oracleFindCollisions(t, regions, width, true)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("iter %d (width %d): production disagrees with the oracle (verdicts or witnesses):\n got %v\nwant %v\nregions: %+v",
+				iter, width, got, want, regions)
 		}
 	}
 }
 
-// TestSemanticStatsSweepPrunes: on disjoint regions the sweep reaches
-// the solver zero times while still accounting for the full candidate
-// set in Pairs.
+// TestSemanticStatsSweepPrunes: on disjoint regions the sweep leaves no
+// candidate at all, and on overlapping ones the word tier decides every
+// candidate without a solver call.
 func TestSemanticStatsSweepPrunes(t *testing.T) {
 	regions := make([]addr.Region, 16)
 	for i := range regions {
@@ -215,53 +171,40 @@ func TestSemanticStatsSweepPrunes(t *testing.T) {
 			Path: fmt.Sprintf("/dev@%d", i), Kind: addr.KindDevice,
 		}
 	}
-	sc := NewSemanticChecker() // default sweep
+	sc := NewSemanticChecker()
 	if out := sc.FindCollisions(regions, 32); len(out) != 0 {
 		t.Fatalf("collisions = %v, want none", out)
 	}
-	if st := sc.LastStats(); st.SolverCalls != 0 || st.Pairs != 0 || st.Collisions != 0 {
-		t.Errorf("sweep stats on disjoint regions = %+v, want zero solver work", st)
+	if st := sc.LastStats(); st.SolverCalls != 0 || st.Pairs != 0 || st.Collisions != 0 || st.PairsPruned != 16*15/2 {
+		t.Errorf("sweep stats on disjoint regions = %+v, want no pairs, all %d pruned", st, 16*15/2)
 	}
 
-	sc.Strategy = StrategyPairwise
-	if out := sc.FindCollisions(regions, 32); len(out) != 0 {
-		t.Fatalf("pairwise collisions = %v, want none", out)
+	for i := range regions {
+		regions[i].Size = 0x1800 // each region now reaches into the next one
 	}
-	if st := sc.LastStats(); st.SolverCalls != 16*15/2 {
-		t.Errorf("pairwise SolverCalls = %d, want %d", st.SolverCalls, 16*15/2)
+	out := sc.FindCollisions(regions, 32)
+	st := sc.LastStats()
+	if len(out) != 15 || st.Pairs != 15 || st.WordDecided != 15 || st.SolverCalls != 0 {
+		t.Errorf("overlapping chain: %d collisions, stats %+v; want 15 word-decided pairs, no solver calls", len(out), st)
 	}
 }
 
-// TestIncrementalAddContextCanceled: cancellation mid-AddContext
-// surfaces as a typed *sat.LimitError, leaves the checker's region set
-// unchanged, and a retry succeeds.
-func TestIncrementalAddContextCanceled(t *testing.T) {
-	c := NewIncrementalSemanticChecker(32)
-	r0 := addr.Region{Base: 0x1000, Size: 0x100, Path: "/a"}
-	r1 := addr.Region{Base: 0x1080, Size: 0x100, Path: "/b"}
-	if _, err := c.AddContext(context.Background(), r0); err != nil {
-		t.Fatal(err)
+// TestFindCollisionsContextCanceled: with no solver to poll the
+// context, the pair loop itself must stop on cancellation with a typed
+// *sat.LimitError wrapping context.Canceled.
+func TestFindCollisionsContextCanceled(t *testing.T) {
+	regions := []addr.Region{
+		{Base: 0x1000, Size: 0x100, Path: "/a"},
+		{Base: 0x1080, Size: 0x100, Path: "/b"},
 	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := c.AddContext(ctx, r1)
+	out, err := NewSemanticChecker().FindCollisionsContext(ctx, regions, 32)
 	var lim *sat.LimitError
-	if !errors.As(err, &lim) {
-		t.Fatalf("err = %v (%T), want *sat.LimitError", err, err)
+	if !errors.As(err, &lim) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want *sat.LimitError wrapping context.Canceled", err, err)
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want to wrap context.Canceled", err)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len after canceled AddContext = %d, want 1 (region must not register)", c.Len())
-	}
-
-	out, err := c.AddContext(context.Background(), r1)
-	if err != nil {
-		t.Fatalf("retry: %v", err)
-	}
-	if len(out) != 1 || c.Len() != 2 {
-		t.Errorf("retry: collisions = %v, Len = %d; want 1 collision, Len 2", out, c.Len())
+	if len(out) != 0 {
+		t.Errorf("canceled search reported collisions %v", out)
 	}
 }

@@ -1,14 +1,16 @@
 // Package constraints implements llhsc's three constraint families
-// (Section IV of the paper), all discharged by the SMT solver in
-// internal/smt:
+// (Section IV of the paper):
 //
 //   - resource-allocation constraints over multi-product feature models
 //     (Section IV-A; thin veneer over internal/featmodel),
 //   - syntactic constraints derived from dt-schema-style binding
 //     schemas, encoded as the axioms (1)–(3) and proof obligations
-//     (4)–(6) of Section IV-B,
-//   - semantic constraints: bit-vector non-overlap of address regions
-//     with counterexample extraction (Section IV-C, formula (7)).
+//     (4)–(6) of Section IV-B and discharged by the SMT solver in
+//     internal/smt,
+//   - semantic constraints: non-overlap of address regions with a
+//     counterexample witness (Section IV-C, formula (7)). The regions
+//     are concrete, so exact word arithmetic decides the bit-vector
+//     query; a test-only bit-blasting oracle holds it to the encoding.
 //
 // Violations carry blame: the delta module that produced the offending
 // node or property (via dts.Origin.Delta), realizing the traceability
@@ -24,9 +26,8 @@
 // per worker for clarity, but the hard requirement is only the one
 // documented on smt.Solver — never drive one Solver from two
 // goroutines. Schema sets and parsed trees are read-only during
-// checking and safe to share. The exception is
-// IncrementalSemanticChecker, which owns a long-lived solver and is
-// single-goroutine by design.
+// checking and safe to share. The exception is SemanticChecker, which
+// records LastStats on the checker value: give each goroutine its own.
 package constraints
 
 import (

@@ -1,47 +1,14 @@
 package constraints
 
-import (
-	"context"
-	"math/bits"
+import "llhsc/internal/addr"
 
-	"llhsc/internal/addr"
-	"llhsc/internal/sat"
-	"llhsc/internal/smt"
-)
-
-// This file is the word-level tier of the semantic checker's decision
-// ladder (DESIGN.md §13): decide region-pair overlap with machine
-// arithmetic whenever the pair's bounds allow it, and reserve the
-// bit-blaster for the genuinely symbolic remainder. Verdicts and
-// witnesses are byte-identical to the solver tiers — the witness is
-// always the *least* shared address, which the blast tier reproduces by
-// bitwise model minimization (minimizeBV in semantic.go) — so callers
-// may mix tiers freely without reports depending on which tier fired.
-
-// WordVerdict is the outcome of a word-level pair decision.
-type WordVerdict int8
-
-// Word-level verdicts.
-const (
-	// WordInconclusive: the word tier cannot decide the pair; blast it.
-	WordInconclusive WordVerdict = iota
-	// WordDisjoint: no address is contained in both regions.
-	WordDisjoint
-	// WordOverlap: the regions share an address; the accompanying
-	// witness is the least such address.
-	WordOverlap
-)
-
-func (v WordVerdict) String() string {
-	switch v {
-	case WordDisjoint:
-		return "disjoint"
-	case WordOverlap:
-		return "overlap"
-	default:
-		return "inconclusive"
-	}
-}
+// This file is the word-level tier of the semantic checker (DESIGN.md
+// §13): every candidate pair the sweep emits is decided with machine
+// arithmetic, never with the bit-blaster. Verdicts and witnesses are
+// byte-identical to the per-pair SMT query of Section IV-C — the
+// witness is always the *least* shared address, which the bit-blasting
+// test oracle reproduces by bitwise model minimization — so reports do
+// not depend on how a pair was decided.
 
 // DecideConcretePair decides formula (7) for two fully concrete regions
 // with exact uint64 interval arithmetic — no solver, no allocation. The
@@ -50,7 +17,7 @@ func (v WordVerdict) String() string {
 // compiles, so "the intervals share an address" and "the pair's
 // bit-vector query is satisfiable" are the same predicate. On overlap,
 // the witness is the least shared address max(lo_a, lo_b) — identical
-// to what the blast tier's minimizing witness query returns.
+// to what a minimizing witness query over overlapTerm returns.
 func DecideConcretePair(a, b addr.Region, width int) (overlap bool, witness uint64) {
 	ia, ok := regionInterval(a, width)
 	if !ok {
@@ -68,194 +35,4 @@ func DecideConcretePair(a, b addr.Region, width int) (overlap bool, witness uint
 		lo = ib.lo
 	}
 	return true, lo
-}
-
-// overlapTermSym encodes containment of x in the half-open region
-// [base, base+size) when base and size are symbolic terms:
-//
-//	base <= x  ∧  x − base < size
-//
-// The subtraction form handles every case overlapTerm special-cases for
-// concrete regions: size = 0 makes the strict bound unsatisfiable, and
-// a region whose end reaches past 2^width degenerates to the lower
-// bound alone (x − base can reach at most 2^width − 1 − base). On
-// concrete base/size terms the two encodings accept exactly the same x
-// — the one caveat is that overlapTerm reads the *64-bit* addr.Region
-// bounds before truncation, so a Region whose Base exceeds the width
-// is "top of space" under overlapTerm while its masked BVConst here is
-// an ordinary in-range base. The differential tests pin each decider
-// against its own encoding and the pair against each other on
-// representable bounds.
-func overlapTermSym(sctx *smt.Context, x, base, size *smt.Term) *smt.Term {
-	return sctx.And(sctx.Ule(base, x), sctx.Ult(sctx.Sub(x, base), size))
-}
-
-// DecideTermPair runs the word-level ladder over a region pair whose
-// base and size are smt terms of the checker's width, with symbolic
-// cells bounded by env (absent cells range over their full width). It
-// decides overlap of [baseA, baseA+sizeA) and [baseB, baseB+sizeB)
-// under the overlapTermSym semantics:
-//
-//   - concrete pairs (all four bounds evaluate to constants) are always
-//     decided, by the same arithmetic as DecideConcretePair;
-//   - affine pairs are decided by interval propagation over the cell
-//     ranges: a pair whose bound hulls cannot intersect is disjoint,
-//     and a pair is conclusively overlapping when the two regions draw
-//     on disjoint cell sets, each region's low bounds are achieved at
-//     the cells' low ends, and the least possible shared address
-//     max(lo_base_a, lo_base_b) falls inside both regions there — that
-//     address is then provably the blast tier's minimized witness;
-//   - anything else is WordInconclusive and must be bit-blasted.
-//
-// Soundness: a WordDisjoint or WordOverlap verdict holds for the
-// existential query "is there a cell assignment within env and an
-// address x contained in both regions", exactly the satisfiability
-// question the blast tier answers.
-func DecideTermPair(env smt.RangeEnv, width int, baseA, sizeA, baseB, sizeB *smt.Term) (WordVerdict, uint64) {
-	ba, ok1 := smt.TermBounds(baseA, env)
-	sa, ok2 := smt.TermBounds(sizeA, env)
-	bb, ok3 := smt.TermBounds(baseB, env)
-	sb, ok4 := smt.TermBounds(sizeB, env)
-	if !ok1 || !ok2 || !ok3 || !ok4 {
-		return WordInconclusive, 0
-	}
-	// A region whose size is pinned to zero contains nothing.
-	if sa.Hi == 0 || sb.Hi == 0 {
-		return WordDisjoint, 0
-	}
-	// Hull test: every address in A is within [ba.Lo, hullHi(A)], so
-	// two regions whose hulls cannot meet are disjoint under every
-	// assignment.
-	if hullEnd(ba, sa, width) < bb.Lo || hullEnd(bb, sb, width) < ba.Lo {
-		return WordDisjoint, 0
-	}
-
-	// Conclusive overlap needs an exhibitable assignment and a witness
-	// that is minimal over *all* assignments. Both come from pinning
-	// every cell to the low end of its range — valid only when each
-	// region's low bounds are achieved there (true for monotone affine
-	// bounds; verified by point evaluation rather than assumed) and the
-	// two regions share no cells (so their pinnings compose).
-	if ClassifyTermPair(baseA, sizeA, baseB, sizeB) == smt.FragmentSymbolic {
-		return WordInconclusive, 0
-	}
-	varsA := make(map[string]struct{})
-	smt.CollectBVVars(baseA, varsA)
-	smt.CollectBVVars(sizeA, varsA)
-	varsB := make(map[string]struct{})
-	smt.CollectBVVars(baseB, varsB)
-	smt.CollectBVVars(sizeB, varsB)
-	for v := range varsA {
-		if _, shared := varsB[v]; shared {
-			return WordInconclusive, 0
-		}
-	}
-	pinned := make(smt.RangeEnv, len(varsA)+len(varsB))
-	for _, vars := range []map[string]struct{}{varsA, varsB} {
-		for v := range vars {
-			if iv, okEnv := env[v]; okEnv {
-				pinned[v] = smt.Point(iv.Lo)
-			} else {
-				pinned[v] = smt.Point(0)
-			}
-		}
-	}
-	if !achievesLow(baseA, pinned, ba) || !achievesLow(sizeA, pinned, sa) ||
-		!achievesLow(baseB, pinned, bb) || !achievesLow(sizeB, pinned, sb) {
-		return WordInconclusive, 0
-	}
-	// Under the pinned assignment, A = [ba.Lo, ba.Lo+sa.Lo) and
-	// B = [bb.Lo, bb.Lo+sb.Lo) (each capped at 2^width). Their least
-	// shared address, if any, is max of the bases; and since every
-	// shared address under every assignment is >= both base lower
-	// bounds, that address is globally minimal.
-	x0 := ba.Lo
-	if bb.Lo > x0 {
-		x0 = bb.Lo
-	}
-	if inPinnedRegion(x0, ba.Lo, sa.Lo, width) && inPinnedRegion(x0, bb.Lo, sb.Lo, width) {
-		return WordOverlap, x0
-	}
-	return WordInconclusive, 0
-}
-
-// BlastTermPair decides the same existential query as DecideTermPair —
-// is there a cell assignment within env and an address x inside both
-// regions — by bit-blasting overlapTermSym, and on Sat minimizes x to
-// the least shared address with the canonical witness query. It is the
-// ground-truth oracle the differential tests and the E18 bench compare
-// the word tier against; the terms must belong to sctx.
-func BlastTermPair(ctx context.Context, sctx *smt.Context, env smt.RangeEnv, width int, baseA, sizeA, baseB, sizeB *smt.Term) (overlap bool, witness uint64, err error) {
-	solver := smt.NewSolver(sctx)
-	x := sctx.BVVar("x_blast", width)
-	for name, iv := range env {
-		v := sctx.BVVar(name, width)
-		solver.Assert(sctx.Ule(sctx.BVConst(width, iv.Lo), v))
-		solver.Assert(sctx.Ule(v, sctx.BVConst(width, iv.Hi)))
-	}
-	solver.Assert(overlapTermSym(sctx, x, baseA, sizeA))
-	solver.Assert(overlapTermSym(sctx, x, baseB, sizeB))
-	st, err := solver.CheckContext(ctx)
-	if err != nil {
-		return false, 0, err
-	}
-	if st != sat.Sat {
-		return false, 0, nil
-	}
-	w, err := minimizeBV(ctx, solver, x, width, nil, nil)
-	if err != nil {
-		return false, 0, err
-	}
-	return true, w, nil
-}
-
-// ClassifyTermPair places a region pair on the decision ladder: the
-// loosest fragment among its four bound terms.
-func ClassifyTermPair(baseA, sizeA, baseB, sizeB *smt.Term) smt.Fragment {
-	f := smt.ClassifyTerm(baseA)
-	for _, t := range []*smt.Term{sizeA, baseB, sizeB} {
-		if c := smt.ClassifyTerm(t); c > f {
-			f = c
-		}
-	}
-	return f
-}
-
-// hullEnd returns the largest address any assignment can place inside
-// the region: min(base.Hi + size.Hi, 2^width) − 1, saturating.
-func hullEnd(base, size smt.Interval, width int) uint64 {
-	end, carry := bits.Add64(base.Hi, size.Hi, 0)
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = 1<<uint(width) - 1
-	}
-	if carry != 0 || end > mask {
-		return mask
-	}
-	return end - 1 // size.Hi >= 1 here, so end >= base.Hi + 1
-}
-
-// achievesLow reports whether pinning the cells (env) evaluates t to
-// exactly the lower bound of its interval — i.e. the bound is achieved
-// at the pinned point, not merely approached.
-func achievesLow(t *smt.Term, pinned smt.RangeEnv, bounds smt.Interval) bool {
-	v, ok := smt.TermBounds(t, pinned)
-	return ok && v.IsPoint() && v.Lo == bounds.Lo
-}
-
-// inPinnedRegion reports x ∈ [base, base+size) at the given width,
-// with the end capped at 2^width (the overlapTermSym wrap semantics).
-func inPinnedRegion(x, base, size uint64, width int) bool {
-	if x < base {
-		return false
-	}
-	end, carry := bits.Add64(base, size, 0)
-	mask := ^uint64(0)
-	if width < 64 {
-		mask = 1<<uint(width) - 1
-	}
-	if carry != 0 || end > mask {
-		return true // region reaches the top of the address space
-	}
-	return x < end
 }

@@ -1,208 +1,29 @@
 package constraints
 
 import (
-	"context"
-	"math/rand"
 	"testing"
 
 	"llhsc/internal/addr"
 	"llhsc/internal/conform"
-	"llhsc/internal/sat"
-	"llhsc/internal/smt"
 )
 
-// blastOverlap is the oracle for the word-tier differential tests: it
-// decides "is there a cell assignment within env and an address x
-// inside both regions" by bit-blasting the encoding enc produces for a
-// shared witness variable x, and on Sat minimizes x with the canonical
-// witness query every solver tier uses. The word tier's conclusive
-// verdicts (and witnesses) must match this exactly.
-func blastOverlap(t *testing.T, sctx *smt.Context, env smt.RangeEnv, width int, enc func(x *smt.Term) *smt.Term) (overlap bool, witness uint64) {
-	t.Helper()
-	solver := smt.NewSolver(sctx)
-	x := sctx.BVVar("x_diff", width)
-	for name, iv := range env {
-		v := sctx.BVVar(name, width)
-		solver.Assert(sctx.Ule(sctx.BVConst(width, iv.Lo), v))
-		solver.Assert(sctx.Ule(v, sctx.BVConst(width, iv.Hi)))
-	}
-	solver.Assert(enc(x))
-	switch solver.Check() {
-	case sat.Unsat:
-		return false, 0
-	case sat.Sat:
-		w, err := minimizeBV(context.Background(), solver, x, width, nil, nil)
-		if err != nil {
-			t.Fatalf("witness minimization: %v", err)
-		}
-		return true, w
-	default:
-		t.Fatal("oracle solver returned Unknown")
-		return false, 0
-	}
-}
-
-// blastRegions is blastOverlap under the production concrete encoding
-// (overlapTerm) — the predicate DecideConcretePair must reproduce,
-// including its treatment of regions whose 64-bit Base lies beyond the
-// checker width.
-func blastRegions(t *testing.T, a, b addr.Region, width int) (bool, uint64) {
-	t.Helper()
-	sctx := smt.NewContext()
-	return blastOverlap(t, sctx, nil, width, func(x *smt.Term) *smt.Term {
-		return sctx.And(overlapTerm(sctx, x, a, width), overlapTerm(sctx, x, b, width))
-	})
-}
-
-// blastTerms is the symbolic-encoding oracle (overlapTermSym) — the
-// predicate DecideTermPair must reproduce. It goes through the
-// exported BlastTermPair so the E18 bench and these tests share one
-// oracle.
-func blastTerms(t *testing.T, sctx *smt.Context, env smt.RangeEnv, width int, baseA, sizeA, baseB, sizeB *smt.Term) (bool, uint64) {
-	t.Helper()
-	overlap, w, err := BlastTermPair(context.Background(), sctx, env, width, baseA, sizeA, baseB, sizeB)
-	if err != nil {
-		t.Fatalf("blast oracle: %v", err)
-	}
-	return overlap, w
-}
-
-// TestDecideConcretePairMatchesBlast pins the tentpole's core claim on
-// the conform generator's near-overlapping geometry: for fully
-// concrete pairs the word tier is always conclusive, and its verdict
-// AND witness equal the bit-blasted oracle's byte for byte.
+// TestDecideConcretePairMatchesBlast pins the word tier's core claim on
+// the conform generator's near-overlapping geometry: for fully concrete
+// pairs its verdict AND witness equal the bit-blasted oracle's
+// (oraclePair) byte for byte, including regions whose 64-bit Base lies
+// beyond the checker width.
 func TestDecideConcretePairMatchesBlast(t *testing.T) {
 	for _, width := range []int{12, 16, 32} {
-		pairs := conform.NearRegionPairs(int64(width), 60, width)
-		mask := uint64(1)<<uint(width) - 1
-		if width >= 64 {
-			mask = ^uint64(0)
-		}
-		for i, p := range pairs {
+		for i, p := range conform.NearRegionPairs(int64(width), 60, width) {
 			a, b := p[0], p[1]
 			gotOverlap, gotW := DecideConcretePair(a, b, width)
-			wantOverlap, wantW := blastRegions(t, a, b, width)
+			wantOverlap, wantW := oraclePair(t, a, b, width)
 			if gotOverlap != wantOverlap || (gotOverlap && gotW != wantW) {
 				t.Fatalf("width %d pair %d (%+v, %+v): word tier (%v, %#x) != blast (%v, %#x)",
 					width, i, a, b, gotOverlap, gotW, wantOverlap, wantW)
 			}
-
-			// The term-level ladder must agree with both its own blast
-			// oracle and — when the bases are width-representable, so
-			// overlapTerm and overlapTermSym encode the same predicate —
-			// the concrete fast path. And it must never punt on a
-			// concrete pair.
-			sctx := smt.NewContext()
-			baseA, sizeA := sctx.BVConst(width, a.Base), sctx.BVConst(width, a.Size)
-			baseB, sizeB := sctx.BVConst(width, b.Base), sctx.BVConst(width, b.Size)
-			v, w := DecideTermPair(nil, width, baseA, sizeA, baseB, sizeB)
-			if v == WordInconclusive {
-				t.Fatalf("width %d pair %d: DecideTermPair inconclusive on a concrete pair", width, i)
-			}
-			symOverlap, symW := blastTerms(t, sctx, nil, width, baseA, sizeA, baseB, sizeB)
-			if (v == WordOverlap) != symOverlap || (symOverlap && w != symW) {
-				t.Fatalf("width %d pair %d: DecideTermPair (%v, %#x) != blast (%v, %#x)",
-					width, i, v, w, symOverlap, symW)
-			}
-			if a.Base <= mask && b.Base <= mask {
-				if (v == WordOverlap) != gotOverlap || (gotOverlap && w != gotW) {
-					t.Fatalf("width %d pair %d: DecideTermPair (%v, %#x) != DecideConcretePair (%v, %#x)",
-						width, i, v, w, gotOverlap, gotW)
-				}
-			}
 		}
 	}
-}
-
-// liftBound turns a concrete bound into a term of the requested
-// fragment inside sctx, recording any cells it introduces in env. The
-// term's value range always includes the original concrete value, so
-// lifted pairs stay near-overlapping.
-func liftBound(sctx *smt.Context, rng *rand.Rand, env smt.RangeEnv, name string, val uint64, width int, frag smt.Fragment) *smt.Term {
-	mask := uint64(1)<<uint(width) - 1
-	if width >= 64 {
-		mask = ^uint64(0)
-	}
-	val &= mask
-	switch frag {
-	case smt.FragmentAffine:
-		// val + cell with cell ∈ [0, slack]: lower bound is exactly val.
-		slack := uint64(rng.Intn(8))
-		if val+slack > mask || val+slack < val {
-			slack = 0
-		}
-		cell := sctx.BVVar(name, width)
-		env[name] = smt.Interval{Lo: 0, Hi: slack}
-		return sctx.Add(sctx.BVConst(width, val), cell)
-	case smt.FragmentSymbolic:
-		// val + c1*c2 is nonlinear (ClassifyTerm: symbolic), with tiny
-		// cell ranges so the blaster stays fast.
-		c1 := sctx.BVVar(name+"p", width)
-		c2 := sctx.BVVar(name+"q", width)
-		env[name+"p"] = smt.Interval{Lo: 0, Hi: 2}
-		env[name+"q"] = smt.Interval{Lo: 0, Hi: 2}
-		return sctx.Add(sctx.BVConst(width, val%(mask-4)), sctx.Mul(c1, c2))
-	default:
-		return sctx.BVConst(width, val)
-	}
-}
-
-// TestDecideTermPairDifferential fuzzes concrete, affine and symbolic
-// region pairs through both the word-level decider and the
-// bit-blaster. Whenever the word tier is conclusive, verdict and
-// witness must match the oracle; inconclusive answers are always
-// allowed (that is the fallback contract) but the test also asserts
-// the tier stays useful — the affine rounds must produce conclusive
-// verdicts, not just the concrete ones.
-func TestDecideTermPairDifferential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	width := 16
-	pairs := conform.NearRegionPairs(5, 80, width)
-	frags := []smt.Fragment{smt.FragmentConcrete, smt.FragmentAffine, smt.FragmentSymbolic}
-	conclusive := map[smt.Fragment]int{}
-
-	for i, p := range pairs {
-		a, b := p[0], p[1]
-		frag := frags[i%len(frags)]
-		sctx := smt.NewContext()
-		env := smt.RangeEnv{}
-		// Lift one bound per region to the round's fragment (the rest
-		// stay concrete) so the pair classifies at exactly that rung.
-		baseA := liftBound(sctx, rng, env, "ca", a.Base, width, frag)
-		sizeA := sctx.BVConst(width, a.Size)
-		baseB := sctx.BVConst(width, b.Base)
-		sizeB := liftBound(sctx, rng, env, "cb", b.Size, width, frag)
-
-		verdict, w := DecideTermPair(env, width, baseA, sizeA, baseB, sizeB)
-		if frag == smt.FragmentConcrete && verdict == WordInconclusive {
-			t.Fatalf("pair %d: inconclusive on concrete bounds", i)
-		}
-		if verdict != WordInconclusive {
-			conclusive[frag]++
-		}
-		wantOverlap, wantW := blastTerms(t, sctx, env, width, baseA, sizeA, baseB, sizeB)
-		switch verdict {
-		case WordDisjoint:
-			if wantOverlap {
-				t.Fatalf("pair %d (%s): word tier says disjoint, blast finds witness %#x\nA=%+v B=%+v env=%v",
-					i, frag, wantW, a, b, env)
-			}
-		case WordOverlap:
-			if !wantOverlap {
-				t.Fatalf("pair %d (%s): word tier says overlap at %#x, blast says disjoint\nA=%+v B=%+v env=%v",
-					i, frag, w, a, b, env)
-			}
-			if w != wantW {
-				t.Fatalf("pair %d (%s): witnesses differ: word %#x, blast %#x\nA=%+v B=%+v env=%v",
-					i, frag, w, wantW, a, b, env)
-			}
-		}
-	}
-	if conclusive[smt.FragmentAffine] == 0 {
-		t.Error("word tier decided no affine pairs — interval propagation is not firing")
-	}
-	t.Logf("conclusive decisions: concrete=%d affine=%d symbolic=%d",
-		conclusive[smt.FragmentConcrete], conclusive[smt.FragmentAffine], conclusive[smt.FragmentSymbolic])
 }
 
 // FuzzDecideConcretePair is the go-fuzz face of the differential
@@ -218,7 +39,7 @@ func FuzzDecideConcretePair(f *testing.F) {
 		a := addr.Region{Base: baseA, Size: sizeA % (1 << 10), Path: "/a"}
 		b := addr.Region{Base: baseB, Size: sizeB % (1 << 10), Path: "/b"}
 		gotOverlap, gotW := DecideConcretePair(a, b, width)
-		wantOverlap, wantW := blastRegions(t, a, b, width)
+		wantOverlap, wantW := oraclePair(t, a, b, width)
 		if gotOverlap != wantOverlap || (gotOverlap && gotW != wantW) {
 			t.Fatalf("word (%v, %#x) != blast (%v, %#x) for A=%+v B=%+v width=%d",
 				gotOverlap, gotW, wantOverlap, wantW, a, b, width)

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"llhsc/internal/constraints"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
@@ -16,18 +15,19 @@ import (
 	"llhsc/internal/schema"
 )
 
-// wideDevicePipeline builds a pipeline whose semantic phase issues many
-// SMT queries: n device nodes with disjoint regions give n*(n-1)/2
-// overlap checks, so an uncancelled run takes far longer than the
-// cancellation latency the tests assert.
+// wideDevicePipeline builds a pipeline whose interrupt family issues
+// many SMT queries: n device nodes, each claiming its own interrupt
+// line, give n*(n-1)/2 Push/Pop solves, so an uncancelled run takes far
+// longer than the cancellation latency the tests assert. (Their regions
+// are disjoint, so the semantic family's sweep leaves it no work.)
 func wideDevicePipeline(t *testing.T, n int) *Pipeline {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("/dts-v1/;\n/ {\n#address-cells = <1>;\n#size-cells = <1>;\n")
 	b.WriteString("memory@0 { device_type = \"memory\"; reg = <0x0 0x1000>; };\n")
 	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "dev%d: uart@%x { compatible = \"ns16550a\"; reg = <0x%x 0x100>; };\n",
-			i, 0x1000+i*0x1000, 0x1000+i*0x1000)
+		fmt.Fprintf(&b, "dev%d: uart@%x { compatible = \"ns16550a\"; reg = <0x%x 0x100>; interrupts = <%d>; };\n",
+			i, 0x1000+i*0x1000, 0x1000+i*0x1000, 32+i)
 	}
 	b.WriteString("};\n")
 	tree, err := dts.Parse("wide.dts", b.String())
@@ -49,15 +49,11 @@ func wideDevicePipeline(t *testing.T, n int) *Pipeline {
 		Model:     model,
 		Schemas:   schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{featmodel.ConfigOf("root")},
-		// The default sweep strategy prunes these disjoint regions to
-		// zero solver queries; the pairwise baseline keeps the long
-		// semantic phase this test's cancellation-latency bound needs.
-		SemanticStrategy: constraints.StrategyPairwise,
 	}
 }
 
 func TestRunContextCancelMidRun(t *testing.T) {
-	p := wideDevicePipeline(t, 120) // ~7k overlap queries, well over 100ms
+	p := wideDevicePipeline(t, 120) // ~7k interrupt solves per tree, ~200ms uncancelled
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

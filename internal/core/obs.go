@@ -18,8 +18,9 @@ type FamilyStats struct {
 	// sets) this family examined.
 	Checks int `json:"checks"`
 	// Pairs / PairsPruned are the semantic sweep counters: candidate
-	// pairs submitted to the solver, and naive n·(n-1)/2 pairs the
-	// prefilter discarded before they cost a query.
+	// pairs decided, and naive n·(n-1)/2 pairs the prefilter discarded
+	// before any decision (for the interrupt family, Pairs counts its
+	// pair queries).
 	Pairs       int `json:"pairs,omitempty"`
 	PairsPruned int `json:"pairsPruned,omitempty"`
 	// SolverCalls counts SMT check invocations.

@@ -154,7 +154,7 @@ func TestParallelCancellationStopsWorkers(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
-		time.Sleep(3 * time.Millisecond) // the full run takes ~40ms
+		time.Sleep(3 * time.Millisecond) // the full run takes ~50ms
 		cancel()
 	}()
 	start := time.Now()

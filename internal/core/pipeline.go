@@ -106,11 +106,6 @@ type Pipeline struct {
 	// different (smaller) violation set and must never be served as a
 	// full one, or vice versa.
 	LintOnly bool
-	// SemanticStrategy selects how the semantic checker discharges
-	// region-overlap queries (sweep prefilter by default; see
-	// constraints.SemanticStrategy). Folded into the cache key: a
-	// strategy change never reuses another strategy's cached verdicts.
-	SemanticStrategy constraints.SemanticStrategy
 	// Mode selects enumerative (default) or family-based lifted
 	// checking (see Mode and internal/core/lifted.go). Folded into the
 	// cache key: a lifted verdict covers the whole product line and
@@ -579,9 +574,9 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 // check verdict, for the cache key. Shared by the per-product keys and
 // the lifted-run key, so a knob added here invalidates both.
 func (p *Pipeline) knobString(st *runState) string {
-	return fmt.Sprintf("conflicts=%d;learntlits=%d;skipirq=%v;semstrat=%s;lintonly=%v;mode=%s",
+	return fmt.Sprintf("conflicts=%d;learntlits=%d;skipirq=%v;lintonly=%v;mode=%s",
 		st.limits.Solver.MaxConflicts, st.limits.Solver.MaxLearntLits, p.SkipInterrupts,
-		p.SemanticStrategy, p.LintOnly, p.Mode)
+		p.LintOnly, p.Mode)
 }
 
 // checkerFamily is one independent checker family for one tree: a name
@@ -609,8 +604,6 @@ func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily
 	families = append(families,
 		checkerFamily{name: "semantic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
 			sem := constraints.NewSemanticChecker()
-			sem.Budget = st.limits.Solver
-			sem.Strategy = p.SemanticStrategy
 			sem.OnQuery = p.semanticObserver(st, tree)
 			_, violations, err := sem.CheckContext(ctx, tree)
 			return violations, familyStatsFrom(sem.LastStats()), err

@@ -2,8 +2,8 @@
 // wired into the semantic and lifted checkers, and the self-contained
 // reproducer bundles written for queries that cross the slow-query
 // threshold. A bundle carries everything needed to re-execute one
-// query offline — canonical DTS (or feature model + guard), strategy
-// and budget knobs — keyed by the same sha256 canonicalization the
+// query offline — canonical DTS (or feature model + guard) and budget
+// knobs — keyed by the same sha256 canonicalization the
 // check cache uses, and `llhsc replay <bundle>` re-runs it and
 // compares verdict and witness (see Replay).
 package core
@@ -35,9 +35,11 @@ const (
 // ReproBundle is a self-contained reproducer for one slow solver
 // query. BundleSemanticPair carries the canonical product DTS and
 // identifies a region pair; BundleLiftedReach carries the feature
-// model and a guard expression. Both carry the strategy/budget knobs
-// that shaped the original decision, so a replay runs the exact same
-// ladder.
+// model and a guard expression. Both carry the budget knobs that
+// shaped the original decision, so a replay runs the exact same
+// decision procedure. Bundles written before the semantic checker had
+// a single path also carry a "strategy" field; it is ignored on read,
+// since every strategy reported the same verdict and witness.
 type ReproBundle struct {
 	Version int    `json:"version"`
 	Kind    string `json:"kind"`
@@ -51,7 +53,6 @@ type ReproBundle struct {
 	Guard        string `json:"guard,omitempty"`        // lifted-reach: guard expr ("-" = model non-void)
 	SchemaFP     string `json:"schemaFP,omitempty"`     // schema-set fingerprint, informational
 
-	Strategy         string `json:"strategy,omitempty"`
 	MaxConflicts     uint64 `json:"maxConflicts,omitempty"`
 	MaxLearntLits    int    `json:"maxLearntLits,omitempty"`
 	CheckMemoryBanks bool   `json:"checkMemoryBanks"`
@@ -75,7 +76,6 @@ func (p *Pipeline) semanticObserver(st *runState, tree *dts.Tree) func(obs.Query
 				Kind:             BundleSemanticPair,
 				DTS:              tree.Print(),
 				SchemaFP:         st.schemaFP,
-				Strategy:         p.SemanticStrategy.String(),
 				MaxConflicts:     st.limits.Solver.MaxConflicts,
 				MaxLearntLits:    st.limits.Solver.MaxLearntLits,
 				CheckMemoryBanks: true,
@@ -118,7 +118,7 @@ func (p *Pipeline) liftedObserver(st *runState) func(obs.QueryRecord) {
 // bundleKey computes the bundle's content address from its payload.
 func bundleKey(b *ReproBundle) string {
 	return checkcache.Key(
-		b.Kind, b.DTS, b.FeatureModel, b.Guard, b.Strategy,
+		b.Kind, b.DTS, b.FeatureModel, b.Guard,
 		fmt.Sprintf("conflicts=%d;learntlits=%d;banks=%v", b.MaxConflicts, b.MaxLearntLits, b.CheckMemoryBanks),
 		b.Query.A, b.Query.B,
 	)
@@ -216,24 +216,17 @@ func (b *ReproBundle) Replay(ctx context.Context) (*ReplayResult, error) {
 }
 
 // replaySemantic re-runs the full collision search over the bundled
-// tree — same strategy, same budget — and reads the bundled pair's
-// verdict out of the collision list. Re-running the search (rather
-// than one pair in isolation) replays the exact decision ladder,
-// including the sweep prefilter and the shared assumption solver the
-// original query went through.
+// tree and reads the bundled pair's verdict out of the collision list.
+// Re-running the search (rather than one pair in isolation) replays
+// the exact decision path, sweep prefilter included, the original
+// query went through.
 func (b *ReproBundle) replaySemantic(ctx context.Context) (*ReplayResult, error) {
 	tree, err := dts.Parse("bundle.dts", b.DTS)
 	if err != nil {
 		return nil, fmt.Errorf("core: bundle DTS: %w", err)
 	}
-	strategy, err := constraints.ParseSemanticStrategy(b.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	sc := constraints.NewSemanticChecker()
 	sc.CheckMemoryBanks = b.CheckMemoryBanks
-	sc.Strategy = strategy
-	sc.Budget = sat.Budget{MaxConflicts: b.MaxConflicts, MaxLearntLits: b.MaxLearntLits}
 	regions, rerr := addr.CollectRegions(tree)
 	if rerr != nil {
 		return nil, fmt.Errorf("core: bundle regions: %w", rerr)

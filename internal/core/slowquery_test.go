@@ -142,6 +142,25 @@ func TestBundlesAreContentAddressed(t *testing.T) {
 	}
 }
 
+// TestPairwiseStrategyBundlesStillReplay: bundles written while the
+// semantic checker still had selectable strategies carry a "strategy"
+// field (here "pairwise", decided on the SAT tier). They must still
+// load and replay to their recorded verdict and witness: every
+// strategy reported the same answer the single production path gives.
+func TestPairwiseStrategyBundlesStillReplay(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "pairwise-bundles", "slowquery-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no pairwise-strategy bundles in testdata")
+	}
+	_, verdicts := replayAll(t, paths)
+	if verdicts["overlap"] == 0 || verdicts["disjoint"] == 0 {
+		t.Errorf("fixtures should cover both verdicts, got %v", verdicts)
+	}
+}
+
 // TestReadReproBundleRejectsUnknownKind guards the replay entry point
 // against malformed or future-versioned bundle files.
 func TestReadReproBundleRejectsUnknownKind(t *testing.T) {

@@ -25,7 +25,6 @@ type FlightRecord struct {
 	Path       string             `json:"path,omitempty"`
 	Status     int                `json:"status,omitempty"`
 	Mode       string             `json:"mode,omitempty"`
-	Strategy   string             `json:"strategy,omitempty"`
 	CacheTier  string             `json:"cacheTier,omitempty"`
 	Outcome    string             `json:"outcome"`
 	DurationMs float64            `json:"durationMs"`

@@ -8,12 +8,12 @@ import (
 )
 
 // QueryRecord is one solver-level decision as the slow-query log sees
-// it: a semantic pair decision (word or SAT tier) or a lifted
-// reachability query. Producers fill what they know; zero fields are
-// omitted from the log line.
+// it: a semantic pair decision (word tier) or a lifted reachability
+// query. Producers fill what they know; zero fields are omitted from
+// the log line.
 type QueryRecord struct {
 	Family       string  `json:"family"`            // "semantic" | "lifted"
-	Tier         string  `json:"tier"`              // "word" | "sat" | "lifted"
+	Tier         string  `json:"tier"`              // "word" | "lifted" ("sat" in bundles from older builds)
 	A            string  `json:"a,omitempty"`       // first region path (pair queries)
 	B            string  `json:"b,omitempty"`       // second region path (pair queries)
 	Query        string  `json:"query,omitempty"`   // guard expression (lifted queries)

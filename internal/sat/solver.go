@@ -620,8 +620,8 @@ func (s *Solver) pickBranchLit() ilit {
 // SetPhaseSaving enables or disables phase saving — branching on each
 // variable's last assigned polarity rather than the static
 // negative-first default. On by default. Repeated related queries (the
-// assumption-based pair checks of the semantic sweep, DESIGN.md §9)
-// converge far faster with it: the second solve re-decides the previous
+// assumption solves of the lifted session, DESIGN.md §14) converge far
+// faster with it: the second solve re-decides the previous
 // model instead of re-deriving it through the same conflicts. The knob
 // exists for A/B measurement; production callers should leave it on.
 func (s *Solver) SetPhaseSaving(on bool) { s.noSaving = !on }

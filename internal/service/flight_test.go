@@ -44,8 +44,8 @@ func getFlight(t *testing.T, srv *httptest.Server) flightDoc {
 
 // TestDebugFlightServesRecentRequests: after a mix of successful checks
 // and a budget-limited one, /debug/flight returns the recent records in
-// order, with the taxonomy outcome, mode/strategy and per-phase millis
-// filled in — including the post-LimitError entry.
+// order, with the taxonomy outcome, mode, cache tier and per-phase
+// millis filled in.
 func TestDebugFlightServesRecentRequests(t *testing.T) {
 	srv, _, _ := obsServer(t, Options{
 		CacheSize:  8,
@@ -57,22 +57,27 @@ func TestDebugFlightServesRecentRequests(t *testing.T) {
 		t.Fatalf("/check status %d", resp.StatusCode)
 	}
 
-	doc := getFlight(t, srv)
-	if doc.Capacity != 8 {
-		t.Errorf("capacity = %d, want 8", doc.Capacity)
-	}
-	if len(doc.Records) == 0 {
-		t.Fatal("/debug/flight has no records after a /check")
-	}
-	rec := doc.Records[len(doc.Records)-1]
+	// The record is filed after the handler returns (see eventually),
+	// so wait for the one carrying this request's ID.
+	var rec obs.FlightRecord
+	eventually(t, "the flight record of request "+out.RequestID, func() bool {
+		doc := getFlight(t, srv)
+		if doc.Capacity != 8 {
+			t.Fatalf("capacity = %d, want 8", doc.Capacity)
+		}
+		for _, r := range doc.Records {
+			if r.RequestID == out.RequestID {
+				rec = r
+				return true
+			}
+		}
+		return false
+	})
 	if rec.Path != "/check" || rec.Status != http.StatusOK || rec.Outcome != "ok" {
 		t.Errorf("record = %+v, want /check 200 ok", rec)
 	}
-	if rec.RequestID != out.RequestID {
-		t.Errorf("record requestId = %q, response requestId = %q", rec.RequestID, out.RequestID)
-	}
-	if rec.Mode == "" || rec.Strategy == "" {
-		t.Errorf("record missing mode/strategy: %+v", rec)
+	if rec.Mode == "" {
+		t.Errorf("record missing mode: %+v", rec)
 	}
 	if rec.CacheTier == "" {
 		t.Errorf("record missing cache tier: %+v", rec)

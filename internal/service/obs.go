@@ -41,8 +41,8 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 // reqScope is the per-request observability state carried in the
 // context: the correlation ID, the request's root span (nil unless
 // logging or tracing is enabled), the last phase/reason a handler
-// recorded before answering, and the check annotations (mode,
-// strategy, cache tier, stats) the flight record picks up.
+// recorded before answering, and the check annotations (mode, cache
+// tier, stats) the flight record picks up.
 type reqScope struct {
 	id   string
 	span *obs.Span
@@ -51,7 +51,6 @@ type reqScope struct {
 	phase     string
 	reason    string
 	mode      string
-	strategy  string
 	cacheTier string
 	stats     any
 }
@@ -84,12 +83,12 @@ func markReason(ctx context.Context, reason string) {
 	}
 }
 
-// markCheck records the check request's resolved mode and semantic
-// strategy for its flight record.
-func markCheck(ctx context.Context, mode, strategy string) {
+// markCheck records the check request's resolved mode for its flight
+// record.
+func markCheck(ctx context.Context, mode string) {
 	if sc := scopeFrom(ctx); sc != nil {
 		sc.mu.Lock()
-		sc.mode, sc.strategy = mode, strategy
+		sc.mode = mode
 		sc.mu.Unlock()
 	}
 }
@@ -275,7 +274,6 @@ func (s *server) recordFlight(r *http.Request, sc *reqScope, status int, elapsed
 		Path:       r.URL.Path,
 		Status:     status,
 		Mode:       sc.mode,
-		Strategy:   sc.strategy,
 		CacheTier:  sc.cacheTier,
 		DurationMs: float64(elapsed) / float64(time.Millisecond),
 		Stats:      sc.stats,

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"llhsc/internal/buildinfo"
 	"llhsc/internal/obs"
@@ -37,18 +38,39 @@ func (s *syncBuffer) String() string {
 	return s.b.String()
 }
 
-// lastLogLine decodes the final JSON line the server logged.
-func lastLogLine(t *testing.T, buf *syncBuffer) map[string]interface{} {
+// eventually polls cond until it holds, failing the test after a
+// generous deadline. The observe middleware files a request's log
+// line, flight record and latency sample only after the handler
+// returns, and a client that has already decoded the JSON body can get
+// its next request in before that happens — so tests wait for the
+// entry of the request they made instead of reading the latest one.
+func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) == 0 || lines[0] == "" {
-		t.Fatal("no log lines written")
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
-	var out map[string]interface{}
-	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &out); err != nil {
-		t.Fatalf("log line is not JSON: %v\n%s", err, lines[len(lines)-1])
-	}
-	return out
+}
+
+// logLineFor waits for the JSON log line carrying the given request ID
+// and decodes it.
+func logLineFor(t *testing.T, buf *syncBuffer, id string) map[string]interface{} {
+	t.Helper()
+	var line map[string]interface{}
+	eventually(t, "the log line of request "+id, func() bool {
+		for _, raw := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+			var m map[string]interface{}
+			if json.Unmarshal([]byte(raw), &m) == nil && m["requestId"] == id {
+				line = m
+				return true
+			}
+		}
+		return false
+	})
+	return line
 }
 
 func obsServer(t *testing.T, opts Options) (*httptest.Server, *obs.Registry, *syncBuffer) {
@@ -137,19 +159,23 @@ func TestMetricsEndpoint(t *testing.T) {
 	if resp := postJSON(t, srv.URL+"/check", exampleBody(t, srv), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check status %d", resp.StatusCode)
 	}
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Errorf("Content-Type = %q", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(raw)
+	var text string
+	eventually(t, "the /check request's latency sample", func() bool {
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+			t.Fatalf("Content-Type = %q", ct)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text = string(raw)
+		return strings.Contains(text, `endpoint="/check"`)
+	})
 	for _, family := range []string{
 		"llhsc_service_request_seconds_bucket",
 		"llhsc_service_requests_total",
@@ -166,9 +192,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing %s", family)
 		}
-	}
-	if !strings.Contains(text, `endpoint="/check"`) {
-		t.Error("/metrics latency histogram missing the /check endpoint label")
 	}
 }
 
@@ -241,12 +264,9 @@ func TestSuccessfulRequestLogged(t *testing.T) {
 	if resp := postJSON(t, srv.URL+"/check", exampleBody(t, srv), &out); resp.StatusCode != http.StatusOK {
 		t.Fatalf("/check status %d", resp.StatusCode)
 	}
-	line := lastLogLine(t, buf)
+	line := logLineFor(t, buf, out.RequestID)
 	if line["level"] != "info" || line["path"] != "/check" {
 		t.Errorf("unexpected log line: %v", line)
-	}
-	if line["requestId"] != out.RequestID {
-		t.Errorf("log requestId %v != response requestId %v", line["requestId"], out.RequestID)
 	}
 	phases, ok := line["phaseMs"].(map[string]interface{})
 	if !ok {
@@ -317,7 +337,11 @@ func TestNon2xxLogged(t *testing.T) {
 			if resp.StatusCode != tc.wantStatus {
 				t.Fatalf("status = %d, want %d", resp.StatusCode, tc.wantStatus)
 			}
-			line := lastLogLine(t, buf)
+			id := resp.Header.Get("X-Request-ID")
+			if id == "" {
+				t.Fatal("response has no X-Request-ID")
+			}
+			line := logLineFor(t, buf, id)
 			if line["level"] != "error" {
 				t.Errorf("level = %v, want error", line["level"])
 			}
@@ -332,9 +356,6 @@ func TestNon2xxLogged(t *testing.T) {
 			}
 			if line["phase"] != tc.wantPhase {
 				t.Errorf("phase = %v, want %s", line["phase"], tc.wantPhase)
-			}
-			if id, _ := line["requestId"].(string); id == "" {
-				t.Error("error line has no requestId")
 			}
 		})
 	}

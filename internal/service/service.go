@@ -96,10 +96,6 @@ type Options struct {
 	// thresholds (defaults 2s / 5s).
 	DegradeEnterAfter time.Duration
 	DegradeExitAfter  time.Duration
-	// SemanticStrategy selects how the semantic checker discharges
-	// region-overlap queries (sweep by default; the -semantic-strategy
-	// server flag).
-	SemanticStrategy constraints.SemanticStrategy
 	// Mode is the default checking mode for /check (enumerate by
 	// default; the -mode server flag). A request's "mode" field
 	// overrides it per call.
@@ -115,8 +111,8 @@ type Options struct {
 	// class). Typically os.Stderr.
 	LogWriter io.Writer
 	// FlightSize, when > 0, enables the flight recorder: a ring buffer
-	// keeping the last FlightSize completed requests (ID, mode,
-	// strategy, per-phase millis, span tree, stats, taxonomy outcome),
+	// keeping the last FlightSize completed requests (ID, mode, cache
+	// tier, per-phase millis, span tree, stats, taxonomy outcome),
 	// served as JSON on GET /debug/flight to loopback peers and dumped
 	// to FlightDumpPath when a request ends in a panic or a
 	// budget-limit stop (the -flight-size server flag).
@@ -685,7 +681,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 			return nil, http.StatusBadRequest, err
 		}
 	}
-	markCheck(ctx, mode.String(), s.opts.SemanticStrategy.String())
+	markCheck(ctx, mode.String())
 
 	// A trace request needs a span tree even when neither logging nor
 	// the flight recorder put one in the context.
@@ -705,7 +701,6 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 		VMConfigs:          configs,
 		Cache:              s.cache,
 		Metrics:            s.pipeMetrics,
-		SemanticStrategy:   s.opts.SemanticStrategy,
 		Mode:               mode,
 		LintOnly:           lintOnly,
 		SlowQuery:          s.slowLog,
@@ -875,10 +870,7 @@ func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Semantic {
 		ctx := r.Context()
-		sem := constraints.NewSemanticChecker()
-		sem.Budget = s.opts.Limits.Solver
-		sem.Strategy = s.opts.SemanticStrategy
-		_, semViolations, err := sem.CheckContext(ctx, tree)
+		_, semViolations, err := constraints.NewSemanticChecker().CheckContext(ctx, tree)
 		if err != nil {
 			writeLimitError(w, r, err)
 			return
