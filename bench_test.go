@@ -420,7 +420,7 @@ func BenchmarkSchemaValidate(b *testing.B) {
 	}
 }
 
-func BenchmarkSyntacticCheckerSMT(b *testing.B) {
+func BenchmarkSyntacticChecker(b *testing.B) {
 	tree := bench.SyntheticDTS(4, 16)
 	checker := constraints.NewSyntacticChecker(schema.StandardSet())
 	b.ResetTimer()

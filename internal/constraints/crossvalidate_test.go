@@ -11,40 +11,40 @@ import (
 
 // TestSyntacticCheckerAgreesWithBaseline cross-validates the two
 // implementations of Section IV-B: on purely structural faults, the
-// SMT-encoded checker and the direct structural validator must agree on
-// whether a node violates its schema (they may differ in message
-// wording, not in verdicts).
+// rule-by-rule syntactic checker and the direct structural validator
+// must agree on whether a node violates its schema (they may differ in
+// message wording, not in verdicts).
 func TestSyntacticCheckerAgreesWithBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	set := schema.StandardSet()
-	smtChecker := NewSyntacticChecker(set)
+	checker := NewSyntacticChecker(set)
 
 	for iter := 0; iter < 120; iter++ {
 		tree := randomMemoryNode(rng)
 		baseline := set.Validate(tree)
-		viaSMT := smtChecker.Check(tree)
+		viaChecker := checker.Check(tree)
 
 		baselineProps := violationProps(t, baseline)
-		smtProps := make(map[string]bool)
-		for _, v := range viaSMT {
-			smtProps[v.Property] = true
+		checkerProps := make(map[string]bool)
+		for _, v := range viaChecker {
+			checkerProps[v.Property] = true
 		}
 
-		if (len(baseline) > 0) != (len(viaSMT) > 0) {
-			t.Fatalf("iter %d: verdicts disagree: baseline=%v smt=%v\n%s",
-				iter, baseline, viaSMT, tree.Print())
+		if (len(baseline) > 0) != (len(viaChecker) > 0) {
+			t.Fatalf("iter %d: verdicts disagree: baseline=%v checker=%v\n%s",
+				iter, baseline, viaChecker, tree.Print())
 		}
 		// both must implicate the same properties
 		for p := range baselineProps {
-			if !smtProps[p] {
-				t.Errorf("iter %d: baseline flags %q but the SMT checker does not\nbaseline=%v smt=%v",
-					iter, p, baseline, viaSMT)
+			if !checkerProps[p] {
+				t.Errorf("iter %d: baseline flags %q but the syntactic checker does not\nbaseline=%v checker=%v",
+					iter, p, baseline, viaChecker)
 			}
 		}
-		for p := range smtProps {
+		for p := range checkerProps {
 			if !baselineProps[p] {
-				t.Errorf("iter %d: SMT checker flags %q but the baseline does not\nbaseline=%v smt=%v",
-					iter, p, baseline, viaSMT)
+				t.Errorf("iter %d: syntactic checker flags %q but the baseline does not\nbaseline=%v checker=%v",
+					iter, p, baseline, viaChecker)
 			}
 		}
 	}
@@ -89,8 +89,7 @@ func randomMemoryNode(rng *rand.Rand) *dts.Tree {
 	return tree
 }
 
-// TestSyntacticCheckerCPUEnum exercises the enum path through the SMT
-// encoding (string-sort disjunctions).
+// TestSyntacticCheckerCPUEnum exercises the enum rule (axiom (3)).
 func TestSyntacticCheckerCPUEnum(t *testing.T) {
 	for _, tt := range []struct {
 		method string
@@ -127,7 +126,7 @@ func TestSyntacticCheckerCPUEnum(t *testing.T) {
 }
 
 // TestSyntacticCheckerYAMLSchemaPattern drives a loaded YAML schema
-// with a pattern constraint end-to-end through the SMT checker.
+// with a pattern constraint end-to-end through the syntactic checker.
 func TestSyntacticCheckerYAMLSchemaPattern(t *testing.T) {
 	sc, err := schema.Load(`
 $id: clocked.yaml

@@ -295,8 +295,8 @@ func (r *liftedRun) emitWith(cfg featmodel.Configuration, family string, v Viola
 func (r *liftedRun) applyConflicts(lt *delta.LiftedTree) {
 	for _, c := range lt.Conflicts {
 		r.emit("apply", c.Cond, Violation{
-			Path: c.Location,
-			Rule: "lifted:apply-conflict",
+			Path:    c.Location,
+			Rule:    "lifted:apply-conflict",
 			Message: fmt.Sprintf("delta %s: %s", c.Delta, c.Msg),
 		})
 	}
@@ -649,7 +649,8 @@ func (r *liftedRun) semantic(regions []liftedRegion) {
 // in each of its "worlds" — one concrete combination of chosen property
 // options (and the parent's cell properties, which the reg-like arity
 // rules read) — against the schemas selecting that world's node shape.
-// Unreachable worlds are pruned by one Unsat each before any SMT work.
+// Unreachable worlds are pruned by one Unsat each before any rule is
+// evaluated.
 func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 	if r.lc.Schemas == nil {
 		return
@@ -688,8 +689,11 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 			for _, o := range opts {
 				nw := world{cond: featmodel.AndOpt(w.cond, o.cond), props: w.props}
 				if o.value != nil {
+					// The world node is only read (schema selection
+					// and checkNodeSyntax), so it shares the variant's
+					// value instead of copying it.
 					nw.props = append(w.props[:len(w.props):len(w.props)], &dts.Property{
-						Name: lp.Name, Value: o.value.Clone(), Origin: o.origin,
+						Name: lp.Name, Value: *o.value, Origin: o.origin,
 					})
 				}
 				next = append(next, nw)

@@ -4,9 +4,10 @@
 //   - resource-allocation constraints over multi-product feature models
 //     (Section IV-A; thin veneer over internal/featmodel),
 //   - syntactic constraints derived from dt-schema-style binding
-//     schemas, encoded as the axioms (1)–(3) and proof obligations
-//     (4)–(6) of Section IV-B and discharged by the SMT solver in
-//     internal/smt,
+//     schemas: the axioms (1)–(3) and proof obligations (4)–(6) of
+//     Section IV-B. The instance is ground, so each named rule is
+//     decided by evaluating it on the node; a test-only oracle keeps
+//     the SMT encoding and holds the evaluator to it,
 //   - semantic constraints: non-overlap of address regions with a
 //     counterexample witness (Section IV-C, formula (7)). The regions
 //     are concrete, so exact word arithmetic decides the bit-vector
@@ -18,13 +19,14 @@
 //
 // # Concurrency contract
 //
-// Checker values are cheap façades over an smt.Context + smt.Solver
-// built fresh inside each Check call, so a single checker value may be
-// used from multiple goroutines as long as each call gets its own
-// stack: Check/CheckContext never share solver state across calls. The
-// parallel pipeline in internal/core still constructs one checker set
-// per worker for clarity, but the hard requirement is only the one
-// documented on smt.Solver — never drive one Solver from two
+// Checker values are cheap façades. Those that use a solver
+// (MemReserveChecker, SemanticChecker.AnyCollision) build an
+// smt.Context + smt.Solver fresh inside each call, so a single checker
+// value may be used from multiple goroutines as long as each call gets
+// its own stack: Check/CheckContext never share solver state across
+// calls. The parallel pipeline in internal/core still constructs one
+// checker set per worker for clarity, but the hard requirement is only
+// the one documented on smt.Solver — never drive one Solver from two
 // goroutines. Schema sets and parsed trees are read-only during
 // checking and safe to share. The exception is SemanticChecker, which
 // records LastStats on the checker value: give each goroutine its own.
@@ -33,12 +35,12 @@ package constraints
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"llhsc/internal/dts"
 	"llhsc/internal/sat"
 	"llhsc/internal/schema"
-	"llhsc/internal/smt"
 )
 
 // Violation is one constraint-check failure.
@@ -65,21 +67,23 @@ func (v Violation) String() string {
 	return b
 }
 
-// SyntacticChecker verifies DT bindings against binding schemas by
-// encoding schema axioms and instance proof obligations as an SMT
-// problem, following Section IV-B:
+// SyntacticChecker verifies DT bindings against binding schemas,
+// following Section IV-B:
 //
-//   - presence predicates R(x) become one Boolean variable per
-//     (node, property-name) pair,
-//   - the binding instance contributes the closure C(x) ↔ x present
-//     and the equations val(p) = "literal" (constraints (4)–(6)),
-//   - each schema contributes required-property axioms node → R(p),
-//     value axioms R(p) → val(p) = const / enum (constraints (1)–(3)),
-//     and the arity rules for reg-like arrays as ground facts.
+//   - presence predicates R(x), one per (node, property-name) pair,
+//   - the binding instance's closure C(x) ↔ x present and equations
+//     val(p) = "literal" (constraints (4)–(6)),
+//   - each schema's required-property axioms node → R(p), value axioms
+//     R(p) → val(p) = const / enum (constraints (1)–(3)), and the
+//     arity/type rules for the present properties as ground facts.
 //
-// Unsatisfiability pinpoints the violated axioms via named assertions;
-// violated schema rules are then disabled and the node re-checked so
-// that every independent violation is reported.
+// The binding obligations fix every R(p) and val(p) a rule reads, so
+// the instance is ground: a named rule is violated exactly when it is
+// false under those values, and checkNodeSyntax decides each one by
+// evaluation. That is the verdict the paper's unsat-core loop reaches
+// (report the core, disable it, re-check) without building a solver;
+// syntactic_oracle_test.go keeps the encoding and requires identical
+// violations. Every independent violation is reported.
 type SyntacticChecker struct {
 	Schemas *schema.Set
 }
@@ -133,206 +137,107 @@ func (c *SyntacticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 	return out, werr
 }
 
-// schemaRule is one named schema axiom with its diagnosis.
-type schemaRule struct {
-	name     string
-	property string
-	message  string
-	// assert adds the axiom to a freshly built solver.
-	assert func(ctx *smt.Context, solver *smt.Solver)
-}
-
-// checkNodeSyntax runs the Section IV-B encoding for one (node, schema)
-// pair, iterating unsat cores to surface every independent violation.
+// checkNodeSyntax decides every named schema rule for one (node,
+// schema) pair and returns the violated ones. The instance is ground:
+// the binding obligations (4)–(6) fix R(p) and val(p) for every property
+// a rule reads, so each axiom (1)–(3) and each arity/type fact is
+// decided by evaluating it on the node, with no solver. Rule names,
+// messages and origins are those of the Section IV-B encoding, which
+// syntactic_oracle_test.go keeps as the test oracle. The context is
+// polled once per call; a canceled context yields a *sat.LimitError.
 func checkNodeSyntax(ctx context.Context, n, parent *dts.Node, path string, sc *schema.Schema) ([]Violation, error) {
-	rules := buildSchemaRules(n, parent, sc)
-	ruleByName := make(map[string]schemaRule, len(rules))
-	for _, r := range rules {
-		ruleByName[r.name] = r
+	if err := ctx.Err(); err != nil {
+		return nil, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
 	}
-
-	disabled := make(map[string]bool)
 	var out []Violation
-	for iter := 0; iter <= len(rules); iter++ {
-		sctx := smt.NewContext()
-		solver := smt.NewSolver(sctx)
-		assertBindingObligations(sctx, solver, n, sc)
-		for _, r := range rules {
-			if !disabled[r.name] {
-				r.assert(sctx, solver)
-			}
+	fail := func(kind, property, message string) {
+		origin := n.Origin
+		if p := n.Property(property); p != nil {
+			origin = p.Origin
 		}
-		st, err := solver.CheckContext(ctx)
-		if err != nil {
-			return out, err
-		}
-		if st == sat.Sat {
-			return out, nil
-		}
-		progressed := false
-		for _, name := range solver.UnsatNames() {
-			r, ok := ruleByName[name]
-			if !ok || disabled[name] {
-				continue
-			}
-			disabled[name] = true
-			progressed = true
-			origin := n.Origin
-			if p := n.Property(r.property); p != nil {
-				origin = p.Origin
-			}
-			out = append(out, Violation{
-				Path: path, Property: r.property, Rule: r.name,
-				Message: r.message, Origin: origin,
-			})
-		}
-		if !progressed {
-			out = append(out, Violation{
-				Path: path, Rule: "internal",
-				Message: fmt.Sprintf("unexplained inconsistency: %v", solver.UnsatNames()),
-				Origin:  n.Origin,
-			})
-			return out, nil
+		out = append(out, Violation{
+			Path: path, Property: property, Rule: "schema:" + sc.ID + ":" + kind + ":" + property,
+			Message: message, Origin: origin,
+		})
+	}
+
+	// Axiom (1): node → R(p).
+	for _, req := range sc.Required {
+		if n.Property(req) == nil {
+			fail("required", req, "required property is missing")
 		}
 	}
-	return out, nil
-}
 
-// assertBindingObligations adds constraints (4)–(6): the closure over
-// present properties and the literal value equations.
-func assertBindingObligations(ctx *smt.Context, solver *smt.Solver, n *dts.Node, sc *schema.Schema) {
-	for _, name := range propertyUniverse(n, sc) {
-		r := ctx.BoolVar("R:" + name)
-		p := n.Property(name)
-		if p == nil {
-			solver.AssertNamed("binding:"+name, ctx.Not(r))
-			continue
-		}
-		solver.AssertNamed("binding:"+name, r)
-		if s := p.Value.Strings(); len(s) > 0 {
-			solver.AssertNamed("binding:"+name+":value",
-				ctx.Eq(ctx.StrVar("val:"+name), ctx.StrConst(s[0])))
-		}
-	}
-	solver.Assert(ctx.BoolVar("node")) // the node was found
-}
-
-// propertyUniverse is the quantification domain for ∀x: schema
-// properties plus instance properties, sorted.
-func propertyUniverse(n *dts.Node, sc *schema.Schema) []string {
-	set := make(map[string]bool, len(sc.Properties)+len(n.Properties))
+	names := make([]string, 0, len(sc.Properties))
 	for name := range sc.Properties {
-		set[name] = true
-	}
-	for _, p := range n.Properties {
-		set[p.Name] = true
-	}
-	names := make([]string, 0, len(set))
-	for name := range set {
 		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names
-}
+	slices.Sort(names)
 
-// buildSchemaRules derives the named axioms (1)–(3) plus arity/type
-// ground facts from the schema for the given node instance.
-func buildSchemaRules(n, parent *dts.Node, sc *schema.Schema) []schemaRule {
-	var rules []schemaRule
-	add := func(name, property, message string, assert func(ctx *smt.Context, solver *smt.Solver)) {
-		rules = append(rules, schemaRule{name: name, property: property, message: message, assert: assert})
-	}
-
-	for _, req := range sc.Required {
-		req := req
-		add(fmt.Sprintf("schema:%s:required:%s", sc.ID, req), req,
-			"required property is missing",
-			func(ctx *smt.Context, solver *smt.Solver) {
-				solver.AssertNamed(fmt.Sprintf("schema:%s:required:%s", sc.ID, req),
-					ctx.Implies(ctx.BoolVar("node"), ctx.BoolVar("R:"+req)))
-			})
-	}
-
-	propNames := make([]string, 0, len(sc.Properties))
-	for name := range sc.Properties {
-		propNames = append(propNames, name)
-	}
-	sort.Strings(propNames)
-
-	for _, name := range propNames {
-		name := name
+	for _, name := range names {
 		ps := sc.Properties[name]
 		p := n.Property(name)
-
-		if ps.Const != "" {
-			constVal := ps.Const
-			rule := fmt.Sprintf("schema:%s:const:%s", sc.ID, name)
-			add(rule, name, fmt.Sprintf("value does not match const %q", constVal),
-				func(ctx *smt.Context, solver *smt.Solver) {
-					solver.AssertNamed(rule, ctx.Implies(ctx.BoolVar("R:"+name),
-						ctx.Eq(ctx.StrVar("val:"+name), ctx.StrConst(constVal))))
-				})
-		}
-		if len(ps.Enum) > 0 {
-			enum := ps.Enum
-			rule := fmt.Sprintf("schema:%s:enum:%s", sc.ID, name)
-			add(rule, name, fmt.Sprintf("value not in enum %v", enum),
-				func(ctx *smt.Context, solver *smt.Solver) {
-					alts := make([]*smt.Term, len(enum))
-					for i, e := range enum {
-						alts[i] = ctx.Eq(ctx.StrVar("val:"+name), ctx.StrConst(e))
-					}
-					solver.AssertNamed(rule, ctx.Implies(ctx.BoolVar("R:"+name), ctx.Or(alts...)))
-				})
-		}
 		if p == nil {
-			continue
+			continue // R(p) is false: axioms (2)–(3) hold vacuously
+		}
+		cells := len(p.Value.Cells())
+		strs := p.Value.Strings()
+		hasString := len(strs) > 0
+
+		// Axioms (2)–(3): R(p) → val(p) = const / ∈ enum. val(p) is bound
+		// only when the value has a string; otherwise it is free and the
+		// axiom is satisfiable.
+		if ps.Const != "" && hasString && strs[0] != ps.Const {
+			fail("const", name, fmt.Sprintf("value does not match const %q", ps.Const))
+		}
+		if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
+			fail("enum", name, fmt.Sprintf("value not in enum %v", ps.Enum))
 		}
 
-		// ground facts about the present property's shape
-		cells := p.Value.U32s()
-		items := len(cells)
-		ground := func(kind, message string, ok bool) {
-			rule := fmt.Sprintf("schema:%s:%s:%s", sc.ID, kind, name)
-			add(rule, name, message, func(ctx *smt.Context, solver *smt.Solver) {
-				solver.AssertNamed(rule, ctx.Bool(ok))
-			})
-		}
+		// Ground facts about the present property's shape.
+		items := cells
 		if ps.RegLike {
 			stride := parent.AddressCells() + parent.SizeCells()
 			if stride == 0 {
 				stride = 1
 			}
-			ground("arity", fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
-				len(cells), stride), len(cells)%stride == 0)
-			items = len(cells) / stride
+			if cells%stride != 0 {
+				fail("arity", name, fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
+					cells, stride))
+			}
+			items = cells / stride
 		}
-		if ps.MinItems > 0 {
-			ground("minItems", fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems),
-				items >= ps.MinItems)
+		if ps.MinItems > 0 && items < ps.MinItems {
+			fail("minItems", name, fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems))
 		}
-		if ps.MaxItems > 0 {
-			ground("maxItems", fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems),
-				items <= ps.MaxItems)
+		if ps.MaxItems > 0 && items > ps.MaxItems {
+			fail("maxItems", name, fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems))
 		}
 		switch ps.Type {
 		case schema.TypeU32:
-			ground("u32", fmt.Sprintf("expected exactly one cell, found %d", len(cells)),
-				len(cells) == 1)
+			if cells != 1 {
+				fail("u32", name, fmt.Sprintf("expected exactly one cell, found %d", cells))
+			}
 		case schema.TypeString:
-			ground("string", "expected a string value", len(p.Value.Strings()) > 0)
+			if !hasString {
+				fail("string", name, "expected a string value")
+			}
 		case schema.TypeCells:
-			ground("cells", "expected a cell array", len(cells) > 0)
+			if cells == 0 {
+				fail("cells", name, "expected a cell array")
+			}
 		case schema.TypeBytes:
-			ground("bytes", "expected a byte array", len(p.Value.Bytes()) > 0)
+			if len(p.Value.Bytes()) == 0 {
+				fail("bytes", name, "expected a byte array")
+			}
 		case schema.TypeFlag:
-			ground("flag", "expected an empty marker property", p.Value.IsEmpty())
+			if !p.Value.IsEmpty() {
+				fail("flag", name, "expected an empty marker property")
+			}
 		}
-		if ps.Pattern != nil && len(p.Value.Strings()) > 0 {
-			val := p.Value.Strings()[0]
-			ground("pattern", fmt.Sprintf("value %q does not match pattern %s", val, ps.Pattern),
-				ps.Pattern.MatchString(val))
+		if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
+			fail("pattern", name, fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
 		}
 	}
-	return rules
+	return out, nil
 }

@@ -165,11 +165,11 @@ type parser struct {
 type topOpKind int
 
 const (
-	opRootMerge topOpKind = iota + 1 // / { ... };
-	opNamedNode                      // name { ... }; at top level
-	opRefMerge                       // &label { ... }; or &{/path} { ... };
-	opRefDelete                      // /delete-node/ &label;
-	opNameDelete                     // /delete-node/ name; (root child)
+	opRootMerge  topOpKind = iota + 1 // / { ... };
+	opNamedNode                       // name { ... }; at top level
+	opRefMerge                        // &label { ... }; or &{/path} { ... };
+	opRefDelete                       // /delete-node/ &label;
+	opNameDelete                      // /delete-node/ name; (root child)
 )
 
 // topOp is one top-level operation recorded by the first parse pass.

@@ -125,8 +125,8 @@ func TestUndef(t *testing.T) {
 
 func TestIncludeSearchPaths(t *testing.T) {
 	fs := MapFS{
-		"src/board.dts":             "#include \"local.dtsi\"\n#include <dt-bindings/gpio/gpio.h>\nboard;\n",
-		"src/local.dtsi":            "local;\n",
+		"src/board.dts":               "#include \"local.dtsi\"\n#include <dt-bindings/gpio/gpio.h>\nboard;\n",
+		"src/local.dtsi":              "local;\n",
 		"inc/dt-bindings/gpio/gpio.h": "#define GPIO_ACTIVE_HIGH 0\n",
 	}
 	res, err := File("src/board.dts", Options{FS: fs, IncludePaths: []string{"inc"}})

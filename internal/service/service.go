@@ -45,10 +45,10 @@ import (
 	"llhsc/internal/checkcache/persist"
 	"llhsc/internal/constraints"
 	"llhsc/internal/core"
-	"llhsc/internal/faultinject"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/dts/preproc"
+	"llhsc/internal/faultinject"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
