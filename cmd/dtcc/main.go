@@ -112,7 +112,7 @@ func cmdLint(args []string) error {
 		return err
 	}
 	fs := flag.NewFlagSet("lint", flag.ContinueOnError)
-	semantic := fs.Bool("semantic", false, "also run the SMT-based semantic checks")
+	semantic := fs.Bool("semantic", false, "also run the semantic checks (overlap, interrupts, memreserve)")
 	if err := fs.Parse(rest); err != nil {
 		return err
 	}

@@ -379,9 +379,9 @@ func printTrace(w io.Writer, root *obs.Span, r *core.Report) {
 	for _, name := range families {
 		fs := r.Stats.Families[name]
 		fmt.Fprintf(w,
-			"%-12s checks=%d solver_calls=%d pairs=%d pruned=%d conflicts=%d propagations=%d restarts=%d intern_hits=%d intern_misses=%d\n",
+			"%-12s checks=%d solver_calls=%d pairs=%d pruned=%d conflicts=%d propagations=%d restarts=%d\n",
 			name, fs.Checks, fs.SolverCalls, fs.Pairs, fs.PairsPruned,
-			fs.Conflicts, fs.Propagations, fs.Restarts, fs.InternHits, fs.InternMisses)
+			fs.Conflicts, fs.Propagations, fs.Restarts)
 	}
 	if ls := r.Stats.Lifted; ls != nil {
 		fmt.Fprintf(w, "lifted       queries=%d pruned=%d word_decided=%d sessions=%d findings=%d\n",

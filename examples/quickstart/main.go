@@ -1,6 +1,6 @@
 // Quickstart: parse a DeviceTree source, validate it structurally
-// (the dt-schema-equivalent baseline) and semantically (SMT-backed
-// overlap checking), and print the verdicts.
+// (the dt-schema-equivalent baseline) and semantically (the Section
+// IV-C overlap check), and print the verdicts.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -74,7 +74,7 @@ func main() {
 		fmt.Println(" ", v)
 	}
 
-	fmt.Println("\n--- semantic validation (llhsc, SMT-backed) ---")
+	fmt.Println("\n--- semantic validation (llhsc) ---")
 	collisions, semViolations := constraints.NewSemanticChecker().Check(tree)
 	for _, c := range collisions {
 		fmt.Println("  COLLISION:", c)

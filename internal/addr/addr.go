@@ -97,18 +97,23 @@ func (k Kind) String() string {
 	}
 }
 
-// IsVirtualDevice reports whether a node describes a virtual device
-// whose address window is an IPC overlay onto shared memory rather than
-// an exclusively decoded physical range. The running example's veth
-// nodes (and the paper's own Listing 6, which places the veth IPC base
-// inside a guest memory region) have this property.
-func IsVirtualDevice(n *dts.Node) bool {
-	for _, c := range n.Compatible() {
+// KindOf classifies a node from its device_type and compatible strings.
+// device_type "memory" makes a memory bank. A compatible of "veth" or
+// "virtual*" makes a virtual device, whose address window is an IPC
+// overlay onto shared memory rather than an exclusively decoded physical
+// range: the running example's veth nodes, and the paper's own Listing
+// 6, which places the veth IPC base inside a guest memory region.
+// Anything else is a device.
+func KindOf(deviceType string, compatible []string) Kind {
+	if deviceType == "memory" {
+		return KindMemory
+	}
+	for _, c := range compatible {
 		if c == "veth" || strings.HasPrefix(c, "virtual") {
-			return true
+			return KindVirtual
 		}
 	}
-	return false
+	return KindDevice
 }
 
 // Region is an addressable range attributed to a tree node.
@@ -206,15 +211,72 @@ func Translate(ranges []RangeEntry, childAddr, size uint64) (parentAddr uint64, 
 	return 0, false
 }
 
+// Translator maps a child-bus range (address, size) into the root
+// (CPU-visible) address space; ok is false when no ranges entry covers
+// the range.
+type Translator func(address, size uint64) (root uint64, ok bool)
+
+// Identity is the root bus's Translator.
+func Identity(address, _ uint64) (uint64, bool) { return address, true }
+
+// Through returns the Translator for the children of the node at path,
+// given the node's ranges value and the cell sizes that decode it. A
+// missing ranges property (the common practice for simple-bus
+// containers) and an empty "ranges;" are the identity mapping. A
+// malformed ranges value leaves the translation unchanged and is
+// reported with the node's path.
+func (tr Translator) Through(path string, ranges *dts.Value, childAddrCells, parentAddrCells, childSizeCells int) (Translator, error) {
+	if ranges == nil || ranges.IsEmpty() {
+		return tr, nil
+	}
+	entries, err := ParseRanges(ranges.U32s(), childAddrCells, parentAddrCells, childSizeCells)
+	if err != nil {
+		return tr, fmt.Errorf("%s ranges: %w", path, err)
+	}
+	return func(a, s uint64) (uint64, bool) {
+		mid, ok := Translate(entries, a, s)
+		if !ok {
+			return 0, false
+		}
+		return tr(mid, s)
+	}, nil
+}
+
+// DecodeReg decodes the reg cells of the node at path under its
+// parent's #address-cells/#size-cells, translates every entry into the
+// root address space and checks it for overflow, appending the regions
+// to dst in entry order. Problems come back in the order they occur,
+// each naming the node: an arity error yields no region, an entry no
+// ranges entry covers is dropped, and an overflowing region is kept.
+// Both checking modes decode regions through this one step.
+func DecodeReg(dst []Region, path string, cells []uint32, addrCells, sizeCells int, tr Translator, kind Kind, origin dts.Origin) ([]Region, []error) {
+	entries, err := ParseReg(cells, addrCells, sizeCells)
+	var errs []error
+	if err != nil {
+		errs = append(errs, fmt.Errorf("%s: %w", path, err))
+	}
+	for i, e := range entries {
+		base, ok := tr(e.Address, e.Size)
+		if !ok {
+			errs = append(errs, fmt.Errorf("%s bank %d: address 0x%x not covered by parent ranges",
+				path, i, e.Address))
+			continue
+		}
+		r := Region{Base: base, Size: e.Size, Path: path, Kind: kind, Index: i, Origin: origin}
+		if _, ok := r.End(); !ok {
+			errs = append(errs, fmt.Errorf("%s bank %d: %w", path, i, ErrOverflow))
+		}
+		dst = append(dst, r)
+	}
+	return dst, errs
+}
+
 // CollectRegions walks the tree and decodes every addressable reg
-// property into regions. Nodes under a parent with #size-cells = 0
-// (such as CPUs, whose reg is an identifier) are skipped. Bus nodes
-// with a ranges property have their children's addresses translated to
-// the root (CPU-visible) address space; an empty "ranges;" is the
-// identity mapping, and a missing ranges property is also treated as
-// identity (the common practice for simple-bus containers). Arity,
-// overflow and translation problems are reported with the offending
-// node's path.
+// property into regions (DecodeReg). Nodes under a parent with
+// #size-cells = 0 (such as CPUs, whose reg is an identifier) are
+// skipped. Bus nodes with a ranges property have their children's
+// addresses translated to the root address space (Translator.Through).
+// The first decoding problem is returned, naming the offending node.
 func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 	var c collector
 	for _, o := range opts {
@@ -222,73 +284,37 @@ func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 	}
 	var out []Region
 	var firstErr error
+	note := func(errs ...error) {
+		if firstErr == nil && len(errs) > 0 {
+			firstErr = errs[0]
+		}
+	}
 
-	var walk func(parent *dts.Node, path string, translate func(addr, size uint64) (uint64, bool))
-	walk = func(parent *dts.Node, path string, translate func(addr, size uint64) (uint64, bool)) {
+	var walk func(parent *dts.Node, path string, tr Translator)
+	walk = func(parent *dts.Node, path string, tr Translator) {
 		ac, sc := parent.AddressCells(), parent.SizeCells()
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
 			if reg := n.Property("reg"); reg != nil && sc > 0 {
 				dt, _ := n.StringValue("device_type")
-				kind := KindDevice
-				switch {
-				case dt == "memory":
-					kind = KindMemory
-				case IsVirtualDevice(n):
-					kind = KindVirtual
-				}
+				kind := KindOf(dt, n.Compatible())
 				if kind == KindMemory || c.keep == nil || c.keep(n) {
-					entries, err := ParseReg(reg.Value.U32s(), ac, sc)
-					if err != nil && firstErr == nil {
-						firstErr = fmt.Errorf("%s: %w", childPath, err)
-					}
-					for i, e := range entries {
-						base, ok := translate(e.Address, e.Size)
-						if !ok {
-							if firstErr == nil {
-								firstErr = fmt.Errorf("%s bank %d: address 0x%x not covered by parent ranges",
-									childPath, i, e.Address)
-							}
-							continue
-						}
-						r := Region{
-							Base: base, Size: e.Size,
-							Path: childPath, Kind: kind, Index: i,
-							Origin: reg.Origin,
-						}
-						if _, ok := r.End(); !ok && firstErr == nil {
-							firstErr = fmt.Errorf("%s bank %d: %w", childPath, i, ErrOverflow)
-						}
-						out = append(out, r)
-					}
+					var errs []error
+					out, errs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, kind, reg.Origin)
+					note(errs...)
 				}
 			}
-
-			// Compose the translation for this node's children.
-			childTranslate := translate
-			if rangesProp := n.Property("ranges"); rangesProp != nil && !rangesProp.Value.IsEmpty() {
-				entries, err := ParseRanges(rangesProp.Value.U32s(),
-					n.AddressCells(), ac, n.SizeCells())
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("%s ranges: %w", childPath, err)
-					}
-				} else {
-					upper := translate
-					childTranslate = func(a, s uint64) (uint64, bool) {
-						mid, ok := Translate(entries, a, s)
-						if !ok {
-							return 0, false
-						}
-						return upper(mid, s)
-					}
+			childTr := tr
+			if p := n.Property("ranges"); p != nil {
+				var err error
+				if childTr, err = tr.Through(childPath, &p.Value, n.AddressCells(), ac, n.SizeCells()); err != nil {
+					note(err)
 				}
 			}
-			walk(n, childPath, childTranslate)
+			walk(n, childPath, childTr)
 		}
 	}
-	identity := func(a, s uint64) (uint64, bool) { return a, true }
-	walk(t.Root, "", identity)
+	walk(t.Root, "", Identity)
 	return out, firstErr
 }
 

@@ -20,11 +20,10 @@ import (
 // parallelizes cleanly instead of being dominated by one big platform
 // job (Amdahl).
 //
-// E13 measures how per-tree solver work parallelizes, and the line's
-// disjoint UART regions give the semantic family none (its sweep
-// prunes them all). So every UART claims heavyIRQsPerUART interrupt
-// lines of its own: the interrupt family's O(n²) Push/Pop solves over
-// those lines carry the per-tree solver work, and the line stays valid.
+// The line's disjoint UART regions give the semantic family no pair to
+// decide (its sweep prunes them all), so every UART also claims
+// heavyIRQsPerUART interrupt lines of its own: the interrupt family
+// compares O(n²) distinct claims per tree, and the line stays valid.
 func HeavyProductLine(vms int) (*core.Pipeline, error) {
 	pipeline, err := SyntheticProductLine(vms, vms, vms)
 	if err != nil {
@@ -51,7 +50,8 @@ func HeavyProductLine(vms int) (*core.Pipeline, error) {
 	return pipeline, nil
 }
 
-// heavyIRQsPerUART sizes HeavyProductLine's interrupt work.
+// heavyIRQsPerUART sizes HeavyProductLine's interrupt work: claim pairs
+// compared by equality, each polling the context once.
 const heavyIRQsPerUART = 4
 
 // ParallelPoint is one measured configuration of experiment E13.

@@ -1,6 +1,8 @@
 package constraints
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
+	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
 
@@ -324,6 +327,28 @@ func TestInterruptChecker(t *testing.T) {
 `)
 	if vs := (InterruptChecker{}).Check(clean); len(vs) != 0 {
 		t.Errorf("clean interrupts flagged: %v", vs)
+	}
+}
+
+// TestInterruptCheckerCanceled: the pair loop polls the context itself
+// and stops with a typed *sat.LimitError on a canceled one.
+func TestInterruptCheckerCanceled(t *testing.T) {
+	tree := mustTree(t, `
+/dts-v1/;
+/ {
+	uart@1000 { interrupts = <5>; };
+	timer@2000 { interrupts = <5>; };
+};
+`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vs, err := InterruptChecker{}.CheckContext(ctx, tree)
+	var lim *sat.LimitError
+	if !errors.As(err, &lim) || lim.Reason != sat.StopCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want *sat.LimitError{StopCanceled} wrapping context.Canceled", err, err)
+	}
+	if len(vs) != 0 {
+		t.Errorf("canceled check reported %v", vs)
 	}
 }
 

@@ -3,6 +3,7 @@ package constraints
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -288,6 +289,22 @@ func (r *liftedRun) emitWith(cfg featmodel.Configuration, family string, v Viola
 	r.findings = append(r.findings, LiftedFinding{Family: family, Violation: v, Config: cfg})
 }
 
+// sink is the lifted family's rule sink: reports are filtered by the
+// session's reachability oracle and carry the decoded witness.
+func (r *liftedRun) sink(family string) sink {
+	return sink{
+		reach: r.reachable,
+		emit:  func(cfg featmodel.Configuration, v Violation) { r.emitWith(cfg, family, v) },
+	}
+}
+
+// fail records the first error that cut the run short.
+func (r *liftedRun) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
 // applyConflicts discharges the merge-time conflicts (missing targets,
 // double-adds, ambiguous orders): each becomes one lifted query, and
 // only conflicts some valid configuration actually hits are reported —
@@ -366,77 +383,39 @@ func cellOptions(ln *delta.LiftedNode, name string, def int) []cellOption {
 	return out
 }
 
-// kindOption is a guarded region kind, derived from the chosen options
-// of device_type and compatible exactly as addr.CollectRegions derives
-// the kind from the concrete properties.
+// kindOption is a guarded region kind: addr.KindOf, the rule
+// addr.CollectRegions applies to the concrete properties, applied to
+// the chosen options of device_type and compatible.
 type kindOption struct {
 	cond *featmodel.Expr
 	kind addr.Kind
 }
 
 func kindOptions(ln *delta.LiftedNode) []kindOption {
-	dtOpts := chosenOptions(ln.Prop("device_type"))
-	compatOpts := chosenOptions(ln.Prop("compatible"))
-	// Accumulate one option per distinct kind, disjoining guards, in
-	// first-seen order for determinism.
-	var order []addr.Kind
-	conds := make(map[addr.Kind]*featmodel.Expr)
-	seen := make(map[addr.Kind]bool)
-	for _, d := range dtOpts {
-		dstr := ""
+	// One option per distinct kind, guards disjoined, in first-seen order
+	// for determinism.
+	var out []kindOption
+	for _, d := range chosenOptions(ln.Prop("device_type")) {
+		dt := ""
 		if d.value != nil {
 			if ss := d.value.Strings(); len(ss) > 0 {
-				dstr = ss[0]
+				dt = ss[0]
 			}
 		}
-		for _, c := range compatOpts {
-			kind := addr.KindDevice
-			switch {
-			case dstr == "memory":
-				kind = addr.KindMemory
-			case compatIsVirtual(c.value):
-				kind = addr.KindVirtual
+		for _, c := range chosenOptions(ln.Prop("compatible")) {
+			var compatible []string
+			if c.value != nil {
+				compatible = c.value.Strings()
 			}
-			cond := featmodel.AndOpt(d.cond, c.cond)
-			if !seen[kind] {
-				seen[kind] = true
-				order = append(order, kind)
-				conds[kind] = cond
+			kind, cond := addr.KindOf(dt, compatible), featmodel.AndOpt(d.cond, c.cond)
+			if k := slices.IndexFunc(out, func(o kindOption) bool { return o.kind == kind }); k >= 0 {
+				out[k].cond = featmodel.OrOpt(out[k].cond, cond)
 			} else {
-				conds[kind] = featmodel.OrOpt(conds[kind], cond)
+				out = append(out, kindOption{cond: cond, kind: kind})
 			}
 		}
-	}
-	out := make([]kindOption, 0, len(order))
-	for _, k := range order {
-		out = append(out, kindOption{cond: conds[k], kind: k})
 	}
 	return out
-}
-
-// compatIsVirtual mirrors addr.IsVirtualDevice on one chosen value of
-// the compatible property.
-func compatIsVirtual(v *dts.Value) bool {
-	if v == nil {
-		return false
-	}
-	for _, c := range v.Strings() {
-		if c == "veth" || len(c) >= len("virtual") && c[:len("virtual")] == "virtual" {
-			return true
-		}
-	}
-	return false
-}
-
-// liftedRegion is an address region variant of the merged tree: the
-// concrete geometry addr.CollectRegions would produce, guarded by the
-// conjunction of the node's presence condition, the interpretation
-// context that decoded it, and the chosen-guards of the properties
-// that shaped it.
-type liftedRegion struct {
-	reg   addr.Region
-	cond  *featmodel.Expr
-	width int
 }
 
 // interpCtx is one interpretation context of the region walk: the
@@ -449,18 +428,18 @@ type interpCtx struct {
 	cond      *featmodel.Expr
 	ac, sc    int
 	width     int
-	translate func(a, s uint64) (uint64, bool)
+	translate addr.Translator
 }
 
 // collectLiftedRegions mirrors addr.CollectRegions over the merged
-// tree, splitting into interpretation contexts wherever a cell-size or
-// ranges property is variant. Decoding problems (arity, overflow,
-// uncovered translations) are emitted as guarded "semantic:regions"
-// findings, like the concrete collector's error return. It returns the
-// root #address-cells options (each fixing a bit width) and the guarded
-// region variants.
-func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []liftedRegion) {
-	identity := func(a, s uint64) (uint64, bool) { return a, true }
+// tree: it only enumerates options, splitting into interpretation
+// contexts wherever a cell-size or ranges property is variant, and
+// decodes each reg and ranges option with the concrete collector's
+// steps (addr.DecodeReg, addr.Translator.Through). Decoding problems
+// are emitted as guarded "semantic:regions" findings, like the concrete
+// collector's error return. It returns the root #address-cells options
+// (each fixing a bit width) and the guarded region variants.
+func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []guardedRegion) {
 	rootACs := cellOptions(lt.Root, "#address-cells", 2)
 
 	var rootCtxs []interpCtx
@@ -472,12 +451,13 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 				ac:        acO.n,
 				sc:        scO.n,
 				width:     width,
-				translate: identity,
+				translate: addr.Identity,
 			})
 		}
 	}
 
-	var out []liftedRegion
+	var out []guardedRegion
+	var regs []addr.Region
 	var walk func(parent *delta.LiftedNode, path string, ctxs []interpCtx)
 	walk = func(parent *delta.LiftedNode, path string, ctxs []interpCtx) {
 		for _, n := range parent.Children {
@@ -498,39 +478,17 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 						continue
 					}
 					g0 := featmodel.AndOpt(n.Cond, featmodel.AndOpt(ictx.cond, ro.cond))
-					entries, err := addr.ParseReg(ro.value.U32s(), ictx.ac, ictx.sc)
-					if err != nil {
-						r.emit("semantic", g0, Violation{
-							Rule:    "semantic:regions",
-							Message: fmt.Sprintf("%s: %v", childPath, err),
-						})
+					var errs []error
+					regs, errs = addr.DecodeReg(regs[:0], childPath, ro.value.U32s(), ictx.ac, ictx.sc,
+						ictx.translate, 0, ro.origin)
+					for _, err := range errs {
+						r.emit("semantic", g0, regionsViolation(err))
 					}
-					for i, e := range entries {
-						base, ok := ictx.translate(e.Address, e.Size)
-						if !ok {
-							r.emit("semantic", g0, Violation{
-								Rule: "semantic:regions",
-								Message: fmt.Sprintf("%s bank %d: address 0x%x not covered by parent ranges",
-									childPath, i, e.Address),
-							})
-							continue
-						}
-						rg := addr.Region{
-							Base: base, Size: e.Size,
-							Path: childPath, Index: i,
-							Origin: ro.origin,
-						}
-						if _, ok := rg.End(); !ok {
-							r.emit("semantic", g0, Violation{
-								Rule:    "semantic:regions",
-								Message: fmt.Sprintf("%s bank %d: %v", childPath, i, addr.ErrOverflow),
-							})
-						}
+					for _, rg := range regs {
 						for _, ko := range kinds {
-							rk := rg
-							rk.Kind = ko.kind
-							out = append(out, liftedRegion{
-								reg:   rk,
+							rg.Kind = ko.kind
+							out = append(out, guardedRegion{
+								reg:   rg,
 								cond:  featmodel.AndOpt(g0, ko.cond),
 								width: ictx.width,
 							})
@@ -552,25 +510,9 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 						for _, rO := range rOpts {
 							cond := featmodel.AndOpt(ictx.cond,
 								featmodel.AndOpt(acO.cond, featmodel.AndOpt(scO.cond, rO.cond)))
-							tr := ictx.translate
-							if rO.value != nil && !rO.value.IsEmpty() {
-								entries, err := addr.ParseRanges(rO.value.U32s(), acO.n, ictx.ac, scO.n)
-								if err != nil {
-									r.emit("semantic", featmodel.AndOpt(n.Cond, cond), Violation{
-										Rule:    "semantic:regions",
-										Message: fmt.Sprintf("%s ranges: %v", childPath, err),
-									})
-								} else {
-									upper := ictx.translate
-									es := entries
-									tr = func(a, s uint64) (uint64, bool) {
-										mid, ok := addr.Translate(es, a, s)
-										if !ok {
-											return 0, false
-										}
-										return upper(mid, s)
-									}
-								}
+							tr, err := ictx.translate.Through(childPath, rO.value, acO.n, ictx.ac, scO.n)
+							if err != nil {
+								r.emit("semantic", featmodel.AndOpt(n.Cond, cond), regionsViolation(err))
 							}
 							childCtxs = append(childCtxs, interpCtx{
 								cond: cond, ac: acO.n, sc: scO.n,
@@ -612,34 +554,50 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 	return rootACs, out
 }
 
-// semantic runs the lifted non-overlap family (formula (7)): the word
-// tier decides every candidate pair's geometry exactly — the variants
-// are concrete — and only geometrically colliding pairs cost a lifted
-// reachability query. Cross-width pairs come from mutually exclusive
-// root cell interpretations and are skipped statically.
-func (r *liftedRun) semantic(regions []liftedRegion) {
-	for i := 0; i < len(regions); i++ {
-		for j := i + 1; j < len(regions); j++ {
-			a, b := regions[i], regions[j]
-			if a.width != b.width {
-				continue
+// semantic runs the non-overlap rule (formula (7)) over the guarded
+// regions with the enumerative checker's own steps, once per root-width
+// group (addr.BitWidth yields 32 or 64): the sweep's eligible
+// candidates, each decided by the word tier (the variants are
+// concrete). Only colliding pairs cost a reachability query, asked in
+// global (i, j) order; cross-width pairs come from mutually exclusive
+// root cell interpretations and are never paired.
+func (r *liftedRun) semantic(regions []guardedRegion) {
+	type hit struct {
+		i, j    int // indexes into regions
+		witness uint64
+	}
+	var hits []hit
+	sc := &SemanticChecker{CheckMemoryBanks: r.lc.CheckMemoryBanks}
+	var group []addr.Region
+	var index []int // group position → index into regions
+	for _, width := range []int{32, 64} {
+		group, index = group[:0], index[:0]
+		for k, g := range regions {
+			if g.width == width {
+				group = append(group, g.reg)
+				index = append(index, k)
 			}
-			if !eligiblePair(a.reg, b.reg, r.lc.CheckMemoryBanks) {
-				continue
-			}
-			overlap, witness := DecideConcretePair(a.reg, b.reg, a.width)
-			r.lc.stats.WordDecided++
-			if !overlap {
-				continue
-			}
-			cond := featmodel.AndOpt(a.cond, b.cond)
-			ok, cfg := r.reachable(cond)
-			if !ok {
-				continue
-			}
-			col := Collision{A: a.reg, B: b.reg, Witness: witness}
-			for _, v := range col.Violations() {
-				r.emitWith(cfg, "semantic", v)
+		}
+		err := sc.decidePairs(r.ctx, group, width, sc.sweepCandidates(group, width),
+			func(p [2]int, c Collision) { hits = append(hits, hit{index[p[0]], index[p[1]], c.Witness}) })
+		if err != nil {
+			r.fail(err)
+			return
+		}
+	}
+	r.lc.stats.WordDecided += sc.stats.WordDecided
+	slices.SortFunc(hits, func(a, b hit) int {
+		if a.i != b.i {
+			return a.i - b.i
+		}
+		return a.j - b.j
+	})
+	s := r.sink("semantic")
+	for _, h := range hits {
+		a, b := regions[h.i], regions[h.j]
+		if cfg, ok := s.holds(a.cond, b.cond); ok {
+			for _, v := range (Collision{A: a.reg, B: b.reg, Witness: h.witness}).Violations() {
+				s.emit(cfg, v)
 			}
 		}
 	}
@@ -763,138 +721,45 @@ func parentShell(ac, sc int) *dts.Node {
 	}}
 }
 
-// interrupts runs the lifted interrupt-uniqueness family: guarded
-// (path, line) claims, equal lines on distinct nodes cost one
-// reachability query each. Equality of two concrete cells is decided
-// in place — the concrete checker's per-pair SMT query over two
-// constants is exactly an equality test.
+// interrupts runs the interrupt-uniqueness rule over guarded claims:
+// one per cell of each chosen interrupts option.
 func (r *liftedRun) interrupts(lt *delta.LiftedTree) {
-	type irqUse struct {
-		path   string
-		irq    uint32
-		cond   *featmodel.Expr
-		origin dts.Origin
-	}
-	var uses []irqUse
+	var claims []irqClaim
 	lt.Root.Walk(func(path string, n *delta.LiftedNode) bool {
 		for _, o := range chosenOptions(n.Prop("interrupts")) {
-			if o.value == nil {
-				continue
-			}
-			cond := featmodel.AndOpt(n.Cond, o.cond)
-			for _, cell := range o.value.Cells() {
-				uses = append(uses, irqUse{path: path, irq: cell.Val, cond: cond, origin: o.origin})
+			if o.value != nil {
+				claims = appendIRQClaims(claims, path, o.value, featmodel.AndOpt(n.Cond, o.cond), o.origin)
 			}
 		}
 		return true
 	})
-	for i := 0; i < len(uses); i++ {
-		for j := i + 1; j < len(uses); j++ {
-			if uses[i].path == uses[j].path || uses[i].irq != uses[j].irq {
-				continue
-			}
-			r.emit("interrupt", featmodel.AndOpt(uses[i].cond, uses[j].cond), Violation{
-				Path: uses[i].path, Property: "interrupts",
-				Rule: "semantic:interrupt",
-				Message: fmt.Sprintf("interrupt %d also claimed by %s",
-					uses[i].irq, uses[j].path),
-				Origin: uses[i].origin,
-			})
-		}
+	if _, err := interruptRule(r.ctx, claims, r.sink("interrupt")); err != nil {
+		r.fail(err)
 	}
 }
 
-// memreserve runs the lifted /memreserve/ family. Reserves live in the
-// core (deltas cannot edit them), so reserve-vs-reserve disjointness is
-// configuration-independent geometry, checked by the word tier per
-// root-width option. Containment is configuration-dependent — the set
-// of memory banks varies — and is checked exactly with the candidate
-// point construction: a reserve has an uncovered address under some
-// active bank set iff one of {reserve.lo} ∪ {bank ends} is uncovered,
-// so each candidate point costs one lifted query asking whether a valid
-// configuration deactivates every bank containing it.
-func (r *liftedRun) memreserve(lt *delta.LiftedTree, rootACs []cellOption, regions []liftedRegion) {
+// memreserve runs the /memreserve/ rule once per root-width option,
+// against the memory-bank variants of that width. Reserves live in the
+// core (deltas cannot edit them), so only the banks carry guards.
+func (r *liftedRun) memreserve(lt *delta.LiftedTree, rootACs []cellOption, regions []guardedRegion) {
 	if len(lt.MemReserves) == 0 {
 		return
 	}
+	s := r.sink("memreserve")
 	for _, acO := range rootACs {
 		width := addr.BitWidth(acO.n)
-
-		var banks []liftedRegion
-		for _, lr := range regions {
-			if lr.reg.Kind == addr.KindMemory && lr.width == width {
-				banks = append(banks, lr)
+		var banks []guardedRegion
+		for _, g := range regions {
+			if g.reg.Kind == addr.KindMemory && g.width == width {
+				banks = append(banks, g)
 			}
 		}
-
-		// Containment: for each reserve, probe the candidate points.
-		for i, mr := range lt.MemReserves {
-			reserve := addr.Region{Base: mr.Address, Size: mr.Size}
-			riv, ok := regionInterval(reserve, width)
-			if !ok {
-				continue // empty reserve constrains nothing
-			}
-			inReserve := func(p uint64) bool {
-				return p >= riv.lo && (riv.top || p < riv.hi)
-			}
-			points := []uint64{riv.lo}
-			for _, b := range banks {
-				if biv, ok := regionInterval(b.reg, width); ok && !biv.top && inReserve(biv.hi) {
-					points = append(points, biv.hi)
-				}
-			}
-			sort.Slice(points, func(a, b int) bool { return points[a] < points[b] })
-			probed := make(map[uint64]bool)
-			for _, p := range points {
-				if probed[p] {
-					continue
-				}
-				probed[p] = true
-				// All banks containing p must be inactive for p to be
-				// uncovered; an unconditional containing bank covers it
-				// in every configuration.
-				var cond *featmodel.Expr
-				covered := false
-				for _, b := range banks {
-					biv, ok := regionInterval(b.reg, width)
-					if !ok || p < biv.lo || (!biv.top && p >= biv.hi) {
-						continue
-					}
-					if b.cond == nil {
-						covered = true
-						break
-					}
-					cond = featmodel.AndOpt(cond, featmodel.Not(b.cond))
-				}
-				if covered {
-					continue
-				}
-				cond = featmodel.AndOpt(acO.cond, cond)
-				r.emit("memreserve", cond, Violation{
-					Rule: "semantic:memreserve-outside-ram",
-					Message: fmt.Sprintf(
-						"/memreserve/ %d (0x%x+0x%x) covers address 0x%x outside every memory bank",
-						i, mr.Address, mr.Size, p),
-				})
-			}
-		}
-
-		// Pairwise disjointness of reserves: pure geometry per width.
-		for i := 0; i < len(lt.MemReserves); i++ {
-			for j := i + 1; j < len(lt.MemReserves); j++ {
-				a := addr.Region{Base: lt.MemReserves[i].Address, Size: lt.MemReserves[i].Size}
-				b := addr.Region{Base: lt.MemReserves[j].Address, Size: lt.MemReserves[j].Size}
-				overlap, witness := DecideConcretePair(a, b, width)
-				r.lc.stats.WordDecided++
-				if !overlap {
-					continue
-				}
-				r.emit("memreserve", acO.cond, Violation{
-					Rule: "semantic:memreserve-overlap",
-					Message: fmt.Sprintf("/memreserve/ %d and %d overlap at address 0x%x",
-						i, j, witness),
-				})
-			}
+		var st SemanticStats
+		err := memReserveRule(r.ctx, lt.MemReserves, banks, width, acO.cond, s, &st)
+		r.lc.stats.WordDecided += st.WordDecided
+		if err != nil {
+			r.fail(err)
+			return
 		}
 	}
 }

@@ -10,6 +10,7 @@ package constraints
 // agree exactly.
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -43,20 +44,6 @@ func (fk famKeys) empty() bool {
 	return true
 }
 
-// memreserveKey strips the solver-dependent witness address from a
-// memreserve violation message: the enumerative checker reports an
-// arbitrary model value where the lifted checker reports a canonical
-// probe point, so only the structural part is comparable.
-func memreserveKey(rule, message string) string {
-	if i := strings.Index(message, " covers address"); i >= 0 {
-		message = message[:i]
-	}
-	if i := strings.Index(message, " overlap at address"); i >= 0 {
-		message = message[:i] + " overlap"
-	}
-	return rule + "|" + message
-}
-
 // enumerativeKeys runs every concrete family checker over one product
 // tree and returns the violation key sets.
 func enumerativeKeys(t *testing.T, tree *dts.Tree, schemas *schema.Set) famKeys {
@@ -81,7 +68,7 @@ func enumerativeKeys(t *testing.T, tree *dts.Tree, schemas *schema.Set) famKeys 
 		keys.add("interrupt", v.Path+"|"+v.Message)
 	}
 	for _, v := range (MemReserveChecker{}).Check(tree) {
-		keys.add("memreserve", memreserveKey(v.Rule, v.Message))
+		keys.add("memreserve", v.Rule+"|"+v.Message)
 	}
 	return keys
 }
@@ -104,7 +91,7 @@ func liftedKeys(t *testing.T, findings []LiftedFinding) famKeys {
 		case f.Family == "interrupt":
 			keys.add("interrupt", v.Path+"|"+v.Message)
 		case f.Family == "memreserve":
-			keys.add("memreserve", memreserveKey(v.Rule, v.Message))
+			keys.add("memreserve", v.Rule+"|"+v.Message)
 		case f.Family == "apply":
 			keys.add("apply", v.Path+"|"+v.Message)
 		default:
@@ -225,7 +212,7 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 				t.Errorf("%s: finding %s: not reproduced by concrete interrupt check of witness product", label, f)
 			}
 		case f.Family == "memreserve":
-			if !keys.has("memreserve", memreserveKey(v.Rule, v.Message)) {
+			if !keys.has("memreserve", v.Rule+"|"+v.Message) {
 				t.Errorf("%s: finding %s: not reproduced by concrete memreserve check of witness product", label, f)
 			}
 		}
@@ -343,6 +330,66 @@ func TestLiftedMatchesEnumerativeConform(t *testing.T) {
 	}
 	if cases < 20 {
 		t.Fatalf("only %d conform corpora ran; generator drift?", cases)
+	}
+}
+
+// TestLiftedMemReserveReportsLeastUncovered pins the containment guard
+// "p is uncovered and every earlier candidate is covered". Both banks
+// of memory@0 exist only under fa, so without fa the reserve is
+// uncovered from 0x800 on and 0x1000 is uncovered but never the least
+// uncovered address of any product: it must not be reported, and the
+// witness of 0x800 must lack fa.
+func TestLiftedMemReserveReportsLeastUncovered(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/memreserve/ 0x800 0x1000;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("mem.deltas", `
+delta dmem when fa {
+    adds binding soc {
+        memory@0 {
+            device_type = "memory";
+            reg = <0x0 0x1000 0x1000 0x800>;
+        };
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := conformModel(t)
+	crossValidate(t, "least-uncovered", core, set, model, schema.StandardSet())
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := NewLiftedChecker(model, schema.StandardSet()).CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		if f.Family == "memreserve" {
+			got = append(got, f.Violation.Message)
+			if f.Config["fa"] {
+				t.Errorf("witness %v of %s selects fa, whose banks cover the reserve", f.Config.Sorted(), f)
+			}
+		}
+	}
+	want := []string{"/memreserve/ 0 (0x800+0x1000) covers address 0x800 outside every memory bank"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("memreserve findings = %q, want %q", got, want)
 	}
 }
 

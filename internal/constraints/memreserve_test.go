@@ -1,8 +1,12 @@
 package constraints
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"llhsc/internal/sat"
 )
 
 func TestMemReserveClean(t *testing.T) {
@@ -120,5 +124,32 @@ func TestMemReserveNoEntries(t *testing.T) {
 `)
 	if vs := (MemReserveChecker{}).Check(tree); vs != nil {
 		t.Errorf("no reserves should mean no violations: %v", vs)
+	}
+}
+
+// TestMemReserveCheckerCanceled: the reserve loop polls the context
+// itself and stops with a typed *sat.LimitError on a canceled one.
+func TestMemReserveCheckerCanceled(t *testing.T) {
+	tree := mustTree(t, `
+/dts-v1/;
+/memreserve/ 0x10000000 0x1000;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	memory@40000000 {
+		device_type = "memory";
+		reg = <0x40000000 0x20000000>;
+	};
+};
+`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vs, err := MemReserveChecker{}.CheckContext(ctx, tree)
+	var lim *sat.LimitError
+	if !errors.As(err, &lim) || lim.Reason != sat.StopCanceled || !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v (%T), want *sat.LimitError{StopCanceled} wrapping context.Canceled", err, err)
+	}
+	if len(vs) != 0 {
+		t.Errorf("canceled check reported %v", vs)
 	}
 }

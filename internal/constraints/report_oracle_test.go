@@ -15,15 +15,18 @@ import (
 	"llhsc/internal/schema"
 )
 
-// These suites compare the production semantic checker against the
-// bit-blasting oracle (OracleCheck, oracle_test.go) on whole trees:
-// the paper's running example through the full pipeline, the E6
-// truncation product and the E10 fault corpus. They live in the
-// external test package because core and bench import constraints.
+// These suites compare the production semantic, memreserve and
+// interrupt checkers against their SMT oracles (OracleCheck,
+// oracle_test.go; OracleMemReserve and OracleInterrupts,
+// family_oracle_test.go) on whole trees: the paper's running example
+// through the full pipeline, the E6 truncation product and the E10
+// fault corpus. They live in the external test package because core and
+// bench import constraints.
 
-// assertMatchesOracle checks production CheckContext against the
-// oracle byte for byte on one tree: collisions (verdicts, witnesses,
-// ordering) and violations.
+// assertMatchesOracle checks the production checkers against the
+// oracles byte for byte on one tree: collisions (verdicts, witnesses,
+// ordering) and violations of all three families. It returns the
+// oracle's collisions.
 func assertMatchesOracle(t *testing.T, name string, tree *dts.Tree) []constraints.Collision {
 	t.Helper()
 	gotC, gotV, err := constraints.NewSemanticChecker().CheckContext(context.Background(), tree)
@@ -37,19 +40,25 @@ func assertMatchesOracle(t *testing.T, name string, tree *dts.Tree) []constraint
 	if !reflect.DeepEqual(gotV, wantV) {
 		t.Errorf("%s: violations differ from the oracle:\n got %v\nwant %v", name, gotV, wantV)
 	}
+	if got, want := (constraints.MemReserveChecker{}).Check(tree), constraints.OracleMemReserve(t, tree); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: memreserve differs from the oracle:\n got %v\nwant %v", name, got, want)
+	}
+	if got, want := (constraints.InterruptChecker{}).Check(tree), constraints.OracleInterrupts(t, tree); !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: interrupts differ from the oracle:\n got %v\nwant %v", name, got, want)
+	}
 	return wantC
 }
 
 // oracleTreeViolations rebuilds one product's report violations in the
-// pipeline's family order, with the semantic family decided by the
-// oracle.
+// pipeline's family order, with the semantic, memreserve and interrupt
+// families decided by their oracles.
 func oracleTreeViolations(t *testing.T, tree *dts.Tree) []constraints.Violation {
 	t.Helper()
 	out := constraints.NewSyntacticChecker(schema.StandardSet()).Check(tree)
 	_, sem := constraints.OracleCheck(t, tree)
 	out = append(out, sem...)
-	out = append(out, constraints.MemReserveChecker{}.Check(tree)...)
-	return append(out, constraints.InterruptChecker{}.Check(tree)...)
+	out = append(out, constraints.OracleMemReserve(t, tree)...)
+	return append(out, constraints.OracleInterrupts(t, tree)...)
 }
 
 // TestSemanticStrategiesAgreeOnRunningExample: the full pipeline report

@@ -86,40 +86,25 @@ type SemanticChecker struct {
 // one goroutine at a time — build one checker per goroutine, as
 // core.Pipeline does. The same shape doubles as the optional stats sink
 // of InterruptChecker and MemReserveChecker, so the pipeline aggregates
-// every family uniformly; the solver fields are filled only by those
-// SMT-backed families.
+// every family uniformly.
 type SemanticStats struct {
 	// Pairs is the number of candidate pairs decided (for the interrupt
-	// family: pair queries posed to the solver).
+	// family: claim pairs compared; for memreserve: reserve pairs).
 	Pairs int
 	// PairsPruned is how many of the naive n·(n-1)/2 region pairs the
 	// sweep prefilter and the eligibility rules cut before any decision.
 	PairsPruned int
-	// WordDecided is how many candidate pairs the word-level tier
-	// (DESIGN.md §13) decided with plain interval arithmetic. For the
-	// semantic family it always equals Pairs.
+	// WordDecided is how many decisions plain word arithmetic made
+	// (DESIGN.md §13): region pairs for the semantic family, where it
+	// always equals Pairs; claim pairs for interrupts; reserve
+	// containments and reserve pairs for memreserve.
 	WordDecided int
-	// SolverCalls counts SMT check invocations (memreserve and
-	// interrupt families; 0 for the semantic family).
+	// SolverCalls counts SMT check invocations. The families reporting
+	// through SemanticStats build no solver, so it reads 0; it is kept
+	// as the observable proof, which the benchmark reads.
 	SolverCalls int
 	// Collisions found.
 	Collisions int
-	// Solver aggregates the underlying SAT-solver work (conflicts,
-	// propagations, restarts, ...) across every solver instance the
-	// call created.
-	Solver sat.Stats
-	// InternHits / InternMisses aggregate the smt.Context hash-consing
-	// counters across those same instances.
-	InternHits   uint64
-	InternMisses uint64
-}
-
-// absorb folds one solver's SAT and intern counters into the stats.
-func (st *SemanticStats) absorb(solver *smt.Solver) {
-	st.Solver = st.Solver.Add(solver.Stats().SAT)
-	h, m := solver.Context().InternStats()
-	st.InternHits += h
-	st.InternMisses += m
 }
 
 // LastStats returns the work counters of the most recent collision
@@ -146,10 +131,7 @@ func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 	regions, err := addr.CollectRegions(tree)
 	var violations []Violation
 	if err != nil {
-		violations = append(violations, Violation{
-			Rule:    "semantic:regions",
-			Message: err.Error(),
-		})
+		violations = append(violations, regionsViolation(err))
 	}
 	width := sc.Width
 	if width == 0 {
@@ -160,6 +142,12 @@ func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 		violations = append(violations, c.Violations()...)
 	}
 	return collisions, violations, cerr
+}
+
+// regionsViolation reports a region-decoding problem (addr.DecodeReg,
+// addr.Translator.Through), in both checking modes.
+func regionsViolation(err error) Violation {
+	return Violation{Rule: "semantic:regions", Message: err.Error()}
 }
 
 // candidatePairs enumerates the region pairs that must not overlap.
@@ -180,32 +168,17 @@ func (sc *SemanticChecker) candidatePairs(regions []addr.Region) [][2]int {
 	return pairs
 }
 
-// pairEligible applies the exemption rules shared by the sweep, the
-// one-shot AnyCollision query and the all-pairs schedule:
-// same-node pairs are skipped unless they are distinct memory banks
-// under CheckMemoryBanks, and virtual-device windows never clash with
-// memory regions (see candidatePairs).
+// pairEligible applies the exemption rules shared by the sweep (and
+// through it the lifted checker), the one-shot AnyCollision query and
+// the all-pairs schedule: same-node pairs are skipped unless they are
+// distinct memory banks under CheckMemoryBanks, and virtual-device
+// windows never clash with memory regions (see candidatePairs).
 func (sc *SemanticChecker) pairEligible(a, b addr.Region) bool {
-	return eligiblePair(a, b, sc.CheckMemoryBanks)
-}
-
-// eligiblePair is the package-level form of the eligibility rules,
-// shared with the lifted checker so family-based and enumerative runs
-// schedule exactly the same pairs.
-func eligiblePair(a, b addr.Region, checkMemoryBanks bool) bool {
-	if a.Path == b.Path {
-		if !checkMemoryBanks {
-			return false
-		}
-		if a.Index == b.Index {
-			return false
-		}
-	}
-	if a.Kind == addr.KindVirtual && b.Kind == addr.KindMemory ||
-		a.Kind == addr.KindMemory && b.Kind == addr.KindVirtual {
+	if a.Path == b.Path && (!sc.CheckMemoryBanks || a.Index == b.Index) {
 		return false
 	}
-	return true
+	return !(a.Kind == addr.KindVirtual && b.Kind == addr.KindMemory ||
+		a.Kind == addr.KindMemory && b.Kind == addr.KindVirtual)
 }
 
 // FindCollisions returns every collision between eligible regions,
@@ -224,7 +197,9 @@ func (sc *SemanticChecker) FindCollisions(regions []addr.Region, width int) []Co
 // remaining pairs are unchecked.
 func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []addr.Region, width int) ([]Collision, error) {
 	sc.stats = SemanticStats{}
-	out, err := sc.decidePairs(ctx, regions, width, sc.sweepCandidates(regions, width))
+	var out []Collision
+	err := sc.decidePairs(ctx, regions, width, sc.sweepCandidates(regions, width),
+		func(_ [2]int, c Collision) { out = append(out, c) })
 	sc.stats.Collisions = len(out)
 	// Pruning payoff relative to the naive all-pairs schedule the
 	// paper's formulation implies. Counting the eligible-only baseline
@@ -236,15 +211,17 @@ func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []
 	return out, err
 }
 
-// decidePairs decides the given candidate pairs with the word tier.
-// The context is polled once per pair, since no solver is there to
-// poll it. With OnQuery nil the loop allocates only for collisions.
-func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Region, width int, pairs [][2]int) ([]Collision, error) {
-	sc.stats.Pairs = len(pairs)
-	var out []Collision
+// decidePairs decides the given candidate pairs with the word tier and
+// hands each collision to hit, in pair order. It is the decision step
+// of both checking modes: the lifted checker runs it over each
+// root-width group of guarded regions. The context is polled once per
+// pair, since no solver is there to poll it. With OnQuery nil the loop
+// itself allocates nothing.
+func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Region, width int, pairs [][2]int, hit func(pair [2]int, c Collision)) error {
+	sc.stats.Pairs += len(pairs)
 	for _, pair := range pairs {
-		if err := ctx.Err(); err != nil {
-			return out, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
+		if err := pollCanceled(ctx); err != nil {
+			return err
 		}
 		a, b := regions[pair[0]], regions[pair[1]]
 		var t0 time.Time
@@ -254,13 +231,13 @@ func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Regio
 		overlap, w := DecideConcretePair(a, b, width)
 		sc.stats.WordDecided++
 		if overlap {
-			out = append(out, Collision{A: a, B: b, Witness: w})
+			hit(pair, Collision{A: a, B: b, Witness: w})
 		}
 		if sc.OnQuery != nil {
 			sc.emitPair(a, b, overlap, w, time.Since(t0))
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // RegionLabel is the stable identity of one region in query records
@@ -371,85 +348,4 @@ func overlapTerm(ctx *smt.Context, x *smt.Term, r addr.Region, width int) *smt.T
 		return ctx.Ule(base, x)
 	}
 	return ctx.And(ctx.Ule(base, x), ctx.Ult(x, ctx.BVConst(width, end)))
-}
-
-// InterruptChecker is the interrupt-uniqueness extension mentioned in
-// the paper's conclusion ("semantic validation of memory addresses and
-// interrupts is performed using bit-vector constraints"): no two device
-// nodes may claim the same interrupt line.
-type InterruptChecker struct {
-	// Stats, when non-nil, receives the call's solver-work counters
-	// (pair queries, SAT stats, intern hit rate). A pointer so the
-	// checker stays usable as a value: InterruptChecker{Stats: &st}.
-	Stats *SemanticStats
-}
-
-// Check reports devices sharing an interrupt number. The decision is
-// made by the SMT solver: for each pair of interrupt constants it asks
-// whether a shared line value exists (mirroring the overlap encoding).
-func (ic InterruptChecker) Check(tree *dts.Tree) []Violation {
-	out, _ := ic.CheckContext(context.Background(), tree)
-	return out
-}
-
-// CheckContext is Check under a context; a non-nil error (a
-// *sat.LimitError) means cancellation cut the pair enumeration short.
-func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
-	type irqUse struct {
-		path   string
-		irq    uint32
-		origin dts.Origin
-	}
-	var uses []irqUse
-	tree.Root.Walk(func(path string, n *dts.Node) bool {
-		p := n.Property("interrupts")
-		if p == nil {
-			return true
-		}
-		for _, cell := range p.Value.Cells() {
-			uses = append(uses, irqUse{path: path, irq: cell.Val, origin: p.Origin})
-		}
-		return true
-	})
-	if len(uses) < 2 {
-		return nil, nil
-	}
-
-	sctx := smt.NewContext()
-	solver := smt.NewSolver(sctx)
-	if ic.Stats != nil {
-		defer func() { ic.Stats.absorb(solver) }()
-	}
-	line := sctx.BVVar("line", 32)
-
-	var out []Violation
-	for i := 0; i < len(uses); i++ {
-		for j := i + 1; j < len(uses); j++ {
-			if uses[i].path == uses[j].path {
-				continue
-			}
-			solver.Push()
-			solver.Assert(sctx.Eq(line, sctx.BVConst(32, uint64(uses[i].irq))))
-			solver.Assert(sctx.Eq(line, sctx.BVConst(32, uint64(uses[j].irq))))
-			st, err := solver.CheckContext(ctx)
-			if ic.Stats != nil {
-				ic.Stats.SolverCalls++
-				ic.Stats.Pairs++
-			}
-			if st == sat.Sat {
-				out = append(out, Violation{
-					Path: uses[i].path, Property: "interrupts",
-					Rule: "semantic:interrupt",
-					Message: fmt.Sprintf("interrupt %d also claimed by %s",
-						uses[i].irq, uses[j].path),
-					Origin: uses[i].origin,
-				})
-			}
-			solver.Pop()
-			if err != nil {
-				return out, err
-			}
-		}
-	}
-	return out, nil
 }

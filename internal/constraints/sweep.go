@@ -37,6 +37,11 @@ func regionInterval(r addr.Region, width int) (interval, bool) {
 	return interval{lo: r.Base, hi: end}, true
 }
 
+// contains reports whether address p lies in the interval.
+func (iv interval) contains(p uint64) bool {
+	return p >= iv.lo && (iv.top || p < iv.hi)
+}
+
 func truncTo(v uint64, width int) uint64 {
 	if width >= 64 {
 		return v

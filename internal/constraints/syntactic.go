@@ -12,6 +12,12 @@
 //     counterexample witness (Section IV-C, formula (7)). The regions
 //     are concrete, so exact word arithmetic decides the bit-vector
 //     query; a test-only bit-blasting oracle holds it to the encoding.
+//     The interrupt-uniqueness and /memreserve/ extensions are decided
+//     the same way, against their own test-only SMT oracles.
+//
+// The overlap, interrupt and memreserve rules are each written once,
+// over guarded facts, and serve both the enumerative checkers and
+// LiftedChecker (guarded.go).
 //
 // Violations carry blame: the delta module that produced the offending
 // node or property (via dts.Origin.Delta), realizing the traceability
@@ -19,17 +25,15 @@
 //
 // # Concurrency contract
 //
-// Checker values are cheap façades. Those that use a solver
-// (MemReserveChecker, SemanticChecker.AnyCollision) build an
-// smt.Context + smt.Solver fresh inside each call, so a single checker
-// value may be used from multiple goroutines as long as each call gets
-// its own stack: Check/CheckContext never share solver state across
-// calls. The parallel pipeline in internal/core still constructs one
-// checker set per worker for clarity, but the hard requirement is only
-// the one documented on smt.Solver — never drive one Solver from two
-// goroutines. Schema sets and parsed trees are read-only during
-// checking and safe to share. The exception is SemanticChecker, which
-// records LastStats on the checker value: give each goroutine its own.
+// Checker values are cheap façades, and only one production path builds
+// an SMT solver: SemanticChecker.AnyCollision (the one-shot query of
+// experiment E8), which makes a fresh smt.Context + smt.Solver inside
+// each call. Every other check is evaluation and word arithmetic over
+// the call's own stack, so a checker value may be used from multiple
+// goroutines. Two exceptions record state on the value: SemanticChecker
+// keeps LastStats, and LiftedChecker owns one incremental SAT session
+// per CheckContext call; give each goroutine its own. Schema sets and
+// parsed trees are read-only during checking and safe to share.
 package constraints
 
 import (

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,11 +16,12 @@ import (
 	"llhsc/internal/schema"
 )
 
-// wideDevicePipeline builds a pipeline whose interrupt family issues
-// many SMT queries: n device nodes, each claiming its own interrupt
-// line, give n*(n-1)/2 Push/Pop solves, so an uncancelled run takes far
-// longer than the cancellation latency the tests assert. (Their regions
-// are disjoint, so the semantic family's sweep leaves it no work.)
+// wideDevicePipeline builds a pipeline whose interrupt family compares
+// many claim pairs: n device nodes, each claiming its own interrupt
+// line, give n*(n-1)/2 pairs per tree, each decided by equality and
+// each polling the context once, so a cancellation can land at a fixed
+// poll well inside the family. (Their regions are disjoint, so the
+// semantic family's sweep leaves it no work.)
 func wideDevicePipeline(t *testing.T, n int) *Pipeline {
 	t.Helper()
 	var b strings.Builder
@@ -52,27 +54,60 @@ func wideDevicePipeline(t *testing.T, n int) *Pipeline {
 	}
 }
 
-func TestRunContextCancelMidRun(t *testing.T) {
-	p := wideDevicePipeline(t, 120) // ~7k interrupt solves per tree, ~200ms uncancelled
+// tripCtx is a context that cancels itself on its k-th Err poll (k = 0
+// never trips) and counts every poll, so a test can cancel at a fixed
+// point inside a run instead of racing the wall clock.
+type tripCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	k      int64
+	polls  atomic.Int64
+}
 
+func newTripCtx(k int64) *tripCtx {
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := p.RunContext(ctx, Limits{})
-	elapsed := time.Since(start)
+	return &tripCtx{Context: ctx, cancel: cancel, k: k}
+}
 
+func (c *tripCtx) Err() error {
+	if c.polls.Add(1) == c.k {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// TestRunContextCancelMidRun cancels a serial run from inside its first
+// tree's interrupt family — a quarter of the way through an uncanceled
+// run's polls — and requires a *LimitError wrapping context.Canceled,
+// with the run stopping at the next poll.
+func TestRunContextCancelMidRun(t *testing.T) {
+	const n = 120
+	p := wideDevicePipeline(t, n)
+	count := newTripCtx(0)
+	// The line has no CPUs, so artifact generation fails after every
+	// check has run; only a stop inside the checks matters here.
+	var le *LimitError
+	if _, err := p.RunContext(count, Limits{Parallelism: 1}); errors.As(err, &le) {
+		t.Fatalf("uncanceled run stopped: %v", err)
+	}
+	total := count.polls.Load()
+	if total < 2*n*(n-1)/2 {
+		t.Fatalf("uncanceled run polled the context %d times, want at least one poll per interrupt pair of both trees", total)
+	}
+
+	ctx := newTripCtx(total / 4)
+	_, err := p.RunContext(ctx, Limits{Parallelism: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want errors.Is(context.Canceled)", err)
 	}
-	var le *LimitError
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %T, want *LimitError", err)
 	}
-	if elapsed > 100*time.Millisecond {
-		t.Errorf("cancellation took %v, want < 100ms", elapsed)
+	if le.Phase != "vm:vm1" {
+		t.Errorf("phase = %q, want vm:vm1", le.Phase)
+	}
+	if extra := ctx.polls.Load() - ctx.k; extra > 1 {
+		t.Errorf("run polled the context %d more times after cancellation, want it to stop at the next poll", extra)
 	}
 }
 

@@ -19,22 +19,22 @@ type FamilyStats struct {
 	Checks int `json:"checks"`
 	// Pairs / PairsPruned are the semantic sweep counters: candidate
 	// pairs decided, and naive n·(n-1)/2 pairs the prefilter discarded
-	// before any decision (for the interrupt family, Pairs counts its
-	// pair queries).
+	// before any decision (for interrupts, Pairs counts the claim pairs
+	// compared; for memreserve, the reserve pairs).
 	Pairs       int `json:"pairs,omitempty"`
 	PairsPruned int `json:"pairsPruned,omitempty"`
-	// SolverCalls counts SMT check invocations.
+	// SolverCalls counts solver invocations: the lifted session's
+	// assumption solves. The per-tree families build no solver.
 	SolverCalls int `json:"solverCalls,omitempty"`
-	// WordDecided counts region pairs the word-level interval tier
-	// settled without any solver involvement (DESIGN.md §13).
+	// WordDecided counts decisions made by word arithmetic without any
+	// solver involvement (DESIGN.md §13): region pairs, interrupt claim
+	// pairs, reserve containments and reserve pairs.
 	WordDecided int `json:"wordDecided,omitempty"`
-	// SAT-solver work underneath the family's queries.
+	// SAT-solver work underneath the family's queries (allocation and
+	// lifted).
 	Conflicts    uint64 `json:"conflicts,omitempty"`
 	Propagations uint64 `json:"propagations,omitempty"`
 	Restarts     uint64 `json:"restarts,omitempty"`
-	// Hash-consing effectiveness of the family's smt.Contexts.
-	InternHits   uint64 `json:"internHits,omitempty"`
-	InternMisses uint64 `json:"internMisses,omitempty"`
 }
 
 // add returns the field-wise sum; families accumulate across products.
@@ -47,8 +47,6 @@ func (fs FamilyStats) add(other FamilyStats) FamilyStats {
 	fs.Conflicts += other.Conflicts
 	fs.Propagations += other.Propagations
 	fs.Restarts += other.Restarts
-	fs.InternHits += other.InternHits
-	fs.InternMisses += other.InternMisses
 	return fs
 }
 
@@ -56,16 +54,11 @@ func (fs FamilyStats) add(other FamilyStats) FamilyStats {
 // report shape, counting one checked tree.
 func familyStatsFrom(st constraints.SemanticStats) FamilyStats {
 	return FamilyStats{
-		Checks:       1,
-		Pairs:        st.Pairs,
-		PairsPruned:  st.PairsPruned,
-		SolverCalls:  st.SolverCalls,
-		WordDecided:  st.WordDecided,
-		Conflicts:    st.Solver.Conflicts,
-		Propagations: st.Solver.Propagations,
-		Restarts:     st.Solver.Restarts,
-		InternHits:   st.InternHits,
-		InternMisses: st.InternMisses,
+		Checks:      1,
+		Pairs:       st.Pairs,
+		PairsPruned: st.PairsPruned,
+		SolverCalls: st.SolverCalls,
+		WordDecided: st.WordDecided,
 	}
 }
 
@@ -212,10 +205,10 @@ func (st *runState) snapshot() RunStats {
 }
 
 // PipelineMetrics accumulates RunStats across runs on an obs.Registry,
-// under the llhsc_sat_*, llhsc_constraints_* and llhsc_smt_* families.
-// One instance may be shared by any number of Pipelines (the server
-// shares one across requests); observation is a handful of atomic adds
-// per run.
+// under the llhsc_sat_*, llhsc_constraints_*, llhsc_lifted_* and
+// llhsc_check_seconds families. One instance may be shared by any number
+// of Pipelines (the server shares one across requests); observation is
+// a handful of atomic adds per run.
 type PipelineMetrics struct {
 	satConflicts    *obs.CounterVec
 	satPropagations *obs.CounterVec
@@ -224,8 +217,6 @@ type PipelineMetrics struct {
 	pairs           *obs.CounterVec
 	pairsPruned     *obs.Counter
 	wordDecided     *obs.CounterVec
-	internHits      *obs.Counter
-	internMisses    *obs.Counter
 	runs            *obs.Counter
 	checkSeconds    *obs.HistogramVec
 
@@ -255,10 +246,6 @@ func NewPipelineMetrics(reg *obs.Registry) *PipelineMetrics {
 			"Naive region pairs the sweep prefilter discarded before reaching the solver."),
 		wordDecided: reg.NewCounterVec("llhsc_constraints_word_decided_total",
 			"Region pairs decided by the word-level interval tier, no solver involved.", "family"),
-		internHits: reg.NewCounter("llhsc_smt_intern_hits_total",
-			"Hash-consing intern table hits."),
-		internMisses: reg.NewCounter("llhsc_smt_intern_misses_total",
-			"Hash-consing intern table misses (terms allocated)."),
 		runs: reg.NewCounter("llhsc_core_runs_total",
 			"Completed pipeline runs (including runs that found violations)."),
 		liftedQueries: reg.NewCounter("llhsc_lifted_queries_total",
@@ -317,8 +304,6 @@ func (m *PipelineMetrics) observe(rs RunStats) {
 		m.pairs.With(name).Add(uint64(fs.Pairs))
 		m.pairsPruned.Add(uint64(fs.PairsPruned))
 		m.wordDecided.With(name).Add(uint64(fs.WordDecided))
-		m.internHits.Add(fs.InternHits)
-		m.internMisses.Add(fs.InternMisses)
 	}
 	if rs.Lifted != nil {
 		m.liftedQueries.Add(uint64(rs.Lifted.Queries))

@@ -5,6 +5,7 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -13,7 +14,11 @@ import (
 
 	"llhsc/internal/checkcache"
 	"llhsc/internal/core"
+	"llhsc/internal/delta"
+	"llhsc/internal/dts"
+	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
+	"llhsc/internal/schema"
 )
 
 // tracedRun executes the pipeline with a root span installed and
@@ -133,6 +138,69 @@ func TestReportStatsCacheCounters(t *testing.T) {
 	}
 }
 
+// TestCheckSecondsTierLabels pins the llhsc_check_seconds tier labels
+// of the memreserve and interrupt families: word arithmetic decides
+// both, so a tree with reserves and interrupt claims observes
+// tier="word", the running example (no reserves) observes
+// memreserve tier="none", and neither family ever observes tier="sat".
+func TestCheckSecondsTierLabels(t *testing.T) {
+	tree, err := dts.Parse("tiers.dts", `/dts-v1/;
+/memreserve/ 0x40000000 0x1000;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	memory@40000000 { device_type = "memory"; reg = <0x40000000 0x100000>; };
+	uart@1000 { compatible = "ns16550a"; reg = <0x1000 0x100>; interrupts = <5>; };
+	uart@2000 { compatible = "ns16550a"; reg = <0x2000 0x100>; interrupts = <6>; };
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := featmodel.NewModel(featmodel.NewFeature("root"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deltas, err := delta.NewSet(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape := func(p *core.Pipeline) string {
+		t.Helper()
+		reg := obs.NewRegistry()
+		p.Metrics = core.NewPipelineMetrics(reg)
+		// Only a stop inside the checks matters: the one-node line has no
+		// CPUs, so its artifact generation fails after every family has
+		// been observed.
+		var le *core.LimitError
+		if _, err := p.RunContext(context.Background(), core.Limits{Parallelism: 1}); errors.As(err, &le) {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		return b.String()
+	}
+	reserves := scrape(&core.Pipeline{
+		Core: tree, Deltas: deltas, Model: model, Schemas: schema.StandardSet(),
+		VMConfigs: []featmodel.Configuration{featmodel.ConfigOf("root")},
+	})
+	example := scrape(examplePipeline(t, nil))
+	for _, c := range []struct {
+		text, series string
+		want         bool
+	}{
+		{reserves, `llhsc_check_seconds_count{family="memreserve",tier="word"}`, true},
+		{reserves, `llhsc_check_seconds_count{family="interrupt",tier="word"}`, true},
+		{example, `llhsc_check_seconds_count{family="memreserve",tier="none"}`, true},
+		{reserves + example, `family="memreserve",tier="sat"`, false},
+		{reserves + example, `family="interrupt",tier="sat"`, false},
+	} {
+		if got := strings.Contains(c.text, c.series); got != c.want {
+			t.Errorf("scrape contains %s = %v, want %v", c.series, got, c.want)
+		}
+	}
+}
+
 // TestPipelineMetricsUnderRaceWithScrape hammers one shared registry
 // from concurrent pipeline runs (each with the per-tree fan-out) while
 // scraping /metrics text in parallel; run under -race this is the
@@ -190,8 +258,7 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 	text := b.String()
 	for _, family := range []string{
 		"llhsc_sat_conflicts_total", "llhsc_constraints_solver_calls_total",
-		"llhsc_constraints_pairs_pruned_total", "llhsc_smt_intern_hits_total",
-		"llhsc_core_runs_total",
+		"llhsc_constraints_pairs_pruned_total", "llhsc_core_runs_total",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("scrape missing family %s", family)

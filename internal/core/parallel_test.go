@@ -18,6 +18,7 @@ import (
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
+	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 	"llhsc/internal/schema"
 )
@@ -145,23 +146,37 @@ func TestParallelReportMatchesSerialFaultCorpus(t *testing.T) {
 	}
 }
 
-// TestParallelCancellationStopsWorkers cancels mid-run and requires a
-// prompt *core.LimitError wrapping context.Canceled.
+// cancelWriter cancels a run from inside it: handed to the slow-query
+// log, its first write — the first logged pair decision — cancels.
+type cancelWriter struct{ cancel context.CancelFunc }
+
+func (w cancelWriter) Write(p []byte) (int, error) {
+	w.cancel()
+	return len(p), nil
+}
+
+// TestParallelCancellationStopsWorkers cancels a parallel run from
+// inside and requires a prompt *core.LimitError wrapping
+// context.Canceled. A region planted over uart0 gives every tree's
+// semantic family one pair to decide, and the slow-query log (threshold
+// 0) records it: the first record cancels. No product can finish before
+// its own record, so at that point at most four of the nine products
+// have started and the rest start canceled.
 func TestParallelCancellationStopsWorkers(t *testing.T) {
 	pipeline, err := bench.HeavyProductLine(8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shadow := pipeline.Core.Root.EnsureChild("shadow@10000000")
+	shadow.SetProperty(&dts.Property{Name: "reg", Value: dts.CellsValue(0x10000000, 0x100)})
 	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(3 * time.Millisecond) // the full run takes ~50ms
-		cancel()
-	}()
+	defer cancel()
+	pipeline.SlowQuery = obs.NewSlowQueryLog(cancelWriter{cancel}, 0)
 	start := time.Now()
 	_, err = pipeline.RunContext(ctx, core.Limits{Parallelism: 4})
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("run completed despite cancellation (cancel may have been too slow)")
+		t.Fatal("run completed despite cancellation")
 	}
 	var le *core.LimitError
 	if !errors.As(err, &le) {

@@ -2,18 +2,18 @@
 // starting from a core-module DTS, a delta-module set, a feature model
 // and binding schemas, it derives one product DTS per VM plus the
 // platform DTS (the union product), discharges the three constraint
-// families of Section IV (allocation, syntactic, semantic) through the
-// SMT solver, and — when everything is provably correct — generates the
-// Bao hypervisor configuration files of Listings 3 and 6.
+// families of Section IV (allocation by SAT; syntactic and semantic by
+// ground evaluation and word arithmetic, held to their SMT encodings by
+// the test oracles), and — when everything is provably correct —
+// generates the Bao hypervisor configuration files of Listings 3 and 6.
 //
 // Products are independent, so the pipeline checks them concurrently:
 // each VM (and the platform union) is derived and checked by its own
 // worker on a pool bounded by Limits.Parallelism, and within one tree
 // the four checker families (syntactic, semantic, memreserve,
-// interrupt) fan out as well. Every worker builds its own checkers —
-// smt.Context/smt.Solver are confined to one goroutine — and writes
-// into a pre-sized report slot, so the Report is byte-identical to a
-// serial run regardless of scheduling. An optional content-addressed
+// interrupt) fan out as well. Every worker builds its own checkers and
+// writes into a pre-sized report slot, so the Report is byte-identical
+// to a serial run regardless of scheduling. An optional content-addressed
 // cache (internal/checkcache) short-circuits re-checking trees whose
 // canonical text and blame metadata were already checked under the
 // same schema set and budget knobs.
@@ -99,9 +99,9 @@ type Pipeline struct {
 	// SkipInterrupts disables the interrupt-uniqueness extension check.
 	SkipInterrupts bool
 	// LintOnly keeps only the syntactic checker family, skipping the
-	// SMT-backed semantic, memreserve and interrupt checks. This is the
-	// service's overload-shedding mode: structural verdicts stay exact
-	// while the solver-heavy work — the part that saturates a box — is
+	// semantic, memreserve and interrupt checks. This is the service's
+	// overload-shedding mode: structural verdicts stay exact while the
+	// pairwise work — quadratic in regions, claims and reserves — is
 	// dropped. Folded into the cache key: a lint-only verdict is a
 	// different (smaller) violation set and must never be served as a
 	// full one, or vice versa.
@@ -377,19 +377,11 @@ func (p *Pipeline) vmName(i int) string {
 }
 
 // runProductsParallel derives and checks every VM product plus the
-// platform union on a bounded worker pool. Results land in pre-sized
-// report slots, so the outcome is independent of scheduling; a failure
-// (or a caller cancellation) cancels the sibling workers, and a worker
-// panic is isolated and re-raised on the calling goroutine so the
-// server's panic recovery still contains it. Per-job errors are kept
-// in index order and the reported one is chosen after the pool drains,
-// so the error (and its phase) does not depend on which worker lost
-// the race.
+// platform union on a bounded worker pool (fanOut). Results land in
+// pre-sized report slots, so the outcome is independent of scheduling,
+// and so is the reported error and its phase.
 func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, workers int, union featmodel.Configuration, report *Report, root *obs.Span) error {
 	jobs := len(report.VMs) + 1 // VMs plus the platform union
-	if workers > jobs {
-		workers = jobs
-	}
 	// Pre-create the per-product spans in index order, before any
 	// worker runs: StartChild appends under the parent's lock, so
 	// creating them here keeps the span tree identical to a serial
@@ -401,43 +393,65 @@ func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, worker
 		}
 		spans[jobs-1] = root.StartChild("platform")
 	}
-	wctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	return fanOut(ctx, jobs, workers, make([]error, jobs), func(ctx context.Context, i int) error {
+		if i < len(report.VMs) {
+			return p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], spans[i])
+		}
+		return p.deriveAndCheckPlatform(ctx, st, union, &report.Platform, spans[i])
+	})
+}
 
+// fanOut runs job(ctx, i) for every i < n on at most workers goroutines
+// and returns the error a serial run would report. Each job runs under
+// its own context, and a failure in job i cancels only the jobs after
+// it: a lower-index job that fails on its own still records its own
+// error instead of an induced cancellation, so the lowest-index primary
+// failure is the one a serial run, which stops there, reports. Each
+// job's error lands in errs[i]. A panic cancels every job and is
+// re-raised on the calling goroutine once the pool drains, so the
+// server's panic recovery still contains it.
+func fanOut(ctx context.Context, n, workers int, errs []error, job func(ctx context.Context, i int) error) error {
+	type jobCtx struct {
+		ctx    context.Context
+		cancel context.CancelFunc
+	}
+	jobs := make([]jobCtx, n)
+	for i := range jobs {
+		jobs[i].ctx, jobs[i].cancel = context.WithCancel(ctx)
+	}
+	cancelFrom := func(i int) {
+		for _, j := range jobs[i:] {
+			j.cancel()
+		}
+	}
+	defer cancelFrom(0)
 	var (
 		wg        sync.WaitGroup
-		jobErrs   = make([]error, jobs) // each job writes only its own slot
 		panicOnce sync.Once
 		panicVal  interface{}
 	)
 	idx := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				func(i int) {
+				func() {
 					defer func() {
 						if r := recover(); r != nil {
 							panicOnce.Do(func() { panicVal = r })
-							cancel()
+							cancelFrom(0)
 						}
 					}()
-					var err error
-					if i < len(report.VMs) {
-						err = p.deriveAndCheckVM(wctx, st, i, &report.VMs[i], spans[i])
-					} else {
-						err = p.deriveAndCheckPlatform(wctx, st, union, &report.Platform, spans[i])
+					if err := job(jobs[i].ctx, i); err != nil {
+						errs[i] = err
+						cancelFrom(i + 1)
 					}
-					if err != nil {
-						jobErrs[i] = err
-						cancel()
-					}
-				}(i)
+				}()
 			}
 		}()
 	}
-	for i := 0; i < jobs; i++ {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
@@ -445,12 +459,12 @@ func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, worker
 	if panicVal != nil {
 		panic(panicVal)
 	}
-	return lowestPrimaryError(ctx, jobErrs)
+	return lowestPrimaryError(ctx, errs)
 }
 
 // lowestPrimaryError picks the error a parallel fan-out reports. A
 // serial run always fails on the lowest-index job, but in a pool the
-// first observed failure is scheduling-dependent, and siblings
+// first observed failure is scheduling-dependent, and later jobs
 // canceled because of it record bare context.Canceled errors that
 // would mask the real cause. Preferring the lowest-index failure that
 // is not an induced cancellation — unless the caller itself canceled,
@@ -589,8 +603,8 @@ type checkerFamily struct {
 
 // checkerFamilies returns the independent checker families for one
 // tree, in the deterministic merge order. Each closure builds its own
-// checkers on first use — smt.Context is confined to one goroutine, so
-// families must not share solver state when they run concurrently.
+// checkers on first use, so families share no checker state when they
+// run concurrently.
 func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily {
 	families := []checkerFamily{
 		{name: "syntactic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
@@ -657,9 +671,8 @@ func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily,
 
 // checkTree runs the checker families over one tree and merges their
 // violations in family order. With parallelism enabled the families
-// run concurrently (they are mutually independent; each owns its
-// solver), and the merge order keeps the output identical to a serial
-// run. Family spans are pre-created in family order before any
+// run concurrently (fanOut; they are mutually independent), and the
+// merge order keeps the output identical to a serial run. Family spans are pre-created in family order before any
 // goroutine starts, so the span tree is schedule-independent too.
 func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
 	families := p.checkerFamilies(st, tree)
@@ -683,42 +696,17 @@ func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, 
 		return out, nil
 	}
 
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	results := scratch.results
-	famErrs := scratch.errs
-	var (
-		wg        sync.WaitGroup
-		panicOnce sync.Once
-		panicVal  interface{}
-	)
-	for i, f := range families {
-		wg.Add(1)
-		go func(i int, f checkerFamily) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicOnce.Do(func() { panicVal = r })
-					cancel()
-				}
-			}()
-			vs, err := p.runFamily(fctx, st, f, spans[i])
-			results[i] = vs
-			if err != nil {
-				famErrs[i] = err
-				cancel()
-			}
-		}(i, f)
-	}
-	wg.Wait()
-	if panicVal != nil {
-		panic(panicVal)
-	}
+	err := fanOut(ctx, len(families), len(families), scratch.errs, func(ctx context.Context, i int) error {
+		vs, err := p.runFamily(ctx, st, families[i], spans[i])
+		results[i] = vs
+		return err
+	})
 	var out []constraints.Violation
 	for _, vs := range results {
 		out = append(out, vs...)
 	}
-	return out, lowestPrimaryError(ctx, famErrs)
+	return out, err
 }
 
 // isLimitCause reports whether a delta-application error stems from

@@ -184,7 +184,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		"llhsc_sat_propagations_total",
 		"llhsc_constraints_solver_calls_total",
 		"llhsc_constraints_pairs_pruned_total",
-		"llhsc_smt_intern_hits_total",
 		"llhsc_checkcache_hits_total",
 		"llhsc_checkcache_misses_total",
 		"llhsc_core_runs_total",

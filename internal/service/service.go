@@ -220,7 +220,7 @@ type CheckResponse struct {
 	QEMUArgs        []string `json:"qemuArgs,omitempty"`
 
 	// Degraded is "lint-only" when overload shedding skipped the
-	// SMT-backed checks for this request: the structural verdict is
+	// semantic-family checks for this request: the structural verdict is
 	// exact, but absent semantic/memreserve/interrupt violations prove
 	// nothing. Also sent as the X-Llhsc-Degraded response header.
 	Degraded string `json:"degraded,omitempty"`
@@ -825,8 +825,9 @@ type LintRequest struct {
 	// Preprocess runs the DTS through the cpp-style preprocessor
 	// before linting, as for /check.
 	Preprocess bool `json:"preprocess,omitempty"`
-	// Semantic enables the SMT-based overlap/interrupt/memreserve
-	// checks in addition to the structural baseline.
+	// Semantic enables the overlap/interrupt/memreserve checks (word
+	// arithmetic, held to their SMT encodings by test oracles) in
+	// addition to the structural baseline.
 	Semantic bool `json:"semantic"`
 }
 
@@ -835,7 +836,7 @@ type LintResponse struct {
 	OK         bool        `json:"ok"`
 	Warnings   []string    `json:"warnings,omitempty"`   // dtc-style lint
 	Structural []Violation `json:"structural,omitempty"` // dt-schema baseline
-	Semantic   []Violation `json:"semantic,omitempty"`   // SMT-based checks
+	Semantic   []Violation `json:"semantic,omitempty"`   // overlap/interrupt/memreserve checks
 }
 
 func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
