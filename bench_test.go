@@ -490,3 +490,46 @@ func BenchmarkE13ParallelSpeedup(b *testing.B) {
 		})
 	}
 }
+
+// ---- Lifted checking of the running example ----
+
+// BenchmarkLiftedRunningExample runs one lifted check of the whole
+// running-example product line with the standard schemas: every family
+// discharged in one incremental SAT session. It reports the session's
+// work per check — reachability queries, conflicts, and the clauses the
+// session ends with.
+func BenchmarkLiftedRunningExample(b *testing.B) {
+	core, err := runningexample.Tree()
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := runningexample.Deltas()
+	if err != nil {
+		b.Fatal(err)
+	}
+	model, err := runningexample.Model()
+	if err != nil {
+		b.Fatal(err)
+	}
+	lifted, err := set.Lift(core)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lc := constraints.NewLiftedChecker(model, schema.StandardSet())
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		findings, err := lc.CheckContext(ctx, lifted)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(findings) != 0 {
+			b.Fatalf("running example has lifted findings: %v", findings)
+		}
+	}
+	st := lc.LastStats()
+	b.ReportMetric(float64(st.Queries), "queries/op")
+	b.ReportMetric(float64(st.Solver.Conflicts), "conflicts/op")
+	b.ReportMetric(float64(st.Solver.Clauses), "clauses")
+}

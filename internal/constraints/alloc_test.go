@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"llhsc/internal/addr"
+	"llhsc/internal/schema"
 )
 
 // TestDecideConcretePairZeroAllocs pins the word tier's concrete
@@ -70,5 +71,24 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 	if many > few {
 		t.Errorf("word-tier sweep allocates per pair with OnQuery nil: %.1f allocs for %d pairs vs %.1f for 4",
 			many, len(pairs), few)
+	}
+}
+
+// TestLiftedCheckerAllocs bounds the allocations of one lifted check of
+// the running example with the standard schemas (~3,600 measured).
+// Reachability queries are assumption solves keyed by their literal
+// set, so the query loop builds no guard string and no Tseitin gate
+// for a conjunction.
+func TestLiftedCheckerAllocs(t *testing.T) {
+	model, lifted := liftedRunningExample(t)
+	lc := NewLiftedChecker(model, schema.StandardSet())
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := lc.CheckContext(ctx, lifted); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10_000 {
+		t.Errorf("lifted check allocates %.0f allocs/op, want <= 10000", allocs)
 	}
 }

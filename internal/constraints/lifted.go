@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -11,6 +12,7 @@ import (
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
+	"llhsc/internal/logic"
 	"llhsc/internal/obs"
 	"llhsc/internal/sat"
 	"llhsc/internal/schema"
@@ -63,11 +65,13 @@ func (f LiftedFinding) String() string {
 // how much never reached it.
 type LiftedStats struct {
 	// Queries is the number of assumption solves issued against the
-	// shared incremental session.
+	// shared incremental session: one per distinct assumption set, since
+	// guards that flatten to the same set share a cached verdict.
 	Queries int
-	// Pruned counts guards the session proved unreachable — candidate
-	// violations (or whole schema worlds) no valid configuration can
-	// exhibit, discharged family-wide by one Unsat answer each.
+	// Pruned counts distinct assumption sets the session proved
+	// unsatisfiable — candidate violations (or whole schema worlds) no
+	// valid configuration can exhibit, discharged family-wide by one
+	// Unsat answer each.
 	Pruned int
 	// WordDecided counts region pairs the word-level tier settled with
 	// interval arithmetic; disjoint pairs never reach the session.
@@ -108,10 +112,10 @@ type LiftedChecker struct {
 	// Budget bounds the shared session's work per CheckContext call.
 	Budget sat.Budget
 	// OnQuery, when non-nil, receives one QueryRecord per reachability
-	// query the shared session answers (cache hits in the guard cache
-	// never reach it). Same contract as SemanticChecker.OnQuery: the
-	// hook runs inline, and leaving it nil keeps the query loop free of
-	// record construction.
+	// query the shared session answers (assumption sets already answered
+	// are cache hits and never reach it). Same contract as
+	// SemanticChecker.OnQuery: the hook runs inline, and leaving it nil
+	// keeps the query loop free of record construction.
 	OnQuery func(obs.QueryRecord)
 
 	stats LiftedStats
@@ -199,40 +203,48 @@ type liftedRun struct {
 
 	findings []LiftedFinding
 	seen     map[string]bool        // finding dedup across contexts/worlds
-	reach    map[string]reachResult // guard string → cached verdict
+	reach    map[string]reachResult // encoded assumption set → cached verdict
+	lits     []logic.Lit            // reachable's assumption-set buffer
+	key      []byte                 // reachable's cache-key buffer
 	err      error                  // first budget/cancellation error
 }
 
 // reachable asks the shared session whether any valid configuration
-// satisfies the guard (nil = true, i.e. "is the model non-void").
-// Results are cached by the guard's canonical string, so repeated
-// guards — the common case, since a handful of delta activation
-// conditions dominate a merged tree — cost one query total.
+// satisfies the guard (nil = true, i.e. "is the model non-void"). The
+// guard is posed as its assumption set (PresenceEncoder.Assumptions),
+// so a conjunction of known literals adds nothing to the session.
+// Results are cached by that set, so repeated guards — the common
+// case, since a handful of delta activation conditions dominate a
+// merged tree — cost one query total, however they were composed.
 func (r *liftedRun) reachable(cond *featmodel.Expr) (bool, featmodel.Configuration) {
 	if r.err != nil {
 		return false, nil
 	}
-	key := "-"
-	if cond != nil {
-		key = cond.String()
+	r.lits = r.pe.Assumptions(r.lits[:0], cond)
+	r.key = r.key[:0]
+	for _, l := range r.lits {
+		r.key = binary.AppendVarint(r.key, int64(l))
 	}
-	if res, hit := r.reach[key]; hit {
+	if res, hit := r.reach[string(r.key)]; hit {
 		return res.ok, res.cfg
 	}
-	lit := r.pe.Literal(cond)
 	var t0 time.Time
 	var before sat.Stats
 	if r.lc.OnQuery != nil {
 		t0 = time.Now()
 		before = r.pe.Stats()
 	}
-	st, err := r.pe.SolveContext(r.ctx, lit)
+	st, err := r.pe.SolveContext(r.ctx, r.lits...)
 	res := reachResult{ok: err == nil && st == sat.Sat}
 	if res.ok {
 		res.cfg = r.pe.Config()
 	}
 	if r.lc.OnQuery != nil {
-		r.lc.emitReach(key, st, err, time.Since(t0), r.pe.Stats().Sub(before), res.cfg)
+		guard := "-"
+		if cond != nil {
+			guard = cond.String()
+		}
+		r.lc.emitReach(guard, st, err, time.Since(t0), r.pe.Stats().Sub(before), res.cfg)
 	}
 	if err != nil {
 		r.err = err
@@ -241,17 +253,17 @@ func (r *liftedRun) reachable(cond *featmodel.Expr) (bool, featmodel.Configurati
 	if !res.ok {
 		r.lc.stats.Pruned++
 	}
-	r.reach[key] = res
+	r.reach[string(r.key)] = res
 	return res.ok, res.cfg
 }
 
 // emitReach builds and delivers one lifted reachability record. Called
 // only when OnQuery is non-nil.
-func (lc *LiftedChecker) emitReach(key string, st sat.Status, err error, elapsed time.Duration, d sat.Stats, cfg featmodel.Configuration) {
+func (lc *LiftedChecker) emitReach(guard string, st sat.Status, err error, elapsed time.Duration, d sat.Stats, cfg featmodel.Configuration) {
 	q := obs.QueryRecord{
 		Family:       "lifted",
 		Tier:         "lifted",
-		Query:        key,
+		Query:        guard,
 		Verdict:      "unsat",
 		Millis:       float64(elapsed) / float64(time.Millisecond),
 		Conflicts:    d.Conflicts,

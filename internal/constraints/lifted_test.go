@@ -393,25 +393,33 @@ delta dmem when fa {
 	}
 }
 
-// TestLiftedStatsAccounting pins the observability contract: queries
-// counted, word tier engaged, session shared.
-func TestLiftedStatsAccounting(t *testing.T) {
+// liftedRunningExample returns the running example's feature model
+// and its merged tree.
+func liftedRunningExample(tb testing.TB) (*featmodel.Model, *delta.LiftedTree) {
+	tb.Helper()
 	core, err := runningexample.Tree()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	set, err := runningexample.Deltas()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	model, err := runningexample.Model()
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	lifted, err := set.Lift(core)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return model, lifted
+}
+
+// TestLiftedStatsAccounting pins the observability contract: queries
+// counted, word tier engaged, session shared.
+func TestLiftedStatsAccounting(t *testing.T) {
+	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
 	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
 		t.Fatal(err)
@@ -425,5 +433,20 @@ func TestLiftedStatsAccounting(t *testing.T) {
 	}
 	if st.Regions == 0 {
 		t.Error("no lifted regions collected")
+	}
+}
+
+// TestLiftedSessionStaysSmall pins the session's growth on the running
+// example: guards are posed as assumption sets, so conjunctions never
+// become clauses, and the session holds the feature-model CNF plus one
+// definition per non-conjunctive atom (112 clauses).
+func TestLiftedSessionStaysSmall(t *testing.T) {
+	model, lifted := liftedRunningExample(t)
+	lc := NewLiftedChecker(model, schema.StandardSet())
+	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
+		t.Fatal(err)
+	}
+	if st := lc.LastStats(); st.Solver.Clauses > 200 {
+		t.Errorf("lifted session ends at %d clauses, want <= 200 (queries %d)", st.Solver.Clauses, st.Queries)
 	}
 }

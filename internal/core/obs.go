@@ -93,10 +93,12 @@ func familyStatsFromLifted(st constraints.LiftedStats) FamilyStats {
 // lifted runs answered entirely from the check cache.
 type LiftedRunStats struct {
 	// Queries is the number of assumption solves the shared incremental
-	// session answered.
+	// session answered, one per distinct assumption set (see
+	// constraints.LiftedStats).
 	Queries int `json:"queries"`
-	// Pruned counts candidate violations (and coverage worlds) the
-	// session proved no valid configuration can exhibit.
+	// Pruned counts distinct assumption sets — candidate violations and
+	// coverage worlds — the session proved no valid configuration can
+	// exhibit.
 	Pruned int `json:"pruned"`
 	// WordDecided counts region pairs the word-level tier settled
 	// without the session.
@@ -251,7 +253,7 @@ func NewPipelineMetrics(reg *obs.Registry) *PipelineMetrics {
 		liftedQueries: reg.NewCounter("llhsc_lifted_queries_total",
 			"Assumption solves issued against lifted (family-based) solver sessions."),
 		liftedPruned: reg.NewCounter("llhsc_lifted_configs_pruned_total",
-			"Candidate violations the lifted session proved unreachable by any valid configuration."),
+			"Distinct guard assumption sets the lifted session proved unreachable by any valid configuration."),
 		liftedSessions: reg.NewCounter("llhsc_lifted_sessions_total",
 			"Lifted solver sessions opened (one per uncached ModeLifted run)."),
 		checkSeconds: reg.NewHistogramVec("llhsc_check_seconds",

@@ -248,7 +248,8 @@ func (b *ReproBundle) replaySemantic(ctx context.Context) (*ReplayResult, error)
 }
 
 // replayLifted re-poses the reachability query: seed a fresh presence
-// encoder with the bundled feature model and solve the guard.
+// encoder with the bundled feature model and solve the guard's
+// assumption set, exactly as the lifted checker poses it.
 func (b *ReproBundle) replayLifted(ctx context.Context) (*ReplayResult, error) {
 	model, err := featmodel.ParseModel("bundle.fm", b.FeatureModel)
 	if err != nil {
@@ -263,8 +264,7 @@ func (b *ReproBundle) replayLifted(ctx context.Context) (*ReplayResult, error) {
 	}
 	pe := featmodel.NewPresenceEncoder(model)
 	pe.SetBudget(sat.Budget{MaxConflicts: b.MaxConflicts, MaxLearntLits: b.MaxLearntLits})
-	lit := pe.Literal(cond)
-	st, serr := pe.SolveContext(ctx, lit)
+	st, serr := pe.SolveContext(ctx, pe.Assumptions(nil, cond)...)
 	res := &ReplayResult{Verdict: "unsat"}
 	switch {
 	case serr != nil:

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"llhsc/internal/delta"
+	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 )
 
@@ -101,6 +102,11 @@ func TestSemanticBundlesReplayToSameVerdict(t *testing.T) {
 
 // TestLiftedBundlesReplayToSameVerdict: a lifted-mode run bundles its
 // family reachability queries and each replays to the same verdict.
+// Replay poses the guard as the same assumption set production does,
+// so the run's conjunctive guards must be among the bundles, and
+// hand-written bundles with a top-level conjunction and a negated
+// conjunction must replay to the brute-force verdict in both
+// directions.
 func TestLiftedBundlesReplayToSameVerdict(t *testing.T) {
 	p := paperPipeline(t)
 	p.Mode = ModeLifted
@@ -111,6 +117,58 @@ func TestLiftedBundlesReplayToSameVerdict(t *testing.T) {
 	kinds, _ := replayAll(t, paths)
 	if kinds[BundleLiftedReach] == 0 {
 		t.Errorf("no lifted-reach bundles: %v", kinds)
+	}
+	conjunctive := 0
+	for _, path := range paths {
+		b, err := ReadReproBundle(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Kind != BundleLiftedReach || b.Guard == "-" {
+			continue
+		}
+		if g, err := featmodel.ParseExpr(b.Guard); err == nil && g.Kind == featmodel.ExprAnd {
+			conjunctive++
+		}
+	}
+	if conjunctive == 0 {
+		t.Error("no bundled guard has a top-level conjunction")
+	}
+
+	products, complete := featmodel.NewAnalyzer(p.Model).EnumerateProducts(0)
+	if !complete {
+		t.Fatal("product enumeration incomplete")
+	}
+	dir := t.TempDir()
+	var written []string
+	for _, guard := range []string{
+		"veth0 && cpu@0",         // top-level conjunction, sat
+		"veth0 && cpu@1",         // top-level conjunction, unsat (veth0 -> cpu@0)
+		"!(cpu@0 && cpu@1)",      // negated conjunction, sat
+		"!(memory && CustomSBC)", // negated conjunction, unsat
+	} {
+		g := featmodel.MustParseExpr(guard)
+		verdict := "unsat"
+		for _, prod := range products {
+			if g.Eval(featmodel.ConfigOf(prod...)) {
+				verdict = "sat"
+				break
+			}
+		}
+		path, err := WriteReproBundle(dir, &ReproBundle{
+			Version:      1,
+			Kind:         BundleLiftedReach,
+			FeatureModel: p.Model.Format(),
+			Guard:        guard,
+			Query:        obs.QueryRecord{Family: "lifted", Tier: "lifted", Query: guard, Verdict: verdict},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		written = append(written, path)
+	}
+	if _, verdicts := replayAll(t, written); verdicts["sat"] != 2 || verdicts["unsat"] != 2 {
+		t.Errorf("hand-written guards should replay two of each verdict, got %v", verdicts)
 	}
 }
 

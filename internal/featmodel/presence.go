@@ -2,6 +2,7 @@ package featmodel
 
 import (
 	"context"
+	"slices"
 
 	"llhsc/internal/logic"
 	"llhsc/internal/sat"
@@ -14,18 +15,21 @@ import (
 // literals*: a literal that is true in a model of the session exactly
 // when the guard expression holds in the corresponding configuration.
 //
-// Lifted violation queries are then plain assumption solves — SAT(FM ∧
-// guard_1 ∧ … ∧ guard_n) — against the shared session, and a Sat answer
-// decodes back to a concrete violating configuration via Config. The
-// session is never reset between queries; clause learning accumulates
-// across the whole family, which is the point of checking the product
-// line in one session instead of one solver per product.
+// A lifted violation query is a plain assumption solve against the
+// shared session: Assumptions flattens the guard's top-level
+// conjunction into one literal per conjunct, so SAT(FM ∧ g ∧ h) is
+// Solve(lit(g), lit(h)) and no conjunction is ever encoded. A Sat
+// answer decodes back to a concrete violating configuration via
+// Config. The session is never reset between queries; clause learning
+// accumulates across the whole family, which is the point of checking
+// the product line in one session instead of one solver per product.
 type PresenceEncoder struct {
 	model  *Model
 	pool   *logic.Pool
 	vm     *VarMap
 	solver *sat.Solver
 
+	atoms   map[*Expr]logic.Lit  // expression pointer → presence literal
 	lits    map[string]logic.Lit // canonical Expr.String() → presence literal
 	unknown map[string]logic.Var // names outside the model, forced false
 	tru     logic.Lit            // lazily allocated constant-true literal
@@ -47,6 +51,7 @@ func NewPresenceEncoder(m *Model) *PresenceEncoder {
 		pool:    pool,
 		vm:      vm,
 		solver:  s,
+		atoms:   make(map[*Expr]logic.Lit),
 		lits:    make(map[string]logic.Lit),
 		unknown: make(map[string]logic.Var),
 	}
@@ -72,29 +77,76 @@ func (pe *PresenceEncoder) True() logic.Lit {
 // Expr.Eval's unknown-name semantics, so a delta guarded on a feature
 // the model never declares is unsatisfiable in both worlds.
 //
-// Literals are cached by the expression's canonical string, so the same
-// guard reused across many artifacts costs one encoding.
+// Literals are cached by expression pointer, and by canonical string
+// when the pointer is new, so the same guard reused across many
+// artifacts costs one encoding.
 func (pe *PresenceEncoder) Literal(e *Expr) logic.Lit {
 	if e == nil {
 		return pe.True()
 	}
-	key := e.String()
-	if l, ok := pe.lits[key]; ok {
+	if l, ok := pe.atoms[e]; ok {
 		return l
 	}
-	f, err := e.ToFormula(pe.lookup)
-	if err != nil {
-		// Unreachable: lookup never reports a missing name.
-		panic(err)
+	key := e.String()
+	l, ok := pe.lits[key]
+	if !ok {
+		f, err := e.ToFormula(pe.lookup)
+		if err != nil {
+			// Unreachable: lookup never reports a missing name.
+			panic(err)
+		}
+		cnf := &logic.CNF{NumVars: pe.pool.NumVars()}
+		l = logic.Tseitin(f, pe.pool, cnf)
+		if pe.pool.NumVars() > cnf.NumVars {
+			cnf.NumVars = pe.pool.NumVars()
+		}
+		pe.solver.AddCNF(cnf)
+		pe.lits[key] = l
 	}
-	cnf := &logic.CNF{NumVars: pe.pool.NumVars()}
-	l := logic.Tseitin(f, pe.pool, cnf)
-	if pe.pool.NumVars() > cnf.NumVars {
-		cnf.NumVars = pe.pool.NumVars()
-	}
-	pe.solver.AddCNF(cnf)
-	pe.lits[key] = l
+	pe.atoms[e] = l
 	return l
+}
+
+// Assumptions appends to dst the assumption set that decides guard e —
+// literals whose conjunction holds in a model of the session exactly
+// when e holds in its configuration — and returns dst with the
+// appended part sorted and deduplicated. The top-level conjunction is
+// flattened, so g ∧ h contributes lit(g) and lit(h) and adds nothing to
+// the session; a nil guard contributes no literal. Each conjunct maps
+// to a literal by atom.
+func (pe *PresenceEncoder) Assumptions(dst []logic.Lit, e *Expr) []logic.Lit {
+	n := len(dst)
+	dst = pe.appendConjuncts(dst, e)
+	slices.Sort(dst[n:])
+	return dst[:n+len(slices.Compact(dst[n:]))]
+}
+
+func (pe *PresenceEncoder) appendConjuncts(dst []logic.Lit, e *Expr) []logic.Lit {
+	switch {
+	case e == nil:
+		return dst
+	case e.Kind == ExprAnd:
+		return pe.appendConjuncts(pe.appendConjuncts(dst, e.Args[0]), e.Args[1])
+	default:
+		return append(dst, pe.atom(e))
+	}
+}
+
+// atom returns the literal of one conjunct: a feature variable is its
+// own literal (forced false when the model does not declare it), a
+// negation is the negated literal of its body, and every other term —
+// a disjunction, an implication, a negated conjunction's body — is
+// Tseitin-encoded once through Literal.
+func (pe *PresenceEncoder) atom(e *Expr) logic.Lit {
+	switch e.Kind {
+	case ExprVar:
+		v, _ := pe.lookup(e.Name)
+		return logic.Lit(v)
+	case ExprNot:
+		return -pe.atom(e.Args[0])
+	default:
+		return pe.Literal(e)
+	}
 }
 
 func (pe *PresenceEncoder) lookup(name string) (logic.Var, bool) {

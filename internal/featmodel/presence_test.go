@@ -2,6 +2,7 @@ package featmodel
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"llhsc/internal/logic"
@@ -95,6 +96,121 @@ func TestPresenceLiteralEquivalence(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// randomConjunctiveGuard builds the guard shapes the lifted checker
+// composes: a top-level conjunction (sometimes nil, i.e. "true") of
+// random guards, negated conjunctions, names the model does not
+// declare, and a && !a contradictions.
+func randomConjunctiveGuard(rng *rand.Rand, names []string) *Expr {
+	if rng.Intn(10) == 0 {
+		return nil
+	}
+	var e *Expr
+	for k := rng.Intn(4); k >= 0; k-- {
+		var c *Expr
+		switch rng.Intn(8) {
+		case 0:
+			c = Not(And(randomGuardExpr(rng, names, 1), randomGuardExpr(rng, names, 1)))
+		case 1:
+			c = Var("no-such-feature")
+			if rng.Intn(2) == 0 {
+				c = Not(c)
+			}
+		case 2:
+			a := Var(names[rng.Intn(len(names))])
+			c = And(a, Not(a))
+		default:
+			c = randomGuardExpr(rng, names, 2)
+		}
+		e = AndOpt(e, c)
+	}
+	return e
+}
+
+// TestPresenceAssumptionsEquivalence is the property behind the lifted
+// reachability queries: for random small models and conjunctive
+// guards, solving a guard's assumption set agrees with solving its
+// whole-guard Literal and with brute-force product enumeration, and
+// every Sat witness is a valid product on which the guard evaluates
+// true. A re-parsed copy of the guard (new pointers, same string) must
+// flatten to the same assumption set.
+func TestPresenceAssumptionsEquivalence(t *testing.T) {
+	verdicts := make(map[bool]int)
+	for seed := int64(0); seed < 30; seed++ {
+		m := randomSmallModel(seed)
+		if len(m.Names()) > 14 {
+			continue
+		}
+		products := bruteForceProducts(t, m)
+		pa := NewPresenceEncoder(m) // assumption sets
+		pl := NewPresenceEncoder(m) // whole-guard literals
+		rng := rand.New(rand.NewSource(seed + 2000))
+		names := m.Names()
+
+		for trial := 0; trial < 12; trial++ {
+			e := randomConjunctiveGuard(rng, names)
+			want := false
+			for _, p := range products {
+				if EvalOpt(e, ConfigOf(p...)) {
+					want = true
+					break
+				}
+			}
+
+			set := pa.Assumptions(nil, e)
+			if !slices.IsSorted(set) || len(slices.Compact(slices.Clone(set))) != len(set) {
+				t.Errorf("seed %d: guard %v: assumption set %v not sorted and deduplicated", seed, e, set)
+			}
+			if e != nil {
+				again, err := ParseExpr(e.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := pa.Assumptions(nil, again); !slices.Equal(got, set) {
+					t.Errorf("seed %d: guard %s: re-parsed copy flattens to %v, want %v", seed, e, got, set)
+				}
+			}
+
+			verdicts[want]++
+			st := pa.Solve(set...)
+			if got := st == sat.Sat; got != want {
+				t.Errorf("seed %d: guard %v: assumption set Sat=%v but brute force says %v", seed, e, got, want)
+			}
+			if st == sat.Sat {
+				cfg := pa.Config()
+				if !EvalOpt(e, cfg) {
+					t.Errorf("seed %d: guard %v: witness %v does not satisfy the guard", seed, e, cfg.Sorted())
+				}
+				if !containsProduct(products, cfg.Sorted()) {
+					t.Errorf("seed %d: guard %v: witness %v is not a valid product", seed, e, cfg.Sorted())
+				}
+			}
+			if got := pl.Solve(pl.Literal(e)) == sat.Sat; got != want {
+				t.Errorf("seed %d: guard %v: whole-guard literal Sat=%v but brute force says %v", seed, e, got, want)
+			}
+		}
+	}
+	if verdicts[true] == 0 || verdicts[false] == 0 {
+		t.Errorf("guards should cover both verdicts, got %v", verdicts)
+	}
+}
+
+// TestPresenceConjunctionAddsNoClauses: a conjunction of feature
+// literals is posed purely as assumptions, so flattening it leaves the
+// session's clause set unchanged.
+func TestPresenceConjunctionAddsNoClauses(t *testing.T) {
+	m := nonVoidSmallModel(t)
+	pe := NewPresenceEncoder(m)
+	names := m.Names()
+	before := pe.Stats().Clauses
+	e := And(Var(names[0]), And(Not(Var(names[len(names)-1])), Var(names[0])))
+	if got := pe.Assumptions(nil, e); len(got) != 2 {
+		t.Errorf("Assumptions(%s) = %v, want two literals", e, got)
+	}
+	if after := pe.Stats().Clauses; after != before {
+		t.Errorf("flattening %s grew the session from %d to %d clauses", e, before, after)
 	}
 }
 
