@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"llhsc/internal/constraints"
@@ -28,34 +26,33 @@ import (
 type LiftedPoint struct {
 	// Features is the optional-feature count driving the sweep (the
 	// UART OR group; the CPU XOR group stays fixed).
-	Features int `json:"features"`
+	Features int
 	// Products is the number of valid configurations the enumerative
 	// arm derives and checks.
-	Products int `json:"products"`
+	Products int
 	// EnumMillis is the enumerative arm's wall time: every product
 	// applied and run through the four concrete checker families.
-	EnumMillis float64 `json:"enum_millis"`
+	EnumMillis float64
 	// LiftedMillis is the lifted arm's wall time: one lift, one
 	// incremental solver session for the whole line.
-	LiftedMillis float64 `json:"lifted_millis"`
+	LiftedMillis float64
 	// LiftedQueries / LiftedPruned are the session's reachability
 	// query and prune counters.
-	LiftedQueries int `json:"lifted_queries"`
-	LiftedPruned  int `json:"lifted_pruned"`
+	LiftedQueries int
+	LiftedPruned  int
 	// EnumViolations / LiftedFindings are the two arms' finding
 	// counts; VerdictsEqual is the acceptance bit (clean iff clean).
-	EnumViolations int  `json:"enum_violations"`
-	LiftedFindings int  `json:"lifted_findings"`
-	VerdictsEqual  bool `json:"verdicts_equal"`
+	EnumViolations int
+	LiftedFindings int
+	VerdictsEqual  bool
 }
 
-// LiftedResult is the JSON artifact of experiment E16
-// (BENCH_lifted.json).
+// LiftedResult is the outcome of experiment E16.
 type LiftedResult struct {
-	Points []LiftedPoint `json:"points"`
+	Points []LiftedPoint
 	// Speedup is enumerative wall time / lifted wall time at the
 	// largest sweep point — the acceptance metric (> 1).
-	Speedup float64 `json:"speedup,omitempty"`
+	Speedup float64
 }
 
 // measureLiftedPoint runs both arms on the synthetic line with the
@@ -135,7 +132,9 @@ func measureLiftedPoint(cpus, uarts, rounds int) (LiftedPoint, error) {
 }
 
 // MeasureLifted runs experiment E16: the UART sweep at a fixed CPU
-// count, best of rounds per point.
+// count, best of rounds per point. The gate is exact verdict agreement
+// at every sweep point plus a real speedup at the largest one — 510
+// products against one solver session leaves a wide timing margin.
 func MeasureLifted(cpus int, uartSweep []int, rounds int) (*LiftedResult, error) {
 	if rounds < 1 {
 		rounds = 1
@@ -155,6 +154,9 @@ func MeasureLifted(cpus int, uartSweep []int, rounds int) (*LiftedResult, error)
 	}
 	if n := len(res.Points); n > 0 && res.Points[n-1].LiftedMillis > 0 {
 		res.Speedup = res.Points[n-1].EnumMillis / res.Points[n-1].LiftedMillis
+	}
+	if res.Speedup <= 1 {
+		return nil, fmt.Errorf("bench: lifted checking not faster than enumeration at the largest point (%.2fx)", res.Speedup)
 	}
 	return res, nil
 }
@@ -177,24 +179,4 @@ func RunE16(w io.Writer) error {
 	fmt.Fprintf(w, "largest point: lifted %.1fx faster than enumerating %d products\n",
 		res.Speedup, res.Points[len(res.Points)-1].Products)
 	return nil
-}
-
-// WriteLiftedJSON runs E16's measurement at artifact scale and writes
-// BENCH_lifted.json for CI. The gate is exact verdict agreement at
-// every sweep point (MeasureLifted enforces it) plus a real speedup at
-// the largest one — 510 products against one solver session leaves a
-// wide timing margin.
-func WriteLiftedJSON(path string) error {
-	res, err := MeasureLifted(2, []int{2, 4, 6, 8}, 3)
-	if err != nil {
-		return err
-	}
-	if res.Speedup <= 1 {
-		return fmt.Errorf("bench: lifted checking not faster than enumeration at the largest point (%.2fx)", res.Speedup)
-	}
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -19,11 +19,9 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"os"
 	"time"
 
 	"llhsc/internal/core"
@@ -32,21 +30,20 @@ import (
 
 // DeepObsPoint is one measured mode of experiment E19.
 type DeepObsPoint struct {
-	Mode     string  `json:"mode"`     // off | observe | observe+log
-	Millis   float64 `json:"millis"`   // best pipeline time in this mode
-	Overhead float64 `json:"overhead"` // this time / the "off" baseline
+	Mode     string  // off | observe | observe+log
+	Millis   float64 // best pipeline time in this mode
+	Overhead float64 // this time / the "off" baseline
 	// Queries is how many solver-level decisions the slow-query log
 	// observed across the mode's rounds (0 in "off" mode: the hooks
 	// are nil).
-	Queries uint64 `json:"queries"`
+	Queries uint64
 }
 
-// DeepObsResult is the JSON artifact of experiment E19
-// (BENCH_obsdeep.json).
+// DeepObsResult is the outcome of experiment E19.
 type DeepObsResult struct {
-	VMs    int            `json:"vms"`
-	Rounds int            `json:"rounds"`
-	Points []DeepObsPoint `json:"points"`
+	VMs    int
+	Rounds int
+	Points []DeepObsPoint
 }
 
 // deepObsModes enumerates E19's instrumentation ladder. newLog returns
@@ -123,18 +120,4 @@ func RunE19(w io.Writer) error {
 		fmt.Fprintf(w, "%-16s %10.1fms %9.3fx %10d\n", p.Mode, p.Millis, p.Overhead, p.Queries)
 	}
 	return nil
-}
-
-// WriteDeepObsJSON runs E19's measurement and writes the JSON artifact
-// consumed by CI (BENCH_obsdeep.json).
-func WriteDeepObsJSON(path string, vms int) error {
-	res, err := MeasureDeepObsOverhead(vms, 5)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

@@ -2,10 +2,8 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"llhsc/internal/core"
@@ -56,17 +54,16 @@ const heavyIRQsPerUART = 4
 
 // ParallelPoint is one measured configuration of experiment E13.
 type ParallelPoint struct {
-	Workers int     `json:"workers"`
-	Millis  float64 `json:"millis"`
-	Speedup float64 `json:"speedup"` // serial time / this time
+	Workers int
+	Millis  float64
+	Speedup float64 // serial time / this time
 }
 
-// ParallelResult is the JSON artifact of experiment E13
-// (BENCH_parallel.json).
+// ParallelResult is the outcome of experiment E13.
 type ParallelResult struct {
-	VMs    int             `json:"vms"`
-	Rounds int             `json:"rounds"`
-	Points []ParallelPoint `json:"points"`
+	VMs    int
+	Rounds int
+	Points []ParallelPoint
 }
 
 // MeasureParallel runs the heavy product line at each worker count,
@@ -133,18 +130,4 @@ func RunE13(w io.Writer) error {
 		fmt.Fprintf(w, "%8d %10.1fms %9.2fx\n", p.Workers, p.Millis, p.Speedup)
 	}
 	return nil
-}
-
-// WriteParallelJSON runs E13's measurement and writes the JSON artifact
-// consumed by CI (BENCH_parallel.json).
-func WriteParallelJSON(path string, vms int) error {
-	res, err := MeasureParallel(vms, []int{1, 2, 4, 8}, 3)
-	if err != nil {
-		return err
-	}
-	raw, err := json.MarshalIndent(res, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }

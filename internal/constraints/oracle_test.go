@@ -97,3 +97,40 @@ func OracleCheck(t testing.TB, tree *dts.Tree) ([]Collision, []Violation) {
 	}
 	return collisions, violations
 }
+
+// candidatePairs enumerates the region pairs that must not overlap —
+// every pair pairEligible admits, in (i, j) index order, with no sweep
+// prefilter.
+func (sc *SemanticChecker) candidatePairs(regions []addr.Region) [][2]int {
+	var pairs [][2]int
+	for i := 0; i < len(regions); i++ {
+		for j := i + 1; j < len(regions); j++ {
+			if sc.pairEligible(regions[i], regions[j]) {
+				pairs = append(pairs, [2]int{i, j})
+			}
+		}
+	}
+	return pairs
+}
+
+// overlapTerm encodes b <= x ∧ x < b + s at the given width. Regions
+// whose bounds exceed the width are truncated modulo 2^width, matching
+// the hardware's address decoding.
+func overlapTerm(ctx *smt.Context, x *smt.Term, r addr.Region, width int) *smt.Term {
+	if r.Size == 0 {
+		return ctx.False()
+	}
+	base := ctx.BVConst(width, r.Base)
+	end := r.Base + r.Size
+	overflows := end < r.Base // 64-bit wrap
+	if width < 64 && end >= 1<<uint(width) {
+		overflows = true
+	}
+	if overflows {
+		// The region extends to (or past) the top of the address
+		// space: only the lower bound constrains x. Regions that
+		// genuinely wrap are reported separately by addr.ErrOverflow.
+		return ctx.Ule(base, x)
+	}
+	return ctx.And(ctx.Ule(base, x), ctx.Ult(x, ctx.BVConst(width, end)))
+}

@@ -9,8 +9,6 @@ import (
 	"llhsc/internal/addr"
 	"llhsc/internal/dts"
 	"llhsc/internal/obs"
-	"llhsc/internal/sat"
-	"llhsc/internal/smt"
 )
 
 // Collision is a detected overlap between two address regions, with a
@@ -150,29 +148,14 @@ func regionsViolation(err error) Violation {
 	return Violation{Rule: "semantic:regions", Message: err.Error()}
 }
 
-// candidatePairs enumerates the region pairs that must not overlap.
-// Virtual-device windows (addr.KindVirtual) are IPC overlays onto
-// shared RAM, so they are exempt from clashing with memory regions —
-// the paper's own Listing 6 places the veth IPC base inside a guest
-// memory region — but still must not clash with each other or with
-// physical devices.
-func (sc *SemanticChecker) candidatePairs(regions []addr.Region) [][2]int {
-	var pairs [][2]int
-	for i := 0; i < len(regions); i++ {
-		for j := i + 1; j < len(regions); j++ {
-			if sc.pairEligible(regions[i], regions[j]) {
-				pairs = append(pairs, [2]int{i, j})
-			}
-		}
-	}
-	return pairs
-}
-
 // pairEligible applies the exemption rules shared by the sweep (and
-// through it the lifted checker), the one-shot AnyCollision query and
-// the all-pairs schedule: same-node pairs are skipped unless they are
-// distinct memory banks under CheckMemoryBanks, and virtual-device
-// windows never clash with memory regions (see candidatePairs).
+// through it the lifted checker) and the all-pairs test oracle:
+// same-node pairs are skipped unless they are distinct memory banks
+// under CheckMemoryBanks, and virtual-device windows (addr.KindVirtual)
+// never clash with memory regions. Those windows are IPC overlays onto
+// shared RAM — the paper's own Listing 6 places the veth IPC base
+// inside a guest memory region — but they still must not clash with
+// each other or with physical devices.
 func (sc *SemanticChecker) pairEligible(a, b addr.Region) bool {
 	if a.Path == b.Path && (!sc.CheckMemoryBanks || a.Index == b.Index) {
 		return false
@@ -273,79 +256,4 @@ func sortCollisions(out []Collision) {
 		}
 		return out[i].B.Path < out[j].B.Path
 	})
-}
-
-// AnyCollision poses a single disjunctive query — does ANY candidate
-// pair overlap? This is the formulation closest to the paper's one-shot
-// formula (7) and the workload used by the E8 scaling benchmark.
-//
-// A single witness variable x is shared by all disjuncts (only one
-// colliding pair needs witnessing), so hash-consing reduces the
-// encoding to two comparator chains per *region* plus one small
-// selector clause per pair — O(n) bit-vector logic for O(n²) pairs.
-func (sc *SemanticChecker) AnyCollision(regions []addr.Region, width int) (Collision, bool) {
-	c, ok, _ := sc.AnyCollisionContext(context.Background(), regions, width)
-	return c, ok
-}
-
-// AnyCollisionContext is AnyCollision under a context; a non-nil error
-// means the single query was cut short and the answer is unknown.
-func (sc *SemanticChecker) AnyCollisionContext(ctx context.Context, regions []addr.Region, width int) (Collision, bool, error) {
-	pairs := sc.candidatePairs(regions)
-	if len(pairs) == 0 {
-		return Collision{}, false, nil
-	}
-	sctx := smt.NewContext()
-	solver := smt.NewSolver(sctx)
-	x := sctx.BVVar("x", width)
-
-	inRegion := make([]*smt.Term, len(regions))
-	for i, r := range regions {
-		inRegion[i] = overlapTerm(sctx, x, r, width)
-	}
-	sel := make([]*smt.Term, len(pairs))
-	for k, pair := range pairs {
-		s := sctx.BoolVar(fmt.Sprintf("sel%d", k))
-		sel[k] = s
-		solver.Assert(sctx.Implies(s, sctx.And(inRegion[pair[0]], inRegion[pair[1]])))
-	}
-	solver.Assert(sctx.Or(sel...))
-	st, err := solver.CheckContext(ctx)
-	if err != nil {
-		return Collision{}, false, err
-	}
-	if st != sat.Sat {
-		return Collision{}, false, nil
-	}
-	for k, pair := range pairs {
-		if solver.BoolValue(sel[k]) {
-			return Collision{
-				A: regions[pair[0]], B: regions[pair[1]],
-				Witness: solver.BVValue(x),
-			}, true, nil
-		}
-	}
-	return Collision{}, false, nil
-}
-
-// overlapTerm encodes b <= x ∧ x < b + s at the given width. Regions
-// whose bounds exceed the width are truncated modulo 2^width, matching
-// the hardware's address decoding.
-func overlapTerm(ctx *smt.Context, x *smt.Term, r addr.Region, width int) *smt.Term {
-	if r.Size == 0 {
-		return ctx.False()
-	}
-	base := ctx.BVConst(width, r.Base)
-	end := r.Base + r.Size
-	overflows := end < r.Base // 64-bit wrap
-	if width < 64 && end >= 1<<uint(width) {
-		overflows = true
-	}
-	if overflows {
-		// The region extends to (or past) the top of the address
-		// space: only the lower bound constrains x. Regions that
-		// genuinely wrap are reported separately by addr.ErrOverflow.
-		return ctx.Ule(base, x)
-	}
-	return ctx.And(ctx.Ule(base, x), ctx.Ult(x, ctx.BVConst(width, end)))
 }

@@ -25,14 +25,13 @@
 //
 // # Concurrency contract
 //
-// Checker values are cheap façades, and only one production path builds
-// an SMT solver: SemanticChecker.AnyCollision (the one-shot query of
-// experiment E8), which makes a fresh smt.Context + smt.Solver inside
-// each call. Every other check is evaluation and word arithmetic over
+// Checker values are cheap façades, and no checker builds an SMT
+// solver. The per-tree checks are evaluation and word arithmetic over
 // the call's own stack, so a checker value may be used from multiple
-// goroutines. Two exceptions record state on the value: SemanticChecker
-// keeps LastStats, and LiftedChecker owns one incremental SAT session
-// per CheckContext call; give each goroutine its own. Schema sets and
+// goroutines. Three exceptions hold state on the value and need one
+// per goroutine: SemanticChecker keeps LastStats, AllocationChecker
+// owns its SAT encoding, and LiftedChecker owns one incremental SAT
+// session per CheckContext call. Schema sets and
 // parsed trees are read-only during checking and safe to share.
 package constraints
 

@@ -15,9 +15,9 @@ import (
 //
 // Every method is safe on a nil *Span and does nothing — the disabled
 // path costs one nil check, which is what keeps uninstrumented runs at
-// full speed (BenchmarkObsOverhead). Spans are safe for concurrent
-// use: parallel workers may attach children to the same parent, and a
-// scraper may snapshot a tree that is still running.
+// full speed. Spans are safe for concurrent use: parallel workers may
+// attach children to the same parent, and a scraper may snapshot a
+// tree that is still running.
 type Span struct {
 	mu       sync.Mutex
 	name     string

@@ -473,8 +473,9 @@ func (c *Context) Or(ts ...*Term) *Term {
 
 // boolArgSet tracks the arguments gathered so far for an n-ary
 // connective. Small argument lists scan linearly; past a threshold it
-// switches to maps so wide connectives (AnyCollision builds
-// disjunctions over every region pair) stay linear.
+// switches to maps so wide connectives (E8's one-shot overlap query,
+// bench.AnyCollision, builds a disjunction over every region pair)
+// stay linear.
 type boolArgSet struct {
 	args []*Term
 	seen map[*Term]bool // present args, by interned pointer
