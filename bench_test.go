@@ -74,8 +74,7 @@ func BenchmarkE3Products(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		a := featmodel.NewAnalyzer(model)
-		if !a.IsValid(runningexample.VM1Config()) || !a.IsValid(runningexample.VM2Config()) {
+		if model.Conflict(runningexample.VM1Config()) != nil || model.Conflict(runningexample.VM2Config()) != nil {
 			b.Fatal("paper products invalid")
 		}
 		mm, _ := featmodel.NewMultiModel(model, 2)

@@ -86,20 +86,15 @@ func run(args []string) error {
 		if *config == "" {
 			return fmt.Errorf("valid requires -config")
 		}
-		cfg := featmodel.ConfigOf(strings.Split(*config, ",")...)
-		// select abstract ancestors implicitly
-		for name := range cfg {
-			for p := model.Parent(name); p != nil; p = model.Parent(p.Name) {
-				cfg[p.Name] = true
-			}
+		cfg, err := model.Complete(strings.Split(*config, ","))
+		if err != nil {
+			return fmt.Errorf("-config: %w", err)
 		}
-		cfg[model.Root.Name] = true
-		if a.IsValid(cfg) {
-			fmt.Println("valid")
-			return nil
+		if lits := model.Conflict(cfg); lits != nil {
+			fmt.Printf("invalid: %v\n", lits)
+			return fmt.Errorf("configuration is not a valid product")
 		}
-		fmt.Printf("invalid: %v\n", a.ExplainInvalid(cfg))
-		return fmt.Errorf("configuration is not a valid product")
+		fmt.Println("valid")
 	case "partition":
 		mm, err := featmodel.NewMultiModel(model, *vms)
 		if err != nil {

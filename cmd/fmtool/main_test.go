@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -26,6 +27,13 @@ func TestInvalidConfigFails(t *testing.T) {
 	err := run([]string{"valid", "-fm", fm, "-config", "memory,cpu@0,cpu@1,uart0"})
 	if err == nil {
 		t.Error("both CPUs should be an invalid product")
+	}
+}
+
+func TestValidRejectsUnknownFeature(t *testing.T) {
+	err := run([]string{"valid", "-fm", fm, "-config", "memory,cpu@0,uart0,cpu@9"})
+	if err == nil || !strings.Contains(err.Error(), `unknown feature "cpu@9"`) {
+		t.Errorf("err = %v, want an unknown-feature error naming cpu@9", err)
 	}
 }
 

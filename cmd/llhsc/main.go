@@ -209,7 +209,9 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 
 	configs := make([]featmodel.Configuration, len(vms))
 	for i, list := range vms {
-		configs[i] = completeConfig(model, strings.Split(list, ","))
+		if configs[i], err = model.Complete(strings.Split(list, ",")); err != nil {
+			return fmt.Errorf("vm %d selects %w", i+1, err)
+		}
 	}
 
 	pipeline := &core.Pipeline{
@@ -253,24 +255,6 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 		return writeArtifacts(report, *outDir)
 	}
 	return nil
-}
-
-// completeConfig adds abstract ancestors implied by the selected
-// features, so users can write "-vm memory,cpu@0,uart0,veth0".
-func completeConfig(model *featmodel.Model, names []string) featmodel.Configuration {
-	cfg := make(featmodel.Configuration)
-	for _, n := range names {
-		n = strings.TrimSpace(n)
-		if n == "" {
-			continue
-		}
-		cfg[n] = true
-		for p := model.Parent(n); p != nil; p = model.Parent(p.Name) {
-			cfg[p.Name] = true
-		}
-	}
-	cfg[model.Root.Name] = true
-	return cfg
 }
 
 func loadSchemas(dir string) (*schema.Set, error) {

@@ -39,6 +39,20 @@ func TestCheckRejectsSharedCPU(t *testing.T) {
 	}
 }
 
+func TestCheckRejectsUnknownFeature(t *testing.T) {
+	err := run([]string{
+		"check",
+		"-core", filepath.Join(testdata, "customsbc.dts"),
+		"-deltas", filepath.Join(testdata, "customsbc.deltas"),
+		"-fm", filepath.Join(testdata, "customsbc.fm"),
+		"-vm", "memory,cpu@0,uart0,veth0",
+		"-vm", "memory,cpu@1,uart1,veth1,cpu@7",
+	})
+	if err == nil || !strings.Contains(err.Error(), `vm 2 selects unknown feature "cpu@7"`) {
+		t.Fatalf("err = %v, want vm 2's unknown feature cpu@7 rejected", err)
+	}
+}
+
 func TestGenerateWritesArtifacts(t *testing.T) {
 	dir := t.TempDir()
 	err := run([]string{
@@ -183,10 +197,13 @@ func TestCompleteConfigImpliesAncestors(t *testing.T) {
 		t.Fatal(err)
 	}
 	model := mustModel(t, string(fmSrc))
-	cfg := completeConfig(model, []string{"veth0", " cpu@0", ""})
+	cfg, err := model.Complete([]string{"veth0", " cpu@0", ""})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, want := range []string{"veth0", "cpu@0", "vEthernet", "cpus", "CustomSBC"} {
 		if !cfg[want] {
-			t.Errorf("completeConfig missing %s: %v", want, cfg.Sorted())
+			t.Errorf("Complete missing %s: %v", want, cfg.Sorted())
 		}
 	}
 }

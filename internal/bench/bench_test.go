@@ -209,8 +209,8 @@ func TestPlatformModelRelaxesExclusiveXor(t *testing.T) {
 	// the core module (both CPUs) is a valid platform
 	tree, _ := runningexample.Tree()
 	cfg := TreeConfiguration(tree, platform)
-	if !featmodel.NewAnalyzer(platform).IsValid(cfg) {
-		t.Errorf("core module should be a valid platform: %v", cfg.Sorted())
+	if lits := platform.Conflict(cfg); lits != nil {
+		t.Errorf("core module should be a valid platform: %v (%v)", cfg.Sorted(), lits)
 	}
 }
 

@@ -124,7 +124,6 @@ func RunE3(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	a := featmodel.NewAnalyzer(model)
 	cases := []struct {
 		name string
 		cfg  featmodel.Configuration
@@ -136,7 +135,7 @@ func RunE3(w io.Writer) error {
 		{"veth0 without cpu@0", featmodel.ConfigOf("CustomSBC", "memory", "cpus", "cpu@1", "uarts", "uart0", "vEthernet", "veth0"), false},
 	}
 	for _, c := range cases {
-		got := a.IsValid(c.cfg)
+		got := model.Conflict(c.cfg) == nil
 		fmt.Fprintf(w, "%-28s valid=%v want=%v ok=%v\n", c.name, got, c.want, got == c.want)
 	}
 	for _, k := range []int{2, 3} {
@@ -520,10 +519,14 @@ func RunE12(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	alloc, err := constraints.NewAllocationChecker(pipeline.Model, 5)
+	mm, err := featmodel.NewMultiModel(pipeline.Model, 5)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "5 VMs over 4 CPUs feasible=%v (expected false)\n", alloc.Feasible())
+	ma, err := featmodel.NewMultiAnalyzer(mm)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "5 VMs over 4 CPUs feasible=%v (expected false)\n", !ma.IsVoid())
 	return nil
 }

@@ -349,14 +349,14 @@ func DetectionMatrix() ([]Detection, error) {
 func checkNodeDependencies(tree *dts.Tree, model *featmodel.Model) []constraints.Violation {
 	platform := PlatformModel(model)
 	cfg := TreeConfiguration(tree, platform)
-	a := featmodel.NewAnalyzer(platform)
-	if a.IsValid(cfg) {
+	lits := platform.Conflict(cfg)
+	if lits == nil {
 		return nil
 	}
 	return []constraints.Violation{{
 		Rule: "allocation:dependency",
 		Message: fmt.Sprintf("device complement %v is not a valid platform of the feature model (%v)",
-			cfg.Sorted(), a.ExplainInvalid(cfg)),
+			cfg.Sorted(), lits),
 	}}
 }
 

@@ -2,7 +2,6 @@ package constraints
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"llhsc/internal/featmodel"
@@ -12,29 +11,20 @@ import (
 // AllocationChecker enforces the resource-allocation constraints of
 // Section IV-A: every VM's configuration must be a valid product of the
 // shared feature model, and features marked Exclusive (CPUs under
-// static partitioning) may be selected by at most one VM.
+// static partitioning) may be selected by at most one VM. Every VM
+// configuration assigns every feature, so the check is ground
+// evaluation (featmodel.MultiModel.Conflict) and builds no solver.
 type AllocationChecker struct {
 	Model *featmodel.Model
 	VMs   int
-
-	analyzer *featmodel.MultiAnalyzer
 }
 
-// NewAllocationChecker builds the multi-product encoding for k VMs.
+// NewAllocationChecker prepares the check for k VMs (k >= 1).
 func NewAllocationChecker(model *featmodel.Model, vms int) (*AllocationChecker, error) {
-	mm, err := featmodel.NewMultiModel(model, vms)
-	if err != nil {
+	if _, err := featmodel.NewMultiModel(model, vms); err != nil {
 		return nil, err
 	}
-	ma, err := featmodel.NewMultiAnalyzer(mm)
-	if err != nil {
-		return nil, err
-	}
-	return &AllocationChecker{
-		Model:    model,
-		VMs:      vms,
-		analyzer: ma,
-	}, nil
+	return &AllocationChecker{Model: model, VMs: vms}, nil
 }
 
 // Check validates the per-VM configurations. A nil return means the
@@ -45,50 +35,27 @@ func (c *AllocationChecker) Check(configs []featmodel.Configuration) []Violation
 	return out
 }
 
-// CheckContext is Check under a context: a budget or cancellation stop
-// is returned as a *sat.LimitError instead of being folded into the
-// violation list, so callers can distinguish "invalid" from "unknown".
+// CheckContext is Check under a context: a canceled context is returned
+// as a *sat.LimitError instead of being folded into the violation list,
+// so callers can distinguish "invalid" from "unknown".
 func (c *AllocationChecker) CheckContext(ctx context.Context, configs []featmodel.Configuration) ([]Violation, error) {
-	err := c.analyzer.CheckConfigsContext(ctx, configs)
-	if err == nil {
-		return nil, nil
+	if err := pollCanceled(ctx); err != nil {
+		return nil, err
 	}
-	var lim *sat.LimitError
-	if errors.As(err, &lim) {
-		return nil, lim
-	}
-	if ce, ok := err.(*featmodel.ConflictError); ok {
+	mm := featmodel.MultiModel{Base: c.Model, VMs: c.VMs}
+	lits, err := mm.Conflict(configs)
+	switch {
+	case err != nil:
+		return []Violation{{Rule: "allocation:error", Message: err.Error()}}, nil
+	case lits != nil:
 		return []Violation{{
-			Rule: "allocation:conflict",
-			Message: fmt.Sprintf("invalid static partitioning; conflicting selections: %v",
-				ce.Literals),
+			Rule:    "allocation:conflict",
+			Message: fmt.Sprintf("invalid static partitioning; conflicting selections: %v", lits),
 		}}, nil
 	}
-	return []Violation{{
-		Rule:    "allocation:error",
-		Message: err.Error(),
-	}}, nil
+	return nil, nil
 }
 
-// SetBudget installs a resource budget on the underlying solver,
-// bounding every subsequent check.
-func (c *AllocationChecker) SetBudget(b sat.Budget) { c.analyzer.SetBudget(b) }
-
-// Stats returns a snapshot of the multi-product solver's cumulative
-// SAT statistics; use sat.Stats.Sub over two snapshots for the work of
-// one CheckContext call.
-func (c *AllocationChecker) Stats() sat.Stats { return c.analyzer.Stats() }
-
-// Feasible reports whether any assignment of products to the VMs exists
-// (false exactly when the paper's VM bound is exceeded, e.g. three VMs
-// over two exclusive CPUs).
-func (c *AllocationChecker) Feasible() bool {
-	return !c.analyzer.IsVoid()
-}
-
-// Solve delegates to the multi-analyzer to complete partial per-VM pins
-// into full configurations (automatic CPU assignment, Fig. 1's
-// grayed-out features).
-func (c *AllocationChecker) Solve(pins []map[string]bool) ([]featmodel.Configuration, error) {
-	return c.analyzer.SolveAssignment(pins)
-}
+// Stats is always zero: the check does no solver work. It remains for
+// callers that attribute SAT work per layer.
+func (c *AllocationChecker) Stats() sat.Stats { return sat.Stats{} }

@@ -329,9 +329,6 @@ func TestAllocationValidPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !c.Feasible() {
-		t.Fatal("2-VM partitioning should be feasible")
-	}
 	vs := c.Check([]featmodel.Configuration{
 		runningexample.VM1Config(),
 		runningexample.VM2Config(),
@@ -349,33 +346,29 @@ func TestAllocationSharedCPURejected(t *testing.T) {
 	if len(vs) != 1 || vs[0].Rule != "allocation:conflict" {
 		t.Fatalf("violations = %v", vs)
 	}
-	if !strings.Contains(vs[0].Message, "cpu@0") {
-		t.Errorf("message %q should name cpu@0", vs[0].Message)
+	if want := "conflicting selections: [vm1/cpu@0 vm2/cpu@0]"; !strings.HasSuffix(vs[0].Message, want) {
+		t.Errorf("message %q should end in %q", vs[0].Message, want)
 	}
 }
 
-func TestAllocationThreeVMsInfeasible(t *testing.T) {
-	model, _ := runningexample.Model()
-	c, err := NewAllocationChecker(model, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Feasible() {
-		t.Error("3 VMs over 2 exclusive CPUs should be infeasible")
-	}
-}
-
-func TestAllocationSolvePins(t *testing.T) {
+// TestAllocationCheckerErrors: a configuration count other than the
+// VM count is reported as allocation:error, and a canceled context as
+// a typed *sat.LimitError with no violations.
+func TestAllocationCheckerErrors(t *testing.T) {
 	model, _ := runningexample.Model()
 	c, _ := NewAllocationChecker(model, 2)
-	configs, err := c.Solve([]map[string]bool{
-		{"veth0": true},
-		{"veth1": true},
-	})
-	if err != nil {
-		t.Fatalf("Solve: %v", err)
+	vs := c.Check([]featmodel.Configuration{runningexample.VM1Config()})
+	if len(vs) != 1 || vs[0].Rule != "allocation:error" {
+		t.Errorf("violations = %v, want one allocation:error", vs)
 	}
-	if !configs[0]["cpu@0"] || !configs[1]["cpu@1"] {
-		t.Errorf("configs = %v / %v", configs[0].Sorted(), configs[1].Sorted())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	vs, err := c.CheckContext(ctx, []featmodel.Configuration{runningexample.VM1Config(), runningexample.VM2Config()})
+	var lim *sat.LimitError
+	if !errors.As(err, &lim) || !errors.Is(err, context.Canceled) || len(vs) != 0 {
+		t.Errorf("canceled check = %v, %v; want a *sat.LimitError wrapping context.Canceled", vs, err)
+	}
+	if _, err := NewAllocationChecker(model, 0); err == nil {
+		t.Error("zero VMs must be rejected")
 	}
 }

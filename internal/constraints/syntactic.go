@@ -2,7 +2,9 @@
 // (Section IV of the paper):
 //
 //   - resource-allocation constraints over multi-product feature models
-//     (Section IV-A; thin veneer over internal/featmodel),
+//     (Section IV-A). Every VM configuration is complete, so the check
+//     is ground evaluation in internal/featmodel; a test-only oracle
+//     keeps the multi-VM CNF encoding and holds the evaluator to it,
 //   - syntactic constraints derived from dt-schema-style binding
 //     schemas: the axioms (1)–(3) and proof obligations (4)–(6) of
 //     Section IV-B. The instance is ground, so each named rule is
@@ -28,10 +30,9 @@
 // Checker values are cheap façades, and no checker builds an SMT
 // solver. The per-tree checks are evaluation and word arithmetic over
 // the call's own stack, so a checker value may be used from multiple
-// goroutines. Three exceptions hold state on the value and need one
-// per goroutine: SemanticChecker keeps LastStats, AllocationChecker
-// owns its SAT encoding, and LiftedChecker owns one incremental SAT
-// session per CheckContext call. Schema sets and
+// goroutines. Two exceptions hold state on the value and need one per
+// goroutine: SemanticChecker keeps LastStats, and LiftedChecker owns
+// one incremental SAT session per CheckContext call. Schema sets and
 // parsed trees are read-only during checking and safe to share.
 package constraints
 

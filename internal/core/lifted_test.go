@@ -16,7 +16,6 @@ import (
 	"llhsc/internal/checkcache"
 	"llhsc/internal/core"
 	"llhsc/internal/delta"
-	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 )
@@ -169,7 +168,6 @@ func TestLiftedModeFindsViolationsWithWitnesses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analyzer := featmodel.NewAnalyzer(model)
 	for _, f := range report.Lifted {
 		if f.Family == "" {
 			t.Errorf("finding with empty family: %+v", f)
@@ -177,7 +175,7 @@ func TestLiftedModeFindsViolationsWithWitnesses(t *testing.T) {
 		if len(f.Config.Sorted()) == 0 {
 			t.Errorf("finding %s has empty witness configuration", f)
 		}
-		if !analyzer.IsValid(f.Config) {
+		if model.Conflict(f.Config) != nil {
 			t.Errorf("finding %s: witness %v is not a valid product",
 				f, f.Config.Sorted())
 		}

@@ -136,7 +136,9 @@ func TestRunContextDeltaOpsCap(t *testing.T) {
 
 func TestRunContextSolverBudget(t *testing.T) {
 	// An already-expired solver deadline stops the first SAT query.
+	// Lifted reachability is the only family that queries a solver.
 	p := paperPipeline(t)
+	p.Mode = ModeLifted
 	_, err := p.RunContext(context.Background(), Limits{
 		Solver: sat.Budget{Deadline: time.Now().Add(-time.Second)},
 	})

@@ -8,7 +8,6 @@ package core
 import (
 	"llhsc/internal/constraints"
 	"llhsc/internal/obs"
-	"llhsc/internal/sat"
 )
 
 // FamilyStats summarizes the solver work one checker family performed
@@ -30,8 +29,7 @@ type FamilyStats struct {
 	// solver involvement (DESIGN.md §13): region pairs, interrupt claim
 	// pairs, reserve containments and reserve pairs.
 	WordDecided int `json:"wordDecided,omitempty"`
-	// SAT-solver work underneath the family's queries (allocation and
-	// lifted).
+	// SAT-solver work underneath the family's queries (lifted only).
 	Conflicts    uint64 `json:"conflicts,omitempty"`
 	Propagations uint64 `json:"propagations,omitempty"`
 	Restarts     uint64 `json:"restarts,omitempty"`
@@ -59,17 +57,6 @@ func familyStatsFrom(st constraints.SemanticStats) FamilyStats {
 		PairsPruned: st.PairsPruned,
 		SolverCalls: st.SolverCalls,
 		WordDecided: st.WordDecided,
-	}
-}
-
-// familyStatsFromSAT converts a raw SAT-stats delta (the allocation
-// family, which has no SMT layer).
-func familyStatsFromSAT(d sat.Stats) FamilyStats {
-	return FamilyStats{
-		Checks:       1,
-		Conflicts:    d.Conflicts,
-		Propagations: d.Propagations,
-		Restarts:     d.Restarts,
 	}
 }
 

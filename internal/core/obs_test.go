@@ -90,9 +90,10 @@ func TestSpanChildOrderDeterministic(t *testing.T) {
 	}
 }
 
-// TestReportStats: every run carries the per-family work summary, and
-// the semantic family reports real solver activity on the running
-// example.
+// TestReportStats: every run carries the per-family work summary; the
+// semantic family reports its pruning on the running example, and
+// allocation, decided by ground evaluation, reports one check and no
+// solver work.
 func TestReportStats(t *testing.T) {
 	_, report := tracedRun(t, examplePipeline(t, nil), 1)
 	for _, fam := range []string{"allocation", "syntactic", "semantic", "memreserve", "interrupt"} {
@@ -106,8 +107,8 @@ func TestReportStats(t *testing.T) {
 	if sem.PairsPruned == 0 {
 		t.Errorf("semantic family reports no pruned pairs: %+v", sem)
 	}
-	if alloc := report.Stats.Families["allocation"]; alloc.Propagations == 0 {
-		t.Errorf("allocation family reports no SAT work: %+v", alloc)
+	if alloc := report.Stats.Families["allocation"]; alloc != (core.FamilyStats{Checks: 1}) {
+		t.Errorf("allocation family = %+v, want one check and no solver work", alloc)
 	}
 	// 3 trees checked by each per-tree family (vm1, vm2, platform).
 	if got := report.Stats.Families["syntactic"].Checks; got != 3 {
@@ -202,10 +203,11 @@ func TestCheckSecondsTierLabels(t *testing.T) {
 }
 
 // TestPipelineMetricsUnderRaceWithScrape hammers one shared registry
-// from concurrent pipeline runs (each with the per-tree fan-out) while
-// scraping /metrics text in parallel; run under -race this is the
-// tentpole's registry-safety check. It then asserts the scraped totals
-// match the sum of the per-run reports.
+// from concurrent pipeline runs (enumerative runs with the per-tree
+// fan-out, alternating with lifted runs) while scraping /metrics text
+// in parallel; run under -race this is the tentpole's registry-safety
+// check. It then asserts the scraped lifted SAT propagations match the
+// sum of the per-run reports.
 func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := core.NewPipelineMetrics(reg)
@@ -234,6 +236,9 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 			defer runWG.Done()
 			p := examplePipeline(t, nil)
 			p.Metrics = metrics
+			if i%2 == 1 {
+				p.Mode = core.ModeLifted
+			}
 			report, err := p.RunContext(context.Background(), core.Limits{Parallelism: 4})
 			if err != nil {
 				t.Error(err)
@@ -251,7 +256,10 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 		if r == nil {
 			t.Fatal("missing report")
 		}
-		wantProps += r.Stats.Families["allocation"].Propagations
+		wantProps += r.Stats.Families["lifted"].Propagations
+	}
+	if wantProps == 0 {
+		t.Fatal("lifted runs report no SAT propagations; the sum check is vacuous")
 	}
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -264,7 +272,7 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 			t.Errorf("scrape missing family %s", family)
 		}
 	}
-	want := `llhsc_sat_propagations_total{family="allocation"}`
+	want := `llhsc_sat_propagations_total{family="lifted"}`
 	found := false
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, want) {
@@ -274,7 +282,7 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 				t.Fatalf("unparsable sample %q: %v", line, err)
 			}
 			if uint64(got) != wantProps {
-				t.Errorf("registry allocation propagations = %d, want %d (sum of reports)", uint64(got), wantProps)
+				t.Errorf("registry lifted propagations = %d, want %d (sum of reports)", uint64(got), wantProps)
 			}
 		}
 	}

@@ -12,11 +12,9 @@ import (
 // using the CDCL solver. Create one per model; the underlying solver is
 // reused incrementally across queries.
 type Analyzer struct {
-	model   *Model
-	pool    *logic.Pool
-	vm      *VarMap
-	solver  *sat.Solver
-	formula *logic.Formula
+	model  *Model
+	vm     *VarMap
+	solver *sat.Solver
 }
 
 // NewAnalyzer prepares the SAT encoding of the model. The model must
@@ -27,57 +25,12 @@ func NewAnalyzer(m *Model) *Analyzer {
 	f := m.MustToFormula(vm, "")
 	s := sat.New()
 	s.AddCNF(logic.ToCNF(f, pool))
-	return &Analyzer{model: m, pool: pool, vm: vm, solver: s, formula: f}
+	return &Analyzer{model: m, vm: vm, solver: s}
 }
 
 // IsVoid reports whether the model admits no products at all.
 func (a *Analyzer) IsVoid() bool {
 	return a.solver.Solve() != sat.Sat
-}
-
-// IsValid reports whether the configuration is a valid product: the
-// assignment that selects exactly the given features (and no others)
-// satisfies the model.
-func (a *Analyzer) IsValid(cfg Configuration) bool {
-	assumptions := a.configAssumptions(cfg)
-	return a.solver.Solve(assumptions...) == sat.Sat
-}
-
-// ExplainInvalid returns, for an invalid configuration, the feature
-// literals (name, selected) that participate in the conflict. For a
-// valid configuration it returns nil.
-func (a *Analyzer) ExplainInvalid(cfg Configuration) []string {
-	assumptions := a.configAssumptions(cfg)
-	if a.solver.Solve(assumptions...) == sat.Sat {
-		return nil
-	}
-	var out []string
-	for _, l := range a.solver.FailedAssumptions() {
-		name, ok := a.vm.Name(l.Var())
-		if !ok {
-			continue
-		}
-		if l.Positive() {
-			out = append(out, name)
-		} else {
-			out = append(out, "!"+name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (a *Analyzer) configAssumptions(cfg Configuration) []logic.Lit {
-	assumptions := make([]logic.Lit, 0, len(a.model.order))
-	for _, name := range a.model.order {
-		v := a.vm.Var(name)
-		if cfg[name] {
-			assumptions = append(assumptions, logic.Lit(v))
-		} else {
-			assumptions = append(assumptions, -logic.Lit(v))
-		}
-	}
-	return assumptions
 }
 
 // DeadFeatures returns features that appear in no valid product.

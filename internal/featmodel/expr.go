@@ -2,6 +2,7 @@ package featmodel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"llhsc/internal/logic"
@@ -75,13 +76,16 @@ func EvalOpt(e *Expr, selected map[string]bool) bool {
 	return e.Eval(selected)
 }
 
-// Names returns the set of feature names mentioned by the expression.
+// Names returns the feature names mentioned by the expression, each
+// once, in order of first mention.
 func (e *Expr) Names() []string {
-	seen := make(map[string]bool)
+	var out []string
 	var walk func(*Expr)
 	walk = func(x *Expr) {
 		if x.Kind == ExprVar {
-			seen[x.Name] = true
+			if !slices.Contains(out, x.Name) {
+				out = append(out, x.Name)
+			}
 			return
 		}
 		for _, a := range x.Args {
@@ -89,10 +93,6 @@ func (e *Expr) Names() []string {
 		}
 	}
 	walk(e)
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
 	return out
 }
 

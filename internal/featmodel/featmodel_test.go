@@ -1,7 +1,7 @@
 package featmodel
 
 import (
-	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -69,48 +69,52 @@ func TestPaperModelProductsAreValid(t *testing.T) {
 		t.Fatalf("enumerated %d products, want 12", len(products))
 	}
 	for _, p := range products {
-		if !a.IsValid(ConfigOf(p...)) {
-			t.Errorf("enumerated product %v reported invalid", p)
+		if c := m.Conflict(ConfigOf(p...)); c != nil {
+			t.Errorf("enumerated product %v reported invalid: %v", p, c)
 		}
 	}
 }
 
 func TestFig1bAndFig1cProducts(t *testing.T) {
-	a := NewAnalyzer(paperModel(t))
+	m := paperModel(t)
 
 	// Fig. 1b: cpu@0, both UARTs, veth0.
 	vm1 := ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart0", "uart1", "vEthernet", "veth0")
-	if !a.IsValid(vm1) {
-		t.Errorf("Fig. 1b product should be valid; explanation: %v", a.ExplainInvalid(vm1))
+	if c := m.Conflict(vm1); c != nil {
+		t.Errorf("Fig. 1b product should be valid; explanation: %v", c)
 	}
 
 	// Fig. 1c: cpu@1, both UARTs, veth1.
 	vm2 := ConfigOf("CustomSBC", "memory", "cpus", "cpu@1", "uarts", "uart0", "uart1", "vEthernet", "veth1")
-	if !a.IsValid(vm2) {
-		t.Errorf("Fig. 1c product should be valid; explanation: %v", a.ExplainInvalid(vm2))
+	if c := m.Conflict(vm2); c != nil {
+		t.Errorf("Fig. 1c product should be valid; explanation: %v", c)
 	}
 }
 
 func TestInvalidProducts(t *testing.T) {
-	a := NewAnalyzer(paperModel(t))
+	m := paperModel(t)
 	tests := []struct {
 		name string
 		cfg  Configuration
+		want []string // the violated constraint's literals
 	}{
-		{"both CPUs (XOR)", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "cpu@1", "uarts", "uart0")},
-		{"no CPU", ConfigOf("CustomSBC", "memory", "cpus", "uarts", "uart0")},
-		{"missing mandatory memory", ConfigOf("CustomSBC", "cpus", "cpu@0", "uarts", "uart0")},
-		{"veth without matching cpu", ConfigOf("CustomSBC", "memory", "cpus", "cpu@1", "uarts", "uart0", "vEthernet", "veth0")},
-		{"child without parent", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart0", "veth0")},
-		{"empty OR group", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts")},
+		{"both CPUs (XOR)", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "cpu@1", "uarts", "uart0"),
+			[]string{"cpu@0", "cpu@1"}},
+		{"no CPU", ConfigOf("CustomSBC", "memory", "cpus", "uarts", "uart0"),
+			[]string{"cpus", "!cpu@0", "!cpu@1"}},
+		{"missing mandatory memory", ConfigOf("CustomSBC", "cpus", "cpu@0", "uarts", "uart0"),
+			[]string{"CustomSBC", "!memory"}},
+		{"veth without matching cpu", ConfigOf("CustomSBC", "memory", "cpus", "cpu@1", "uarts", "uart0", "vEthernet", "veth0"),
+			[]string{"veth0", "!cpu@0"}},
+		{"child without parent", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart0", "veth0"),
+			[]string{"veth0", "!vEthernet"}},
+		{"empty OR group", ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts"),
+			[]string{"uarts", "!uart0", "!uart1"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if a.IsValid(tt.cfg) {
-				t.Error("configuration should be invalid")
-			}
-			if exp := a.ExplainInvalid(tt.cfg); len(exp) == 0 {
-				t.Error("expected a non-empty explanation")
+			if got := m.Conflict(tt.cfg); !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("Conflict = %v, want %v", got, tt.want)
 			}
 		})
 	}
@@ -188,35 +192,27 @@ func TestMultiModelStaticPartitioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ma := mustMultiAnalyzer(t, mm)
-	if ma.IsVoid() {
+	if mustMultiAnalyzer(t, mm).IsVoid() {
 		t.Fatal("2-VM partitioning should be satisfiable")
 	}
 
 	vm1 := ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart0", "uart1", "vEthernet", "veth0")
 	vm2 := ConfigOf("CustomSBC", "memory", "cpus", "cpu@1", "uarts", "uart0", "uart1", "vEthernet", "veth1")
-	if err := ma.CheckConfigs([]Configuration{vm1, vm2}); err != nil {
-		t.Errorf("paper's two products should be a valid partitioning: %v", err)
+	if lits, err := mm.Conflict([]Configuration{vm1, vm2}); err != nil || lits != nil {
+		t.Errorf("paper's two products should be a valid partitioning: %v, %v", lits, err)
 	}
 
 	// Both VMs using cpu@0 violates cross-VM exclusivity.
 	vm2bad := ConfigOf("CustomSBC", "memory", "cpus", "cpu@0", "uarts", "uart0")
-	err = ma.CheckConfigs([]Configuration{vm1, vm2bad})
-	if err == nil {
-		t.Fatal("shared exclusive CPU must be rejected")
+	lits, err := mm.Conflict([]Configuration{vm1, vm2bad})
+	if err != nil {
+		t.Fatal(err)
 	}
-	var ce *ConflictError
-	if !errors.As(err, &ce) {
-		t.Fatalf("error type %T", err)
+	if want := []string{"vm1/cpu@0", "vm2/cpu@0"}; !reflect.DeepEqual(lits, want) {
+		t.Errorf("conflict = %v, want %v", lits, want)
 	}
-	found := false
-	for _, l := range ce.Literals {
-		if strings.Contains(l, "cpu@0") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("conflict %v should mention cpu@0", ce.Literals)
+	if _, err := mm.Conflict([]Configuration{vm1}); err == nil {
+		t.Error("one configuration for two VMs must be an error")
 	}
 }
 

@@ -2,8 +2,9 @@
 // lines in the FODA tradition the llhsc paper builds on (Section II-B):
 // a feature tree with AND/OR/XOR group decompositions, mandatory /
 // optional / abstract features, cross-tree constraints, translation to
-// propositional logic, and SAT-backed automated analyses (void model,
-// valid product, dead features, core features, product counting and
+// propositional logic, ground validity checking of complete
+// configurations (eval.go), and SAT-backed automated analyses (void
+// model, dead features, core features, product counting and
 // enumeration).
 //
 // The multi-product extension of Section IV-A — k VM models plus a
@@ -13,6 +14,7 @@ package featmodel
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"llhsc/internal/logic"
 )
@@ -286,6 +288,28 @@ func ConfigOf(names ...string) Configuration {
 		c[n] = true
 	}
 	return c
+}
+
+// Complete turns a user's feature list into a complete configuration,
+// so that "memory,cpu@0,uart0,veth0" names a product: names are trimmed
+// and empty ones skipped, every selected feature selects its ancestors,
+// and the root is selected. A name outside the model is an error.
+func (m *Model) Complete(names []string) (Configuration, error) {
+	cfg := Configuration{m.Root.Name: true}
+	for _, n := range names {
+		n = strings.TrimSpace(n)
+		if n == "" {
+			continue
+		}
+		f := m.features[n]
+		if f == nil {
+			return nil, fmt.Errorf("unknown feature %q", n)
+		}
+		for ; f != nil && !cfg[f.Name]; f = m.parent[f.Name] {
+			cfg[f.Name] = true
+		}
+	}
+	return cfg, nil
 }
 
 // Sorted returns the selected names sorted lexicographically.

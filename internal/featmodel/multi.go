@@ -1,7 +1,6 @@
 package featmodel
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -63,10 +62,12 @@ func (mm *MultiModel) ToFormula(vm *VarMap) (*logic.Formula, error) {
 	return logic.And(parts...), nil
 }
 
-// MultiAnalyzer answers queries over a MultiModel.
+// MultiAnalyzer answers the queries over a MultiModel that search:
+// whether any partitioning exists (IsVoid) and completing partial pins
+// into one (SolveAssignment). Checking a given partitioning is ground
+// evaluation (MultiModel.Conflict).
 type MultiAnalyzer struct {
 	mm     *MultiModel
-	pool   *logic.Pool
 	vm     *VarMap
 	solver *sat.Solver
 }
@@ -82,7 +83,7 @@ func NewMultiAnalyzer(mm *MultiModel) (*MultiAnalyzer, error) {
 	}
 	s := sat.New()
 	s.AddCNF(logic.ToCNF(f, pool))
-	return &MultiAnalyzer{mm: mm, pool: pool, vm: vm, solver: s}, nil
+	return &MultiAnalyzer{mm: mm, vm: vm, solver: s}, nil
 }
 
 // IsVoid reports whether no assignment of products to the VMs exists at
@@ -91,66 +92,9 @@ func (ma *MultiAnalyzer) IsVoid() bool {
 	return ma.solver.Solve() != sat.Sat
 }
 
-// SetBudget installs a resource budget on the underlying SAT solver,
-// bounding every subsequent query.
-func (ma *MultiAnalyzer) SetBudget(b sat.Budget) { ma.solver.SetBudget(b) }
-
-// Stats returns a snapshot of the underlying SAT solver's cumulative
-// statistics (see sat.Stats for the delta-snapshot contract).
-func (ma *MultiAnalyzer) Stats() sat.Stats { return ma.solver.Stats() }
-
-// CheckConfigs validates one configuration per VM simultaneously,
-// including the cross-VM exclusivity constraints. It returns nil when
-// valid and an explanation (conflicting feature literals, prefixed by
-// their VM) otherwise.
-func (ma *MultiAnalyzer) CheckConfigs(configs []Configuration) error {
-	return ma.CheckConfigsContext(context.Background(), configs)
-}
-
-// CheckConfigsContext is CheckConfigs under a context: cancellation
-// and the context deadline bound the underlying SAT search, and the
-// resulting error is a *sat.LimitError wrapping ctx.Err().
-func (ma *MultiAnalyzer) CheckConfigsContext(ctx context.Context, configs []Configuration) error {
-	if len(configs) != ma.mm.VMs {
-		return fmt.Errorf("featmodel: %d configurations for %d VMs", len(configs), ma.mm.VMs)
-	}
-	var assumptions []logic.Lit
-	for k, cfg := range configs {
-		prefix := VMPrefix(k + 1)
-		for _, name := range ma.mm.Base.order {
-			v := ma.vm.Var(prefix + name)
-			if cfg[name] {
-				assumptions = append(assumptions, logic.Lit(v))
-			} else {
-				assumptions = append(assumptions, -logic.Lit(v))
-			}
-		}
-	}
-	st, err := ma.solver.SolveContext(ctx, assumptions...)
-	if st == sat.Unknown {
-		return err
-	}
-	if st == sat.Sat {
-		return nil
-	}
-	var conflict []string
-	for _, l := range ma.solver.FailedAssumptions() {
-		name, ok := ma.vm.Name(l.Var())
-		if !ok {
-			continue
-		}
-		if !l.Positive() {
-			name = "!" + name
-		}
-		conflict = append(conflict, name)
-	}
-	sort.Strings(conflict)
-	return &ConflictError{Literals: conflict}
-}
-
-// ConflictError explains an invalid multi-VM configuration.
+// ConflictError explains why SolveAssignment found no assignment.
 type ConflictError struct {
-	Literals []string // conflicting feature literals, e.g. "vm1/cpu@0"
+	Literals []string // the conflicting pins, e.g. "vm1/veth0"
 }
 
 func (e *ConflictError) Error() string {

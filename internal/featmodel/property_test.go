@@ -146,8 +146,8 @@ func TestPropertyEnumerationMatchesValidity(t *testing.T) {
 			t.Fatalf("seed %d: enumeration incomplete", seed)
 		}
 		for _, p := range products {
-			if !a.IsValid(ConfigOf(p...)) {
-				t.Errorf("seed %d: enumerated product %v rejected by IsValid", seed, p)
+			if c := m.Conflict(ConfigOf(p...)); c != nil {
+				t.Errorf("seed %d: enumerated product %v rejected by Conflict: %v", seed, p, c)
 			}
 		}
 		// spot-check some invalid configurations
@@ -170,8 +170,8 @@ func TestPropertyEnumerationMatchesValidity(t *testing.T) {
 					break
 				}
 			}
-			if got := a.IsValid(cfg); got != inEnum {
-				t.Errorf("seed %d: IsValid(%v) = %v but enumeration says %v",
+			if got := m.Conflict(cfg) == nil; got != inEnum {
+				t.Errorf("seed %d: Conflict(%v) == nil is %v but enumeration says %v",
 					seed, sorted, got, inEnum)
 			}
 		}

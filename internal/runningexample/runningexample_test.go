@@ -73,11 +73,10 @@ func TestConfigsAreValidProducts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := featmodel.NewAnalyzer(m)
-	if !a.IsValid(VM1Config()) {
-		t.Errorf("VM1Config invalid: %v", a.ExplainInvalid(VM1Config()))
+	if lits := m.Conflict(VM1Config()); lits != nil {
+		t.Errorf("VM1Config invalid: %v", lits)
 	}
-	if !a.IsValid(VM2Config()) {
-		t.Errorf("VM2Config invalid: %v", a.ExplainInvalid(VM2Config()))
+	if lits := m.Conflict(VM2Config()); lits != nil {
+		t.Errorf("VM2Config invalid: %v", lits)
 	}
 }

@@ -660,18 +660,9 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	}
 	configs := make([]featmodel.Configuration, len(req.VMs))
 	for i, names := range req.VMs {
-		cfg := featmodel.ConfigOf(names...)
-		for name := range cfg {
-			if model.Feature(name) == nil {
-				return nil, http.StatusUnprocessableEntity,
-					fmt.Errorf("vm %d selects unknown feature %q", i+1, name)
-			}
-			for p := model.Parent(name); p != nil; p = model.Parent(p.Name) {
-				cfg[p.Name] = true
-			}
+		if configs[i], err = model.Complete(names); err != nil {
+			return nil, http.StatusUnprocessableEntity, fmt.Errorf("vm %d selects %w", i+1, err)
 		}
-		cfg[model.Root.Name] = true
-		configs[i] = cfg
 	}
 
 	mode := s.opts.Mode
