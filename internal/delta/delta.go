@@ -12,9 +12,11 @@
 package delta
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"llhsc/internal/dts"
@@ -79,37 +81,134 @@ func (d *Delta) Active(cfg featmodel.Configuration) bool {
 	return d.When.Eval(map[string]bool(cfg))
 }
 
-// Set is a collection of delta modules forming a product line.
+// Set is a collection of delta modules forming a product line. NewSet
+// precomputes everything about ordering that does not depend on the
+// configuration: the after-relation as index lists and the pairs of
+// deltas whose write sets intersect. A Set is read-only after NewSet, so
+// concurrent product workers share one; callers must not edit Deltas,
+// their After lists or their operations afterwards.
 type Set struct {
 	Deltas []*Delta
-	byName map[string]*Delta
+	index  map[string]int // name -> position in Deltas
+	after  [][]int        // after[i]: the deltas Deltas[i] follows, duplicates kept
+	succ   [][]int        // succ[j]: the deltas that list Deltas[j] in After
+	pairs  []contention   // write-contending pairs, in (i, j) order
+}
+
+// contention is a pair of deltas i < j whose write sets intersect; loc
+// is the smallest location both write.
+type contention struct {
+	i, j int
+	loc  string
 }
 
 // NewSet validates and indexes the deltas: names must be unique and
 // every "after" reference must resolve.
 func NewSet(deltas []*Delta) (*Set, error) {
-	s := &Set{Deltas: deltas, byName: make(map[string]*Delta, len(deltas))}
-	for _, d := range deltas {
+	s := &Set{
+		Deltas: deltas,
+		index:  make(map[string]int, len(deltas)),
+		after:  make([][]int, len(deltas)),
+		succ:   make([][]int, len(deltas)),
+	}
+	for i, d := range deltas {
 		if d.Name == "" {
 			return nil, fmt.Errorf("delta: module with empty name")
 		}
-		if _, dup := s.byName[d.Name]; dup {
+		if _, dup := s.index[d.Name]; dup {
 			return nil, fmt.Errorf("delta: duplicate module name %q", d.Name)
 		}
-		s.byName[d.Name] = d
+		s.index[d.Name] = i
 	}
-	for _, d := range deltas {
+	for i, d := range deltas {
 		for _, dep := range d.After {
-			if _, ok := s.byName[dep]; !ok {
+			j, ok := s.index[dep]
+			if !ok {
 				return nil, fmt.Errorf("delta: %s is after unknown delta %q", d.Name, dep)
 			}
+			s.after[i] = append(s.after[i], j)
+			s.succ[j] = append(s.succ[j], i)
 		}
 	}
+	s.pairs = contendingPairs(deltas)
 	return s, nil
 }
 
+// contendingPairs lists every pair of deltas i < j whose write sets
+// intersect, each with the smallest location both write, in (i, j)
+// order. It goes through a location -> writers map, so disjoint deltas
+// cost nothing beyond their own locations.
+func contendingPairs(deltas []*Delta) []contention {
+	writers := make(map[string][]int, len(deltas))
+	for i, d := range deltas {
+		writes(d, func(loc string) {
+			if w := writers[loc]; len(w) == 0 || w[len(w)-1] != i {
+				writers[loc] = append(w, i)
+			}
+		})
+	}
+	smallest := make(map[[2]int]string)
+	for loc, w := range writers {
+		for x := range w {
+			for _, j := range w[x+1:] {
+				k := [2]int{w[x], j}
+				if cur, ok := smallest[k]; !ok || loc < cur {
+					smallest[k] = loc
+				}
+			}
+		}
+	}
+	pairs := make([]contention, 0, len(smallest))
+	for k, loc := range smallest {
+		pairs = append(pairs, contention{i: k[0], j: k[1], loc: loc})
+	}
+	slices.SortFunc(pairs, func(a, b contention) int {
+		return cmp.Or(cmp.Compare(a.i, b.i), cmp.Compare(a.j, b.j))
+	})
+	return pairs
+}
+
+// writes calls emit for each location the delta writes: "path#prop" for
+// a property write and the node path for node creation or removal. A
+// "/" target and an absolute path spell the same locations, so
+// "modifies / { uart@1000 { ... }; }" and "modifies /uart@1000 { ... }"
+// both write /uart@1000#status. Bare-name and &label targets are not
+// resolved to the absolute path they alias.
+func writes(d *Delta, emit func(loc string)) {
+	var collect func(path string, n *dts.Node)
+	collect = func(path string, n *dts.Node) {
+		for _, p := range n.Properties {
+			emit(path + "#" + p.Name)
+		}
+		prefix := path
+		if prefix == "/" {
+			prefix = ""
+		}
+		for _, c := range n.Children {
+			cp := prefix + "/" + c.Name
+			emit(cp)
+			collect(cp, c)
+		}
+	}
+	for _, op := range d.Ops {
+		switch op.Kind {
+		case OpAdds, OpModifies:
+			collect(op.Target, op.Fragment)
+		case OpRemovesNode:
+			emit(op.Target)
+		case OpRemovesProperty:
+			emit(op.Target + "#" + op.PropName)
+		}
+	}
+}
+
 // Delta returns the module with the given name, or nil.
-func (s *Set) Delta(name string) *Delta { return s.byName[name] }
+func (s *Set) Delta(name string) *Delta {
+	if i, ok := s.index[name]; ok {
+		return s.Deltas[i]
+	}
+	return nil
+}
 
 // Active returns the deltas activated by the configuration, in
 // declaration order.
@@ -149,183 +248,159 @@ func (e *AmbiguityError) Error() string {
 // according to their after-constraints (restricted to active deltas, as
 // the paper specifies). Ties are broken by declaration order, keeping
 // application deterministic. It returns a CycleError for cyclic
-// constraints and an AmbiguityError when unordered deltas contend for
-// the same write location.
+// constraints and otherwise an AmbiguityError when unordered deltas
+// contend for the same write location.
 func (s *Set) Order(cfg featmodel.Configuration) ([]*Delta, error) {
-	active := s.Active(cfg)
-	activeSet := make(map[string]bool, len(active))
-	pos := make(map[string]int, len(active))
-	for i, d := range active {
-		activeSet[d.Name] = true
-		pos[d.Name] = i
+	active := make([]bool, len(s.Deltas))
+	for i, d := range s.Deltas {
+		active[i] = d.Active(cfg)
 	}
-
-	// edges dep -> d for active deps
-	succ := make(map[string][]string)
-	indeg := make(map[string]int)
-	for _, d := range active {
-		indeg[d.Name] += 0
-		for _, dep := range d.After {
-			if activeSet[dep] {
-				succ[dep] = append(succ[dep], d.Name)
-				indeg[d.Name]++
-			}
-		}
-	}
-
-	// Kahn's algorithm with declaration-order tie-breaking
-	var ready []string
-	for _, d := range active {
-		if indeg[d.Name] == 0 {
-			ready = append(ready, d.Name)
-		}
-	}
-	var orderNames []string
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
-		next := ready[0]
-		ready = ready[1:]
-		orderNames = append(orderNames, next)
-		for _, m := range succ[next] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				ready = append(ready, m)
-			}
-		}
-	}
-	if len(orderNames) != len(active) {
-		var cyc []string
-		for _, d := range active {
-			if indeg[d.Name] > 0 {
-				cyc = append(cyc, d.Name)
-			}
-		}
-		return nil, &CycleError{Names: cyc}
-	}
-
-	if err := s.checkAmbiguity(active, orderNames); err != nil {
+	order, err := s.order(active)
+	if err != nil {
 		return nil, err
 	}
-
-	out := make([]*Delta, len(orderNames))
-	for i, n := range orderNames {
-		out[i] = s.byName[n]
+	if u := s.unordered(order, active); len(u) > 0 {
+		return nil, &AmbiguityError{A: s.Deltas[u[0].i].Name, B: s.Deltas[u[0].j].Name, Location: u[0].loc}
+	}
+	out := make([]*Delta, len(order))
+	for k, i := range order {
+		out[k] = s.Deltas[i]
 	}
 	return out, nil
 }
 
-// checkAmbiguity verifies that any two active deltas writing the same
-// location are ordered by the transitive after-relation.
-func (s *Set) checkAmbiguity(active []*Delta, orderNames []string) error {
-	// transitive reachability over after-edges among active deltas
-	activeSet := make(map[string]bool, len(active))
-	for _, d := range active {
-		activeSet[d.Name] = true
-	}
-	reach := make(map[string]map[string]bool, len(active))
-	var visit func(name string) map[string]bool
-	visit = func(name string) map[string]bool {
-		if r, ok := reach[name]; ok {
-			return r
+// order is Kahn's algorithm over the deltas marked active, following
+// after-edges between active deltas only. The ready deltas are a bitset
+// and each step takes the lowest index, so ties break by declaration
+// order at one word scan per 64 deltas. It returns delta indices in
+// application order, or a CycleError naming, in declaration order, the
+// active deltas left with unmet dependencies. (Counts of inactive deltas
+// go negative and are never read.)
+func (s *Set) order(active []bool) ([]int, error) {
+	n := len(s.Deltas)
+	indeg := make([]int, n)
+	ready := make([]uint64, (n+63)/64)
+	for i := range s.Deltas {
+		if !active[i] {
+			continue
 		}
-		r := make(map[string]bool)
-		reach[name] = r
-		for _, dep := range s.byName[name].After {
-			if !activeSet[dep] {
-				continue
-			}
-			r[dep] = true
-			for k := range visit(dep) {
-				r[k] = true
+		for _, dep := range s.after[i] {
+			if active[dep] {
+				indeg[i]++
 			}
 		}
-		return r
+		if indeg[i] == 0 {
+			ready[i/64] |= 1 << (i % 64)
+		}
 	}
-	for _, d := range active {
-		visit(d.Name)
-	}
-	ordered := func(a, b string) bool { return reach[a][b] || reach[b][a] }
-
-	for i := 0; i < len(active); i++ {
-		for j := i + 1; j < len(active); j++ {
-			a, b := active[i], active[j]
-			if ordered(a.Name, b.Name) {
-				continue
-			}
-			if loc := writeConflict(a, b); loc != "" {
-				return &AmbiguityError{A: a.Name, B: b.Name, Location: loc}
+	out := make([]int, 0, n)
+	for w := 0; w < len(ready); {
+		if ready[w] == 0 {
+			w++
+			continue
+		}
+		i := w*64 + bits.TrailingZeros64(ready[w])
+		ready[w] &^= 1 << (i % 64)
+		out = append(out, i)
+		for _, m := range s.succ[i] {
+			if indeg[m]--; active[m] && indeg[m] == 0 {
+				ready[m/64] |= 1 << (m % 64)
+				w = min(w, m/64)
 			}
 		}
 	}
-	return nil
+	var cyc []string
+	for i, d := range s.Deltas {
+		if active[i] && indeg[i] > 0 {
+			cyc = append(cyc, d.Name)
+		}
+	}
+	if cyc != nil {
+		return nil, &CycleError{Names: cyc}
+	}
+	return out, nil
 }
 
-// writeConflict returns a contested location written by both deltas, or
-// "" when their write sets are disjoint.
-func writeConflict(a, b *Delta) string {
-	wa := writeSet(a)
-	wb := writeSet(b)
-	var keys []string
-	for k := range wa {
-		if wb[k] {
-			keys = append(keys, k)
+// unordered returns the contending pairs, in (i, j) order, whose deltas
+// are both active and not ordered either way by the after-edges among
+// active deltas. order is s.order(active)'s result. Reachability is
+// computed only once a candidate pair turns up: each delta's row of the
+// closure is the union of its dependencies and their rows, which the
+// topological order has already completed. Only active deltas get rows,
+// so no path runs through an inactive one.
+func (s *Set) unordered(order []int, active []bool) []contention {
+	var reach []uint64
+	words := (len(s.Deltas) + 63) / 64
+	row := func(i int) []uint64 { return reach[i*words : (i+1)*words] }
+	reaches := func(i, j int) bool { return row(i)[j/64]&(1<<(j%64)) != 0 }
+	var out []contention
+	for _, p := range s.pairs {
+		if !active[p.i] || !active[p.j] {
+			continue
 		}
-	}
-	if len(keys) == 0 {
-		return ""
-	}
-	sort.Strings(keys)
-	return keys[0]
-}
-
-// writeSet lists the locations a delta writes: "path#prop" for property
-// writes and "path/child" for node creation/removal.
-func writeSet(d *Delta) map[string]bool {
-	out := make(map[string]bool)
-	for _, op := range d.Ops {
-		switch op.Kind {
-		case OpAdds, OpModifies:
-			var collect func(prefix string, n *dts.Node)
-			collect = func(prefix string, n *dts.Node) {
-				for _, p := range n.Properties {
-					out[prefix+"#"+p.Name] = true
-				}
-				for _, c := range n.Children {
-					cp := prefix + "/" + c.Name
-					out[cp] = true
-					collect(cp, c)
+		if reach == nil {
+			reach = make([]uint64, len(s.Deltas)*words)
+			for _, i := range order {
+				ri := row(i)
+				for _, dep := range s.after[i] {
+					ri[dep/64] |= 1 << (dep % 64)
+					for w, bitsOfDep := range row(dep) {
+						ri[w] |= bitsOfDep
+					}
 				}
 			}
-			collect(op.Target, op.Fragment)
-		case OpRemovesNode:
-			out[op.Target] = true
-		case OpRemovesProperty:
-			out[op.Target+"#"+op.PropName] = true
+		}
+		if !reaches(p.i, p.j) && !reaches(p.j, p.i) {
+			out = append(out, p)
 		}
 	}
 	return out
 }
 
-// resolveTarget finds the node a target string refers to: "/" or an
-// absolute path is looked up directly, "&label" resolves through the
-// node labels (the form FromOverlay emits for overlay fragments), and a
-// bare name matches the first node with that name in depth-first order.
-func resolveTarget(t *dts.Tree, target string) *dts.Node {
-	if target == "/" || strings.HasPrefix(target, "/") {
-		return t.Lookup(target)
-	}
-	if strings.HasPrefix(target, "&") {
-		return t.LookupLabel(target[1:])
-	}
-	var found *dts.Node
-	t.Root.Walk(func(_ string, n *dts.Node) bool {
-		if n.Name == target {
-			found = n
-			return false
+// resolveTarget finds the node a target string refers to, and its
+// parent (nil for the root): "/" or an absolute path is looked up
+// directly, "&label" resolves through the node labels (the form
+// FromOverlay emits for overlay fragments), and a bare name matches the
+// first node with that name in depth-first order. No path strings are
+// built.
+func resolveTarget(t *dts.Tree, target string) (node, parent *dts.Node) {
+	if strings.HasPrefix(target, "/") {
+		node = t.Root
+		if target == "/" {
+			return node, nil
 		}
-		return true
-	})
-	return found
+		rest := strings.Trim(target, "/")
+		for {
+			name, tail, more := strings.Cut(rest, "/")
+			if parent, node = node, node.Child(name); node == nil {
+				return nil, nil
+			}
+			if !more {
+				return node, parent
+			}
+			rest = tail
+		}
+	}
+	match := func(n *dts.Node) bool { return n.Name == target }
+	if label, isRef := strings.CutPrefix(target, "&"); isRef {
+		match = func(n *dts.Node) bool { return n.Label == label }
+	}
+	return firstMatch(t.Root, nil, match)
+}
+
+// firstMatch returns the first node of n's subtree, in depth-first
+// pre-order, that satisfies match, together with its parent (n's parent
+// is given).
+func firstMatch(n, parent *dts.Node, match func(*dts.Node) bool) (node, nodeParent *dts.Node) {
+	if match(n) {
+		return n, parent
+	}
+	for _, c := range n.Children {
+		if m, p := firstMatch(c, n, match); m != nil {
+			return m, p
+		}
+	}
+	return nil, nil
 }
 
 // ApplyError reports a failed delta operation.
@@ -390,12 +465,12 @@ func applyDelta(tree *dts.Tree, d *Delta) error {
 			return &ApplyError{Delta: d.Name, Op: op.Kind, Target: op.Target,
 				Msg: fmt.Sprintf(format, args...)}
 		}
+		target, parent := resolveTarget(tree, op.Target)
+		if target == nil {
+			return fail("target node not found")
+		}
 		switch op.Kind {
 		case OpAdds:
-			target := resolveTarget(tree, op.Target)
-			if target == nil {
-				return fail("target node not found")
-			}
 			for _, p := range op.Fragment.Properties {
 				if target.Property(p.Name) != nil {
 					return fail("property %s already exists", p.Name)
@@ -414,43 +489,18 @@ func applyDelta(tree *dts.Tree, d *Delta) error {
 			}
 
 		case OpModifies:
-			target := resolveTarget(tree, op.Target)
-			if target == nil {
-				return fail("target node not found")
-			}
 			frag := op.Fragment.Clone()
 			stampDelta(frag, d.Name)
 			frag.Name = target.Name
 			target.Merge(frag)
 
 		case OpRemovesNode:
-			target := resolveTarget(tree, op.Target)
-			if target == nil {
-				return fail("target node not found")
-			}
-			if target == tree.Root {
+			if parent == nil {
 				return fail("cannot remove the root node")
 			}
-			removed := false
-			tree.Root.Walk(func(_ string, n *dts.Node) bool {
-				for _, c := range n.Children {
-					if c == target {
-						n.RemoveChild(c.Name)
-						removed = true
-						return false
-					}
-				}
-				return true
-			})
-			if !removed {
-				return fail("target node not found")
-			}
+			parent.RemoveChild(target.Name)
 
 		case OpRemovesProperty:
-			target := resolveTarget(tree, op.Target)
-			if target == nil {
-				return fail("target node not found")
-			}
 			if !target.RemoveProperty(op.PropName) {
 				return fail("property %s not found", op.PropName)
 			}

@@ -384,3 +384,43 @@ delta x { modifies / { c = <1>; } }
 		t.Errorf("order = %v, want declaration order", ordered)
 	}
 }
+
+func TestRemovesNodeTargetForms(t *testing.T) {
+	core := mustTree(t, `/dts-v1/;
+/ {
+	soc {
+		bus { dev@1 { }; };
+		lbl: dev@2 { };
+	};
+	dev@1 { };
+	keep { };
+};`)
+	remove := func(target string) (*dts.Tree, error) {
+		s, err := NewSet([]*Delta{{Name: "rm", Ops: []Operation{{Kind: OpRemovesNode, Target: target}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		product, _, err := s.Apply(core, featmodel.ConfigOf())
+		return product, err
+	}
+	for _, tc := range []struct{ target, gone, kept string }{
+		{"dev@1", "/soc/bus/dev@1", "/dev@1"}, // first depth-first match
+		{"/dev@1", "/dev@1", "/soc/bus/dev@1"},
+		{"/soc/bus", "/soc/bus", "/soc/dev@2"},
+		{"&lbl", "/soc/dev@2", "/soc/bus"},
+	} {
+		product, err := remove(tc.target)
+		if err != nil {
+			t.Fatalf("removes node %s: %v", tc.target, err)
+		}
+		if product.Lookup(tc.gone) != nil || product.Lookup(tc.kept) == nil {
+			t.Errorf("removes node %s: want %s gone and %s kept", tc.target, tc.gone, tc.kept)
+		}
+	}
+	if _, err := remove("/"); err == nil || !strings.Contains(err.Error(), "cannot remove the root node") {
+		t.Errorf("removes node /: err = %v, want the root refusal", err)
+	}
+	if _, err := remove("/soc/nope"); err == nil || !strings.Contains(err.Error(), "target node not found") {
+		t.Errorf("removes node /soc/nope: err = %v, want target not found", err)
+	}
+}

@@ -1,8 +1,9 @@
 package delta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"llhsc/internal/dts"
@@ -112,7 +113,11 @@ type LiftedTree struct {
 // intermediary counts as ordered here; the declaration-order tie-break
 // keeps application deterministic in those configurations.
 func (s *Set) Lift(core *dts.Tree) (*LiftedTree, error) {
-	ordered, err := s.orderAll()
+	all := make([]bool, len(s.Deltas))
+	for i := range all {
+		all[i] = true
+	}
+	order, err := s.order(all)
 	if err != nil {
 		return nil, err
 	}
@@ -120,100 +125,40 @@ func (s *Set) Lift(core *dts.Tree) (*LiftedTree, error) {
 		Root:        liftConcreteNode(core.Root),
 		MemReserves: append([]dts.MemReserve(nil), core.MemReserves...),
 	}
-	for _, d := range ordered {
-		lt.Order = append(lt.Order, d.Name)
-		lt.applyLifted(d)
+	for _, i := range order {
+		lt.Order = append(lt.Order, s.Deltas[i].Name)
+		lt.applyLifted(s.Deltas[i])
 	}
-	lt.recordAmbiguities(s, ordered)
+	lt.recordAmbiguities(s, order, s.unordered(order, all))
 	return lt, nil
 }
 
-// orderAll topologically sorts all deltas over the full after-relation
-// with declaration-order tie-breaking.
-func (s *Set) orderAll() ([]*Delta, error) {
-	pos := make(map[string]int, len(s.Deltas))
-	for i, d := range s.Deltas {
-		pos[d.Name] = i
+// recordAmbiguities turns every unordered contending pair into a
+// Conflict guarded by both activation conditions. Conflicts follow the
+// application order: by the earlier delta's position, then the later's,
+// and the earlier delta is the one blamed.
+func (lt *LiftedTree) recordAmbiguities(s *Set, order []int, unordered []contention) {
+	pos := make([]int, len(s.Deltas))
+	for k, i := range order {
+		pos[i] = k
 	}
-	succ := make(map[string][]string)
-	indeg := make(map[string]int)
-	for _, d := range s.Deltas {
-		indeg[d.Name] += 0
-		for _, dep := range d.After {
-			succ[dep] = append(succ[dep], d.Name)
-			indeg[d.Name]++
+	for x, p := range unordered {
+		if pos[p.i] > pos[p.j] {
+			unordered[x].i, unordered[x].j = p.j, p.i
 		}
 	}
-	var ready []string
-	for _, d := range s.Deltas {
-		if indeg[d.Name] == 0 {
-			ready = append(ready, d.Name)
-		}
-	}
-	var out []*Delta
-	for len(ready) > 0 {
-		sort.Slice(ready, func(i, j int) bool { return pos[ready[i]] < pos[ready[j]] })
-		next := ready[0]
-		ready = ready[1:]
-		out = append(out, s.byName[next])
-		for _, m := range succ[next] {
-			indeg[m]--
-			if indeg[m] == 0 {
-				ready = append(ready, m)
-			}
-		}
-	}
-	if len(out) != len(s.Deltas) {
-		var cyc []string
-		for _, d := range s.Deltas {
-			if indeg[d.Name] > 0 {
-				cyc = append(cyc, d.Name)
-			}
-		}
-		return nil, &CycleError{Names: cyc}
-	}
-	return out, nil
-}
-
-// recordAmbiguities lifts checkAmbiguity: every unordered pair with a
-// write conflict becomes a Conflict guarded by both activation
-// conditions.
-func (lt *LiftedTree) recordAmbiguities(s *Set, ordered []*Delta) {
-	reach := make(map[string]map[string]bool, len(s.Deltas))
-	var visit func(name string) map[string]bool
-	visit = func(name string) map[string]bool {
-		if r, ok := reach[name]; ok {
-			return r
-		}
-		r := make(map[string]bool)
-		reach[name] = r
-		for _, dep := range s.byName[name].After {
-			r[dep] = true
-			for k := range visit(dep) {
-				r[k] = true
-			}
-		}
-		return r
-	}
-	for _, d := range s.Deltas {
-		visit(d.Name)
-	}
-	for i := 0; i < len(ordered); i++ {
-		for j := i + 1; j < len(ordered); j++ {
-			a, b := ordered[i], ordered[j]
-			if reach[a.Name][b.Name] || reach[b.Name][a.Name] {
-				continue
-			}
-			if loc := writeConflict(a, b); loc != "" {
-				lt.Conflicts = append(lt.Conflicts, LiftedConflict{
-					Cond:     featmodel.AndOpt(a.When, b.When),
-					Delta:    a.Name,
-					Location: loc,
-					Msg: fmt.Sprintf("%s and %s both write %s with no order between them",
-						a.Name, b.Name, loc),
-				})
-			}
-		}
+	slices.SortFunc(unordered, func(a, b contention) int {
+		return cmp.Or(cmp.Compare(pos[a.i], pos[b.i]), cmp.Compare(pos[a.j], pos[b.j]))
+	})
+	for _, p := range unordered {
+		a, b := s.Deltas[p.i], s.Deltas[p.j]
+		lt.Conflicts = append(lt.Conflicts, LiftedConflict{
+			Cond:     featmodel.AndOpt(a.When, b.When),
+			Delta:    a.Name,
+			Location: p.loc,
+			Msg: fmt.Sprintf("%s and %s both write %s with no order between them",
+				a.Name, b.Name, p.loc),
+		})
 	}
 }
 
