@@ -21,9 +21,11 @@ import (
 	"container/list"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"sync"
 	"time"
+	"unsafe"
 
 	"llhsc/internal/checkcache/persist"
 	"llhsc/internal/constraints"
@@ -32,17 +34,15 @@ import (
 
 // Key derives a cache key from the parts that determine a check
 // verdict. Parts are length-delimited before hashing, so no two
-// distinct part lists collide by concatenation.
+// distinct part lists collide by concatenation. Parts (a printed tree,
+// say) are hashed in place, not copied into a []byte first.
 func Key(parts ...string) string {
 	h := sha256.New()
 	var lenBuf [8]byte
 	for _, p := range parts {
-		n := len(p)
-		for i := 0; i < 8; i++ {
-			lenBuf[i] = byte(n >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(p)))
 		h.Write(lenBuf[:])
-		h.Write([]byte(p))
+		h.Write(unsafe.Slice(unsafe.StringData(p), len(p))) // Write neither keeps nor edits p
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

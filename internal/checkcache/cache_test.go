@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +18,37 @@ func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	}
 	if Key("a", "b") != Key("a", "b") {
 		t.Fatal("Key is not deterministic")
+	}
+}
+
+// TestKeyGolden pins the digest: persisted cache entries are addressed
+// by these keys, so any change to how parts are framed or hashed would
+// orphan them.
+func TestKeyGolden(t *testing.T) {
+	for _, tc := range []struct {
+		parts []string
+		want  string
+	}{
+		{nil, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+		{[]string{"/dts-v1/;\n\n/ {\n};\n", "4:node1:/0:0:@0\n", "",
+			"conflicts=0;learntlits=0;skipirq=false;lintonly=false;mode=enumerate"},
+			"59adcc4c33cb2d1bae6f025a65c078059ca6f393af69ed7af474761632f45569"},
+		{[]string{strings.Repeat("uart@1000 ", 1000), "ab", "c"},
+			"dbb7e3a183c95c9b971a71a2b4b61cb88595cc6b70328207bf4ec0cf730afff8"},
+	} {
+		if got := Key(tc.parts...); got != tc.want {
+			t.Errorf("Key(%d parts) = %s, want %s", len(tc.parts), got, tc.want)
+		}
+	}
+}
+
+// TestKeyDoesNotCopyParts requires a 64 KiB part to cost no more
+// allocations than an empty one.
+func TestKeyDoesNotCopyParts(t *testing.T) {
+	big := strings.Repeat("x", 64<<10)
+	empty := testing.AllocsPerRun(20, func() { Key("", "knobs") })
+	if got := testing.AllocsPerRun(20, func() { Key(big, "knobs") }); got > empty {
+		t.Errorf("Key with a 64 KiB part allocates %.0f times, with an empty part %.0f", got, empty)
 	}
 }
 

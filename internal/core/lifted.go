@@ -77,9 +77,11 @@ func (m *Mode) Set(v string) error {
 // runLifted lifts the delta set over the core module and runs the
 // family-based checker once for the whole product line, filling
 // Report.Lifted. With a Cache installed, the result is memoized under
-// the merged tree's dump plus the same budget knobs the per-product
-// keys fold in (the mode is part of the knob string, so lifted and
-// enumerative verdicts can never be served for one another).
+// the merged tree's dump, the feature model's text (which products
+// are valid decides every finding and witness), and the same budget
+// knobs the per-product keys fold in (the mode is part of the knob
+// string, so lifted and enumerative verdicts can never be served for
+// one another).
 func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, root *obs.Span) error {
 	span := root.StartChild("lifted")
 	defer span.End()
@@ -113,7 +115,7 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 	if p.Cache == nil {
 		encoded, err = compute()
 	} else {
-		key := checkcache.Key(lt.Dump(), st.schemaFP, p.knobString(st))
+		key := checkcache.Key(lt.Dump(), p.Model.Format(), st.schemaFP, st.knobs)
 		var hit bool
 		encoded, hit, err = p.Cache.Do(ctx, key, compute)
 		if hit {

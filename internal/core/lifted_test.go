@@ -14,8 +14,10 @@ import (
 	"testing"
 
 	"llhsc/internal/checkcache"
+	"llhsc/internal/constraints"
 	"llhsc/internal/core"
 	"llhsc/internal/delta"
+	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 )
@@ -238,6 +240,51 @@ func TestLiftedModeCacheRoundTrip(t *testing.T) {
 	}
 	if len(enumReport.Lifted) != 0 {
 		t.Error("enumerative run decoded lifted findings from the cache")
+	}
+}
+
+// TestLiftedCacheKeyFoldsInModel runs the collision line under two
+// feature models that share the core, the deltas and every knob: the
+// running example's model, and the same model with the constraint
+// !uart0, which makes the uart0 findings unreachable. Each model's
+// findings through a cache warmed by the other model must equal its
+// uncached findings, in both orders, or a shared cache would hand out
+// witnesses that are not valid configurations (or a false PASS).
+func TestLiftedCacheKeyFoldsInModel(t *testing.T) {
+	base, err := runningexample.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noUART0, err := featmodel.ParseModel("no-uart0.fm", base.Format()+"constraint !uart0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(model *featmodel.Model, cache *checkcache.Cache) []constraints.LiftedFinding {
+		t.Helper()
+		p := collisionPipeline(t)
+		p.Model = model
+		p.Cache = cache
+		report, err := p.RunContext(context.Background(), core.Limits{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return report.Lifted
+	}
+	uncachedBase, uncachedNoUART0 := run(base, nil), run(noUART0, nil)
+	if reflect.DeepEqual(uncachedBase, uncachedNoUART0) {
+		t.Fatal("the two models give the same lifted findings; the test cannot tell their keys apart")
+	}
+	for _, order := range [][2]*featmodel.Model{{base, noUART0}, {noUART0, base}} {
+		cache := checkcache.New(16)
+		run(order[0], cache)
+		want := uncachedNoUART0
+		if order[1] == base {
+			want = uncachedBase
+		}
+		if got := run(order[1], cache); !reflect.DeepEqual(got, want) {
+			t.Errorf("after a run under the other model, the cache served %d findings, want the uncached %d:\n got: %v\nwant: %v",
+				len(got), len(want), got, want)
+		}
 	}
 }
 

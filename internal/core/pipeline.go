@@ -142,7 +142,8 @@ type Pipeline struct {
 	Cache *checkcache.Cache
 }
 
-// VMResult is the outcome for one VM.
+// VMResult is the outcome for one VM. Tree shares every node its deltas
+// do not edit with Pipeline.Core, so it is read-only: Clone it to edit.
 type VMResult struct {
 	Name       string
 	Config     featmodel.Configuration
@@ -152,7 +153,8 @@ type VMResult struct {
 	Violations []constraints.Violation
 }
 
-// PlatformResult is the outcome for the platform (union) product.
+// PlatformResult is the outcome for the platform (union) product. Tree
+// is read-only, as VMResult.Tree is.
 type PlatformResult struct {
 	Config     featmodel.Configuration
 	Trace      []string
@@ -252,6 +254,7 @@ type runState struct {
 	limits   Limits
 	parallel bool   // fan the checker families out per tree
 	schemaFP string // schema-set fingerprint, "" when Cache is nil
+	knobs    string // verdict-changing knobs, "" when Cache is nil
 
 	mu    sync.Mutex
 	stats RunStats
@@ -278,6 +281,11 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	st := &runState{limits: limits, parallel: workers > 1}
 	if p.Cache != nil {
 		st.schemaFP = p.Schemas.Fingerprint()
+		// Every deterministic knob that can change a verdict, for the
+		// per-product and lifted cache keys alike.
+		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;skipirq=%v;lintonly=%v;mode=%s",
+			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.SkipInterrupts,
+			p.LintOnly, p.Mode)
 	}
 	root := obs.SpanFromContext(ctx) // read once; nil disables tracing
 	if p.Metrics != nil {
@@ -567,7 +575,7 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 		printed,
 		tree.OriginDump(),
 		st.schemaFP,
-		p.knobString(st),
+		st.knobs,
 	)
 	violations, hit, err := p.Cache.Do(ctx, key, func() ([]constraints.Violation, error) {
 		return p.checkTree(ctx, st, tree, check)
@@ -579,15 +587,6 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 	}
 	st.addCache(hit)
 	return reportDTS, violations, err
-}
-
-// knobString serializes every deterministic knob that can change a
-// check verdict, for the cache key. Shared by the per-product keys and
-// the lifted-run key, so a knob added here invalidates both.
-func (p *Pipeline) knobString(st *runState) string {
-	return fmt.Sprintf("conflicts=%d;learntlits=%d;skipirq=%v;lintonly=%v;mode=%s",
-		st.limits.Solver.MaxConflicts, st.limits.Solver.MaxLearntLits, p.SkipInterrupts,
-		p.LintOnly, p.Mode)
 }
 
 // checkerFamily is one independent checker family for one tree: a name

@@ -357,50 +357,49 @@ func (s *Set) unordered(order []int, active []bool) []contention {
 	return out
 }
 
-// resolveTarget finds the node a target string refers to, and its
-// parent (nil for the root): "/" or an absolute path is looked up
-// directly, "&label" resolves through the node labels (the form
-// FromOverlay emits for overlay fragments), and a bare name matches the
-// first node with that name in depth-first order. No path strings are
-// built.
-func resolveTarget(t *dts.Tree, target string) (node, parent *dts.Node) {
-	if strings.HasPrefix(target, "/") {
-		node = t.Root
-		if target == "/" {
-			return node, nil
-		}
-		rest := strings.Trim(target, "/")
-		for {
-			name, tail, more := strings.Cut(rest, "/")
-			if parent, node = node, node.Child(name); node == nil {
-				return nil, nil
-			}
-			if !more {
-				return node, parent
-			}
-			rest = tail
-		}
+// resolve returns, in path's backing array, the nodes from root down to
+// the one target names, or false: "/" or an absolute path is looked up
+// directly, "&label" through the node labels (the form FromOverlay
+// emits for overlay fragments), and a bare name matches the first node
+// with that name in depth-first pre-order.
+func resolve(root *dts.Node, target string, path []*dts.Node) ([]*dts.Node, bool) {
+	path = append(path[:0], root)
+	if !strings.HasPrefix(target, "/") {
+		name, byLabel := strings.CutPrefix(target, "&")
+		return firstMatch(path, name, byLabel)
 	}
-	match := func(n *dts.Node) bool { return n.Name == target }
-	if label, isRef := strings.CutPrefix(target, "&"); isRef {
-		match = func(n *dts.Node) bool { return n.Label == label }
+	if target == "/" {
+		return path, true
 	}
-	return firstMatch(t.Root, nil, match)
+	rest := strings.Trim(target, "/")
+	for {
+		name, tail, more := strings.Cut(rest, "/")
+		n := path[len(path)-1].Child(name)
+		if n == nil {
+			return path, false
+		}
+		path = append(path, n)
+		if !more {
+			return path, true
+		}
+		rest = tail
+	}
 }
 
-// firstMatch returns the first node of n's subtree, in depth-first
-// pre-order, that satisfies match, together with its parent (n's parent
-// is given).
-func firstMatch(n, parent *dts.Node, match func(*dts.Node) bool) (node, nodeParent *dts.Node) {
-	if match(n) {
-		return n, parent
+// firstMatch extends path, whose last node is the subtree to search, to
+// the first node of that subtree, in depth-first pre-order, whose name
+// (or label, when byLabel) is name.
+func firstMatch(path []*dts.Node, name string, byLabel bool) ([]*dts.Node, bool) {
+	n := path[len(path)-1]
+	if byLabel && n.Label == name || !byLabel && n.Name == name {
+		return path, true
 	}
 	for _, c := range n.Children {
-		if m, p := firstMatch(c, n, match); m != nil {
-			return m, p
+		if found, ok := firstMatch(append(path, c), name, byLabel); ok {
+			return found, true
 		}
 	}
-	return nil, nil
+	return path, false
 }
 
 // ApplyError reports a failed delta operation.
@@ -415,8 +414,8 @@ func (e *ApplyError) Error() string {
 	return fmt.Sprintf("delta %s: %v %s: %s", e.Delta, e.Op, e.Target, e.Msg)
 }
 
-// Apply applies the active deltas for cfg, in a valid order, to a clone
-// of the core tree and returns the product DTS together with the
+// Apply applies the active deltas for cfg, in a valid order, to core
+// (see ApplyContext) and returns the product DTS together with the
 // applied delta names (the trace used in reports).
 func (s *Set) Apply(core *dts.Tree, cfg featmodel.Configuration) (*dts.Tree, []string, error) {
 	return s.ApplyContext(context.Background(), core, cfg, 0)
@@ -435,12 +434,18 @@ func (e *StepLimitError) Error() string {
 // bounds the total number of delta operations applied (0 = unlimited),
 // and the context is polled between deltas. On a stop it returns the
 // trace so far with ctx.Err() or a *StepLimitError.
+//
+// The product is derived by path copying (dts.Tree.Derive): it shares
+// every node no operation writes with core, which is never written, so
+// products of one core may be derived concurrently. The product is
+// read-only too: Clone it to edit (as dtb.Encode does).
 func (s *Set) ApplyContext(ctx context.Context, core *dts.Tree, cfg featmodel.Configuration, maxOps int) (*dts.Tree, []string, error) {
 	ordered, err := s.Order(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	tree := core.Clone()
+	tree := core.Derive()
+	var path []*dts.Node // resolve's buffer, reused across operations
 	var trace []string
 	ops := 0
 	for _, d := range ordered {
@@ -451,7 +456,7 @@ func (s *Set) ApplyContext(ctx context.Context, core *dts.Tree, cfg featmodel.Co
 		if maxOps > 0 && ops > maxOps {
 			return nil, trace, &StepLimitError{Limit: maxOps}
 		}
-		if err := applyDelta(tree, d); err != nil {
+		if path, err = applyDelta(tree, d, path); err != nil {
 			return nil, trace, err
 		}
 		trace = append(trace, d.Name)
@@ -459,21 +464,24 @@ func (s *Set) ApplyContext(ctx context.Context, core *dts.Tree, cfg featmodel.Co
 	return tree, trace, nil
 }
 
-func applyDelta(tree *dts.Tree, d *Delta) error {
+// applyDelta applies d's operations to tree, a tree from Derive, owning
+// each path before it writes; it returns the path buffer for reuse.
+func applyDelta(tree *dts.Tree, d *Delta, path []*dts.Node) ([]*dts.Node, error) {
 	for _, op := range d.Ops {
 		fail := func(format string, args ...interface{}) error {
 			return &ApplyError{Delta: d.Name, Op: op.Kind, Target: op.Target,
 				Msg: fmt.Sprintf(format, args...)}
 		}
-		target, parent := resolveTarget(tree, op.Target)
-		if target == nil {
-			return fail("target node not found")
+		var ok bool
+		if path, ok = resolve(tree.Root, op.Target, path); !ok {
+			return path, fail("target node not found")
 		}
 		switch op.Kind {
 		case OpAdds:
+			target := tree.Own(path)
 			for _, p := range op.Fragment.Properties {
 				if target.Property(p.Name) != nil {
-					return fail("property %s already exists", p.Name)
+					return path, fail("property %s already exists", p.Name)
 				}
 				np := p.Clone()
 				np.Origin.Delta = d.Name
@@ -481,7 +489,7 @@ func applyDelta(tree *dts.Tree, d *Delta) error {
 			}
 			for _, c := range op.Fragment.Children {
 				if target.Child(c.Name) != nil {
-					return fail("node %s already exists", c.Name)
+					return path, fail("node %s already exists", c.Name)
 				}
 				nc := c.Clone()
 				stampDelta(nc, d.Name)
@@ -491,22 +499,21 @@ func applyDelta(tree *dts.Tree, d *Delta) error {
 		case OpModifies:
 			frag := op.Fragment.Clone()
 			stampDelta(frag, d.Name)
-			frag.Name = target.Name
-			target.Merge(frag)
+			tree.MergeAt(path, frag)
 
 		case OpRemovesNode:
-			if parent == nil {
-				return fail("cannot remove the root node")
+			if len(path) == 1 {
+				return path, fail("cannot remove the root node")
 			}
-			parent.RemoveChild(target.Name)
+			tree.Own(path[:len(path)-1]).RemoveChild(path[len(path)-1].Name)
 
 		case OpRemovesProperty:
-			if !target.RemoveProperty(op.PropName) {
-				return fail("property %s not found", op.PropName)
+			if !tree.Own(path).RemoveProperty(op.PropName) {
+				return path, fail("property %s not found", op.PropName)
 			}
 		}
 	}
-	return nil
+	return path, nil
 }
 
 func stampDelta(n *dts.Node, name string) {

@@ -252,13 +252,13 @@ func (ln *LiftedNode) Walk(fn func(path string, n *LiftedNode) bool) {
 
 // resolveLifted finds a target in the merged tree: "/" or an absolute
 // path directly, "&label" through the lifted node labels, a bare name
-// as the first depth-first match — the same rules resolveTarget uses on
-// concrete trees. Bare names and labels resolve against the union
-// tree, so a name that different configurations would resolve to
-// different nodes resolves here to the union's first match; conditional
-// presence of the match is handled by the caller through the
-// missing-target conflict. (A label whose own presence is conditional
-// is approximated by its node's condition.)
+// as the first depth-first match — the same rules, in the same match
+// order, that resolve uses on concrete trees. Bare names and labels
+// resolve against the union tree, so a name that different
+// configurations would resolve to different nodes resolves here to the
+// union's first match; conditional presence of the match is handled by
+// the caller through the missing-target conflict. (A label whose own
+// presence is conditional is approximated by its node's condition.)
 func (lt *LiftedTree) resolveLifted(target string) (*LiftedNode, string) {
 	if target == "/" || strings.HasPrefix(target, "/") {
 		if target == "/" || target == "" {

@@ -1,9 +1,6 @@
 package dts
 
-import (
-	"fmt"
-	"strings"
-)
+import "strconv"
 
 // OriginDump renders the tree's blame metadata — the Origin of every
 // node and property that carries one — in deterministic pre-order.
@@ -17,32 +14,72 @@ import (
 // Every variable-length field is length-prefixed, so distinct origin
 // sets never produce the same dump.
 func (t *Tree) OriginDump() string {
-	var b strings.Builder
-	record := func(kind, path string, o Origin) {
-		if o == (Origin{}) {
-			return
-		}
-		for _, f := range []string{kind, path, o.File, o.Delta} {
-			fmt.Fprintf(&b, "%d:%s", len(f), f)
-		}
-		fmt.Fprintf(&b, "@%d\n", o.Line)
-	}
-	walk := func(root *Node) {
-		root.Walk(func(path string, n *Node) bool {
-			record("node", path, n.Origin)
-			for _, p := range n.Properties {
-				record("prop", path+"#"+p.Name, p.Origin)
-			}
-			return true
-		})
-	}
-	walk(t.Root)
+	var d originDumper
+	d.walk(t.Root)
 	// Overlay fragments live outside the root; their provenance must be
 	// keyed too, or two overlays differing only in fragment blame could
 	// share a cache entry.
 	for i, f := range t.Fragments {
-		fmt.Fprintf(&b, "frag%d:%d:%s\n", i, len(f.Ref), f.Ref)
-		walk(f.Node)
+		d.buf = strconv.AppendInt(append(d.buf, "frag"...), int64(i), 10)
+		d.buf = append(appendField(append(d.buf, ':'), f.Ref), '\n')
+		d.walk(f.Node)
 	}
-	return b.String()
+	return string(d.buf)
+}
+
+// originDumper builds OriginDump in one walk; path is the current
+// node's path, grown and cut back as the walk descends and returns.
+type originDumper struct {
+	buf, path []byte
+}
+
+// walk dumps the subtree of a root or fragment node, whose path is "/"
+// when it is named "/" and "/<name>" otherwise.
+func (d *originDumper) walk(n *Node) {
+	d.path = append(d.path[:0], '/')
+	if n.Name != "/" {
+		d.path = append(d.path, n.Name...)
+	}
+	d.node(n)
+}
+
+// node dumps n's subtree. A child's path is n's plus "/<name>", where a
+// path of "/" contributes no prefix.
+func (d *originDumper) node(n *Node) {
+	d.record("node", "", n.Origin)
+	for _, p := range n.Properties {
+		d.record("prop", p.Name, p.Origin)
+	}
+	keep, prefix := len(d.path), len(d.path)
+	if string(d.path) == "/" {
+		prefix = 0
+	}
+	for _, c := range n.Children {
+		d.path = append(append(d.path[:prefix], '/'), c.Name...)
+		d.node(c)
+	}
+	d.path = d.path[:keep]
+}
+
+// record appends "<len>:<kind><len>:<path><len>:<file><len>:<delta>@<line>\n"
+// for a set origin; a property's path is its node's plus "#<name>".
+func (d *originDumper) record(kind, prop string, o Origin) {
+	if o == (Origin{}) {
+		return
+	}
+	b, n := appendField(d.buf, kind), len(d.path)
+	if kind == "prop" {
+		n += 1 + len(prop)
+	}
+	b = append(append(strconv.AppendInt(b, int64(n), 10), ':'), d.path...)
+	if kind == "prop" {
+		b = append(append(b, '#'), prop...)
+	}
+	b = append(appendField(appendField(b, o.File), o.Delta), '@')
+	d.buf = append(strconv.AppendInt(b, int64(o.Line), 10), '\n')
+}
+
+// appendField appends "<len>:<s>".
+func appendField(b []byte, s string) []byte {
+	return append(append(strconv.AppendInt(b, int64(len(s)), 10), ':'), s...)
 }

@@ -12,6 +12,7 @@ package dts
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -96,6 +97,36 @@ func (t *Tree) Clone() *Tree {
 	return c
 }
 
+// Derive returns a tree that reads as t and can be edited without
+// writing t: it shares t's nodes and Fragments and copies MemReserves.
+// Make a node's path writable with Own before editing the node.
+func (t *Tree) Derive() *Tree {
+	return &Tree{Root: t.Root, Plugin: t.Plugin, Fragments: t.Fragments,
+		MemReserves: append([]MemReserve(nil), t.MemReserves...)}
+}
+
+// Own makes the nodes on path writable in t, a tree from Derive, and
+// returns the last one; path runs down through children from t.Root or
+// from a node t owns. Each node t does not own yet is replaced, in path
+// and in its parent, by a ShallowClone t owns (ownership is one compare).
+func (t *Tree) Own(path []*Node) *Node {
+	for i, n := range path {
+		if n.owner == t {
+			continue
+		}
+		c := n.ShallowClone()
+		c.owner = t
+		if i == 0 {
+			t.Root = c
+		} else {
+			siblings := path[i-1].Children
+			siblings[slices.Index(siblings, n)] = c
+		}
+		path[i] = c
+	}
+	return path[len(path)-1]
+}
+
 // Lookup resolves an absolute path like "/memory@40000000" or "/" and
 // returns the node, or nil if absent.
 func (t *Tree) Lookup(path string) *Node {
@@ -142,6 +173,8 @@ type Node struct {
 	// matching dtc semantics.
 	delProps []string
 	delNodes []string
+
+	owner *Tree // the tree Own copied this node for, else nil
 }
 
 // BaseName returns the node name without its unit address.
@@ -180,6 +213,19 @@ func (n *Node) Clone() *Node {
 		c.Children[i] = ch.Clone()
 	}
 	return c
+}
+
+// ShallowClone returns a copy of n with its own Properties and Children
+// slices but the same *Property and *Node elements, so the copy may add,
+// replace or remove entries but not edit a shared one in place.
+func (n *Node) ShallowClone() *Node {
+	return &Node{
+		Name: n.Name, Label: n.Label, Origin: n.Origin,
+		Properties: slices.Clone(n.Properties),
+		Children:   slices.Clone(n.Children),
+		delProps:   slices.Clip(n.delProps),
+		delNodes:   slices.Clip(n.delNodes),
+	}
 }
 
 // Child returns the direct child with the given (full) name, or nil.
@@ -306,7 +352,16 @@ func (n *Node) Walk(fn func(path string, node *Node) bool) {
 // same name are overwritten, children with the same name are merged
 // recursively, and new properties/children are appended. The label is
 // taken from other when it has one.
-func (n *Node) Merge(other *Node) {
+func (n *Node) Merge(other *Node) { n.merge(other, nil) }
+
+// MergeAt merges other into the last node of path as Merge does, in a
+// tree from Derive: it owns path first (Own), and each existing child
+// other merges into, so only the nodes other reaches are copied.
+func (t *Tree) MergeAt(path []*Node, other *Node) {
+	t.Own(path).merge(other, t)
+}
+
+func (n *Node) merge(other *Node, owner *Tree) {
 	if other.Label != "" {
 		n.Label = other.Label
 	}
@@ -321,7 +376,10 @@ func (n *Node) Merge(other *Node) {
 	}
 	for _, c := range other.Children {
 		if mine := n.Child(c.Name); mine != nil {
-			mine.Merge(c)
+			if owner != nil {
+				mine = owner.Own([]*Node{n, mine})
+			}
+			mine.merge(c, owner)
 		} else {
 			n.Children = append(n.Children, c.Clone())
 		}
