@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"time"
 
@@ -378,7 +379,7 @@ func (p *Pipeline) vmName(i int) string {
 	if len(p.VMNames) > 0 {
 		return p.VMNames[i]
 	}
-	return fmt.Sprintf("vm%d", i+1)
+	return "vm" + strconv.Itoa(i+1)
 }
 
 // runProductsParallel derives and checks every VM product plus the

@@ -1,7 +1,7 @@
 package dts
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -17,7 +17,11 @@ func (t *Tree) Print() string {
 	}
 	b.WriteString("\n")
 	for _, mr := range t.MemReserves {
-		fmt.Fprintf(&b, "/memreserve/ 0x%x 0x%x;\n", mr.Address, mr.Size)
+		b.WriteString("/memreserve/ ")
+		writeHex(&b, mr.Address)
+		b.WriteByte(' ')
+		writeHex(&b, mr.Size)
+		b.WriteString(";\n")
 	}
 	if len(t.MemReserves) > 0 {
 		b.WriteString("\n")
@@ -42,8 +46,7 @@ func PrintNode(n *Node) string {
 }
 
 func printNode(b *strings.Builder, n *Node, depth int) {
-	indent := strings.Repeat("\t", depth)
-	b.WriteString(indent)
+	writeTabs(b, depth)
 	if n.Label != "" {
 		b.WriteString(n.Label)
 		b.WriteString(": ")
@@ -51,7 +54,7 @@ func printNode(b *strings.Builder, n *Node, depth int) {
 	b.WriteString(n.Name)
 	b.WriteString(" {\n")
 	printNodeInner(b, n, depth)
-	b.WriteString(indent)
+	writeTabs(b, depth)
 	b.WriteString("};\n")
 }
 
@@ -59,10 +62,8 @@ func printNode(b *strings.Builder, n *Node, depth int) {
 // surrounding header/footer, shared by printNode and the overlay
 // fragment printer (whose header is a reference, not a name).
 func printNodeInner(b *strings.Builder, n *Node, depth int) {
-	indent := strings.Repeat("\t", depth)
-	inner := indent + "\t"
 	for _, p := range n.Properties {
-		b.WriteString(inner)
+		writeTabs(b, depth+1)
 		b.WriteString(p.Name)
 		if !p.Value.IsEmpty() {
 			b.WriteString(" = ")
@@ -99,7 +100,9 @@ func printValue(b *strings.Builder, v Value) {
 		switch c.Kind {
 		case ChunkCells:
 			if c.Bits != 0 {
-				fmt.Fprintf(b, "/bits/ %d ", c.Bits)
+				b.WriteString("/bits/ ")
+				b.WriteString(strconv.Itoa(c.Bits))
+				b.WriteByte(' ')
 			}
 			b.WriteString("<")
 			for j, cell := range c.CellList {
@@ -110,21 +113,22 @@ func printValue(b *strings.Builder, v Value) {
 				case cell.Ref != "":
 					printRef(b, cell.Ref)
 				case c.Bits == 64:
-					fmt.Fprintf(b, "0x%x", cell.Val64)
+					writeHex(b, cell.Val64)
 				default:
-					fmt.Fprintf(b, "0x%x", cell.Val)
+					writeHex(b, uint64(cell.Val))
 				}
 			}
 			b.WriteString(">")
 		case ChunkString:
-			b.WriteString(quoteDTS(c.Str))
+			writeQuotedDTS(b, c.Str)
 		case ChunkBytes:
 			b.WriteString("[")
 			for j, by := range c.Bytes {
 				if j > 0 {
 					b.WriteString(" ")
 				}
-				fmt.Fprintf(b, "%02x", by)
+				b.WriteByte(hexDigits[by>>4])
+				b.WriteByte(hexDigits[by&0xf])
 			}
 			b.WriteString("]")
 		case ChunkRef:
@@ -146,13 +150,12 @@ func printRef(b *strings.Builder, ref string) {
 	b.WriteString(ref)
 }
 
-// quoteDTS renders a string as a DTS string literal that the lexer
+// writeQuotedDTS writes s to b as a DTS string literal that the lexer
 // reads back byte-for-byte. Go's %q is not safe here: it emits \u
 // escapes and bare \0, which DTS does not understand. Hex escapes are
 // always two digits, so a following literal hex character cannot be
 // absorbed into the escape (the lexer reads at most two digits).
-func quoteDTS(s string) string {
-	var b strings.Builder
+func writeQuotedDTS(b *strings.Builder, s string) {
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
@@ -170,10 +173,26 @@ func quoteDTS(s string) string {
 			if c >= 0x20 && c <= 0x7e {
 				b.WriteByte(c)
 			} else {
-				fmt.Fprintf(&b, `\x%02x`, c)
+				b.WriteString(`\x`)
+				b.WriteByte(hexDigits[c>>4])
+				b.WriteByte(hexDigits[c&0xf])
 			}
 		}
 	}
 	b.WriteByte('"')
-	return b.String()
+}
+
+const hexDigits = "0123456789abcdef"
+
+// writeHex writes v as 0x followed by its lowercase hex digits.
+func writeHex(b *strings.Builder, v uint64) {
+	var buf [18]byte
+	b.Write(strconv.AppendUint(append(buf[:0], '0', 'x'), v, 16))
+}
+
+// writeTabs writes depth tabs of indentation.
+func writeTabs(b *strings.Builder, depth int) {
+	for ; depth > 0; depth-- {
+		b.WriteByte('\t')
+	}
 }

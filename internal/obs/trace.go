@@ -152,8 +152,11 @@ func (s *Span) snapshotRel(base time.Time) SpanSnapshot {
 	snap.Attrs = append([]Attr(nil), s.attrs...)
 	kids := append([]*Span(nil), s.children...)
 	s.mu.Unlock()
-	for _, c := range kids {
-		snap.Children = append(snap.Children, c.snapshotRel(base))
+	if len(kids) > 0 {
+		snap.Children = make([]SpanSnapshot, len(kids))
+		for i, c := range kids {
+			snap.Children[i] = c.snapshotRel(base)
+		}
 	}
 	return snap
 }

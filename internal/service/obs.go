@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -42,10 +43,15 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 // context: the correlation ID, the request's root span (nil unless
 // logging or tracing is enabled), the last phase/reason a handler
 // recorded before answering, and the check annotations (mode, cache
-// tier, stats) the flight record picks up.
+// tier, stats) the flight record picks up. Once the request is
+// answered, snap holds the one snapshot of its span tree and phaseMs
+// its top-level phase durations, shared by the log line and the flight
+// record.
 type reqScope struct {
-	id   string
-	span *obs.Span
+	id      string
+	span    *obs.Span
+	snap    *obs.SpanSnapshot
+	phaseMs map[string]float64
 
 	mu        sync.Mutex
 	phase     string
@@ -153,8 +159,13 @@ func endpointLabel(path string) string {
 
 // statusClass folds a status code to its class ("2xx", "4xx", ...).
 func statusClass(status int) string {
-	return fmt.Sprintf("%dxx", status/100)
+	if c := status / 100; c >= 1 && c <= 5 {
+		return statusClasses[c-1]
+	}
+	return strconv.Itoa(status/100) + "xx"
 }
+
+var statusClasses = [...]string{"1xx", "2xx", "3xx", "4xx", "5xx"}
 
 // reasonForStatus is the generic taxonomy class logged for a non-2xx
 // response when no handler recorded a more precise reason (see the
@@ -251,6 +262,8 @@ func (s *server) observe(next http.Handler) http.Handler {
 		}
 		if sc.span != nil {
 			sc.span.End()
+			sn := sc.span.Snapshot()
+			sc.snap, sc.phaseMs = &sn, topLevelPhaseMillis(sn)
 		}
 		if s.logger != nil {
 			s.logger.log(requestLogLine(r, sc, status, elapsed, start))
@@ -287,11 +300,7 @@ func (s *server) recordFlight(r *http.Request, sc *reqScope, status int, elapsed
 			rec.Outcome = "ok"
 		}
 	}
-	rec.PhaseMs = topLevelPhaseMillis(sc.span)
-	if sc.span != nil {
-		sn := sc.span.Snapshot()
-		rec.Span = &sn
-	}
+	rec.PhaseMs, rec.Span = sc.phaseMs, sc.snap
 	s.flight.Record(rec)
 	if rec.Outcome == "panic" || strings.HasPrefix(rec.Outcome, "budget:") {
 		s.flight.Dump(rec.Outcome, "")
@@ -312,7 +321,7 @@ func requestLogLine(r *http.Request, sc *reqScope, status int, elapsed time.Dura
 		Status:     status,
 		Class:      statusClass(status),
 		DurationMs: float64(elapsed) / float64(time.Millisecond),
-		PhaseMs:    topLevelPhaseMillis(sc.span),
+		PhaseMs:    sc.phaseMs,
 	}
 	if status >= 300 {
 		line.Level = "error"
@@ -330,12 +339,8 @@ func requestLogLine(r *http.Request, sc *reqScope, status int, elapsed time.Dura
 
 // topLevelPhaseMillis flattens the request span's direct children
 // (allocation, vm:<name>, platform, baogen, ...) into a name→duration
-// map for the log line.
-func topLevelPhaseMillis(span *obs.Span) map[string]float64 {
-	if span == nil {
-		return nil
-	}
-	sn := span.Snapshot()
+// map for the log line and the flight record.
+func topLevelPhaseMillis(sn obs.SpanSnapshot) map[string]float64 {
 	if len(sn.Children) == 0 {
 		return nil
 	}

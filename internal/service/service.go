@@ -491,16 +491,6 @@ func writeLimitError(w http.ResponseWriter, r *http.Request, err error) {
 	})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	// Encoding of our plain structs cannot fail; ignore the writer error
-	// (the client has gone away).
-	_ = enc.Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, format string, args ...interface{}) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -703,6 +693,30 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	}
 	markPhase(ctx, "respond")
 
+	resp := checkResponse(report)
+	if lintOnly {
+		resp.Degraded = "lint-only"
+	}
+	if sc := scopeFrom(ctx); sc != nil {
+		resp.RequestID = sc.id
+	}
+	markCheckOutcome(ctx, cacheTierOf(*resp.Stats), resp.Stats)
+	if req.Trace {
+		span := obs.SpanFromContext(ctx)
+		if traceSpan != nil {
+			traceSpan.End()
+		}
+		if span != nil {
+			sn := span.Snapshot()
+			resp.Trace = &sn
+		}
+	}
+	return resp, http.StatusOK, nil
+}
+
+// checkResponse copies a finished run's report into its reply and
+// recycles the report shell.
+func checkResponse(report *core.Report) *CheckResponse {
 	stats := report.Stats
 	resp := &CheckResponse{
 		OK:         report.OK(),
@@ -733,24 +747,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	}
 	// Everything the response needs is copied out; recycle the shell.
 	report.Release()
-	if lintOnly {
-		resp.Degraded = "lint-only"
-	}
-	if sc := scopeFrom(ctx); sc != nil {
-		resp.RequestID = sc.id
-	}
-	markCheckOutcome(ctx, cacheTierOf(stats), &stats)
-	if req.Trace {
-		span := obs.SpanFromContext(ctx)
-		if traceSpan != nil {
-			traceSpan.End()
-		}
-		if span != nil {
-			sn := span.Snapshot()
-			resp.Trace = &sn
-		}
-	}
-	return resp, http.StatusOK, nil
+	return resp
 }
 
 // cacheTierOf folds a run's cache counters into the single tier label
