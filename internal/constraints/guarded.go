@@ -10,12 +10,12 @@ import (
 
 // The overlap, interrupt and memreserve rules are each written once,
 // for both checking modes (DESIGN.md §14): a rule reads guarded facts —
-// a concrete value plus the *featmodel.Expr guard under which it
-// exists, nil meaning "always" — and reports each violation to a sink
-// with the guards it depends on. The enumerative checkers read the
-// facts off a dts.Tree with nil guards and give the sink no oracle, so
-// no guard is combined and every violation is reported; LiftedChecker
-// reads them off the LiftedTree and gives it the session's
+// a concrete value plus the featmodel.Guard under which it exists, 0
+// meaning "always" — and reports each violation to a sink with the
+// guards it depends on. The enumerative checkers read the facts off a
+// dts.Tree with 0 guards and give the sink no session, so no guard is
+// combined and every violation is reported; LiftedChecker reads them
+// off the LiftedTree and gives it the session's guard algebra and
 // reachability oracle, so a violation is reported when some valid
 // configuration exhibits it, with that configuration as witness.
 
@@ -23,15 +23,17 @@ import (
 // holds, decoded at the given address width.
 type guardedRegion struct {
 	reg   addr.Region
-	cond  *featmodel.Expr
+	cond  featmodel.Guard
 	width int
 }
 
 // sink receives one rule family's violations.
 type sink struct {
-	// reach is the lifted session's reachability oracle; nil in
-	// enumerative mode, where every guard is nil.
-	reach func(cond *featmodel.Expr) (bool, featmodel.Configuration)
+	// pe composes guards (And, Not, Or) and reach answers them: the
+	// lifted session and its reachability oracle. Both are nil in
+	// enumerative mode, where every guard is 0 and none is composed.
+	pe    *featmodel.PresenceEncoder
+	reach func(g featmodel.Guard) (bool, featmodel.Configuration)
 	// emit receives each reported violation with its witness
 	// configuration (nil in enumerative mode).
 	emit func(cfg featmodel.Configuration, v Violation)
@@ -46,16 +48,16 @@ func collect(out *[]Violation) sink {
 // holds reports whether some valid configuration satisfies a ∧ b, and
 // which. With no oracle it always holds, and the guards are never
 // combined.
-func (s sink) holds(a, b *featmodel.Expr) (featmodel.Configuration, bool) {
+func (s sink) holds(a, b featmodel.Guard) (featmodel.Configuration, bool) {
 	if s.reach == nil {
 		return nil, true
 	}
-	ok, cfg := s.reach(featmodel.AndOpt(a, b))
+	ok, cfg := s.reach(s.pe.And(a, b))
 	return cfg, ok
 }
 
 // report delivers v if a ∧ b holds.
-func (s sink) report(a, b *featmodel.Expr, v Violation) {
+func (s sink) report(a, b featmodel.Guard, v Violation) {
 	if cfg, ok := s.holds(a, b); ok {
 		s.emit(cfg, v)
 	}

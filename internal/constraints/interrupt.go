@@ -36,7 +36,7 @@ func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 	var claims []irqClaim
 	tree.Root.Walk(func(path string, n *dts.Node) bool {
 		if p := n.Property("interrupts"); p != nil {
-			claims = appendIRQClaims(claims, path, &p.Value, nil, p.Origin)
+			claims = appendIRQClaims(claims, path, &p.Value, 0, p.Origin)
 		}
 		return true
 	})
@@ -54,13 +54,13 @@ func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 type irqClaim struct {
 	path   string
 	irq    uint32
-	cond   *featmodel.Expr
+	cond   featmodel.Guard
 	origin dts.Origin
 }
 
 // appendIRQClaims appends one claim per cell of an interrupts value:
 // every cell counts as a line.
-func appendIRQClaims(dst []irqClaim, path string, v *dts.Value, cond *featmodel.Expr, origin dts.Origin) []irqClaim {
+func appendIRQClaims(dst []irqClaim, path string, v *dts.Value, cond featmodel.Guard, origin dts.Origin) []irqClaim {
 	for _, cell := range v.Cells() {
 		dst = append(dst, irqClaim{path: path, irq: cell.Val, cond: cond, origin: origin})
 	}

@@ -2,7 +2,6 @@ package constraints
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -12,7 +11,6 @@ import (
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
-	"llhsc/internal/logic"
 	"llhsc/internal/obs"
 	"llhsc/internal/sat"
 	"llhsc/internal/schema"
@@ -73,10 +71,15 @@ type LiftedStats struct {
 	// valid configuration can exhibit, discharged family-wide by one
 	// Unsat answer each.
 	Pruned int
-	// WordDecided counts region pairs the word-level tier settled with
-	// interval arithmetic; disjoint pairs never reach the session.
+	// WordDecided counts the word-level tier's interval-arithmetic
+	// decisions: candidate pairs among the collected region variants,
+	// plus the memreserve rule's reserves and reserve pairs. Disjoint
+	// pairs never reach the session.
 	WordDecided int
-	// Regions is the number of guarded region variants collected.
+	// Regions is the number of guarded region variants collected: one
+	// per decoded region and kind option of each reg option whose guard
+	// (node ∧ interpretation context ∧ option) is reachable. Reg options
+	// no valid configuration selects are never decoded.
 	Regions int
 	// Contexts is the number of interpretation contexts explored
 	// during region collection (cell-size/ranges variant splits).
@@ -147,11 +150,11 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 	pe := featmodel.NewPresenceEncoder(lc.Model)
 	pe.SetBudget(lc.Budget)
 	r := &liftedRun{
-		lc:    lc,
-		pe:    pe,
-		ctx:   ctx,
-		seen:  make(map[string]bool),
-		reach: make(map[string]reachResult),
+		lc:      lc,
+		pe:      pe,
+		ctx:     ctx,
+		seen:    make(map[string]bool),
+		options: make(map[*delta.LiftedProperty][]valueOption),
 	}
 
 	r.applyConflicts(lt)
@@ -191,8 +194,8 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 // reachResult caches one guard's lifted verdict: whether any valid
 // configuration satisfies it, and if so which.
 type reachResult struct {
-	ok  bool
-	cfg featmodel.Configuration
+	known, ok bool
+	cfg       featmodel.Configuration
 }
 
 // liftedRun is the per-call state of a lifted check.
@@ -202,31 +205,25 @@ type liftedRun struct {
 	ctx context.Context
 
 	findings []LiftedFinding
-	seen     map[string]bool        // finding dedup across contexts/worlds
-	reach    map[string]reachResult // encoded assumption set → cached verdict
-	lits     []logic.Lit            // reachable's assumption-set buffer
-	key      []byte                 // reachable's cache-key buffer
-	err      error                  // first budget/cancellation error
+	seen     map[string]bool                         // finding dedup across contexts/worlds
+	reach    []reachResult                           // guard handle → cached verdict
+	options  map[*delta.LiftedProperty][]valueOption // chosenOptions memo
+	err      error                                   // first budget/cancellation error
 }
 
 // reachable asks the shared session whether any valid configuration
-// satisfies the guard (nil = true, i.e. "is the model non-void"). The
-// guard is posed as its assumption set (PresenceEncoder.Assumptions),
-// so a conjunction of known literals adds nothing to the session.
-// Results are cached by that set, so repeated guards — the common
-// case, since a handful of delta activation conditions dominate a
-// merged tree — cost one query total, however they were composed.
-func (r *liftedRun) reachable(cond *featmodel.Expr) (bool, featmodel.Configuration) {
+// satisfies guard g (0 = always, i.e. "is the model non-void"), posed
+// as its assumption set, so a conjunction of known literals adds
+// nothing to the session. Verdicts are cached by handle, and equal sets
+// share a handle, so repeated guards — the common case, since a handful
+// of delta activation conditions dominate a merged tree — cost one
+// query total, however they were composed.
+func (r *liftedRun) reachable(g featmodel.Guard) (bool, featmodel.Configuration) {
 	if r.err != nil {
 		return false, nil
 	}
-	r.lits = r.pe.Assumptions(r.lits[:0], cond)
-	r.key = r.key[:0]
-	for _, l := range r.lits {
-		r.key = binary.AppendVarint(r.key, int64(l))
-	}
-	if res, hit := r.reach[string(r.key)]; hit {
-		return res.ok, res.cfg
+	if int(g) < len(r.reach) && r.reach[g].known {
+		return r.reach[g].ok, r.reach[g].cfg
 	}
 	var t0 time.Time
 	var before sat.Stats
@@ -234,15 +231,15 @@ func (r *liftedRun) reachable(cond *featmodel.Expr) (bool, featmodel.Configurati
 		t0 = time.Now()
 		before = r.pe.Stats()
 	}
-	st, err := r.pe.SolveContext(r.ctx, r.lits...)
-	res := reachResult{ok: err == nil && st == sat.Sat}
+	st, err := r.pe.SolveContext(r.ctx, r.pe.Lits(g)...)
+	res := reachResult{known: true, ok: err == nil && st == sat.Sat}
 	if res.ok {
 		res.cfg = r.pe.Config()
 	}
 	if r.lc.OnQuery != nil {
 		guard := "-"
-		if cond != nil {
-			guard = cond.String()
+		if g != 0 {
+			guard = r.pe.GuardExpr(g).String()
 		}
 		r.lc.emitReach(guard, st, err, time.Since(t0), r.pe.Stats().Sub(before), res.cfg)
 	}
@@ -253,7 +250,10 @@ func (r *liftedRun) reachable(cond *featmodel.Expr) (bool, featmodel.Configurati
 	if !res.ok {
 		r.lc.stats.Pruned++
 	}
-	r.reach[string(r.key)] = res
+	if n := int(g) + 1; n > len(r.reach) {
+		r.reach = append(r.reach, make([]reachResult, n-len(r.reach))...)
+	}
+	r.reach[g] = res
 	return res.ok, res.cfg
 }
 
@@ -281,7 +281,7 @@ func (lc *LiftedChecker) emitReach(guard string, st sat.Status, err error, elaps
 }
 
 // emit reports a violation if its guard is reachable.
-func (r *liftedRun) emit(family string, cond *featmodel.Expr, v Violation) {
+func (r *liftedRun) emit(family string, cond featmodel.Guard, v Violation) {
 	ok, cfg := r.reachable(cond)
 	if !ok {
 		return
@@ -305,6 +305,7 @@ func (r *liftedRun) emitWith(cfg featmodel.Configuration, family string, v Viola
 // session's reachability oracle and carry the decoded witness.
 func (r *liftedRun) sink(family string) sink {
 	return sink{
+		pe:    r.pe,
 		reach: r.reachable,
 		emit:  func(cfg featmodel.Configuration, v Violation) { r.emitWith(cfg, family, v) },
 	}
@@ -323,7 +324,7 @@ func (r *liftedRun) fail(err error) {
 // the family-based image of the per-product ApplyError.
 func (r *liftedRun) applyConflicts(lt *delta.LiftedTree) {
 	for _, c := range lt.Conflicts {
-		r.emit("apply", c.Cond, Violation{
+		r.emit("apply", r.pe.Guard(c.Cond), Violation{
 			Path:    c.Location,
 			Rule:    "lifted:apply-conflict",
 			Message: fmt.Sprintf("delta %s: %s", c.Delta, c.Msg),
@@ -335,7 +336,7 @@ func (r *liftedRun) applyConflicts(lt *delta.LiftedTree) {
 // take: the property has value *value in configurations satisfying
 // cond, or is absent there when value is nil.
 type valueOption struct {
-	cond   *featmodel.Expr
+	cond   featmodel.Guard
 	value  *dts.Value
 	origin dts.Origin
 }
@@ -346,44 +347,58 @@ type valueOption struct {
 // later variant's guard does (later deltas append later), and the
 // property is absent when no guard holds. Options whose guard is
 // structurally false (an unconditional later variant shadows them) are
-// omitted. A nil property yields the single always-absent option.
-func chosenOptions(lp *delta.LiftedProperty) []valueOption {
+// omitted. A nil property yields the single always-absent option. The
+// options are computed once per property per check; callers must not
+// modify the returned slice.
+func (r *liftedRun) chosenOptions(lp *delta.LiftedProperty) []valueOption {
 	if lp == nil || len(lp.Variants) == 0 {
-		return []valueOption{{}}
+		return alwaysAbsent
 	}
-	vs := lp.Variants
+	opts, ok := r.options[lp]
+	if !ok {
+		opts = projectVariants(r.pe, lp.Variants)
+		r.options[lp] = opts
+	}
+	return opts
+}
+
+func projectVariants(pe *featmodel.PresenceEncoder, vs []*delta.LiftedVariant) []valueOption {
 	var opts []valueOption
-	var laterNeg *featmodel.Expr // ∧ ¬cond_j for every variant j after i
+	var laterNeg featmodel.Guard // ∧ ¬cond_j for every variant j after i
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := vs[i]
+		g := pe.Guard(v.Cond)
 		opts = append(opts, valueOption{
-			cond:   featmodel.AndOpt(v.Cond, laterNeg),
+			cond:   pe.And(g, laterNeg),
 			value:  &v.Value,
 			origin: v.Origin,
 		})
-		if v.Cond == nil {
+		if g == 0 {
 			// An unconditional write shadows every earlier variant and
 			// makes absence impossible.
 			return opts
 		}
-		laterNeg = featmodel.AndOpt(laterNeg, featmodel.Not(v.Cond))
+		laterNeg = pe.And(laterNeg, pe.Not(g))
 	}
 	return append(opts, valueOption{cond: laterNeg}) // absent
 }
 
+// alwaysAbsent is the option list of a property no variant writes.
+var alwaysAbsent = []valueOption{{}}
+
 // cellOption is one guarded value of a #address-cells/#size-cells-style
 // property, with the concrete default applied for absent options.
 type cellOption struct {
-	cond *featmodel.Expr
+	cond featmodel.Guard
 	n    int
 }
 
 // cellOptions mirrors dts.Node.CellValue over a lifted node: the first
 // u32 cell of each chosen option, falling back to def when the option
 // is absent or has no cells.
-func cellOptions(ln *delta.LiftedNode, name string, def int) []cellOption {
+func (r *liftedRun) cellOptions(ln *delta.LiftedNode, name string, def int) []cellOption {
 	var out []cellOption
-	for _, o := range chosenOptions(ln.Prop(name)) {
+	for _, o := range r.chosenOptions(ln.Prop(name)) {
 		v := def
 		if o.value != nil {
 			if cells := o.value.Cells(); len(cells) > 0 {
@@ -399,29 +414,29 @@ func cellOptions(ln *delta.LiftedNode, name string, def int) []cellOption {
 // addr.CollectRegions applies to the concrete properties, applied to
 // the chosen options of device_type and compatible.
 type kindOption struct {
-	cond *featmodel.Expr
+	cond featmodel.Guard
 	kind addr.Kind
 }
 
-func kindOptions(ln *delta.LiftedNode) []kindOption {
+func (r *liftedRun) kindOptions(ln *delta.LiftedNode) []kindOption {
 	// One option per distinct kind, guards disjoined, in first-seen order
 	// for determinism.
 	var out []kindOption
-	for _, d := range chosenOptions(ln.Prop("device_type")) {
+	for _, d := range r.chosenOptions(ln.Prop("device_type")) {
 		dt := ""
 		if d.value != nil {
 			if ss := d.value.Strings(); len(ss) > 0 {
 				dt = ss[0]
 			}
 		}
-		for _, c := range chosenOptions(ln.Prop("compatible")) {
+		for _, c := range r.chosenOptions(ln.Prop("compatible")) {
 			var compatible []string
 			if c.value != nil {
 				compatible = c.value.Strings()
 			}
-			kind, cond := addr.KindOf(dt, compatible), featmodel.AndOpt(d.cond, c.cond)
+			kind, cond := addr.KindOf(dt, compatible), r.pe.And(d.cond, c.cond)
 			if k := slices.IndexFunc(out, func(o kindOption) bool { return o.kind == kind }); k >= 0 {
-				out[k].cond = featmodel.OrOpt(out[k].cond, cond)
+				out[k].cond = r.pe.Or(out[k].cond, cond)
 			} else {
 				out = append(out, kindOption{cond: cond, kind: kind})
 			}
@@ -437,7 +452,7 @@ func kindOptions(ln *delta.LiftedNode) []kindOption {
 // root #address-cells carry different bit widths and are mutually
 // exclusive by construction.
 type interpCtx struct {
-	cond      *featmodel.Expr
+	cond      featmodel.Guard
 	ac, sc    int
 	width     int
 	translate addr.Translator
@@ -447,19 +462,24 @@ type interpCtx struct {
 // tree: it only enumerates options, splitting into interpretation
 // contexts wherever a cell-size or ranges property is variant, and
 // decodes each reg and ranges option with the concrete collector's
-// steps (addr.DecodeReg, addr.Translator.Through). Decoding problems
-// are emitted as guarded "semantic:regions" findings, like the concrete
+// steps (addr.DecodeReg, addr.Translator.Through). A reg option is
+// decoded only when its guard n.Cond ∧ context ∧ option is reachable:
+// every finding its regions could produce would be conjoined with that
+// guard, so an unsatisfiable one drops them all. Decoding problems are
+// emitted as guarded "semantic:regions" findings, like the concrete
 // collector's error return. It returns the root #address-cells options
-// (each fixing a bit width) and the guarded region variants.
+// (each fixing a bit width) and the guarded region variants, one per
+// decoded region and kind option.
 func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []guardedRegion) {
-	rootACs := cellOptions(lt.Root, "#address-cells", 2)
+	pe := r.pe
+	rootACs := r.cellOptions(lt.Root, "#address-cells", 2)
 
 	var rootCtxs []interpCtx
 	for _, acO := range rootACs {
 		width := addr.BitWidth(acO.n)
-		for _, scO := range cellOptions(lt.Root, "#size-cells", 1) {
+		for _, scO := range r.cellOptions(lt.Root, "#size-cells", 1) {
 			rootCtxs = append(rootCtxs, interpCtx{
-				cond:      featmodel.AndOpt(acO.cond, scO.cond),
+				cond:      pe.And(acO.cond, scO.cond),
 				ac:        acO.n,
 				sc:        scO.n,
 				width:     width,
@@ -474,14 +494,14 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 	walk = func(parent *delta.LiftedNode, path string, ctxs []interpCtx) {
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
+			nCond := pe.Guard(n.Cond)
 
-			// Decode this node's reg under every context × reg option,
-			// fanning out per kind option. Presence conditions are
-			// absolute, so n.Cond alone accounts for the whole ancestor
-			// chain.
-			regOpts := chosenOptions(n.Prop("reg"))
-			kinds := kindOptions(n)
-			for _, ro := range regOpts {
+			// Decode this node's reg under every reachable context × reg
+			// option, fanning out per kind option. Presence conditions
+			// are absolute, so n.Cond alone accounts for the whole
+			// ancestor chain.
+			var kinds []kindOption // computed on the first decode
+			for _, ro := range r.chosenOptions(n.Prop("reg")) {
 				if ro.value == nil {
 					continue
 				}
@@ -489,21 +509,23 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 					if ictx.sc <= 0 {
 						continue
 					}
-					g0 := featmodel.AndOpt(n.Cond, featmodel.AndOpt(ictx.cond, ro.cond))
+					g0 := pe.And(nCond, pe.And(ictx.cond, ro.cond))
+					if ok, _ := r.reachable(g0); !ok {
+						continue
+					}
 					var errs []error
 					regs, errs = addr.DecodeReg(regs[:0], childPath, ro.value.U32s(), ictx.ac, ictx.sc,
 						ictx.translate, 0, ro.origin)
 					for _, err := range errs {
 						r.emit("semantic", g0, regionsViolation(err))
 					}
+					if kinds == nil {
+						kinds = r.kindOptions(n)
+					}
 					for _, rg := range regs {
 						for _, ko := range kinds {
 							rg.Kind = ko.kind
-							out = append(out, guardedRegion{
-								reg:   rg,
-								cond:  featmodel.AndOpt(g0, ko.cond),
-								width: ictx.width,
-							})
+							out = append(out, guardedRegion{reg: rg, cond: pe.And(g0, ko.cond), width: ictx.width})
 						}
 					}
 				}
@@ -512,19 +534,18 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 			// Compose the child contexts: each parent context splits on
 			// this node's #address-cells, #size-cells and ranges
 			// options.
-			acOpts := cellOptions(n, "#address-cells", 2)
-			scOpts := cellOptions(n, "#size-cells", 1)
-			rOpts := chosenOptions(n.Prop("ranges"))
+			acOpts := r.cellOptions(n, "#address-cells", 2)
+			scOpts := r.cellOptions(n, "#size-cells", 1)
+			rOpts := r.chosenOptions(n.Prop("ranges"))
 			var childCtxs []interpCtx
 			for _, ictx := range ctxs {
 				for _, acO := range acOpts {
 					for _, scO := range scOpts {
 						for _, rO := range rOpts {
-							cond := featmodel.AndOpt(ictx.cond,
-								featmodel.AndOpt(acO.cond, featmodel.AndOpt(scO.cond, rO.cond)))
+							cond := pe.And(ictx.cond, pe.And(acO.cond, pe.And(scO.cond, rO.cond)))
 							tr, err := ictx.translate.Through(childPath, rO.value, acO.n, ictx.ac, scO.n)
 							if err != nil {
-								r.emit("semantic", featmodel.AndOpt(n.Cond, cond), regionsViolation(err))
+								r.emit("semantic", pe.And(nCond, cond), regionsViolation(err))
 							}
 							childCtxs = append(childCtxs, interpCtx{
 								cond: cond, ac: acO.n, sc: scO.n,
@@ -542,14 +563,14 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 			if len(childCtxs) > 1 {
 				kept := childCtxs[:0]
 				for _, c := range childCtxs {
-					if ok, _ := r.reachable(featmodel.AndOpt(n.Cond, c.cond)); ok {
+					if ok, _ := r.reachable(pe.And(nCond, c.cond)); ok {
 						kept = append(kept, c)
 					}
 				}
 				childCtxs = kept
 			}
 			if len(childCtxs) > maxInterpContexts {
-				r.emit("semantic", n.Cond, Violation{
+				r.emit("semantic", nCond, Violation{
 					Path: childPath,
 					Rule: "lifted:interp-contexts",
 					Message: fmt.Sprintf(
@@ -619,16 +640,17 @@ func (r *liftedRun) semantic(regions []guardedRegion) {
 // in each of its "worlds" — one concrete combination of chosen property
 // options (and the parent's cell properties, which the reg-like arity
 // rules read) — against the schemas selecting that world's node shape.
-// Unreachable worlds are pruned by one Unsat each before any rule is
-// evaluated.
+// Unreachable worlds, and unreachable combinations of a world with the
+// parent's cell options, are pruned by one Unsat each before any rule
+// is evaluated: a rule's messages would be reported under that guard.
 func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 	if r.lc.Schemas == nil {
 		return
 	}
 	var rec func(parent *delta.LiftedNode, path string)
 	rec = func(parent *delta.LiftedNode, path string) {
-		pAc := cellOptions(parent, "#address-cells", 2)
-		pSc := cellOptions(parent, "#size-cells", 1)
+		pAc := r.cellOptions(parent, "#address-cells", 2)
+		pSc := r.cellOptions(parent, "#size-cells", 1)
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
 			r.schemaNode(n, childPath, pAc, pSc)
@@ -643,13 +665,15 @@ func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 
 func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cellOption) {
 	type world struct {
-		cond  *featmodel.Expr
+		cond  featmodel.Guard
 		props []*dts.Property
 	}
+	pe := r.pe
+	nCond := pe.Guard(n.Cond)
 	worlds := []world{{}}
 	truncated := false
 	for _, lp := range n.Props {
-		opts := chosenOptions(lp)
+		opts := r.chosenOptions(lp)
 		if len(worlds)*len(opts) > maxSchemaWorlds {
 			truncated = true
 			break
@@ -657,7 +681,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		next := make([]world, 0, len(worlds)*len(opts))
 		for _, w := range worlds {
 			for _, o := range opts {
-				nw := world{cond: featmodel.AndOpt(w.cond, o.cond), props: w.props}
+				nw := world{cond: pe.And(w.cond, o.cond), props: w.props}
 				if o.value != nil {
 					// The world node is only read (schema selection
 					// and checkNodeSyntax), so it shares the variant's
@@ -675,7 +699,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		if len(worlds) > 8 {
 			kept := worlds[:0]
 			for _, w := range worlds {
-				if ok, _ := r.reachable(featmodel.AndOpt(n.Cond, w.cond)); ok {
+				if ok, _ := r.reachable(pe.And(nCond, w.cond)); ok {
 					kept = append(kept, w)
 				}
 			}
@@ -683,7 +707,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		}
 	}
 	if truncated {
-		r.emit("schema", n.Cond, Violation{
+		r.emit("schema", nCond, Violation{
 			Path: path,
 			Rule: "lifted:schema-worlds",
 			Message: fmt.Sprintf(
@@ -692,7 +716,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		})
 	}
 	for _, w := range worlds {
-		cond := featmodel.AndOpt(n.Cond, w.cond)
+		cond := pe.And(nCond, w.cond)
 		if ok, _ := r.reachable(cond); !ok {
 			continue
 		}
@@ -704,7 +728,10 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		}
 		for _, pa := range pAc {
 			for _, ps := range pSc {
-				wcond := featmodel.AndOpt(cond, featmodel.AndOpt(pa.cond, ps.cond))
+				wcond := pe.And(cond, pe.And(pa.cond, ps.cond))
+				if ok, _ := r.reachable(wcond); !ok {
+					continue
+				}
 				parent := parentShell(pa.n, ps.n)
 				for _, sc := range schemas {
 					vs, err := checkNodeSyntax(r.ctx, node, parent, path, sc)
@@ -738,9 +765,9 @@ func parentShell(ac, sc int) *dts.Node {
 func (r *liftedRun) interrupts(lt *delta.LiftedTree) {
 	var claims []irqClaim
 	lt.Root.Walk(func(path string, n *delta.LiftedNode) bool {
-		for _, o := range chosenOptions(n.Prop("interrupts")) {
+		for _, o := range r.chosenOptions(n.Prop("interrupts")) {
 			if o.value != nil {
-				claims = appendIRQClaims(claims, path, o.value, featmodel.AndOpt(n.Cond, o.cond), o.origin)
+				claims = appendIRQClaims(claims, path, o.value, r.pe.And(r.pe.Guard(n.Cond), o.cond), o.origin)
 			}
 		}
 		return true

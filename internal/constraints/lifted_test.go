@@ -450,3 +450,163 @@ func TestLiftedSessionStaysSmall(t *testing.T) {
 		t.Errorf("lifted session ends at %d clauses, want <= 200 (queries %d)", st.Solver.Clauses, st.Queries)
 	}
 }
+
+// TestLiftedChecksReachabilityFirst pins reachability before work: the
+// model forbids fa ∧ fb, and each case below exists only there, next to
+// a reachable twin under fc (fb ∧ fc is allowed).
+//
+//   - soc/uart@1000's reg decodes (and passes the reg arity rule) under
+//     soc's own cells, but not under the #address-cells fb sets;
+//     soc/uart@3000 is its twin.
+//   - uart@108 overlaps uart@100 but exists only under fa ∧ fb; uart@10c
+//     is its twin.
+//
+// The forbidden cases must not be reported, the twins must, the lifted
+// findings must be exactly the union over every valid product, and
+// Regions must count only the variants whose reg guard is reachable.
+func TestLiftedChecksReachabilityFirst(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	uart@100 {
+		compatible = "ns16550a";
+		reg = <0x100 0x10>;
+	};
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("reach.deltas", `
+delta wide when fb {
+    modifies soc {
+        #address-cells = <2>;
+    }
+}
+
+delta forbidden when fa {
+    adds binding soc {
+        uart@1000 {
+            compatible = "ns16550a";
+            reg = <0x1000 0x10 0x2000 0x10>;
+        };
+    }
+}
+
+delta allowed when fc {
+    adds binding soc {
+        uart@3000 {
+            compatible = "ns16550a";
+            reg = <0x3000 0x10 0x4000 0x10>;
+        };
+    }
+}
+
+delta ghost when fa && fb {
+    adds binding / {
+        uart@108 {
+            compatible = "ns16550a";
+            reg = <0x108 0x10>;
+        };
+    }
+}
+
+delta twin when fc {
+    adds binding / {
+        uart@10c {
+            compatible = "ns16550a";
+            reg = <0x10c 0x10>;
+        };
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := featmodel.ParseModel("reach.fm", `
+feature root abstract {
+    feature fa
+    feature fb
+    feature fc
+}
+constraint fa -> !fb
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas := schema.StandardSet()
+	crossValidate(t, "reachability-first", core, set, model, schemas)
+
+	// The enumerative union over every valid product.
+	products, complete := featmodel.NewAnalyzer(model).EnumerateProducts(0)
+	if !complete {
+		t.Fatal("product enumeration incomplete")
+	}
+	union := make(famKeys)
+	for _, p := range products {
+		tree, _, err := set.Apply(core, featmodel.ConfigOf(p...))
+		if err != nil {
+			t.Fatalf("product %v: apply: %v", p, err)
+		}
+		for family, keys := range enumerativeKeys(t, tree, schemas) {
+			for key := range keys {
+				union.add(family, key)
+			}
+		}
+	}
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLiftedChecker(model, schemas)
+	findings, err := lc.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := liftedKeys(t, findings)
+	if !reflect.DeepEqual(got, union) {
+		t.Errorf("lifted keys differ from the enumerative union:\n lifted %v\n  union %v", got, union)
+	}
+
+	reported := func(path string) bool {
+		for _, f := range findings {
+			if strings.Contains(f.Violation.Path+" "+f.Violation.Message, path) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, path := range []string{"/soc/uart@1000", "/uart@108"} {
+		if reported(path) {
+			t.Errorf("%s exists only under the forbidden fa && fb but is reported", path)
+		}
+	}
+	for _, want := range []struct{ path, rule string }{
+		{"/soc/uart@3000", "semantic:regions"},
+		{"/soc/uart@3000", ":arity:reg"},
+		{"/uart@10c", "semantic:overlap"},
+	} {
+		found := false
+		for _, f := range findings {
+			v := f.Violation
+			if strings.Contains(v.Rule, want.rule) && strings.Contains(v.Path+" "+v.Message, want.path) {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("reachable twin %s: no %s finding in %v", want.path, want.rule, findings)
+		}
+	}
+
+	// Reachable reg variants: uart@100 and uart@10c once each, and the
+	// two regions of uart@1000 and of uart@3000 under soc's own cells.
+	if st := lc.LastStats(); st.Regions != 6 {
+		t.Errorf("Regions = %d, want 6 (the variants whose reg guard is reachable)", st.Regions)
+	}
+}

@@ -59,7 +59,7 @@ func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([
 	}
 	var out []Violation
 	var st SemanticStats
-	err := memReserveRule(ctx, tree.MemReserves, banks, width, nil, collect(&out), &st)
+	err := memReserveRule(ctx, tree.MemReserves, banks, width, 0, collect(&out), &st)
 	if mc.Stats != nil {
 		mc.Stats.Pairs += st.Pairs
 		mc.Stats.WordDecided += st.WordDecided
@@ -69,7 +69,7 @@ func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([
 
 // memReserveRule is the /memreserve/ rule of both checking modes at one
 // address width; banks are the memory regions of that width, and base
-// guards every report (the lifted root-width option; nil in enumerative
+// guards every report (the lifted root-width option; 0 in enumerative
 // mode).
 //
 // Containment walks each reserve's candidate points — its first address
@@ -77,12 +77,12 @@ func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([
 // of the reserve outside every bank is always one of them, so a point p
 // is reported under the guard "p is uncovered, and every earlier
 // candidate is covered": p is then the least uncovered address of the
-// products that satisfy it. With nil guards every bank always exists,
+// products that satisfy it. With 0 guards every bank always exists,
 // and the walk reports the least uncovered address and stops.
 //
 // Disjointness decides every reserve pair with DecideConcretePair,
 // reporting the least shared address.
-func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guardedRegion, width int, base *featmodel.Expr, s sink, st *SemanticStats) error {
+func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guardedRegion, width int, base featmodel.Guard, s sink, st *SemanticStats) error {
 	var points []uint64
 	for i, mr := range reserves {
 		if err := pollCanceled(ctx); err != nil {
@@ -105,21 +105,21 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 			if k > 0 && p == points[k-1] {
 				continue
 			}
-			var uncovered, covered *featmodel.Expr
+			var uncovered, covered featmodel.Guard
 			covering, always := 0, false
 			for _, b := range banks {
 				if biv, ok := regionInterval(b.reg, width); !ok || !biv.contains(p) {
 					continue
 				}
-				if b.cond == nil {
+				if b.cond == 0 {
 					always = true
 					break
 				}
-				uncovered = featmodel.AndOpt(uncovered, featmodel.Not(b.cond))
+				uncovered = s.pe.And(uncovered, s.pe.Not(b.cond))
 				if covering == 0 {
 					covered = b.cond
 				} else {
-					covered = featmodel.Or(covered, b.cond)
+					covered = s.pe.Or(covered, b.cond)
 				}
 				covering++
 			}
@@ -135,7 +135,7 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 			if covering == 0 {
 				break // uncovered in every product: no later point is least
 			}
-			earlier = featmodel.AndOpt(earlier, covered)
+			earlier = s.pe.And(earlier, covered)
 		}
 	}
 
@@ -149,7 +149,7 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 			a := addr.Region{Base: reserves[i].Address, Size: reserves[i].Size}
 			b := addr.Region{Base: reserves[j].Address, Size: reserves[j].Size}
 			if overlap, witness := DecideConcretePair(a, b, width); overlap {
-				s.report(base, nil, Violation{
+				s.report(base, 0, Violation{
 					Rule:    "semantic:memreserve-overlap",
 					Message: fmt.Sprintf("/memreserve/ %d and %d overlap at address 0x%x", i, j, witness),
 				})

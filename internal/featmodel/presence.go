@@ -2,6 +2,8 @@ package featmodel
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"slices"
 
 	"llhsc/internal/logic"
@@ -23,6 +25,12 @@ import (
 // Config. The session is never reset between queries; clause learning
 // accumulates across the whole family, which is the point of checking
 // the product line in one session instead of one solver per product.
+//
+// Lifted checkers compose guards as Guard handles rather than
+// expressions: Guard interns a guard's assumption set once per
+// expression, and And, Not and Or combine handles through memos, so a
+// composed guard is never rebuilt as an expression tree nor flattened
+// again.
 type PresenceEncoder struct {
 	model  *Model
 	pool   *logic.Pool
@@ -34,7 +42,28 @@ type PresenceEncoder struct {
 	unknown map[string]logic.Var // names outside the model, forced false
 	tru     logic.Lit            // lazily allocated constant-true literal
 
+	// The guard algebra (Guard, And, Not, Or): interned assumption sets.
+	// Set g is setLits[bounds[g]:bounds[g+1]]; handle 0 is the empty set.
+	setLits []logic.Lit
+	bounds  []int32
+	setIDs  map[string]Guard       // little-endian encoded set → handle
+	exprs   map[*Expr]Guard        // Guard memo
+	ands    map[uint64]Guard       // And memo, keyed by the ordered pair
+	ors     map[uint64]Guard       // Or memo, keyed by the ordered pair
+	conj    map[Guard]logic.Lit    // definition literal of a multi-literal set
+	defs    map[logic.Var]guardDef // definition variable → operands, for GuardExpr
+	buf     []logic.Lit            // scratch set
+	key     []byte                 // scratch interning key
+
 	queries int // assumption solves issued against the session
+}
+
+// guardDef records what a definition literal of the guard algebra
+// stands for: the conjunction of set a, or the disjunction of sets a
+// and b.
+type guardDef struct {
+	or   bool
+	a, b Guard
 }
 
 // NewPresenceEncoder seeds a fresh incremental session with the
@@ -54,6 +83,13 @@ func NewPresenceEncoder(m *Model) *PresenceEncoder {
 		atoms:   make(map[*Expr]logic.Lit),
 		lits:    make(map[string]logic.Lit),
 		unknown: make(map[string]logic.Var),
+		bounds:  []int32{0, 0},
+		setIDs:  make(map[string]Guard),
+		exprs:   make(map[*Expr]Guard),
+		ands:    make(map[uint64]Guard),
+		ors:     make(map[uint64]Guard),
+		conj:    make(map[Guard]logic.Lit),
+		defs:    make(map[logic.Var]guardDef),
 	}
 }
 
@@ -147,6 +183,211 @@ func (pe *PresenceEncoder) atom(e *Expr) logic.Lit {
 	default:
 		return pe.Literal(e)
 	}
+}
+
+// Guard names one interned assumption set of a PresenceEncoder session:
+// sorted, duplicate-free literals whose conjunction holds in a model of
+// the session exactly when the guard it stands for holds in that
+// model's configuration. The zero Guard is the empty set, "always".
+// Equal sets intern to one handle, and handles are small and dense, so
+// per-guard state (the lifted checker's reachability memo) lives in a
+// slice indexed by handle. Handles belong to the encoder that made them.
+type Guard int32
+
+// Guard returns the handle of Assumptions(nil, e), memoized per
+// expression pointer, so a guard read off a merged tree is flattened
+// once per session however often it is composed. A nil expression is
+// the always guard 0.
+func (pe *PresenceEncoder) Guard(e *Expr) Guard {
+	if e == nil {
+		return 0
+	}
+	if g, ok := pe.exprs[e]; ok {
+		return g
+	}
+	pe.buf = pe.Assumptions(pe.buf[:0], e)
+	g := pe.intern(pe.buf)
+	pe.exprs[e] = g
+	return g
+}
+
+// And returns the handle of the union of the two sets: the conjunction
+// of the guards, which is Assumptions of their AndOpt by construction.
+// A 0 operand returns the other without reading the encoder, so rules
+// whose guards are all 0 compose them with no session at all.
+func (pe *PresenceEncoder) And(a, b Guard) Guard {
+	if a == 0 || a == b {
+		return b
+	}
+	if b == 0 {
+		return a
+	}
+	k := pairKey(a, b)
+	if g, ok := pe.ands[k]; ok {
+		return g
+	}
+	pe.buf = mergeSets(pe.buf[:0], pe.Lits(a), pe.Lits(b))
+	g := pe.intern(pe.buf)
+	pe.ands[k] = g
+	return g
+}
+
+// Not returns the handle of the negation of g: the negated literal of a
+// single-literal set, and otherwise the negation of one definition
+// literal of the set's conjunction, encoded once per set. The always
+// guard has no negation a rule ever asks for; Not(0) panics.
+func (pe *PresenceEncoder) Not(g Guard) Guard {
+	if g == 0 {
+		panic("featmodel: Not of the always guard")
+	}
+	return pe.intern1(-pe.conjLit(g))
+}
+
+// Or returns the handle of the disjunction of a and b: one definition
+// literal over the two conjunctions, encoded once per pair. Like OrOpt,
+// the disjunction with the always guard is always.
+func (pe *PresenceEncoder) Or(a, b Guard) Guard {
+	if a == 0 || b == 0 {
+		return 0
+	}
+	if a == b {
+		return a
+	}
+	k := pairKey(a, b)
+	if g, ok := pe.ors[k]; ok {
+		return g
+	}
+	x, y := pe.conjLit(a), pe.conjLit(b)
+	d := logic.Lit(pe.pool.Fresh())
+	pe.solver.AddClause(-x, d)
+	pe.solver.AddClause(-y, d)
+	pe.solver.AddClause(-d, x, y)
+	pe.defs[d.Var()] = guardDef{or: true, a: a, b: b}
+	g := pe.intern1(d)
+	pe.ors[k] = g
+	return g
+}
+
+// Lits returns g's assumption set. The slice is shared and must not be
+// modified.
+func (pe *PresenceEncoder) Lits(g Guard) []logic.Lit {
+	lo, hi := pe.bounds[g], pe.bounds[g+1]
+	return pe.setLits[lo:hi:hi]
+}
+
+// GuardExpr renders g as an expression that holds exactly where g does
+// (nil for the always guard), for diagnostics that must re-pose a
+// query in a fresh session: a feature literal renders as its name, a
+// Literal atom as its expression, and a definition literal as the
+// conjunction or disjunction of its operands.
+func (pe *PresenceEncoder) GuardExpr(g Guard) *Expr {
+	var e *Expr
+	for _, l := range pe.Lits(g) {
+		e = AndOpt(e, pe.litExpr(l))
+	}
+	return e
+}
+
+func (pe *PresenceEncoder) litExpr(l logic.Lit) *Expr {
+	if l < 0 {
+		return Not(pe.litExpr(-l))
+	}
+	if d, ok := pe.defs[l.Var()]; ok {
+		if d.or {
+			return Or(pe.GuardExpr(d.a), pe.GuardExpr(d.b))
+		}
+		return pe.GuardExpr(d.a)
+	}
+	if name, ok := pe.vm.Name(l.Var()); ok {
+		return Var(name)
+	}
+	for name, v := range pe.unknown {
+		if v == l.Var() {
+			return Var(name)
+		}
+	}
+	for e, al := range pe.atoms {
+		switch al {
+		case l:
+			return e
+		case -l:
+			return Not(e)
+		}
+	}
+	panic(fmt.Sprintf("featmodel: literal %d is not part of any guard", l))
+}
+
+// conjLit returns a literal equivalent to the conjunction of g's set: the
+// literal itself for a single-literal set, else a definition literal d
+// with d ↔ ∧set, encoded once.
+func (pe *PresenceEncoder) conjLit(g Guard) logic.Lit {
+	set := pe.Lits(g)
+	if len(set) == 1 {
+		return set[0]
+	}
+	if d, ok := pe.conj[g]; ok {
+		return d
+	}
+	d := logic.Lit(pe.pool.Fresh())
+	long := make([]logic.Lit, 0, len(set)+1)
+	for _, l := range set {
+		pe.solver.AddClause(-d, l)
+		long = append(long, -l)
+	}
+	pe.solver.AddClause(append(long, d)...)
+	pe.conj[g] = d
+	pe.defs[d.Var()] = guardDef{a: g}
+	return d
+}
+
+// intern returns the handle of a sorted, duplicate-free set, adding it
+// on first sight.
+func (pe *PresenceEncoder) intern(set []logic.Lit) Guard {
+	if len(set) == 0 {
+		return 0
+	}
+	pe.key = pe.key[:0]
+	for _, l := range set {
+		pe.key = binary.LittleEndian.AppendUint32(pe.key, uint32(l))
+	}
+	if g, ok := pe.setIDs[string(pe.key)]; ok {
+		return g
+	}
+	g := Guard(len(pe.bounds) - 1)
+	pe.setLits = append(pe.setLits, set...)
+	pe.bounds = append(pe.bounds, int32(len(pe.setLits)))
+	pe.setIDs[string(pe.key)] = g
+	return g
+}
+
+func (pe *PresenceEncoder) intern1(l logic.Lit) Guard {
+	pe.buf = append(pe.buf[:0], l)
+	return pe.intern(pe.buf)
+}
+
+// pairKey keys a commutative operation's memo by its operands in
+// ascending order.
+func pairKey(a, b Guard) uint64 {
+	if a > b {
+		a, b = b, a
+	}
+	return uint64(a)<<32 | uint64(b)
+}
+
+// mergeSets appends the sorted union of two sorted, duplicate-free sets
+// to dst.
+func mergeSets(dst, a, b []logic.Lit) []logic.Lit {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case b[0] < a[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
 }
 
 func (pe *PresenceEncoder) lookup(name string) (logic.Var, bool) {

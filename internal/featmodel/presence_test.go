@@ -277,3 +277,85 @@ func TestPresenceNilGuardIsTrue(t *testing.T) {
 		t.Errorf("Queries() = %d, want 2", pe.Queries())
 	}
 }
+
+// TestGuardAlgebraOracle holds the guard algebra to Assumptions and to
+// Expr.Eval on random small models: Guard is Assumptions literal for
+// literal, And is Assumptions of AndOpt, equal sets intern to one
+// handle, and with every feature pinned to a valid configuration, Not
+// and Or solve exactly as Expr.Eval of Not and Or decides, and so does
+// the re-parsed rendering of each handle.
+func TestGuardAlgebraOracle(t *testing.T) {
+	for seed := int64(0); seed < 30; seed++ {
+		m := randomSmallModel(seed)
+		if len(m.Names()) > 14 {
+			continue
+		}
+		products := bruteForceProducts(t, m)
+		pe := NewPresenceEncoder(m)
+		rng := rand.New(rand.NewSource(seed + 3000))
+		names := m.Names()
+		var handles []Guard
+
+		for trial := 0; trial < 10; trial++ {
+			a, b := randomConjunctiveGuard(rng, names), randomConjunctiveGuard(rng, names)
+			ga, gb := pe.Guard(a), pe.Guard(b)
+			if got, want := pe.Lits(ga), pe.Assumptions(nil, a); !slices.Equal(got, want) {
+				t.Errorf("seed %d: Lits(Guard(%v)) = %v, want Assumptions %v", seed, a, got, want)
+			}
+			and := pe.And(ga, gb)
+			if got, want := pe.Lits(and), pe.Assumptions(nil, AndOpt(a, b)); !slices.Equal(got, want) {
+				t.Errorf("seed %d: Lits(And(%v, %v)) = %v, want Assumptions of AndOpt %v", seed, a, b, got, want)
+			}
+			if pe.And(gb, ga) != and || pe.Guard(AndOpt(a, b)) != and {
+				t.Errorf("seed %d: %v && %v: equal sets got different handles", seed, a, b)
+			}
+			if a != nil {
+				again, err := ParseExpr(a.String())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pe.Guard(again) != ga {
+					t.Errorf("seed %d: re-parsed %s got a different handle", seed, a)
+				}
+			}
+
+			type op struct {
+				name string
+				g    Guard
+				e    *Expr // the expression the handle must decide like
+			}
+			ops := []op{{"And", and, AndOpt(a, b)}, {"Or", pe.Or(ga, gb), OrOpt(a, b)}}
+			if a != nil {
+				ops = append(ops, op{"Not", pe.Not(ga), Not(a)})
+			}
+			for _, o := range ops {
+				handles = append(handles, o.g)
+				var rendered *Expr
+				if r := pe.GuardExpr(o.g); r != nil {
+					var err error
+					if rendered, err = ParseExpr(r.String()); err != nil {
+						t.Fatalf("seed %d: %s handle renders unparseable %q: %v", seed, o.name, r, err)
+					}
+				}
+				for _, p := range products {
+					cfg := ConfigOf(p...)
+					want := EvalOpt(o.e, cfg)
+					got := pe.Solve(append(pinAll(pe, m, cfg), pe.Lits(o.g)...)...) == sat.Sat
+					if got != want {
+						t.Errorf("seed %d: %s guard for %v on product %v: solve=%v eval=%v", seed, o.name, o.e, p, got, want)
+					}
+					if EvalOpt(rendered, cfg) != want {
+						t.Errorf("seed %d: %s guard for %v renders as %v, which disagrees on product %v", seed, o.name, o.e, rendered, p)
+					}
+				}
+			}
+		}
+		for i, g := range handles {
+			for _, h := range handles[i+1:] {
+				if slices.Equal(pe.Lits(g), pe.Lits(h)) != (g == h) {
+					t.Errorf("seed %d: handles %d and %d: sets %v and %v", seed, g, h, pe.Lits(g), pe.Lits(h))
+				}
+			}
+		}
+	}
+}
