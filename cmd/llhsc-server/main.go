@@ -9,8 +9,7 @@
 //	             [-request-timeout 30s] [-max-inflight 16]
 //	             [-max-body 4194304] [-solver-conflicts 0]
 //	             [-shutdown-grace 15s] [-parallel 0] [-cache-size 256]
-//	             [-cache-dir ""] [-cache-max-bytes 0] [-degrade off]
-//	             [-mode enumerate]
+//	             [-degrade off] [-mode enumerate]
 //	             [-pprof 0] [-log-requests=true] [-flight-size 64]
 //	             [-flight-dump ""] [-slow-query-ms 0] [-slow-query-dir ""]
 //
@@ -22,16 +21,11 @@
 // The server drains gracefully on SIGINT/SIGTERM: new /check and
 // /lint requests answer 503 + Retry-After (reason "draining") so load
 // balancers fail over immediately, in-flight requests get
-// -shutdown-grace to complete, then the listener closes, the
-// persistent cache (if any) is flushed and closed, and the process
-// exits 0.
+// -shutdown-grace to complete, then the listener closes and the
+// process exits 0.
 //
-// -cache-dir layers the crash-safe persistent cache tier under the
-// in-memory cache: check results survive restarts, torn or corrupt
-// records are truncated/quarantined on open, and a circuit breaker
-// falls back to memory-only mode while the disk misbehaves. -degrade
-// auto sheds /check to lint-only checking while the in-flight
-// semaphore stays saturated (see README.md "Durability & degradation").
+// -degrade auto sheds /check to lint-only checking while the in-flight
+// semaphore stays saturated (see README.md "Degradation").
 //
 // -pprof <port> exposes net/http/pprof on 127.0.0.1:<port> (loopback
 // only, never the service listener); 0 keeps profiling off.
@@ -109,10 +103,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		"worker count for per-VM checking within one request (0 = GOMAXPROCS, 1 = serial)")
 	cacheSize := fs.Int("cache-size", 256,
 		"capacity of the content-addressed check-result cache, in trees (0 = disabled)")
-	cacheDir := fs.String("cache-dir", "",
-		"directory for the crash-safe persistent cache tier; results survive restarts (empty = memory-only)")
-	cacheMaxBytes := fs.Int64("cache-max-bytes", 0,
-		"total on-disk byte cap for -cache-dir; oldest segments are dropped first (0 = the built-in default)")
 	degrade := fs.String("degrade", "off",
 		"overload shedding for /check: off, auto (lint-only while the in-flight semaphore stays saturated), force")
 	var mode core.Mode
@@ -134,19 +124,11 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		return err
 	}
 
-	switch *degrade {
-	case "", service.DegradeOff, service.DegradeAuto, service.DegradeForce:
-	default:
-		return fmt.Errorf("unknown -degrade mode %q (want off, auto or force)", *degrade)
-	}
-
 	opts := service.Options{
 		RequestTimeout:     *requestTimeout,
 		MaxInFlight:        *maxInflight,
 		MaxBodyBytes:       *maxBody,
 		CacheSize:          *cacheSize,
-		CacheDir:           *cacheDir,
-		CacheMaxBytes:      *cacheMaxBytes,
 		Degrade:            *degrade,
 		Mode:               mode,
 		Registry:           obs.NewRegistry(), // serves GET /metrics
@@ -159,9 +141,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 			Parallelism: *parallel,
 		},
 	}
-	if *cacheDir != "" && *cacheSize <= 0 {
-		return fmt.Errorf("-cache-dir requires -cache-size > 0")
-	}
 	if *logRequests {
 		opts.LogWriter = os.Stderr
 	}
@@ -169,14 +148,10 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	if err != nil {
 		return err
 	}
-	defer svc.Close()
 	handler := http.Handler(svc)
 	info := buildinfo.Get()
 	log.Printf("llhsc-server %s (commit %s, built %s, %s)",
 		info.Version, info.Commit, info.Date, info.GoVersion)
-	if *cacheDir != "" {
-		log.Printf("llhsc-server persistent cache tier at %s", *cacheDir)
-	}
 
 	if fr := svc.FlightRecorder(); fr != nil && *flightDump != "" {
 		// SIGQUIT dumps the flight ring on demand (kill -QUIT <pid>)
@@ -248,9 +223,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
-	}
-	if err := svc.Close(); err != nil {
-		return fmt.Errorf("closing persistent cache: %w", err)
 	}
 	log.Printf("llhsc-server stopped")
 	return nil

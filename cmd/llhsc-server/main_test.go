@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 )
@@ -128,34 +129,6 @@ func TestGracefulShutdownDrainsInFlightCheck(t *testing.T) {
 	}
 }
 
-// startServer boots run() with the given extra flags and returns the
-// base URL plus stop/wait controls.
-func startServer(t *testing.T, extra ...string) (base string, stop func(), wait func() error) {
-	t.Helper()
-	ctx, cancel := context.WithCancel(context.Background())
-	ready := make(chan string, 1)
-	done := make(chan error, 1)
-	args := append([]string{"-addr", "127.0.0.1:0", "-shutdown-grace", "5s"}, extra...)
-	go func() { done <- run(ctx, args, ready) }()
-	select {
-	case addr := <-ready:
-		base = "http://" + addr
-	case err := <-done:
-		t.Fatalf("server exited before listening: %v", err)
-	case <-time.After(5 * time.Second):
-		t.Fatal("server never became ready")
-	}
-	return base, cancel, func() error {
-		select {
-		case err := <-done:
-			return err
-		case <-time.After(10 * time.Second):
-			t.Fatal("server never exited")
-			return nil
-		}
-	}
-}
-
 func TestUnknownDegradeModeRejected(t *testing.T) {
 	err := run(context.Background(), []string{"-degrade", "bogus"}, nil)
 	if err == nil {
@@ -163,63 +136,12 @@ func TestUnknownDegradeModeRejected(t *testing.T) {
 	}
 }
 
-func TestCacheDirRequiresCacheSize(t *testing.T) {
-	err := run(context.Background(), []string{"-cache-dir", t.TempDir(), "-cache-size", "0"}, nil)
-	if err == nil {
-		t.Fatal("-cache-dir with -cache-size 0 accepted")
-	}
-}
-
-// The binary-level durability path: a server started with -cache-dir
-// persists check results across a full stop/start cycle, and the
-// restarted process serves them from disk.
-func TestServerPersistentCacheAcrossRestart(t *testing.T) {
-	dir := t.TempDir()
-
-	base, stop, wait := startServer(t, "-cache-dir", dir, "-log-requests=false")
-	resp, err := http.Get(base + "/example")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	post := func(base string) {
-		t.Helper()
-		resp, err := http.Post(base+"/check", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/check status = %d", resp.StatusCode)
-		}
-	}
-	post(base)
-	stop()
-	if err := wait(); err != nil {
-		t.Fatalf("first server exit: %v", err)
-	}
-
-	base2, stop2, wait2 := startServer(t, "-cache-dir", dir, "-log-requests=false")
-	post(base2)
-	resp, err = http.Get(base2 + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var health struct {
-		PersistCache struct {
-			DiskHits uint64 `json:"disk_hits"`
-		} `json:"persistCache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if health.PersistCache.DiskHits == 0 {
-		t.Fatal("restarted server served no disk hits for a repeated check")
-	}
-	stop2()
-	if err := wait2(); err != nil {
-		t.Fatalf("second server exit: %v", err)
+// The persistent cache tier is gone; its flag must not be silently
+// accepted by a deployment script that still passes it. The unusable
+// -addr makes a regression fail fast instead of serving forever.
+func TestCacheDirFlagRejected(t *testing.T) {
+	err := run(context.Background(), []string{"-addr", "127.0.0.1:-1", "-cache-dir", t.TempDir()}, nil)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-cache-dir: err = %v, want an undefined-flag error", err)
 	}
 }

@@ -27,7 +27,6 @@ import (
 	"time"
 	"unsafe"
 
-	"llhsc/internal/checkcache/persist"
 	"llhsc/internal/constraints"
 	"llhsc/internal/obs"
 )
@@ -70,10 +69,9 @@ type entry struct {
 
 // flight is one in-progress computation other callers can wait on.
 type flight struct {
-	done     chan struct{} // closed when the leader finishes
-	val      []constraints.Violation
-	err      error
-	fromDisk bool // leader satisfied the miss from the persistent tier
+	done chan struct{} // closed when the leader finishes
+	val  []constraints.Violation
+	err  error
 }
 
 // Cache is a bounded LRU of check results, safe for concurrent use.
@@ -90,18 +88,9 @@ type Cache struct {
 	// truth for /healthz and the Prometheus scrape.
 	hits, misses, evictions obs.Counter
 
-	// Optional persistent tier (AttachPersist). store survives process
-	// restarts; breaker sheds it when the disk misbehaves. Both nil-safe
-	// throughout: a memory-only cache never consults them.
-	store   *persist.Store
-	breaker *Breaker
-	// Disk-tier counters, separate from the in-memory hit/miss pair so
-	// the pinned Stats shape is untouched.
-	diskHits, diskMisses, diskErrors, diskWrites obs.Counter
-
 	// lookupSeconds, set by RegisterMetrics, exposes per-tier lookup
-	// latency distributions (memory hit, single-flight join, disk hit,
-	// full compute). Nil on an unregistered cache: the lookup path then
+	// latency distributions (memory hit, single-flight join, full
+	// compute). Nil on an unregistered cache: the lookup path then
 	// pays one nil check and never reads a clock.
 	lookupSeconds *obs.HistogramVec
 }
@@ -151,7 +140,7 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 			return st.HitRate
 		}))
 	c.lookupSeconds = reg.NewHistogramVec("llhsc_checkcache_lookup_seconds",
-		"Cache lookup latency by serving tier: memory hit, single-flight join, disk hit, or full compute.",
+		"Cache lookup latency by serving tier: memory hit, single-flight join, or full compute.",
 		nil, "tier")
 }
 
@@ -246,17 +235,7 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 		c.misses.Inc()
 		c.mu.Unlock()
 
-		// Persistent tier, inside the single flight: N concurrent misses
-		// on one key cost at most one disk read. The tier is strictly
-		// best-effort — any failure falls through to computing.
-		if v, ok := c.diskGet(key); ok {
-			f.val, f.fromDisk = v, true
-		} else {
-			f.val, f.err = fn()
-			if f.err == nil {
-				c.diskPut(key, f.val)
-			}
-		}
+		f.val, f.err = fn()
 		c.mu.Lock()
 		delete(c.inflight, key)
 		if f.err == nil {
@@ -265,13 +244,9 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 		c.mu.Unlock()
 		close(f.done)
 		if f.err == nil {
-			if f.fromDisk {
-				c.observeLookup("disk", t0)
-			} else {
-				c.observeLookup("compute", t0)
-			}
+			c.observeLookup("compute", t0)
 		}
-		return copyViolations(f.val), f.fromDisk, f.err
+		return copyViolations(f.val), false, f.err
 	}
 }
 

@@ -8,9 +8,40 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"llhsc/internal/constraints"
+	"llhsc/internal/dts"
 )
+
+func sampleViolations() []constraints.Violation {
+	return []constraints.Violation{
+		{
+			Path:     "/soc/uart@fe001000",
+			Property: "reg",
+			Rule:     "unit-address-matches-reg",
+			Message:  "unit address fe001000 does not match first reg entry",
+			Origin:   dts.Origin{File: "board.dts", Line: 42, Delta: "vm1"},
+		},
+		{
+			Path:    "/memory@0",
+			Rule:    "memreserve-overlap",
+			Message: "reservation overlaps /memory@0",
+		},
+	}
+}
+
+func violationsEqual(a, b []constraints.Violation) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
+}
 
 func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	if Key("ab", "c") == Key("a", "bc") {
@@ -21,9 +52,10 @@ func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	}
 }
 
-// TestKeyGolden pins the digest: persisted cache entries are addressed
-// by these keys, so any change to how parts are framed or hashed would
-// orphan them.
+// TestKeyGolden pins the digest, so a rewrite of Key that only means to
+// make it cheaper (hashing parts in place, say) cannot silently change
+// how parts are framed: the length prefixes are what keep distinct part
+// lists from colliding.
 func TestKeyGolden(t *testing.T) {
 	for _, tc := range []struct {
 		parts []string
@@ -220,5 +252,135 @@ func TestNilCachePassesThrough(t *testing.T) {
 	}
 	if New(0) != nil {
 		t.Fatal("New(0) should be the disabled (nil) cache")
+	}
+}
+
+// TestTierPreservesNilVsEmptyViolations: "checked, zero violations"
+// (empty) and "nothing to report" (nil) are distinct answers, and the
+// memory tier must hand each back as itself on the computing call and
+// on every later hit.
+func TestTierPreservesNilVsEmptyViolations(t *testing.T) {
+	c := New(8)
+	kNil, kEmpty := Key("clean"), Key("empty")
+	v, _, _ := c.Do(context.Background(), kNil, func() ([]constraints.Violation, error) { return nil, nil })
+	if v != nil {
+		t.Fatalf("computed nil violations came back as %#v", v)
+	}
+	v, _, _ = c.Do(context.Background(), kEmpty, func() ([]constraints.Violation, error) {
+		return []constraints.Violation{}, nil
+	})
+	if v == nil || len(v) != 0 {
+		t.Fatalf("computed empty violations came back as %#v", v)
+	}
+	v, hit, _ := c.Do(context.Background(), kNil, func() ([]constraints.Violation, error) {
+		t.Fatal("recomputed")
+		return nil, nil
+	})
+	if !hit || v != nil {
+		t.Fatalf("nil violations came back as %#v (hit=%v)", v, hit)
+	}
+	v, hit, _ = c.Do(context.Background(), kEmpty, func() ([]constraints.Violation, error) {
+		t.Fatal("recomputed")
+		return nil, nil
+	})
+	if !hit || v == nil || len(v) != 0 {
+		t.Fatalf("empty violations came back as %#v (hit=%v)", v, hit)
+	}
+}
+
+// Satellite regression: a waiter whose context dies while a slow
+// leader computes must return promptly — not block until the leader
+// finishes.
+func TestDoWaiterReturnsPromptlyOnCancel(t *testing.T) {
+	c := New(8)
+	key := Key("slow")
+	leaderStarted := make(chan struct{})
+	release := make(chan struct{})
+	go func() {
+		c.Do(context.Background(), key, func() ([]constraints.Violation, error) {
+			close(leaderStarted)
+			<-release // leader stays busy until the test is done asserting
+			return nil, nil
+		})
+	}()
+	<-leaderStarted
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waiterDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.Do(ctx, key, func() ([]constraints.Violation, error) {
+			t.Error("waiter became a second leader")
+			return nil, nil
+		})
+		waiterDone <- err
+	}()
+	// Give the waiter time to join the flight, then cancel it.
+	time.Sleep(10 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-waiterDone:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled waiter returned %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("cancelled waiter still blocked on the leader")
+	}
+	close(release)
+
+	// A pre-cancelled caller never joins (or leads) at all.
+	dead, cancel2 := context.WithCancel(context.Background())
+	cancel2()
+	if _, _, err := c.Do(dead, Key("other"), func() ([]constraints.Violation, error) {
+		t.Error("pre-cancelled caller computed")
+		return nil, nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled Do returned %v", err)
+	}
+}
+
+// Satellite regression: a capacity-1 cache hammered on competing keys
+// races insertions against evictions against in-flight Do calls; under
+// -race this flushes out lock-ordering and shared-slice bugs.
+func TestEvictionVsDoRace(t *testing.T) {
+	c := New(1)
+	keys := []string{Key("a"), Key("b"), Key("c")}
+	vals := map[string][]constraints.Violation{
+		keys[0]: sampleViolations()[:1],
+		keys[1]: sampleViolations(),
+		keys[2]: nil,
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				k := keys[(w+i)%len(keys)]
+				v, _, err := c.Do(context.Background(), k, func() ([]constraints.Violation, error) {
+					return copyViolations(vals[k]), nil
+				})
+				if err != nil {
+					t.Errorf("Do(%s) err: %v", k, err)
+					return
+				}
+				if !violationsEqual(v, vals[k]) {
+					t.Errorf("Do(%s) returned another key's violations: %v", k, v)
+					return
+				}
+				// Mutating the returned slice must never corrupt the
+				// cached copy other goroutines receive.
+				if len(v) > 0 {
+					v[0].Message = "scribbled"
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.Entries != 1 {
+		t.Fatalf("capacity-1 cache holds %d entries", st.Entries)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("competing keys never evicted each other")
 	}
 }

@@ -1,5 +1,5 @@
 // Graceful degradation: the service sheds load instead of falling
-// over. Three mechanisms live here, all visible on /healthz:
+// over. Two mechanisms live here, both visible on /healthz:
 //
 //   - draining: an operator (or the shutdown path) marks the service
 //     draining; /check and /lint answer 503 + Retry-After so load
@@ -7,13 +7,13 @@
 //   - adaptive overload shedding: when the in-flight semaphore stays
 //     saturated past a dwell threshold, /check drops to lint-only
 //     checking (core.Pipeline.LintOnly) — exact structural verdicts,
-//     no SMT work — until occupancy stays below half capacity for the
-//     exit dwell (hysteresis, so the mode does not flap).
-//   - the persistent cache tier's circuit breaker (internal/checkcache)
-//     reports through the same health document.
+//     the semantic, memreserve and interrupt families skipped — until
+//     occupancy stays below half capacity for the exit dwell
+//     (hysteresis, so the mode does not flap).
 package service
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -69,11 +69,14 @@ type degradeController struct {
 
 // newDegradeController returns nil for mode off/"" (the comparisons in
 // the handlers are nil-safe), a forced controller for DegradeForce,
-// and a dwell-based one for DegradeAuto.
-func newDegradeController(mode string, enterAfter, exitAfter time.Duration) *degradeController {
+// and a dwell-based one for DegradeAuto. Any other mode is an error.
+func newDegradeController(mode string, enterAfter, exitAfter time.Duration) (*degradeController, error) {
 	switch mode {
 	case "", DegradeOff:
-		return nil
+		return nil, nil
+	case DegradeAuto, DegradeForce:
+	default:
+		return nil, fmt.Errorf("unknown degrade mode %q (want off, auto or force)", mode)
 	}
 	if enterAfter <= 0 {
 		enterAfter = defaultDegradeEnterAfter
@@ -86,7 +89,7 @@ func newDegradeController(mode string, enterAfter, exitAfter time.Duration) *deg
 		enterAfter: enterAfter,
 		exitAfter:  exitAfter,
 		now:        time.Now,
-	}
+	}, nil
 }
 
 // observe feeds one admission-time occupancy sample: inflight requests

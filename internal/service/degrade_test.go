@@ -3,14 +3,12 @@ package service
 import (
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 )
 
 // newService spins up a Service-backed test server so tests can reach
-// the operational controls (draining, persist tier).
+// the operational controls (draining).
 func newService(t *testing.T, opts Options) (*Service, *httptest.Server) {
 	t.Helper()
 	svc, err := NewService(opts)
@@ -18,10 +16,7 @@ func newService(t *testing.T, opts Options) (*Service, *httptest.Server) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(svc)
-	t.Cleanup(func() {
-		srv.Close()
-		svc.Close()
-	})
+	t.Cleanup(srv.Close)
 	return svc, srv
 }
 
@@ -104,7 +99,7 @@ func TestDegradeAbsentFromHealthWhenOff(t *testing.T) {
 	_, srv := newService(t, Options{CacheSize: 4})
 	var health map[string]interface{}
 	getJSON(t, srv.URL+"/healthz", &health)
-	for _, field := range []string{"degrade", "persistCache", "draining"} {
+	for _, field := range []string{"degrade", "draining"} {
 		if _, ok := health[field]; ok {
 			t.Fatalf("healthz leaks %q with the feature off: %v", field, health)
 		}
@@ -115,7 +110,10 @@ func TestDegradeAbsentFromHealthWhenOff(t *testing.T) {
 // clock: saturation must persist before shedding starts, recovery
 // requires a sustained calm period, and the middle band holds state.
 func TestAutoDegradeDwellAndHysteresis(t *testing.T) {
-	d := newDegradeController(DegradeAuto, 2*time.Second, 5*time.Second)
+	d, err := newDegradeController(DegradeAuto, 2*time.Second, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := time.Unix(0, 0)
 	d.now = func() time.Time { return now }
 	tick := func(inflight int, dt time.Duration) {
@@ -170,7 +168,10 @@ func TestAutoDegradeDwellAndHysteresis(t *testing.T) {
 }
 
 func TestAutoDegradeNeverEngagesWithoutSemaphore(t *testing.T) {
-	d := newDegradeController(DegradeAuto, time.Millisecond, time.Millisecond)
+	d, err := newDegradeController(DegradeAuto, time.Millisecond, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
 	now := time.Unix(0, 0)
 	d.now = func() time.Time { return now }
 	for i := 0; i < 100; i++ {
@@ -182,77 +183,17 @@ func TestAutoDegradeNeverEngagesWithoutSemaphore(t *testing.T) {
 	}
 }
 
-func TestServicePersistTierSurvivesRestart(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{CacheSize: 8, CacheDir: dir}
-
-	svc, srv := newService(t, opts)
-	req := exampleRequest(t, srv)
-	var out CheckResponse
-	if resp := postJSON(t, srv.URL+"/check", req, &out); resp.StatusCode != http.StatusOK || !out.OK {
-		t.Fatalf("first /check = %d ok=%v", resp.StatusCode, out.OK)
+// A library caller's misspelt mode must fail at construction, not
+// silently turn on shedding.
+func TestUnknownDegradeModeRejectedByService(t *testing.T) {
+	for _, mode := range []string{"bogus", "Auto", "on"} {
+		if _, err := NewService(Options{Degrade: mode}); err == nil {
+			t.Errorf("NewService accepted Degrade %q", mode)
+		}
 	}
-	var health map[string]interface{}
-	getJSON(t, srv.URL+"/healthz", &health)
-	tier, ok := health["persistCache"].(map[string]interface{})
-	if !ok {
-		t.Fatalf("healthz missing persistCache: %v", health)
-	}
-	if tier["disk_writes"].(float64) == 0 {
-		t.Fatalf("no write-through recorded: %v", tier)
-	}
-	srv.Close()
-	if err := svc.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// New process, same cache dir: the first check must hit disk
-	// instead of re-solving.
-	svc2, err := NewService(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv2 := httptest.NewServer(svc2)
-	defer func() {
-		srv2.Close()
-		svc2.Close()
-	}()
-	var out2 CheckResponse
-	if resp := postJSON(t, srv2.URL+"/check", req, &out2); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm /check status = %d", resp.StatusCode)
-	}
-	if !out2.OK || out2.Stats == nil || out2.Stats.CacheHits == 0 {
-		t.Fatalf("warm restart did not hit the persistent tier: ok=%v stats=%+v", out2.OK, out2.Stats)
-	}
-	getJSON(t, srv2.URL+"/healthz", &health)
-	tier = health["persistCache"].(map[string]interface{})
-	if tier["disk_hits"].(float64) == 0 {
-		t.Fatalf("warm restart served no disk hits: %v", tier)
-	}
-	// Verdicts must match the cold run exactly.
-	if out2.Platform.DTS != out.Platform.DTS || len(out2.VMs) != len(out.VMs) {
-		t.Fatal("warm-restart response diverged from the cold run")
-	}
-}
-
-func TestNewHandlerFallsBackToMemoryOnBadCacheDir(t *testing.T) {
-	// A file where the cache directory should be makes Open fail;
-	// NewHandler must degrade to memory-only instead of failing.
-	dir := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(dir, []byte("in the way"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h := NewHandler(Options{CacheSize: 4, CacheDir: dir})
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-	var health map[string]interface{}
-	if resp := getJSON(t, srv.URL+"/healthz", &health); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status = %d", resp.StatusCode)
-	}
-	if _, ok := health["persistCache"]; ok {
-		t.Fatal("broken cache dir still produced a persistent tier")
-	}
-	if _, ok := health["checkCache"]; !ok {
-		t.Fatal("memory cache lost in the fallback")
+	for _, mode := range []string{"", DegradeOff, DegradeAuto, DegradeForce} {
+		if _, err := NewService(Options{Degrade: mode}); err != nil {
+			t.Errorf("NewService rejected Degrade %q: %v", mode, err)
+		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"llhsc/internal/core"
-	"llhsc/internal/faultinject"
 	"llhsc/internal/obs"
 )
 
@@ -157,13 +157,17 @@ func TestFlightDumpOnBudgetExhaustion(t *testing.T) {
 // "panic", the dumped record carrying the failing request.
 func TestFlightDumpOnPanic(t *testing.T) {
 	dumpPath := filepath.Join(t.TempDir(), "flight.json")
-	faults := faultinject.NewSet(1)
-	faults.ArmPanic("service.check", faultinject.Always(), "injected crash")
 	srv, _, _ := obsServer(t, Options{
 		FlightSize:     4,
 		FlightDumpPath: dumpPath,
-		Faults:         faults,
 	})
+	var crash atomic.Bool
+	crash.Store(true)
+	srv.Config.Handler.(*Service).srv.beforeCheck = func() {
+		if crash.Load() {
+			panic("injected crash")
+		}
+	}
 
 	var e errorResponse
 	resp := postJSON(t, srv.URL+"/check", exampleBody(t, srv), &e)
@@ -194,7 +198,7 @@ func TestFlightDumpOnPanic(t *testing.T) {
 	}
 
 	// The server must keep serving, and later requests must not dump.
-	faults.Disarm("service.check")
+	crash.Store(false)
 	if resp := postJSON(t, srv.URL+"/check", exampleBody(t, srv), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("request after panic: status = %d, want 200", resp.StatusCode)
 	}

@@ -18,23 +18,20 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // fullRegistry builds a service with every metrics-registering feature
 // enabled, so the hygiene checks cover the complete family set:
-// service, pipeline, check-cache (memory + persistent tier), degrade,
-// build info and the deep-diagnostics histograms.
+// service, pipeline, check-cache, degrade, build info and the
+// deep-diagnostics histograms.
 func fullRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
-	svc, err := NewService(Options{
+	if _, err := NewService(Options{
 		CacheSize:   8,
-		CacheDir:    t.TempDir(),
 		Degrade:     DegradeAuto,
 		Registry:    reg,
 		FlightSize:  4,
 		SlowQueryMs: 1,
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { svc.Close() })
 	return reg
 }
 

@@ -42,13 +42,11 @@ import (
 
 	"llhsc/internal/buildinfo"
 	"llhsc/internal/checkcache"
-	"llhsc/internal/checkcache/persist"
 	"llhsc/internal/constraints"
 	"llhsc/internal/core"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/dts/preproc"
-	"llhsc/internal/faultinject"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
@@ -77,20 +75,11 @@ type Options struct {
 	// content-addressed check-result cache (0 = disabled). Hit, miss
 	// and eviction counters surface on GET /healthz.
 	CacheSize int
-	// CacheDir, when non-empty, layers a crash-safe persistent tier
-	// (internal/checkcache/persist) under the in-memory cache: results
-	// survive restarts, guarded by a circuit breaker that falls back to
-	// memory-only mode while the disk misbehaves. Requires CacheSize >
-	// 0. Use NewService to observe open errors; NewHandler degrades to
-	// memory-only if the directory cannot be opened.
-	CacheDir string
-	// CacheMaxBytes caps the persistent tier's total on-disk size
-	// (0 = the persist package default).
-	CacheMaxBytes int64
 	// Degrade selects overload shedding for /check: "" or "off"
 	// (never), "auto" (shed to lint-only checking while the in-flight
 	// semaphore stays saturated past a dwell threshold), "force" (shed
-	// every request; an operator switch). See internal/service/degrade.go.
+	// every request; an operator switch). Any other value makes
+	// NewService fail. See internal/service/degrade.go.
 	Degrade string
 	// DegradeEnterAfter / DegradeExitAfter tune auto mode's dwell
 	// thresholds (defaults 2s / 5s).
@@ -129,12 +118,6 @@ type Options struct {
 	// SlowQueryBundleDir is the directory slow-query reproducer bundles
 	// are written to ("" = log lines only).
 	SlowQueryBundleDir string
-	// Faults, when non-nil, arms fault-injection points on the request
-	// path (the "service.check" point fires at the top of every /check
-	// pipeline run). Chaos tests use it to drive panics and errors
-	// through the real handler stack; production deployments leave it
-	// nil.
-	Faults *faultinject.Set
 }
 
 const defaultMaxBodyBytes = 4 << 20
@@ -251,50 +234,38 @@ func Handler() http.Handler { return NewHandler(Options{}) }
 
 // NewHandler returns the service's HTTP handler hardened per opts:
 // every endpoint gets panic isolation, and /check + /lint additionally
-// get the per-request timeout and the in-flight bound. If CacheDir is
-// set but the persistent tier cannot be opened, the handler degrades
-// to a memory-only cache (the disk is an optimization, never a
-// dependency); use NewService to observe the open error and to manage
-// draining and shutdown.
+// get the per-request timeout and the in-flight bound. It panics if
+// NewService rejects opts; use NewService to get the error instead,
+// and to manage draining.
 func NewHandler(opts Options) http.Handler {
 	svc, err := NewService(opts)
 	if err != nil {
-		opts.CacheDir = ""
-		svc, _ = NewService(opts)
+		panic(err)
 	}
 	return svc
 }
 
-// Service is the HTTP handler plus its operational controls: the
-// draining switch the shutdown path flips before srv.Shutdown, and
-// Close for the persistent cache tier.
+// Service is the HTTP handler plus its operational controls, such as
+// the draining switch the shutdown path flips before srv.Shutdown.
 type Service struct {
 	http.Handler
 	srv *server
 }
 
 // NewService builds the hardened handler and returns it with its
-// operational controls. The only error source is opening the
-// persistent cache tier (Options.CacheDir).
+// operational controls. It fails if opts.Degrade names no degrade mode.
 func NewService(opts Options) (*Service, error) {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = defaultMaxBodyBytes
 	}
+	degrade, err := newDegradeController(opts.Degrade, opts.DegradeEnterAfter, opts.DegradeExitAfter)
+	if err != nil {
+		return nil, err
+	}
 	s := &server{
 		opts:    opts,
 		cache:   checkcache.New(opts.CacheSize),
-		degrade: newDegradeController(opts.Degrade, opts.DegradeEnterAfter, opts.DegradeExitAfter),
-	}
-	if opts.CacheDir != "" && s.cache != nil {
-		store, err := persist.Open(persist.Options{
-			Dir:           opts.CacheDir,
-			MaxTotalBytes: opts.CacheMaxBytes,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: persistent cache tier: %w", err)
-		}
-		s.store = store
-		s.cache.AttachPersist(store, checkcache.NewBreaker(0, 0, 0))
+		degrade: degrade,
 	}
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
@@ -304,7 +275,6 @@ func NewService(opts Options) (*Service, error) {
 		s.pipeMetrics = core.NewPipelineMetrics(opts.Registry)
 		buildinfo.Register(opts.Registry)
 		s.cache.RegisterMetrics(opts.Registry)
-		s.cache.RegisterTierMetrics(opts.Registry)
 		opts.Registry.Register("llhsc_service_draining",
 			"1 while the service answers 503 ahead of shutdown.", obs.FuncGauge(func() float64 {
 				if s.draining.Load() {
@@ -361,22 +331,11 @@ func (svc *Service) SetDraining(v bool) { svc.srv.draining.Store(v) }
 // Draining reports the switch's current position.
 func (svc *Service) Draining() bool { return svc.srv.draining.Load() }
 
-// Close releases the persistent cache tier (a no-op without one). Call
-// after the HTTP server has shut down — in-flight requests may still
-// touch the store.
-func (svc *Service) Close() error {
-	if svc.srv.store == nil {
-		return nil
-	}
-	return svc.srv.store.Close()
-}
-
 type server struct {
 	opts     Options
 	inflight chan struct{}     // nil = unlimited
 	cache    *checkcache.Cache // nil = disabled; shared across requests
 
-	store    *persist.Store     // nil = memory-only cache
 	degrade  *degradeController // nil = shedding off
 	draining atomic.Bool        // set via Service.SetDraining
 
@@ -385,6 +344,11 @@ type server struct {
 	logger      *jsonLogger           // nil = no LogWriter configured
 	flight      *obs.FlightRecorder   // nil = flight recorder disabled
 	slowLog     *obs.SlowQueryLog     // nil = slow-query log disabled
+
+	// beforeCheck, when a test sets it, runs at the top of every /check
+	// pipeline run, so the test can drive a panic through the real
+	// handler stack. Always nil outside tests.
+	beforeCheck func()
 }
 
 // FlightRecorder exposes the service's flight recorder (nil when
@@ -509,9 +473,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		resp["checkCache"] = s.cache.Stats()
 	}
-	if tier := s.cache.Tier(); tier != nil {
-		resp["persistCache"] = tier
-	}
 	if s.degrade != nil {
 		resp["degrade"] = s.degrade.stats()
 	}
@@ -630,10 +591,8 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 		return nil, http.StatusBadRequest,
 			fmt.Errorf("coreDts, deltas, featureModel and vms are all required")
 	}
-	if s.opts.Faults != nil {
-		if err := s.opts.Faults.Fire("service.check"); err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
+	if s.beforeCheck != nil {
+		s.beforeCheck()
 	}
 	markPhase(ctx, "parse")
 	tree, err := s.parseSource("core.dts", req.CoreDTS, req.Includes, req.Defines, req.Preprocess)
