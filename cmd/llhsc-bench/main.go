@@ -1,5 +1,5 @@
 // Command llhsc-bench regenerates every table and figure of the paper
-// (experiments E1–E7) plus the scaling/ablation extensions (E8–E19).
+// (experiments E1–E7) plus the scaling/ablation extensions (E8–E16).
 // See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for the
 // recorded results.
 //
@@ -27,7 +27,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("llhsc-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment id (e1..e19) or 'all'")
+	exp := fs.String("exp", "all", "experiment id (e1..e16) or 'all'")
 	list := fs.Bool("list", false, "list experiments")
 	if err := fs.Parse(args); err != nil {
 		return err

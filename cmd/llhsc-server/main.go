@@ -11,7 +11,7 @@
 //	             [-shutdown-grace 15s] [-parallel 0] [-cache-size 256]
 //	             [-degrade off] [-mode enumerate]
 //	             [-pprof 0] [-log-requests=true] [-flight-size 64]
-//	             [-flight-dump ""] [-slow-query-ms 0] [-slow-query-dir ""]
+//	             [-flight-dump ""]
 //
 // The server always serves Prometheus-format metrics on GET /metrics
 // (request latency, solver work, cache counters) and, unless
@@ -34,9 +34,6 @@
 // served as JSON on GET /debug/flight to loopback peers; with
 // -flight-dump the ring is written to disk when a request panics, a
 // solver budget runs out, or the process receives SIGQUIT.
-// -slow-query-ms logs solver queries over the threshold as structured
-// warn lines, and -slow-query-dir additionally writes a replayable
-// reproducer bundle per slow query for `llhsc replay`.
 //
 // Build metadata (llhsc_build_info on /metrics, the "build" block on
 // /healthz, the startup log line) is stamped at build time:
@@ -116,26 +113,20 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		"flight-recorder ring size: last N requests served on GET /debug/flight, loopback only (0 = disabled)")
 	flightDump := fs.String("flight-dump", "",
 		"file the flight ring is dumped to on a panic, a budget-limit stop or SIGQUIT (empty = no dumps)")
-	slowQueryMs := fs.Float64("slow-query-ms", 0,
-		"log solver queries at or over this many milliseconds as structured warn lines (0 = off)")
-	slowQueryDir := fs.String("slow-query-dir", "",
-		"write a replayable reproducer bundle per slow query into this directory, for `llhsc replay` (requires -slow-query-ms)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	opts := service.Options{
-		RequestTimeout:     *requestTimeout,
-		MaxInFlight:        *maxInflight,
-		MaxBodyBytes:       *maxBody,
-		CacheSize:          *cacheSize,
-		Degrade:            *degrade,
-		Mode:               mode,
-		Registry:           obs.NewRegistry(), // serves GET /metrics
-		FlightSize:         *flightSize,
-		FlightDumpPath:     *flightDump,
-		SlowQueryMs:        *slowQueryMs,
-		SlowQueryBundleDir: *slowQueryDir,
+		RequestTimeout: *requestTimeout,
+		MaxInFlight:    *maxInflight,
+		MaxBodyBytes:   *maxBody,
+		CacheSize:      *cacheSize,
+		Degrade:        *degrade,
+		Mode:           mode,
+		Registry:       obs.NewRegistry(), // serves GET /metrics
+		FlightSize:     *flightSize,
+		FlightDumpPath: *flightDump,
 		Limits: core.Limits{
 			Solver:      sat.Budget{MaxConflicts: *solverConflicts},
 			Parallelism: *parallel,

@@ -8,7 +8,6 @@
 //	llhsc check    -core board.dts -deltas board.deltas -fm board.fm -vm veth0,... -vm veth1,...
 //	llhsc generate -core board.dts -deltas board.deltas -fm board.fm -vm ... -vm ... -o outdir
 //	llhsc infer-fm -core board.dts
-//	llhsc replay   slowquery-<key>.json  (re-execute a slow-query reproducer)
 //	llhsc demo     [-o outdir]      (the paper's running example)
 //
 // VM configurations are comma-separated feature lists; names of
@@ -59,8 +58,6 @@ func run(args []string) error {
 		return cmdInferFM(args[1:])
 	case "demo":
 		return cmdDemo(args[1:])
-	case "replay":
-		return cmdReplay(args[1:])
 	case "version":
 		info := buildinfo.Get()
 		fmt.Printf("llhsc %s (commit %s, built %s, %s)\n",
@@ -77,11 +74,10 @@ func run(args []string) error {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  llhsc check    -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-schemas <dir>] [-parallel n] [-mode enumerate|lifted] [-trace] [-trace-json <file>] [-slow-query-ms <t> [-slow-query-dir <dir>]]
+  llhsc check    -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-schemas <dir>] [-parallel n] [-mode enumerate|lifted] [-trace] [-trace-json <file>]
   llhsc generate -core <dts> -deltas <file> -fm <file> -vm <features> [-vm ...] [-I <dir> ...] [-D <name[=value]> ...] [-o <dir>] [-parallel n] [-mode enumerate|lifted]
   llhsc products -fm <file> [-limit n]
   llhsc infer-fm -core <dts> [-I <dir> ...] [-D <name[=value]> ...]
-  llhsc replay   <bundle.json> [...]   (re-execute slow-query reproducer bundles)
   llhsc demo     [-o <dir>]
   llhsc version
 
@@ -162,10 +158,6 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 		"print the phase span tree and solver statistics to stderr")
 	traceJSON := fs.String("trace-json", "",
 		"write the phase span tree as Chrome trace-event JSON to this file (open in chrome://tracing or Perfetto)")
-	slowQueryMs := fs.Float64("slow-query-ms", 0,
-		"log solver queries at or over this many milliseconds to stderr (0 = off)")
-	slowQueryDir := fs.String("slow-query-dir", "",
-		"write a replayable reproducer bundle per slow query into this directory (requires -slow-query-ms)")
 	var vms vmFlags
 	fs.Var(&vms, "vm", "feature list for one VM (repeatable)")
 	var includes includeFlags
@@ -221,10 +213,6 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 		Schemas:   schemas,
 		VMConfigs: configs,
 		Mode:      mode,
-	}
-	if *slowQueryMs > 0 {
-		pipeline.SlowQuery = obs.NewSlowQueryLog(os.Stderr, *slowQueryMs)
-		pipeline.SlowQueryBundleDir = *slowQueryDir
 	}
 	ctx := context.Background()
 	var root *obs.Span
@@ -302,46 +290,6 @@ func writeTraceJSON(path string, root *obs.Span) error {
 	}
 	if werr != nil {
 		return fmt.Errorf("trace-json: %w", werr)
-	}
-	return nil
-}
-
-// cmdReplay re-executes slow-query reproducer bundles (written by
-// -slow-query-dir or the server's SlowQueryBundleDir) and compares each
-// verdict and witness against the recorded ones. Any mismatch makes the
-// command fail, so replays can gate CI.
-func cmdReplay(args []string) error {
-	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if fs.NArg() == 0 {
-		return fmt.Errorf("replay requires at least one bundle file")
-	}
-	mismatches := 0
-	for _, path := range fs.Args() {
-		b, err := core.ReadReproBundle(path)
-		if err != nil {
-			return err
-		}
-		res, err := b.Replay(context.Background())
-		if err != nil {
-			return fmt.Errorf("replay %s: %w", path, err)
-		}
-		status := "MATCH"
-		if !res.Match {
-			status = "MISMATCH"
-			mismatches++
-		}
-		fmt.Printf("%s: %s kind=%s verdict=%s", filepath.Base(path), status, b.Kind, res.Verdict)
-		if res.Witness != "" {
-			fmt.Printf(" witness=%s", res.Witness)
-		}
-		fmt.Printf(" millis=%.2f (recorded verdict=%s millis=%.2f)\n",
-			res.Millis, b.Query.Verdict, b.Query.Millis)
-	}
-	if mismatches > 0 {
-		return fmt.Errorf("%d bundle(s) did not reproduce their recorded outcome", mismatches)
 	}
 	return nil
 }

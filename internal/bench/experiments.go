@@ -43,7 +43,6 @@ func Experiments() []Experiment {
 		{"e12", "Scaling: full pipeline over k-VM synthetic product lines", RunE12},
 		{"e13", "Parallel pipeline speedup over worker counts", RunE13},
 		{"e16", "Family-based lifted checking vs product enumeration", RunE16},
-		{"e19", "Deep diagnostics overhead: slow-query instrumentation off vs on", RunE19},
 	}
 }
 

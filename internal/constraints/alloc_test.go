@@ -35,11 +35,9 @@ func TestDecideConcretePairZeroAllocs(t *testing.T) {
 }
 
 // TestWordTierSweepUninstrumentedNoPerPairAllocs pins the other half of
-// the hot-path contract: with OnQuery nil (slow-query logging off, the
-// production default) the word-tier pair sweep must not allocate per
+// the hot-path contract: the word-tier pair sweep must not allocate per
 // pair. A fixed per-call setup cost is tolerated; what must not happen
-// is allocation scaling with the pair count — that would mean the
-// instrumentation hooks leak onto the disabled path.
+// is allocation scaling with the pair count.
 func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 	const n = 32
 	regions := make([]addr.Region, n)
@@ -57,7 +55,7 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 		}
 	}
 
-	sc := NewSemanticChecker() // OnQuery nil: instrumentation disabled
+	sc := NewSemanticChecker()
 	ctx := context.Background()
 	allocsFor := func(ps [][2]int) float64 {
 		return testing.AllocsPerRun(200, func() {
@@ -71,7 +69,7 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 	}
 	few, many := allocsFor(pairs[:4]), allocsFor(pairs)
 	if many > few {
-		t.Errorf("word-tier sweep allocates per pair with OnQuery nil: %.1f allocs for %d pairs vs %.1f for 4",
+		t.Errorf("word-tier sweep allocates per pair: %.1f allocs for %d pairs vs %.1f for 4",
 			many, len(pairs), few)
 	}
 }

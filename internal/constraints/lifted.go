@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"llhsc/internal/addr"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
-	"llhsc/internal/obs"
 	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
@@ -114,12 +112,6 @@ type LiftedChecker struct {
 	LintOnly bool
 	// Budget bounds the shared session's work per CheckContext call.
 	Budget sat.Budget
-	// OnQuery, when non-nil, receives one QueryRecord per reachability
-	// query the shared session answers (assumption sets already answered
-	// are cache hits and never reach it). Same contract as
-	// SemanticChecker.OnQuery: the hook runs inline, and leaving it nil
-	// keeps the query loop free of record construction.
-	OnQuery func(obs.QueryRecord)
 
 	stats LiftedStats
 }
@@ -225,23 +217,10 @@ func (r *liftedRun) reachable(g featmodel.Guard) (bool, featmodel.Configuration)
 	if int(g) < len(r.reach) && r.reach[g].known {
 		return r.reach[g].ok, r.reach[g].cfg
 	}
-	var t0 time.Time
-	var before sat.Stats
-	if r.lc.OnQuery != nil {
-		t0 = time.Now()
-		before = r.pe.Stats()
-	}
 	st, err := r.pe.SolveContext(r.ctx, r.pe.Lits(g)...)
 	res := reachResult{known: true, ok: err == nil && st == sat.Sat}
 	if res.ok {
 		res.cfg = r.pe.Config()
-	}
-	if r.lc.OnQuery != nil {
-		guard := "-"
-		if g != 0 {
-			guard = r.pe.GuardExpr(g).String()
-		}
-		r.lc.emitReach(guard, st, err, time.Since(t0), r.pe.Stats().Sub(before), res.cfg)
 	}
 	if err != nil {
 		r.err = err
@@ -255,29 +234,6 @@ func (r *liftedRun) reachable(g featmodel.Guard) (bool, featmodel.Configuration)
 	}
 	r.reach[g] = res
 	return res.ok, res.cfg
-}
-
-// emitReach builds and delivers one lifted reachability record. Called
-// only when OnQuery is non-nil.
-func (lc *LiftedChecker) emitReach(guard string, st sat.Status, err error, elapsed time.Duration, d sat.Stats, cfg featmodel.Configuration) {
-	q := obs.QueryRecord{
-		Family:       "lifted",
-		Tier:         "lifted",
-		Query:        guard,
-		Verdict:      "unsat",
-		Millis:       float64(elapsed) / float64(time.Millisecond),
-		Conflicts:    d.Conflicts,
-		Decisions:    d.Decisions,
-		Propagations: d.Propagations,
-	}
-	switch {
-	case err != nil:
-		q.Verdict = "limit"
-	case st == sat.Sat:
-		q.Verdict = "sat"
-		q.Witness = fmt.Sprintf("%v", cfg.Sorted())
-	}
-	lc.OnQuery(q)
 }
 
 // emit reports a violation if its guard is reachable.

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"llhsc/internal/addr"
 	"llhsc/internal/dts"
-	"llhsc/internal/obs"
 )
 
 // Collision is a detected overlap between two address regions, with a
@@ -69,12 +67,6 @@ type SemanticChecker struct {
 	// against each other (needed for the truncation scenario of E6).
 	// Enabled by default via NewSemanticChecker.
 	CheckMemoryBanks bool
-	// OnQuery, when non-nil, receives one QueryRecord per pair decision,
-	// with its wall time. The hook runs inline on the checking goroutine;
-	// keep it cheap. Leaving it nil (the default) keeps the decision loop
-	// on its zero-allocation path: not even a QueryRecord is built (see
-	// alloc_test.go).
-	OnQuery func(obs.QueryRecord)
 
 	stats SemanticStats
 }
@@ -198,8 +190,8 @@ func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []
 // hands each collision to hit, in pair order. It is the decision step
 // of both checking modes: the lifted checker runs it over each
 // root-width group of guarded regions. The context is polled once per
-// pair, since no solver is there to poll it. With OnQuery nil the loop
-// itself allocates nothing.
+// pair, since no solver is there to poll it. The loop itself allocates
+// nothing.
 func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Region, width int, pairs [][2]int, hit func(pair [2]int, c Collision)) error {
 	sc.stats.Pairs += len(pairs)
 	for _, pair := range pairs {
@@ -207,46 +199,13 @@ func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Regio
 			return err
 		}
 		a, b := regions[pair[0]], regions[pair[1]]
-		var t0 time.Time
-		if sc.OnQuery != nil {
-			t0 = time.Now()
-		}
 		overlap, w := DecideConcretePair(a, b, width)
 		sc.stats.WordDecided++
 		if overlap {
 			hit(pair, Collision{A: a, B: b, Witness: w})
 		}
-		if sc.OnQuery != nil {
-			sc.emitPair(a, b, overlap, w, time.Since(t0))
-		}
 	}
 	return nil
-}
-
-// RegionLabel is the stable identity of one region in query records
-// and reproducer bundles: node path plus reg-entry index. Replay
-// matches re-run collisions against bundle queries by this label.
-func RegionLabel(r addr.Region) string {
-	return fmt.Sprintf("%s[%d]", r.Path, r.Index)
-}
-
-// emitPair builds and delivers one pair-decision record. Called only
-// when OnQuery is non-nil, so the disabled path never reaches the
-// formatting below.
-func (sc *SemanticChecker) emitPair(a, b addr.Region, overlap bool, witness uint64, elapsed time.Duration) {
-	q := obs.QueryRecord{
-		Family:  "semantic",
-		Tier:    "word",
-		A:       RegionLabel(a),
-		B:       RegionLabel(b),
-		Verdict: "disjoint",
-		Millis:  float64(elapsed) / float64(time.Millisecond),
-	}
-	if overlap {
-		q.Verdict = "overlap"
-		q.Witness = fmt.Sprintf("0x%x", witness)
-	}
-	sc.OnQuery(q)
 }
 
 func sortCollisions(out []Collision) {

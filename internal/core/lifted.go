@@ -94,7 +94,6 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 		lc.Budget = st.limits.Solver
 		lc.SkipInterrupts = p.SkipInterrupts
 		lc.LintOnly = p.LintOnly
-		lc.OnQuery = p.liftedObserver(st)
 		var t0 time.Time
 		if p.Metrics != nil {
 			t0 = time.Now()
@@ -126,7 +125,7 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 		st.addCache(hit)
 	}
 	if err != nil {
-		return &LimitError{Phase: "lifted", Err: err}
+		return st.limitError("lifted", err)
 	}
 	report.Lifted = decodeLiftedFindings(encoded)
 	span.SetInt("findings", uint64(len(report.Lifted)))

@@ -176,8 +176,8 @@ func (st *runState) addCache(hit bool) {
 	}
 }
 
-// snapshot copies the accumulated stats (workers have drained by the
-// time the report is assembled, but the lock keeps -race honest).
+// snapshot copies the accumulated stats. A limit stop takes one while
+// other product workers may still be running, hence the lock.
 func (st *runState) snapshot() RunStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()

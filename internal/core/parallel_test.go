@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +19,6 @@ import (
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
-	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 	"llhsc/internal/schema"
 )
@@ -146,22 +146,48 @@ func TestParallelReportMatchesSerialFaultCorpus(t *testing.T) {
 	}
 }
 
-// cancelWriter cancels a run from inside it: handed to the slow-query
-// log, its first write — the first logged pair decision — cancels.
-type cancelWriter struct{ cancel context.CancelFunc }
+// pollCancelCtx cancels the run on its nth poll, counting calls to Err
+// and Done alike. A parallel run hands each product job a child context
+// of its own, and a child's Err never consults its parent, so the polls
+// that reach this wrapper are the pipeline's own: allocation's check,
+// then the fan-out's, as it derives one child per product job.
+type pollCancelCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
 
-func (w cancelWriter) Write(p []byte) (int, error) {
-	w.cancel()
-	return len(p), nil
+func newPollCancelCtx(parent context.Context, n int64) (*pollCancelCtx, context.CancelFunc) {
+	ctx, cancel := context.WithCancel(parent)
+	c := &pollCancelCtx{Context: ctx, cancel: cancel}
+	c.left.Store(n)
+	return c, cancel
+}
+
+func (c *pollCancelCtx) poll() {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+}
+
+func (c *pollCancelCtx) Err() error {
+	c.poll()
+	return c.Context.Err()
+}
+
+func (c *pollCancelCtx) Done() <-chan struct{} {
+	c.poll()
+	return c.Context.Done()
 }
 
 // TestParallelCancellationStopsWorkers cancels a parallel run from
 // inside and requires a prompt *core.LimitError wrapping
-// context.Canceled. A region planted over uart0 gives every tree's
-// semantic family one pair to decide, and the slow-query log (threshold
-// 0) records it: the first record cancels. No product can finish before
-// its own record, so at that point at most four of the nine products
-// have started and the rest start canceled.
+// context.Canceled, reported for a product. The first poll is
+// allocation's and passes; the second comes as the fan-out derives the
+// first product job's context and cancels, so allocation has finished
+// and every product job starts canceled and must stop at its first
+// poll. A region planted over uart0 gives every tree's semantic family
+// a pair to decide, so a job that failed to stop would do real work.
 func TestParallelCancellationStopsWorkers(t *testing.T) {
 	pipeline, err := bench.HeavyProductLine(8)
 	if err != nil {
@@ -169,9 +195,8 @@ func TestParallelCancellationStopsWorkers(t *testing.T) {
 	}
 	shadow := pipeline.Core.Root.EnsureChild("shadow@10000000")
 	shadow.SetProperty(&dts.Property{Name: "reg", Value: dts.CellsValue(0x10000000, 0x100)})
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := newPollCancelCtx(context.Background(), 2)
 	defer cancel()
-	pipeline.SlowQuery = obs.NewSlowQueryLog(cancelWriter{cancel}, 0)
 	start := time.Now()
 	_, err = pipeline.RunContext(ctx, core.Limits{Parallelism: 4})
 	elapsed := time.Since(start)
@@ -184,6 +209,9 @@ func TestParallelCancellationStopsWorkers(t *testing.T) {
 	}
 	if le.Phase == "" {
 		t.Error("LimitError has no phase")
+	}
+	if !strings.HasPrefix(le.Phase, "vm:") && le.Phase != "platform" {
+		t.Errorf("phase = %q, want a vm: or platform phase", le.Phase)
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, does not wrap context.Canceled", err)

@@ -71,9 +71,11 @@ func (l Limits) parallelism() int {
 // it with errors.Is/As.
 type LimitError struct {
 	// Phase names the pipeline stage that was interrupted:
-	// "allocation", "vm:<name>", or "platform".
+	// "allocation", "lifted", "vm:<name>", or "platform".
 	Phase string
 	Err   error
+	// Stats is the run's work summary at the stop.
+	Stats RunStats
 }
 
 func (e *LimitError) Error() string {
@@ -82,6 +84,12 @@ func (e *LimitError) Error() string {
 
 // Unwrap returns the underlying cause.
 func (e *LimitError) Unwrap() error { return e.Err }
+
+// limitError stops the run in phase with cause err, carrying the run's
+// stats so far.
+func (st *runState) limitError(phase string, err error) *LimitError {
+	return &LimitError{Phase: phase, Err: err, Stats: st.snapshot()}
+}
 
 // Pipeline is a configured llhsc run.
 type Pipeline struct {
@@ -123,17 +131,6 @@ type Pipeline struct {
 	// cache counters (see PipelineMetrics). Safe to share across
 	// pipelines; the server shares one instance across requests.
 	Metrics *PipelineMetrics
-	// SlowQuery, when non-nil, receives one record per semantic pair
-	// decision and lifted reachability query; records at or over its
-	// threshold emit a structured log line. Nil (the default) leaves
-	// the checkers' OnQuery hooks unset, so the decision loops never
-	// build a record. Safe to share across pipelines.
-	SlowQuery *obs.SlowQueryLog
-	// SlowQueryBundleDir, when set alongside SlowQuery, receives one
-	// self-contained reproducer bundle per slow query (see ReproBundle
-	// and `llhsc replay`). Bundles are content-addressed and
-	// deduplicated.
-	SlowQueryBundleDir string
 	// Cache, when non-nil, memoizes per-tree check results keyed by
 	// the canonical tree text, the tree's origin dump (blame metadata
 	// is invisible in the printed text but embedded in cached
@@ -311,7 +308,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	st.addFamily("allocation", allocStats)
 	allocSpan.End()
 	if err != nil {
-		return nil, &LimitError{Phase: "allocation", Err: err}
+		return nil, st.limitError("allocation", err)
 	}
 
 	// ---- family-based lifted checking (DESIGN.md §14) ----
@@ -509,7 +506,7 @@ func (p *Pipeline) deriveAndCheckVM(ctx context.Context, st *runState, i int, ou
 	derive.End()
 	if err != nil {
 		if isLimitCause(err) {
-			return &LimitError{Phase: "vm:" + name, Err: err}
+			return st.limitError("vm:"+name, err)
 		}
 		return fmt.Errorf("core: VM %s: %w", name, err)
 	}
@@ -517,7 +514,7 @@ func (p *Pipeline) deriveAndCheckVM(ctx context.Context, st *runState, i int, ou
 	out.Trace = trace
 	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
 	if err != nil {
-		return &LimitError{Phase: "vm:" + name, Err: err}
+		return st.limitError("vm:"+name, err)
 	}
 	return nil
 }
@@ -532,7 +529,7 @@ func (p *Pipeline) deriveAndCheckPlatform(ctx context.Context, st *runState, uni
 	derive.End()
 	if err != nil {
 		if isLimitCause(err) {
-			return &LimitError{Phase: "platform", Err: err}
+			return st.limitError("platform", err)
 		}
 		return fmt.Errorf("core: platform: %w", err)
 	}
@@ -541,7 +538,7 @@ func (p *Pipeline) deriveAndCheckPlatform(ctx context.Context, st *runState, uni
 	out.Tree = tree
 	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
 	if err != nil {
-		return &LimitError{Phase: "platform", Err: err}
+		return st.limitError("platform", err)
 	}
 	return nil
 }
@@ -602,7 +599,7 @@ type checkerFamily struct {
 // tree, in the deterministic merge order. Each closure builds its own
 // checkers on first use, so families share no checker state when they
 // run concurrently.
-func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily {
+func (p *Pipeline) checkerFamilies(tree *dts.Tree) []checkerFamily {
 	families := []checkerFamily{
 		{name: "syntactic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
 			vs, err := constraints.NewSyntacticChecker(p.Schemas).CheckContext(ctx, tree)
@@ -615,7 +612,6 @@ func (p *Pipeline) checkerFamilies(st *runState, tree *dts.Tree) []checkerFamily
 	families = append(families,
 		checkerFamily{name: "semantic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
 			sem := constraints.NewSemanticChecker()
-			sem.OnQuery = p.semanticObserver(st, tree)
 			_, violations, err := sem.CheckContext(ctx, tree)
 			return violations, familyStatsFrom(sem.LastStats()), err
 		}},
@@ -672,7 +668,7 @@ func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily,
 // merge order keeps the output identical to a serial run. Family spans are pre-created in family order before any
 // goroutine starts, so the span tree is schedule-independent too.
 func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
-	families := p.checkerFamilies(st, tree)
+	families := p.checkerFamilies(tree)
 	scratch := acquireTreeScratch(len(families))
 	defer scratch.release()
 	spans := scratch.spans

@@ -37,14 +37,6 @@ func (t *Tree) Print() string {
 	return b.String()
 }
 
-// PrintNode renders a single node subtree as DTS text (without the
-// /dts-v1/ header).
-func PrintNode(n *Node) string {
-	var b strings.Builder
-	printNode(&b, n, 0)
-	return b.String()
-}
-
 func printNode(b *strings.Builder, n *Node, depth int) {
 	writeTabs(b, depth)
 	if n.Label != "" {

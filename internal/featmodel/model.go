@@ -134,18 +134,6 @@ func (m *Model) Parent(name string) *Feature { return m.parent[name] }
 // Names returns all feature names in depth-first order.
 func (m *Model) Names() []string { return append([]string(nil), m.order...) }
 
-// ConcreteNames returns the names of non-abstract features in
-// depth-first order.
-func (m *Model) ConcreteNames() []string {
-	var out []string
-	for _, n := range m.order {
-		if !m.features[n].Abstract {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
 // VarMap assigns propositional variables to feature names (optionally
 // suffixed, for multi-product copies).
 type VarMap struct {

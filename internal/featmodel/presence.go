@@ -3,7 +3,6 @@ package featmodel
 import (
 	"context"
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"llhsc/internal/logic"
@@ -46,24 +45,15 @@ type PresenceEncoder struct {
 	// Set g is setLits[bounds[g]:bounds[g+1]]; handle 0 is the empty set.
 	setLits []logic.Lit
 	bounds  []int32
-	setIDs  map[string]Guard       // little-endian encoded set → handle
-	exprs   map[*Expr]Guard        // Guard memo
-	ands    map[uint64]Guard       // And memo, keyed by the ordered pair
-	ors     map[uint64]Guard       // Or memo, keyed by the ordered pair
-	conj    map[Guard]logic.Lit    // definition literal of a multi-literal set
-	defs    map[logic.Var]guardDef // definition variable → operands, for GuardExpr
-	buf     []logic.Lit            // scratch set
-	key     []byte                 // scratch interning key
+	setIDs  map[string]Guard    // little-endian encoded set → handle
+	exprs   map[*Expr]Guard     // Guard memo
+	ands    map[uint64]Guard    // And memo, keyed by the ordered pair
+	ors     map[uint64]Guard    // Or memo, keyed by the ordered pair
+	conj    map[Guard]logic.Lit // definition literal of a multi-literal set
+	buf     []logic.Lit         // scratch set
+	key     []byte              // scratch interning key
 
 	queries int // assumption solves issued against the session
-}
-
-// guardDef records what a definition literal of the guard algebra
-// stands for: the conjunction of set a, or the disjunction of sets a
-// and b.
-type guardDef struct {
-	or   bool
-	a, b Guard
 }
 
 // NewPresenceEncoder seeds a fresh incremental session with the
@@ -89,7 +79,6 @@ func NewPresenceEncoder(m *Model) *PresenceEncoder {
 		ands:    make(map[uint64]Guard),
 		ors:     make(map[uint64]Guard),
 		conj:    make(map[Guard]logic.Lit),
-		defs:    make(map[logic.Var]guardDef),
 	}
 }
 
@@ -262,7 +251,6 @@ func (pe *PresenceEncoder) Or(a, b Guard) Guard {
 	pe.solver.AddClause(-x, d)
 	pe.solver.AddClause(-y, d)
 	pe.solver.AddClause(-d, x, y)
-	pe.defs[d.Var()] = guardDef{or: true, a: a, b: b}
 	g := pe.intern1(d)
 	pe.ors[k] = g
 	return g
@@ -273,48 +261,6 @@ func (pe *PresenceEncoder) Or(a, b Guard) Guard {
 func (pe *PresenceEncoder) Lits(g Guard) []logic.Lit {
 	lo, hi := pe.bounds[g], pe.bounds[g+1]
 	return pe.setLits[lo:hi:hi]
-}
-
-// GuardExpr renders g as an expression that holds exactly where g does
-// (nil for the always guard), for diagnostics that must re-pose a
-// query in a fresh session: a feature literal renders as its name, a
-// Literal atom as its expression, and a definition literal as the
-// conjunction or disjunction of its operands.
-func (pe *PresenceEncoder) GuardExpr(g Guard) *Expr {
-	var e *Expr
-	for _, l := range pe.Lits(g) {
-		e = AndOpt(e, pe.litExpr(l))
-	}
-	return e
-}
-
-func (pe *PresenceEncoder) litExpr(l logic.Lit) *Expr {
-	if l < 0 {
-		return Not(pe.litExpr(-l))
-	}
-	if d, ok := pe.defs[l.Var()]; ok {
-		if d.or {
-			return Or(pe.GuardExpr(d.a), pe.GuardExpr(d.b))
-		}
-		return pe.GuardExpr(d.a)
-	}
-	if name, ok := pe.vm.Name(l.Var()); ok {
-		return Var(name)
-	}
-	for name, v := range pe.unknown {
-		if v == l.Var() {
-			return Var(name)
-		}
-	}
-	for e, al := range pe.atoms {
-		switch al {
-		case l:
-			return e
-		case -l:
-			return Not(e)
-		}
-	}
-	panic(fmt.Sprintf("featmodel: literal %d is not part of any guard", l))
 }
 
 // conjLit returns a literal equivalent to the conjunction of g's set: the
@@ -336,7 +282,6 @@ func (pe *PresenceEncoder) conjLit(g Guard) logic.Lit {
 	}
 	pe.solver.AddClause(append(long, d)...)
 	pe.conj[g] = d
-	pe.defs[d.Var()] = guardDef{a: g}
 	return d
 }
 

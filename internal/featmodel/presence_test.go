@@ -9,10 +9,10 @@ import (
 	"llhsc/internal/sat"
 )
 
-// randomGuardExpr builds a random guard expression over the given
+// randomGuard builds a random guard expression over the given
 // feature names, occasionally negated or compounded, mirroring the
 // shapes delta "when" clauses take.
-func randomGuardExpr(rng *rand.Rand, names []string, depth int) *Expr {
+func randomGuard(rng *rand.Rand, names []string, depth int) *Expr {
 	if depth <= 0 || rng.Intn(3) == 0 {
 		e := Var(names[rng.Intn(len(names))])
 		if rng.Intn(3) == 0 {
@@ -20,8 +20,8 @@ func randomGuardExpr(rng *rand.Rand, names []string, depth int) *Expr {
 		}
 		return e
 	}
-	a := randomGuardExpr(rng, names, depth-1)
-	b := randomGuardExpr(rng, names, depth-1)
+	a := randomGuard(rng, names, depth-1)
+	b := randomGuard(rng, names, depth-1)
 	switch rng.Intn(3) {
 	case 0:
 		return And(a, b)
@@ -50,7 +50,7 @@ func TestPresenceLiteralEquivalence(t *testing.T) {
 		names := m.Names()
 
 		for trial := 0; trial < 8; trial++ {
-			e := randomGuardExpr(rng, names, 2)
+			e := randomGuard(rng, names, 2)
 			lit := pe.Literal(e)
 			if again := pe.Literal(e); again != lit {
 				t.Fatalf("seed %d: Literal(%s) not cached: %v vs %v", seed, e, lit, again)
@@ -112,7 +112,7 @@ func randomConjunctiveGuard(rng *rand.Rand, names []string) *Expr {
 		var c *Expr
 		switch rng.Intn(8) {
 		case 0:
-			c = Not(And(randomGuardExpr(rng, names, 1), randomGuardExpr(rng, names, 1)))
+			c = Not(And(randomGuard(rng, names, 1), randomGuard(rng, names, 1)))
 		case 1:
 			c = Var("no-such-feature")
 			if rng.Intn(2) == 0 {
@@ -122,7 +122,7 @@ func randomConjunctiveGuard(rng *rand.Rand, names []string) *Expr {
 			a := Var(names[rng.Intn(len(names))])
 			c = And(a, Not(a))
 		default:
-			c = randomGuardExpr(rng, names, 2)
+			c = randomGuard(rng, names, 2)
 		}
 		e = AndOpt(e, c)
 	}
@@ -282,8 +282,7 @@ func TestPresenceNilGuardIsTrue(t *testing.T) {
 // Expr.Eval on random small models: Guard is Assumptions literal for
 // literal, And is Assumptions of AndOpt, equal sets intern to one
 // handle, and with every feature pinned to a valid configuration, Not
-// and Or solve exactly as Expr.Eval of Not and Or decides, and so does
-// the re-parsed rendering of each handle.
+// and Or solve exactly as Expr.Eval of Not and Or decides.
 func TestGuardAlgebraOracle(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		m := randomSmallModel(seed)
@@ -330,22 +329,12 @@ func TestGuardAlgebraOracle(t *testing.T) {
 			}
 			for _, o := range ops {
 				handles = append(handles, o.g)
-				var rendered *Expr
-				if r := pe.GuardExpr(o.g); r != nil {
-					var err error
-					if rendered, err = ParseExpr(r.String()); err != nil {
-						t.Fatalf("seed %d: %s handle renders unparseable %q: %v", seed, o.name, r, err)
-					}
-				}
 				for _, p := range products {
 					cfg := ConfigOf(p...)
 					want := EvalOpt(o.e, cfg)
 					got := pe.Solve(append(pinAll(pe, m, cfg), pe.Lits(o.g)...)...) == sat.Sat
 					if got != want {
 						t.Errorf("seed %d: %s guard for %v on product %v: solve=%v eval=%v", seed, o.name, o.e, p, got, want)
-					}
-					if EvalOpt(rendered, cfg) != want {
-						t.Errorf("seed %d: %s guard for %v renders as %v, which disagrees on product %v", seed, o.name, o.e, rendered, p)
 					}
 				}
 			}

@@ -852,10 +852,6 @@ func (s *Solver) FailedAssumptions() []logic.Lit {
 	return append([]logic.Lit(nil), s.failed...)
 }
 
-// Okay reports whether the solver is still consistent at the top level
-// (i.e. no contradiction among the added clauses alone).
-func (s *Solver) Okay() bool { return s.okay }
-
 // Stats returns a copy of the cumulative statistics — a snapshot that
 // later solver activity cannot mutate. Snapshot before and after a
 // Solve and use Stats.Sub for the per-call delta; snapshotting never

@@ -91,29 +91,42 @@ func TestDebugFlightServesRecentRequests(t *testing.T) {
 }
 
 // TestDebugFlightRecordsLimitError: a budget-exhausted /check still
-// lands in the ring, tagged with its budget taxonomy reason.
+// lands in the ring, tagged with its budget taxonomy reason and
+// carrying the run's stats up to the stop, in both checking modes.
 func TestDebugFlightRecordsLimitError(t *testing.T) {
-	srv, _, _ := obsServer(t, Options{
-		FlightSize: 4,
-		Limits:     core.Limits{MaxDeltaOps: 1},
-	})
-	resp := postJSON(t, srv.URL+"/check", exampleBody(t, srv), nil)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("/check status = %d, want 503", resp.StatusCode)
-	}
+	for _, mode := range []string{"enumerate", "lifted"} {
+		t.Run(mode, func(t *testing.T) {
+			srv, _, _ := obsServer(t, Options{
+				FlightSize: 4,
+				Limits:     core.Limits{MaxDeltaOps: 1},
+			})
+			req := exampleBody(t, srv)
+			req.Mode = mode
+			resp := postJSON(t, srv.URL+"/check", req, nil)
+			if resp.StatusCode != http.StatusServiceUnavailable {
+				t.Fatalf("/check status = %d, want 503", resp.StatusCode)
+			}
 
-	doc := getFlight(t, srv)
-	var limited *obs.FlightRecord
-	for i := range doc.Records {
-		if doc.Records[i].Path == "/check" && doc.Records[i].Status == http.StatusServiceUnavailable {
-			limited = &doc.Records[i]
-		}
-	}
-	if limited == nil {
-		t.Fatalf("no 503 /check record in ring: %+v", doc.Records)
-	}
-	if limited.Outcome != "budget:delta-ops" {
-		t.Errorf("outcome = %q, want budget:delta-ops", limited.Outcome)
+			doc := getFlight(t, srv)
+			var limited *obs.FlightRecord
+			for i := range doc.Records {
+				if doc.Records[i].Path == "/check" && doc.Records[i].Status == http.StatusServiceUnavailable {
+					limited = &doc.Records[i]
+				}
+			}
+			if limited == nil {
+				t.Fatalf("no 503 /check record in ring: %+v", doc.Records)
+			}
+			if limited.Outcome != "budget:delta-ops" {
+				t.Errorf("outcome = %q, want budget:delta-ops", limited.Outcome)
+			}
+			stats, _ := limited.Stats.(map[string]any)
+			families, _ := stats["families"].(map[string]any)
+			allocation, _ := families["allocation"].(map[string]any)
+			if checks, _ := allocation["checks"].(float64); checks != 1 {
+				t.Errorf("stats = %v, want families.allocation.checks = 1", limited.Stats)
+			}
+		})
 	}
 }
 

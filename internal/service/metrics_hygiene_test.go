@@ -24,11 +24,10 @@ func fullRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
 	if _, err := NewService(Options{
-		CacheSize:   8,
-		Degrade:     DegradeAuto,
-		Registry:    reg,
-		FlightSize:  4,
-		SlowQueryMs: 1,
+		CacheSize:  8,
+		Degrade:    DegradeAuto,
+		Registry:   reg,
+		FlightSize: 4,
 	}); err != nil {
 		t.Fatal(err)
 	}

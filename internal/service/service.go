@@ -109,15 +109,6 @@ type Options struct {
 	// FlightDumpPath is the file flight-recorder crash dumps write to
 	// ("" = record in memory only, never dump).
 	FlightDumpPath string
-	// SlowQueryMs, when > 0, enables the solver slow-query log: every
-	// semantic pair decision and lifted reachability query is counted,
-	// and queries at or over the threshold emit a structured warn line
-	// on LogWriter plus — with SlowQueryBundleDir set — a self-contained
-	// reproducer bundle `llhsc replay` can re-execute offline.
-	SlowQueryMs float64
-	// SlowQueryBundleDir is the directory slow-query reproducer bundles
-	// are written to ("" = log lines only).
-	SlowQueryBundleDir string
 }
 
 const defaultMaxBodyBytes = 4 << 20
@@ -305,9 +296,6 @@ func NewService(opts Options) (*Service, error) {
 		s.flight = obs.NewFlightRecorder(opts.FlightSize)
 		s.flight.SetDumpPath(opts.FlightDumpPath)
 	}
-	if opts.SlowQueryMs > 0 {
-		s.slowLog = obs.NewSlowQueryLog(opts.LogWriter, opts.SlowQueryMs)
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/example", handleExample)
@@ -328,9 +316,6 @@ func NewService(opts Options) (*Service, error) {
 // shutdown path sets it just before http.Server.Shutdown.
 func (svc *Service) SetDraining(v bool) { svc.srv.draining.Store(v) }
 
-// Draining reports the switch's current position.
-func (svc *Service) Draining() bool { return svc.srv.draining.Load() }
-
 type server struct {
 	opts     Options
 	inflight chan struct{}     // nil = unlimited
@@ -343,7 +328,6 @@ type server struct {
 	pipeMetrics *core.PipelineMetrics // nil = no Registry configured
 	logger      *jsonLogger           // nil = no LogWriter configured
 	flight      *obs.FlightRecorder   // nil = flight recorder disabled
-	slowLog     *obs.SlowQueryLog     // nil = slow-query log disabled
 
 	// beforeCheck, when a test sets it, runs at the top of every /check
 	// pipeline run, so the test can drive a panic through the real
@@ -574,6 +558,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		var le *core.LimitError
 		if errors.As(err, &le) {
 			markPhase(r.Context(), "pipeline:"+le.Phase)
+			markCheckOutcome(r.Context(), cacheTierOf(le.Stats), &le.Stats)
 			writeLimitError(w, r, err)
 			return
 		}
@@ -634,17 +619,15 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	markPhase(ctx, "pipeline")
 	lintOnly := s.degrade.active()
 	pipeline := &core.Pipeline{
-		Core:               tree,
-		Deltas:             deltas,
-		Model:              model,
-		Schemas:            schema.StandardSet(),
-		VMConfigs:          configs,
-		Cache:              s.cache,
-		Metrics:            s.pipeMetrics,
-		Mode:               mode,
-		LintOnly:           lintOnly,
-		SlowQuery:          s.slowLog,
-		SlowQueryBundleDir: s.opts.SlowQueryBundleDir,
+		Core:      tree,
+		Deltas:    deltas,
+		Model:     model,
+		Schemas:   schema.StandardSet(),
+		VMConfigs: configs,
+		Cache:     s.cache,
+		Metrics:   s.pipeMetrics,
+		Mode:      mode,
+		LintOnly:  lintOnly,
 	}
 	report, err := pipeline.RunContext(ctx, s.opts.Limits)
 	if err != nil {
