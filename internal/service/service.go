@@ -32,7 +32,6 @@ package service
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -483,10 +482,11 @@ func handleExample(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// decodeBody decodes the JSON body under the body-size cap, mapping an
-// exceeded cap to 413 and malformed JSON to 400.
-func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)).Decode(v)
+// decodeBody reads the whole body under the body-size cap and decodes
+// it (decode.go), mapping an exceeded cap to 413 and a body that is
+// not one JSON object of the request's shape to 400.
+func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v requestBody) bool {
+	err := readRequest(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), v)
 	if err == nil {
 		return true
 	}
