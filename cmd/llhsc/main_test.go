@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -254,4 +256,139 @@ func TestSchemasDirWithoutYAML(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no .yaml schemas") {
 		t.Errorf("err = %v", err)
 	}
+}
+
+// strictUARTSchema is testdata/schemas/ns16550a.yaml made strict: no
+// property beyond those listed, and reg-shift fixed at 2.
+const strictUARTSchema = `$id: ns16550a.yaml
+select:
+  node: uart
+  compatible:
+    - ns16550a
+properties:
+  compatible:
+    type: string
+  reg:
+    type: cells
+    reg-like: true
+    minItems: 1
+    maxItems: 4
+  reg-shift:
+    const: 2
+additionalProperties: false
+required:
+  - compatible
+  - reg
+`
+
+// TestCheckStrictSchemaFailsInBothModes: under a strict UART schema, a
+// uart0 with an unlisted clock-frequency and reg-shift = <0> fails the
+// check in both modes with the additional and const rules, and each
+// lifted finding's witness selects uart0.
+func TestCheckStrictSchemaFailsInBothModes(t *testing.T) {
+	dir := t.TempDir()
+	schemas := filepath.Join(dir, "schemas")
+	if err := os.Mkdir(schemas, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"cpu.yaml", "memory.yaml", "veth.yaml"} {
+		copyFile(t, filepath.Join(testdata, "schemas", name), filepath.Join(schemas, name))
+	}
+	if err := os.WriteFile(filepath.Join(schemas, "ns16550a.yaml"), []byte(strictUARTSchema), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	copyFile(t, filepath.Join(testdata, "cpus.dtsi"), filepath.Join(dir, "cpus.dtsi"))
+	board, err := os.ReadFile(filepath.Join(testdata, "customsbc.dts"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const uart0 = "reg = <0x0 0x20000000 0x0 0x1000>;"
+	if !strings.Contains(string(board), uart0) {
+		t.Fatalf("customsbc.dts has no %q", uart0)
+	}
+	strictBoard := strings.Replace(string(board), uart0,
+		uart0+"\n\t\tclock-frequency = <1843200>;\n\t\treg-shift = <0>;", 1)
+	if err := os.WriteFile(filepath.Join(dir, "board.dts"), []byte(strictBoard), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	rules := []string{
+		"schema:ns16550a.yaml:additional:clock-frequency",
+		"schema:ns16550a.yaml:const:reg-shift",
+	}
+	for _, mode := range []string{"enumerate", "lifted"} {
+		t.Run(mode, func(t *testing.T) {
+			var err error
+			out := captureStdout(t, func() {
+				err = run([]string{
+					"check",
+					"-core", filepath.Join(dir, "board.dts"),
+					"-deltas", filepath.Join(testdata, "customsbc.deltas"),
+					"-fm", filepath.Join(testdata, "customsbc.fm"),
+					"-schemas", schemas,
+					"-mode", mode,
+					"-vm", "memory,cpu@0,uart0,veth0",
+					"-vm", "memory,cpu@1,uart1",
+				})
+			})
+			if err == nil || !strings.Contains(err.Error(), "violation") {
+				t.Fatalf("err = %v, want violations\n%s", err, out)
+			}
+			if !strings.HasPrefix(out, "llhsc: FAIL") {
+				t.Fatalf("report does not start with FAIL:\n%s", out)
+			}
+			for _, rule := range rules {
+				var lines []string
+				for _, line := range strings.Split(out, "\n") {
+					if strings.Contains(line, "/uart@20000000 ") && strings.Contains(line, "["+rule+"]") {
+						lines = append(lines, line)
+					}
+				}
+				if len(lines) == 0 {
+					t.Errorf("no /uart@20000000 finding for %s in:\n%s", rule, out)
+				}
+				if mode != "lifted" {
+					continue
+				}
+				for _, line := range lines {
+					_, witness, ok := strings.Cut(line, "(config [")
+					if !strings.Contains(line, "lifted: [schema]") || !ok ||
+						!slices.Contains(strings.Fields(strings.TrimSuffix(witness, "])")), "uart0") {
+						t.Errorf("lifted finding without a witness selecting uart0: %s", line)
+					}
+				}
+			}
+		})
+	}
+}
+
+func copyFile(t *testing.T, from, to string) {
+	t.Helper()
+	data, err := os.ReadFile(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(to, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stdout
+	os.Stdout = w
+	done := make(chan string)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- string(data)
+	}()
+	defer func() { os.Stdout = saved }()
+	f()
+	w.Close()
+	return <-done
 }

@@ -3,88 +3,108 @@ package constraints
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"llhsc/internal/dts"
 	"llhsc/internal/schema"
 )
 
-// TestSyntacticCheckerAgreesWithBaseline cross-validates the two
-// implementations of Section IV-B: on purely structural faults, the
-// rule-by-rule syntactic checker and the direct structural validator
-// must agree on whether a node violates its schema (they may differ in
-// message wording, not in verdicts).
+// TestSyntacticCheckerAgreesWithBaseline: the syntactic checker and the
+// dt-schema baseline decide Section IV-B with one evaluator, so on every
+// random tree they report exactly the same violations — path, property,
+// schema ID, kind and message, in the same order — with the checker
+// naming each rule schema:<id>:<kind>:<property>.
 func TestSyntacticCheckerAgreesWithBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	set := schema.StandardSet()
+	strict, err := schema.Load(strictSchemaYAML)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set.Add(strict)
 	checker := NewSyntacticChecker(set)
 
+	type key struct{ path, property, schemaID, kind, message string }
+	kinds := map[string]bool{}
 	for iter := 0; iter < 120; iter++ {
-		tree := randomMemoryNode(rng)
-		baseline := set.Validate(tree)
-		viaChecker := checker.Check(tree)
-
-		baselineProps := violationProps(t, baseline)
-		checkerProps := make(map[string]bool)
-		for _, v := range viaChecker {
-			checkerProps[v.Property] = true
+		tree := randomSchemaTree(rng)
+		var baseline, viaChecker []key
+		for _, v := range set.Validate(tree) {
+			baseline = append(baseline, key{v.Path, v.Property, v.SchemaID, v.Kind, v.Message})
+			kinds[v.Kind] = true
 		}
-
-		if (len(baseline) > 0) != (len(viaChecker) > 0) {
-			t.Fatalf("iter %d: verdicts disagree: baseline=%v checker=%v\n%s",
+		for _, v := range checker.Check(tree) {
+			rule, ok := strings.CutPrefix(v.Rule, "schema:")
+			rule, ok2 := strings.CutSuffix(rule, ":"+v.Property)
+			i := strings.LastIndexByte(rule, ':')
+			if !ok || !ok2 || i < 0 {
+				t.Fatalf("iter %d: rule %q is not schema:<id>:<kind>:%s", iter, v.Rule, v.Property)
+			}
+			viaChecker = append(viaChecker, key{v.Path, v.Property, rule[:i], rule[i+1:], v.Message})
+		}
+		if fmt.Sprint(baseline) != fmt.Sprint(viaChecker) {
+			t.Fatalf("iter %d: baseline and checker differ\nbaseline=%v\nchecker =%v\n%s",
 				iter, baseline, viaChecker, tree.Print())
 		}
-		// both must implicate the same properties
-		for p := range baselineProps {
-			if !checkerProps[p] {
-				t.Errorf("iter %d: baseline flags %q but the syntactic checker does not\nbaseline=%v checker=%v",
-					iter, p, baseline, viaChecker)
-			}
-		}
-		for p := range checkerProps {
-			if !baselineProps[p] {
-				t.Errorf("iter %d: syntactic checker flags %q but the baseline does not\nbaseline=%v checker=%v",
-					iter, p, baseline, viaChecker)
-			}
+	}
+	for _, k := range []string{"required", "const", "arity", "minItems", "additional"} {
+		if !kinds[k] {
+			t.Errorf("no %s violation was exercised", k)
 		}
 	}
 }
 
-func violationProps(t *testing.T, vs []schema.Violation) map[string]bool {
-	t.Helper()
-	out := make(map[string]bool)
-	for _, v := range vs {
-		out[v.Property] = true
-	}
-	return out
-}
-
-// randomMemoryNode builds a memory node with randomized structural
-// faults: possibly missing device_type, wrong const, bad arity, or
-// fully correct.
-func randomMemoryNode(rng *rand.Rand) *dts.Tree {
+// randomSchemaTree builds a memory node and a node the strict schema
+// selects, with randomized structural faults: missing device_type,
+// wrong const, bad arity, a disallowed property, a wrong or string-less
+// const, or fully correct.
+func randomSchemaTree(rng *rand.Rand) *dts.Tree {
 	tree := dts.NewTree()
 	tree.Root.SetProperty(&dts.Property{Name: "#address-cells", Value: dts.CellsValue(1)})
 	tree.Root.SetProperty(&dts.Property{Name: "#size-cells", Value: dts.CellsValue(1)})
 	mem := tree.Root.EnsureChild(fmt.Sprintf("memory@%x", 0x40000000))
-
-	switch rng.Intn(3) {
-	case 0:
-		mem.SetProperty(&dts.Property{Name: "device_type", Value: dts.StringValueOf("memory")})
-	case 1:
-		mem.SetProperty(&dts.Property{Name: "device_type", Value: dts.StringValueOf("ram")})
-	case 2:
-		// missing entirely
+	set := func(n *dts.Node, name string, v dts.Value) {
+		n.SetProperty(&dts.Property{Name: name, Value: v})
 	}
 
 	switch rng.Intn(3) {
 	case 0:
-		mem.SetProperty(&dts.Property{Name: "reg", Value: dts.CellsValue(0x40000000, 0x1000)})
+		set(mem, "device_type", dts.StringValueOf("memory"))
 	case 1:
-		// bad arity: odd cell count under stride 2
-		mem.SetProperty(&dts.Property{Name: "reg", Value: dts.CellsValue(0x40000000, 0x1000, 0x5)})
+		set(mem, "device_type", dts.StringValueOf("ram"))
 	case 2:
 		// missing entirely
+	}
+
+	switch rng.Intn(4) {
+	case 0:
+		set(mem, "reg", dts.CellsValue(0x40000000, 0x1000))
+	case 1:
+		// bad arity: odd cell count under stride 2
+		set(mem, "reg", dts.CellsValue(0x40000000, 0x1000, 0x5))
+	case 2:
+		// bad arity and too few items
+		set(mem, "reg", dts.CellsValue(0x40000000))
+	case 3:
+		// missing entirely
+	}
+
+	strict := tree.Root.EnsureChild("strict")
+	switch rng.Intn(3) {
+	case 0:
+		set(strict, "reg-shift", dts.CellsValue(2))
+	case 1:
+		set(strict, "reg-shift", dts.CellsValue(uint32(rng.Intn(2))))
+	}
+	switch rng.Intn(3) {
+	case 0:
+		set(strict, "label", dts.StringValueOf("clk-main"))
+	case 1:
+		set(strict, "label", dts.CellsValue(1))
+	}
+	if rng.Intn(2) == 0 {
+		set(strict, "clock-frequency", dts.CellsValue(1843200))
 	}
 	return tree
 }

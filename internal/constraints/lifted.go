@@ -102,9 +102,6 @@ type LiftedChecker struct {
 	Schemas *schema.Set
 	// CheckMemoryBanks mirrors SemanticChecker.CheckMemoryBanks.
 	CheckMemoryBanks bool
-	// SkipInterrupts disables the lifted interrupt-uniqueness family,
-	// mirroring core.Pipeline.SkipInterrupts.
-	SkipInterrupts bool
 	// LintOnly keeps only the structural families (apply conflicts and
 	// the lifted schema checks), skipping the semantic, interrupt and
 	// memreserve families — the lifted image of the pipeline's
@@ -155,9 +152,7 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 		rootACs, regions := r.collectLiftedRegions(lt)
 		lc.stats.Regions = len(regions)
 		r.semantic(regions)
-		if !lc.SkipInterrupts {
-			r.interrupts(lt)
-		}
+		r.interrupts(lt)
 		r.memreserve(lt, rootACs, regions)
 	}
 
@@ -640,7 +635,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 				nw := world{cond: pe.And(w.cond, o.cond), props: w.props}
 				if o.value != nil {
 					// The world node is only read (schema selection
-					// and checkNodeSyntax), so it shares the variant's
+					// and Schema.Check), so it shares the variant's
 					// value instead of copying it.
 					nw.props = append(w.props[:len(w.props):len(w.props)], &dts.Property{
 						Name: lp.Name, Value: *o.value, Origin: o.origin,
@@ -688,32 +683,18 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 				if ok, _ := r.reachable(wcond); !ok {
 					continue
 				}
-				parent := parentShell(pa.n, ps.n)
+				if err := pollCanceled(r.ctx); err != nil {
+					r.fail(err)
+					return
+				}
 				for _, sc := range schemas {
-					vs, err := checkNodeSyntax(r.ctx, node, parent, path, sc)
-					for _, v := range vs {
-						r.emit("schema", wcond, v)
-					}
-					if err != nil {
-						r.err = err
-						return
+					for _, v := range sc.Check(node, pa.n+ps.n, path) {
+						r.emit("schema", wcond, schemaViolation(v))
 					}
 				}
 			}
 		}
 	}
-}
-
-// parentShell builds the minimal concrete parent node checkNodeSyntax
-// needs: its cell-size properties, which reg-like arity rules consult.
-func parentShell(ac, sc int) *dts.Node {
-	cells := func(v int) dts.Value {
-		return dts.Value{Chunks: []dts.Chunk{{Kind: dts.ChunkCells, CellList: []dts.Cell{{Val: uint32(v)}}}}}
-	}
-	return &dts.Node{Name: "parent", Properties: []*dts.Property{
-		{Name: "#address-cells", Value: cells(ac)},
-		{Name: "#size-cells", Value: cells(sc)},
-	}}
 }
 
 // interrupts runs the interrupt-uniqueness rule over guarded claims:

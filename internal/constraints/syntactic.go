@@ -8,8 +8,9 @@
 //   - syntactic constraints derived from dt-schema-style binding
 //     schemas: the axioms (1)–(3) and proof obligations (4)–(6) of
 //     Section IV-B. The instance is ground, so each named rule is
-//     decided by evaluating it on the node; a test-only oracle keeps
-//     the SMT encoding and holds the evaluator to it,
+//     decided by evaluating it on the node, in internal/schema's
+//     evaluator, which the dt-schema baseline shares; a test-only oracle
+//     keeps the SMT encoding and holds the evaluator to it,
 //   - semantic constraints: non-overlap of address regions with a
 //     counterexample witness (Section IV-C, formula (7)). The regions
 //     are concrete, so exact word arithmetic decides the bit-vector
@@ -19,7 +20,9 @@
 //
 // The overlap, interrupt and memreserve rules are each written once,
 // over guarded facts, and serve both the enumerative checkers and
-// LiftedChecker (guarded.go).
+// LiftedChecker (guarded.go). The schema rules are written once in
+// schema.Schema.Check and serve the baseline, SyntacticChecker and
+// LiftedChecker's schema worlds.
 //
 // Violations carry blame: the delta module that produced the offending
 // node or property (via dts.Origin.Delta), realizing the traceability
@@ -38,9 +41,6 @@ package constraints
 
 import (
 	"context"
-	"fmt"
-	"slices"
-	"sort"
 
 	"llhsc/internal/dts"
 	"llhsc/internal/sat"
@@ -78,16 +78,21 @@ func (v Violation) String() string {
 //   - the binding instance's closure C(x) ↔ x present and equations
 //     val(p) = "literal" (constraints (4)–(6)),
 //   - each schema's required-property axioms node → R(p), value axioms
-//     R(p) → val(p) = const / enum (constraints (1)–(3)), and the
-//     arity/type rules for the present properties as ground facts.
+//     R(p) → val(p) = const / enum (constraints (1)–(3)), the axioms
+//     node → ¬R(p) for properties an additionalProperties: false schema
+//     does not allow, and the arity/type/const rules for the present
+//     properties as ground facts.
 //
 // The binding obligations fix every R(p) and val(p) a rule reads, so
 // the instance is ground: a named rule is violated exactly when it is
-// false under those values, and checkNodeSyntax decides each one by
+// false under those values, and schema.Schema.Check decides each one by
 // evaluation. That is the verdict the paper's unsat-core loop reaches
 // (report the core, disable it, re-check) without building a solver;
 // syntactic_oracle_test.go keeps the encoding and requires identical
 // violations. Every independent violation is reported.
+//
+// The checker walks the tree with schema.Set.ValidateContext, the
+// baseline's own walk, and names each violation's rule.
 type SyntacticChecker struct {
 	Schemas *schema.Set
 }
@@ -108,140 +113,26 @@ func (c *SyntacticChecker) Check(tree *dts.Tree) []Violation {
 // *sat.LimitError) means cancellation cut the tree walk short, and the
 // violations found so far are still returned.
 func (c *SyntacticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
+	vs, err := c.Schemas.ValidateContext(ctx, tree)
 	var out []Violation
-	var werr error
-	var walk func(parent *dts.Node, path string) bool
-	walk = func(parent *dts.Node, path string) bool {
-		for _, n := range parent.Children {
-			childPath := path + "/" + n.Name
-			for _, sc := range c.Schemas.For(n) {
-				vs, err := checkNodeSyntax(ctx, n, parent, childPath, sc)
-				out = append(out, vs...)
-				if err != nil {
-					werr = err
-					return false
-				}
-			}
-			if !walk(n, childPath) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(tree.Root, "")
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		if out[i].Property != out[j].Property {
-			return out[i].Property < out[j].Property
-		}
-		return out[i].Rule < out[j].Rule
-	})
-	return out, werr
-}
-
-// checkNodeSyntax decides every named schema rule for one (node,
-// schema) pair and returns the violated ones. The instance is ground:
-// the binding obligations (4)–(6) fix R(p) and val(p) for every property
-// a rule reads, so each axiom (1)–(3) and each arity/type fact is
-// decided by evaluating it on the node, with no solver. Rule names,
-// messages and origins are those of the Section IV-B encoding, which
-// syntactic_oracle_test.go keeps as the test oracle. The context is
-// polled once per call; a canceled context yields a *sat.LimitError.
-func checkNodeSyntax(ctx context.Context, n, parent *dts.Node, path string, sc *schema.Schema) ([]Violation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
-	}
-	var out []Violation
-	fail := func(kind, property, message string) {
-		origin := n.Origin
-		if p := n.Property(property); p != nil {
-			origin = p.Origin
-		}
-		out = append(out, Violation{
-			Path: path, Property: property, Rule: "schema:" + sc.ID + ":" + kind + ":" + property,
-			Message: message, Origin: origin,
-		})
-	}
-
-	// Axiom (1): node → R(p).
-	for _, req := range sc.Required {
-		if n.Property(req) == nil {
-			fail("required", req, "required property is missing")
+	if len(vs) > 0 {
+		out = make([]Violation, len(vs))
+		for i, v := range vs {
+			out[i] = schemaViolation(v)
 		}
 	}
-
-	names := make([]string, 0, len(sc.Properties))
-	for name := range sc.Properties {
-		names = append(names, name)
-	}
-	slices.Sort(names)
-
-	for _, name := range names {
-		ps := sc.Properties[name]
-		p := n.Property(name)
-		if p == nil {
-			continue // R(p) is false: axioms (2)–(3) hold vacuously
-		}
-		cells := len(p.Value.Cells())
-		strs := p.Value.Strings()
-		hasString := len(strs) > 0
-
-		// Axioms (2)–(3): R(p) → val(p) = const / ∈ enum. val(p) is bound
-		// only when the value has a string; otherwise it is free and the
-		// axiom is satisfiable.
-		if ps.Const != "" && hasString && strs[0] != ps.Const {
-			fail("const", name, fmt.Sprintf("value does not match const %q", ps.Const))
-		}
-		if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
-			fail("enum", name, fmt.Sprintf("value not in enum %v", ps.Enum))
-		}
-
-		// Ground facts about the present property's shape.
-		items := cells
-		if ps.RegLike {
-			stride := parent.AddressCells() + parent.SizeCells()
-			if stride == 0 {
-				stride = 1
-			}
-			if cells%stride != 0 {
-				fail("arity", name, fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
-					cells, stride))
-			}
-			items = cells / stride
-		}
-		if ps.MinItems > 0 && items < ps.MinItems {
-			fail("minItems", name, fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems))
-		}
-		if ps.MaxItems > 0 && items > ps.MaxItems {
-			fail("maxItems", name, fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems))
-		}
-		switch ps.Type {
-		case schema.TypeU32:
-			if cells != 1 {
-				fail("u32", name, fmt.Sprintf("expected exactly one cell, found %d", cells))
-			}
-		case schema.TypeString:
-			if !hasString {
-				fail("string", name, "expected a string value")
-			}
-		case schema.TypeCells:
-			if cells == 0 {
-				fail("cells", name, "expected a cell array")
-			}
-		case schema.TypeBytes:
-			if len(p.Value.Bytes()) == 0 {
-				fail("bytes", name, "expected a byte array")
-			}
-		case schema.TypeFlag:
-			if !p.Value.IsEmpty() {
-				fail("flag", name, "expected an empty marker property")
-			}
-		}
-		if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
-			fail("pattern", name, fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
-		}
+	if err != nil {
+		return out, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
 	}
 	return out, nil
+}
+
+// schemaViolation names a schema rule failure as the rule
+// "schema:<id>:<kind>:<property>".
+func schemaViolation(v schema.Violation) Violation {
+	return Violation{
+		Path: v.Path, Property: v.Property,
+		Rule:    "schema:" + v.SchemaID + ":" + v.Kind + ":" + v.Property,
+		Message: v.Message, Origin: v.Origin,
+	}
 }

@@ -3,6 +3,7 @@ package constraints
 import (
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"llhsc/internal/dts"
@@ -13,17 +14,23 @@ import (
 
 // This file is the syntactic checker's test oracle: the Section IV-B
 // encoding taken literally. For one (node, schema) pair it asserts the
-// binding obligations (4)–(6) and every named schema axiom (1)–(3) plus
-// the arity/type ground facts on a fresh solver, reports the unsat
+// binding obligations (4)–(6), every named schema axiom (1)–(3), the
+// axiom node → ¬R(p) for each property an additionalProperties: false
+// schema does not allow, and the ground facts for the present
+// properties (arity, type, pattern, an integer const, and a string
+// const on a value with no string) on a fresh solver, reports the unsat
 // core's rules as violations, disables them and re-checks until the
-// instance is satisfiable. The production evaluator (checkNodeSyntax)
-// must reproduce its violations exactly: rule, property, message and
-// origin. TestSyntacticMatchesOracle holds it to that.
+// instance is satisfiable. The production evaluator (schema.Schema.Check,
+// with its violations named by schemaViolation) must reproduce its
+// violations exactly: rule, property, message and origin.
+// TestSyntacticMatchesOracle holds it to that.
 //
 // The encoding couples rules only through val(p), which the obligations
-// leave free when a present property has no string. The one schema
-// shape where that matters — a const outside the same property's enum —
-// is self-contradictory, appears in no schema the suites use, and is
+// leave free when a present property has no string; a string const on
+// such a value is then decided by its ground fact, while enum and
+// pattern hold vacuously. The one schema shape where the coupling
+// matters — a const outside the same property's enum — is
+// self-contradictory, appears in no schema the suites use, and is
 // decided per rule by the evaluator.
 
 // oracleRule is one named schema axiom with its diagnosis.
@@ -37,10 +44,11 @@ type oracleRule struct {
 
 // oracleCheckNodeSyntax runs the Section IV-B encoding for one
 // (node, schema) pair, iterating unsat cores to surface every
-// independent violation.
-func oracleCheckNodeSyntax(t testing.TB, n, parent *dts.Node, path string, sc *schema.Schema) []Violation {
+// independent violation. stride is the parent's #address-cells +
+// #size-cells.
+func oracleCheckNodeSyntax(t testing.TB, n *dts.Node, stride int, path string, sc *schema.Schema) []Violation {
 	t.Helper()
-	rules := oracleSchemaRules(n, parent, sc)
+	rules := oracleSchemaRules(n, stride, sc)
 	ruleByName := make(map[string]oracleRule, len(rules))
 	for _, r := range rules {
 		ruleByName[r.name] = r
@@ -129,9 +137,10 @@ func oraclePropertyUniverse(n *dts.Node, sc *schema.Schema) []string {
 	return names
 }
 
-// oracleSchemaRules derives the named axioms (1)–(3) plus arity/type
-// ground facts from the schema for the given node instance.
-func oracleSchemaRules(n, parent *dts.Node, sc *schema.Schema) []oracleRule {
+// oracleSchemaRules derives the named axioms (1)–(3), the
+// additional-property axioms and the ground facts from the schema for
+// the given node instance.
+func oracleSchemaRules(n *dts.Node, stride int, sc *schema.Schema) []oracleRule {
 	var rules []oracleRule
 	add := func(name, property, message string, assert func(ctx *smt.Context, solver *smt.Solver)) {
 		rules = append(rules, oracleRule{name: name, property: property, message: message, assert: assert})
@@ -159,11 +168,18 @@ func oracleSchemaRules(n, parent *dts.Node, sc *schema.Schema) []oracleRule {
 
 		if ps.Const != "" {
 			constVal := ps.Const
+			// val(p) is unbound on a present value with no string, so the
+			// axiom alone would hold there; the const then fails as a
+			// ground fact.
+			noString := p != nil && len(p.Value.Strings()) == 0
 			rule := fmt.Sprintf("schema:%s:const:%s", sc.ID, name)
 			add(rule, name, fmt.Sprintf("value does not match const %q", constVal),
 				func(ctx *smt.Context, solver *smt.Solver) {
 					solver.AssertNamed(rule, ctx.Implies(ctx.BoolVar("R:"+name),
 						ctx.Eq(ctx.StrVar("val:"+name), ctx.StrConst(constVal))))
+					if noString {
+						solver.AssertNamed(rule, ctx.Bool(false))
+					}
 				})
 		}
 		if len(ps.Enum) > 0 {
@@ -191,11 +207,13 @@ func oracleSchemaRules(n, parent *dts.Node, sc *schema.Schema) []oracleRule {
 				solver.AssertNamed(rule, ctx.Bool(ok))
 			})
 		}
+		if ps.ConstU32 != nil {
+			want := *ps.ConstU32
+			ground("const", fmt.Sprintf("cell value does not match const %d", want),
+				len(cells) > 0 && cells[0] == want)
+		}
 		if ps.RegLike {
-			stride := parent.AddressCells() + parent.SizeCells()
-			if stride == 0 {
-				stride = 1
-			}
+			stride := max(stride, 1)
 			ground("arity", fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
 				len(cells), stride), len(cells)%stride == 0)
 			items = len(cells) / stride
@@ -227,5 +245,30 @@ func oracleSchemaRules(n, parent *dts.Node, sc *schema.Schema) []oracleRule {
 				ps.Pattern.MatchString(val))
 		}
 	}
+
+	// node → ¬R(p) for each present property the schema does not allow.
+	if !sc.AdditionalProperties && len(sc.Properties) > 0 {
+		for _, p := range n.Properties {
+			name := p.Name
+			if _, ok := sc.Properties[name]; ok || oracleStandardProperty(name) {
+				continue
+			}
+			rule := fmt.Sprintf("schema:%s:additional:%s", sc.ID, name)
+			add(rule, name, "property not allowed by schema",
+				func(ctx *smt.Context, solver *smt.Solver) {
+					solver.AssertNamed(rule, ctx.Implies(ctx.BoolVar("node"), ctx.Not(ctx.BoolVar("R:"+name))))
+				})
+		}
+	}
 	return rules
+}
+
+// oracleStandardProperty reports the properties every schema allows:
+// the standard set and any #-prefixed cell-size property.
+func oracleStandardProperty(name string) bool {
+	switch name {
+	case "#address-cells", "#size-cells", "compatible", "status", "phandle", "device_type", "reg":
+		return true
+	}
+	return strings.HasPrefix(name, "#")
 }

@@ -58,12 +58,28 @@ required:
   - vendor-id
 `
 
+// strictSchemaYAML covers the rules only a strict schema exercises: a
+// disallowed property (additionalProperties: false), an integer const,
+// and a string const with no type, which a value without a string
+// fails.
+const strictSchemaYAML = `
+$id: strict.yaml
+select:
+  node: strict
+properties:
+  reg-shift:
+    const: 2
+  label:
+    const: clk-main
+additionalProperties: false
+`
+
 // differentialSchemas is every schema the differential suite checks each
 // node against, whether or not it selects the node.
 func differentialSchemas(t *testing.T) []*schema.Schema {
 	t.Helper()
 	out := append([]*schema.Schema(nil), schema.StandardSet().Schemas...)
-	for _, src := range []string{clockedSchemaYAML, shapesSchemaYAML} {
+	for _, src := range []string{clockedSchemaYAML, shapesSchemaYAML, strictSchemaYAML} {
 		sc, err := schema.Load(src)
 		if err != nil {
 			t.Fatal(err)
@@ -144,8 +160,8 @@ func syntacticCorpus(t *testing.T) map[string]*dts.Tree {
 }
 
 // mutator rewrites nodes with the faults the schema rules look for:
-// dropped properties, strings from the schemas' const/enum/pattern
-// alphabet, changed cell counts, bytes, and empty values.
+// dropped or added properties, strings from the schemas' const/enum/
+// pattern alphabet, changed cell counts, bytes, and empty values.
 type mutator struct {
 	rng      *rand.Rand
 	names    []string // property names the schemas mention
@@ -154,7 +170,9 @@ type mutator struct {
 
 func newMutator(seed int64, schemas []*schema.Schema) *mutator {
 	m := &mutator{rng: rand.New(rand.NewSource(seed))}
-	names := map[string]bool{}
+	// #clock-cells is in no schema: a strict schema allows it only
+	// because of its '#' prefix.
+	names := map[string]bool{"#clock-cells": true}
 	alphabet := map[string]bool{"bogus": true, "clk-main": true, "CLK9": true, "": true}
 	for _, sc := range schemas {
 		for _, r := range sc.Required {
@@ -232,9 +250,9 @@ func propertyIndex(n *dts.Node, name string) int {
 
 // TestSyntacticMatchesOracle holds the production evaluator to the
 // Section IV-B encoding: every node of every corpus tree, unchanged and
-// under seeded mutations, against every schema of the suite (selected
-// or not), must give identical violations — rule, property, message and
-// origin.
+// under seeded mutations and parent cell sizes, against every schema of
+// the suite (selected or not), must give identical violations — rule,
+// property, message and origin.
 func TestSyntacticMatchesOracle(t *testing.T) {
 	schemas := differentialSchemas(t)
 	trees := syntacticCorpus(t)
@@ -245,16 +263,15 @@ func TestSyntacticMatchesOracle(t *testing.T) {
 	sort.Strings(treeNames)
 
 	mut := newMutator(13, schemas)
-	ctx := context.Background()
 	checks, violations := 0, 0
 	kinds := map[string]bool{}
-	compare := func(label string, n, parent *dts.Node, path string) {
+	compare := func(label string, n *dts.Node, stride int, path string) {
 		for _, sc := range schemas {
-			got, err := checkNodeSyntax(ctx, n, parent, path, sc)
-			if err != nil {
-				t.Fatal(err)
+			var got []Violation
+			for _, v := range sc.Check(n, stride, path) {
+				got = append(got, schemaViolation(v))
 			}
-			want := oracleCheckNodeSyntax(t, n, parent, path, sc)
+			want := oracleCheckNodeSyntax(t, n, stride, path, sc)
 			sortViolations(got)
 			sortViolations(want)
 			if !reflect.DeepEqual(got, want) {
@@ -268,7 +285,15 @@ func TestSyntacticMatchesOracle(t *testing.T) {
 			checks++
 			violations += len(got)
 			for _, v := range got {
-				kinds[strings.Split(v.Rule, ":")[2]] = true
+				kind := strings.Split(v.Rule, ":")[2]
+				kinds[kind] = true
+				if kind == "const" {
+					if strings.HasPrefix(v.Message, "cell value") {
+						kinds["integer const"] = true
+					} else if len(n.Property(v.Property).Value.Strings()) == 0 {
+						kinds["string const on a value with no string"] = true
+					}
+				}
 			}
 		}
 	}
@@ -278,17 +303,18 @@ func TestSyntacticMatchesOracle(t *testing.T) {
 		walk = func(parent *dts.Node, path string) {
 			for _, n := range parent.Children {
 				childPath := path + "/" + n.Name
-				compare(name, n, parent, childPath)
+				stride := parent.AddressCells() + parent.SizeCells()
+				compare(name, n, stride, childPath)
 				// Mutations run on the running example's trees; the
 				// conform trees are large and already varied.
 				if !strings.HasPrefix(name, "conform") {
 					for i := 0; i < 30; i++ {
 						tag++
-						p := parent
+						s := stride
 						if mut.rng.Intn(3) == 0 {
-							p = parentShell(mut.rng.Intn(3), mut.rng.Intn(3))
+							s = mut.rng.Intn(3) + mut.rng.Intn(3)
 						}
-						compare(name, mut.mutate(n, tag), p, childPath)
+						compare(name, mut.mutate(n, tag), s, childPath)
 					}
 				}
 				walk(n, childPath)
@@ -298,7 +324,8 @@ func TestSyntacticMatchesOracle(t *testing.T) {
 	}
 	t.Logf("%d (node, schema) checks, %d violations", checks, violations)
 	for _, k := range []string{"required", "const", "enum", "arity", "minItems", "maxItems",
-		"u32", "string", "cells", "bytes", "flag", "pattern"} {
+		"u32", "string", "cells", "bytes", "flag", "pattern", "additional",
+		"integer const", "string const on a value with no string"} {
 		if !kinds[k] {
 			t.Errorf("no %s violation was exercised", k)
 		}
@@ -384,9 +411,10 @@ func TestSyntacticCheckerCanceled(t *testing.T) {
 }
 
 // TestSyntacticCheckerAllocs bounds the allocations of one syntactic
-// check of the running example's core tree. Evaluating the ground rules
-// allocates a few small slices per node (schema selection, value
-// accessors, child paths); building a solver per (node, schema) pair,
+// check of the running example's core tree, the same evaluator and walk
+// the baseline (/lint, dtcc lint) runs. Evaluating the ground rules
+// allocates a few small slices per node (value accessors, child paths,
+// sorted property names); building a solver per (node, schema) pair,
 // in either checking mode, costs over ten times the bound.
 func TestSyntacticCheckerAllocs(t *testing.T) {
 	tree, err := runningexample.Tree()

@@ -106,8 +106,6 @@ type Pipeline struct {
 	VMConfigs []featmodel.Configuration
 	// VMNames optionally names the VMs ("vm1", "vm2", ... by default).
 	VMNames []string
-	// SkipInterrupts disables the interrupt-uniqueness extension check.
-	SkipInterrupts bool
 	// LintOnly keeps only the syntactic checker family, skipping the
 	// semantic, memreserve and interrupt checks. This is the service's
 	// overload-shedding mode: structural verdicts stay exact while the
@@ -281,9 +279,8 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		st.schemaFP = p.Schemas.Fingerprint()
 		// Every deterministic knob that can change a verdict, for the
 		// per-product and lifted cache keys alike.
-		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;skipirq=%v;lintonly=%v;mode=%s",
-			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.SkipInterrupts,
-			p.LintOnly, p.Mode)
+		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;lintonly=%v;mode=%s",
+			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.LintOnly, p.Mode)
 	}
 	root := obs.SpanFromContext(ctx) // read once; nil disables tracing
 	if p.Metrics != nil {
@@ -620,17 +617,12 @@ func (p *Pipeline) checkerFamilies(tree *dts.Tree) []checkerFamily {
 			vs, err := constraints.MemReserveChecker{Stats: &fst}.CheckContext(ctx, tree)
 			return vs, familyStatsFrom(fst), err
 		}},
+		checkerFamily{name: "interrupt", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
+			var fst constraints.SemanticStats
+			vs, err := constraints.InterruptChecker{Stats: &fst}.CheckContext(ctx, tree)
+			return vs, familyStatsFrom(fst), err
+		}},
 	)
-	if !p.SkipInterrupts {
-		families = append(families, checkerFamily{
-			name: "interrupt",
-			run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
-				var fst constraints.SemanticStats
-				vs, err := constraints.InterruptChecker{Stats: &fst}.CheckContext(ctx, tree)
-				return vs, familyStatsFrom(fst), err
-			},
-		})
-	}
 	return families
 }
 

@@ -2,6 +2,7 @@ package schema
 
 import (
 	"fmt"
+	"math"
 	"regexp"
 )
 
@@ -95,6 +96,9 @@ func loadPropSchema(name string, raw yamlValue) (*PropSchema, error) {
 			case string:
 				ps.Const = c
 			case int64:
+				if c < 0 || c > math.MaxUint32 {
+					return nil, fmt.Errorf("schema: property %s: const %d is not a 32-bit cell value", name, c)
+				}
 				u := uint32(c)
 				ps.ConstU32 = &u
 			default:
@@ -127,11 +131,17 @@ func loadPropSchema(name string, raw yamlValue) (*PropSchema, error) {
 			if !ok {
 				return nil, fmt.Errorf("schema: property %s: minItems must be an int", name)
 			}
+			if n < 0 {
+				return nil, fmt.Errorf("schema: property %s: minItems %d is negative", name, n)
+			}
 			ps.MinItems = int(n)
 		case "maxItems":
 			n, ok := val.(int64)
 			if !ok {
 				return nil, fmt.Errorf("schema: property %s: maxItems must be an int", name)
+			}
+			if n < 0 {
+				return nil, fmt.Errorf("schema: property %s: maxItems %d is negative", name, n)
 			}
 			ps.MaxItems = int(n)
 		case "reg-like":
@@ -164,9 +174,6 @@ func loadPropSchema(name string, raw yamlValue) (*PropSchema, error) {
 	}
 	return ps, nil
 }
-
-// u32ptr is a convenience for building schemas in Go.
-func u32ptr(v uint32) *uint32 { return &v }
 
 // StandardSet returns the binding schemas for the paper's running
 // example: memory nodes, CPU nodes, ns16550a UARTs and virtual

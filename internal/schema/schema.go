@@ -5,16 +5,20 @@
 // properties, constant values, enums, item counts, reg arity derived
 // from the parent's cell sizes, and name patterns).
 //
-// The structural Validate in this package is the *baseline* checker:
-// by design it accepts the address-clash and truncation faults that
-// llhsc's SMT-based semantic checker catches (experiments E5/E6/E10 in
-// DESIGN.md).
+// Schema.Check is the one implementation of these rules. Validate,
+// the *baseline* checker, walks a tree with it; llhsc's syntactic
+// family (internal/constraints) calls the same walk in enumerative mode
+// and Check per schema world in lifted mode. The baseline therefore
+// differs from llhsc only in having no cross-node reasoning: by design
+// it accepts the address-clash and truncation faults that llhsc's
+// semantic checks catch (experiments E5/E6/E10 in DESIGN.md).
 package schema
 
 import (
+	"context"
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 
 	"llhsc/internal/dts"
@@ -115,11 +119,21 @@ var standardProperties = map[string]bool{
 	"reg":            true,
 }
 
-// Violation is one structural check failure.
+// Violation is one failed schema rule. Kind names the rule:
+//
+//   - required: a required property is missing,
+//   - const, enum, pattern: a present value breaks a value constraint,
+//   - arity, minItems, maxItems: a cell count breaks a count constraint,
+//   - u32, string, cells, bytes, flag: a value has the wrong shape,
+//   - additional: a property the schema does not allow is present.
+//
+// The rule is identified by (SchemaID, Kind, Property); llhsc reports
+// it as "schema:<id>:<kind>:<property>".
 type Violation struct {
 	Path     string // node path
 	Property string // offending property ("" for node-level problems)
 	SchemaID string
+	Kind     string
 	Message  string
 	Origin   dts.Origin
 }
@@ -150,58 +164,153 @@ func (s *Set) For(n *dts.Node) []*Schema {
 	return out
 }
 
-// Validate structurally checks every node of the tree against the
-// applicable schemas and returns all violations, deterministically
-// ordered. This is the dt-schema-equivalent baseline: it performs no
-// cross-node reasoning.
+// Validate checks every node of the tree against the schemas selecting
+// it and returns all violations, ordered by path, property and rule.
+// It performs no cross-node reasoning beyond reading each parent's cell
+// sizes: it is the dt-schema-equivalent baseline, and llhsc's syntactic
+// family is the same walk (constraints.SyntacticChecker).
 func (s *Set) Validate(t *dts.Tree) []Violation {
-	var out []Violation
-	var walk func(parent *dts.Node, path string)
-	walk = func(parent *dts.Node, path string) {
-		for _, n := range parent.Children {
-			childPath := path + "/" + n.Name
-			for _, sc := range s.For(n) {
-				out = append(out, sc.check(n, parent, childPath)...)
-			}
-			walk(n, childPath)
-		}
-	}
-	walk(t.Root, "")
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path < out[j].Path
-		}
-		return out[i].Property < out[j].Property
-	})
+	out, _ := s.ValidateContext(context.Background(), t)
 	return out
 }
 
-func (sc *Schema) check(n, parent *dts.Node, path string) []Violation {
+// ValidateContext is Validate under a context, polled once per node. On
+// cancellation it returns the violations found so far, ordered, with
+// the context's error.
+func (s *Set) ValidateContext(ctx context.Context, t *dts.Tree) ([]Violation, error) {
 	var out []Violation
-	report := func(prop, format string, args ...interface{}) {
-		v := Violation{
-			Path: path, Property: prop, SchemaID: sc.ID,
-			Message: fmt.Sprintf(format, args...),
-			Origin:  n.Origin,
+	var err error
+	var walk func(parent *dts.Node, path string) bool
+	walk = func(parent *dts.Node, path string) bool {
+		if len(parent.Children) == 0 {
+			return true
 		}
+		stride := parent.AddressCells() + parent.SizeCells()
+		for _, n := range parent.Children {
+			if err = ctx.Err(); err != nil {
+				return false
+			}
+			childPath := path + "/" + n.Name
+			for _, sc := range s.Schemas {
+				if sc.Select.Matches(n) {
+					out = append(out, sc.Check(n, stride, childPath)...)
+				}
+			}
+			if !walk(n, childPath) {
+				return false
+			}
+		}
+		return true
+	}
+	walk(t.Root, "")
+	slices.SortStableFunc(out, compareViolations)
+	return out, err
+}
+
+// compareViolations orders by path, property, then the rule ID
+// "schema:<id>:<kind>:<property>".
+func compareViolations(a, b Violation) int {
+	if c := strings.Compare(a.Path, b.Path); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Property, b.Property); c != 0 {
+		return c
+	}
+	return strings.Compare(a.SchemaID+":"+a.Kind, b.SchemaID+":"+b.Kind)
+}
+
+// Check decides every rule of the schema for node n at path and returns
+// the violated ones. stride is the parent's #address-cells +
+// #size-cells, which reg-like arity rules read (0 counts as 1). Each
+// rule is a test on the node's own properties, so no solver is needed.
+func (sc *Schema) Check(n *dts.Node, stride int, path string) []Violation {
+	var out []Violation
+	fail := func(kind, prop, message string) {
+		origin := n.Origin
 		if p := n.Property(prop); p != nil {
-			v.Origin = p.Origin
+			origin = p.Origin
 		}
-		out = append(out, v)
+		out = append(out, Violation{
+			Path: path, Property: prop, SchemaID: sc.ID, Kind: kind,
+			Message: message, Origin: origin,
+		})
 	}
 
 	for _, req := range sc.Required {
 		if n.Property(req) == nil {
-			report(req, "required property is missing")
+			fail("required", req, "required property is missing")
 		}
 	}
 
-	for name, ps := range sc.Properties {
+	names := make([]string, 0, len(sc.Properties))
+	for name := range sc.Properties {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	if stride == 0 {
+		stride = 1
+	}
+	for _, name := range names {
+		ps := sc.Properties[name]
 		p := n.Property(name)
 		if p == nil {
-			continue
+			continue // value and shape rules hold vacuously on an absent property
 		}
-		out = append(out, ps.check(p, n, parent, path, sc.ID)...)
+		cells := p.Value.Cells()
+		strs := p.Value.Strings()
+		hasString := len(strs) > 0
+
+		// A string const needs a string; enum and pattern hold
+		// vacuously on a value without one.
+		if ps.Const != "" && (!hasString || strs[0] != ps.Const) {
+			fail("const", name, fmt.Sprintf("value does not match const %q", ps.Const))
+		}
+		if ps.ConstU32 != nil && (len(cells) == 0 || cells[0].Val != *ps.ConstU32) {
+			fail("const", name, fmt.Sprintf("cell value does not match const %d", *ps.ConstU32))
+		}
+		if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
+			fail("enum", name, fmt.Sprintf("value not in enum %v", ps.Enum))
+		}
+
+		items := len(cells)
+		if ps.RegLike {
+			if len(cells)%stride != 0 {
+				fail("arity", name, fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
+					len(cells), stride))
+			}
+			items = len(cells) / stride
+		}
+		if ps.MinItems > 0 && items < ps.MinItems {
+			fail("minItems", name, fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems))
+		}
+		if ps.MaxItems > 0 && items > ps.MaxItems {
+			fail("maxItems", name, fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems))
+		}
+		switch ps.Type {
+		case TypeU32:
+			if len(cells) != 1 {
+				fail("u32", name, fmt.Sprintf("expected exactly one cell, found %d", len(cells)))
+			}
+		case TypeString:
+			if !hasString {
+				fail("string", name, "expected a string value")
+			}
+		case TypeCells:
+			if len(cells) == 0 {
+				fail("cells", name, "expected a cell array")
+			}
+		case TypeBytes:
+			if len(p.Value.Bytes()) == 0 {
+				fail("bytes", name, "expected a byte array")
+			}
+		case TypeFlag:
+			if !p.Value.IsEmpty() {
+				fail("flag", name, "expected an empty marker property")
+			}
+		}
+		if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
+			fail("pattern", name, fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
+		}
 	}
 
 	if !sc.AdditionalProperties && len(sc.Properties) > 0 {
@@ -212,96 +321,8 @@ func (sc *Schema) check(n, parent *dts.Node, path string) []Violation {
 			if standardProperties[p.Name] || strings.HasPrefix(p.Name, "#") {
 				continue
 			}
-			report(p.Name, "property not allowed by schema")
+			fail("additional", p.Name, "property not allowed by schema")
 		}
-	}
-	return out
-}
-
-func (ps *PropSchema) check(p *dts.Property, n, parent *dts.Node, path, schemaID string) []Violation {
-	var out []Violation
-	report := func(format string, args ...interface{}) {
-		out = append(out, Violation{
-			Path: path, Property: p.Name, SchemaID: schemaID,
-			Message: fmt.Sprintf(format, args...),
-			Origin:  p.Origin,
-		})
-	}
-
-	strs := p.Value.Strings()
-	cells := p.Value.U32s()
-
-	switch ps.Type {
-	case TypeString:
-		if len(strs) == 0 {
-			report("expected a string value")
-		}
-	case TypeU32:
-		if len(cells) != 1 {
-			report("expected exactly one cell, found %d", len(cells))
-		}
-	case TypeCells:
-		if len(cells) == 0 {
-			report("expected a cell array")
-		}
-	case TypeBytes:
-		if len(p.Value.Bytes()) == 0 {
-			report("expected a byte array")
-		}
-	case TypeFlag:
-		if !p.Value.IsEmpty() {
-			report("expected an empty marker property")
-		}
-	}
-
-	if ps.Const != "" {
-		if len(strs) == 0 || strs[0] != ps.Const {
-			got := "<none>"
-			if len(strs) > 0 {
-				got = strs[0]
-			}
-			report("value %q does not match const %q", got, ps.Const)
-		}
-	}
-	if ps.ConstU32 != nil {
-		if len(cells) == 0 || cells[0] != *ps.ConstU32 {
-			report("cell value does not match const %d", *ps.ConstU32)
-		}
-	}
-	if len(ps.Enum) > 0 && len(strs) > 0 {
-		ok := false
-		for _, e := range ps.Enum {
-			if strs[0] == e {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			report("value %q not in enum %v", strs[0], ps.Enum)
-		}
-	}
-	if ps.Pattern != nil && len(strs) > 0 && !ps.Pattern.MatchString(strs[0]) {
-		report("value %q does not match pattern %s", strs[0], ps.Pattern)
-	}
-
-	items := len(cells)
-	if ps.RegLike {
-		stride := parent.AddressCells() + parent.SizeCells()
-		if stride == 0 {
-			stride = 1
-		}
-		if len(cells)%stride != 0 {
-			report("reg has %d cells, not a multiple of #address-cells+#size-cells (%d)",
-				len(cells), stride)
-			return out
-		}
-		items = len(cells) / stride
-	}
-	if ps.MinItems > 0 && items < ps.MinItems {
-		report("%d items, schema requires at least %d", items, ps.MinItems)
-	}
-	if ps.MaxItems > 0 && items > ps.MaxItems {
-		report("%d items, schema allows at most %d", items, ps.MaxItems)
 	}
 	return out
 }

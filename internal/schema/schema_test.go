@@ -361,6 +361,45 @@ func TestLoadErrors(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsOutOfRangeNumbers: an integer const must be a 32-bit
+// cell value and an item count must not be negative, or a value that
+// wrapped would be checked instead of the one written. The error names
+// the property.
+func TestLoadRejectsOutOfRangeNumbers(t *testing.T) {
+	tests := []struct {
+		name, prop string
+		wantErr    bool
+		wantConst  uint32
+	}{
+		{"const above 2^32-1", "const: 4294967297", true, 0},
+		{"const 2^63-1 as hex", "const: 0x7fffffffffffffff", true, 0},
+		{"const -1", "const: -1", true, 0},
+		{"negative minItems", "minItems: -1", true, 0},
+		{"negative maxItems", "maxItems: -3", true, 0},
+		{"const 2^32-1", "const: 4294967295", false, 4294967295},
+		{"const 0", "const: 0", false, 0},
+		{"zero item counts", "minItems: 0\n    maxItems: 0", false, 0},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			sc, err := Load("properties:\n  reg-shift:\n    " + tt.prop + "\n")
+			if tt.wantErr {
+				if err == nil || !strings.Contains(err.Error(), "property reg-shift") {
+					t.Fatalf("err = %v, want an error naming property reg-shift", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps := sc.Properties["reg-shift"]
+			if strings.HasPrefix(tt.prop, "const") && (ps.ConstU32 == nil || *ps.ConstU32 != tt.wantConst) {
+				t.Errorf("ConstU32 = %v, want %d", ps.ConstU32, tt.wantConst)
+			}
+		})
+	}
+}
+
 func TestYAMLParser(t *testing.T) {
 	src := `
 top: value
