@@ -313,10 +313,8 @@ func BenchmarkAblationAMOEncodings(b *testing.B) {
 	}
 	b.Run("pairwise", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cnf := &logic.CNF{NumVars: n}
-			logic.AtMostOnePairwise(lits, cnf)
 			s := sat.New()
-			s.AddCNF(cnf)
+			s.AddClauses(n, logic.AppendAtMostOnePairwise(nil, lits))
 			s.AddClause(lits[0])
 			if s.Solve() != sat.Sat {
 				b.Fatal("unexpected unsat")
@@ -327,10 +325,9 @@ func BenchmarkAblationAMOEncodings(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			pool := logic.NewPool()
 			pool.Reserve(logic.Var(n))
-			cnf := &logic.CNF{NumVars: n}
-			logic.AtMostOneSequential(lits, pool, cnf)
+			arena := logic.AppendAtMostOneSequential(nil, lits, pool)
 			s := sat.New()
-			s.AddCNF(cnf)
+			s.AddClauses(pool.NumVars(), arena)
 			s.AddClause(lits[0])
 			if s.Solve() != sat.Sat {
 				b.Fatal("unexpected unsat")

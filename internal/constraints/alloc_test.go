@@ -75,12 +75,13 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 }
 
 // TestLiftedCheckerAllocs bounds the allocations of one lifted check of
-// the running example with the standard schemas (~1,560 measured).
+// the running example with the standard schemas (~900 measured).
 // Guards are interned handles composed through memos, reachability
 // verdicts are cached in a slice indexed by handle, and unreachable reg
 // options and schema combinations are skipped before any decoding or
 // rule runs, so the check builds no guard expression, guard string or
-// Tseitin gate for a conjunction.
+// Tseitin gate for a conjunction. The checker reuses one *Model, so its
+// session copies the model's Encoding without building it again.
 func TestLiftedCheckerAllocs(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
@@ -90,8 +91,31 @@ func TestLiftedCheckerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2_500 {
-		t.Errorf("lifted check allocates %.0f allocs/op, want <= 2500", allocs)
+	if allocs > 1_450 {
+		t.Errorf("lifted check allocates %.0f allocs/op, want <= 1450", allocs)
+	}
+}
+
+// TestLiftedCheckerAllocsFreshModel is TestLiftedCheckerAllocs with the
+// model parsed on every run, as the service parses it per request, so
+// it also bounds the parse and the one encoding per model (~970
+// measured).
+func TestLiftedCheckerAllocsFreshModel(t *testing.T) {
+	model, lifted := liftedRunningExample(t)
+	text := model.Format()
+	set := schema.StandardSet()
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(5, func() {
+		m, err := featmodel.ParseModel("customsbc.fm", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := NewLiftedChecker(m, set).CheckContext(ctx, lifted); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1_550 {
+		t.Errorf("lifted check of a fresh model allocates %.0f allocs/op, want <= 1550", allocs)
 	}
 }
 

@@ -438,16 +438,16 @@ func TestLiftedStatsAccounting(t *testing.T) {
 
 // TestLiftedSessionStaysSmall pins the session's growth on the running
 // example: guards are posed as assumption sets, so conjunctions never
-// become clauses, and the session holds the feature-model CNF plus one
-// definition per non-conjunctive atom (112 clauses).
+// become clauses, and the session holds the feature model's direct
+// encoding plus one definition per non-conjunctive atom (36 clauses).
 func TestLiftedSessionStaysSmall(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
 	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
 		t.Fatal(err)
 	}
-	if st := lc.LastStats(); st.Solver.Clauses > 200 {
-		t.Errorf("lifted session ends at %d clauses, want <= 200 (queries %d)", st.Solver.Clauses, st.Queries)
+	if st := lc.LastStats(); st.Solver.Clauses > 60 {
+		t.Errorf("lifted session ends at %d clauses, want <= 60 (queries %d)", st.Solver.Clauses, st.Queries)
 	}
 }
 

@@ -13,19 +13,15 @@ import (
 // reused incrementally across queries.
 type Analyzer struct {
 	model  *Model
-	vm     *VarMap
+	enc    *Encoding
 	solver *sat.Solver
 }
 
-// NewAnalyzer prepares the SAT encoding of the model. The model must
+// NewAnalyzer seeds a solver with the model's Encoding. The model must
 // be well-formed (built via NewModel); NewAnalyzer panics otherwise.
 func NewAnalyzer(m *Model) *Analyzer {
-	pool := logic.NewPool()
-	vm := NewVarMap(pool)
-	f := m.MustToFormula(vm, "")
-	s := sat.New()
-	s.AddCNF(logic.ToCNF(f, pool))
-	return &Analyzer{model: m, vm: vm, solver: s}
+	enc := m.mustEncoding()
+	return &Analyzer{model: m, enc: enc, solver: enc.newSolver()}
 }
 
 // IsVoid reports whether the model admits no products at all.
@@ -36,9 +32,8 @@ func (a *Analyzer) IsVoid() bool {
 // DeadFeatures returns features that appear in no valid product.
 func (a *Analyzer) DeadFeatures() []string {
 	var out []string
-	for _, name := range a.model.order {
-		v := a.vm.Var(name)
-		if a.solver.Solve(logic.Lit(v)) != sat.Sat {
+	for i, name := range a.model.order {
+		if a.solver.Solve(logic.Lit(i+1)) != sat.Sat {
 			out = append(out, name)
 		}
 	}
@@ -48,9 +43,8 @@ func (a *Analyzer) DeadFeatures() []string {
 // CoreFeatures returns features present in every valid product.
 func (a *Analyzer) CoreFeatures() []string {
 	var out []string
-	for _, name := range a.model.order {
-		v := a.vm.Var(name)
-		if a.solver.Solve(-logic.Lit(v)) != sat.Sat {
+	for i, name := range a.model.order {
+		if a.solver.Solve(-logic.Lit(i+1)) != sat.Sat {
 			out = append(out, name)
 		}
 	}
@@ -82,17 +76,7 @@ func (a *Analyzer) EnumerateProducts(limit int) ([][]string, bool) {
 }
 
 func (a *Analyzer) enumerate(limit int) ([][]string, bool) {
-	s := sat.New()
-	pool := logic.NewPool()
-	vm := NewVarMap(pool)
-	f := a.model.MustToFormula(vm, "")
-	s.AddCNF(logic.ToCNF(f, pool))
-
-	featureVars := make([]logic.Var, 0, len(a.model.order))
-	for _, name := range a.model.order {
-		featureVars = append(featureVars, vm.Var(name))
-	}
-
+	s := a.enc.newSolver()
 	var products [][]string
 	for {
 		if limit > 0 && len(products) >= limit {
@@ -102,14 +86,14 @@ func (a *Analyzer) enumerate(limit int) ([][]string, bool) {
 			return products, true
 		}
 		var selected []string
-		blocking := make([]logic.Lit, 0, len(featureVars))
-		for i, v := range featureVars {
-			if s.Value(v) {
-				selected = append(selected, a.model.order[i])
-				blocking = append(blocking, -logic.Lit(v))
-			} else {
-				blocking = append(blocking, logic.Lit(v))
+		blocking := make([]logic.Lit, 0, len(a.model.order))
+		for i, name := range a.model.order {
+			l := logic.Lit(i + 1)
+			if s.Value(l.Var()) {
+				selected = append(selected, name)
+				l = -l
 			}
+			blocking = append(blocking, l)
 		}
 		sort.Strings(selected)
 		products = append(products, selected)

@@ -1,11 +1,13 @@
 // Package featmodel implements feature models for software product
 // lines in the FODA tradition the llhsc paper builds on (Section II-B):
 // a feature tree with AND/OR/XOR group decompositions, mandatory /
-// optional / abstract features, cross-tree constraints, translation to
-// propositional logic, ground validity checking of complete
-// configurations (eval.go), and SAT-backed automated analyses (void
-// model, dead features, core features, product counting and
-// enumeration).
+// optional / abstract features, cross-tree constraints, a direct CNF
+// encoding built once per model (encode.go) that seeds every SAT
+// session, ground validity checking of complete configurations
+// (eval.go), and SAT-backed automated analyses (void model, dead
+// features, core features, product counting and enumeration). The
+// translation to a propositional formula (ToFormula) is the reference
+// the encoding is tested against.
 //
 // The multi-product extension of Section IV-A — k VM models plus a
 // platform model with cross-VM exclusive resources — lives in multi.go.
@@ -15,6 +17,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"llhsc/internal/logic"
 )
@@ -71,6 +74,10 @@ type Model struct {
 	features map[string]*Feature
 	parent   map[string]*Feature
 	order    []string // depth-first feature order
+
+	encOnce sync.Once // builds enc (encode.go)
+	enc     *Encoding
+	encErr  error
 }
 
 // NewModel builds a model from a feature tree and optional cross-tree
@@ -135,20 +142,15 @@ func (m *Model) Parent(name string) *Feature { return m.parent[name] }
 func (m *Model) Names() []string { return append([]string(nil), m.order...) }
 
 // VarMap assigns propositional variables to feature names (optionally
-// suffixed, for multi-product copies).
+// suffixed, for multi-product copies) for ToFormula.
 type VarMap struct {
-	pool  *logic.Pool
-	vars  map[string]logic.Var
-	names map[logic.Var]string
+	pool *logic.Pool
+	vars map[string]logic.Var
 }
 
 // NewVarMap returns a variable map drawing fresh variables from pool.
 func NewVarMap(pool *logic.Pool) *VarMap {
-	return &VarMap{
-		pool:  pool,
-		vars:  make(map[string]logic.Var),
-		names: make(map[logic.Var]string),
-	}
+	return &VarMap{pool: pool, vars: make(map[string]logic.Var)}
 }
 
 // Var returns (allocating on first use) the variable for a name.
@@ -158,7 +160,6 @@ func (vm *VarMap) Var(name string) logic.Var {
 	}
 	v := vm.pool.Fresh()
 	vm.vars[name] = v
-	vm.names[v] = name
 	return v
 }
 
@@ -166,21 +167,6 @@ func (vm *VarMap) Var(name string) logic.Var {
 func (vm *VarMap) Lookup(name string) (logic.Var, bool) {
 	v, ok := vm.vars[name]
 	return v, ok
-}
-
-// Name returns the name for a variable if known.
-func (vm *VarMap) Name(v logic.Var) (string, bool) {
-	n, ok := vm.names[v]
-	return n, ok
-}
-
-// Names returns the var→name map (for diagnostics).
-func (vm *VarMap) Names() map[logic.Var]string {
-	out := make(map[logic.Var]string, len(vm.names))
-	for v, n := range vm.names {
-		out[v] = n
-	}
-	return out
 }
 
 // ToFormula translates the model into propositional logic with the
@@ -195,11 +181,14 @@ func (vm *VarMap) Names() map[logic.Var]string {
 //
 // Variables for feature f are drawn as vm.Var(prefix + f.Name).
 //
+// No session is seeded from this formula: AppendClauses writes the same
+// semantics as clauses directly, and ToFormula through logic.ToCNF is
+// the reference the tests hold that encoding to, model for model on the
+// feature variables.
+//
 // An error is returned when a cross-tree constraint references a
 // feature missing from the model — possible only for a Model assembled
 // by hand instead of through NewModel (which validates references).
-// MustToFormula panics instead, for callers that know the model is
-// well-formed.
 func (m *Model) ToFormula(vm *VarMap, prefix string) (*logic.Formula, error) {
 	var parts []*logic.Formula
 	v := func(name string) *logic.Formula { return logic.V(vm.Var(prefix + name)) }
@@ -254,16 +243,6 @@ func (m *Model) ToFormula(vm *VarMap, prefix string) (*logic.Formula, error) {
 		parts = append(parts, f)
 	}
 	return logic.And(parts...), nil
-}
-
-// MustToFormula is ToFormula for models known to be well-formed (built
-// via NewModel); it panics on the error path.
-func (m *Model) MustToFormula(vm *VarMap, prefix string) *logic.Formula {
-	f, err := m.ToFormula(vm, prefix)
-	if err != nil {
-		panic(err)
-	}
-	return f
 }
 
 // Configuration is a set of selected feature names.

@@ -38,6 +38,9 @@ const PlatformPrefix = "platform/"
 //   - each exclusive feature is selected by at most one VM,
 //   - each platform variable "platform/<f>" is the union (disjunction)
 //     of the per-VM selections.
+//
+// Like Model.ToFormula it seeds no session: it is the reference
+// AppendClauses is tested against.
 func (mm *MultiModel) ToFormula(vm *VarMap) (*logic.Formula, error) {
 	var parts []*logic.Formula
 	for k := 1; k <= mm.VMs; k++ {
@@ -62,28 +65,85 @@ func (mm *MultiModel) ToFormula(vm *VarMap) (*logic.Formula, error) {
 	return logic.And(parts...), nil
 }
 
+// AppendClauses appends the multi-product CNF of ToFormula's semantics
+// to dst, each clause terminated by a 0, and returns the extended
+// arena. With off = pool.NumVars() on entry, E the NumVars of the base
+// model's Encoding and v the base variable of feature f:
+//
+//   - VM k (1-based) holds the base clauses with every variable shifted
+//     by off+(k−1)·E, so "vm<k>/<f>" is off+(k−1)·E+v;
+//   - "platform/<f>" is off+VMs·E+v, defined as the union of the VMs'
+//     selections of f;
+//   - an exclusive feature is selected by at most one VM, encoded as
+//     for a XOR group.
+//
+// Auxiliary variables are drawn from pool after these. The error is the
+// base model's Encoding error.
+func (mm *MultiModel) AppendClauses(dst []logic.Lit, pool *logic.Pool) ([]logic.Lit, error) {
+	enc, err := mm.Base.Encoding()
+	if err != nil {
+		return dst, err
+	}
+	off, width := logic.Lit(pool.NumVars()), logic.Lit(enc.numVars)
+	for k := range logic.Lit(mm.VMs) {
+		shift := off + k*width
+		for _, l := range enc.clauses {
+			switch {
+			case l > 0:
+				l += shift
+			case l < 0:
+				l -= shift
+			}
+			dst = append(dst, l)
+		}
+	}
+	platform := off + logic.Lit(mm.VMs)*width
+	pool.Reserve(logic.Var(platform) + logic.Var(len(enc.names)))
+	perVM := make([]logic.Lit, mm.VMs)
+	for i, name := range enc.names {
+		v := logic.Lit(i + 1)
+		for k := range perVM {
+			perVM[k] = off + logic.Lit(k)*width + v
+		}
+		if mm.Base.features[name].Exclusive {
+			dst = logic.AppendAtMostOneSequential(dst, perVM, pool)
+		}
+		p := platform + v
+		for _, l := range perVM {
+			dst = append(dst, -l, p, 0)
+		}
+		dst = append(append(append(dst, -p), perVM...), 0)
+	}
+	return dst, nil
+}
+
 // MultiAnalyzer answers the queries over a MultiModel that search:
 // whether any partitioning exists (IsVoid) and completing partial pins
 // into one (SolveAssignment). Checking a given partitioning is ground
 // evaluation (MultiModel.Conflict).
 type MultiAnalyzer struct {
 	mm     *MultiModel
-	vm     *VarMap
+	enc    *Encoding // the base model's; VM k's copy is shifted by (k−1)·enc.numVars
 	solver *sat.Solver
 }
 
-// NewMultiAnalyzer prepares the SAT encoding. It errors on a malformed
-// base model (one assembled by hand rather than through NewModel).
+// NewMultiAnalyzer seeds a solver with AppendClauses. It errors on a
+// malformed base model (one changed after NewModel validated it).
 func NewMultiAnalyzer(mm *MultiModel) (*MultiAnalyzer, error) {
-	pool := logic.NewPool()
-	vm := NewVarMap(pool)
-	f, err := mm.ToFormula(vm)
+	var pool logic.Pool
+	clauses, err := mm.AppendClauses(nil, &pool)
 	if err != nil {
 		return nil, err
 	}
 	s := sat.New()
-	s.AddCNF(logic.ToCNF(f, pool))
-	return &MultiAnalyzer{mm: mm, vm: vm, solver: s}, nil
+	s.AddClauses(pool.NumVars(), clauses)
+	return &MultiAnalyzer{mm: mm, enc: mm.Base.enc, solver: s}, nil
+}
+
+// vmVar returns the variable of VM k's (1-based) copy of a feature.
+func (ma *MultiAnalyzer) vmVar(k int, name string) (logic.Var, bool) {
+	v, ok := ma.enc.vars[name]
+	return logic.Var((k-1)*ma.enc.numVars) + v, ok
 }
 
 // IsVoid reports whether no assignment of products to the VMs exists at
@@ -111,17 +171,16 @@ func (ma *MultiAnalyzer) SolveAssignment(pins []map[string]bool) ([]Configuratio
 	}
 	var assumptions []logic.Lit
 	for k, pinSet := range pins {
-		prefix := VMPrefix(k + 1)
 		names := make([]string, 0, len(pinSet))
 		for name := range pinSet {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			if _, ok := ma.mm.Base.features[name]; !ok {
+			v, ok := ma.vmVar(k+1, name)
+			if !ok {
 				return nil, fmt.Errorf("featmodel: unknown feature %q pinned for VM %d", name, k+1)
 			}
-			v := ma.vm.Var(prefix + name)
 			if pinSet[name] {
 				assumptions = append(assumptions, logic.Lit(v))
 			} else {
@@ -135,8 +194,8 @@ func (ma *MultiAnalyzer) SolveAssignment(pins []map[string]bool) ([]Configuratio
 	out := make([]Configuration, ma.mm.VMs)
 	for k := 1; k <= ma.mm.VMs; k++ {
 		cfg := make(Configuration)
-		for _, name := range ma.mm.Base.order {
-			if ma.solver.Value(ma.vm.Var(VMPrefix(k) + name)) {
+		for _, name := range ma.enc.names {
+			if v, _ := ma.vmVar(k, name); ma.solver.Value(v) {
 				cfg[name] = true
 			}
 		}
@@ -148,12 +207,9 @@ func (ma *MultiAnalyzer) SolveAssignment(pins []map[string]bool) ([]Configuratio
 func (ma *MultiAnalyzer) failedNames() []string {
 	var out []string
 	for _, l := range ma.solver.FailedAssumptions() {
-		if name, ok := ma.vm.Name(l.Var()); ok {
-			if !l.Positive() {
-				name = "!" + name
-			}
-			out = append(out, name)
-		}
+		// Assumptions are pins, so l is a VM copy of a feature.
+		k, i := (int(l.Var())-1)/ma.enc.numVars, (int(l.Var())-1)%ma.enc.numVars
+		out = append(out, literal(k+1, ma.enc.names[i], l.Positive()))
 	}
 	sort.Strings(out)
 	return out

@@ -11,7 +11,7 @@ import (
 
 // PresenceEncoder is the SAT substrate of family-based lifted checking
 // (DESIGN.md §14). It holds one incremental solver session seeded with
-// the feature-model formula and compiles delta activation conditions
+// the feature model's Encoding and compiles delta activation conditions
 // ("when" clauses and guards derived from them) into *presence
 // literals*: a literal that is true in a model of the session exactly
 // when the guard expression holds in the corresponding configuration.
@@ -31,9 +31,8 @@ import (
 // composed guard is never rebuilt as an expression tree nor flattened
 // again.
 type PresenceEncoder struct {
-	model  *Model
-	pool   *logic.Pool
-	vm     *VarMap
+	enc    *Encoding
+	pool   logic.Pool // past enc's variables: guard definitions, unknown names
 	solver *sat.Solver
 
 	atoms   map[*Expr]logic.Lit  // expression pointer → presence literal
@@ -56,20 +55,14 @@ type PresenceEncoder struct {
 	queries int // assumption solves issued against the session
 }
 
-// NewPresenceEncoder seeds a fresh incremental session with the
-// feature-model formula of m. The model must be well-formed (built via
-// NewModel); NewPresenceEncoder panics otherwise, like NewAnalyzer.
+// NewPresenceEncoder seeds a fresh incremental session with a copy of
+// m's Encoding. The model must be well-formed (built via NewModel);
+// NewPresenceEncoder panics otherwise, like NewAnalyzer.
 func NewPresenceEncoder(m *Model) *PresenceEncoder {
-	pool := logic.NewPool()
-	vm := NewVarMap(pool)
-	f := m.MustToFormula(vm, "")
-	s := sat.New()
-	s.AddCNF(logic.ToCNF(f, pool))
-	return &PresenceEncoder{
-		model:   m,
-		pool:    pool,
-		vm:      vm,
-		solver:  s,
+	enc := m.mustEncoding()
+	pe := &PresenceEncoder{
+		enc:     enc,
+		solver:  enc.newSolver(),
 		atoms:   make(map[*Expr]logic.Lit),
 		lits:    make(map[string]logic.Lit),
 		unknown: make(map[string]logic.Var),
@@ -80,6 +73,8 @@ func NewPresenceEncoder(m *Model) *PresenceEncoder {
 		ors:     make(map[uint64]Guard),
 		conj:    make(map[Guard]logic.Lit),
 	}
+	pe.pool.Reserve(logic.Var(enc.numVars))
+	return pe
 }
 
 // True returns a literal constrained to be true in every model — the
@@ -88,9 +83,7 @@ func (pe *PresenceEncoder) True() logic.Lit {
 	if pe.tru == 0 {
 		v := pe.pool.Fresh()
 		pe.tru = logic.Lit(v)
-		cnf := &logic.CNF{NumVars: pe.pool.NumVars()}
-		cnf.AddClause(pe.tru)
-		pe.solver.AddCNF(cnf)
+		pe.solver.AddClause(pe.tru)
 	}
 	return pe.tru
 }
@@ -121,7 +114,7 @@ func (pe *PresenceEncoder) Literal(e *Expr) logic.Lit {
 			panic(err)
 		}
 		cnf := &logic.CNF{NumVars: pe.pool.NumVars()}
-		l = logic.Tseitin(f, pe.pool, cnf)
+		l = logic.Tseitin(f, &pe.pool, cnf)
 		if pe.pool.NumVars() > cnf.NumVars {
 			cnf.NumVars = pe.pool.NumVars()
 		}
@@ -336,24 +329,24 @@ func mergeSets(dst, a, b []logic.Lit) []logic.Lit {
 }
 
 func (pe *PresenceEncoder) lookup(name string) (logic.Var, bool) {
-	if pe.model.Feature(name) != nil {
-		return pe.vm.Var(name), true
+	if v, ok := pe.enc.vars[name]; ok {
+		return v, true
 	}
 	v, ok := pe.unknown[name]
 	if !ok {
 		v = pe.pool.Fresh()
 		pe.unknown[name] = v
-		cnf := &logic.CNF{NumVars: pe.pool.NumVars()}
-		cnf.AddClause(-logic.Lit(v))
-		pe.solver.AddCNF(cnf)
+		pe.solver.AddClause(-logic.Lit(v))
 	}
 	return v, true
 }
 
 // FeatureLit returns the literal of a feature variable itself (positive
-// polarity), for assumption sets that pin individual features.
+// polarity), for assumption sets that pin individual features. A name
+// outside the model gets a literal forced false, as in guards.
 func (pe *PresenceEncoder) FeatureLit(name string) logic.Lit {
-	return logic.Lit(pe.vm.Var(name))
+	v, _ := pe.lookup(name)
+	return logic.Lit(v)
 }
 
 // SolveContext asks whether any valid configuration satisfies all the
@@ -375,9 +368,9 @@ func (pe *PresenceEncoder) Solve(assumptions ...logic.Lit) sat.Status {
 // assigned true. This is the witness-decoding step — the configuration
 // is a real product exhibiting whatever the assumptions asserted.
 func (pe *PresenceEncoder) Config() Configuration {
-	cfg := make(Configuration, len(pe.model.order))
-	for _, name := range pe.model.order {
-		if v, ok := pe.vm.Lookup(name); ok && pe.solver.Value(v) {
+	cfg := make(Configuration, len(pe.enc.names))
+	for i, name := range pe.enc.names {
+		if pe.solver.Value(logic.Var(i + 1)) {
 			cfg[name] = true
 		}
 	}

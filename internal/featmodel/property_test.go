@@ -17,7 +17,10 @@ func bruteForceProducts(t *testing.T, m *Model) [][]string {
 	}
 	pool := logic.NewPool()
 	vm := NewVarMap(pool)
-	f := m.MustToFormula(vm, "")
+	f, err := m.ToFormula(vm, "")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var out [][]string
 	for mask := uint64(0); mask < 1<<uint(len(names)); mask++ {

@@ -164,42 +164,42 @@ func (t *tseitin) gate(args []*Formula, conj bool) Lit {
 	return out
 }
 
-// AtMostOnePairwise appends the pairwise at-most-one encoding over lits
-// to cnf: O(n²) binary clauses, no auxiliary variables.
-func AtMostOnePairwise(lits []Lit, cnf *CNF) {
-	for i := 0; i < len(lits); i++ {
-		for j := i + 1; j < len(lits); j++ {
-			cnf.AddClause(lits[i].Neg(), lits[j].Neg())
+// A clause arena holds clauses back to back, each terminated by a 0
+// literal, as DIMACS writes them; sat.(*Solver).AddClauses loads one.
+
+// AppendAtMostOnePairwise appends the pairwise at-most-one encoding
+// over lits to the clause arena dst: O(n²) binary clauses, no auxiliary
+// variables.
+func AppendAtMostOnePairwise(dst, lits []Lit) []Lit {
+	for i, a := range lits {
+		for _, b := range lits[i+1:] {
+			dst = append(dst, a.Neg(), b.Neg(), 0)
 		}
 	}
+	return dst
 }
 
-// AtMostOneSequential appends the sequential-counter at-most-one
-// encoding over lits to cnf: O(n) clauses with n-1 auxiliary variables
-// allocated from pool. For large groups this is much smaller than the
-// pairwise encoding; DESIGN.md §5 benchmarks the two against each other.
-func AtMostOneSequential(lits []Lit, pool *Pool, cnf *CNF) {
+// pairwiseMax is the largest literal count AppendAtMostOneSequential
+// encodes pairwise (at most six binary clauses).
+const pairwiseMax = 4
+
+// AppendAtMostOneSequential appends an at-most-one encoding over lits
+// to the clause arena dst: pairwise up to pairwiseMax literals, and
+// above that Sinz's sequential counter, 3n−4 clauses over n−1
+// auxiliary variables drawn from pool, so the encoding grows linearly.
+// DESIGN.md §5 benchmarks the two against each other.
+func AppendAtMostOneSequential(dst, lits []Lit, pool *Pool) []Lit {
 	n := len(lits)
-	if n <= 1 {
-		return
+	if n <= pairwiseMax {
+		return AppendAtMostOnePairwise(dst, lits)
 	}
-	if n <= 4 {
-		AtMostOnePairwise(lits, cnf)
-		return
+	// s holds when some literal among lits[0..i] is true.
+	s := Lit(pool.Fresh())
+	dst = append(dst, lits[0].Neg(), s, 0)
+	for _, l := range lits[1 : n-1] {
+		next := Lit(pool.Fresh())
+		dst = append(dst, l.Neg(), next, 0, s.Neg(), next, 0, l.Neg(), s.Neg(), 0)
+		s = next
 	}
-	// s_i = "some literal among lits[0..i] is true"
-	s := make([]Lit, n-1)
-	for i := range s {
-		s[i] = Lit(pool.Fresh())
-	}
-	if pool.NumVars() > cnf.NumVars {
-		cnf.NumVars = pool.NumVars()
-	}
-	cnf.AddClause(lits[0].Neg(), s[0])
-	for i := 1; i < n-1; i++ {
-		cnf.AddClause(lits[i].Neg(), s[i])
-		cnf.AddClause(s[i-1].Neg(), s[i])
-		cnf.AddClause(lits[i].Neg(), s[i-1].Neg())
-	}
-	cnf.AddClause(lits[n-1].Neg(), s[n-2].Neg())
+	return append(dst, lits[n-1].Neg(), s.Neg(), 0)
 }

@@ -150,6 +150,20 @@ func countTrue(lits []Lit, mask uint64) int {
 	return n
 }
 
+// arenaCNF returns the clauses of a clause arena as a CNF over
+// variables 1..numVars.
+func arenaCNF(arena []Lit, numVars int) *CNF {
+	cnf := &CNF{NumVars: numVars}
+	start := 0
+	for i, l := range arena {
+		if l == 0 {
+			cnf.AddClause(arena[start:i]...)
+			start = i + 1
+		}
+	}
+	return cnf
+}
+
 func TestAtMostOneEncodings(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
 		lits := make([]Lit, n)
@@ -158,8 +172,7 @@ func TestAtMostOneEncodings(t *testing.T) {
 		}
 
 		t.Run("pairwise", func(t *testing.T) {
-			cnf := &CNF{NumVars: n}
-			AtMostOnePairwise(lits, cnf)
+			cnf := arenaCNF(AppendAtMostOnePairwise(nil, lits), n)
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
 				want := countTrue(lits, mask) <= 1
 				// Pairwise has no aux vars: direct evaluation.
@@ -172,8 +185,7 @@ func TestAtMostOneEncodings(t *testing.T) {
 		t.Run("sequential", func(t *testing.T) {
 			pool := NewPool()
 			pool.Reserve(Var(n))
-			cnf := &CNF{NumVars: n}
-			AtMostOneSequential(lits, pool, cnf)
+			cnf := arenaCNF(AppendAtMostOneSequential(nil, lits, pool), pool.NumVars())
 			// With aux vars: check extendability per original assignment.
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
 				fixed := &CNF{NumVars: cnf.NumVars, Clauses: append([]Clause{}, cnf.Clauses...)}

@@ -15,6 +15,7 @@ package sat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 
@@ -232,6 +233,15 @@ func (s *Solver) NewVar() logic.Var {
 }
 
 func (s *Solver) addVarsUpTo(n int) {
+	if grow := n - len(s.assigns); grow > 0 && n > cap(s.assigns) {
+		s.assigns = slices.Grow(s.assigns, grow)
+		s.level = slices.Grow(s.level, grow)
+		s.reason = slices.Grow(s.reason, grow)
+		s.polarity = slices.Grow(s.polarity, grow)
+		s.activity = slices.Grow(s.activity, grow)
+		s.seen = slices.Grow(s.seen, grow)
+		s.watches = slices.Grow(s.watches, 2*grow)
+	}
 	for len(s.assigns) < n {
 		s.assigns = append(s.assigns, lUndef)
 		s.level = append(s.level, 0)
@@ -251,6 +261,23 @@ func (s *Solver) AddCNF(c *logic.CNF) {
 	for _, cl := range c.Clauses {
 		s.AddClause(cl...)
 	}
+}
+
+// AddClauses adds the clauses of a DIMACS-style arena — literals
+// written back to back, each clause terminated by a 0 — over variables
+// 1..numVars, which are allocated up front. It returns false once the
+// solver is unsatisfiable at the top level.
+func (s *Solver) AddClauses(numVars int, arena []logic.Lit) bool {
+	s.addVarsUpTo(numVars)
+	for start, i := 0, 0; i < len(arena); i++ {
+		if arena[i] == 0 {
+			if !s.AddClause(arena[start:i]...) {
+				return false
+			}
+			start = i + 1
+		}
+	}
+	return s.okay
 }
 
 // AddClause adds a clause over logic literals, allocating variables as
@@ -276,7 +303,7 @@ func (s *Solver) AddClause(lits ...logic.Lit) bool {
 		s.addVarsUpTo(il.vari() + 1)
 		tmp = append(tmp, il)
 	}
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
+	slices.Sort(tmp)
 	out := tmp[:0]
 	var prev = litUndef
 	for _, il := range tmp {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"llhsc/internal/bench"
+	"llhsc/internal/featmodel"
 )
 
 // decodeBoth decodes body as a T with this package's decoder and with
@@ -578,6 +579,37 @@ func postRaw(t *testing.T, opts Options, path string, body []byte) (int, errorRe
 	case <-time.After(30 * time.Second):
 		t.Fatalf("%s with a %d-byte body did not answer within 30s", path, len(body))
 		return 0, errorResponse{}
+	}
+}
+
+// TestHostileXorGroup sends a lifted /check whose feature model holds
+// a 5,000-child XOR group. Its at-most-one constraint must be encoded
+// in linear space: the pairwise encoding needs 12.5M clauses, gigabytes
+// from a body of about 100 KB. The request must answer within the
+// watchdog, with 200 or a typed 4xx.
+func TestHostileXorGroup(t *testing.T) {
+	req := runningExampleRequest(t)
+	base, err := featmodel.ParseModel("featuremodel", req.FeatureModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := make([]string, 5_000)
+	for i := range members {
+		members[i] = fmt.Sprintf("x%d", i)
+	}
+	big, err := base.AddVirtualGroup("xs", featmodel.GroupXor, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.FeatureModel, req.Mode = big.Format(), "lifted"
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	status, e := postRaw(t, Options{}, "/check", body)
+	t.Logf("%d-byte body: status %d %+v", len(body), status, e)
+	if status != http.StatusOK && (status < 400 || status >= 500 || e.Error == "") {
+		t.Errorf("5,000-child XOR group: status %d %+v, want 200 or a typed 4xx", status, e)
 	}
 }
 
