@@ -491,8 +491,8 @@ func BenchmarkE13ParallelSpeedup(b *testing.B) {
 // BenchmarkLiftedRunningExample runs one lifted check of the whole
 // running-example product line with the standard schemas: every family
 // discharged in one incremental SAT session. It reports the session's
-// work per check — reachability queries, conflicts, and the clauses the
-// session ends with.
+// work per check — reachability queries, the pruned (Unsat) ones,
+// conflicts, and the clauses the session ends with.
 func BenchmarkLiftedRunningExample(b *testing.B) {
 	core, err := runningexample.Tree()
 	if err != nil {
@@ -525,6 +525,7 @@ func BenchmarkLiftedRunningExample(b *testing.B) {
 	}
 	st := lc.LastStats()
 	b.ReportMetric(float64(st.Queries), "queries/op")
+	b.ReportMetric(float64(st.Pruned), "pruned/op")
 	b.ReportMetric(float64(st.Solver.Conflicts), "conflicts/op")
 	b.ReportMetric(float64(st.Solver.Clauses), "clauses")
 }

@@ -33,33 +33,34 @@ type sink struct {
 	// lifted session and its reachability oracle. Both are nil in
 	// enumerative mode, where every guard is 0 and none is composed.
 	pe    *featmodel.PresenceEncoder
-	reach func(g featmodel.Guard) (bool, featmodel.Configuration)
-	// emit receives each reported violation with its witness
-	// configuration (nil in enumerative mode).
-	emit func(cfg featmodel.Configuration, v Violation)
+	reach func(g featmodel.Guard) bool
+	// emit receives each reported violation with the reachable guard it
+	// holds under, whose witness the lifted sink decodes (0 in
+	// enumerative mode).
+	emit func(g featmodel.Guard, v Violation)
 }
 
 // collect returns the enumerative sink: every violation is appended to
 // *out.
 func collect(out *[]Violation) sink {
-	return sink{emit: func(_ featmodel.Configuration, v Violation) { *out = append(*out, v) }}
+	return sink{emit: func(_ featmodel.Guard, v Violation) { *out = append(*out, v) }}
 }
 
 // holds reports whether some valid configuration satisfies a ∧ b, and
-// which. With no oracle it always holds, and the guards are never
-// combined.
-func (s sink) holds(a, b featmodel.Guard) (featmodel.Configuration, bool) {
+// returns that conjunction. With no oracle it always holds, and the
+// guards are never combined.
+func (s sink) holds(a, b featmodel.Guard) (featmodel.Guard, bool) {
 	if s.reach == nil {
-		return nil, true
+		return 0, true
 	}
-	ok, cfg := s.reach(s.pe.And(a, b))
-	return cfg, ok
+	g := s.pe.And(a, b)
+	return g, s.reach(g)
 }
 
 // report delivers v if a ∧ b holds.
 func (s sink) report(a, b featmodel.Guard, v Violation) {
-	if cfg, ok := s.holds(a, b); ok {
-		s.emit(cfg, v)
+	if g, ok := s.holds(a, b); ok {
+		s.emit(g, v)
 	}
 }
 

@@ -80,7 +80,10 @@ type LiftedStats struct {
 	// no valid configuration selects are never decoded.
 	Regions int
 	// Contexts is the number of interpretation contexts explored
-	// during region collection (cell-size/ranges variant splits).
+	// during region collection (cell-size/ranges variant splits): the
+	// reachable contexts built for the children of each node that has
+	// children. Leaf nodes build none and do not count (the running
+	// example explores 3).
 	Contexts int
 	// Worlds is the number of schema worlds (concrete property
 	// combinations) explored.
@@ -179,10 +182,11 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 }
 
 // reachResult caches one guard's lifted verdict: whether any valid
-// configuration satisfies it, and if so which.
+// configuration satisfies it, and if so where its witness model sits in
+// liftedRun.models.
 type reachResult struct {
 	known, ok bool
-	cfg       featmodel.Configuration
+	lo, hi    int32
 }
 
 // liftedRun is the per-call state of a lifted check.
@@ -194,6 +198,7 @@ type liftedRun struct {
 	findings []LiftedFinding
 	seen     map[string]bool                         // finding dedup across contexts/worlds
 	reach    []reachResult                           // guard handle → cached verdict
+	models   []uint64                                // witness bitsets of the Sat verdicts (AppendModel)
 	options  map[*delta.LiftedProperty][]valueOption // chosenOptions memo
 	err      error                                   // first budget/cancellation error
 }
@@ -204,51 +209,54 @@ type liftedRun struct {
 // nothing to the session. Verdicts are cached by handle, and equal sets
 // share a handle, so repeated guards — the common case, since a handful
 // of delta activation conditions dominate a merged tree — cost one
-// query total, however they were composed.
-func (r *liftedRun) reachable(g featmodel.Guard) (bool, featmodel.Configuration) {
+// query total, however they were composed. A Sat verdict keeps its
+// model as a bitset; emitWith decodes it only for a reported finding.
+func (r *liftedRun) reachable(g featmodel.Guard) bool {
 	if r.err != nil {
-		return false, nil
+		return false
 	}
 	if int(g) < len(r.reach) && r.reach[g].known {
-		return r.reach[g].ok, r.reach[g].cfg
+		return r.reach[g].ok
 	}
 	st, err := r.pe.SolveContext(r.ctx, r.pe.Lits(g)...)
-	res := reachResult{known: true, ok: err == nil && st == sat.Sat}
-	if res.ok {
-		res.cfg = r.pe.Config()
-	}
 	if err != nil {
 		r.err = err
-		return false, nil
+		return false
 	}
-	if !res.ok {
+	res := reachResult{known: true, ok: st == sat.Sat}
+	if res.ok {
+		res.lo = int32(len(r.models))
+		r.models = r.pe.AppendModel(r.models)
+		res.hi = int32(len(r.models))
+	} else {
 		r.lc.stats.Pruned++
 	}
 	if n := int(g) + 1; n > len(r.reach) {
 		r.reach = append(r.reach, make([]reachResult, n-len(r.reach))...)
 	}
 	r.reach[g] = res
-	return res.ok, res.cfg
+	return res.ok
 }
 
 // emit reports a violation if its guard is reachable.
 func (r *liftedRun) emit(family string, cond featmodel.Guard, v Violation) {
-	ok, cfg := r.reachable(cond)
-	if !ok {
-		return
+	if r.reachable(cond) {
+		r.emitWith(cond, family, v)
 	}
-	r.emitWith(cfg, family, v)
 }
 
-// emitWith reports a violation with an already-decoded witness
-// configuration, deduplicating identical findings produced by
-// different interpretation contexts or worlds.
-func (r *liftedRun) emitWith(cfg featmodel.Configuration, family string, v Violation) {
+// emitWith reports a violation that holds under the reachable guard g,
+// with the witness configuration decoded from g's cached model,
+// deduplicating identical findings produced by different
+// interpretation contexts or worlds.
+func (r *liftedRun) emitWith(g featmodel.Guard, family string, v Violation) {
 	key := family + "\x00" + v.Path + "\x00" + v.Property + "\x00" + v.Rule + "\x00" + v.Message
 	if r.seen[key] {
 		return
 	}
 	r.seen[key] = true
+	res := r.reach[g]
+	cfg := r.pe.DecodeModel(r.models[res.lo:res.hi])
 	r.findings = append(r.findings, LiftedFinding{Family: family, Violation: v, Config: cfg})
 }
 
@@ -258,7 +266,7 @@ func (r *liftedRun) sink(family string) sink {
 	return sink{
 		pe:    r.pe,
 		reach: r.reachable,
-		emit:  func(cfg featmodel.Configuration, v Violation) { r.emitWith(cfg, family, v) },
+		emit:  func(g featmodel.Guard, v Violation) { r.emitWith(g, family, v) },
 	}
 }
 
@@ -461,7 +469,7 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 						continue
 					}
 					g0 := pe.And(nCond, pe.And(ictx.cond, ro.cond))
-					if ok, _ := r.reachable(g0); !ok {
+					if !r.reachable(g0) {
 						continue
 					}
 					var errs []error
@@ -484,27 +492,41 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 
 			// Compose the child contexts: each parent context splits on
 			// this node's #address-cells, #size-cells and ranges
-			// options.
+			// options. A leaf has no child to interpret, so it builds no
+			// context; only its non-empty ranges options are still
+			// parsed, for the findings addr.CollectRegions reports.
+			leaf := len(n.Children) == 0
+			rOpts := r.chosenOptions(n.Prop("ranges"))
+			if leaf && !slices.ContainsFunc(rOpts, translates) {
+				continue
+			}
 			acOpts := r.cellOptions(n, "#address-cells", 2)
 			scOpts := r.cellOptions(n, "#size-cells", 1)
-			rOpts := r.chosenOptions(n.Prop("ranges"))
 			var childCtxs []interpCtx
 			for _, ictx := range ctxs {
 				for _, acO := range acOpts {
 					for _, scO := range scOpts {
 						for _, rO := range rOpts {
+							if leaf && !translates(rO) {
+								continue
+							}
 							cond := pe.And(ictx.cond, pe.And(acO.cond, pe.And(scO.cond, rO.cond)))
 							tr, err := ictx.translate.Through(childPath, rO.value, acO.n, ictx.ac, scO.n)
 							if err != nil {
 								r.emit("semantic", pe.And(nCond, cond), regionsViolation(err))
 							}
-							childCtxs = append(childCtxs, interpCtx{
-								cond: cond, ac: acO.n, sc: scO.n,
-								width: ictx.width, translate: tr,
-							})
+							if !leaf {
+								childCtxs = append(childCtxs, interpCtx{
+									cond: cond, ac: acO.n, sc: scO.n,
+									width: ictx.width, translate: tr,
+								})
+							}
 						}
 					}
 				}
+			}
+			if leaf {
+				continue
 			}
 			// Most cross-property guard combinations are mutually
 			// unsatisfiable (e.g. "veth0 chose this ac" ∧ "veth1 chose
@@ -514,7 +536,7 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 			if len(childCtxs) > 1 {
 				kept := childCtxs[:0]
 				for _, c := range childCtxs {
-					if ok, _ := r.reachable(pe.And(nCond, c.cond)); ok {
+					if r.reachable(pe.And(nCond, c.cond)) {
 						kept = append(kept, c)
 					}
 				}
@@ -537,6 +559,10 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 	walk(lt.Root, "", rootCtxs)
 	return rootACs, out
 }
+
+// translates reports whether a ranges option is non-empty: one that
+// addr.Translator.Through parses rather than passing through.
+func translates(o valueOption) bool { return o.value != nil && !o.value.IsEmpty() }
 
 // semantic runs the non-overlap rule (formula (7)) over the guarded
 // regions with the enumerative checker's own steps, once per root-width
@@ -579,9 +605,9 @@ func (r *liftedRun) semantic(regions []guardedRegion) {
 	s := r.sink("semantic")
 	for _, h := range hits {
 		a, b := regions[h.i], regions[h.j]
-		if cfg, ok := s.holds(a.cond, b.cond); ok {
+		if g, ok := s.holds(a.cond, b.cond); ok {
 			for _, v := range (Collision{A: a.reg, B: b.reg, Witness: h.witness}).Violations() {
-				s.emit(cfg, v)
+				s.emit(g, v)
 			}
 		}
 	}
@@ -600,6 +626,9 @@ func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 	}
 	var rec func(parent *delta.LiftedNode, path string)
 	rec = func(parent *delta.LiftedNode, path string) {
+		if len(parent.Children) == 0 {
+			return
+		}
 		pAc := r.cellOptions(parent, "#address-cells", 2)
 		pSc := r.cellOptions(parent, "#size-cells", 1)
 		for _, n := range parent.Children {
@@ -650,7 +679,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		if len(worlds) > 8 {
 			kept := worlds[:0]
 			for _, w := range worlds {
-				if ok, _ := r.reachable(pe.And(nCond, w.cond)); ok {
+				if r.reachable(pe.And(nCond, w.cond)) {
 					kept = append(kept, w)
 				}
 			}
@@ -668,7 +697,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 	}
 	for _, w := range worlds {
 		cond := pe.And(nCond, w.cond)
-		if ok, _ := r.reachable(cond); !ok {
+		if !r.reachable(cond) {
 			continue
 		}
 		r.lc.stats.Worlds++
@@ -680,7 +709,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cell
 		for _, pa := range pAc {
 			for _, ps := range pSc {
 				wcond := pe.And(cond, pe.And(pa.cond, ps.cond))
-				if ok, _ := r.reachable(wcond); !ok {
+				if !r.reachable(wcond) {
 					continue
 				}
 				if err := pollCanceled(r.ctx); err != nil {

@@ -610,3 +610,166 @@ constraint fa -> !fb
 		t.Errorf("Regions = %d, want 6 (the variants whose reg guard is reachable)", st.Regions)
 	}
 }
+
+// TestLiftedLeafBuildsNoContexts pins the leaf rule of region
+// collection: a node with no children has nothing its cell sizes or
+// ranges interpret, so it builds no interpretation context and cannot
+// hit the context cap. /soc/dev splits soc's 4 contexts on three
+// independent properties of its own (32 combinations, all reachable),
+// which used to report a lifted:interp-contexts FAIL naming no rule
+// violation; crossValidate rejects any such cap finding.
+func TestLiftedLeafBuildsNoContexts(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+		dev {
+			compatible = "acme,dev";
+		};
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("leaf.deltas", `
+delta socac when fa {
+    modifies soc {
+        #address-cells = <2>;
+    }
+}
+
+delta socsc when fb {
+    modifies soc {
+        #size-cells = <2>;
+    }
+}
+
+delta devac when fc {
+    modifies dev {
+        #address-cells = <2>;
+    }
+}
+
+delta devsc when fd {
+    modifies dev {
+        #size-cells = <2>;
+    }
+}
+
+delta devranges when fe {
+    modifies dev {
+        ranges;
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := featmodel.ParseModel("leaf.fm", `
+feature root abstract {
+    feature fa
+    feature fb
+    feature fc
+    feature fd
+    feature fe
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crossValidate(t, "leaf-contexts", core, set, model, schema.StandardSet())
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLiftedChecker(model, schema.StandardSet())
+	findings, err := lc.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Errorf("clean product line reports %v", findings)
+	}
+	// soc's children are interpreted in 1 root context × 2 × 2 cell
+	// options of soc; dev, a leaf, adds none.
+	if st := lc.LastStats(); st.Contexts != 4 {
+		t.Errorf("Contexts = %d, want 4 (soc's child contexts only)", st.Contexts)
+	}
+}
+
+// TestLiftedLeafRangesStillChecked pins the other half of the leaf
+// rule: a leaf builds no context, but its non-empty ranges is still
+// parsed, so a malformed one is reported as the same semantic:regions
+// finding that addr.CollectRegions gives the enumerative checker, with
+// a witness that selects the delta writing it.
+func TestLiftedLeafRangesStillChecked(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+		bus@0 {
+			compatible = "acme,bus";
+		};
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("ranges.deltas", `
+delta badranges when fb {
+    modifies bus@0 {
+        ranges = <0x0 0x1000>;
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := conformModel(t)
+	crossValidate(t, "leaf-ranges", core, set, model, schema.StandardSet())
+
+	tree, _, err := set.Apply(core, featmodel.ConfigOf("fb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	_, violations := NewSemanticChecker().Check(tree)
+	for _, v := range violations {
+		if v.Rule == "semantic:regions" {
+			want = append(want, v.Message)
+		}
+	}
+	if len(want) != 1 {
+		t.Fatalf("enumerative regions findings = %q, want one", want)
+	}
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := NewLiftedChecker(model, schema.StandardSet()).CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		if f.Violation.Rule == "semantic:regions" {
+			got = append(got, f.Violation.Message)
+			if !f.Config["fb"] {
+				t.Errorf("witness %v of %s lacks fb, the only writer of the ranges", f.Config.Sorted(), f)
+			}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("lifted regions findings = %q, want the enumerative %q", got, want)
+	}
+}

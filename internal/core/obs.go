@@ -91,7 +91,9 @@ type LiftedRunStats struct {
 	// without the session.
 	WordDecided int `json:"wordDecided,omitempty"`
 	// Regions / Contexts / Worlds describe the merged tree's guarded
-	// variant space (see constraints.LiftedStats).
+	// variant space (see constraints.LiftedStats). Contexts counts the
+	// interpretation contexts built for the children of non-leaf nodes;
+	// leaf nodes do not count.
 	Regions  int `json:"regions,omitempty"`
 	Contexts int `json:"contexts,omitempty"`
 	Worlds   int `json:"worlds,omitempty"`

@@ -21,9 +21,11 @@ import (
 // conjunction into one literal per conjunct, so SAT(FM ∧ g ∧ h) is
 // Solve(lit(g), lit(h)) and no conjunction is ever encoded. A Sat
 // answer decodes back to a concrete violating configuration via
-// Config. The session is never reset between queries; clause learning
-// accumulates across the whole family, which is the point of checking
-// the product line in one session instead of one solver per product.
+// Config, or is kept as a bitset by AppendModel and decoded later by
+// DecodeModel, only if a caller needs the configuration. The session
+// is never reset between queries; clause learning accumulates across
+// the whole family, which is the point of checking the product line in
+// one session instead of one solver per product.
 //
 // Lifted checkers compose guards as Guard handles rather than
 // expressions: Guard interns a guard's assumption set once per
@@ -44,7 +46,8 @@ type PresenceEncoder struct {
 	// Set g is setLits[bounds[g]:bounds[g+1]]; handle 0 is the empty set.
 	setLits []logic.Lit
 	bounds  []int32
-	setIDs  map[string]Guard    // little-endian encoded set → handle
+	small   map[uint64]Guard    // packed one- or two-literal set → handle
+	setIDs  map[string]Guard    // little-endian encoded longer set → handle
 	exprs   map[*Expr]Guard     // Guard memo
 	ands    map[uint64]Guard    // And memo, keyed by the ordered pair
 	ors     map[uint64]Guard    // Or memo, keyed by the ordered pair
@@ -67,6 +70,7 @@ func NewPresenceEncoder(m *Model) *PresenceEncoder {
 		lits:    make(map[string]logic.Lit),
 		unknown: make(map[string]logic.Var),
 		bounds:  []int32{0, 0},
+		small:   make(map[uint64]Guard),
 		setIDs:  make(map[string]Guard),
 		exprs:   make(map[*Expr]Guard),
 		ands:    make(map[uint64]Guard),
@@ -279,10 +283,21 @@ func (pe *PresenceEncoder) conjLit(g Guard) logic.Lit {
 }
 
 // intern returns the handle of a sorted, duplicate-free set, adding it
-// on first sight.
+// on first sight. Sets of one or two literals, nearly every guard a
+// lifted check composes, are keyed by packSmall without allocating;
+// longer sets by their little-endian encoding.
 func (pe *PresenceEncoder) intern(set []logic.Lit) Guard {
-	if len(set) == 0 {
+	switch len(set) {
+	case 0:
 		return 0
+	case 1, 2:
+		k := packSmall(set)
+		g, ok := pe.small[k]
+		if !ok {
+			g = pe.add(set)
+			pe.small[k] = g
+		}
+		return g
 	}
 	pe.key = pe.key[:0]
 	for _, l := range set {
@@ -291,11 +306,28 @@ func (pe *PresenceEncoder) intern(set []logic.Lit) Guard {
 	if g, ok := pe.setIDs[string(pe.key)]; ok {
 		return g
 	}
+	g := pe.add(set)
+	pe.setIDs[string(pe.key)] = g
+	return g
+}
+
+// add appends a new set and returns its handle.
+func (pe *PresenceEncoder) add(set []logic.Lit) Guard {
 	g := Guard(len(pe.bounds) - 1)
 	pe.setLits = append(pe.setLits, set...)
 	pe.bounds = append(pe.bounds, int32(len(pe.setLits)))
-	pe.setIDs[string(pe.key)] = g
 	return g
+}
+
+// packSmall packs a set of one or two literals into one key: the first
+// literal in the high word and the second, if any, in the low word.
+// Literals are never 0, so {a} (low word 0) and {a, b} cannot collide.
+func packSmall(set []logic.Lit) uint64 {
+	k := uint64(uint32(set[0])) << 32
+	if len(set) == 2 {
+		k |= uint64(uint32(set[1]))
+	}
+	return k
 }
 
 func (pe *PresenceEncoder) intern1(l logic.Lit) Guard {
@@ -366,11 +398,41 @@ func (pe *PresenceEncoder) Solve(assumptions ...logic.Lit) sat.Status {
 // Config decodes the session's current model (valid after a Sat solve)
 // into the concrete configuration it describes: exactly the features
 // assigned true. This is the witness-decoding step — the configuration
-// is a real product exhibiting whatever the assumptions asserted.
+// is a real product exhibiting whatever the assumptions asserted. It
+// reads the solver directly and is the reference AppendModel and
+// DecodeModel are tested against.
 func (pe *PresenceEncoder) Config() Configuration {
 	cfg := make(Configuration, len(pe.enc.names))
 	for i, name := range pe.enc.names {
 		if pe.solver.Value(logic.Var(i + 1)) {
+			cfg[name] = true
+		}
+	}
+	return cfg
+}
+
+// AppendModel appends the session's current model (valid after a Sat
+// solve) to dst as a bitset over the features: bit i%64 of word i/64
+// of the appended part is set exactly when feature Names()[i] is true.
+// It is Config without the map, for callers that keep many models and
+// decode few of them; DecodeModel turns it into the same configuration.
+func (pe *PresenceEncoder) AppendModel(dst []uint64) []uint64 {
+	n := len(dst)
+	dst = append(dst, make([]uint64, (len(pe.enc.names)+63)/64)...)
+	for i := range pe.enc.names {
+		if pe.solver.Value(logic.Var(i + 1)) {
+			dst[n+i/64] |= 1 << (i % 64)
+		}
+	}
+	return dst
+}
+
+// DecodeModel returns the configuration of a model appended by
+// AppendModel: exactly the features whose bit is set.
+func (pe *PresenceEncoder) DecodeModel(model []uint64) Configuration {
+	cfg := make(Configuration, len(pe.enc.names))
+	for i, name := range pe.enc.names {
+		if model[i/64]&(1<<(i%64)) != 0 {
 			cfg[name] = true
 		}
 	}

@@ -1,6 +1,8 @@
 package featmodel
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -345,6 +347,82 @@ func TestGuardAlgebraOracle(t *testing.T) {
 					t.Errorf("seed %d: handles %d and %d: sets %v and %v", seed, g, h, pe.Lits(g), pe.Lits(h))
 				}
 			}
+		}
+	}
+}
+
+// TestAppendModelMatchesConfig holds the witness bitset to Config:
+// after every Sat solve of random guards — on the paper's model, the
+// models of randomEncodingModel and a model of 130 features, whose
+// bitset spans three words — DecodeModel of what AppendModel appended
+// is the configuration Config decodes, and the words already in dst
+// are left alone.
+func TestAppendModelMatchesConfig(t *testing.T) {
+	wide := &Feature{Name: "wide", Abstract: true, Group: GroupAnd}
+	for i := range 129 {
+		wide.Children = append(wide.Children, &Feature{Name: fmt.Sprintf("w%d", i)})
+	}
+	wideModel, err := NewModel(wide)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := []*Model{paperModel(t), wideModel}
+	for seed := int64(0); seed < 60; seed++ {
+		models = append(models, randomEncodingModel(seed))
+	}
+	prefix := []uint64{0xdead, 0xbeef}
+	sats := 0
+	for i, m := range models {
+		pe := NewPresenceEncoder(m)
+		rng := rand.New(rand.NewSource(int64(i) + 5000))
+		for trial := 0; trial < 12; trial++ {
+			if pe.Solve(pe.Lits(pe.Guard(randomConjunctiveGuard(rng, m.Names())))...) != sat.Sat {
+				continue
+			}
+			sats++
+			bits := pe.AppendModel(slices.Clone(prefix))
+			if !slices.Equal(bits[:len(prefix)], prefix) {
+				t.Fatalf("model %d: AppendModel overwrote dst: %x", i, bits[:len(prefix)])
+			}
+			if words := len(bits) - len(prefix); words != (len(m.Names())+63)/64 {
+				t.Fatalf("model %d: %d words for %d features", i, words, len(m.Names()))
+			}
+			if got, want := pe.DecodeModel(bits[len(prefix):]), pe.Config(); !maps.Equal(got, want) {
+				t.Errorf("model %d: decoded %v, Config %v", i, got.Sorted(), want.Sorted())
+			}
+		}
+	}
+	if sats < 200 {
+		t.Errorf("only %d Sat solves compared, want >= 200", sats)
+	}
+}
+
+// TestInternSmallAndLongSetsDistinct holds intern's two key spaces
+// apart: one- and two-literal sets are keyed packed and longer ones by
+// string, and no two of these sets, nor a re-interned copy, share a
+// handle with another set.
+func TestInternSmallAndLongSetsDistinct(t *testing.T) {
+	pe := NewPresenceEncoder(paperModel(t))
+	const a, b, c = logic.Lit(3), logic.Lit(5), logic.Lit(1 << 30)
+	sets := [][]logic.Lit{
+		{a}, {-a}, {b}, {c}, {-c},
+		{a, b}, {-b, a}, {-a, b}, {a, c}, {-c, a}, {-c, -a},
+		{a, b, c}, {-c, a, b}, {-b, a, 7, c},
+	}
+	handles := make(map[Guard][]logic.Lit)
+	for _, set := range sets {
+		g := pe.intern(set)
+		if prev, ok := handles[g]; ok {
+			t.Errorf("sets %v and %v share handle %d", prev, set, g)
+		}
+		handles[g] = set
+		if got := pe.Lits(g); !slices.Equal(got, set) {
+			t.Errorf("Lits(intern(%v)) = %v", set, got)
+		}
+	}
+	for g, set := range handles {
+		if again := pe.intern(slices.Clone(set)); again != g {
+			t.Errorf("re-interning %v gave %d, want %d", set, again, g)
 		}
 	}
 }

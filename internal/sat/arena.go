@@ -9,6 +9,12 @@ package sat
 // no free list, and clauses deleted by reduceDB simply stay in their
 // slab until the solver is dropped.
 //
+// Chunks and slabs grow geometrically, from firstChunkSize headers and
+// firstSlabSize literals up to clauseChunkSize and litSlabSize, so a
+// session of a few dozen clauses (a lifted check's) pays for a few
+// hundred bytes rather than for the 26 KB of full-size slabs a large
+// instance amortizes.
+//
 // Pointer stability: headers live in fixed-capacity chunks that are
 // never reallocated once handed out, so *clause values remain valid as
 // the database grows. Literal storage is carved from append-only slabs
@@ -20,7 +26,9 @@ type clauseArena struct {
 }
 
 const (
+	firstChunkSize  = 16
 	clauseChunkSize = 256
+	firstSlabSize   = 64
 	litSlabSize     = 4096
 )
 
@@ -28,7 +36,11 @@ const (
 func (a *clauseArena) newClause(lits []ilit, learnt bool, act float64) *clause {
 	n := len(a.headers)
 	if n == 0 || len(a.headers[n-1]) == cap(a.headers[n-1]) {
-		a.headers = append(a.headers, make([]clause, 0, clauseChunkSize))
+		size := firstChunkSize
+		if n > 0 {
+			size = min(2*cap(a.headers[n-1]), clauseChunkSize)
+		}
+		a.headers = append(a.headers, make([]clause, 0, size))
 		n++
 	}
 	chunk := &a.headers[n-1]
@@ -43,7 +55,11 @@ func (a *clauseArena) copyLits(lits []ilit) []ilit {
 		return append([]ilit(nil), lits...)
 	}
 	if cap(a.lits)-len(a.lits) < len(lits) {
-		a.lits = make([]ilit, 0, litSlabSize)
+		size := max(firstSlabSize, min(2*cap(a.lits), litSlabSize))
+		for size < len(lits) {
+			size *= 2 // stays within litSlabSize: len(lits) <= litSlabSize/2
+		}
+		a.lits = make([]ilit, 0, size)
 	}
 	start := len(a.lits)
 	a.lits = append(a.lits, lits...)

@@ -13,8 +13,14 @@ import (
 // constraints) produce the same fingerprint regardless of construction
 // order. It identifies the schema-set component of a check-cache key
 // (see internal/checkcache), so every field that can change a
-// validation verdict must be folded in here.
+// validation verdict must be folded in here. It is computed on the
+// first call; the set must not be modified after it.
 func (s *Set) Fingerprint() string {
+	s.fpOnce.Do(func() { s.fp = s.fingerprint() })
+	return s.fp
+}
+
+func (s *Set) fingerprint() string {
 	dumps := make([]string, 0, len(s.Schemas))
 	for _, sc := range s.Schemas {
 		dumps = append(dumps, schemaDump(sc))

@@ -1,6 +1,9 @@
 package schema
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 func setOf(schemas ...*Schema) *Set {
 	s := &Set{}
@@ -77,5 +80,31 @@ func TestFingerprintSensitiveToConstraints(t *testing.T) {
 	withConst.Properties["reg"].ConstU32 = &u
 	if setOf(withConst).Fingerprint() == ref {
 		t.Error("adding ConstU32 did not change the fingerprint")
+	}
+}
+
+// TestFingerprintSharedSet pins the memoized fingerprint of a set
+// shared across requests: concurrent first calls agree with each other
+// and with a fresh set's fingerprint, and later calls allocate nothing.
+func TestFingerprintSharedSet(t *testing.T) {
+	want := StandardSet().Fingerprint()
+	shared := StandardSet()
+	var wg sync.WaitGroup
+	got := make([]string, 8)
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = shared.Fingerprint()
+		}()
+	}
+	wg.Wait()
+	for i, fp := range got {
+		if fp != want {
+			t.Errorf("goroutine %d: fingerprint %s, want %s", i, fp, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = shared.Fingerprint() }); allocs != 0 {
+		t.Errorf("a repeated Fingerprint allocates %.0f times, want 0", allocs)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"regexp"
 	"slices"
 	"strings"
+	"sync"
 
 	"llhsc/internal/dts"
 )
@@ -145,9 +146,14 @@ func (v Violation) String() string {
 	return fmt.Sprintf("%s: %s (schema %s)", v.Path, v.Message, v.SchemaID)
 }
 
-// Set is a collection of schemas applied together.
+// Set is a collection of schemas applied together. A set is read-only
+// once in use: its methods are then safe for concurrent use, and
+// Fingerprint is computed once.
 type Set struct {
 	Schemas []*Schema
+
+	fpOnce sync.Once
+	fp     string
 }
 
 // Add appends a schema to the set.

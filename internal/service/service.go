@@ -255,6 +255,7 @@ func NewService(opts Options) (*Service, error) {
 	s := &server{
 		opts:    opts,
 		cache:   checkcache.New(opts.CacheSize),
+		schemas: schema.StandardSet(),
 		degrade: degrade,
 	}
 	if opts.MaxInFlight > 0 {
@@ -319,6 +320,7 @@ type server struct {
 	opts     Options
 	inflight chan struct{}     // nil = unlimited
 	cache    *checkcache.Cache // nil = disabled; shared across requests
+	schemas  *schema.Set       // the standard set, shared read-only across requests
 
 	degrade  *degradeController // nil = shedding off
 	draining atomic.Bool        // set via Service.SetDraining
@@ -622,7 +624,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 		Core:      tree,
 		Deltas:    deltas,
 		Model:     model,
-		Schemas:   schema.StandardSet(),
+		Schemas:   s.schemas,
 		VMConfigs: configs,
 		Cache:     s.cache,
 		Metrics:   s.pipeMetrics,
@@ -794,7 +796,7 @@ func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
 	for _, lw := range tree.Lint() {
 		resp.Warnings = append(resp.Warnings, lw.String())
 	}
-	for _, v := range schema.StandardSet().Validate(tree) {
+	for _, v := range s.schemas.Validate(tree) {
 		resp.Structural = append(resp.Structural, Violation{
 			Path: v.Path, Property: v.Property, Rule: v.SchemaID, Message: v.Message,
 		})
