@@ -30,6 +30,16 @@ var (
 	ErrOverflow = errors.New("addr: region end overflows 64-bit address space")
 )
 
+// DecodeError is a problem decoding the reg or ranges property of the
+// node at Path (DecodeReg, Translator.Through).
+type DecodeError struct {
+	Path string
+	Err  error // the problem, worded without the path
+}
+
+func (e *DecodeError) Error() string { return e.Path + ": " + e.Err.Error() }
+func (e *DecodeError) Unwrap() error { return e.Err }
+
 // Entry is one (address, size) pair decoded from a reg property.
 type Entry struct {
 	Address uint64
@@ -231,7 +241,7 @@ func (tr Translator) Through(path string, ranges *dts.Value, childAddrCells, par
 	}
 	entries, err := ParseRanges(ranges.U32s(), childAddrCells, parentAddrCells, childSizeCells)
 	if err != nil {
-		return tr, fmt.Errorf("%s ranges: %w", path, err)
+		return tr, &DecodeError{Path: path, Err: fmt.Errorf("ranges: %w", err)}
 	}
 	return func(a, s uint64) (uint64, bool) {
 		mid, ok := Translate(entries, a, s)
@@ -246,25 +256,26 @@ func (tr Translator) Through(path string, ranges *dts.Value, childAddrCells, par
 // parent's #address-cells/#size-cells, translates every entry into the
 // root address space and checks it for overflow, appending the regions
 // to dst in entry order. Problems come back in the order they occur,
-// each naming the node: an arity error yields no region, an entry no
-// ranges entry covers is dropped, and an overflowing region is kept.
+// each a *DecodeError naming the node: an arity error yields no region,
+// an entry no ranges entry covers is dropped, and an overflowing region
+// is kept.
 // Both checking modes decode regions through this one step.
 func DecodeReg(dst []Region, path string, cells []uint32, addrCells, sizeCells int, tr Translator, kind Kind, origin dts.Origin) ([]Region, []error) {
 	entries, err := ParseReg(cells, addrCells, sizeCells)
 	var errs []error
 	if err != nil {
-		errs = append(errs, fmt.Errorf("%s: %w", path, err))
+		errs = append(errs, &DecodeError{Path: path, Err: err})
 	}
 	for i, e := range entries {
 		base, ok := tr(e.Address, e.Size)
 		if !ok {
-			errs = append(errs, fmt.Errorf("%s bank %d: address 0x%x not covered by parent ranges",
-				path, i, e.Address))
+			errs = append(errs, &DecodeError{Path: path,
+				Err: fmt.Errorf("bank %d: address 0x%x not covered by parent ranges", i, e.Address)})
 			continue
 		}
 		r := Region{Base: base, Size: e.Size, Path: path, Kind: kind, Index: i, Origin: origin}
 		if _, ok := r.End(); !ok {
-			errs = append(errs, fmt.Errorf("%s bank %d: %w", path, i, ErrOverflow))
+			errs = append(errs, &DecodeError{Path: path, Err: fmt.Errorf("bank %d: %w", i, ErrOverflow)})
 		}
 		dst = append(dst, r)
 	}
@@ -276,19 +287,15 @@ func DecodeReg(dst []Region, path string, cells []uint32, addrCells, sizeCells i
 // #size-cells = 0 (such as CPUs, whose reg is an identifier) are
 // skipped. Bus nodes with a ranges property have their children's
 // addresses translated to the root address space (Translator.Through).
-// The first decoding problem is returned, naming the offending node.
+// Every decoding problem is returned, in walk order, joined by
+// errors.Join; each is a *DecodeError naming the offending node.
 func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 	var c collector
 	for _, o := range opts {
 		o(&c)
 	}
 	var out []Region
-	var firstErr error
-	note := func(errs ...error) {
-		if firstErr == nil && len(errs) > 0 {
-			firstErr = errs[0]
-		}
-	}
+	var errs []error
 
 	var walk func(parent *dts.Node, path string, tr Translator)
 	walk = func(parent *dts.Node, path string, tr Translator) {
@@ -299,23 +306,23 @@ func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 				dt, _ := n.StringValue("device_type")
 				kind := KindOf(dt, n.Compatible())
 				if kind == KindMemory || c.keep == nil || c.keep(n) {
-					var errs []error
-					out, errs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, kind, reg.Origin)
-					note(errs...)
+					var regErrs []error
+					out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, kind, reg.Origin)
+					errs = append(errs, regErrs...)
 				}
 			}
 			childTr := tr
 			if p := n.Property("ranges"); p != nil {
 				var err error
 				if childTr, err = tr.Through(childPath, &p.Value, n.AddressCells(), ac, n.SizeCells()); err != nil {
-					note(err)
+					errs = append(errs, err)
 				}
 			}
 			walk(n, childPath, childTr)
 		}
 	}
 	walk(t.Root, "", Identity)
-	return out, firstErr
+	return out, errors.Join(errs...)
 }
 
 // Overlapping returns every pair of distinct regions that overlap,

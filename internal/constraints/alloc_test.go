@@ -79,8 +79,8 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 // the running example with the standard schemas (~730 measured).
 // Guards are interned handles composed through memos, reachability
 // verdicts are cached in a slice indexed by handle, and unreachable reg
-// options and schema combinations are skipped before any decoding or
-// rule runs, so the check builds no guard expression, guard string or
+// options and schema property options are skipped before any decoding
+// or rule runs, so the check builds no guard expression, guard string or
 // Tseitin gate for a conjunction. The checker reuses one *Model, so its
 // session copies the model's Encoding without building it again. Sat
 // verdicts keep their model as a bitset, decoded only for a finding,

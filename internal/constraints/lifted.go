@@ -31,13 +31,10 @@ import (
 // *reachability* — whether the two artifacts coexist in a valid
 // product. Nothing symbolic about addresses reaches the solver.
 
-// Interpretation contexts and schema worlds are products of guarded
-// choices; these caps bound the blowup on adversarial inputs, with an
-// honest finding emitted when coverage is truncated.
-const (
-	maxInterpContexts = 16
-	maxSchemaWorlds   = 64
-)
+// Interpretation contexts are products of guarded choices; this cap
+// bounds their blowup on adversarial inputs, with an honest finding
+// emitted when coverage is truncated.
+const maxInterpContexts = 16
 
 // LiftedFinding is one family-based verdict: a violation that at least
 // one valid configuration exhibits, plus that configuration (decoded
@@ -65,8 +62,8 @@ type LiftedStats struct {
 	// guards that flatten to the same set share a cached verdict.
 	Queries int
 	// Pruned counts distinct assumption sets the session proved
-	// unsatisfiable — candidate violations (or whole schema worlds) no
-	// valid configuration can exhibit, discharged family-wide by one
+	// unsatisfiable — candidate violations (or whole schema selections)
+	// no valid configuration can exhibit, discharged family-wide by one
 	// Unsat answer each.
 	Pruned int
 	// WordDecided counts the word-level tier's interval-arithmetic
@@ -85,9 +82,6 @@ type LiftedStats struct {
 	// children. Leaf nodes build none and do not count (the running
 	// example explores 3).
 	Contexts int
-	// Worlds is the number of schema worlds (concrete property
-	// combinations) explored.
-	Worlds int
 	// Findings is the number of reachable violations reported.
 	Findings int
 	// Solver aggregates the shared session's SAT work.
@@ -196,7 +190,7 @@ type liftedRun struct {
 	ctx context.Context
 
 	findings []LiftedFinding
-	seen     map[string]bool                         // finding dedup across contexts/worlds
+	seen     map[string]bool                         // finding dedup across contexts and options
 	reach    []reachResult                           // guard handle → cached verdict
 	models   []uint64                                // witness bitsets of the Sat verdicts (AppendModel)
 	options  map[*delta.LiftedProperty][]valueOption // chosenOptions memo
@@ -248,7 +242,7 @@ func (r *liftedRun) emit(family string, cond featmodel.Guard, v Violation) {
 // emitWith reports a violation that holds under the reachable guard g,
 // with the witness configuration decoded from g's cached model,
 // deduplicating identical findings produced by different
-// interpretation contexts or worlds.
+// interpretation contexts or property options.
 func (r *liftedRun) emitWith(g featmodel.Guard, family string, v Violation) {
 	key := family + "\x00" + v.Path + "\x00" + v.Property + "\x00" + v.Rule + "\x00" + v.Message
 	if r.seen[key] {
@@ -613,13 +607,16 @@ func (r *liftedRun) semantic(regions []guardedRegion) {
 	}
 }
 
-// schemaFamily runs the lifted syntactic family: every node is checked
-// in each of its "worlds" — one concrete combination of chosen property
-// options (and the parent's cell properties, which the reg-like arity
-// rules read) — against the schemas selecting that world's node shape.
-// Unreachable worlds, and unreachable combinations of a world with the
-// parent's cell options, are pruned by one Unsat each before any rule
-// is evaluated: a rule's messages would be reported under that guard.
+// schemaFamily runs the lifted syntactic family one property at a time,
+// lifting each schema rule over only the variability it reads. Which
+// schemas select a node depends on its compatible option alone, since
+// Select's other input, the node name, does not vary. Under each
+// selection, a required property fails under its absent option, and
+// each present option of each property is checked once with
+// schema.Schema.CheckProperty, crossed with the parent's cell options
+// only when a reg-like rule reads the stride. A rule runs only when its
+// guard is reachable, since each of its messages would be reported
+// under that guard.
 func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 	if r.lc.Schemas == nil {
 		return
@@ -629,11 +626,15 @@ func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 		if len(parent.Children) == 0 {
 			return
 		}
-		pAc := r.cellOptions(parent, "#address-cells", 2)
-		pSc := r.cellOptions(parent, "#size-cells", 1)
+		var strides []cellOption // the parent's #address-cells + #size-cells options
+		for _, ac := range r.cellOptions(parent, "#address-cells", 2) {
+			for _, sc := range r.cellOptions(parent, "#size-cells", 1) {
+				strides = append(strides, cellOption{cond: r.pe.And(ac.cond, sc.cond), n: ac.n + sc.n})
+			}
+		}
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
-			r.schemaNode(n, childPath, pAc, pSc)
+			r.schemaNode(n, childPath, strides)
 			if r.err != nil {
 				return
 			}
@@ -643,82 +644,56 @@ func (r *liftedRun) schemaFamily(lt *delta.LiftedTree) {
 	rec(lt.Root, "")
 }
 
-func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, pAc, pSc []cellOption) {
-	type world struct {
-		cond  featmodel.Guard
-		props []*dts.Property
-	}
+// anyStride is the stride option of a rule that reads no stride.
+var anyStride = []cellOption{{n: 1}}
+
+func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, strides []cellOption) {
 	pe := r.pe
 	nCond := pe.Guard(n.Cond)
-	worlds := []world{{}}
-	truncated := false
-	for _, lp := range n.Props {
-		opts := r.chosenOptions(lp)
-		if len(worlds)*len(opts) > maxSchemaWorlds {
-			truncated = true
-			break
+	var vs []schema.Violation
+	for _, c := range r.chosenOptions(n.Prop("compatible")) {
+		var compatible []string
+		if c.value != nil {
+			compatible = c.value.Strings()
 		}
-		next := make([]world, 0, len(worlds)*len(opts))
-		for _, w := range worlds {
-			for _, o := range opts {
-				nw := world{cond: pe.And(w.cond, o.cond), props: w.props}
-				if o.value != nil {
-					// The world node is only read (schema selection
-					// and Schema.Check), so it shares the variant's
-					// value instead of copying it.
-					nw.props = append(w.props[:len(w.props):len(w.props)], &dts.Property{
-						Name: lp.Name, Value: *o.value, Origin: o.origin,
-					})
-				}
-				next = append(next, nw)
-			}
-		}
-		worlds = next
-		// Prune unsatisfiable option combinations through the session
-		// before the blowup check, like the interpretation contexts.
-		if len(worlds) > 8 {
-			kept := worlds[:0]
-			for _, w := range worlds {
-				if r.reachable(pe.And(nCond, w.cond)) {
-					kept = append(kept, w)
-				}
-			}
-			worlds = kept
-		}
-	}
-	if truncated {
-		r.emit("schema", nCond, Violation{
-			Path: path,
-			Rule: "lifted:schema-worlds",
-			Message: fmt.Sprintf(
-				"property variant combinations exceed the lifted world cap (%d); schema coverage of this node is truncated",
-				maxSchemaWorlds),
-		})
-	}
-	for _, w := range worlds {
-		cond := pe.And(nCond, w.cond)
-		if !r.reachable(cond) {
+		schemas := r.lc.Schemas.Selecting(n.Name, compatible)
+		sg := pe.And(nCond, c.cond)
+		if len(schemas) == 0 || !r.reachable(sg) {
 			continue
 		}
-		r.lc.stats.Worlds++
-		node := &dts.Node{Name: n.Name, Origin: n.Origin, Properties: w.props}
-		schemas := r.lc.Schemas.For(node)
-		if len(schemas) == 0 {
-			continue
+		if err := pollCanceled(r.ctx); err != nil {
+			r.fail(err)
+			return
 		}
-		for _, pa := range pAc {
-			for _, ps := range pSc {
-				wcond := pe.And(cond, pe.And(pa.cond, ps.cond))
-				if !r.reachable(wcond) {
-					continue
+		for _, sc := range schemas {
+			for _, req := range sc.Required {
+				for _, o := range r.chosenOptions(n.Prop(req)) {
+					if o.value != nil {
+						continue
+					}
+					if g := pe.And(sg, o.cond); r.reachable(g) {
+						r.emitWith(g, "schema", schemaViolation(sc.Missing(req, path, n.Origin)))
+					}
 				}
-				if err := pollCanceled(r.ctx); err != nil {
-					r.fail(err)
-					return
+			}
+			for _, lp := range n.Props {
+				propStrides := anyStride
+				if ps := sc.Properties[lp.Name]; ps != nil && ps.RegLike {
+					propStrides = strides
 				}
-				for _, sc := range schemas {
-					for _, v := range sc.Check(node, pa.n+ps.n, path) {
-						r.emit("schema", wcond, schemaViolation(v))
+				for _, o := range r.chosenOptions(lp) {
+					if o.value == nil {
+						continue
+					}
+					for _, st := range propStrides {
+						g := pe.And(sg, pe.And(o.cond, st.cond))
+						if !r.reachable(g) {
+							continue
+						}
+						vs = sc.CheckProperty(vs[:0], lp.Name, o.value, o.origin, st.n, path)
+						for _, v := range vs {
+							r.emitWith(g, "schema", schemaViolation(v))
+						}
 					}
 				}
 			}

@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"llhsc/internal/addr"
 	"llhsc/internal/conform"
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
@@ -57,7 +56,7 @@ func enumerativeKeys(t *testing.T, tree *dts.Tree, schemas *schema.Set) famKeys 
 		case "semantic:overlap":
 			keys.add("semantic-overlap", v.Path+"|"+v.Message)
 		case "semantic:regions":
-			keys.add("semantic-regions", v.Message)
+			keys.add("semantic-regions", v.Path+"|"+v.Message)
 		}
 	}
 
@@ -83,8 +82,8 @@ func liftedKeys(t *testing.T, findings []LiftedFinding) famKeys {
 		case f.Family == "semantic" && v.Rule == "semantic:overlap":
 			keys.add("semantic-overlap", v.Path+"|"+v.Message)
 		case f.Family == "semantic" && v.Rule == "semantic:regions":
-			keys.add("semantic-regions", v.Message)
-		case v.Rule == "lifted:interp-contexts" || v.Rule == "lifted:schema-worlds":
+			keys.add("semantic-regions", v.Path+"|"+v.Message)
+		case v.Rule == "lifted:interp-contexts":
 			t.Errorf("corpus unexpectedly hit a lifted coverage cap: %s", f)
 		case f.Family == "schema":
 			keys.add("schema", v.Path+"|"+v.Property+"|"+v.Rule+"|"+v.Message)
@@ -134,7 +133,6 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 
 	// Enumerative arm: per-product key sets plus apply failures.
 	perProduct := make(map[string]famKeys)
-	regionsErr := make(map[string]bool)
 	applyFails := make(map[string]bool)
 	anyViolation := false
 	for _, p := range products {
@@ -148,9 +146,6 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 		}
 		keys := enumerativeKeys(t, tree, schemas)
 		perProduct[pk] = keys
-		if _, rerr := addr.CollectRegions(tree); rerr != nil {
-			regionsErr[pk] = true
-		}
 		if !keys.empty() {
 			anyViolation = true
 		}
@@ -196,8 +191,8 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 		case f.Family == "apply":
 			t.Errorf("%s: apply finding %s: witness product applies cleanly", label, f)
 		case f.Family == "semantic" && v.Rule == "semantic:regions":
-			if !regionsErr[pk] {
-				t.Errorf("%s: finding %s: witness product has no region-decoding error", label, f)
+			if !keys.has("semantic-regions", v.Path+"|"+v.Message) {
+				t.Errorf("%s: finding %s: not among the region-decoding errors of the witness product", label, f)
 			}
 		case f.Family == "semantic":
 			if !keys.has("semantic-overlap", v.Path+"|"+v.Message) {
@@ -771,5 +766,220 @@ delta badranges when fb {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("lifted regions findings = %q, want the enumerative %q", got, want)
+	}
+}
+
+// regionFindings lists the semantic:regions violations as "path|message".
+func regionFindings(vs []Violation) []string {
+	var out []string
+	for _, v := range vs {
+		if v.Rule == "semantic:regions" {
+			out = append(out, v.Path+"|"+v.Message)
+		}
+	}
+	return out
+}
+
+// TestRegionErrorsReportedPerNode pins region-decoding findings: each
+// problem is its own semantic:regions violation at the offending node's
+// path, identically in both checking modes. /soc translates only its
+// bus addresses 0x0–0x100, so neither child's reg is covered.
+func TestRegionErrorsReportedPerNode(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+		ranges = <0x0 0x10000 0x100>;
+		a@0 {
+			reg = <0x1000 0x10>;
+		};
+		b@0 {
+			reg = <0x2000 0x10>;
+		};
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("none.deltas", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := conformModel(t)
+	crossValidate(t, "region-errors", core, set, model, schema.StandardSet())
+
+	want := []string{
+		"/soc/a@0|bank 0: address 0x1000 not covered by parent ranges",
+		"/soc/b@0|bank 0: address 0x2000 not covered by parent ranges",
+	}
+	_, violations := NewSemanticChecker().Check(core)
+	if got := regionFindings(violations); !reflect.DeepEqual(got, want) {
+		t.Errorf("enumerative regions findings = %q, want %q", got, want)
+	}
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := NewLiftedChecker(model, schema.StandardSet()).CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lvs []Violation
+	for _, f := range findings {
+		lvs = append(lvs, f.Violation)
+	}
+	if got := regionFindings(lvs); !reflect.DeepEqual(got, want) {
+		t.Errorf("lifted regions findings = %q, want %q", got, want)
+	}
+}
+
+// TestLiftedSchemaPerProperty cross-validates the lifted schema family
+// by brute force on a node whose properties vary independently under
+// seven optional features: 2^7 = 128 option combinations, which a check
+// that enumerated every combination would have to cap. Every feature
+// writes or removes one property of /soc/strict@100; fwide also widens
+// /soc's #address-cells, so the reg-like rules of strict@100's and
+// clk@200's reg are crossed with the parent's cell options. clk@200's
+// compatible option switches its schema from ns16550a.yaml to
+// veth.yaml. The differential schemas reach additional, integer and
+// string const, pattern, enum, required, arity and minItems.
+func TestLiftedSchemaPerProperty(t *testing.T) {
+	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	soc {
+		#address-cells = <1>;
+		#size-cells = <1>;
+		strict@100 {
+			compatible = "ns16550a";
+			reg = <0x100 0x10>;
+			reg-shift = <2>;
+			label = "clk-main";
+		};
+		clk@200 {
+			compatible = "ns16550a";
+			reg = <0x200 0x10>;
+			clock-output-names = "clk-main";
+		};
+		shapes@300 {
+			mac = [00 11 22 33 44 55];
+			vendor-id = <1>;
+			mode = "fast";
+		};
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := delta.Parse("props.deltas", `
+delta shift when fshift {
+    modifies strict@100 {
+        reg-shift = <3>;
+    }
+}
+
+delta label when flabel {
+    modifies strict@100 {
+        label = "clk-aux";
+    }
+}
+
+delta extra when fextra {
+    modifies strict@100 {
+        vendor,mode = "turbo";
+    }
+    modifies shapes@300 {
+        mode = "turbo";
+    }
+}
+
+delta noreg when fnoreg {
+    removes property strict@100 reg;
+}
+
+delta compat when fcompat {
+    modifies strict@100 {
+        compatible = "acme,strict";
+    }
+    modifies clk@200 {
+        compatible = "veth";
+    }
+}
+
+delta status when fstatus {
+    modifies strict@100 {
+        status = "disabled";
+    }
+    modifies clk@200 {
+        clock-output-names = "CLK0";
+    }
+}
+
+delta wide when fwide {
+    modifies soc {
+        #address-cells = <2>;
+    }
+    modifies strict@100 {
+        clock-frequency = <1843200>;
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := featmodel.ParseModel("props.fm", `
+feature root abstract {
+    feature fshift
+    feature flabel
+    feature fextra
+    feature fnoreg
+    feature fcompat
+    feature fstatus
+    feature fwide
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	schemas := &schema.Set{Schemas: differentialSchemas(t)}
+	crossValidate(t, "schema-per-property", core, set, model, schemas)
+
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	findings, err := NewLiftedChecker(model, schemas).CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct{ path, rule string }{
+		{"/soc/strict@100", "schema:strict.yaml:const:reg-shift"},
+		{"/soc/strict@100", "schema:strict.yaml:const:label"},
+		{"/soc/strict@100", "schema:strict.yaml:additional:vendor,mode"},
+		{"/soc/strict@100", "schema:strict.yaml:additional:clock-frequency"},
+		{"/soc/strict@100", "schema:ns16550a.yaml:required:reg"},
+		{"/soc/strict@100", "schema:ns16550a.yaml:arity:reg"},
+		{"/soc/strict@100", "schema:ns16550a.yaml:minItems:reg"},
+		{"/soc/clk@200", "schema:veth.yaml:required:id"},
+		{"/soc/clk@200", "schema:ns16550a.yaml:arity:reg"},
+		{"/soc/clk@200", "schema:clocked.yaml:pattern:clock-output-names"},
+		{"/soc/shapes@300", "schema:shapes.yaml:enum:mode"},
+	} {
+		found := false
+		for _, f := range findings {
+			if f.Family == "schema" && f.Violation.Path == want.path && f.Violation.Rule == want.rule {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("no %s finding at %s in %v", want.rule, want.path, findings)
+		}
 	}
 }

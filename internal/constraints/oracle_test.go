@@ -89,7 +89,9 @@ func OracleCheck(t testing.TB, tree *dts.Tree) ([]Collision, []Violation) {
 	regions, err := addr.CollectRegions(tree)
 	var violations []Violation
 	if err != nil {
-		violations = append(violations, Violation{Rule: "semantic:regions", Message: err.Error()})
+		for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+			violations = append(violations, regionsViolation(e))
+		}
 	}
 	collisions := oracleFindCollisions(t, regions, addr.BitWidth(tree.Root.AddressCells()), true)
 	for _, c := range collisions {

@@ -2,6 +2,7 @@ package constraints
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -107,8 +108,8 @@ func NewSemanticChecker() *SemanticChecker {
 }
 
 // Check collects the address regions of the tree and reports every
-// pairwise collision. Region-decoding problems (arity, overflow) are
-// reported as violations as well.
+// pairwise collision. Each region-decoding problem (arity, overflow,
+// uncovered address) is reported as a violation as well, in walk order.
 func (sc *SemanticChecker) Check(tree *dts.Tree) ([]Collision, []Violation) {
 	collisions, violations, _ := sc.CheckContext(context.Background(), tree)
 	return collisions, violations
@@ -120,8 +121,10 @@ func (sc *SemanticChecker) Check(tree *dts.Tree) ([]Collision, []Violation) {
 func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Collision, []Violation, error) {
 	regions, err := addr.CollectRegions(tree)
 	var violations []Violation
-	if err != nil {
-		violations = append(violations, regionsViolation(err))
+	if err != nil { // errors.Join of every decoding problem
+		for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
+			violations = append(violations, regionsViolation(e))
+		}
 	}
 	width := sc.Width
 	if width == 0 {
@@ -135,8 +138,13 @@ func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 }
 
 // regionsViolation reports a region-decoding problem (addr.DecodeReg,
-// addr.Translator.Through), in both checking modes.
+// addr.Translator.Through) at the offending node's path, in both
+// checking modes.
 func regionsViolation(err error) Violation {
+	var de *addr.DecodeError
+	if errors.As(err, &de) {
+		return Violation{Path: de.Path, Rule: "semantic:regions", Message: de.Err.Error()}
+	}
 	return Violation{Rule: "semantic:regions", Message: err.Error()}
 }
 

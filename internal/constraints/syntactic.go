@@ -21,8 +21,9 @@
 // The overlap, interrupt and memreserve rules are each written once,
 // over guarded facts, and serve both the enumerative checkers and
 // LiftedChecker (guarded.go). The schema rules are written once in
-// schema.Schema.Check and serve the baseline, SyntacticChecker and
-// LiftedChecker's schema worlds.
+// schema.Schema.Check and serve the baseline and SyntacticChecker;
+// LiftedChecker calls its two parts, Missing and CheckProperty, one
+// property option at a time.
 //
 // Violations carry blame: the delta module that produced the offending
 // node or property (via dts.Origin.Delta), realizing the traceability

@@ -83,20 +83,19 @@ type LiftedRunStats struct {
 	// session answered, one per distinct assumption set (see
 	// constraints.LiftedStats).
 	Queries int `json:"queries"`
-	// Pruned counts distinct assumption sets — candidate violations and
-	// coverage worlds — the session proved no valid configuration can
-	// exhibit.
+	// Pruned counts distinct assumption sets — candidate violations,
+	// region variants, interpretation contexts and schema selections —
+	// the session proved no valid configuration can exhibit.
 	Pruned int `json:"pruned"`
 	// WordDecided counts region pairs the word-level tier settled
 	// without the session.
 	WordDecided int `json:"wordDecided,omitempty"`
-	// Regions / Contexts / Worlds describe the merged tree's guarded
+	// Regions / Contexts describe the merged tree's guarded
 	// variant space (see constraints.LiftedStats). Contexts counts the
 	// interpretation contexts built for the children of non-leaf nodes;
 	// leaf nodes do not count.
 	Regions  int `json:"regions,omitempty"`
 	Contexts int `json:"contexts,omitempty"`
-	Worlds   int `json:"worlds,omitempty"`
 	// Findings is the number of reachable violations reported.
 	Findings int `json:"findings"`
 	// Sessions counts solver sessions opened — one per uncached lifted
@@ -115,7 +114,6 @@ func liftedRunStatsFrom(st constraints.LiftedStats) LiftedRunStats {
 		WordDecided: st.WordDecided,
 		Regions:     st.Regions,
 		Contexts:    st.Contexts,
-		Worlds:      st.Worlds,
 		Findings:    st.Findings,
 		Sessions:    1,
 	}
@@ -128,7 +126,6 @@ func (ls LiftedRunStats) add(other LiftedRunStats) LiftedRunStats {
 	ls.WordDecided += other.WordDecided
 	ls.Regions += other.Regions
 	ls.Contexts += other.Contexts
-	ls.Worlds += other.Worlds
 	ls.Findings += other.Findings
 	ls.Sessions += other.Sessions
 	return ls

@@ -5,10 +5,12 @@
 // properties, constant values, enums, item counts, reg arity derived
 // from the parent's cell sizes, and name patterns).
 //
-// Schema.Check is the one implementation of these rules. Validate,
-// the *baseline* checker, walks a tree with it; llhsc's syntactic
-// family (internal/constraints) calls the same walk in enumerative mode
-// and Check per schema world in lifted mode. The baseline therefore
+// Schema.Check is the one implementation of these rules, composed of a
+// node-level part (Missing, the required rule) and a per-property part
+// (CheckProperty, every other rule). Validate, the *baseline* checker,
+// walks a tree with Check; llhsc's syntactic family (internal/constraints)
+// calls the same walk in enumerative mode and the two parts one property
+// option at a time in lifted mode. The baseline therefore
 // differs from llhsc only in having no cross-node reasoning: by design
 // it accepts the address-clash and truncation faults that llhsc's
 // semantic checks catch (experiments E5/E6/E10 in DESIGN.md).
@@ -83,19 +85,14 @@ type Select struct {
 
 // Matches reports whether the selector applies to the node.
 func (s Select) Matches(n *dts.Node) bool {
-	if s.NodeName != "" && n.BaseName() == s.NodeName {
-		return true
-	}
-	if len(s.Compatible) > 0 {
-		for _, c := range n.Compatible() {
-			for _, want := range s.Compatible {
-				if c == want {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	return s.NodeName != "" && n.BaseName() == s.NodeName ||
+		len(s.Compatible) > 0 && s.matchesCompatible(n.Compatible())
+}
+
+// matchesCompatible reports whether a compatible list intersects the
+// selector's.
+func (s Select) matchesCompatible(compatible []string) bool {
+	return slices.ContainsFunc(compatible, func(c string) bool { return slices.Contains(s.Compatible, c) })
 }
 
 // Schema is one binding schema.
@@ -159,11 +156,13 @@ type Set struct {
 // Add appends a schema to the set.
 func (s *Set) Add(sc *Schema) { s.Schemas = append(s.Schemas, sc) }
 
-// For returns the schemas applicable to a node.
-func (s *Set) For(n *dts.Node) []*Schema {
+// Selecting returns the schemas whose selector matches a node named
+// name (unit address included) with the given compatible list.
+func (s *Set) Selecting(name string, compatible []string) []*Schema {
+	base, _ := dts.SplitName(name)
 	var out []*Schema
 	for _, sc := range s.Schemas {
-		if sc.Select.Matches(n) {
+		if sc.Select.NodeName != "" && base == sc.Select.NodeName || sc.Select.matchesCompatible(compatible) {
 			out = append(out, sc)
 		}
 	}
@@ -229,106 +228,120 @@ func compareViolations(a, b Violation) int {
 // the violated ones. stride is the parent's #address-cells +
 // #size-cells, which reg-like arity rules read (0 counts as 1). Each
 // rule is a test on the node's own properties, so no solver is needed.
+// Check is the composition of Missing, for each required property the
+// node lacks, and CheckProperty, for each property it has.
 func (sc *Schema) Check(n *dts.Node, stride int, path string) []Violation {
 	var out []Violation
-	fail := func(kind, prop, message string) {
-		origin := n.Origin
-		if p := n.Property(prop); p != nil {
-			origin = p.Origin
-		}
-		out = append(out, Violation{
-			Path: path, Property: prop, SchemaID: sc.ID, Kind: kind,
-			Message: message, Origin: origin,
-		})
-	}
-
 	for _, req := range sc.Required {
 		if n.Property(req) == nil {
-			fail("required", req, "required property is missing")
+			out = append(out, sc.Missing(req, path, n.Origin))
 		}
 	}
-
 	names := make([]string, 0, len(sc.Properties))
 	for name := range sc.Properties {
 		names = append(names, name)
 	}
 	slices.Sort(names)
-	if stride == 0 {
-		stride = 1
-	}
 	for _, name := range names {
-		ps := sc.Properties[name]
-		p := n.Property(name)
-		if p == nil {
-			continue // value and shape rules hold vacuously on an absent property
-		}
-		cells := p.Value.Cells()
-		strs := p.Value.Strings()
-		hasString := len(strs) > 0
-
-		// A string const needs a string; enum and pattern hold
-		// vacuously on a value without one.
-		if ps.Const != "" && (!hasString || strs[0] != ps.Const) {
-			fail("const", name, fmt.Sprintf("value does not match const %q", ps.Const))
-		}
-		if ps.ConstU32 != nil && (len(cells) == 0 || cells[0].Val != *ps.ConstU32) {
-			fail("const", name, fmt.Sprintf("cell value does not match const %d", *ps.ConstU32))
-		}
-		if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
-			fail("enum", name, fmt.Sprintf("value not in enum %v", ps.Enum))
-		}
-
-		items := len(cells)
-		if ps.RegLike {
-			if len(cells)%stride != 0 {
-				fail("arity", name, fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
-					len(cells), stride))
-			}
-			items = len(cells) / stride
-		}
-		if ps.MinItems > 0 && items < ps.MinItems {
-			fail("minItems", name, fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems))
-		}
-		if ps.MaxItems > 0 && items > ps.MaxItems {
-			fail("maxItems", name, fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems))
-		}
-		switch ps.Type {
-		case TypeU32:
-			if len(cells) != 1 {
-				fail("u32", name, fmt.Sprintf("expected exactly one cell, found %d", len(cells)))
-			}
-		case TypeString:
-			if !hasString {
-				fail("string", name, "expected a string value")
-			}
-		case TypeCells:
-			if len(cells) == 0 {
-				fail("cells", name, "expected a cell array")
-			}
-		case TypeBytes:
-			if len(p.Value.Bytes()) == 0 {
-				fail("bytes", name, "expected a byte array")
-			}
-		case TypeFlag:
-			if !p.Value.IsEmpty() {
-				fail("flag", name, "expected an empty marker property")
-			}
-		}
-		if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
-			fail("pattern", name, fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
+		if p := n.Property(name); p != nil {
+			out = sc.CheckProperty(out, name, &p.Value, p.Origin, stride, path)
 		}
 	}
-
-	if !sc.AdditionalProperties && len(sc.Properties) > 0 {
-		for _, p := range n.Properties {
-			if _, ok := sc.Properties[p.Name]; ok {
-				continue
-			}
-			if standardProperties[p.Name] || strings.HasPrefix(p.Name, "#") {
-				continue
-			}
-			fail("additional", p.Name, "property not allowed by schema")
+	for _, p := range n.Properties {
+		if _, ok := sc.Properties[p.Name]; !ok {
+			out = sc.CheckProperty(out, p.Name, &p.Value, p.Origin, stride, path)
 		}
 	}
 	return out
+}
+
+// Missing is the node-level rule: the violation of the required
+// property name, absent from the node at path whose origin is origin.
+func (sc *Schema) Missing(name, path string, origin dts.Origin) Violation {
+	return Violation{
+		Path: path, Property: name, SchemaID: sc.ID, Kind: "required",
+		Message: "required property is missing", Origin: origin,
+	}
+}
+
+// CheckProperty decides the rules that read only the property name,
+// present with value v (whose origin is origin) on the node at path,
+// and appends the violated ones to dst: const, enum, arity,
+// minItems/maxItems, the type kinds and pattern when the schema lists
+// the property, additional when it does not. stride is as for Check;
+// only reg-like rules read it.
+func (sc *Schema) CheckProperty(dst []Violation, name string, v *dts.Value, origin dts.Origin, stride int, path string) []Violation {
+	fail := func(kind, message string) {
+		dst = append(dst, Violation{
+			Path: path, Property: name, SchemaID: sc.ID, Kind: kind,
+			Message: message, Origin: origin,
+		})
+	}
+	ps := sc.Properties[name]
+	if ps == nil {
+		if !sc.AdditionalProperties && len(sc.Properties) > 0 &&
+			!standardProperties[name] && !strings.HasPrefix(name, "#") {
+			fail("additional", "property not allowed by schema")
+		}
+		return dst
+	}
+	if stride == 0 {
+		stride = 1
+	}
+	cells := v.Cells()
+	strs := v.Strings()
+	hasString := len(strs) > 0
+
+	// A string const needs a string; enum and pattern hold vacuously on
+	// a value without one.
+	if ps.Const != "" && (!hasString || strs[0] != ps.Const) {
+		fail("const", fmt.Sprintf("value does not match const %q", ps.Const))
+	}
+	if ps.ConstU32 != nil && (len(cells) == 0 || cells[0].Val != *ps.ConstU32) {
+		fail("const", fmt.Sprintf("cell value does not match const %d", *ps.ConstU32))
+	}
+	if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
+		fail("enum", fmt.Sprintf("value not in enum %v", ps.Enum))
+	}
+
+	items := len(cells)
+	if ps.RegLike {
+		if len(cells)%stride != 0 {
+			fail("arity", fmt.Sprintf("%d cells is not a multiple of #address-cells+#size-cells (%d)",
+				len(cells), stride))
+		}
+		items = len(cells) / stride
+	}
+	if ps.MinItems > 0 && items < ps.MinItems {
+		fail("minItems", fmt.Sprintf("%d items, schema requires at least %d", items, ps.MinItems))
+	}
+	if ps.MaxItems > 0 && items > ps.MaxItems {
+		fail("maxItems", fmt.Sprintf("%d items, schema allows at most %d", items, ps.MaxItems))
+	}
+	switch ps.Type {
+	case TypeU32:
+		if len(cells) != 1 {
+			fail("u32", fmt.Sprintf("expected exactly one cell, found %d", len(cells)))
+		}
+	case TypeString:
+		if !hasString {
+			fail("string", "expected a string value")
+		}
+	case TypeCells:
+		if len(cells) == 0 {
+			fail("cells", "expected a cell array")
+		}
+	case TypeBytes:
+		if len(v.Bytes()) == 0 {
+			fail("bytes", "expected a byte array")
+		}
+	case TypeFlag:
+		if !v.IsEmpty() {
+			fail("flag", "expected an empty marker property")
+		}
+	}
+	if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
+		fail("pattern", fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
+	}
+	return dst
 }
