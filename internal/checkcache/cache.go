@@ -23,6 +23,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
+	"io"
 	"sync"
 	"time"
 	"unsafe"
@@ -36,14 +38,52 @@ import (
 // distinct part lists collide by concatenation. Parts (a printed tree,
 // say) are hashed in place, not copied into a []byte first.
 func Key(parts ...string) string {
-	h := sha256.New()
-	var lenBuf [8]byte
+	k := NewHasher()
 	for _, p := range parts {
-		binary.LittleEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(unsafe.Slice(unsafe.StringData(p), len(p))) // Write neither keeps nor edits p
+		k.Part(p)
 	}
-	return hex.EncodeToString(h.Sum(nil))
+	return k.Sum()
+}
+
+// A Hasher builds a key part by part, as Key does, for callers that
+// hold a part as something to write out rather than as a string.
+type Hasher struct {
+	h      hash.Hash
+	length [8]byte           // a part's length prefix
+	sum    [sha256.Size]byte // a streamed part's digest, the key's sum
+}
+
+// NewHasher returns a Hasher holding no parts.
+func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
+
+// Part adds s as the next length-delimited part.
+func (k *Hasher) Part(s string) {
+	k.part(unsafe.Slice(unsafe.StringData(s), len(s))) // Write neither keeps nor edits s
+}
+
+func (k *Hasher) part(b []byte) {
+	binary.LittleEndian.PutUint64(k.length[:], uint64(len(b)))
+	k.h.Write(k.length[:])
+	k.h.Write(b)
+}
+
+// Stream adds the bytes write writes as the next part, framed by their
+// own digest: they are hashed on their own and the digest is the part,
+// so the bytes are never held whole and need no length up front, and
+// distinct part lists still never share a key. It returns write's
+// error, which a writer that only hashes never causes.
+func (k *Hasher) Stream(write func(io.Writer) error) error {
+	inner := sha256.New()
+	if err := write(inner); err != nil {
+		return err
+	}
+	k.part(inner.Sum(k.sum[:0]))
+	return nil
+}
+
+// Sum returns the key of the parts added so far, in hex.
+func (k *Hasher) Sum() string {
+	return hex.EncodeToString(k.h.Sum(k.sum[:0]))
 }
 
 // Stats is a snapshot of the cache counters. All fields come from one

@@ -2,8 +2,10 @@ package checkcache
 
 import (
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -49,6 +51,39 @@ func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	}
 	if Key("a", "b") != Key("a", "b") {
 		t.Fatal("Key is not deterministic")
+	}
+}
+
+// TestHasherStreamFramesByDigest pins a streamed part's framing: it is
+// the part list with the streamed bytes replaced by their sha256, so a
+// streamed part is never confused with a plain part of the same bytes,
+// and a failing write reaches the caller.
+func TestHasherStreamFramesByDigest(t *testing.T) {
+	dump := strings.Repeat("4:prop9:/uart#reg0:2:d1@0\n", 100)
+	digest := sha256.Sum256([]byte(dump))
+	k := NewHasher()
+	k.Part("printed")
+	if err := k.Stream(func(w io.Writer) error {
+		for i := 0; i < len(dump); i += 7 { // in uneven chunks
+			if _, err := io.WriteString(w, dump[i:min(i+7, len(dump))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	k.Part("knobs")
+	got := k.Sum()
+	if want := Key("printed", string(digest[:]), "knobs"); got != want {
+		t.Errorf("streamed key %s, want %s", got, want)
+	}
+	if got == Key("printed", dump, "knobs") {
+		t.Error("a streamed part shares its key with a plain part of the same bytes")
+	}
+	fail := errors.New("write failed")
+	if err := NewHasher().Stream(func(io.Writer) error { return fail }); !errors.Is(err, fail) {
+		t.Errorf("Stream returned %v, want the write's error", err)
 	}
 }
 

@@ -128,9 +128,9 @@ func TestLiftedCheckerBytes(t *testing.T) {
 }
 
 // TestLiftedCheckerAllocsFreshModel is TestLiftedCheckerAllocs with the
-// model parsed on every run, as the service parses it per request, so
-// it also bounds the parse and the one encoding per model (~800
-// measured).
+// model parsed on every run, as the service parses it for a product
+// line its front-end memo does not hold, so it also bounds the parse
+// and the one encoding per model (~800 measured).
 func TestLiftedCheckerAllocsFreshModel(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	text := model.Format()

@@ -566,12 +566,15 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 		violations, err := p.checkTree(ctx, st, tree, check)
 		return reportDTS, violations, err
 	}
-	key := checkcache.Key(
-		printed,
-		tree.OriginDump(),
-		st.schemaFP,
-		st.knobs,
-	)
+	// The origin dump is streamed into the key, never held whole.
+	kh := checkcache.NewHasher()
+	kh.Part(printed)
+	if err := kh.Stream(tree.WriteOriginDump); err != nil {
+		return reportDTS, nil, err
+	}
+	kh.Part(st.schemaFP)
+	kh.Part(st.knobs)
+	key := kh.Sum()
 	violations, hit, err := p.Cache.Do(ctx, key, func() ([]constraints.Violation, error) {
 		return p.checkTree(ctx, st, tree, check)
 	})

@@ -60,6 +60,8 @@ func TestMetricFamiliesWellFormed(t *testing.T) {
 		"llhsc_check_seconds",
 		"llhsc_checkcache_lookup_seconds",
 		"llhsc_build_info",
+		"llhsc_frontend_memo_hits_total",
+		"llhsc_frontend_memo_misses_total",
 	} {
 		if !seen[want] {
 			t.Errorf("family %q missing from a fully configured service", want)
