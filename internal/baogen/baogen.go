@@ -196,10 +196,29 @@ func NewConfig(vms []*VM) *Config {
 	return cfg
 }
 
+// Artifact size estimates, in bytes, for sizing each renderer's
+// strings.Builder once: an artifact's fixed text plus one block per
+// repeated entry, each measured with every number at its widest (16
+// hex digits, a 64-bit binary mask, 20 decimal digits). Names are
+// added at their length, so only a name that %q must escape can
+// outgrow an estimate.
+const (
+	platformFixedBytes   = 290 // Listing 3 with the console line
+	platformRegionBytes  = 64  // one .regions entry
+	platformClusterBytes = 22  // one .core_num element
+	configFixedBytes     = 110 // Listing 6 around the vmlist
+	configVMBytes        = 580 // one vmlist entry with its .devs and .ipcs headers
+	configEntryBytes     = 104 // one region, device or IPC line
+	configShmemBytes     = 110 // one .shmemlist entry, or its header
+	jailhouseFixedBytes  = 540 // a cell or root config around mem_regions
+	jailhouseRegionBytes = 232 // one mem_regions block
+)
+
 // RenderPlatformC renders the platform description in the format of the
 // paper's Listing 3.
 func (p *Platform) RenderPlatformC() string {
 	var b strings.Builder
+	b.Grow(p.platformCBytes())
 	b.WriteString("#include <platform.h>\n\n")
 	b.WriteString("struct platform_desc platform = {\n")
 	fmt.Fprintf(&b, "  .cpu_num = %d,\n", p.CPUNum)
@@ -230,6 +249,7 @@ func (p *Platform) RenderPlatformC() string {
 // paper's Listing 6.
 func (c *Config) RenderConfigC() string {
 	var b strings.Builder
+	b.Grow(c.configCBytes())
 	b.WriteString("#include <config.h>\n\n")
 	for _, vm := range c.VMs {
 		fmt.Fprintf(&b, "VM_IMAGE(%s, %simage.bin);\n", vm.Name, vm.Name)
@@ -285,6 +305,23 @@ func (c *Config) RenderConfigC() string {
 	}
 	b.WriteString("};\n")
 	return b.String()
+}
+
+// platformCBytes estimates RenderPlatformC's output length.
+func (p *Platform) platformCBytes() int {
+	return platformFixedBytes + platformRegionBytes*len(p.Regions) +
+		platformClusterBytes*len(p.Clusters)
+}
+
+// configCBytes estimates RenderConfigC's output length: each VM's name
+// appears four times, and the shmem list adds a header.
+func (c *Config) configCBytes() int {
+	n := configFixedBytes + configShmemBytes*(len(c.Shmems)+1)
+	for _, vm := range c.VMs {
+		n += configVMBytes + 4*len(vm.Name) +
+			configEntryBytes*(len(vm.Regions)+len(vm.Devices)+len(vm.IPCs))
+	}
+	return n
 }
 
 // QEMUArgs synthesizes a qemu-system invocation matching the platform,

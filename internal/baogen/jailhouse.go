@@ -43,6 +43,7 @@ func (f JailhouseMemFlags) String() string {
 // configuration C file.
 func RenderJailhouseCellC(vm *VM) string {
 	var b strings.Builder
+	b.Grow(jailhouseCellBytes(vm))
 	b.WriteString("#include <jailhouse/cell-config.h>\n\n")
 	b.WriteString("struct {\n")
 	b.WriteString("\tstruct jailhouse_cell_desc cell;\n")
@@ -82,6 +83,12 @@ func RenderJailhouseCellC(vm *VM) string {
 	return b.String()
 }
 
+// jailhouseCellBytes estimates RenderJailhouseCellC's output length.
+func jailhouseCellBytes(vm *VM) int {
+	return jailhouseFixedBytes + len(vm.Name) +
+		jailhouseRegionBytes*(len(vm.Regions)+len(vm.Devices)+len(vm.IPCs))
+}
+
 func writeJailhouseRegion(b *strings.Builder, comment string, phys, virt, size uint64, flags string) {
 	fmt.Fprintf(b, "\t\t/* %s */ {\n", comment)
 	fmt.Fprintf(b, "\t\t\t.phys_start = 0x%x,\n", phys)
@@ -95,6 +102,7 @@ func writeJailhouseRegion(b *strings.Builder, comment string, phys, virt, size u
 // (system) configuration.
 func RenderJailhouseRootC(p *Platform) string {
 	var b strings.Builder
+	b.Grow(jailhouseRootBytes(p))
 	b.WriteString("#include <jailhouse/cell-config.h>\n\n")
 	b.WriteString("struct {\n")
 	b.WriteString("\tstruct jailhouse_system header;\n")
@@ -127,4 +135,10 @@ func RenderJailhouseRootC(p *Platform) string {
 	b.WriteString("\t},\n")
 	b.WriteString("};\n")
 	return b.String()
+}
+
+// jailhouseRootBytes estimates RenderJailhouseRootC's output length: one
+// block per region plus the console's.
+func jailhouseRootBytes(p *Platform) int {
+	return jailhouseFixedBytes + jailhouseRegionBytes*(len(p.Regions)+1)
 }

@@ -381,3 +381,27 @@ func TestSkipDTSLeavesViolationsIntact(t *testing.T) {
 		t.Error("artifact generation broken by SkipDTS")
 	}
 }
+
+// TestRunAllocsRunningExample gates the allocations of one enumerative
+// run of the running example on the two-worker product pool, check
+// cache off, with the report released as the service releases it. The
+// product pool is the run's only fan-out; a per-tree family fan-out
+// would add its goroutines, contexts and result slots to every tree.
+// The bound is the measured 1,054 allocs/run plus 2% headroom.
+func TestRunAllocsRunningExample(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops reports at random under the race detector")
+	}
+	p := examplePipeline(t, nil)
+	run := func() {
+		report, err := p.RunContext(context.Background(), core.Limits{Parallelism: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		report.Release()
+	}
+	const bound = 1075
+	if allocs := testing.AllocsPerRun(50, run); allocs > bound {
+		t.Errorf("allocs/run = %.0f, want <= %d", allocs, bound)
+	}
+}

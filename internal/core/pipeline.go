@@ -9,14 +9,15 @@
 //
 // Products are independent, so the pipeline checks them concurrently:
 // each VM (and the platform union) is derived and checked by its own
-// worker on a pool bounded by Limits.Parallelism, and within one tree
-// the four checker families (syntactic, semantic, memreserve,
-// interrupt) fan out as well. Every worker builds its own checkers and
-// writes into a pre-sized report slot, so the Report is byte-identical
-// to a serial run regardless of scheduling. An optional content-addressed
-// cache (internal/checkcache) short-circuits re-checking trees whose
-// canonical text and blame metadata were already checked under the
-// same schema set and budget knobs.
+// worker on a pool bounded by Limits.Parallelism. That pool is the only
+// fan-out: a worker runs one tree's checker families (syntactic,
+// semantic, memreserve, interrupt) one after another. Every worker
+// builds its own checkers and writes into a pre-sized report slot, so
+// the Report is byte-identical to a serial run regardless of
+// scheduling. An optional content-addressed cache (internal/checkcache)
+// short-circuits re-checking trees whose canonical text and blame
+// metadata were already checked under the same schema set and budget
+// knobs.
 package core
 
 import (
@@ -51,9 +52,10 @@ type Limits struct {
 	// deriving each product (0 = unlimited).
 	MaxDeltaOps int
 	// Parallelism bounds the worker pool that derives and checks
-	// products concurrently, and enables the per-tree checker fan-out.
-	// 0 means runtime.GOMAXPROCS(0); 1 restores fully serial
-	// execution. The Report is byte-identical at every setting.
+	// products concurrently; each worker checks its tree's families in
+	// order. 0 means runtime.GOMAXPROCS(0); 1 runs every product on
+	// the calling goroutine. The Report is byte-identical at every
+	// setting.
 	Parallelism int
 }
 
@@ -248,7 +250,6 @@ func (p *Pipeline) Run() (*Report, error) {
 // worker, and accumulates the run's work statistics.
 type runState struct {
 	limits   Limits
-	parallel bool   // fan the checker families out per tree
 	schemaFP string // schema-set fingerprint, "" when Cache is nil
 	knobs    string // verdict-changing knobs, "" when Cache is nil
 
@@ -274,7 +275,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	}
 	report := AcquireReport()
 	workers := limits.parallelism()
-	st := &runState{limits: limits, parallel: workers > 1}
+	st := &runState{limits: limits}
 	if p.Cache != nil {
 		st.schemaFP = p.Schemas.Fingerprint()
 		// Every deterministic knob that can change a verdict, for the
@@ -322,7 +323,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	report.vmSlots(len(p.VMConfigs))
 	union := featmodel.PlatformUnion(p.VMConfigs)
 
-	if !st.parallel {
+	if workers <= 1 {
 		for i := range p.VMConfigs {
 			span := root.StartChild("vm:" + p.vmName(i))
 			if err := p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], span); err != nil {
@@ -393,7 +394,7 @@ func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, worker
 		}
 		spans[jobs-1] = root.StartChild("platform")
 	}
-	return fanOut(ctx, jobs, workers, make([]error, jobs), func(ctx context.Context, i int) error {
+	return fanOut(ctx, jobs, workers, func(ctx context.Context, i int) error {
 		if i < len(report.VMs) {
 			return p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], spans[i])
 		}
@@ -406,11 +407,11 @@ func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, worker
 // its own context, and a failure in job i cancels only the jobs after
 // it: a lower-index job that fails on its own still records its own
 // error instead of an induced cancellation, so the lowest-index primary
-// failure is the one a serial run, which stops there, reports. Each
-// job's error lands in errs[i]. A panic cancels every job and is
-// re-raised on the calling goroutine once the pool drains, so the
-// server's panic recovery still contains it.
-func fanOut(ctx context.Context, n, workers int, errs []error, job func(ctx context.Context, i int) error) error {
+// failure is the one a serial run, which stops there, reports. A panic
+// cancels every job and is re-raised on the calling goroutine once the
+// pool drains, so the server's panic recovery still contains it.
+func fanOut(ctx context.Context, n, workers int, job func(ctx context.Context, i int) error) error {
+	errs := make([]error, n)
 	type jobCtx struct {
 		ctx    context.Context
 		cancel context.CancelFunc
@@ -587,114 +588,87 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 	return reportDTS, violations, err
 }
 
-// checkerFamily is one independent checker family for one tree: a name
-// (the span label, stats key and /metrics family label) and a closure
-// that returns the family's violations plus its solver-work summary.
+// checkerFamily is one per-tree checker family: a name (the span
+// label, stats key and /metrics family label) and the check that
+// returns the family's violations over one tree plus its solver-work
+// summary.
 type checkerFamily struct {
-	name string
-	run  func(context.Context) ([]constraints.Violation, FamilyStats, error)
+	name  string
+	check func(*Pipeline, context.Context, *dts.Tree) ([]constraints.Violation, FamilyStats, error)
 }
 
-// checkerFamilies returns the independent checker families for one
-// tree, in the deterministic merge order. Each closure builds its own
-// checkers on first use, so families share no checker state when they
-// run concurrently.
-func (p *Pipeline) checkerFamilies(tree *dts.Tree) []checkerFamily {
-	families := []checkerFamily{
-		{name: "syntactic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
-			vs, err := constraints.NewSyntacticChecker(p.Schemas).CheckContext(ctx, tree)
-			return vs, FamilyStats{Checks: 1}, err
-		}},
-	}
+// checkerFamilies lists the per-tree families in the report's merge
+// order. Syntactic comes first: a LintOnly run keeps only that entry.
+var checkerFamilies = [...]checkerFamily{
+	{"syntactic", func(p *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
+		vs, err := constraints.NewSyntacticChecker(p.Schemas).CheckContext(ctx, tree)
+		return vs, FamilyStats{Checks: 1}, err
+	}},
+	{"semantic", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
+		sem := constraints.NewSemanticChecker()
+		_, vs, err := sem.CheckContext(ctx, tree)
+		return vs, familyStatsFrom(sem.LastStats()), err
+	}},
+	{"memreserve", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
+		var fst constraints.SemanticStats
+		vs, err := constraints.MemReserveChecker{Stats: &fst}.CheckContext(ctx, tree)
+		return vs, familyStatsFrom(fst), err
+	}},
+	{"interrupt", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
+		var fst constraints.SemanticStats
+		vs, err := constraints.InterruptChecker{Stats: &fst}.CheckContext(ctx, tree)
+		return vs, familyStatsFrom(fst), err
+	}},
+}
+
+// checkTree runs the checker families over one tree, one after another
+// on the calling goroutine, and merges their violations in family
+// order. It stops at the first family that fails.
+func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
+	families := checkerFamilies[:]
 	if p.LintOnly {
-		return families
+		families = families[:1]
 	}
-	families = append(families,
-		checkerFamily{name: "semantic", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
-			sem := constraints.NewSemanticChecker()
-			_, violations, err := sem.CheckContext(ctx, tree)
-			return violations, familyStatsFrom(sem.LastStats()), err
-		}},
-		checkerFamily{name: "memreserve", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
-			var fst constraints.SemanticStats
-			vs, err := constraints.MemReserveChecker{Stats: &fst}.CheckContext(ctx, tree)
-			return vs, familyStatsFrom(fst), err
-		}},
-		checkerFamily{name: "interrupt", run: func(ctx context.Context) ([]constraints.Violation, FamilyStats, error) {
-			var fst constraints.SemanticStats
-			vs, err := constraints.InterruptChecker{Stats: &fst}.CheckContext(ctx, tree)
-			return vs, familyStatsFrom(fst), err
-		}},
-	)
-	return families
+	var out []constraints.Violation
+	for _, f := range families {
+		vs, err := p.runFamily(ctx, st, f, tree, span)
+		out = append(out, vs...)
+		if err != nil {
+			return out, err
+		}
+	}
+	return out, nil
 }
 
-// runFamily executes one family under its span, records its stats and
-// annotates the span with the family's solver work.
-func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily, span *obs.Span) ([]constraints.Violation, error) {
-	span.Begin() // pre-created for deterministic order; work starts here
-	defer span.End()
+// runFamily executes one family under a child span of span, records its
+// stats and annotates the span with the family's solver work.
+func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
+	var fspan *obs.Span
+	if span != nil {
+		fspan = span.StartChild("family:" + f.name)
+		defer fspan.End()
+	}
 	var t0 time.Time
 	if p.Metrics != nil {
 		t0 = time.Now()
 	}
-	vs, fs, err := f.run(ctx)
+	vs, fs, err := f.check(p, ctx, tree)
 	if p.Metrics != nil {
 		p.Metrics.observeFamily(f.name, familyTier(fs), time.Since(t0).Seconds())
 	}
 	st.addFamily(f.name, fs)
-	if span != nil {
-		span.SetInt("violations", uint64(len(vs)))
+	if fspan != nil {
+		fspan.SetInt("violations", uint64(len(vs)))
 		if fs.SolverCalls > 0 {
-			span.SetInt("solver_calls", uint64(fs.SolverCalls))
-			span.SetInt("conflicts", fs.Conflicts)
+			fspan.SetInt("solver_calls", uint64(fs.SolverCalls))
+			fspan.SetInt("conflicts", fs.Conflicts)
 		}
 		if fs.Pairs > 0 || fs.PairsPruned > 0 {
-			span.SetInt("pairs", uint64(fs.Pairs))
-			span.SetInt("pairs_pruned", uint64(fs.PairsPruned))
+			fspan.SetInt("pairs", uint64(fs.Pairs))
+			fspan.SetInt("pairs_pruned", uint64(fs.PairsPruned))
 		}
 	}
 	return vs, err
-}
-
-// checkTree runs the checker families over one tree and merges their
-// violations in family order. With parallelism enabled the families
-// run concurrently (fanOut; they are mutually independent), and the
-// merge order keeps the output identical to a serial run. Family spans are pre-created in family order before any
-// goroutine starts, so the span tree is schedule-independent too.
-func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
-	families := p.checkerFamilies(tree)
-	scratch := acquireTreeScratch(len(families))
-	defer scratch.release()
-	spans := scratch.spans
-	if span != nil {
-		for i, f := range families {
-			spans[i] = span.StartChild("family:" + f.name)
-		}
-	}
-	if !st.parallel {
-		var out []constraints.Violation
-		for i, f := range families {
-			vs, err := p.runFamily(ctx, st, f, spans[i])
-			out = append(out, vs...)
-			if err != nil {
-				return out, err
-			}
-		}
-		return out, nil
-	}
-
-	results := scratch.results
-	err := fanOut(ctx, len(families), len(families), scratch.errs, func(ctx context.Context, i int) error {
-		vs, err := p.runFamily(ctx, st, families[i], spans[i])
-		results[i] = vs
-		return err
-	})
-	var out []constraints.Violation
-	for _, vs := range results {
-		out = append(out, vs...)
-	}
-	return out, err
 }
 
 // isLimitCause reports whether a delta-application error stems from

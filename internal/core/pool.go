@@ -4,16 +4,14 @@ import (
 	"sync"
 
 	"llhsc/internal/constraints"
-	"llhsc/internal/obs"
 )
 
 // This file is the pooled-buffer half of the zero-allocation hot path
-// (DESIGN.md §13): the Report shell and the per-tree checker fan-out
-// scratch are recycled through sync.Pools instead of re-allocated per
-// run. The server pays these allocations once per request, so in
-// steady state a /check that hits the word tier and the check cache
-// touches the allocator only for data that actually escapes into the
-// response.
+// (DESIGN.md §13): the Report shell is recycled through a sync.Pool
+// instead of re-allocated per run. The server would otherwise pay that
+// allocation once per request, so in steady state a /check that hits
+// the word tier and the check cache touches the allocator only for data
+// that actually escapes into the response.
 
 // reportPool recycles Report shells between runs. Only memory that
 // never escapes a released report is reused: the struct itself, the
@@ -73,46 +71,4 @@ func (r *Report) vmSlots(n int) {
 	for i := range r.VMs {
 		r.VMs[i] = VMResult{}
 	}
-}
-
-// treeScratch is the per-tree fan-out scratch checkTree recycles: the
-// family span list plus the per-family result and error slots of the
-// parallel path. None of it escapes the call — the merged violation
-// slice is built fresh because it lands in the Report — so pooling
-// removes the fan-out's fixed slice allocations for every tree checked.
-type treeScratch struct {
-	spans   []*obs.Span
-	results [][]constraints.Violation
-	errs    []error
-}
-
-var treeScratchPool = sync.Pool{New: func() interface{} { return new(treeScratch) }}
-
-// acquireTreeScratch returns a scratch with n zeroed slots in each
-// buffer.
-func acquireTreeScratch(n int) *treeScratch {
-	s := treeScratchPool.Get().(*treeScratch)
-	if cap(s.spans) < n {
-		s.spans = make([]*obs.Span, n)
-		s.results = make([][]constraints.Violation, n)
-		s.errs = make([]error, n)
-		return s
-	}
-	s.spans = s.spans[:n]
-	s.results = s.results[:n]
-	s.errs = s.errs[:n]
-	for i := 0; i < n; i++ {
-		s.spans[i], s.results[i], s.errs[i] = nil, nil, nil
-	}
-	return s
-}
-
-// release drops every reference the scratch still holds (spans stay
-// alive through their parent; violations through the merged slice) and
-// returns it to the pool.
-func (s *treeScratch) release() {
-	for i := range s.spans {
-		s.spans[i], s.results[i], s.errs[i] = nil, nil, nil
-	}
-	treeScratchPool.Put(s)
 }

@@ -130,3 +130,33 @@ func TestPropertyMergeIdempotent(t *testing.T) {
 		}
 	}
 }
+
+// TestValueCellsSharesSingleChunk pins Cells to zero allocations on a
+// one-chunk value (it returns the chunk's own list), checks that an
+// append to that result leaves the chunk untouched, and that several
+// chunks still concatenate with non-32-bit ones left out.
+func TestValueCellsSharesSingleChunk(t *testing.T) {
+	one := CellsValue(1, 2, 3)
+	if allocs := testing.AllocsPerRun(100, func() { _ = one.Cells() }); allocs != 0 {
+		t.Errorf("Cells on a one-chunk value: %.0f allocs, want 0", allocs)
+	}
+	grown := append(one.Cells(), Cell{Val: 9})
+	grown[0].Val = 7
+	if got := one.U32s(); fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("append to Cells wrote into the value: U32s = %v", got)
+	}
+
+	multi := Value{Chunks: []Chunk{
+		{Kind: ChunkCells, CellList: []Cell{{Val: 1}}},
+		{Kind: ChunkCells, Bits: 8, CellList: []Cell{{Val: 0xff}}},
+		{Kind: ChunkString, Str: "x"},
+		{Kind: ChunkCells, Bits: 32, CellList: []Cell{{Val: 2}, {Val: 3}}},
+	}}
+	cells := multi.Cells()
+	if got := multi.U32s(); fmt.Sprint(got) != "[1 2 3]" {
+		t.Errorf("multi-chunk U32s = %v, want [1 2 3]", got)
+	}
+	if len(cells) != 3 || cells[0].Val != 1 || cells[1].Val != 2 || cells[2].Val != 3 {
+		t.Errorf("multi-chunk Cells = %v", cells)
+	}
+}

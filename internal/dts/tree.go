@@ -524,25 +524,46 @@ func (v Value) IsEmpty() bool { return len(v.Chunks) == 0 }
 // Cells returns the concatenation of all 32-bit cell chunks. Chunks
 // with a /bits/ width other than 32 are excluded: their elements are
 // not u32 cells, and consumers of Cells (reg/interrupt interpretation,
-// the semantic checkers) assume the standard cell size.
+// the semantic checkers) assume the standard cell size. The result is
+// read-only: for a value with one such chunk it is that chunk's own
+// cell list, capped so an append copies instead of writing into it.
 func (v Value) Cells() []Cell {
 	var out []Cell
 	for _, c := range v.Chunks {
-		if c.Kind == ChunkCells && (c.Bits == 0 || c.Bits == 32) {
-			out = append(out, c.CellList...)
+		if !c.isU32Cells() {
+			continue
+		}
+		if len(out) == 0 {
+			out = c.CellList[:len(c.CellList):len(c.CellList)]
+			continue
+		}
+		out = append(out, c.CellList...)
+	}
+	return out
+}
+
+// U32s returns all cell values of Cells as uint32s, in a new slice.
+func (v Value) U32s() []uint32 {
+	n := 0
+	for _, c := range v.Chunks {
+		if c.isU32Cells() {
+			n += len(c.CellList)
+		}
+	}
+	out := make([]uint32, 0, n)
+	for _, c := range v.Chunks {
+		if c.isU32Cells() {
+			for _, cell := range c.CellList {
+				out = append(out, cell.Val)
+			}
 		}
 	}
 	return out
 }
 
-// U32s returns all cell values as uint32s.
-func (v Value) U32s() []uint32 {
-	cells := v.Cells()
-	out := make([]uint32, len(cells))
-	for i, c := range cells {
-		out[i] = c.Val
-	}
-	return out
+// isU32Cells reports whether the chunk holds standard 32-bit cells.
+func (c *Chunk) isU32Cells() bool {
+	return c.Kind == ChunkCells && (c.Bits == 0 || c.Bits == 32)
 }
 
 // Strings returns all string chunks.
