@@ -9,9 +9,8 @@
 //	             [-request-timeout 30s] [-max-inflight 16]
 //	             [-max-body 4194304] [-solver-conflicts 0]
 //	             [-shutdown-grace 15s] [-parallel 0] [-cache-size 256]
-//	             [-degrade off] [-mode enumerate]
-//	             [-pprof 0] [-log-requests=true] [-flight-size 64]
-//	             [-flight-dump ""]
+//	             [-mode enumerate] [-pprof 0] [-log-requests=true]
+//	             [-flight-size 64] [-flight-dump ""]
 //
 // The server always serves Prometheus-format metrics on GET /metrics
 // (request latency, solver work, cache counters) and, unless
@@ -24,8 +23,9 @@
 // -shutdown-grace to complete, then the listener closes and the
 // process exits 0.
 //
-// -degrade auto sheds /check to lint-only checking while the in-flight
-// semaphore stays saturated (see README.md "Degradation").
+// Overload never weakens a verdict: once -max-inflight requests are in
+// flight, further /check and /lint requests answer 429 + Retry-After
+// (see README.md "Degradation").
 //
 // -pprof <port> exposes net/http/pprof on 127.0.0.1:<port> (loopback
 // only, never the service listener); 0 keeps profiling off.
@@ -100,8 +100,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		"worker count for per-VM checking within one request (0 = GOMAXPROCS, 1 = serial)")
 	cacheSize := fs.Int("cache-size", 256,
 		"capacity of the content-addressed check-result cache, in trees (0 = disabled)")
-	degrade := fs.String("degrade", "off",
-		"overload shedding for /check: off, auto (lint-only while the in-flight semaphore stays saturated), force")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
 		"default checking mode for /check: enumerate (per-product) or lifted (whole product line, one solver session); requests may override per-call")
@@ -122,7 +120,6 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		MaxInFlight:    *maxInflight,
 		MaxBodyBytes:   *maxBody,
 		CacheSize:      *cacheSize,
-		Degrade:        *degrade,
 		Mode:           mode,
 		Registry:       obs.NewRegistry(), // serves GET /metrics
 		FlightSize:     *flightSize,

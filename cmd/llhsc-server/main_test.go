@@ -129,10 +129,15 @@ func TestGracefulShutdownDrainsInFlightCheck(t *testing.T) {
 	}
 }
 
+// Overload shedding is retired, so -degrade names no mode at all: a
+// deployment script that still passes it must fail at start-up rather
+// than run believing it sheds.
 func TestUnknownDegradeModeRejected(t *testing.T) {
-	err := run(context.Background(), []string{"-degrade", "bogus"}, nil)
-	if err == nil {
-		t.Fatal("bogus -degrade mode accepted")
+	for _, mode := range []string{"off", "auto", "force"} {
+		err := run(context.Background(), []string{"-addr", "127.0.0.1:-1", "-degrade", mode}, nil)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("-degrade %s: err = %v, want an undefined-flag error", mode, err)
+		}
 	}
 }
 

@@ -19,24 +19,35 @@ type JailhouseMemFlags struct {
 	IO      bool
 }
 
+// jailhouseMemFlagText is String's result for each of the 16 flag
+// sets, indexed by bits: Read 1, Write 2, Execute 4, IO 8. Every
+// rendered region writes its flags, so each text is joined once here
+// rather than once per region.
+var jailhouseMemFlagText = func() (text [16]string) {
+	names := [...]string{"JAILHOUSE_MEM_READ", "JAILHOUSE_MEM_WRITE", "JAILHOUSE_MEM_EXECUTE", "JAILHOUSE_MEM_IO"}
+	for set := range text {
+		var parts []string
+		for bit, name := range names {
+			if set&(1<<bit) != 0 {
+				parts = append(parts, name)
+			}
+		}
+		text[set] = "0"
+		if len(parts) > 0 {
+			text[set] = strings.Join(parts, " | ")
+		}
+	}
+	return text
+}()
+
 func (f JailhouseMemFlags) String() string {
-	var parts []string
-	if f.Read {
-		parts = append(parts, "JAILHOUSE_MEM_READ")
+	set := 0
+	for bit, on := range [...]bool{f.Read, f.Write, f.Execute, f.IO} {
+		if on {
+			set |= 1 << bit
+		}
 	}
-	if f.Write {
-		parts = append(parts, "JAILHOUSE_MEM_WRITE")
-	}
-	if f.Execute {
-		parts = append(parts, "JAILHOUSE_MEM_EXECUTE")
-	}
-	if f.IO {
-		parts = append(parts, "JAILHOUSE_MEM_IO")
-	}
-	if len(parts) == 0 {
-		return "0"
-	}
-	return strings.Join(parts, " | ")
+	return jailhouseMemFlagText[set]
 }
 
 // RenderJailhouseCellC renders one VM as a Jailhouse non-root cell
@@ -73,10 +84,10 @@ func RenderJailhouseCellC(vm *VM) string {
 	for _, d := range vm.Devices {
 		writeJailhouseRegion(&b, "device", d.PA, d.VA, d.Size, dev.String())
 	}
+	ipcFlags := shared.String() + " | JAILHOUSE_MEM_ROOTSHARED"
 	for _, ipc := range vm.IPCs {
 		writeJailhouseRegion(&b, fmt.Sprintf("ipc shmem %d", ipc.ShmemID),
-			ipc.Base, ipc.Base, ipc.Size,
-			shared.String()+" | JAILHOUSE_MEM_ROOTSHARED")
+			ipc.Base, ipc.Base, ipc.Size, ipcFlags)
 	}
 	b.WriteString("\t},\n")
 	b.WriteString("};\n")

@@ -69,5 +69,8 @@ func TestJailhouseMemFlagsString(t *testing.T) {
 		if got := tt.f.String(); got != tt.want {
 			t.Errorf("flags %+v = %q, want %q", tt.f, got, tt.want)
 		}
+		if n := testing.AllocsPerRun(10, func() { _ = tt.f.String() }); n != 0 {
+			t.Errorf("flags %+v: String allocates %.0f times, want 0", tt.f, n)
+		}
 	}
 }

@@ -87,7 +87,6 @@ func MeasureParallel(vms int, workerCounts []int, rounds int) (*ParallelResult, 
 		if err != nil {
 			return nil, err
 		}
-		pipeline.SkipDTS = false
 		best := 0.0
 		for r := 0; r < rounds; r++ {
 			start := time.Now()

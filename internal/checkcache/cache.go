@@ -290,40 +290,11 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 	}
 }
 
-// Get returns the cached violations for key without computing anything.
-func (c *Cache) Get(key string) ([]constraints.Violation, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		c.misses.Inc()
-		return nil, false
-	}
-	c.lru.MoveToFront(el)
-	c.hits.Inc()
-	return copyViolations(el.Value.(*entry).violations), true
-}
-
-// Put stores a result, evicting the least recently used entry when the
-// cache is full.
-func (c *Cache) Put(key string, violations []constraints.Violation) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insertLocked(key, violations)
-}
-
+// insertLocked stores the leader's result, evicting least recently
+// used entries to make room. key is never resident: Do makes a caller
+// the leader only after finding no entry under the same lock hold that
+// registers its flight, and its waiters never insert.
 func (c *Cache) insertLocked(key string, violations []constraints.Violation) {
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*entry).violations = copyViolations(violations)
-		c.lru.MoveToFront(el)
-		return
-	}
 	for c.lru.Len() >= c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)

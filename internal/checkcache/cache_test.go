@@ -151,19 +151,27 @@ func TestDoCachesAndCounts(t *testing.T) {
 
 func TestLRUEviction(t *testing.T) {
 	c := New(2)
-	c.Put("a", nil)
-	c.Put("b", nil)
-	if _, ok := c.Get("a"); !ok { // touches a: b is now LRU
+	do := func(key string) bool {
+		_, hit, err := c.Do(context.Background(), key, func() ([]constraints.Violation, error) { return nil, nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hit
+	}
+	do("a")
+	do("b")
+	if !do("a") { // touches a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.Put("c", nil) // evicts b
-	if _, ok := c.Get("b"); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := c.Get("a"); !ok {
+	do("c") // evicts b
+	if !do("a") {
 		t.Fatal("a should have survived")
 	}
-	if st := c.Stats(); st.Evictions != 1 || st.Entries != 2 {
+	if do("b") {
+		t.Fatal("b should have been evicted")
+	}
+	// Recomputing b evicted c, the least recently used after a's touch.
+	if st := c.Stats(); st.Evictions != 2 || st.Entries != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -281,9 +289,17 @@ func TestNilCachePassesThrough(t *testing.T) {
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", st)
 	}
-	c.Put("k", nil)
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("nil cache stored a value")
+	calls := 0
+	for i := 0; i < 2; i++ {
+		if _, hit, _ := c.Do(context.Background(), "k", func() ([]constraints.Violation, error) {
+			calls++
+			return nil, nil
+		}); hit {
+			t.Fatal("nil cache served a hit")
+		}
+	}
+	if calls != 2 {
+		t.Fatalf("nil cache ran fn %d times for two calls, want 2 (it stores nothing)", calls)
 	}
 	if New(0) != nil {
 		t.Fatal("New(0) should be the disabled (nil) cache")

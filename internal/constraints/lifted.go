@@ -97,23 +97,16 @@ type LiftedChecker struct {
 	Model *featmodel.Model
 	// Schemas, when non-nil, enables the lifted syntactic family.
 	Schemas *schema.Set
-	// CheckMemoryBanks mirrors SemanticChecker.CheckMemoryBanks.
-	CheckMemoryBanks bool
-	// LintOnly keeps only the structural families (apply conflicts and
-	// the lifted schema checks), skipping the semantic, interrupt and
-	// memreserve families — the lifted image of the pipeline's
-	// overload-shedding mode.
-	LintOnly bool
 	// Budget bounds the shared session's work per CheckContext call.
 	Budget sat.Budget
 
 	stats LiftedStats
 }
 
-// NewLiftedChecker returns a checker with the enumerative pipeline's
-// defaults.
+// NewLiftedChecker returns a checker over m's product line with no
+// session budget.
 func NewLiftedChecker(m *featmodel.Model, schemas *schema.Set) *LiftedChecker {
-	return &LiftedChecker{Model: m, Schemas: schemas, CheckMemoryBanks: true}
+	return &LiftedChecker{Model: m, Schemas: schemas}
 }
 
 // LastStats returns the work counters of the most recent CheckContext
@@ -145,13 +138,11 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 
 	r.applyConflicts(lt)
 	r.schemaFamily(lt)
-	if !lc.LintOnly {
-		rootACs, regions := r.collectLiftedRegions(lt)
-		lc.stats.Regions = len(regions)
-		r.semantic(regions)
-		r.interrupts(lt)
-		r.memreserve(lt, rootACs, regions)
-	}
+	rootACs, regions := r.collectLiftedRegions(lt)
+	lc.stats.Regions = len(regions)
+	r.semantic(regions)
+	r.interrupts(lt)
+	r.memreserve(lt, rootACs, regions)
 
 	lc.stats.Queries = pe.Queries()
 	lc.stats.Solver = pe.Stats()
@@ -574,7 +565,7 @@ func (r *liftedRun) semantic(regions []guardedRegion) {
 		witness uint64
 	}
 	var hits []hit
-	sc := &SemanticChecker{CheckMemoryBanks: r.lc.CheckMemoryBanks}
+	sc := NewSemanticChecker()
 	var group []addr.Region
 	var index []int // group position → index into regions
 	for _, width := range []int{32, 64} {

@@ -24,10 +24,9 @@ import (
 // Both are decided with word arithmetic, so no solver is built; the
 // test suite's SMT oracle holds verdicts and witnesses to the
 // bit-vector encoding.
+//
+// Addresses are as wide as the root #address-cells says.
 type MemReserveChecker struct {
-	// Width is the bit width for addresses; 0 derives it from the
-	// tree's root #address-cells.
-	Width int
 	// Stats, when non-nil, receives the call's work counters (reserve
 	// pairs and word decisions). A pointer so the checker stays usable
 	// as a value: MemReserveChecker{Stats: &st}.
@@ -47,10 +46,7 @@ func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([
 	if len(tree.MemReserves) == 0 {
 		return nil, nil
 	}
-	width := mc.Width
-	if width == 0 {
-		width = addr.BitWidth(tree.Root.AddressCells())
-	}
+	width := addr.BitWidth(tree.Root.AddressCells())
 	memoryOnly := addr.WithDeviceFilter(func(*dts.Node) bool { return false })
 	regions, _ := addr.CollectRegions(tree, memoryOnly)
 	banks := make([]guardedRegion, 0, len(regions))

@@ -67,9 +67,9 @@ func minimizeBV(t testing.TB, solver *smt.Solver, x *smt.Term, width int) uint64
 
 // oracleFindCollisions is FindCollisions decided pair by pair by the
 // oracle, over every eligible pair in index order.
-func oracleFindCollisions(t testing.TB, regions []addr.Region, width int, checkMemoryBanks bool) []Collision {
+func oracleFindCollisions(t testing.TB, regions []addr.Region, width int) []Collision {
 	t.Helper()
-	sc := &SemanticChecker{CheckMemoryBanks: checkMemoryBanks}
+	sc := NewSemanticChecker()
 	var out []Collision
 	for _, p := range sc.candidatePairs(regions) {
 		a, b := regions[p[0]], regions[p[1]]
@@ -93,7 +93,7 @@ func OracleCheck(t testing.TB, tree *dts.Tree) ([]Collision, []Violation) {
 			violations = append(violations, regionsViolation(e))
 		}
 	}
-	collisions := oracleFindCollisions(t, regions, addr.BitWidth(tree.Root.AddressCells()), true)
+	collisions := oracleFindCollisions(t, regions, addr.BitWidth(tree.Root.AddressCells()))
 	for _, c := range collisions {
 		violations = append(violations, c.Violations()...)
 	}

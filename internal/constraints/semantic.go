@@ -60,15 +60,11 @@ func (c Collision) Violations() []Violation {
 // literally that is satisfied by ANY two regions that are not a single
 // shared point, so we implement the evident intent — a shared address —
 // with a single witness variable. EXPERIMENTS.md E5 records this.)
+//
+// Addresses are as wide as the root #address-cells says, and distinct
+// banks of one memory node are checked against each other (the
+// truncation scenario of E6 needs it).
 type SemanticChecker struct {
-	// Width is the bit width used for address variables; 0 derives it
-	// from the tree's root #address-cells.
-	Width int
-	// CheckMemoryBanks also checks banks of the same memory node
-	// against each other (needed for the truncation scenario of E6).
-	// Enabled by default via NewSemanticChecker.
-	CheckMemoryBanks bool
-
 	stats SemanticStats
 }
 
@@ -102,9 +98,9 @@ type SemanticStats struct {
 // search on this checker.
 func (sc *SemanticChecker) LastStats() SemanticStats { return sc.stats }
 
-// NewSemanticChecker returns a checker with the paper's defaults.
+// NewSemanticChecker returns a checker.
 func NewSemanticChecker() *SemanticChecker {
-	return &SemanticChecker{CheckMemoryBanks: true}
+	return &SemanticChecker{}
 }
 
 // Check collects the address regions of the tree and reports every
@@ -126,11 +122,7 @@ func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 			violations = append(violations, regionsViolation(e))
 		}
 	}
-	width := sc.Width
-	if width == 0 {
-		width = addr.BitWidth(tree.Root.AddressCells())
-	}
-	collisions, cerr := sc.FindCollisionsContext(ctx, regions, width)
+	collisions, cerr := sc.FindCollisionsContext(ctx, regions, addr.BitWidth(tree.Root.AddressCells()))
 	for _, c := range collisions {
 		violations = append(violations, c.Violations()...)
 	}
@@ -150,14 +142,14 @@ func regionsViolation(err error) Violation {
 
 // pairEligible applies the exemption rules shared by the sweep (and
 // through it the lifted checker) and the all-pairs test oracle:
-// same-node pairs are skipped unless they are distinct memory banks
-// under CheckMemoryBanks, and virtual-device windows (addr.KindVirtual)
+// same-node pairs are skipped unless they are distinct memory banks,
+// and virtual-device windows (addr.KindVirtual)
 // never clash with memory regions. Those windows are IPC overlays onto
 // shared RAM — the paper's own Listing 6 places the veth IPC base
 // inside a guest memory region — but they still must not clash with
 // each other or with physical devices.
 func (sc *SemanticChecker) pairEligible(a, b addr.Region) bool {
-	if a.Path == b.Path && (!sc.CheckMemoryBanks || a.Index == b.Index) {
+	if a.Path == b.Path && a.Index == b.Index {
 		return false
 	}
 	return !(a.Kind == addr.KindVirtual && b.Kind == addr.KindMemory ||

@@ -152,7 +152,7 @@ func TestStrategiesAgreeOnRandomRegions(t *testing.T) {
 				}
 			}
 		}
-		want := oracleFindCollisions(t, regions, width, true)
+		want := oracleFindCollisions(t, regions, width)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("iter %d (width %d): production disagrees with the oracle (verdicts or witnesses):\n got %v\nwant %v\nregions: %+v",
 				iter, width, got, want, regions)

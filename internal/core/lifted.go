@@ -92,7 +92,6 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 	compute := func() ([]constraints.Violation, error) {
 		lc := constraints.NewLiftedChecker(p.Model, p.Schemas)
 		lc.Budget = st.limits.Solver
-		lc.LintOnly = p.LintOnly
 		var t0 time.Time
 		if p.Metrics != nil {
 			t0 = time.Now()

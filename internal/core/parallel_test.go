@@ -354,34 +354,6 @@ func TestCacheDoesNotChangeReport(t *testing.T) {
 	}
 }
 
-// TestSkipDTSLeavesViolationsIntact checks the opt-out: no rendered
-// DTS, same verdicts.
-func TestSkipDTSLeavesViolationsIntact(t *testing.T) {
-	p := examplePipeline(t, nil)
-	p.SkipDTS = true
-	report, err := p.RunContext(context.Background(), core.Limits{Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !report.OK() {
-		t.Fatalf("unexpected violations: %v", report.AllViolations())
-	}
-	for _, vm := range report.VMs {
-		if vm.DTS != "" {
-			t.Errorf("%s: DTS rendered despite SkipDTS", vm.Name)
-		}
-		if vm.Tree == nil {
-			t.Errorf("%s: tree missing", vm.Name)
-		}
-	}
-	if report.Platform.DTS != "" {
-		t.Error("platform DTS rendered despite SkipDTS")
-	}
-	if report.ConfigC == "" {
-		t.Error("artifact generation broken by SkipDTS")
-	}
-}
-
 // TestRunAllocsRunningExample gates the allocations of one enumerative
 // run of the running example on the two-worker product pool, check
 // cache off, with the report released as the service releases it. The

@@ -108,25 +108,11 @@ type Pipeline struct {
 	VMConfigs []featmodel.Configuration
 	// VMNames optionally names the VMs ("vm1", "vm2", ... by default).
 	VMNames []string
-	// LintOnly keeps only the syntactic checker family, skipping the
-	// semantic, memreserve and interrupt checks. This is the service's
-	// overload-shedding mode: structural verdicts stay exact while the
-	// pairwise work — quadratic in regions, claims and reserves — is
-	// dropped. Folded into the cache key: a lint-only verdict is a
-	// different (smaller) violation set and must never be served as a
-	// full one, or vice versa.
-	LintOnly bool
 	// Mode selects enumerative (default) or family-based lifted
 	// checking (see Mode and internal/core/lifted.go). Folded into the
 	// cache key: a lifted verdict covers the whole product line and
 	// must never be served as a per-tree one, or vice versa.
 	Mode Mode
-	// SkipDTS leaves VMResult.DTS / PlatformResult.DTS empty instead
-	// of rendering each product tree, for callers that only need the
-	// verdict. When a Cache is installed the tree is still printed
-	// once per product (the canonical text is the cache key), and that
-	// single string is shared with the report.
-	SkipDTS bool
 	// Metrics, when non-nil, receives each run's aggregate solver and
 	// cache counters (see PipelineMetrics). Safe to share across
 	// pipelines; the server shares one instance across requests.
@@ -280,8 +266,8 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		st.schemaFP = p.Schemas.Fingerprint()
 		// Every deterministic knob that can change a verdict, for the
 		// per-product and lifted cache keys alike.
-		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;lintonly=%v;mode=%s",
-			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.LintOnly, p.Mode)
+		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;mode=%s",
+			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.Mode)
 	}
 	root := obs.SpanFromContext(ctx) // read once; nil disables tracing
 	if p.Metrics != nil {
@@ -541,37 +527,31 @@ func (p *Pipeline) deriveAndCheckPlatform(ctx context.Context, st *runState, uni
 	return nil
 }
 
-// checkProductTree renders the tree (unless skipped), consults the
-// cache, and runs the checker families. The canonical text is printed
-// at most once and shared between the report and the cache key. The
-// key also folds in the tree's origin dump: violations embed blame
-// metadata (dts.Origin — delta name, source position) that the printed
-// text does not capture, so two products with identical text but
-// different provenance must not share a cache entry.
+// checkProductTree renders the tree, consults the cache, and runs the
+// checker families. The canonical text is printed once and shared
+// between the report and the cache key. The key also folds in the
+// tree's origin dump: violations embed blame metadata (dts.Origin —
+// delta name, source position) that the printed text does not capture,
+// so two products with identical text but different provenance must
+// not share a cache entry.
 func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) (string, []constraints.Violation, error) {
-	var printed, reportDTS string
-	if !p.SkipDTS || p.Cache != nil {
-		printed = tree.Print()
-	}
-	if !p.SkipDTS {
-		reportDTS = printed
-	}
+	printed := tree.Print()
 	if p.Mode == ModeLifted {
 		// The lifted session already discharged every family for the
 		// whole product line — which includes this product.
-		return reportDTS, nil, nil
+		return printed, nil, nil
 	}
 	check := span.StartChild("check")
 	defer check.End()
 	if p.Cache == nil {
 		violations, err := p.checkTree(ctx, st, tree, check)
-		return reportDTS, violations, err
+		return printed, violations, err
 	}
 	// The origin dump is streamed into the key, never held whole.
 	kh := checkcache.NewHasher()
 	kh.Part(printed)
 	if err := kh.Stream(tree.WriteOriginDump); err != nil {
-		return reportDTS, nil, err
+		return printed, nil, err
 	}
 	kh.Part(st.schemaFP)
 	kh.Part(st.knobs)
@@ -585,7 +565,7 @@ func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts
 		check.SetAttr("cache", "miss")
 	}
 	st.addCache(hit)
-	return reportDTS, violations, err
+	return printed, violations, err
 }
 
 // checkerFamily is one per-tree checker family: a name (the span
@@ -598,7 +578,7 @@ type checkerFamily struct {
 }
 
 // checkerFamilies lists the per-tree families in the report's merge
-// order. Syntactic comes first: a LintOnly run keeps only that entry.
+// order.
 var checkerFamilies = [...]checkerFamily{
 	{"syntactic", func(p *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
 		vs, err := constraints.NewSyntacticChecker(p.Schemas).CheckContext(ctx, tree)
@@ -625,12 +605,8 @@ var checkerFamilies = [...]checkerFamily{
 // on the calling goroutine, and merges their violations in family
 // order. It stops at the first family that fails.
 func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
-	families := checkerFamilies[:]
-	if p.LintOnly {
-		families = families[:1]
-	}
 	var out []constraints.Violation
-	for _, f := range families {
+	for _, f := range checkerFamilies {
 		vs, err := p.runFamily(ctx, st, f, tree, span)
 		out = append(out, vs...)
 		if err != nil {

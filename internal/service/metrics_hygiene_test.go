@@ -18,14 +18,13 @@ var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // fullRegistry builds a service with every metrics-registering feature
 // enabled, so the hygiene checks cover the complete family set:
-// service, pipeline, check-cache, degrade, build info and the
+// service, pipeline, check-cache, build info and the
 // deep-diagnostics histograms.
 func fullRegistry(t *testing.T) *obs.Registry {
 	t.Helper()
 	reg := obs.NewRegistry()
 	if _, err := NewService(Options{
 		CacheSize:  8,
-		Degrade:    DegradeAuto,
 		Registry:   reg,
 		FlightSize: 4,
 	}); err != nil {
