@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	parallel := fs.Int("parallel", 0,
 		"worker count for per-VM checking within one request (0 = GOMAXPROCS, 1 = serial)")
 	cacheSize := fs.Int("cache-size", 256,
-		"capacity of the content-addressed check-result cache, in trees (0 = disabled)")
+		"capacity of the check cache, in products (0 = disabled)")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
 		"default checking mode for /check: enumerate (per-product) or lifted (whole product line, one solver session); requests may override per-call")

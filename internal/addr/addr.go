@@ -12,6 +12,7 @@ package addr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"llhsc/internal/dts"
@@ -118,13 +119,26 @@ func KindOf(deviceType string, compatible []string) Kind {
 	if deviceType == "memory" {
 		return KindMemory
 	}
-	for _, c := range compatible {
-		if c == "veth" || strings.HasPrefix(c, "virtual") {
-			return KindVirtual
-		}
+	if slices.ContainsFunc(compatible, isVirtual) {
+		return KindVirtual
 	}
 	return KindDevice
 }
+
+// nodeKind is KindOf over the node's own device_type and compatible,
+// read without allocating.
+func nodeKind(n *dts.Node) Kind {
+	if dt, _ := n.StringValue("device_type"); dt == "memory" {
+		return KindMemory
+	}
+	if n.AnyCompatible(isVirtual) {
+		return KindVirtual
+	}
+	return KindDevice
+}
+
+// isVirtual reports whether a compatible string names a virtual device.
+func isVirtual(c string) bool { return c == "veth" || strings.HasPrefix(c, "virtual") }
 
 // Region is an addressable range attributed to a tree node.
 type Region struct {
@@ -303,8 +317,7 @@ func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
 			if reg := n.Property("reg"); reg != nil && sc > 0 {
-				dt, _ := n.StringValue("device_type")
-				kind := KindOf(dt, n.Compatible())
+				kind := nodeKind(n)
 				if kind == KindMemory || c.keep == nil || c.keep(n) {
 					var regErrs []error
 					out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, kind, reg.Origin)

@@ -74,9 +74,47 @@ type Config struct {
 	Shmems []Shmem
 }
 
+// Facts holds the tree-free artifact facts of one product in both
+// roles it can play: as a VM (VMFromTree, unnamed) and as the platform
+// (PlatformFromTree), each with its error. A product's facts are a pure
+// function of its tree, so a caller may keep them after dropping the
+// tree and share them between requests: nothing may edit them.
+type Facts struct {
+	VM          *VM // Name is empty: NamedVM names a copy
+	VMErr       *VMError
+	Platform    *Platform
+	PlatformErr error
+}
+
+// FactsFromTree extracts a product's facts in both roles from one walk
+// over its address regions.
+func FactsFromTree(tree *dts.Tree) Facts {
+	regions, err := addr.CollectRegions(tree)
+	var f Facts
+	f.VM, f.VMErr = vmFromRegions(tree, regions, err)
+	f.Platform, f.PlatformErr = platformFromRegions(tree, regions, err)
+	return f
+}
+
+// NamedVM returns the product's VM configuration named name, or its
+// error naming name.
+func (f *Facts) NamedVM(name string) (*VM, error) {
+	if f.VMErr != nil {
+		return nil, f.VMErr.Named(name)
+	}
+	return f.VM.Named(name), nil
+}
+
 // PlatformFromTree extracts the platform description from the platform
 // DTS (the union product of Section III-A).
 func PlatformFromTree(tree *dts.Tree) (*Platform, error) {
+	regions, err := addr.CollectRegions(tree)
+	return platformFromRegions(tree, regions, err)
+}
+
+// platformFromRegions is PlatformFromTree over the tree's regions and
+// their decoding error, already collected.
+func platformFromRegions(tree *dts.Tree, regions []addr.Region, regionsErr error) (*Platform, error) {
 	p := &Platform{}
 
 	if cpus := tree.Lookup("/cpus"); cpus != nil {
@@ -94,10 +132,8 @@ func PlatformFromTree(tree *dts.Tree) (*Platform, error) {
 	if p.CPUNum == 0 {
 		return nil, fmt.Errorf("baogen: platform has no CPUs")
 	}
-
-	regions, err := addr.CollectRegions(tree)
-	if err != nil {
-		return nil, fmt.Errorf("baogen: %w", err)
+	if regionsErr != nil {
+		return nil, fmt.Errorf("baogen: %w", regionsErr)
 	}
 	var consoles []uint64
 	for _, r := range regions {
@@ -119,12 +155,51 @@ func PlatformFromTree(tree *dts.Tree) (*Platform, error) {
 	return p, nil
 }
 
+// A VMError reports a VM product that yields no configuration.
+// FactsFromTree records it with VM empty, since a product knows no
+// name; Named fills it in.
+type VMError struct {
+	VM     string
+	Reason string // what the product lacks, when Err is nil
+	Err    error  // the product's region decoding error, if that is the cause
+}
+
+func (e *VMError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("baogen: VM %s: %v", e.VM, e.Err)
+	}
+	return fmt.Sprintf("baogen: VM %s %s", e.VM, e.Reason)
+}
+
+// Unwrap returns the region decoding error, if that is the cause.
+func (e *VMError) Unwrap() error { return e.Err }
+
+// Named returns a copy of e naming VM name.
+func (e *VMError) Named(name string) *VMError {
+	named := *e
+	named.VM = name
+	return &named
+}
+
 // VMFromTree extracts one VM's configuration from its product DTS.
 // Physical CPU numbers for the affinity mask come from the cpu nodes'
 // reg identifiers. Virtual Ethernet nodes become IPC objects whose
-// shmem id is the veth's id property.
+// shmem id is the veth's id property. Its error is a *VMError.
 func VMFromTree(name string, tree *dts.Tree) (*VM, error) {
-	vm := &VM{Name: name}
+	regions, err := addr.CollectRegions(tree)
+	vm, verr := vmFromRegions(tree, regions, err)
+	if verr != nil {
+		return nil, verr.Named(name)
+	}
+	vm.Name = name
+	return vm, nil
+}
+
+// vmFromRegions extracts a VM's configuration, unnamed, from its
+// product tree and the tree's regions and their decoding error, already
+// collected.
+func vmFromRegions(tree *dts.Tree, regions []addr.Region, regionsErr error) (*VM, *VMError) {
+	vm := &VM{}
 
 	if cpus := tree.Lookup("/cpus"); cpus != nil {
 		for _, c := range cpus.Children {
@@ -138,12 +213,10 @@ func VMFromTree(name string, tree *dts.Tree) (*VM, error) {
 		}
 	}
 	if vm.CPUNum == 0 {
-		return nil, fmt.Errorf("baogen: VM %s has no CPUs", name)
+		return nil, &VMError{Reason: "has no CPUs"}
 	}
-
-	regions, err := addr.CollectRegions(tree)
-	if err != nil {
-		return nil, fmt.Errorf("baogen: VM %s: %w", name, err)
+	if regionsErr != nil {
+		return nil, &VMError{Err: regionsErr}
 	}
 	for _, r := range regions {
 		switch {
@@ -163,7 +236,7 @@ func VMFromTree(name string, tree *dts.Tree) (*VM, error) {
 		}
 	}
 	if len(vm.Regions) == 0 {
-		return nil, fmt.Errorf("baogen: VM %s has no memory regions", name)
+		return nil, &VMError{Reason: "has no memory regions"}
 	}
 	sort.Slice(vm.Regions, func(i, j int) bool { return vm.Regions[i].Base < vm.Regions[j].Base })
 	sort.Slice(vm.Devices, func(i, j int) bool { return vm.Devices[i].PA < vm.Devices[j].PA })
@@ -171,6 +244,14 @@ func VMFromTree(name string, tree *dts.Tree) (*VM, error) {
 	vm.ImageBase = vm.Regions[0].Base
 	vm.Entry = vm.Regions[0].Base
 	return vm, nil
+}
+
+// Named returns a copy of vm named name. The copy shares vm's slices,
+// which neither may edit.
+func (vm *VM) Named(name string) *VM {
+	named := *vm
+	named.Name = name
+	return &named
 }
 
 // NewConfig assembles the full hypervisor configuration, deriving the

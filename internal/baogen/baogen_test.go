@@ -1,7 +1,9 @@
 package baogen
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -278,5 +280,50 @@ func TestRenderSizeEstimatesCoverWidestFields(t *testing.T) {
 			t.Errorf("running example %s: estimate %d is over twice the %d bytes rendered",
 				c.name, c.estimate, len(c.out))
 		}
+	}
+}
+
+// TestFactsMatchBothExtractions: a product's facts, extracted once for
+// both roles, equal what VMFromTree and PlatformFromTree extract, once
+// named; and an error, named, says what each extraction says.
+func TestFactsMatchBothExtractions(t *testing.T) {
+	noMem, err := dts.Parse("m.dts", `
+/dts-v1/;
+/ {
+	cpus {
+		#address-cells = <1>;
+		#size-cells = <0>;
+		cpu@0 { reg = <0x0>; };
+	};
+};
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := map[string]*dts.Tree{
+		"vm1":       productTree(t, runningexample.VM1Config()),
+		"vm2":       productTree(t, runningexample.VM2Config()),
+		"no memory": noMem,
+		"no cpus":   dts.NewTree(),
+	}
+	for name, tree := range trees {
+		f := FactsFromTree(tree)
+		wantVM, wantVMErr := VMFromTree(name, tree)
+		gotVM, gotVMErr := f.NamedVM(name)
+		if !reflect.DeepEqual(gotVM, wantVM) || fmt.Sprint(gotVMErr) != fmt.Sprint(wantVMErr) {
+			t.Errorf("%s: NamedVM = %+v, %v; VMFromTree = %+v, %v", name, gotVM, gotVMErr, wantVM, wantVMErr)
+		}
+		if f.VM != nil && f.VM.Name != "" {
+			t.Errorf("%s: the facts' VM is named %q", name, f.VM.Name)
+		}
+		wantPlatform, wantPlatformErr := PlatformFromTree(tree)
+		if !reflect.DeepEqual(f.Platform, wantPlatform) || fmt.Sprint(f.PlatformErr) != fmt.Sprint(wantPlatformErr) {
+			t.Errorf("%s: Platform = %+v, %v; PlatformFromTree = %+v, %v",
+				name, f.Platform, f.PlatformErr, wantPlatform, wantPlatformErr)
+		}
+	}
+	f := FactsFromTree(noMem)
+	if _, err := f.NamedVM("vm7"); err == nil || err.Error() != "baogen: VM vm7 has no memory regions" {
+		t.Errorf("named error = %v", err)
 	}
 }

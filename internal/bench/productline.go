@@ -121,5 +121,7 @@ func SyntheticProductLine(cpus, uarts, vms int) (*core.Pipeline, error) {
 		Model:     model,
 		Schemas:   schema.StandardSet(),
 		VMConfigs: configs,
+		// The board's size alone determines the core, deltas and model.
+		Identity: fmt.Sprintf("synthetic line: %d CPUs, %d UARTs", cpus, uarts),
 	}, nil
 }

@@ -1,19 +1,23 @@
-// Package checkcache provides a content-addressed cache for per-tree
-// check results. The llhsc workflow checks one tree per VM plus the
-// platform union, and trees frequently coincide: the platform product
-// of a single-VM line equals the VM product, sibling VMs that select
-// the same features derive identical DTS, and a cloud deployment sees
-// the same request body many times over. Keying the violation list by
-// a hash of the canonical tree text (plus everything else that can
-// change the verdict or its reporting — the tree's origin/blame
-// metadata, schema set, solver budget knobs, checker configuration)
-// turns each repeat into a map lookup instead of a round of SMT
-// solving.
+// Package checkcache provides a content-addressed cache for check
+// results. The llhsc workflow derives and checks one product per VM plus
+// the platform union, and products frequently coincide: the platform
+// product of a single-VM line is the VM product, sibling VMs that
+// select the same features derive the same product, and a deployment
+// sees the same request body many times over. A product is a pure
+// function of what derives it — the parsed front end, the completed
+// configuration, the schema set and the verdict-changing knobs — so
+// keying its record by a digest of those turns each repeat into a map
+// lookup instead of a derivation and a round of checking.
+//
+// The cache stores any immutable value under a Digest (Do); callers
+// that share a key must store one value type under it. (*Cache).Do and
+// Key are the violation-list form of the same cache, keyed by a hex
+// string.
 //
 // The cache is a bounded LRU with hit/miss/eviction counters and
 // single-flight de-duplication: when several goroutines ask for the
-// same missing key concurrently (the parallel pipeline's platform vs.
-// VM trees, or identical simultaneous /check requests), exactly one
+// same missing key concurrently (the parallel pipeline's platform and
+// VM products, or identical simultaneous /check requests), exactly one
 // computes and the rest wait for its result.
 package checkcache
 
@@ -24,7 +28,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"io"
 	"sync"
 	"time"
 	"unsafe"
@@ -33,7 +36,11 @@ import (
 	"llhsc/internal/obs"
 )
 
-// Key derives a cache key from the parts that determine a check
+// A Digest is a cache key: the sha256 of a list of length-delimited
+// parts.
+type Digest [sha256.Size]byte
+
+// Key derives a hex cache key from the parts that determine a check
 // verdict. Parts are length-delimited before hashing, so no two
 // distinct part lists collide by concatenation. Parts (a printed tree,
 // say) are hashed in place, not copied into a []byte first.
@@ -45,12 +52,20 @@ func Key(parts ...string) string {
 	return k.Sum()
 }
 
-// A Hasher builds a key part by part, as Key does, for callers that
-// hold a part as something to write out rather than as a string.
+// AppendPart appends s to b framed as one length-delimited part, as
+// Key and Hasher frame it, so a caller can build a key in a buffer of
+// its own and digest it with Sum without allocating.
+func AppendPart(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint64(b, uint64(len(s))), s...)
+}
+
+// Sum returns the digest of parts framed by AppendPart.
+func Sum(b []byte) Digest { return sha256.Sum256(b) }
+
+// A Hasher builds a key part by part, as Key does.
 type Hasher struct {
 	h      hash.Hash
-	length [8]byte           // a part's length prefix
-	sum    [sha256.Size]byte // a streamed part's digest, the key's sum
+	length [8]byte // a part's length prefix
 }
 
 // NewHasher returns a Hasher holding no parts.
@@ -58,32 +73,22 @@ func NewHasher() *Hasher { return &Hasher{h: sha256.New()} }
 
 // Part adds s as the next length-delimited part.
 func (k *Hasher) Part(s string) {
-	k.part(unsafe.Slice(unsafe.StringData(s), len(s))) // Write neither keeps nor edits s
-}
-
-func (k *Hasher) part(b []byte) {
-	binary.LittleEndian.PutUint64(k.length[:], uint64(len(b)))
+	binary.LittleEndian.PutUint64(k.length[:], uint64(len(s)))
 	k.h.Write(k.length[:])
-	k.h.Write(b)
+	k.h.Write(unsafe.Slice(unsafe.StringData(s), len(s))) // Write neither keeps nor edits s
 }
 
-// Stream adds the bytes write writes as the next part, framed by their
-// own digest: they are hashed on their own and the digest is the part,
-// so the bytes are never held whole and need no length up front, and
-// distinct part lists still never share a key. It returns write's
-// error, which a writer that only hashes never causes.
-func (k *Hasher) Stream(write func(io.Writer) error) error {
-	inner := sha256.New()
-	if err := write(inner); err != nil {
-		return err
-	}
-	k.part(inner.Sum(k.sum[:0]))
-	return nil
+// Digest returns the digest of the parts added so far.
+func (k *Hasher) Digest() Digest {
+	var d Digest
+	k.h.Sum(d[:0])
+	return d
 }
 
 // Sum returns the key of the parts added so far, in hex.
 func (k *Hasher) Sum() string {
-	return hex.EncodeToString(k.h.Sum(k.sum[:0]))
+	d := k.Digest()
+	return hex.EncodeToString(d[:])
 }
 
 // Stats is a snapshot of the cache counters. All fields come from one
@@ -103,14 +108,14 @@ type Stats struct {
 }
 
 type entry struct {
-	key        string
-	violations []constraints.Violation
+	key Digest
+	val any
 }
 
 // flight is one in-progress computation other callers can wait on.
 type flight struct {
 	done chan struct{} // closed when the leader finishes
-	val  []constraints.Violation
+	val  any
 	err  error
 }
 
@@ -119,8 +124,8 @@ type Cache struct {
 	mu       sync.Mutex
 	capacity int
 	lru      *list.List               // front = most recent; values are *entry
-	entries  map[string]*list.Element // key -> lru element
-	inflight map[string]*flight
+	entries  map[Digest]*list.Element // key -> lru element
+	inflight map[Digest]*flight
 
 	// The counters are obs metrics so the same instances can back both
 	// the consistent Stats() snapshot (incremented and read under mu)
@@ -144,8 +149,8 @@ func New(capacity int) *Cache {
 	return &Cache{
 		capacity: capacity,
 		lru:      list.New(),
-		entries:  make(map[string]*list.Element),
-		inflight: make(map[string]*flight),
+		entries:  make(map[Digest]*list.Element),
+		inflight: make(map[Digest]*flight),
 	}
 }
 
@@ -213,17 +218,20 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Do returns the cached violations for key, or computes them with fn.
+// Do returns the value cached under key, or computes it with fn.
 // Concurrent calls for the same missing key run fn once (single
 // flight); the others block until the leader finishes or their own ctx
 // is done. A fn error is returned to the leader and every waiter but
 // is never cached — limit stops are transient, so the next request
 // retries. hit reports whether the result came from the cache (waiters
 // joining an in-progress computation count as hits: they triggered no
-// solver work of their own).
+// work of their own).
 //
-// On a nil cache Do degenerates to calling fn directly.
-func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Violation, error)) (violations []constraints.Violation, hit bool, err error) {
+// The value is shared by every caller that hits it, so it must be
+// immutable once fn returns it; a pointer V boxes without allocating.
+// Every caller of one key must store the same V. On a nil cache Do
+// degenerates to calling fn directly.
+func Do[V any](c *Cache, ctx context.Context, key Digest, fn func() (V, error)) (v V, hit bool, err error) {
 	if c == nil {
 		v, err := fn()
 		return v, false, err
@@ -237,36 +245,36 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 		// leader (it would compute a result nobody can use) or re-join
 		// the waiter queue.
 		if err := ctx.Err(); err != nil {
-			return nil, false, err
+			return v, false, err
 		}
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
 			c.lru.MoveToFront(el)
 			c.hits.Inc()
-			v := el.Value.(*entry).violations
+			val := el.Value.(*entry).val
 			c.mu.Unlock()
 			c.observeLookup("memory", t0)
-			return copyViolations(v), true, nil
+			return val.(V), true, nil
 		}
 		if f, ok := c.inflight[key]; ok {
 			c.mu.Unlock()
 			select {
 			case <-f.done:
 			case <-ctx.Done():
-				return nil, false, ctx.Err()
+				return v, false, ctx.Err()
 			}
 			if f.err == nil {
 				c.mu.Lock()
 				c.hits.Inc()
 				c.mu.Unlock()
 				c.observeLookup("join", t0)
-				return copyViolations(f.val), true, nil
+				return f.val.(V), true, nil
 			}
 			// The leader failed (budget, cancellation). If this
 			// waiter is still live it retries — its own budget may
 			// suffice where the leader's did not.
 			if ctx.Err() != nil {
-				return nil, false, ctx.Err()
+				return v, false, ctx.Err()
 			}
 			continue
 		}
@@ -275,33 +283,49 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 		c.misses.Inc()
 		c.mu.Unlock()
 
-		f.val, f.err = fn()
+		v, err = fn()
+		if err == nil {
+			f.val = v
+		}
+		f.err = err
 		c.mu.Lock()
 		delete(c.inflight, key)
-		if f.err == nil {
+		if err == nil {
 			c.insertLocked(key, f.val)
 		}
 		c.mu.Unlock()
 		close(f.done)
-		if f.err == nil {
+		if err == nil {
 			c.observeLookup("compute", t0)
 		}
-		return copyViolations(f.val), false, f.err
+		return v, false, err
 	}
+}
+
+// Do is the violation-list form of the package-level Do, keyed by a
+// string such as Key returns. Each caller gets its own copy of the
+// violations, so appending to or editing them never reaches the cache.
+func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Violation, error)) (violations []constraints.Violation, hit bool, err error) {
+	v, hit, err := Do(c, ctx, sha256.Sum256(unsafe.Slice(unsafe.StringData(key), len(key))),
+		func() ([]constraints.Violation, error) {
+			v, err := fn()
+			return copyViolations(v), err
+		})
+	return copyViolations(v), hit, err
 }
 
 // insertLocked stores the leader's result, evicting least recently
 // used entries to make room. key is never resident: Do makes a caller
 // the leader only after finding no entry under the same lock hold that
 // registers its flight, and its waiters never insert.
-func (c *Cache) insertLocked(key string, violations []constraints.Violation) {
+func (c *Cache) insertLocked(key Digest, val any) {
 	for c.lru.Len() >= c.capacity {
 		oldest := c.lru.Back()
 		c.lru.Remove(oldest)
 		delete(c.entries, oldest.Value.(*entry).key)
 		c.evictions.Inc()
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, violations: copyViolations(violations)})
+	c.entries[key] = c.lru.PushFront(&entry{key: key, val: val})
 }
 
 // copyViolations guards the cached slice against caller appends. It

@@ -2,10 +2,9 @@ package checkcache
 
 import (
 	"context"
-	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,36 +53,26 @@ func TestKeyDistinguishesPartBoundaries(t *testing.T) {
 	}
 }
 
-// TestHasherStreamFramesByDigest pins a streamed part's framing: it is
-// the part list with the streamed bytes replaced by their sha256, so a
-// streamed part is never confused with a plain part of the same bytes,
-// and a failing write reaches the caller.
-func TestHasherStreamFramesByDigest(t *testing.T) {
-	dump := strings.Repeat("4:prop9:/uart#reg0:2:d1@0\n", 100)
-	digest := sha256.Sum256([]byte(dump))
-	k := NewHasher()
-	k.Part("printed")
-	if err := k.Stream(func(w io.Writer) error {
-		for i := 0; i < len(dump); i += 7 { // in uneven chunks
-			if _, err := io.WriteString(w, dump[i:min(i+7, len(dump))]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
+// TestAppendPartFramesAsKey: a key built in a caller's buffer with
+// AppendPart and Sum, and one built with a Hasher, digest the same part
+// list as Key does.
+func TestAppendPartFramesAsKey(t *testing.T) {
+	parts := []string{"front end", "", strings.Repeat("cpu@0 ", 40), "knobs"}
+	var b []byte
+	h := NewHasher()
+	for _, p := range parts {
+		b = AppendPart(b, p)
+		h.Part(p)
 	}
-	k.Part("knobs")
-	got := k.Sum()
-	if want := Key("printed", string(digest[:]), "knobs"); got != want {
-		t.Errorf("streamed key %s, want %s", got, want)
+	want := Key(parts...)
+	if d := Sum(b); hex.EncodeToString(d[:]) != want {
+		t.Errorf("Sum(AppendPart...) = %x, want Key's %s", d, want)
 	}
-	if got == Key("printed", dump, "knobs") {
-		t.Error("a streamed part shares its key with a plain part of the same bytes")
+	if d := h.Digest(); hex.EncodeToString(d[:]) != want {
+		t.Errorf("Hasher.Digest = %x, want Key's %s", d, want)
 	}
-	fail := errors.New("write failed")
-	if err := NewHasher().Stream(func(io.Writer) error { return fail }); !errors.Is(err, fail) {
-		t.Errorf("Stream returned %v, want the write's error", err)
+	if Sum(AppendPart(AppendPart(nil, "ab"), "c")) == Sum(AppendPart(AppendPart(nil, "a"), "bc")) {
+		t.Error("length delimiting failed: shifted parts collide")
 	}
 }
 
@@ -433,5 +422,67 @@ func TestEvictionVsDoRace(t *testing.T) {
 	}
 	if st.Evictions == 0 {
 		t.Fatal("competing keys never evicted each other")
+	}
+}
+
+// record stands in for a caller's immutable cache value.
+type record struct {
+	text  string
+	count int
+}
+
+// TestDoStoresAnyValue: the package-level Do caches a value of the
+// caller's type, hands every hit the same value, and keeps the cache's
+// counters, whatever the value type.
+func TestDoStoresAnyValue(t *testing.T) {
+	c := New(4)
+	key := Sum(AppendPart(nil, "product"))
+	calls := 0
+	fn := func() (*record, error) {
+		calls++
+		return &record{text: "dts", count: 3}, nil
+	}
+	first, hit, err := Do(c, context.Background(), key, fn)
+	if err != nil || hit {
+		t.Fatalf("first Do: hit=%v err=%v", hit, err)
+	}
+	second, hit, err := Do(c, context.Background(), key, fn)
+	if err != nil || !hit {
+		t.Fatalf("second Do: hit=%v err=%v", hit, err)
+	}
+	if first != second || calls != 1 {
+		t.Errorf("hit returned %p after %d computations, want the stored %p after 1", second, calls, first)
+	}
+	findings, _, err := Do(c, context.Background(), Sum(AppendPart(nil, "lifted")),
+		func() ([]string, error) { return []string{"a", "b"}, nil })
+	if err != nil || len(findings) != 2 {
+		t.Fatalf("slice value: %v, %v", findings, err)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("stats = %+v", st)
+	}
+	var nilCache *Cache
+	if v, hit, _ := Do(nilCache, context.Background(), key, fn); hit || v == nil || calls != 2 {
+		t.Errorf("nil cache: hit=%v v=%v calls=%d, want a fresh computation", hit, v, calls)
+	}
+}
+
+// TestDoHitAllocs: a hit on a pointer value allocates nothing, so a
+// caller's hit path costs only what it copies out of the value.
+func TestDoHitAllocs(t *testing.T) {
+	c := New(4)
+	key := Sum(AppendPart(nil, "product"))
+	rec := &record{text: "dts"}
+	fn := func() (*record, error) { return rec, nil }
+	if _, _, err := Do(c, context.Background(), key, fn); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if v, hit, _ := Do(c, ctx, key, fn); !hit || v != rec {
+			t.Fatal("warm lookup missed")
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm hit allocates %.0f times, want 0", allocs)
 	}
 }

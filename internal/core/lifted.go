@@ -12,13 +12,13 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"strings"
+	"slices"
 	"time"
 
 	"llhsc/internal/checkcache"
 	"llhsc/internal/constraints"
-	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 )
 
@@ -76,20 +76,20 @@ func (m *Mode) Set(v string) error {
 
 // runLifted lifts the delta set over the core module and runs the
 // family-based checker once for the whole product line, filling
-// Report.Lifted. With a Cache installed, the result is memoized under
-// the merged tree's dump, the feature model's text (which products
-// are valid decides every finding and witness), and the same budget
-// knobs the per-product keys fold in (the mode is part of the knob
-// string, so lifted and enumerative verdicts can never be served for
-// one another).
+// Report.Lifted. With a Cache installed, the findings are kept under
+// the run's key prefix — the Identity (which covers the feature model:
+// which products are valid decides every finding and witness), the
+// schema set and the knobs, the mode among them, so lifted and
+// enumerative results are never served for one another. A hit skips
+// the lift too.
 func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, root *obs.Span) error {
 	span := root.StartChild("lifted")
 	defer span.End()
-	lt, err := p.Deltas.Lift(p.Core)
-	if err != nil {
-		return fmt.Errorf("core: lift: %w", err)
-	}
-	compute := func() ([]constraints.Violation, error) {
+	compute := func() ([]constraints.LiftedFinding, error) {
+		lt, err := p.Deltas.Lift(p.Core)
+		if err != nil {
+			return nil, liftError{err}
+		}
 		lc := constraints.NewLiftedChecker(p.Model, p.Schemas)
 		lc.Budget = st.limits.Solver
 		var t0 time.Time
@@ -103,18 +103,16 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 		stats := lc.LastStats()
 		st.addFamily("lifted", familyStatsFromLifted(stats))
 		st.addLifted(liftedRunStatsFrom(stats))
-		if err != nil {
-			return nil, err
-		}
-		return encodeLiftedFindings(findings), nil
+		return findings, err
 	}
-	var encoded []constraints.Violation
+	var findings []constraints.LiftedFinding
+	var err error
 	if p.Cache == nil {
-		encoded, err = compute()
+		findings, err = compute()
 	} else {
-		key := checkcache.Key(lt.Dump(), p.Model.Format(), st.schemaFP, st.knobs)
+		key := checkcache.Sum(checkcache.AppendPart(st.keyPrefix[:], "lifted"))
 		var hit bool
-		encoded, hit, err = p.Cache.Do(ctx, key, compute)
+		findings, hit, err = checkcache.Do(p.Cache, ctx, key, compute)
 		if hit {
 			span.SetAttr("cache", "hit")
 		} else {
@@ -123,46 +121,29 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 		st.addCache(hit)
 	}
 	if err != nil {
+		var le liftError
+		if errors.As(err, &le) {
+			return fmt.Errorf("core: lift: %w", le.err)
+		}
 		return st.limitError("lifted", err)
 	}
-	report.Lifted = decodeLiftedFindings(encoded)
+	switch {
+	case len(findings) == 0:
+		findings = nil
+	case p.Cache != nil:
+		// The cache shares findings between runs, and Release clears
+		// the report's copy. Their witness configurations are shared
+		// too, so nothing may edit them.
+		findings = slices.Clone(findings)
+	}
+	report.Lifted = findings
 	span.SetInt("findings", uint64(len(report.Lifted)))
 	return nil
 }
 
-// liftedWitnessRule marks the sidecar violation that carries a lifted
-// finding's family and witness configuration through the check cache,
-// whose value type is a violation list. The marker precedes its
-// finding's violation; the pair round-trips losslessly and never
-// escapes the core package (decode happens immediately after Do).
-const liftedWitnessRule = "lifted:witness"
+// liftError marks a failure to lift the delta set, which is reported
+// as a structural error, not a limit stop.
+type liftError struct{ err error }
 
-// encodeLiftedFindings flattens findings into the violation-list shape
-// the check cache stores: [witness-marker, violation] per finding.
-func encodeLiftedFindings(fs []constraints.LiftedFinding) []constraints.Violation {
-	out := make([]constraints.Violation, 0, 2*len(fs))
-	for _, f := range fs {
-		out = append(out, constraints.Violation{
-			Rule:    liftedWitnessRule,
-			Path:    f.Family,
-			Message: strings.Join(f.Config.Sorted(), " "),
-		}, f.Violation)
-	}
-	return out
-}
-
-// decodeLiftedFindings reverses encodeLiftedFindings.
-func decodeLiftedFindings(vs []constraints.Violation) []constraints.LiftedFinding {
-	out := make([]constraints.LiftedFinding, 0, len(vs)/2)
-	for i := 0; i+1 < len(vs); i += 2 {
-		out = append(out, constraints.LiftedFinding{
-			Family:    vs[i].Path,
-			Config:    featmodel.ConfigOf(strings.Fields(vs[i].Message)...),
-			Violation: vs[i+1],
-		})
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (e liftError) Error() string { return e.err.Error() }
+func (e liftError) Unwrap() error { return e.err }

@@ -148,6 +148,7 @@ func collisionPipeline(t *testing.T) *core.Pipeline {
 	}
 	p.Deltas = smaller
 	p.Mode = core.ModeLifted
+	p.Identity = "collision corpus"
 	return p
 }
 
@@ -191,9 +192,8 @@ func TestLiftedModeFindsViolationsWithWitnesses(t *testing.T) {
 }
 
 // TestLiftedModeCacheRoundTrip runs the collision corpus twice against
-// one cache: the second run must hit and reproduce the findings —
-// exercising the witness-marker encoding the cache's violation-list
-// value type forces.
+// one cache: the second run must hit and reproduce the findings, with
+// their witnesses, from the stored findings.
 func TestLiftedModeCacheRoundTrip(t *testing.T) {
 	cache := checkcache.New(16)
 
@@ -263,6 +263,7 @@ func TestLiftedCacheKeyFoldsInModel(t *testing.T) {
 		t.Helper()
 		p := collisionPipeline(t)
 		p.Model = model
+		p.Identity += "\n" + model.Format() // as the service's digest covers the model text
 		p.Cache = cache
 		report, err := p.RunContext(context.Background(), core.Limits{})
 		if err != nil {

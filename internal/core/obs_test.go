@@ -124,7 +124,7 @@ func TestReportStats(t *testing.T) {
 // work.
 func TestReportStatsCacheCounters(t *testing.T) {
 	p := examplePipeline(t, nil)
-	p.Cache = checkcache.New(16)
+	p.Cache, p.Identity = checkcache.New(16), "running example"
 	_, report := tracedRun(t, p, 1)
 	if got := report.Stats.CacheHits + report.Stats.CacheMisses; got != 3 {
 		t.Errorf("cache lookups = %d, want 3 (one per product)", got)

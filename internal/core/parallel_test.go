@@ -262,6 +262,7 @@ func blamePipeline(t *testing.T, deltaName string) *core.Pipeline {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p.Identity += ", " + deltaName // the delta text names the delta
 	faulty := &delta.Delta{
 		Name: deltaName,
 		Ops: []delta.Operation{{
@@ -287,7 +288,8 @@ func blamePipeline(t *testing.T, deltaName string) *core.Pipeline {
 // two requests whose products print byte-identically but derive from
 // differently-named delta modules. The second request must report
 // violations blaming its own deltas — a cache keyed on canonical text
-// alone would replay the first request's blame metadata.
+// alone would replay the first request's blame metadata. Keyed by what
+// derives a product, the two differ in their front end's Identity.
 func TestCacheDoesNotLeakBlameAcrossDeltaNames(t *testing.T) {
 	cache := checkcache.New(16)
 	var texts []string
@@ -333,7 +335,7 @@ func TestCacheDoesNotChangeReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	cached := examplePipeline(t, nil)
-	cached.Cache = checkcache.New(16)
+	cached.Cache, cached.Identity = checkcache.New(16), "running example"
 	cold, err := cached.RunContext(context.Background(), core.Limits{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

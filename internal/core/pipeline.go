@@ -14,10 +14,10 @@
 // semantic, memreserve, interrupt) one after another. Every worker
 // builds its own checkers and writes into a pre-sized report slot, so
 // the Report is byte-identical to a serial run regardless of
-// scheduling. An optional content-addressed cache (internal/checkcache)
-// short-circuits re-checking trees whose canonical text and blame
-// metadata were already checked under the same schema set and budget
-// knobs.
+// scheduling. An optional cache (internal/checkcache) keeps each
+// product's record — trace, DTS, violations and artifact facts — under
+// what derives it, so a product derived before under the same front
+// end, schema set and knobs is neither derived nor checked again.
 package core
 
 import (
@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -113,21 +114,30 @@ type Pipeline struct {
 	// cache key: a lifted verdict covers the whole product line and
 	// must never be served as a per-tree one, or vice versa.
 	Mode Mode
+	// Identity names the front end — Core, Deltas and Model — in the
+	// cache key: pipelines that share a Cache and an Identity must have
+	// been built from the same inputs. The service passes the digest of
+	// every input its front end parses. Required when Cache is set.
+	Identity string
 	// Metrics, when non-nil, receives each run's aggregate solver and
 	// cache counters (see PipelineMetrics). Safe to share across
 	// pipelines; the server shares one instance across requests.
 	Metrics *PipelineMetrics
-	// Cache, when non-nil, memoizes per-tree check results keyed by
-	// the canonical tree text, the tree's origin dump (blame metadata
-	// is invisible in the printed text but embedded in cached
-	// violations), the schema-set fingerprint and the deterministic
-	// solver-budget knobs. Identical trees — across VMs, the platform
-	// union, or repeated runs — are checked once.
+	// Cache, when non-nil, keeps each product's record — its trace,
+	// DTS, violations and artifact facts — under what derives it:
+	// Identity, the completed configuration, the schema-set fingerprint
+	// and the verdict-changing knobs (solver budget, delta step cap,
+	// mode). A product derived before — by another VM, the platform
+	// union, or an earlier run — is served without being derived,
+	// printed or checked again. A lifted run's findings are kept the
+	// same way, without the configuration.
 	Cache *checkcache.Cache
 }
 
 // VMResult is the outcome for one VM. Tree shares every node its deltas
 // do not edit with Pipeline.Core, so it is read-only: Clone it to edit.
+// Tree is nil when the product came from the Cache, which keeps no
+// trees. Trace is shared with the Cache, so it is read-only too.
 type VMResult struct {
 	Name       string
 	Config     featmodel.Configuration
@@ -135,16 +145,21 @@ type VMResult struct {
 	Tree       *dts.Tree
 	DTS        string
 	Violations []constraints.Violation
+
+	facts *baogen.Facts // the record's artifact facts, zero unless the product passed
 }
 
 // PlatformResult is the outcome for the platform (union) product. Tree
-// is read-only, as VMResult.Tree is.
+// and Trace are read-only, and Tree is nil on a cache hit, as in
+// VMResult.
 type PlatformResult struct {
 	Config     featmodel.Configuration
 	Trace      []string
 	Tree       *dts.Tree
 	DTS        string
 	Violations []constraints.Violation
+
+	facts *baogen.Facts
 }
 
 // Report is the result of a pipeline run.
@@ -221,6 +236,8 @@ func (p *Pipeline) Validate() error {
 		return errors.New("core: no VM configurations")
 	case len(p.VMNames) > 0 && len(p.VMNames) != len(p.VMConfigs):
 		return errors.New("core: VMNames length does not match VMConfigs")
+	case p.Cache != nil && p.Identity == "":
+		return errors.New("core: a Cache needs the front end's Identity")
 	}
 	return nil
 }
@@ -235,12 +252,31 @@ func (p *Pipeline) Run() (*Report, error) {
 // runState carries the per-run configuration shared by every product
 // worker, and accumulates the run's work statistics.
 type runState struct {
-	limits   Limits
-	schemaFP string // schema-set fingerprint, "" when Cache is nil
-	knobs    string // verdict-changing knobs, "" when Cache is nil
+	limits Limits
+	// keyPrefix digests what every cache key of the run shares: the
+	// Identity, the schema-set fingerprint and the verdict-changing
+	// knobs. Zero when Cache is nil.
+	keyPrefix checkcache.Digest
 
 	mu    sync.Mutex
 	stats RunStats
+}
+
+// newRunState starts a run's shared state under limits.
+func (p *Pipeline) newRunState(limits Limits) *runState {
+	st := &runState{limits: limits}
+	if p.Cache != nil {
+		k := checkcache.NewHasher()
+		k.Part(p.Identity)
+		k.Part(p.Schemas.Fingerprint())
+		// Every deterministic knob that can change a record. The step
+		// cap is one: a hit is not derived again, so a product derived
+		// under a higher cap must not answer a lower one.
+		k.Part(fmt.Sprintf("conflicts=%d;learntlits=%d;deltaops=%d;mode=%s",
+			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, limits.MaxDeltaOps, p.Mode))
+		st.keyPrefix = k.Digest()
+	}
+	return st
 }
 
 // RunContext executes the full workflow under a context and resource
@@ -261,14 +297,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	}
 	report := AcquireReport()
 	workers := limits.parallelism()
-	st := &runState{limits: limits}
-	if p.Cache != nil {
-		st.schemaFP = p.Schemas.Fingerprint()
-		// Every deterministic knob that can change a verdict, for the
-		// per-product and lifted cache keys alike.
-		st.knobs = fmt.Sprintf("conflicts=%d;learntlits=%d;mode=%s",
-			limits.Solver.MaxConflicts, limits.Solver.MaxLearntLits, p.Mode)
-	}
+	st := p.newRunState(limits)
 	root := obs.SpanFromContext(ctx) // read once; nil disables tracing
 	if p.Metrics != nil {
 		defer func() { p.Metrics.observe(st.snapshot()) }()
@@ -298,7 +327,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	// ---- family-based lifted checking (DESIGN.md §14) ----
 	// One merged tree, one solver session, the whole product line.
 	// Products are still derived below for traces, DTS renderings and
-	// artifact generation, but skip their per-tree family checks.
+	// artifact facts, but skip their per-tree family checks.
 	if p.Mode == ModeLifted {
 		if err := p.runLifted(ctx, st, report, root); err != nil {
 			return nil, err
@@ -330,19 +359,20 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	}
 
 	// ---- artifact generation (Listings 3 and 6) ----
+	// Every product passed, so each record holds its artifact facts.
 	genSpan := root.StartChild("baogen")
 	defer genSpan.End()
-	platform, err := baogen.PlatformFromTree(report.Platform.Tree)
-	if err != nil {
+	if err := report.Platform.facts.PlatformErr; err != nil {
 		return nil, err
 	}
+	platform := report.Platform.facts.Platform
 	report.PlatformC = platform.RenderPlatformC()
 	report.QEMUArgs = baogen.QEMUArgs(platform, "aarch64")
 	report.JailhouseRootC = baogen.RenderJailhouseRootC(platform)
 
 	vms := make([]*baogen.VM, len(report.VMs))
 	for i, vm := range report.VMs {
-		bvm, err := baogen.VMFromTree(vm.Name, vm.Tree)
+		bvm, err := vm.facts.NamedVM(vm.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -474,98 +504,151 @@ func lowestPrimaryError(ctx context.Context, errs []error) error {
 	return fallback
 }
 
-// deriveAndCheckVM derives the product for VM i, checks it, and fills
-// the result slot. Errors come back in the same shapes as a serial
-// run: limit causes wrapped in *LimitError, structural delta failures
-// as plain errors naming the VM.
+// deriveAndCheckVM fills VM i's result slot with its product's record.
+// Errors come back in the same shapes as a serial run: limit causes
+// wrapped in *LimitError, structural delta failures as plain errors
+// naming the VM.
 func (p *Pipeline) deriveAndCheckVM(ctx context.Context, st *runState, i int, out *VMResult, span *obs.Span) error {
 	span.Begin() // pre-created for deterministic order; work starts here
 	defer span.End()
 	name := p.vmName(i)
 	out.Name = name
 	out.Config = p.VMConfigs[i]
-	derive := span.StartChild("derive")
-	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, p.VMConfigs[i], st.limits.MaxDeltaOps)
-	derive.SetInt("deltas", uint64(len(trace)))
-	derive.End()
+	rec, tree, err := p.product(ctx, st, p.VMConfigs[i], span)
 	if err != nil {
-		if isLimitCause(err) {
-			return st.limitError("vm:"+name, err)
-		}
-		return fmt.Errorf("core: VM %s: %w", name, err)
+		return st.productError("vm:"+name, "VM "+name, err)
 	}
-	out.Tree = tree
-	out.Trace = trace
-	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
-	if err != nil {
-		return st.limitError("vm:"+name, err)
-	}
+	out.Tree, out.Trace, out.DTS, out.facts = tree, rec.trace, rec.dts, &rec.facts
+	out.Violations = p.violationsOf(rec)
 	return nil
 }
 
-// deriveAndCheckPlatform derives and checks the union product.
+// deriveAndCheckPlatform fills the platform slot with the union
+// product's record.
 func (p *Pipeline) deriveAndCheckPlatform(ctx context.Context, st *runState, union featmodel.Configuration, out *PlatformResult, span *obs.Span) error {
 	span.Begin()
 	defer span.End()
-	derive := span.StartChild("derive")
-	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, union, st.limits.MaxDeltaOps)
-	derive.SetInt("deltas", uint64(len(trace)))
-	derive.End()
+	rec, tree, err := p.product(ctx, st, union, span)
 	if err != nil {
-		if isLimitCause(err) {
-			return st.limitError("platform", err)
-		}
-		return fmt.Errorf("core: platform: %w", err)
+		return st.productError("platform", "platform", err)
 	}
 	out.Config = union
-	out.Trace = trace
-	out.Tree = tree
-	out.DTS, out.Violations, err = p.checkProductTree(ctx, st, tree, span)
-	if err != nil {
-		return st.limitError("platform", err)
-	}
+	out.Tree, out.Trace, out.DTS, out.facts = tree, rec.trace, rec.dts, &rec.facts
+	out.Violations = p.violationsOf(rec)
 	return nil
 }
 
-// checkProductTree renders the tree, consults the cache, and runs the
-// checker families. The canonical text is printed once and shared
-// between the report and the cache key. The key also folds in the
-// tree's origin dump: violations embed blame metadata (dts.Origin —
-// delta name, source position) that the printed text does not capture,
-// so two products with identical text but different provenance must
-// not share a cache entry.
-func (p *Pipeline) checkProductTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) (string, []constraints.Violation, error) {
-	printed := tree.Print()
-	if p.Mode == ModeLifted {
-		// The lifted session already discharged every family for the
-		// whole product line — which includes this product.
-		return printed, nil, nil
-	}
+// productRecord is what the check cache keeps for one product: all a
+// run reads from it once derived, except the tree. It is shared by
+// every run that hits it, so nothing may edit it.
+type productRecord struct {
+	trace      []string
+	dts        string
+	violations []constraints.Violation
+	facts      baogen.Facts // zero unless violations is empty
+}
+
+// product returns the record of the product cfg derives, from the
+// cache when a product with the same key was derived before, and the
+// product's tree when this call derived it (nil on a hit).
+func (p *Pipeline) product(ctx context.Context, st *runState, cfg featmodel.Configuration, span *obs.Span) (*productRecord, *dts.Tree, error) {
 	check := span.StartChild("check")
 	defer check.End()
+	var tree *dts.Tree
+	derive := func() (rec *productRecord, err error) {
+		rec, tree, err = p.deriveProduct(ctx, st, cfg, check)
+		return rec, err
+	}
 	if p.Cache == nil {
-		violations, err := p.checkTree(ctx, st, tree, check)
-		return printed, violations, err
+		rec, err := derive()
+		return rec, tree, err
 	}
-	// The origin dump is streamed into the key, never held whole.
-	kh := checkcache.NewHasher()
-	kh.Part(printed)
-	if err := kh.Stream(tree.WriteOriginDump); err != nil {
-		return printed, nil, err
-	}
-	kh.Part(st.schemaFP)
-	kh.Part(st.knobs)
-	key := kh.Sum()
-	violations, hit, err := p.Cache.Do(ctx, key, func() ([]constraints.Violation, error) {
-		return p.checkTree(ctx, st, tree, check)
-	})
+	rec, hit, err := checkcache.Do(p.Cache, ctx, st.productKey(cfg), derive)
 	if hit {
 		check.SetAttr("cache", "hit")
 	} else {
 		check.SetAttr("cache", "miss")
 	}
 	st.addCache(hit)
-	return printed, violations, err
+	return rec, tree, err
+}
+
+// productKey digests what derives the product of cfg: the run's key
+// prefix and the selected features in sorted order, the completed
+// configuration as Config.Sorted() lists it. It allocates nothing for
+// configurations of up to 64 features.
+func (st *runState) productKey(cfg featmodel.Configuration) checkcache.Digest {
+	var names [64]string
+	selected := names[:0]
+	for name, on := range cfg {
+		if on {
+			selected = append(selected, name)
+		}
+	}
+	slices.Sort(selected)
+	var buf [1024]byte
+	b := checkcache.AppendPart(append(buf[:0], st.keyPrefix[:]...), "product")
+	for _, name := range selected {
+		b = checkcache.AppendPart(b, name)
+	}
+	return checkcache.Sum(b)
+}
+
+// deriveProduct derives the product of cfg, prints it, runs the
+// checker families over it and, if it passes, extracts its artifact
+// facts. A delta application failure comes back as a deriveError.
+func (p *Pipeline) deriveProduct(ctx context.Context, st *runState, cfg featmodel.Configuration, span *obs.Span) (*productRecord, *dts.Tree, error) {
+	derive := span.StartChild("derive")
+	tree, trace, err := p.Deltas.ApplyContext(ctx, p.Core, cfg, st.limits.MaxDeltaOps)
+	derive.SetInt("deltas", uint64(len(trace)))
+	derive.End()
+	if err != nil {
+		return nil, nil, deriveError{err}
+	}
+	rec := &productRecord{trace: trace, dts: tree.Print()}
+	// In lifted mode the session already discharged every family for
+	// the whole product line, which includes this product.
+	if p.Mode != ModeLifted {
+		if rec.violations, err = p.checkTree(ctx, st, tree, span); err != nil {
+			return nil, nil, err
+		}
+	}
+	if len(rec.violations) == 0 {
+		rec.facts = baogen.FactsFromTree(tree)
+	}
+	return rec, tree, nil
+}
+
+// deriveError marks a delta application failure, which a product's
+// phase reports differently from a stop inside its checks.
+type deriveError struct{ err error }
+
+func (e deriveError) Error() string { return e.err.Error() }
+func (e deriveError) Unwrap() error { return e.err }
+
+// productError shapes a product's failure as a serial run reports it:
+// a structural delta failure as a plain error naming subject, anything
+// else (cancellation, a step cap, a stop inside the checks) as a
+// *LimitError of phase.
+func (st *runState) productError(phase, subject string, err error) error {
+	var de deriveError
+	if errors.As(err, &de) {
+		if !isLimitCause(de.err) {
+			return fmt.Errorf("core: %s: %w", subject, de.err)
+		}
+		err = de.err
+	}
+	return st.limitError(phase, err)
+}
+
+// violationsOf returns the record's violations for a report: a copy
+// when the cache shares the record, so appending to them never reaches
+// the cache. A copy keeps nil as nil.
+func (p *Pipeline) violationsOf(rec *productRecord) []constraints.Violation {
+	if p.Cache == nil || rec.violations == nil {
+		return rec.violations
+	}
+	return append(make([]constraints.Violation, 0, len(rec.violations)), rec.violations...)
 }
 
 // checkerFamily is one per-tree checker family: a name (the span

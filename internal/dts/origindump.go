@@ -1,76 +1,36 @@
 package dts
 
-import (
-	"io"
-	"strconv"
-	"strings"
-	"sync"
-)
+import "strconv"
 
 // OriginDump renders the tree's blame metadata — the Origin of every
 // node and property that carries one — in deterministic pre-order.
 // Print() deliberately omits origins (they are provenance, not DTS
 // syntax), so two trees can print byte-identically yet trace their
 // fragments to different delta modules or source positions.
-// Content-addressed consumers (internal/checkcache) must therefore
-// fold this dump into their key alongside the canonical text, or a
-// cached violation would blame another product's deltas.
+// A consumer that keys check results on the canonical text must
+// therefore fold this dump into its key too, or a cached violation
+// would blame another product's deltas.
 //
 // Every variable-length field is length-prefixed, so distinct origin
-// sets never produce the same dump. OriginDump is WriteOriginDump
-// collected into one string.
+// sets never produce the same dump.
 func (t *Tree) OriginDump() string {
-	var b strings.Builder
-	t.WriteOriginDump(&b) // a strings.Builder never fails
-	return b.String()
-}
-
-// WriteOriginDump writes OriginDump's bytes to w through a small
-// buffer, so a consumer that only hashes the dump never holds it
-// whole. It returns the first error w returns.
-func (t *Tree) WriteOriginDump(w io.Writer) error {
-	d := dumpers.Get().(*originDumper)
-	d.w, d.err = w, nil
+	var d originDumper
 	d.walk(t.Root)
 	// Overlay fragments live outside the root; their provenance must be
-	// keyed too, or two overlays differing only in fragment blame could
-	// share a cache entry.
+	// dumped too, or two overlays differing only in fragment blame would
+	// dump alike.
 	for i, f := range t.Fragments {
 		d.buf = strconv.AppendInt(append(d.buf, "frag"...), int64(i), 10)
 		d.buf = append(appendField(append(d.buf, ':'), f.Ref), '\n')
 		d.walk(f.Node)
 	}
-	d.flush()
-	err := d.err
-	d.w = nil
-	dumpers.Put(d)
-	return err
+	return string(d.buf)
 }
 
-// dumpChunk is the buffered size past which the dumper hands its bytes
-// to the writer: a few records, so a dump costs a few writes, not one
-// per field.
-const dumpChunk = 512
-
-// dumpers recycles dumpers and their buffers across dumps.
-var dumpers = sync.Pool{New: func() any {
-	return &originDumper{buf: make([]byte, 0, 2*dumpChunk)}
-}}
-
-// originDumper writes an origin dump in one walk; path is the current
+// originDumper builds an origin dump in one walk; path is the current
 // node's path, grown and cut back as the walk descends and returns.
 type originDumper struct {
-	w         io.Writer
-	err       error
 	buf, path []byte
-}
-
-// flush hands the buffered bytes to the writer, unless it has failed.
-func (d *originDumper) flush() {
-	if d.err == nil && len(d.buf) > 0 {
-		_, d.err = d.w.Write(d.buf)
-	}
-	d.buf = d.buf[:0]
 }
 
 // walk dumps the subtree of a root or fragment node, whose path is "/"
@@ -117,9 +77,6 @@ func (d *originDumper) record(kind, prop string, o Origin) {
 	}
 	b = append(appendField(appendField(b, o.File), o.Delta), '@')
 	d.buf = append(strconv.AppendInt(b, int64(o.Line), 10), '\n')
-	if len(d.buf) >= dumpChunk {
-		d.flush()
-	}
 }
 
 // appendField appends "<len>:<s>".

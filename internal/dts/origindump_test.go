@@ -1,7 +1,6 @@
 package dts_test
 
 import (
-	"errors"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -164,54 +163,6 @@ func TestOriginDumpMatchesOracle(t *testing.T) {
 		if got, want := tree.OriginDump(), oracleOriginDump(tree); got != want {
 			t.Errorf("%s: OriginDump differs from the fmt oracle\n got: %q\nwant: %q", name, got, want)
 		}
-	}
-}
-
-// chunkWriter records each Write's bytes, and fails once it holds
-// failAfter writes (never when failAfter is 0).
-type chunkWriter struct {
-	chunks    []string
-	failAfter int
-}
-
-var errChunkWriter = errors.New("chunk writer full")
-
-func (w *chunkWriter) Write(p []byte) (int, error) {
-	if w.failAfter > 0 && len(w.chunks) == w.failAfter {
-		return 0, errChunkWriter
-	}
-	w.chunks = append(w.chunks, string(p))
-	return len(p), nil
-}
-
-// TestWriteOriginDumpStreams checks that WriteOriginDump writes exactly
-// OriginDump's bytes, in several bounded writes for a large tree rather
-// than one, and returns the first error its writer returns.
-func TestWriteOriginDumpStreams(t *testing.T) {
-	tree := dts.NewTree()
-	for i := 0; i < 200; i++ {
-		n := tree.Root.EnsureChild(fmt.Sprintf("uart@%x", 0x1000*i))
-		n.Origin = dts.Origin{File: "board.dts", Line: i + 1}
-		n.SetProperty(&dts.Property{Name: "status", Value: dts.StringValueOf("okay"),
-			Origin: dts.Origin{Delta: fmt.Sprintf("en_uart%d", i)}})
-	}
-	var w chunkWriter
-	if err := tree.WriteOriginDump(&w); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := strings.Join(w.chunks, ""), tree.OriginDump(); got != want {
-		t.Fatalf("streamed dump differs from OriginDump:\n got: %q\nwant: %q", got, want)
-	}
-	if len(w.chunks) < 2 {
-		t.Errorf("a %d-byte dump went out in %d write(s)", len(tree.OriginDump()), len(w.chunks))
-	}
-	for i, c := range w.chunks {
-		if len(c) > 4096 {
-			t.Errorf("write %d holds %d bytes; the dump is buffered whole", i, len(c))
-		}
-	}
-	if err := tree.WriteOriginDump(&chunkWriter{failAfter: 1}); !errors.Is(err, errChunkWriter) {
-		t.Errorf("WriteOriginDump returned %v, want the writer's error", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package dts
 import (
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Print renders the tree as canonical DTS text: /dts-v1/ header (plus
@@ -10,65 +11,68 @@ import (
 // properties before children, then overlay fragments as `&label { }`
 // extension blocks in document order.
 func (t *Tree) Print() string {
-	var b strings.Builder
-	b.WriteString("/dts-v1/;\n")
-	if t.Plugin {
-		b.WriteString("/plugin/;\n")
-	}
-	b.WriteString("\n")
-	for _, mr := range t.MemReserves {
-		b.WriteString("/memreserve/ ")
-		writeHex(&b, mr.Address)
-		b.WriteByte(' ')
-		writeHex(&b, mr.Size)
-		b.WriteString(";\n")
-	}
-	if len(t.MemReserves) > 0 {
-		b.WriteString("\n")
-	}
-	printNode(&b, t.Root, 0)
-	for _, f := range t.Fragments {
-		b.WriteString("\n")
-		printRef(&b, f.Ref)
-		b.WriteString(" {\n")
-		printNodeInner(&b, f.Node, 0)
-		b.WriteString("};\n")
-	}
-	return b.String()
+	return render(t.print)
 }
 
-func printNode(b *strings.Builder, n *Node, depth int) {
+// print writes Print's text to b.
+func (t *Tree) print(b *printBuf) {
+	b.writeString("/dts-v1/;\n")
+	if t.Plugin {
+		b.writeString("/plugin/;\n")
+	}
+	b.writeString("\n")
+	for _, mr := range t.MemReserves {
+		b.writeString("/memreserve/ ")
+		writeHex(b, mr.Address)
+		b.writeByte(' ')
+		writeHex(b, mr.Size)
+		b.writeString(";\n")
+	}
+	if len(t.MemReserves) > 0 {
+		b.writeString("\n")
+	}
+	printNode(b, t.Root, 0)
+	for _, f := range t.Fragments {
+		b.writeString("\n")
+		printRef(b, f.Ref)
+		b.writeString(" {\n")
+		printNodeInner(b, f.Node, 0)
+		b.writeString("};\n")
+	}
+}
+
+func printNode(b *printBuf, n *Node, depth int) {
 	writeTabs(b, depth)
 	if n.Label != "" {
-		b.WriteString(n.Label)
-		b.WriteString(": ")
+		b.writeString(n.Label)
+		b.writeString(": ")
 	}
-	b.WriteString(n.Name)
-	b.WriteString(" {\n")
+	b.writeString(n.Name)
+	b.writeString(" {\n")
 	printNodeInner(b, n, depth)
 	writeTabs(b, depth)
-	b.WriteString("};\n")
+	b.writeString("};\n")
 }
 
 // printNodeInner renders a node's properties and children without the
 // surrounding header/footer, shared by printNode and the overlay
 // fragment printer (whose header is a reference, not a name).
-func printNodeInner(b *strings.Builder, n *Node, depth int) {
+func printNodeInner(b *printBuf, n *Node, depth int) {
 	for _, p := range n.Properties {
 		writeTabs(b, depth+1)
-		b.WriteString(p.Name)
+		b.writeString(p.Name)
 		if !p.Value.IsEmpty() {
-			b.WriteString(" = ")
+			b.writeString(" = ")
 			printValue(b, p.Value)
 		}
-		b.WriteString(";\n")
+		b.writeString(";\n")
 	}
 	if len(n.Properties) > 0 && len(n.Children) > 0 {
-		b.WriteString("\n")
+		b.writeString("\n")
 	}
 	for i, c := range n.Children {
 		if i > 0 {
-			b.WriteString("\n")
+			b.writeString("\n")
 		}
 		printNode(b, c, depth+1)
 	}
@@ -79,27 +83,51 @@ func printNodeInner(b *strings.Builder, n *Node, depth int) {
 // a value outside a full tree print (e.g. the lifted-tree dump that
 // feeds the check cache key).
 func FormatValue(v Value) string {
-	var b strings.Builder
-	printValue(&b, v)
-	return b.String()
+	return render(func(b *printBuf) { printValue(b, v) })
 }
 
-func printValue(b *strings.Builder, v Value) {
+// printBuf is the printer's output buffer. Buffers are recycled through
+// printBufs, so a print grows no buffer from empty in steady state and
+// allocates only its result, sized once to the exact text.
+type printBuf struct{ b []byte }
+
+func (p *printBuf) writeString(s string) { p.b = append(p.b, s...) }
+func (p *printBuf) writeByte(c byte)     { p.b = append(p.b, c) }
+
+var printBufs = sync.Pool{New: func() any { return new(printBuf) }}
+
+// maxPooledPrintBuf bounds the buffer a print hands back to printBufs,
+// so one huge tree does not pin its buffer for every later print.
+const maxPooledPrintBuf = 1 << 20
+
+// render runs print into a pooled buffer and returns what it wrote.
+func render(print func(*printBuf)) string {
+	b := printBufs.Get().(*printBuf)
+	print(b)
+	s := string(b.b)
+	if cap(b.b) <= maxPooledPrintBuf {
+		b.b = b.b[:0]
+		printBufs.Put(b)
+	}
+	return s
+}
+
+func printValue(b *printBuf, v Value) {
 	for i, c := range v.Chunks {
 		if i > 0 {
-			b.WriteString(", ")
+			b.writeString(", ")
 		}
 		switch c.Kind {
 		case ChunkCells:
 			if c.Bits != 0 {
-				b.WriteString("/bits/ ")
-				b.WriteString(strconv.Itoa(c.Bits))
-				b.WriteByte(' ')
+				b.writeString("/bits/ ")
+				b.writeString(strconv.Itoa(c.Bits))
+				b.writeByte(' ')
 			}
-			b.WriteString("<")
+			b.writeString("<")
 			for j, cell := range c.CellList {
 				if j > 0 {
-					b.WriteString(" ")
+					b.writeString(" ")
 				}
 				switch {
 				case cell.Ref != "":
@@ -110,19 +138,19 @@ func printValue(b *strings.Builder, v Value) {
 					writeHex(b, uint64(cell.Val))
 				}
 			}
-			b.WriteString(">")
+			b.writeString(">")
 		case ChunkString:
 			writeQuotedDTS(b, c.Str)
 		case ChunkBytes:
-			b.WriteString("[")
+			b.writeString("[")
 			for j, by := range c.Bytes {
 				if j > 0 {
-					b.WriteString(" ")
+					b.writeString(" ")
 				}
-				b.WriteByte(hexDigits[by>>4])
-				b.WriteByte(hexDigits[by&0xf])
+				b.writeByte(hexDigits[by>>4])
+				b.writeByte(hexDigits[by&0xf])
 			}
-			b.WriteString("]")
+			b.writeString("]")
 		case ChunkRef:
 			printRef(b, c.Ref)
 		}
@@ -131,15 +159,15 @@ func printValue(b *strings.Builder, v Value) {
 
 // printRef renders a phandle reference. Path references (&{/soc/uart})
 // must keep the brace form: a bare "&/soc/uart" does not lex.
-func printRef(b *strings.Builder, ref string) {
-	b.WriteString("&")
+func printRef(b *printBuf, ref string) {
+	b.writeString("&")
 	if strings.HasPrefix(ref, "/") {
-		b.WriteString("{")
-		b.WriteString(ref)
-		b.WriteString("}")
+		b.writeString("{")
+		b.writeString(ref)
+		b.writeString("}")
 		return
 	}
-	b.WriteString(ref)
+	b.writeString(ref)
 }
 
 // writeQuotedDTS writes s to b as a DTS string literal that the lexer
@@ -147,44 +175,43 @@ func printRef(b *strings.Builder, ref string) {
 // escapes and bare \0, which DTS does not understand. Hex escapes are
 // always two digits, so a following literal hex character cannot be
 // absorbed into the escape (the lexer reads at most two digits).
-func writeQuotedDTS(b *strings.Builder, s string) {
-	b.WriteByte('"')
+func writeQuotedDTS(b *printBuf, s string) {
+	b.writeByte('"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; c {
 		case '"':
-			b.WriteString(`\"`)
+			b.writeString(`\"`)
 		case '\\':
-			b.WriteString(`\\`)
+			b.writeString(`\\`)
 		case '\n':
-			b.WriteString(`\n`)
+			b.writeString(`\n`)
 		case '\t':
-			b.WriteString(`\t`)
+			b.writeString(`\t`)
 		case '\r':
-			b.WriteString(`\r`)
+			b.writeString(`\r`)
 		default:
 			if c >= 0x20 && c <= 0x7e {
-				b.WriteByte(c)
+				b.writeByte(c)
 			} else {
-				b.WriteString(`\x`)
-				b.WriteByte(hexDigits[c>>4])
-				b.WriteByte(hexDigits[c&0xf])
+				b.writeString(`\x`)
+				b.writeByte(hexDigits[c>>4])
+				b.writeByte(hexDigits[c&0xf])
 			}
 		}
 	}
-	b.WriteByte('"')
+	b.writeByte('"')
 }
 
 const hexDigits = "0123456789abcdef"
 
 // writeHex writes v as 0x followed by its lowercase hex digits.
-func writeHex(b *strings.Builder, v uint64) {
-	var buf [18]byte
-	b.Write(strconv.AppendUint(append(buf[:0], '0', 'x'), v, 16))
+func writeHex(b *printBuf, v uint64) {
+	b.b = strconv.AppendUint(append(b.b, '0', 'x'), v, 16)
 }
 
 // writeTabs writes depth tabs of indentation.
-func writeTabs(b *strings.Builder, depth int) {
+func writeTabs(b *printBuf, depth int) {
 	for ; depth > 0; depth-- {
-		b.WriteByte('\t')
+		b.writeByte('\t')
 	}
 }

@@ -247,3 +247,20 @@ func TestPrintMatchesFmtPrinter(t *testing.T) {
 		}
 	}
 }
+
+// TestPrintAllocs gates Print at one allocation, its result: the text
+// goes into a recycled buffer, not a builder grown from empty, and the
+// result is sized once to the exact text.
+func TestPrintAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers at random under the race detector")
+	}
+	r := rand.New(rand.NewSource(7))
+	tr := &Tree{Root: randomNode(r, "/", 0)}
+	for len(tr.Print()) < 4096 {
+		tr.Root.Children = append(tr.Root.Children, randomNode(r, fmt.Sprintf("n%d", len(tr.Root.Children)), 1))
+	}
+	if allocs := testing.AllocsPerRun(50, func() { tr.Print() }); allocs > 1 {
+		t.Errorf("Print of a %d-byte tree allocates %.0f times, want 1", len(tr.Print()), allocs)
+	}
+}

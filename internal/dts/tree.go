@@ -426,11 +426,7 @@ func (n *Node) StringValue(name string) (string, bool) {
 	if p == nil {
 		return "", false
 	}
-	ss := p.Value.Strings()
-	if len(ss) == 0 {
-		return "", false
-	}
-	return ss[0], true
+	return p.Value.FirstString()
 }
 
 // Compatible returns the values of the node's compatible property.
@@ -440,6 +436,23 @@ func (n *Node) Compatible() []string {
 		return nil
 	}
 	return p.Value.Strings()
+}
+
+// FirstCompatible returns the first string of the node's compatible
+// property. Unlike Compatible it does not allocate.
+func (n *Node) FirstCompatible() (string, bool) {
+	p := n.Property("compatible")
+	if p == nil {
+		return "", false
+	}
+	return p.Value.FirstString()
+}
+
+// AnyCompatible reports whether match holds for some string of the
+// node's compatible property. Unlike Compatible it does not allocate.
+func (n *Node) AnyCompatible(match func(string) bool) bool {
+	p := n.Property("compatible")
+	return p != nil && p.Value.AnyString(match)
 }
 
 // SortedPropertyNames returns the node's property names sorted
@@ -575,6 +588,28 @@ func (v Value) Strings() []string {
 		}
 	}
 	return out
+}
+
+// FirstString returns the first string chunk. Unlike Strings it does
+// not allocate.
+func (v Value) FirstString() (string, bool) {
+	for i := range v.Chunks {
+		if c := &v.Chunks[i]; c.Kind == ChunkString {
+			return c.Str, true
+		}
+	}
+	return "", false
+}
+
+// AnyString reports whether match holds for some string chunk, tried
+// in order. Unlike Strings it does not allocate.
+func (v Value) AnyString(match func(string) bool) bool {
+	for i := range v.Chunks {
+		if c := &v.Chunks[i]; c.Kind == ChunkString && match(c.Str) {
+			return true
+		}
+	}
+	return false
 }
 
 // Bytes returns the concatenation of all byte chunks.

@@ -47,8 +47,8 @@ func InferFromDTS(tree *dts.Tree, opts InferOptions) (*Model, error) {
 	rootName := opts.RootName
 	if rootName == "" {
 		rootName = "CustomSBC"
-		if compat := tree.Root.Compatible(); len(compat) > 0 {
-			rootName = compat[0]
+		if compat, ok := tree.Root.FirstCompatible(); ok {
+			rootName = compat
 		}
 	}
 	root := &Feature{Name: rootName, Abstract: true, Group: GroupAnd}

@@ -86,13 +86,16 @@ type Select struct {
 // Matches reports whether the selector applies to the node.
 func (s Select) Matches(n *dts.Node) bool {
 	return s.NodeName != "" && n.BaseName() == s.NodeName ||
-		len(s.Compatible) > 0 && s.matchesCompatible(n.Compatible())
+		len(s.Compatible) > 0 && n.AnyCompatible(s.lists)
 }
+
+// lists reports whether the selector lists the compatible string c.
+func (s Select) lists(c string) bool { return slices.Contains(s.Compatible, c) }
 
 // matchesCompatible reports whether a compatible list intersects the
 // selector's.
 func (s Select) matchesCompatible(compatible []string) bool {
-	return slices.ContainsFunc(compatible, func(c string) bool { return slices.Contains(s.Compatible, c) })
+	return slices.ContainsFunc(compatible, s.lists)
 }
 
 // Schema is one binding schema.
@@ -289,18 +292,17 @@ func (sc *Schema) CheckProperty(dst []Violation, name string, v *dts.Value, orig
 		stride = 1
 	}
 	cells := v.Cells()
-	strs := v.Strings()
-	hasString := len(strs) > 0
+	str, hasString := v.FirstString()
 
 	// A string const needs a string; enum and pattern hold vacuously on
 	// a value without one.
-	if ps.Const != "" && (!hasString || strs[0] != ps.Const) {
+	if ps.Const != "" && (!hasString || str != ps.Const) {
 		fail("const", fmt.Sprintf("value does not match const %q", ps.Const))
 	}
 	if ps.ConstU32 != nil && (len(cells) == 0 || cells[0].Val != *ps.ConstU32) {
 		fail("const", fmt.Sprintf("cell value does not match const %d", *ps.ConstU32))
 	}
-	if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, strs[0]) {
+	if len(ps.Enum) > 0 && hasString && !slices.Contains(ps.Enum, str) {
 		fail("enum", fmt.Sprintf("value not in enum %v", ps.Enum))
 	}
 
@@ -340,8 +342,8 @@ func (sc *Schema) CheckProperty(dst []Violation, name string, v *dts.Value, orig
 			fail("flag", "expected an empty marker property")
 		}
 	}
-	if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(strs[0]) {
-		fail("pattern", fmt.Sprintf("value %q does not match pattern %s", strs[0], ps.Pattern))
+	if ps.Pattern != nil && hasString && !ps.Pattern.MatchString(str) {
+		fail("pattern", fmt.Sprintf("value %q does not match pattern %s", str, ps.Pattern))
 	}
 	return dst
 }

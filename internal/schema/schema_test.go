@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -446,5 +447,38 @@ maps:
 	first := maps[0].(map[string]yamlValue)
 	if first["name"] != "x" || first["v"] != int64(1) {
 		t.Errorf("maps[0] = %v", first)
+	}
+}
+
+// TestStringRulesDoNotAllocate gates the readers of string values at
+// zero allocations: selecting a schema by compatible tests membership
+// and the string rules read only the first string, so neither needs the
+// value's strings collected into a slice.
+func TestStringRulesDoNotAllocate(t *testing.T) {
+	tree := mustParseDTS(t, `/dts-v1/;
+/ {
+	uart@1000 { compatible = "vendor,uart", "ns16550a"; status = "okay"; };
+};
+`)
+	node := tree.Lookup("/uart@1000")
+	sel := Select{Compatible: []string{"ns16550a"}}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if !sel.Matches(node) {
+			t.Fatal("selector does not match the node's second compatible")
+		}
+	}); allocs != 0 {
+		t.Errorf("Select.Matches allocates %.0f times, want 0", allocs)
+	}
+	sc := &Schema{ID: "uart", Properties: map[string]*PropSchema{
+		"status": {Type: TypeString, Enum: []string{"okay", "disabled"}, Pattern: regexp.MustCompile(`^[a-z]+$`)},
+	}}
+	status := node.Property("status")
+	dst := make([]Violation, 0, 4)
+	if allocs := testing.AllocsPerRun(100, func() {
+		if vs := sc.CheckProperty(dst[:0], "status", &status.Value, status.Origin, 2, "/uart@1000"); len(vs) != 0 {
+			t.Fatalf("a valid status reports %v", vs)
+		}
+	}); allocs != 0 {
+		t.Errorf("CheckProperty of a string property allocates %.0f times, want 0", allocs)
 	}
 }

@@ -18,6 +18,7 @@ import (
 // set and the feature model. It is read-only once parsed (DESIGN.md
 // §8), so concurrent requests may share one.
 type frontEnd struct {
+	key    string // frontEndKey of the inputs, the pipeline's Identity
 	core   *dts.Tree
 	deltas *delta.Set
 	model  *featmodel.Model
@@ -33,29 +34,24 @@ type frontEnd struct {
 // parsed, and answered, anew every time. Two racing misses both parse;
 // either result is correct, and the later store is kept.
 type frontEndMemo struct {
-	last         atomic.Pointer[memoEntry]
+	last         atomic.Pointer[frontEnd]
 	hits, misses obs.Counter
-}
-
-type memoEntry struct {
-	key string
-	fe  frontEnd
 }
 
 // get returns the front end stored under key and counts the hit or
 // miss.
 func (m *frontEndMemo) get(key string) (frontEnd, bool) {
-	if e := m.last.Load(); e != nil && e.key == key {
+	if fe := m.last.Load(); fe != nil && fe.key == key {
 		m.hits.Inc()
-		return e.fe, true
+		return *fe, true
 	}
 	m.misses.Inc()
 	return frontEnd{}, false
 }
 
-// put replaces the memoised front end with fe under key.
-func (m *frontEndMemo) put(key string, fe frontEnd) {
-	m.last.Store(&memoEntry{key: key, fe: fe})
+// put replaces the memoised front end with fe, stored under fe.key.
+func (m *frontEndMemo) put(fe frontEnd) {
+	m.last.Store(&fe)
 }
 
 // registerMetrics exposes the memo's hit and miss counters on reg.
@@ -109,7 +105,7 @@ func (s *server) parseFrontEnd(req *CheckRequest) (frontEnd, int, error) {
 	if err != nil {
 		return frontEnd{}, http.StatusUnprocessableEntity, fmt.Errorf("feature model: %w", err)
 	}
-	fe := frontEnd{core: tree, deltas: deltas, model: model}
-	s.memo.put(key, fe)
+	fe := frontEnd{key: key, core: tree, deltas: deltas, model: model}
+	s.memo.put(fe)
 	return fe, http.StatusOK, nil
 }

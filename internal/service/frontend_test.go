@@ -107,11 +107,10 @@ func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
 	if status, reply := postCheck(t, svc, marshalBody(t, example)); status != http.StatusOK {
 		t.Fatalf("filling the memo: status %d: %s", status, reply)
 	}
-	entry := svc.srv.memo.last.Load()
-	if entry == nil {
+	fe := svc.srv.memo.last.Load()
+	if fe == nil {
 		t.Fatal("the memo holds nothing after a successful check")
 	}
-	fe := entry.fe
 	printed, origins, model := fe.core.Print(), fe.core.OriginDump(), fe.model.Format()
 
 	var bodies [][]byte

@@ -70,9 +70,10 @@ type Options struct {
 	// Limits bounds each pipeline run (solver budgets, delta op cap)
 	// and sets the per-request check parallelism.
 	Limits core.Limits
-	// CacheSize is the capacity (in trees) of the shared
-	// content-addressed check-result cache (0 = disabled). Hit, miss
-	// and eviction counters surface on GET /healthz.
+	// CacheSize is the capacity (in products) of the shared check
+	// cache, which keeps each product's record under what derives it
+	// (0 = disabled). Hit, miss and eviction counters surface on
+	// GET /healthz.
 	CacheSize int
 	// Degrade is retired with overload shedding: NewService accepts
 	// only "" and DegradeOff and rejects anything else. Overload
@@ -588,6 +589,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 		Model:     fe.model,
 		Schemas:   s.schemas,
 		VMConfigs: configs,
+		Identity:  fe.key,
 		Cache:     s.cache,
 		Metrics:   s.pipeMetrics,
 		Mode:      mode,
