@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -125,30 +126,18 @@ func cmdLint(args []string) error {
 		fmt.Println(w)
 		problems++
 	}
-	for _, v := range schema.StandardSet().Validate(tree) {
+	schemas := schema.StandardSet()
+	for _, v := range schemas.Validate(tree) {
 		fmt.Println(v)
 		problems++
 	}
 	if *semantic {
-		collisions, violations := constraints.NewSemanticChecker().Check(tree)
-		for _, c := range collisions {
-			fmt.Println(c)
-		}
-		problems += len(collisions)
-		for _, v := range violations {
-			if v.Rule == "semantic:regions" {
-				fmt.Println(v)
-				problems++
-			}
-		}
-		for _, v := range (constraints.InterruptChecker{}).Check(tree) {
+		// No deadline, so the families always run to the end.
+		vs, _ := constraints.CheckFamilies(context.Background(), constraints.SemanticFamilies, schemas, &constraints.TreeFacts{Tree: tree})
+		for _, v := range vs {
 			fmt.Println(v)
-			problems++
 		}
-		for _, v := range (constraints.MemReserveChecker{}).Check(tree) {
-			fmt.Println(v)
-			problems++
-		}
+		problems += len(vs)
 	}
 	if problems > 0 {
 		return fmt.Errorf("%d problem(s)", problems)

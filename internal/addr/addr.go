@@ -175,19 +175,6 @@ func (r Region) String() string {
 	return fmt.Sprintf("%s[%d] 0x%x+0x%x", r.Path, r.Index, r.Base, r.Size)
 }
 
-// CollectOption configures CollectRegions.
-type CollectOption func(*collector)
-
-// WithDeviceFilter restricts device-region collection to nodes for
-// which keep returns true (memory regions are always collected).
-func WithDeviceFilter(keep func(n *dts.Node) bool) CollectOption {
-	return func(c *collector) { c.keep = keep }
-}
-
-type collector struct {
-	keep func(n *dts.Node) bool
-}
-
 // RangeEntry is one (child base, parent base, size) translation entry
 // of a ranges property.
 type RangeEntry struct {
@@ -303,11 +290,7 @@ func DecodeReg(dst []Region, path string, cells []uint32, addrCells, sizeCells i
 // addresses translated to the root address space (Translator.Through).
 // Every decoding problem is returned, in walk order, joined by
 // errors.Join; each is a *DecodeError naming the offending node.
-func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
-	var c collector
-	for _, o := range opts {
-		o(&c)
-	}
+func CollectRegions(t *dts.Tree) ([]Region, error) {
 	var out []Region
 	var errs []error
 
@@ -317,12 +300,9 @@ func CollectRegions(t *dts.Tree, opts ...CollectOption) ([]Region, error) {
 		for _, n := range parent.Children {
 			childPath := path + "/" + n.Name
 			if reg := n.Property("reg"); reg != nil && sc > 0 {
-				kind := nodeKind(n)
-				if kind == KindMemory || c.keep == nil || c.keep(n) {
-					var regErrs []error
-					out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, kind, reg.Origin)
-					errs = append(errs, regErrs...)
-				}
+				var regErrs []error
+				out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, nodeKind(n), reg.Origin)
+				errs = append(errs, regErrs...)
 			}
 			childTr := tr
 			if p := n.Property("ranges"); p != nil {

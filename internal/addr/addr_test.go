@@ -207,20 +207,6 @@ func TestCollectRegions(t *testing.T) {
 	}
 }
 
-func TestCollectRegionsDeviceFilter(t *testing.T) {
-	tree, _ := dts.Parse("c.dts", collectDTS)
-	regions, err := CollectRegions(tree, WithDeviceFilter(func(n *dts.Node) bool {
-		return n.BaseName() == "uart"
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// memory always collected (2 banks) + uart; timer filtered out
-	if len(regions) != 3 {
-		t.Fatalf("regions = %v, want 3", regions)
-	}
-}
-
 func TestCollectRegionsArityError(t *testing.T) {
 	src := `
 /dts-v1/;

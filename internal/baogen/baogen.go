@@ -86,10 +86,11 @@ type Facts struct {
 	PlatformErr error
 }
 
-// FactsFromTree extracts a product's facts in both roles from one walk
-// over its address regions.
-func FactsFromTree(tree *dts.Tree) Facts {
-	regions, err := addr.CollectRegions(tree)
+// FactsFromRegions extracts a product's facts in both roles from its
+// tree and the tree's address regions and their decoding error
+// (addr.CollectRegions), already collected: a checked product reuses
+// the walk its semantic family made.
+func FactsFromRegions(tree *dts.Tree, regions []addr.Region, err error) Facts {
 	var f Facts
 	f.VM, f.VMErr = vmFromRegions(tree, regions, err)
 	f.Platform, f.PlatformErr = platformFromRegions(tree, regions, err)
@@ -156,7 +157,7 @@ func platformFromRegions(tree *dts.Tree, regions []addr.Region, regionsErr error
 }
 
 // A VMError reports a VM product that yields no configuration.
-// FactsFromTree records it with VM empty, since a product knows no
+// FactsFromRegions records it with VM empty, since a product knows no
 // name; Named fills it in.
 type VMError struct {
 	VM     string

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"llhsc/internal/addr"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
@@ -283,6 +284,12 @@ func TestRenderSizeEstimatesCoverWidestFields(t *testing.T) {
 	}
 }
 
+// factsOf extracts a tree's facts from a fresh region walk.
+func factsOf(tree *dts.Tree) Facts {
+	regions, err := addr.CollectRegions(tree)
+	return FactsFromRegions(tree, regions, err)
+}
+
 // TestFactsMatchBothExtractions: a product's facts, extracted once for
 // both roles, equal what VMFromTree and PlatformFromTree extract, once
 // named; and an error, named, says what each extraction says.
@@ -307,7 +314,7 @@ func TestFactsMatchBothExtractions(t *testing.T) {
 		"no cpus":   dts.NewTree(),
 	}
 	for name, tree := range trees {
-		f := FactsFromTree(tree)
+		f := factsOf(tree)
 		wantVM, wantVMErr := VMFromTree(name, tree)
 		gotVM, gotVMErr := f.NamedVM(name)
 		if !reflect.DeepEqual(gotVM, wantVM) || fmt.Sprint(gotVMErr) != fmt.Sprint(wantVMErr) {
@@ -322,7 +329,7 @@ func TestFactsMatchBothExtractions(t *testing.T) {
 				name, f.Platform, f.PlatformErr, wantPlatform, wantPlatformErr)
 		}
 	}
-	f := FactsFromTree(noMem)
+	f := factsOf(noMem)
 	if _, err := f.NamedVM("vm7"); err == nil || err.Error() != "baogen: VM vm7 has no memory regions" {
 		t.Errorf("named error = %v", err)
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -326,13 +327,9 @@ func DetectionMatrix() ([]Detection, error) {
 
 		det.Baseline = len(schema.StandardSet().Validate(tree)) > 0
 
-		// llhsc: syntactic + semantic + extension + dependency checks
-		syn := constraints.NewSyntacticChecker(schema.StandardSet())
-		vs := syn.Check(tree)
-		_, sem := constraints.NewSemanticChecker().Check(tree)
-		vs = append(vs, sem...)
-		vs = append(vs, constraints.InterruptChecker{}.Check(tree)...)
-		vs = append(vs, constraints.MemReserveChecker{}.Check(tree)...)
+		// llhsc: every per-tree family, plus the dependency check. No
+		// deadline, so the families always run to the end.
+		vs, _ := constraints.CheckFamilies(context.Background(), constraints.Families[:], schema.StandardSet(), &constraints.TreeFacts{Tree: tree})
 		vs = append(vs, checkNodeDependencies(tree, model)...)
 		det.LLHSC = len(vs) > 0
 		out = append(out, det)

@@ -80,23 +80,11 @@ func measureLiftedPoint(cpus, uarts, rounds int) (LiftedPoint, error) {
 			if err != nil {
 				return point, fmt.Errorf("bench: apply %v: %w", p, err)
 			}
-			syn, err := constraints.NewSyntacticChecker(pipeline.Schemas).CheckContext(ctx, tree)
+			vs, err := constraints.CheckFamilies(ctx, constraints.Families[:], pipeline.Schemas, &constraints.TreeFacts{Tree: tree})
 			if err != nil {
 				return point, err
 			}
-			_, sem, err := constraints.NewSemanticChecker().CheckContext(ctx, tree)
-			if err != nil {
-				return point, err
-			}
-			irq, err := constraints.InterruptChecker{}.CheckContext(ctx, tree)
-			if err != nil {
-				return point, err
-			}
-			mem, err := constraints.MemReserveChecker{}.CheckContext(ctx, tree)
-			if err != nil {
-				return point, err
-			}
-			violations += len(syn) + len(sem) + len(irq) + len(mem)
+			violations += len(vs)
 		}
 		elapsed := time.Since(start).Seconds() * 1000
 		if r == 0 || elapsed < point.EnumMillis {

@@ -6,6 +6,7 @@ import (
 
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
+	"llhsc/internal/schema"
 )
 
 // InterruptChecker is the interrupt-uniqueness extension mentioned in
@@ -33,8 +34,16 @@ func (ic InterruptChecker) Check(tree *dts.Tree) []Violation {
 // enumeration short, and the violations found so far are still
 // returned.
 func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
+	out, st, err := checkInterrupt(ctx, nil, &TreeFacts{Tree: tree})
+	st.addCounts(ic.Stats)
+	return out, err
+}
+
+// checkInterrupt is the interrupt family over one tree's facts: one
+// claim per interrupts cell, compared pairwise.
+func checkInterrupt(ctx context.Context, _ *schema.Set, t *TreeFacts) ([]Violation, SemanticStats, error) {
 	var claims []irqClaim
-	tree.Root.Walk(func(path string, n *dts.Node) bool {
+	t.Tree.Root.Walk(func(path string, n *dts.Node) bool {
 		if p := n.Property("interrupts"); p != nil {
 			claims = appendIRQClaims(claims, path, &p.Value, 0, p.Origin)
 		}
@@ -42,11 +51,7 @@ func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 	})
 	var out []Violation
 	pairs, err := interruptRule(ctx, claims, collect(&out))
-	if ic.Stats != nil {
-		ic.Stats.Pairs += pairs
-		ic.Stats.WordDecided += pairs
-	}
-	return out, err
+	return out, SemanticStats{Pairs: pairs, WordDecided: pairs}, err
 }
 
 // irqClaim is a guarded interrupt fact: the node at path claims line

@@ -10,6 +10,7 @@ package constraints
 // agree exactly.
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -321,6 +322,159 @@ func TestLiftedMatchesEnumerativeConform(t *testing.T) {
 			t.Fatalf("seed %d: deltas do not parse: %v", seed, err)
 		}
 		crossValidate(t, "conform-"+string(rune('0'+seed%10))+"-seed", core, set, model, schema.StandardSet())
+		cases++
+	}
+	if cases < 20 {
+		t.Fatalf("only %d conform corpora ran; generator drift?", cases)
+	}
+}
+
+// perProductKey is one violation as the per-product comparison sees it:
+// the family that reported it and every field but the origin's
+// position.
+type perProductKey struct {
+	family, path, property, rule, message, delta string
+}
+
+func perProductKeyOf(family string, v Violation) perProductKey {
+	return perProductKey{family, v.Path, v.Property, v.Rule, v.Message, v.Origin.Delta}
+}
+
+// restrictModel returns model with every feature fixed to its value in
+// cfg, so that cfg is its one valid configuration.
+func restrictModel(t *testing.T, model *featmodel.Model, cfg featmodel.Configuration) *featmodel.Model {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString(model.Format())
+	for _, name := range model.Names() {
+		b.WriteString("constraint ")
+		if !cfg[name] {
+			b.WriteString("!")
+		}
+		b.WriteString(name + "\n")
+	}
+	restricted, err := featmodel.ParseModel("restricted.fm", b.String())
+	if err != nil {
+		t.Fatalf("restrict model to %v: %v", cfg.Sorted(), err)
+	}
+	return restricted
+}
+
+// perProductValidate checks the product line one configuration at a
+// time: for every valid configuration c, the lifted check under the
+// model restricted to c must report exactly the violations the
+// per-tree families (Families) report on the product derived for c,
+// and an apply finding exactly when deriving c fails. This is the
+// product check as the lifted check restricted to one configuration,
+// stronger than crossValidate's comparison of unions over all products.
+func perProductValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, model *featmodel.Model, schemas *schema.Set) {
+	t.Helper()
+	products, complete := featmodel.NewAnalyzer(model).EnumerateProducts(0)
+	if !complete || len(products) == 0 {
+		t.Fatalf("%s: product enumeration incomplete or empty", label)
+	}
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatalf("%s: lift: %v", label, err)
+	}
+	for _, p := range products {
+		cfg := featmodel.ConfigOf(p...)
+		lc := NewLiftedChecker(restrictModel(t, model, cfg), schemas)
+		findings, err := lc.CheckContext(t.Context(), lifted)
+		if err != nil {
+			t.Fatalf("%s %v: lifted check: %v", label, p, err)
+		}
+		got := make(map[perProductKey]bool)
+		applyFindings := 0
+		for _, f := range findings {
+			if f.Family == "apply" {
+				applyFindings++
+				continue
+			}
+			family := f.Family
+			if family == "schema" {
+				family = "syntactic" // the lifted name of the syntactic family
+			}
+			got[perProductKeyOf(family, f.Violation)] = true
+		}
+
+		tree, _, aerr := set.Apply(core, cfg)
+		if (aerr != nil) != (applyFindings > 0) {
+			t.Errorf("%s %v: Apply error %v, but %d lifted apply findings", label, p, aerr, applyFindings)
+		}
+		if aerr != nil {
+			continue // no product to check
+		}
+		want := make(map[perProductKey]bool)
+		facts := &TreeFacts{Tree: tree}
+		for _, fam := range Families {
+			vs, _, err := fam.Check(t.Context(), schemas, facts)
+			if err != nil {
+				t.Fatalf("%s %v: %s family: %v", label, p, fam.Name, err)
+			}
+			for _, v := range vs {
+				want[perProductKeyOf(fam.Name, v)] = true
+			}
+		}
+		for k := range want {
+			if !got[k] {
+				t.Errorf("%s %v: enumerative violation missing from the restricted lifted check: %+v", label, p, k)
+			}
+		}
+		for k := range got {
+			if !want[k] {
+				t.Errorf("%s %v: restricted lifted finding not reported by the per-tree families: %+v", label, p, k)
+			}
+		}
+	}
+}
+
+// TestLiftedMatchesEnumerativePerProduct runs perProductValidate over
+// the running example, the E6 corpus (d4 omitted) and the conform seeds
+// of TestLiftedMatchesEnumerativeConform.
+func TestLiftedMatchesEnumerativePerProduct(t *testing.T) {
+	core, err := runningexample.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := runningexample.Deltas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := runningexample.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perProductValidate(t, "running-example", core, set, model, schema.StandardSet())
+
+	var kept []*delta.Delta
+	for _, d := range set.Deltas {
+		if d.Name != "d4" {
+			kept = append(kept, d)
+		}
+	}
+	e6, err := delta.NewSet(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perProductValidate(t, "e6", core, e6, model, schema.StandardSet())
+
+	model = conformModel(t)
+	cases := 0
+	for seed := int64(0); seed < 30; seed++ {
+		c := conform.GenerateCase(seed)
+		if c.Deltas == "" {
+			continue
+		}
+		core, err := conform.ParseOracle("gen.dts", c.Source)
+		if err != nil {
+			t.Fatalf("seed %d: core does not parse: %v", seed, err)
+		}
+		set, err := delta.Parse("gen.deltas", c.Deltas)
+		if err != nil {
+			t.Fatalf("seed %d: deltas do not parse: %v", seed, err)
+		}
+		perProductValidate(t, fmt.Sprintf("conform seed %d", seed), core, set, model, schema.StandardSet())
 		cases++
 	}
 	if cases < 20 {

@@ -8,6 +8,7 @@ import (
 	"llhsc/internal/addr"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
+	"llhsc/internal/schema"
 )
 
 // MemReserveChecker validates /memreserve/ entries against the memory
@@ -43,24 +44,30 @@ func (mc MemReserveChecker) Check(tree *dts.Tree) []Violation {
 // per pair; a non-nil error (a *sat.LimitError) means cancellation cut
 // the checks short, and the violations found so far are still returned.
 func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
-	if len(tree.MemReserves) == 0 {
-		return nil, nil
+	out, st, err := checkMemReserve(ctx, nil, &TreeFacts{Tree: tree})
+	st.addCounts(mc.Stats)
+	return out, err
+}
+
+// checkMemReserve is the memreserve family over one tree's facts. The
+// banks are the memory regions of the tree's one region walk, in walk
+// order, as the lifted checker filters its own.
+func checkMemReserve(ctx context.Context, _ *schema.Set, t *TreeFacts) ([]Violation, SemanticStats, error) {
+	var st SemanticStats
+	if len(t.Tree.MemReserves) == 0 {
+		return nil, st, nil
 	}
-	width := addr.BitWidth(tree.Root.AddressCells())
-	memoryOnly := addr.WithDeviceFilter(func(*dts.Node) bool { return false })
-	regions, _ := addr.CollectRegions(tree, memoryOnly)
-	banks := make([]guardedRegion, 0, len(regions))
+	regions, _ := t.Regions()
+	var banks []guardedRegion
 	for _, r := range regions {
-		banks = append(banks, guardedRegion{reg: r})
+		if r.Kind == addr.KindMemory {
+			banks = append(banks, guardedRegion{reg: r})
+		}
 	}
 	var out []Violation
-	var st SemanticStats
-	err := memReserveRule(ctx, tree.MemReserves, banks, width, 0, collect(&out), &st)
-	if mc.Stats != nil {
-		mc.Stats.Pairs += st.Pairs
-		mc.Stats.WordDecided += st.WordDecided
-	}
-	return out, err
+	width := addr.BitWidth(t.Tree.Root.AddressCells())
+	err := memReserveRule(ctx, t.Tree.MemReserves, banks, width, 0, collect(&out), &st)
+	return out, st, err
 }
 
 // memReserveRule is the /memreserve/ rule of both checking modes at one

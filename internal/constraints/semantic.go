@@ -115,14 +115,20 @@ func (sc *SemanticChecker) Check(tree *dts.Tree) ([]Collision, []Violation) {
 // *sat.LimitError) means cancellation cut the search short;
 // collisions and violations found up to that point are still returned.
 func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Collision, []Violation, error) {
-	regions, err := addr.CollectRegions(tree)
+	return sc.check(ctx, &TreeFacts{Tree: tree})
+}
+
+// check is the semantic family over one tree's facts: the regions'
+// decoding problems, then the collisions between them.
+func (sc *SemanticChecker) check(ctx context.Context, t *TreeFacts) ([]Collision, []Violation, error) {
+	regions, err := t.Regions()
 	var violations []Violation
 	if err != nil { // errors.Join of every decoding problem
 		for _, e := range err.(interface{ Unwrap() []error }).Unwrap() {
 			violations = append(violations, regionsViolation(e))
 		}
 	}
-	collisions, cerr := sc.FindCollisionsContext(ctx, regions, addr.BitWidth(tree.Root.AddressCells()))
+	collisions, cerr := sc.FindCollisionsContext(ctx, regions, addr.BitWidth(t.Tree.Root.AddressCells()))
 	for _, c := range collisions {
 		violations = append(violations, c.Violations()...)
 	}

@@ -18,8 +18,14 @@
 //     The interrupt-uniqueness and /memreserve/ extensions are decided
 //     the same way, against their own test-only SMT oracles.
 //
+// Enumerative checking runs one table of per-tree families, Families,
+// in report order; every caller loops over it. Each family reads one
+// TreeFacts, whose region walk is made once and shared, as
+// LiftedChecker's one region collection serves its families. The
+// checker types are thin entry points over the table's functions.
+//
 // The overlap, interrupt and memreserve rules are each written once,
-// over guarded facts, and serve both the enumerative checkers and
+// over guarded facts, and serve both the enumerative families and
 // LiftedChecker (guarded.go). The schema rules are written once in
 // schema.Schema.Check and serve the baseline and SyntacticChecker;
 // LiftedChecker calls its two parts, Missing and CheckProperty, one
@@ -34,9 +40,10 @@
 // Checker values are cheap façades, and no checker builds an SMT
 // solver. The per-tree checks are evaluation and word arithmetic over
 // the call's own stack, so a checker value may be used from multiple
-// goroutines. Two exceptions hold state on the value and need one per
-// goroutine: SemanticChecker keeps LastStats, and LiftedChecker owns
-// one incremental SAT session per CheckContext call. Schema sets and
+// goroutines. Three exceptions hold state and need one per goroutine:
+// SemanticChecker keeps LastStats, a TreeFacts keeps its regions once
+// collected, and LiftedChecker owns one incremental SAT session per
+// CheckContext call. Schema sets and
 // parsed trees are read-only during checking and safe to share.
 package constraints
 

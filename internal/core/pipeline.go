@@ -10,8 +10,8 @@
 // Products are independent, so the pipeline checks them concurrently:
 // each VM (and the platform union) is derived and checked by its own
 // worker on a pool bounded by Limits.Parallelism. That pool is the only
-// fan-out: a worker runs one tree's checker families (syntactic,
-// semantic, memreserve, interrupt) one after another. Every worker
+// fan-out: a worker runs one tree's checker families
+// (constraints.Families) one after another. Every worker
 // builds its own checkers and writes into a pre-sized report slot, so
 // the Report is byte-identical to a serial run regardless of
 // scheduling. An optional cache (internal/checkcache) keeps each
@@ -606,15 +606,19 @@ func (p *Pipeline) deriveProduct(ctx context.Context, st *runState, cfg featmode
 		return nil, nil, deriveError{err}
 	}
 	rec := &productRecord{trace: trace, dts: tree.Print()}
+	facts := &constraints.TreeFacts{Tree: tree}
 	// In lifted mode the session already discharged every family for
 	// the whole product line, which includes this product.
 	if p.Mode != ModeLifted {
-		if rec.violations, err = p.checkTree(ctx, st, tree, span); err != nil {
+		if rec.violations, err = p.checkTree(ctx, st, facts, span); err != nil {
 			return nil, nil, err
 		}
 	}
 	if len(rec.violations) == 0 {
-		rec.facts = baogen.FactsFromTree(tree)
+		// The semantic family's region walk, or the first one in lifted
+		// mode.
+		regions, rerr := facts.Regions()
+		rec.facts = baogen.FactsFromRegions(tree, regions, rerr)
 	}
 	return rec, tree, nil
 }
@@ -651,46 +655,14 @@ func (p *Pipeline) violationsOf(rec *productRecord) []constraints.Violation {
 	return append(make([]constraints.Violation, 0, len(rec.violations)), rec.violations...)
 }
 
-// checkerFamily is one per-tree checker family: a name (the span
-// label, stats key and /metrics family label) and the check that
-// returns the family's violations over one tree plus its solver-work
-// summary.
-type checkerFamily struct {
-	name  string
-	check func(*Pipeline, context.Context, *dts.Tree) ([]constraints.Violation, FamilyStats, error)
-}
-
-// checkerFamilies lists the per-tree families in the report's merge
-// order.
-var checkerFamilies = [...]checkerFamily{
-	{"syntactic", func(p *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
-		vs, err := constraints.NewSyntacticChecker(p.Schemas).CheckContext(ctx, tree)
-		return vs, FamilyStats{Checks: 1}, err
-	}},
-	{"semantic", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
-		sem := constraints.NewSemanticChecker()
-		_, vs, err := sem.CheckContext(ctx, tree)
-		return vs, familyStatsFrom(sem.LastStats()), err
-	}},
-	{"memreserve", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
-		var fst constraints.SemanticStats
-		vs, err := constraints.MemReserveChecker{Stats: &fst}.CheckContext(ctx, tree)
-		return vs, familyStatsFrom(fst), err
-	}},
-	{"interrupt", func(_ *Pipeline, ctx context.Context, tree *dts.Tree) ([]constraints.Violation, FamilyStats, error) {
-		var fst constraints.SemanticStats
-		vs, err := constraints.InterruptChecker{Stats: &fst}.CheckContext(ctx, tree)
-		return vs, familyStatsFrom(fst), err
-	}},
-}
-
-// checkTree runs the checker families over one tree, one after another
-// on the calling goroutine, and merges their violations in family
-// order. It stops at the first family that fails.
-func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
+// checkTree runs the per-tree families (constraints.Families) over
+// one tree's facts, one after another on the calling goroutine, and
+// merges their violations in family order. It stops at the first
+// family that fails.
+func (p *Pipeline) checkTree(ctx context.Context, st *runState, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
 	var out []constraints.Violation
-	for _, f := range checkerFamilies {
-		vs, err := p.runFamily(ctx, st, f, tree, span)
+	for i := range constraints.Families {
+		vs, err := p.runFamily(ctx, st, &constraints.Families[i], facts, span)
 		out = append(out, vs...)
 		if err != nil {
 			return out, err
@@ -701,21 +673,22 @@ func (p *Pipeline) checkTree(ctx context.Context, st *runState, tree *dts.Tree, 
 
 // runFamily executes one family under a child span of span, records its
 // stats and annotates the span with the family's solver work.
-func (p *Pipeline) runFamily(ctx context.Context, st *runState, f checkerFamily, tree *dts.Tree, span *obs.Span) ([]constraints.Violation, error) {
+func (p *Pipeline) runFamily(ctx context.Context, st *runState, f *constraints.Family, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
 	var fspan *obs.Span
 	if span != nil {
-		fspan = span.StartChild("family:" + f.name)
+		fspan = span.StartChild("family:" + f.Name)
 		defer fspan.End()
 	}
 	var t0 time.Time
 	if p.Metrics != nil {
 		t0 = time.Now()
 	}
-	vs, fs, err := f.check(p, ctx, tree)
+	vs, sst, err := f.Check(ctx, p.Schemas, facts)
+	fs := familyStatsFrom(sst)
 	if p.Metrics != nil {
-		p.Metrics.observeFamily(f.name, familyTier(fs), time.Since(t0).Seconds())
+		p.Metrics.observeFamily(f.Name, familyTier(fs), time.Since(t0).Seconds())
 	}
-	st.addFamily(f.name, fs)
+	st.addFamily(f.Name, fs)
 	if fspan != nil {
 		fspan.SetInt("violations", uint64(len(vs)))
 		if fs.SolverCalls > 0 {

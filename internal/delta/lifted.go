@@ -551,41 +551,3 @@ func (lt *LiftedTree) ActiveConflicts(cfg featmodel.Configuration) []LiftedConfl
 	}
 	return out
 }
-
-// Dump renders the merged tree — structure, guards, values, origins,
-// conflicts and application order — as deterministic text. The check
-// cache folds this into its content address for lifted runs: two
-// product lines whose merged trees dump identically have identical
-// lifted findings.
-func (lt *LiftedTree) Dump() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "order %q\n", lt.Order)
-	for _, mr := range lt.MemReserves {
-		fmt.Fprintf(&b, "memreserve 0x%x 0x%x\n", mr.Address, mr.Size)
-	}
-	cond := func(e *featmodel.Expr) string {
-		if e == nil {
-			return "-"
-		}
-		return e.String()
-	}
-	lt.Root.Walk(func(path string, n *LiftedNode) bool {
-		fmt.Fprintf(&b, "node %q cond %q origin %q\n", path, cond(n.Cond), n.Origin.String())
-		for _, l := range n.Labels {
-			fmt.Fprintf(&b, "  label %q cond %q\n", l.Label, cond(l.Cond))
-		}
-		for _, p := range n.Props {
-			fmt.Fprintf(&b, "  prop %q\n", p.Name)
-			for _, v := range p.Variants {
-				fmt.Fprintf(&b, "    variant cond %q value %q origin %q\n",
-					cond(v.Cond), dts.FormatValue(v.Value), v.Origin.String())
-			}
-		}
-		return true
-	})
-	for _, c := range lt.Conflicts {
-		fmt.Fprintf(&b, "conflict cond %q delta %q loc %q msg %q\n",
-			cond(c.Cond), c.Delta, c.Location, c.Msg)
-	}
-	return b.String()
-}

@@ -717,9 +717,10 @@ type LintRequest struct {
 	// Preprocess runs the DTS through the cpp-style preprocessor
 	// before linting, as for /check.
 	Preprocess bool `json:"preprocess,omitempty"`
-	// Semantic enables the overlap/interrupt/memreserve checks (word
-	// arithmetic, held to their SMT encodings by test oracles) in
-	// addition to the structural baseline.
+	// Semantic enables the semantic families, in table order
+	// (constraints.SemanticFamilies: regions and overlap, memreserve,
+	// interrupt; word arithmetic, held to their SMT encodings by test
+	// oracles), in addition to the structural baseline.
 	Semantic bool `json:"semantic"`
 }
 
@@ -728,7 +729,7 @@ type LintResponse struct {
 	OK         bool        `json:"ok"`
 	Warnings   []string    `json:"warnings,omitempty"`   // dtc-style lint
 	Structural []Violation `json:"structural,omitempty"` // dt-schema baseline
-	Semantic   []Violation `json:"semantic,omitempty"`   // overlap/interrupt/memreserve checks
+	Semantic   []Violation `json:"semantic,omitempty"`   // the semantic families, in table order
 }
 
 func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
@@ -762,25 +763,12 @@ func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	if req.Semantic {
-		ctx := r.Context()
-		_, semViolations, err := constraints.NewSemanticChecker().CheckContext(ctx, tree)
+		vs, err := constraints.CheckFamilies(r.Context(), constraints.SemanticFamilies, s.schemas, &constraints.TreeFacts{Tree: tree})
 		if err != nil {
 			writeLimitError(w, r, err)
 			return
 		}
-		irq, err := constraints.InterruptChecker{}.CheckContext(ctx, tree)
-		if err != nil {
-			writeLimitError(w, r, err)
-			return
-		}
-		mr, err := constraints.MemReserveChecker{}.CheckContext(ctx, tree)
-		if err != nil {
-			writeLimitError(w, r, err)
-			return
-		}
-		semViolations = append(semViolations, irq...)
-		semViolations = append(semViolations, mr...)
-		resp.Semantic = toViolations(semViolations)
+		resp.Semantic = toViolations(vs)
 	}
 	resp.OK = len(resp.Warnings) == 0 && len(resp.Structural) == 0 && len(resp.Semantic) == 0
 	writeJSON(w, http.StatusOK, resp)
