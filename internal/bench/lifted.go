@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"llhsc/internal/constraints"
+	"llhsc/internal/delta"
 	"llhsc/internal/featmodel"
 )
 
@@ -95,8 +96,14 @@ func measureLiftedPoint(cpus, uarts, rounds int) (LiftedPoint, error) {
 
 	// ---- lifted arm: one merged tree, one solver session ----
 	for r := 0; r < rounds; r++ {
+		// A Set keeps its last lift; a fresh one per round times the
+		// lift every round, as the enumerative arm derives every round.
+		set, err := delta.NewSet(pipeline.Deltas.Deltas)
+		if err != nil {
+			return point, err
+		}
 		start := time.Now()
-		lt, err := pipeline.Deltas.Lift(pipeline.Core)
+		lt, err := set.Lift(pipeline.Core)
 		if err != nil {
 			return point, fmt.Errorf("bench: lift: %w", err)
 		}

@@ -327,6 +327,47 @@ func projectVariants(pe *featmodel.PresenceEncoder, vs []*delta.LiftedVariant) [
 	return append(opts, valueOption{cond: laterNeg}) // absent
 }
 
+// originOptions is projectVariants for a node's origin history: one
+// option per creation i and per event j from i on that is i itself or
+// an edit, holding where i is the last creation whose guard holds and j
+// the last event whose guard holds, with i's position and j's delta.
+// The options carry no value. The first event is an unconditional
+// creation, so exactly one option holds wherever the node is present,
+// and there are at most creations × events options.
+func originOptions(pe *featmodel.PresenceEncoder, os []delta.LiftedOrigin) []valueOption {
+	var opts []valueOption
+	var laterCreations featmodel.Guard // ∧ ¬cond of every creation after i
+	for i := len(os) - 1; i >= 0; i-- {
+		if os[i].Edit {
+			continue
+		}
+		gi := pe.Guard(os[i].Cond)
+		created := pe.And(gi, laterCreations)
+		var laterEdits featmodel.Guard // ∧ ¬cond of every edit after j
+		shadowed := false
+		for j := len(os) - 1; j > i && !shadowed; j-- {
+			if !os[j].Edit {
+				continue
+			}
+			gj := pe.Guard(os[j].Cond)
+			o := os[i].Origin
+			o.Delta = os[j].Origin.Delta
+			opts = append(opts, valueOption{cond: pe.And(created, pe.And(gj, laterEdits)), origin: o})
+			if shadowed = gj == 0; !shadowed {
+				laterEdits = pe.And(laterEdits, pe.Not(gj))
+			}
+		}
+		if !shadowed {
+			opts = append(opts, valueOption{cond: pe.And(created, laterEdits), origin: os[i].Origin})
+		}
+		if gi == 0 {
+			break
+		}
+		laterCreations = pe.And(laterCreations, pe.Not(gi))
+	}
+	return opts
+}
+
 // alwaysAbsent is the option list of a property no variant writes.
 var alwaysAbsent = []valueOption{{}}
 
@@ -665,8 +706,14 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, strides []cellO
 					if o.value != nil {
 						continue
 					}
-					if g := pe.And(sg, o.cond); r.reachable(g) {
-						r.emitWith(g, "schema", schemaViolation(sc.Missing(req, path, n.Origin)))
+					g := pe.And(sg, o.cond)
+					if !r.reachable(g) {
+						continue
+					}
+					for _, no := range originOptions(pe, n.Origins) {
+						if og := pe.And(g, no.cond); r.reachable(og) {
+							r.emitWith(og, "schema", schemaViolation(sc.Missing(req, path, no.origin)))
+						}
 					}
 				}
 			}

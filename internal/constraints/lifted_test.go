@@ -430,8 +430,10 @@ func perProductValidate(t *testing.T, label string, core *dts.Tree, set *delta.S
 }
 
 // TestLiftedMatchesEnumerativePerProduct runs perProductValidate over
-// the running example, the E6 corpus (d4 omitted) and the conform seeds
-// of TestLiftedMatchesEnumerativeConform.
+// the running example, the E6 corpus (d4 omitted), the conform seeds of
+// TestLiftedMatchesEnumerativeConform and TestLiftedSchemaPerProperty's
+// 128 products, where the deltas that edit /soc/strict@100 decide which
+// one a required-property miss blames.
 func TestLiftedMatchesEnumerativePerProduct(t *testing.T) {
 	core, err := runningexample.Tree()
 	if err != nil {
@@ -458,6 +460,11 @@ func TestLiftedMatchesEnumerativePerProduct(t *testing.T) {
 		t.Fatal(err)
 	}
 	perProductValidate(t, "e6", core, e6, model, schema.StandardSet())
+
+	spCore, spSet, spModel, spSchemas := schemaPerPropertyLine(t)
+	perProductValidate(t, "schema-per-property", spCore, spSet, spModel, spSchemas)
+	rcCore, rcSet, rcModel := recreatedLine(t, 4)
+	perProductValidate(t, "recreated", rcCore, rcSet, rcModel, spSchemas)
 
 	model = conformModel(t)
 	cases := 0
@@ -992,17 +999,10 @@ func TestRegionErrorsReportedPerNode(t *testing.T) {
 	}
 }
 
-// TestLiftedSchemaPerProperty cross-validates the lifted schema family
-// by brute force on a node whose properties vary independently under
-// seven optional features: 2^7 = 128 option combinations, which a check
-// that enumerated every combination would have to cap. Every feature
-// writes or removes one property of /soc/strict@100; fwide also widens
-// /soc's #address-cells, so the reg-like rules of strict@100's and
-// clk@200's reg are crossed with the parent's cell options. clk@200's
-// compatible option switches its schema from ns16550a.yaml to
-// veth.yaml. The differential schemas reach additional, integer and
-// string const, pattern, enum, required, arity and minItems.
-func TestLiftedSchemaPerProperty(t *testing.T) {
+// schemaPerPropertyLine is TestLiftedSchemaPerProperty's product line:
+// its core, deltas, feature model and the differential schemas.
+func schemaPerPropertyLine(t *testing.T) (*dts.Tree, *delta.Set, *featmodel.Model, *schema.Set) {
+	t.Helper()
 	core, err := conform.ParseOracle("core.dts", `/dts-v1/;
 / {
 	#address-cells = <1>;
@@ -1102,7 +1102,21 @@ feature root abstract {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schemas := &schema.Set{Schemas: differentialSchemas(t)}
+	return core, set, model, &schema.Set{Schemas: differentialSchemas(t)}
+}
+
+// TestLiftedSchemaPerProperty cross-validates the lifted schema family
+// by brute force on a node whose properties vary independently under
+// seven optional features: 2^7 = 128 option combinations, which a check
+// that enumerated every combination would have to cap. Every feature
+// writes or removes one property of /soc/strict@100; fwide also widens
+// /soc's #address-cells, so the reg-like rules of strict@100's and
+// clk@200's reg are crossed with the parent's cell options. clk@200's
+// compatible option switches its schema from ns16550a.yaml to
+// veth.yaml. The differential schemas reach additional, integer and
+// string const, pattern, enum, required, arity and minItems.
+func TestLiftedSchemaPerProperty(t *testing.T) {
+	core, set, model, schemas := schemaPerPropertyLine(t)
 	crossValidate(t, "schema-per-property", core, set, model, schemas)
 
 	lifted, err := set.Lift(core)
@@ -1135,5 +1149,62 @@ feature root abstract {
 		if !found {
 			t.Errorf("no %s finding at %s in %v", want.rule, want.path, findings)
 		}
+	}
+}
+
+// recreatedLine is a product line whose node /clk (clocked.yaml
+// requires its clock-output-names) a removal (fr) takes and a later
+// modifies of / (fg) creates afresh without that property, so /clk has
+// two source positions; then edits deltas e0…, each under its own
+// optional feature, edit /clk, and fn removes the property.
+func recreatedLine(t *testing.T, edits int) (*dts.Tree, *delta.Set, *featmodel.Model) {
+	t.Helper()
+	core, err := dts.Parse("core.dts", "/dts-v1/;\n/ {\n\tclk {\n\t\tclock-output-names = \"clk-a\";\n\t};\n};\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var src, fm strings.Builder
+	src.WriteString("delta rm when fr {\n    removes node /clk;\n}\n")
+	src.WriteString("delta again after rm when fg {\n    modifies / {\n        clk {\n            u = <1>;\n        };\n    }\n}\n")
+	src.WriteString("delta none when fn {\n    removes property /clk clock-output-names;\n}\n")
+	fm.WriteString("feature root abstract {\n    feature fr\n    feature fg\n    feature fn\n")
+	for i := 0; i < edits; i++ {
+		fmt.Fprintf(&src, "delta e%d after again, none when f%d {\n    modifies /clk {\n        p%d = <1>;\n    }\n}\n", i, i, i)
+		fmt.Fprintf(&fm, "    feature f%d\n", i)
+	}
+	fm.WriteString("}\n")
+	set, err := delta.Parse("recreated.deltas", src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := featmodel.ParseModel("recreated.fm", fm.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core, set, model
+}
+
+// TestOriginOptionsStayLinear bounds the origin options of a node with
+// two source positions and 40 editing deltas by creations × events: one
+// per pair of a creation and an event that can be the last to hold.
+func TestOriginOptionsStayLinear(t *testing.T) {
+	core, set, model := recreatedLine(t, 40)
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := lifted.Root.Child("clk").Origins
+	creations := 0
+	for _, o := range events {
+		if !o.Edit {
+			creations++
+		}
+	}
+	if creations != 2 || len(events) != 43 {
+		t.Fatalf("/clk has %d creations among %d events, want 2 among 43", creations, len(events))
+	}
+	opts := originOptions(featmodel.NewPresenceEncoder(model), events)
+	if len(opts) > creations*len(events) {
+		t.Errorf("%d origin options, want at most %d", len(opts), creations*len(events))
 	}
 }

@@ -340,7 +340,10 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 
 	if workers <= 1 {
 		for i := range p.VMConfigs {
-			span := root.StartChild("vm:" + p.vmName(i))
+			var span *obs.Span
+			if root != nil {
+				span = root.StartChild("vm:" + p.vmName(i))
+			}
 			if err := p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], span); err != nil {
 				return nil, err
 			}
@@ -385,13 +388,26 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	return report, nil
 }
 
-// vmName resolves VM i's display name.
+// vmName resolves VM i's display name: VMNames[i], or "vm" and i+1,
+// which for the first VMs comes from defaultVMNames.
 func (p *Pipeline) vmName(i int) string {
 	if len(p.VMNames) > 0 {
 		return p.VMNames[i]
 	}
+	if i < len(defaultVMNames) {
+		return defaultVMNames[i]
+	}
 	return "vm" + strconv.Itoa(i+1)
 }
+
+// defaultVMNames are the default names of the first 16 VMs, built once,
+// so naming them allocates nothing per run.
+var defaultVMNames = func() (names [16]string) {
+	for i := range names {
+		names[i] = "vm" + strconv.Itoa(i+1)
+	}
+	return names
+}()
 
 // runProductsParallel derives and checks every VM product plus the
 // platform union on a bounded worker pool (fanOut). Results land in

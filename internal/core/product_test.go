@@ -39,7 +39,6 @@ func runningExample(t *testing.T, drop string) *Pipeline {
 	return &Pipeline{
 		Core: tree, Deltas: deltas, Model: model, Schemas: schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{runningexample.VM1Config(), runningexample.VM2Config()},
-		VMNames:   []string{"vm1", "vm2"}, // given, so naming a VM allocates nothing
 		Identity:  "running example without " + drop,
 		Cache:     checkcache.New(16),
 	}

@@ -6,8 +6,9 @@ package delta_test
 // running example, E6, generated conform cases, overlay-derived sets, a
 // removal line and hand-built fresh-subtree edits: equal Print, equal
 // OriginDump, equal trace and an equal ApplyError. They also require
-// the core to print and dump unchanged after every derivation,
-// including derivations running concurrently from one core.
+// the core and every delta fragment, which products share too, to print
+// and dump unchanged after every derivation, including derivations
+// running concurrently from one core.
 
 import (
 	"context"
@@ -176,24 +177,48 @@ func checkAgainstOracle(t *testing.T, c applyCase, got derived) (oracleErr bool)
 	return false
 }
 
-// snapshot is a core's Print and OriginDump before any derivation.
+// snapshot is a tree's Print and OriginDump before any derivation.
 type snapshot struct{ print, dump string }
 
-func takeSnapshots(cases []applyCase) map[*dts.Tree]snapshot {
-	snaps := make(map[*dts.Tree]snapshot)
+func snapshotOf(t *dts.Tree) snapshot { return snapshot{t.Print(), t.OriginDump()} }
+
+// snapshots holds every core and every delta fragment of a set of
+// cases, as they were before any derivation: products share both, so
+// neither may change.
+type snapshots struct {
+	cores map[*dts.Tree]snapshot
+	frags map[*dts.Node]snapshot
+}
+
+func takeSnapshots(cases []applyCase) snapshots {
+	snaps := snapshots{make(map[*dts.Tree]snapshot), make(map[*dts.Node]snapshot)}
 	for _, c := range cases {
-		if _, ok := snaps[c.core]; !ok {
-			snaps[c.core] = snapshot{c.core.Print(), c.core.OriginDump()}
+		if _, ok := snaps.cores[c.core]; !ok {
+			snaps.cores[c.core] = snapshotOf(c.core)
+		}
+		for _, d := range c.set.Deltas {
+			for _, op := range d.Ops {
+				if f := op.Fragment; f != nil {
+					if _, ok := snaps.frags[f]; !ok {
+						snaps.frags[f] = snapshotOf(&dts.Tree{Root: f})
+					}
+				}
+			}
 		}
 	}
 	return snaps
 }
 
-func checkCoresUnchanged(t *testing.T, snaps map[*dts.Tree]snapshot) {
+func checkCoresUnchanged(t *testing.T, snaps snapshots) {
 	t.Helper()
-	for core, s := range snaps {
-		if core.Print() != s.print || core.OriginDump() != s.dump {
-			t.Fatalf("a derivation wrote its core:\nbefore:\n%s\nafter:\n%s", s.print, core.Print())
+	for core, s := range snaps.cores {
+		if now := snapshotOf(core); now != s {
+			t.Fatalf("a derivation wrote its core:\nbefore:\n%s\nafter:\n%s", s.print, now.print)
+		}
+	}
+	for frag, s := range snaps.frags {
+		if now := snapshotOf(&dts.Tree{Root: frag}); now != s {
+			t.Fatalf("a derivation wrote a delta fragment:\nbefore:\n%s%s\nafter:\n%s%s", s.print, s.dump, now.print, now.dump)
 		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
@@ -84,15 +85,19 @@ func (d *Delta) Active(cfg featmodel.Configuration) bool {
 // Set is a collection of delta modules forming a product line. NewSet
 // precomputes everything about ordering that does not depend on the
 // configuration: the after-relation as index lists and the pairs of
-// deltas whose write sets intersect. A Set is read-only after NewSet, so
-// concurrent product workers share one; callers must not edit Deltas,
-// their After lists or their operations afterwards.
+// deltas whose write sets intersect. It also stamps every fragment with
+// its delta's name, so products share the fragments as they are. A Set
+// is read-only after NewSet, so concurrent product workers share one;
+// callers must not edit Deltas, their After lists, their operations or
+// their fragments afterwards.
 type Set struct {
 	Deltas []*Delta
 	index  map[string]int // name -> position in Deltas
 	after  [][]int        // after[i]: the deltas Deltas[i] follows, duplicates kept
 	succ   [][]int        // succ[j]: the deltas that list Deltas[j] in After
 	pairs  []contention   // write-contending pairs, in (i, j) order
+
+	lifted atomic.Pointer[liftMemo] // the last Lift (lifted.go)
 }
 
 // contention is a pair of deltas i < j whose write sets intersect; loc
@@ -103,7 +108,8 @@ type contention struct {
 }
 
 // NewSet validates and indexes the deltas: names must be unique and
-// every "after" reference must resolve.
+// every "after" reference must resolve. It stamps each operation's
+// fragment with the delta's name (dts.Origin.Delta).
 func NewSet(deltas []*Delta) (*Set, error) {
 	s := &Set{
 		Deltas: deltas,
@@ -131,6 +137,13 @@ func NewSet(deltas []*Delta) (*Set, error) {
 		}
 	}
 	s.pairs = contendingPairs(deltas)
+	for _, d := range deltas {
+		for _, op := range d.Ops {
+			if op.Fragment != nil {
+				stampDelta(op.Fragment, d.Name)
+			}
+		}
+	}
 	return s, nil
 }
 
@@ -436,8 +449,9 @@ func (e *StepLimitError) Error() string {
 // trace so far with ctx.Err() or a *StepLimitError.
 //
 // The product is derived by path copying (dts.Tree.Derive): it shares
-// every node no operation writes with core, which is never written, so
-// products of one core may be derived concurrently. The product is
+// every node no operation writes with core, and every node and property
+// it takes from a fragment with the fragment. Neither is ever written,
+// so products of one core may be derived concurrently. The product is
 // read-only too: Clone it to edit (as dtb.Encode does).
 func (s *Set) ApplyContext(ctx context.Context, core *dts.Tree, cfg featmodel.Configuration, maxOps int) (*dts.Tree, []string, error) {
 	ordered, err := s.Order(cfg)
@@ -466,6 +480,8 @@ func (s *Set) ApplyContext(ctx context.Context, core *dts.Tree, cfg featmodel.Co
 
 // applyDelta applies d's operations to tree, a tree from Derive, owning
 // each path before it writes; it returns the path buffer for reuse.
+// Fragment nodes and properties, stamped by NewSet, go in as they are:
+// a later operation that writes under one owns it first.
 func applyDelta(tree *dts.Tree, d *Delta, path []*dts.Node) ([]*dts.Node, error) {
 	for _, op := range d.Ops {
 		fail := func(format string, args ...interface{}) error {
@@ -483,23 +499,17 @@ func applyDelta(tree *dts.Tree, d *Delta, path []*dts.Node) ([]*dts.Node, error)
 				if target.Property(p.Name) != nil {
 					return path, fail("property %s already exists", p.Name)
 				}
-				np := p.Clone()
-				np.Origin.Delta = d.Name
-				target.SetProperty(np)
+				target.SetProperty(p)
 			}
 			for _, c := range op.Fragment.Children {
 				if target.Child(c.Name) != nil {
 					return path, fail("node %s already exists", c.Name)
 				}
-				nc := c.Clone()
-				stampDelta(nc, d.Name)
-				target.Children = append(target.Children, nc)
+				target.Children = append(target.Children, c)
 			}
 
 		case OpModifies:
-			frag := op.Fragment.Clone()
-			stampDelta(frag, d.Name)
-			tree.MergeAt(path, frag)
+			tree.MergeAt(path, op.Fragment)
 
 		case OpRemovesNode:
 			if len(path) == 1 {
@@ -516,10 +526,18 @@ func applyDelta(tree *dts.Tree, d *Delta, path []*dts.Node) ([]*dts.Node, error)
 	return path, nil
 }
 
+// stampDelta sets Origin.Delta to name on n's subtree. It writes only
+// what differs, so a NewSet over deltas another Set already holds (E6
+// and the benchmarks rebuild sets from kept deltas) writes nothing that
+// products of the first Set may be reading.
 func stampDelta(n *dts.Node, name string) {
-	n.Origin.Delta = name
+	if n.Origin.Delta != name {
+		n.Origin.Delta = name
+	}
 	for _, p := range n.Properties {
-		p.Origin.Delta = name
+		if p.Origin.Delta != name {
+			p.Origin.Delta = name
+		}
 	}
 	for _, c := range n.Children {
 		stampDelta(c, name)

@@ -53,15 +53,30 @@ type LiftedLabel struct {
 	Label string
 }
 
+// LiftedOrigin is one guarded event of a node's origin history: a
+// creation, whose Origin is the node's source position and creating
+// delta, or, with Edit set, a delta that edits the node (only
+// Origin.Delta is set). Cond is nil for always.
+type LiftedOrigin struct {
+	Cond   *featmodel.Expr
+	Origin dts.Origin
+	Edit   bool
+}
+
 // LiftedNode is a node of the merged tree, present in configurations
-// satisfying Cond (nil = always).
+// satisfying Cond (nil = always). Origins is the node's origin history
+// in application order, one event per creation or edit, starting with
+// the unconditional creation that first made it. Where the node is
+// present, Apply gives it the position of the last creation whose guard
+// holds and the delta of the last event whose guard holds, since each
+// edit keeps the position and names the editing delta (dts.Node.Merge).
 type LiftedNode struct {
 	Name     string
 	Cond     *featmodel.Expr
 	Labels   []LiftedLabel
 	Props    []*LiftedProperty
 	Children []*LiftedNode
-	Origin   dts.Origin
+	Origins  []LiftedOrigin
 }
 
 // LiftedConflict records a delta-application failure or ambiguity that
@@ -88,12 +103,21 @@ func (c *LiftedConflict) String() string {
 
 // LiftedTree is the variability-aware merged tree for a whole product
 // line: the union of every product's tree with presence conditions,
-// plus the application conflicts that enumeration would hit.
+// plus the application conflicts that enumeration would hit. It shares
+// its property values with the core and the delta fragments it was
+// lifted from, and Lift shares it between callers: it is read-only.
 type LiftedTree struct {
 	Root        *LiftedNode
 	MemReserves []dts.MemReserve // deltas cannot edit memreserves; copied from the core
 	Conflicts   []LiftedConflict
 	Order       []string // delta application order used for the merge
+}
+
+// liftMemo is a Set's last Lift: the core it lifted and the result.
+type liftMemo struct {
+	core *dts.Tree
+	lt   *LiftedTree
+	err  error
 }
 
 // Lift applies every delta of the set — regardless of activation — to a
@@ -112,7 +136,22 @@ type LiftedTree struct {
 // after-relation, so a pair ordered only through an inactive
 // intermediary counts as ordered here; the declaration-order tie-break
 // keeps application deterministic in those configurations.
+//
+// The set keeps its last result: a Lift of the same core returns the
+// same *LiftedTree without lifting again, so a product line parsed once
+// is lifted once. The tree is shared by every caller and must not be
+// written. Two racing first calls both lift; either result is correct,
+// and the later is kept.
 func (s *Set) Lift(core *dts.Tree) (*LiftedTree, error) {
+	if m := s.lifted.Load(); m != nil && m.core == core {
+		return m.lt, m.err
+	}
+	lt, err := s.lift(core)
+	s.lifted.Store(&liftMemo{core: core, lt: lt, err: err})
+	return lt, err
+}
+
+func (s *Set) lift(core *dts.Tree) (*LiftedTree, error) {
 	all := make([]bool, len(s.Deltas))
 	for i := range all {
 		all[i] = true
@@ -122,7 +161,7 @@ func (s *Set) Lift(core *dts.Tree) (*LiftedTree, error) {
 		return nil, err
 	}
 	lt := &LiftedTree{
-		Root:        liftConcreteNode(core.Root),
+		Root:        liftNode(core.Root, nil),
 		MemReserves: append([]dts.MemReserve(nil), core.MemReserves...),
 	}
 	for _, i := range order {
@@ -162,44 +201,25 @@ func (lt *LiftedTree) recordAmbiguities(s *Set, order []int, unordered []content
 	}
 }
 
-// liftConcreteNode converts a concrete (core) node into an
-// unconditional lifted node.
-func liftConcreteNode(n *dts.Node) *LiftedNode {
-	ln := &LiftedNode{Name: n.Name, Origin: n.Origin}
-	if n.Label != "" {
-		ln.Labels = []LiftedLabel{{Label: n.Label}}
-	}
-	for _, p := range n.Properties {
-		ln.Props = append(ln.Props, &LiftedProperty{
-			Name:     p.Name,
-			Variants: []*LiftedVariant{{Value: p.Value.Clone(), Origin: p.Origin}},
-		})
-	}
-	for _, c := range n.Children {
-		ln.Children = append(ln.Children, liftConcreteNode(c))
-	}
-	return ln
-}
-
-// liftFragmentNode converts a delta fragment into a lifted node whose
-// whole subtree is guarded by cond and stamped with the delta name.
-func liftFragmentNode(n *dts.Node, cond *featmodel.Expr, deltaName string) *LiftedNode {
-	origin := n.Origin
-	origin.Delta = deltaName
-	ln := &LiftedNode{Name: n.Name, Cond: cond, Origin: origin}
+// liftNode converts n's subtree into lifted nodes guarded by cond,
+// sharing n's property values: a core node unconditionally (cond nil),
+// a delta fragment, stamped with its delta's name by NewSet, under the
+// guard of the write that adds it.
+func liftNode(n *dts.Node, cond *featmodel.Expr) *LiftedNode {
+	ln := &LiftedNode{Name: n.Name, Cond: cond, Origins: []LiftedOrigin{{Origin: n.Origin}}}
 	if n.Label != "" {
 		ln.Labels = []LiftedLabel{{Cond: cond, Label: n.Label}}
 	}
-	for _, p := range n.Properties {
-		po := p.Origin
-		po.Delta = deltaName
-		ln.Props = append(ln.Props, &LiftedProperty{
+	ln.Props = make([]*LiftedProperty, len(n.Properties))
+	for i, p := range n.Properties {
+		ln.Props[i] = &LiftedProperty{
 			Name:     p.Name,
-			Variants: []*LiftedVariant{{Cond: cond, Value: p.Value.Clone(), Origin: po}},
-		})
+			Variants: []*LiftedVariant{{Cond: cond, Value: p.Value, Origin: p.Origin}},
+		}
 	}
-	for _, c := range n.Children {
-		ln.Children = append(ln.Children, liftFragmentNode(c, cond, deltaName))
+	ln.Children = make([]*LiftedNode, len(n.Children))
+	for i, c := range n.Children {
+		ln.Children[i] = liftNode(c, cond)
 	}
 	return ln
 }
@@ -341,21 +361,20 @@ func (lt *LiftedTree) applyLifted(d *Delta) {
 					lt.conflict(cond, d.Name, loc+"#"+fp.Name,
 						"%v %s: property %s already exists", op.Kind, op.Target, fp.Name)
 				}
-				target.setVariant(fp, gAbs, d.Name, false)
+				target.setVariant(fp, gAbs, false)
 			}
 			for _, fc := range op.Fragment.Children {
 				if existing := target.Child(fc.Name); existing != nil {
 					lt.conflict(featmodel.AndOpt(gAbs, existing.Cond), d.Name, loc+"/"+fc.Name,
 						"%v %s: node %s already exists", op.Kind, op.Target, fc.Name)
-					existing.Cond = featmodel.OrOpt(existing.Cond, gAbs)
-					existing.mergeLifted(fc, gAbs, d.Name)
+					existing.mergeInto(fc, gAbs)
 				} else {
-					target.Children = append(target.Children, liftFragmentNode(fc, gAbs, d.Name))
+					target.Children = append(target.Children, liftNode(fc, gAbs))
 				}
 			}
 
 		case OpModifies:
-			target.mergeLifted(op.Fragment, gAbs, d.Name)
+			target.mergeLifted(op.Fragment, gAbs)
 
 		case OpRemovesNode:
 			if target == lt.Root {
@@ -385,7 +404,7 @@ func (lt *LiftedTree) applyLifted(d *Delta) {
 // to configurations where the write does not happen; without it
 // (adds semantics) they are left alone — the overlap is flagged as a
 // Conflict by the caller and the merged value there is don't-care.
-func (ln *LiftedNode) setVariant(p *dts.Property, cond *featmodel.Expr, deltaName string, overwrite bool) {
+func (ln *LiftedNode) setVariant(p *dts.Property, cond *featmodel.Expr, overwrite bool) {
 	lp := ln.Prop(p.Name)
 	if lp == nil {
 		lp = &LiftedProperty{Name: p.Name}
@@ -393,9 +412,7 @@ func (ln *LiftedNode) setVariant(p *dts.Property, cond *featmodel.Expr, deltaNam
 	} else if overwrite {
 		restrictVariants(lp, cond)
 	}
-	origin := p.Origin
-	origin.Delta = deltaName
-	lp.Variants = append(lp.Variants, &LiftedVariant{Cond: cond, Value: p.Value.Clone(), Origin: origin})
+	lp.Variants = append(lp.Variants, &LiftedVariant{Cond: cond, Value: p.Value, Origin: p.Origin})
 }
 
 // restrictVariants conjoins ¬cond onto every variant; an unconditional
@@ -413,9 +430,10 @@ func restrictVariants(lp *LiftedProperty, cond *featmodel.Expr) {
 
 // mergeLifted is Node.Merge lifted under a guard: properties are
 // overwritten in the configurations satisfying cond, children merged
-// recursively (widening their presence) or appended guarded, and
-// delete markers replayed as guarded removals.
-func (ln *LiftedNode) mergeLifted(frag *dts.Node, cond *featmodel.Expr, deltaName string) {
+// recursively (widening their presence) or appended guarded, delete
+// markers replayed as guarded removals, and the fragment's delta named
+// as the node's origin under cond.
+func (ln *LiftedNode) mergeLifted(frag *dts.Node, cond *featmodel.Expr) {
 	if frag.Label != "" {
 		ln.Labels = append(ln.Labels, LiftedLabel{Cond: cond, Label: frag.Label})
 	}
@@ -426,24 +444,22 @@ func (ln *LiftedNode) mergeLifted(frag *dts.Node, cond *featmodel.Expr, deltaNam
 	}
 	for _, name := range frag.DeletedNodes() {
 		if c := ln.Child(name); c != nil {
-			restrictNode(c, cond)
+			ln.removeChild(c, cond)
 		}
 	}
 	for _, p := range frag.Properties {
-		ln.setVariant(p, cond, deltaName, true)
+		ln.setVariant(p, cond, true)
 	}
 	for _, c := range frag.Children {
 		if mine := ln.Child(c.Name); mine != nil {
-			mine.Cond = featmodel.OrOpt(mine.Cond, cond)
-			mine.mergeLifted(c, cond, deltaName)
+			mine.mergeInto(c, cond)
 		} else {
-			ln.Children = append(ln.Children, liftFragmentNode(c, cond, deltaName))
+			ln.Children = append(ln.Children, liftNode(c, cond))
 		}
 	}
-	if deltaName != "" {
-		// Advisory only: reports re-derive the witness product
-		// concretely, which regenerates exact blame.
-		ln.Origin.Delta = deltaName
+	if frag.Origin.Delta != "" {
+		ln.Origins = append(ln.Origins, LiftedOrigin{
+			Cond: cond, Origin: dts.Origin{Delta: frag.Origin.Delta}, Edit: true})
 	}
 }
 
@@ -451,24 +467,57 @@ func (ln *LiftedNode) mergeLifted(frag *dts.Node, cond *featmodel.Expr, deltaNam
 // configurations where the removal is inactive; an unconditional
 // removal detaches the node.
 func (lt *LiftedTree) removeNode(target *LiftedNode, cond *featmodel.Expr) {
-	if cond == nil {
-		lt.Root.Walk(func(_ string, n *LiftedNode) bool {
-			for i, c := range n.Children {
-				if c == target {
-					n.Children = append(n.Children[:i], n.Children[i+1:]...)
-					return false
-				}
-			}
-			return true
-		})
+	if cond != nil {
+		restrictNode(target, cond)
 		return
 	}
-	restrictNode(target, cond)
+	lt.Root.Walk(func(_ string, n *LiftedNode) bool {
+		if !slices.Contains(n.Children, target) {
+			return true
+		}
+		n.removeChild(target, nil)
+		return false
+	})
+}
+
+// removeChild removes ln's child c in the configurations satisfying
+// cond; an unconditional removal (cond nil) detaches it.
+func (ln *LiftedNode) removeChild(c *LiftedNode, cond *featmodel.Expr) {
+	if cond != nil {
+		restrictNode(c, cond)
+		return
+	}
+	ln.Children = slices.DeleteFunc(ln.Children, func(x *LiftedNode) bool { return x == c })
+}
+
+// mergeInto merges fragment node c into ln, a node of the same name,
+// under cond, widening ln's presence. Where ln is absent and cond holds
+// (a removal took the node, or no delta created it), Apply creates the
+// node afresh from c: what ln held must stay absent there, and c's
+// origin is a creation there. Node conditions are absolute already
+// (restrictNode pushes a removal down the subtree), but ln's labels and
+// property variants are guarded relative to ln's presence, so they are
+// conjoined with it before it widens.
+func (ln *LiftedNode) mergeInto(c *dts.Node, cond *featmodel.Expr) {
+	if old := ln.Cond; old != nil {
+		for i := range ln.Labels {
+			ln.Labels[i].Cond = featmodel.AndOpt(ln.Labels[i].Cond, old)
+		}
+		for _, lp := range ln.Props {
+			for _, v := range lp.Variants {
+				v.Cond = featmodel.AndOpt(v.Cond, old)
+			}
+		}
+		ln.Origins = append(ln.Origins, LiftedOrigin{
+			Cond: featmodel.AndOpt(cond, featmodel.Not(old)), Origin: c.Origin})
+		ln.Cond = featmodel.OrOpt(old, cond)
+	}
+	ln.mergeLifted(c, cond)
 }
 
 // restrictNode conjoins ¬cond onto the node and every descendant, so
 // descendants of a removed node stay absent even if a later delta
-// re-creates the node name.
+// re-creates the node name (mergeInto).
 func restrictNode(ln *LiftedNode, cond *featmodel.Expr) {
 	not := featmodel.Not(cond)
 	var rec func(n *LiftedNode)
@@ -511,7 +560,16 @@ func (lt *LiftedTree) Project(cfg featmodel.Configuration) *dts.Tree {
 }
 
 func projectNode(ln *LiftedNode, sel map[string]bool) *dts.Node {
-	n := &dts.Node{Name: ln.Name, Origin: ln.Origin}
+	n := &dts.Node{Name: ln.Name}
+	for _, o := range ln.Origins {
+		switch {
+		case !featmodel.EvalOpt(o.Cond, sel):
+		case o.Edit:
+			n.Origin.Delta = o.Origin.Delta
+		default:
+			n.Origin = o.Origin
+		}
+	}
 	for _, l := range ln.Labels {
 		if featmodel.EvalOpt(l.Cond, sel) {
 			n.Label = l.Label
@@ -526,7 +584,7 @@ func projectNode(ln *LiftedNode, sel map[string]bool) *dts.Node {
 		}
 		if chosen != nil {
 			n.Properties = append(n.Properties, &dts.Property{
-				Name: lp.Name, Value: chosen.Value.Clone(), Origin: chosen.Origin,
+				Name: lp.Name, Value: chosen.Value, Origin: chosen.Origin,
 			})
 		}
 	}

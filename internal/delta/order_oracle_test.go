@@ -273,7 +273,7 @@ func oracleLift(s *Set, core *dts.Tree) (*LiftedTree, error) {
 		return nil, err
 	}
 	lt := &LiftedTree{
-		Root:        liftConcreteNode(core.Root),
+		Root:        liftNode(core.Root, nil),
 		MemReserves: append([]dts.MemReserve(nil), core.MemReserves...),
 	}
 	for _, d := range ordered {

@@ -356,11 +356,17 @@ func (n *Node) Merge(other *Node) { n.merge(other, nil) }
 
 // MergeAt merges other into the last node of path as Merge does, in a
 // tree from Derive: it owns path first (Own), and each existing child
-// other merges into, so only the nodes other reaches are copied.
+// other merges into, so only the nodes other reaches are copied. The
+// tree takes other's properties and new children as they are, not
+// copies, so other must not be written afterwards; a later edit under
+// one of them owns it first, like any node the tree shares.
 func (t *Tree) MergeAt(path []*Node, other *Node) {
 	t.Own(path).merge(other, t)
 }
 
+// merge merges other into n. With an owner (MergeAt), n and every node
+// merge descends into are owned by it, and other's properties and new
+// children are shared; without one (Merge), they are copied.
 func (n *Node) merge(other *Node, owner *Tree) {
 	if other.Label != "" {
 		n.Label = other.Label
@@ -372,7 +378,10 @@ func (n *Node) merge(other *Node, owner *Tree) {
 		n.RemoveChild(name)
 	}
 	for _, p := range other.Properties {
-		n.SetProperty(p.Clone())
+		if owner == nil {
+			p = p.Clone()
+		}
+		n.SetProperty(p)
 	}
 	for _, c := range other.Children {
 		if mine := n.Child(c.Name); mine != nil {
@@ -381,7 +390,10 @@ func (n *Node) merge(other *Node, owner *Tree) {
 			}
 			mine.merge(c, owner)
 		} else {
-			n.Children = append(n.Children, c.Clone())
+			if owner == nil {
+				c = c.Clone()
+			}
+			n.Children = append(n.Children, c)
 		}
 	}
 	if other.Origin.Delta != "" {

@@ -51,18 +51,25 @@ func TestArenaKeepsClausesIntact(t *testing.T) {
 	}
 }
 
-// TestSmallSessionBytes bounds the memory of a session shaped like a
-// lifted check's — 20 variables and 36 binary and ternary clauses,
-// loaded with AddClauses as a model's Encoding is. Its clause storage
-// starts small and grows with the session, so the session takes about
-// 9 KB, where a 256-header chunk and a 4,096-literal slab up front made
-// it about 33 KB.
-func TestSmallSessionBytes(t *testing.T) {
+// smallSessionClauses is a session shaped like a lifted check's: 36
+// binary and ternary clauses over 20 variables, as a DIMACS-style
+// arena.
+func smallSessionClauses() []logic.Lit {
 	var clauses []logic.Lit
 	for i := 1; i <= 18; i++ {
 		v := logic.Lit(i)
 		clauses = append(clauses, -v, v+1, 0, -v-2, v, -(v + 1), 0)
 	}
+	return clauses
+}
+
+// TestSmallSessionBytes bounds the memory of a small session, loaded
+// with AddClauses as a model's Encoding is. Its clause storage starts
+// small and grows with the session, so the session takes about 8 KB,
+// where a 256-header chunk and a 4,096-literal slab up front made it
+// about 33 KB.
+func TestSmallSessionBytes(t *testing.T) {
+	clauses := smallSessionClauses()
 	session := func() *Solver {
 		s := New()
 		s.AddClauses(20, clauses)
@@ -81,6 +88,24 @@ func TestSmallSessionBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > bound {
 		t.Errorf("a 36-clause session allocates %d bytes, want <= %d", perRun, bound)
+	}
+}
+
+// TestSmallSessionAllocs gates the allocations of loading a small
+// session with AddClauses at the measured 98. The variable heap is
+// sized once; growing it one variable at a time took 108.
+func TestSmallSessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	clauses := smallSessionClauses()
+	const bound = 98
+	if allocs := testing.AllocsPerRun(100, func() {
+		s := New()
+		s.AddClauses(20, clauses)
+		keepSolver = s
+	}); allocs > bound {
+		t.Errorf("a 36-clause session allocates %.0f times, want <= %d", allocs, bound)
 	}
 }
 

@@ -1,5 +1,7 @@
 package sat
 
+import "slices"
+
 // varHeap is an indexed max-heap of variables ordered by activity.
 // It supports insert, removeMax and update (after an activity bump).
 type varHeap struct {
@@ -50,6 +52,12 @@ func (h *varHeap) down(i int) {
 		h.swap(i, smallest)
 		i = smallest
 	}
+}
+
+// reserve sizes the heap and its index for n variables.
+func (h *varHeap) reserve(n int) {
+	h.heap = slices.Grow(h.heap, n-len(h.heap))
+	h.indices = slices.Grow(h.indices, n-len(h.indices))
 }
 
 // insert adds v to the heap if not already present.

@@ -241,6 +241,7 @@ func (s *Solver) addVarsUpTo(n int) {
 		s.activity = slices.Grow(s.activity, grow)
 		s.seen = slices.Grow(s.seen, grow)
 		s.watches = slices.Grow(s.watches, 2*grow)
+		s.order.reserve(n)
 	}
 	for len(s.assigns) < n {
 		s.assigns = append(s.assigns, lUndef)

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
+	"llhsc/internal/delta"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 )
@@ -95,9 +97,10 @@ func TestFrontEndMemoHitRepliesIdentically(t *testing.T) {
 
 // TestFrontEndMemoSharedAcrossConcurrentRequests runs enumerate and
 // lifted requests concurrently on one memo entry and checks that none
-// of them wrote the shared core tree or feature model. Run it under
-// -race: a write any request makes to the shared front end is a race
-// with the others' reads.
+// of them wrote the shared core tree, feature model or lifted tree (the
+// delta set's memoised Lift of the core). Run it under -race: a write
+// any request makes to the shared front end is a race with the others'
+// reads.
 func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
 	svc, err := NewService(Options{})
 	if err != nil {
@@ -149,6 +152,24 @@ func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
 	}
 	if fe.model.Format() != model {
 		t.Error("concurrent requests wrote the memoised feature model")
+	}
+	if allocs := testing.AllocsPerRun(1, func() { fe.deltas.Lift(fe.core) }); allocs != 0 {
+		t.Errorf("the lifted requests left no memoised lift (Lift allocates %.0f times)", allocs)
+	}
+	shared, err := fe.deltas.Lift(fe.core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := delta.NewSet(fe.deltas.Deltas) // same deltas, no memo
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := cold.Lift(fe.core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(shared, fresh) {
+		t.Error("concurrent requests wrote the memoised lifted tree")
 	}
 	if misses := svc.srv.memo.misses.Value(); misses != 1 {
 		t.Errorf("memo counted %d misses, want 1: every request should share the first parse", misses)
