@@ -179,7 +179,7 @@ func BenchmarkE7BaoGen(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !report.OK() || report.ConfigC == "" {
+		if !report.OK() || report.Artifacts.ConfigC() == "" {
 			b.Fatal("pipeline failed")
 		}
 	}

@@ -357,15 +357,16 @@ func writeArtifacts(r *core.Report, dir string) error {
 	}
 	files := map[string]string{
 		"platform.dts":     r.Platform.DTS,
-		"platform.c":       r.PlatformC,
-		"config.c":         r.ConfigC,
-		"jailhouse-root.c": r.JailhouseRootC,
-		"qemu.sh":          "#!/bin/sh\nexec " + strings.Join(r.QEMUArgs, " ") + " \"$@\"\n",
+		"platform.c":       r.Artifacts.PlatformC(),
+		"config.c":         r.Artifacts.ConfigC(),
+		"jailhouse-root.c": r.Artifacts.JailhouseRootC(),
+		"qemu.sh":          "#!/bin/sh\nexec " + strings.Join(r.Artifacts.QEMUArgs(), " ") + " \"$@\"\n",
 	}
+	cells := r.Artifacts.JailhouseCellsC()
 	for i, vm := range r.VMs {
 		files[vm.Name+".dts"] = vm.DTS
-		if i < len(r.JailhouseCellsC) {
-			files["jailhouse-"+vm.Name+".c"] = r.JailhouseCellsC[i]
+		if i < len(cells) {
+			files["jailhouse-"+vm.Name+".c"] = cells[i]
 		}
 	}
 	for name, content := range files {
@@ -472,8 +473,8 @@ func cmdDemo(args []string) error {
 		return writeArtifacts(report, *outDir)
 	}
 	fmt.Println("--- platform.c (Listing 3) ---")
-	fmt.Print(report.PlatformC)
+	fmt.Print(report.Artifacts.PlatformC())
 	fmt.Println("--- config.c (Listing 6) ---")
-	fmt.Print(report.ConfigC)
+	fmt.Print(report.Artifacts.ConfigC())
 	return nil
 }

@@ -65,9 +65,9 @@ func main() {
 		fmt.Printf("%s (deltas %v):\n%s\n", vm.Name, vm.Trace, indent(vm.DTS, "  "))
 	}
 	fmt.Printf("platform DTS (union product):\n%s\n", indent(report.Platform.DTS, "  "))
-	fmt.Printf("platform config C (Listing 3):\n%s\n", indent(report.PlatformC, "  "))
-	fmt.Printf("VM config C (Listing 6):\n%s\n", indent(report.ConfigC, "  "))
-	fmt.Printf("QEMU equivalent:\n  %s\n", strings.Join(report.QEMUArgs, " "))
+	fmt.Printf("platform config C (Listing 3):\n%s\n", indent(report.Artifacts.PlatformC(), "  "))
+	fmt.Printf("VM config C (Listing 6):\n%s\n", indent(report.Artifacts.ConfigC(), "  "))
+	fmt.Printf("QEMU equivalent:\n  %s\n", strings.Join(report.Artifacts.QEMUArgs(), " "))
 }
 
 func indent(s, prefix string) string {

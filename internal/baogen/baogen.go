@@ -10,6 +10,7 @@ package baogen
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"llhsc/internal/addr"
@@ -278,156 +279,160 @@ func NewConfig(vms []*VM) *Config {
 	return cfg
 }
 
-// Artifact size estimates, in bytes, for sizing each renderer's
-// strings.Builder once: an artifact's fixed text plus one block per
-// repeated entry, each measured with every number at its widest (16
-// hex digits, a 64-bit binary mask, 20 decimal digits). Names are
-// added at their length, so only a name that %q must escape can
-// outgrow an estimate.
-const (
-	platformFixedBytes   = 290 // Listing 3 with the console line
-	platformRegionBytes  = 64  // one .regions entry
-	platformClusterBytes = 22  // one .core_num element
-	configFixedBytes     = 110 // Listing 6 around the vmlist
-	configVMBytes        = 580 // one vmlist entry with its .devs and .ipcs headers
-	configEntryBytes     = 104 // one region, device or IPC line
-	configShmemBytes     = 110 // one .shmemlist entry, or its header
-	jailhouseFixedBytes  = 540 // a cell or root config around mem_regions
-	jailhouseRegionBytes = 232 // one mem_regions block
-)
-
 // RenderPlatformC renders the platform description in the format of the
 // paper's Listing 3.
-func (p *Platform) RenderPlatformC() string {
-	var b strings.Builder
-	b.Grow(p.platformCBytes())
-	b.WriteString("#include <platform.h>\n\n")
-	b.WriteString("struct platform_desc platform = {\n")
-	fmt.Fprintf(&b, "  .cpu_num = %d,\n", p.CPUNum)
-	fmt.Fprintf(&b, "  .region_num = %d,\n", len(p.Regions))
-	b.WriteString("  .regions =  (struct mem_region[]) {\n")
+func (p *Platform) RenderPlatformC() string { return string(p.AppendPlatformC(nil)) }
+
+// AppendPlatformC appends RenderPlatformC's text to dst.
+func (p *Platform) AppendPlatformC(dst []byte) []byte {
+	b := append(dst, "#include <platform.h>\n\n"...)
+	b = append(b, "struct platform_desc platform = {\n"...)
+	b = appendInt(append(b, "  .cpu_num = "...), p.CPUNum)
+	b = appendInt(append(b, ",\n  .region_num = "...), len(p.Regions))
+	b = append(b, ",\n  .regions =  (struct mem_region[]) {\n"...)
 	for _, r := range p.Regions {
-		fmt.Fprintf(&b, "    { .base = 0x%x, .size = 0x%x },\n", r.Base, r.Size)
+		b = appendHex(append(b, "    { .base = 0x"...), r.Base)
+		b = appendHex(append(b, ", .size = 0x"...), r.Size)
+		b = append(b, " },\n"...)
 	}
-	b.WriteString("  },\n\n")
+	b = append(b, "  },\n\n"...)
 	if p.ConsoleBase != 0 {
-		fmt.Fprintf(&b, "  .console = { .base = 0x%x },\n\n", p.ConsoleBase)
+		b = appendHex(append(b, "  .console = { .base = 0x"...), p.ConsoleBase)
+		b = append(b, " },\n\n"...)
 	}
-	b.WriteString("  .arch = {\n")
-	b.WriteString("    .clusters =  {\n")
-	coreNums := make([]string, len(p.Clusters))
+	b = append(b, "  .arch = {\n"...)
+	b = append(b, "    .clusters =  {\n"...)
+	b = appendInt(append(b, "      .num = "...), len(p.Clusters))
+	b = append(b, ", .core_num = (uint8_t[]) {"...)
 	for i, c := range p.Clusters {
-		coreNums[i] = fmt.Sprintf("%d", c.CoreNum)
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = appendInt(b, c.CoreNum)
 	}
-	fmt.Fprintf(&b, "      .num = %d, .core_num = (uint8_t[]) {%s}\n",
-		len(p.Clusters), strings.Join(coreNums, ", "))
-	b.WriteString("    },\n")
-	b.WriteString("  }\n")
-	b.WriteString("};\n")
-	return b.String()
+	b = append(b, "}\n"...)
+	b = append(b, "    },\n"...)
+	b = append(b, "  }\n"...)
+	return append(b, "};\n"...)
 }
 
 // RenderConfigC renders the VM-list configuration in the format of the
 // paper's Listing 6.
-func (c *Config) RenderConfigC() string {
-	var b strings.Builder
-	b.Grow(c.configCBytes())
-	b.WriteString("#include <config.h>\n\n")
+func (c *Config) RenderConfigC() string { return string(c.AppendConfigC(nil)) }
+
+// AppendConfigC appends RenderConfigC's text to dst.
+func (c *Config) AppendConfigC(dst []byte) []byte {
+	b := append(dst, "#include <config.h>\n\n"...)
 	for _, vm := range c.VMs {
-		fmt.Fprintf(&b, "VM_IMAGE(%s, %simage.bin);\n", vm.Name, vm.Name)
+		b = append(append(b, "VM_IMAGE("...), vm.Name...)
+		b = append(append(b, ", "...), vm.Name...)
+		b = append(b, "image.bin);\n"...)
 	}
-	b.WriteString("\nstruct config config = {\n")
-	b.WriteString("  CONFIG_HEADER\n")
-	fmt.Fprintf(&b, "  .vmlist_size = %d,\n", len(c.VMs))
-	b.WriteString("  .vmlist = {\n")
+	b = append(b, "\nstruct config config = {\n"...)
+	b = append(b, "  CONFIG_HEADER\n"...)
+	b = appendInt(append(b, "  .vmlist_size = "...), len(c.VMs))
+	b = append(b, ",\n  .vmlist = {\n"...)
 	for _, vm := range c.VMs {
-		b.WriteString("    {\n")
-		b.WriteString("      .image = {\n")
-		fmt.Fprintf(&b, "        .base_addr = 0x%x,\n", vm.ImageBase)
-		fmt.Fprintf(&b, "        .load_addr = VM_IMAGE_OFFSET(%s),\n", vm.Name)
-		fmt.Fprintf(&b, "        .size = VM_IMAGE_SIZE(%s)\n", vm.Name)
-		b.WriteString("      },\n")
-		fmt.Fprintf(&b, "      .entry = 0x%x,\n", vm.Entry)
-		fmt.Fprintf(&b, "      .cpu_affinity = 0b%b,\n", vm.CPUAffinity)
-		fmt.Fprintf(&b, "      .platform = { .cpu_num = %d, .dev_num = %d,\n", vm.CPUNum, len(vm.Devices))
-		fmt.Fprintf(&b, "        .region_num = %d,\n", len(vm.Regions))
-		b.WriteString("        .regions =  (struct mem_region[]) {\n")
+		b = append(b, "    {\n"...)
+		b = append(b, "      .image = {\n"...)
+		b = appendHex(append(b, "        .base_addr = 0x"...), vm.ImageBase)
+		b = append(append(b, ",\n        .load_addr = VM_IMAGE_OFFSET("...), vm.Name...)
+		b = append(append(b, "),\n        .size = VM_IMAGE_SIZE("...), vm.Name...)
+		b = append(b, ")\n      },\n"...)
+		b = appendHex(append(b, "      .entry = 0x"...), vm.Entry)
+		b = strconv.AppendUint(append(b, ",\n      .cpu_affinity = 0b"...), vm.CPUAffinity, 2)
+		b = appendInt(append(b, ",\n      .platform = { .cpu_num = "...), vm.CPUNum)
+		b = appendInt(append(b, ", .dev_num = "...), len(vm.Devices))
+		b = appendInt(append(b, ",\n        .region_num = "...), len(vm.Regions))
+		b = append(b, ",\n        .regions =  (struct mem_region[]) {\n"...)
 		for _, r := range vm.Regions {
-			fmt.Fprintf(&b, "          { .base = 0x%x, .size = 0x%x },\n", r.Base, r.Size)
+			b = appendHex(append(b, "          { .base = 0x"...), r.Base)
+			b = appendHex(append(b, ", .size = 0x"...), r.Size)
+			b = append(b, " },\n"...)
 		}
-		b.WriteString("        },\n")
+		b = append(b, "        },\n"...)
 		if len(vm.Devices) > 0 {
-			b.WriteString("        .devs =  (struct dev_region[]) {\n")
+			b = append(b, "        .devs =  (struct dev_region[]) {\n"...)
 			for _, d := range vm.Devices {
-				fmt.Fprintf(&b, "          { .pa = 0x%x, .va = 0x%x, .size = 0x%x },\n",
-					d.PA, d.VA, d.Size)
+				b = appendHex(append(b, "          { .pa = 0x"...), d.PA)
+				b = appendHex(append(b, ", .va = 0x"...), d.VA)
+				b = appendHex(append(b, ", .size = 0x"...), d.Size)
+				b = append(b, " },\n"...)
 			}
-			b.WriteString("        },\n")
+			b = append(b, "        },\n"...)
 		}
 		if len(vm.IPCs) > 0 {
-			fmt.Fprintf(&b, "        .ipc_num = %d,\n", len(vm.IPCs))
-			b.WriteString("        .ipcs =  (struct ipc[]) {\n")
+			b = appendInt(append(b, "        .ipc_num = "...), len(vm.IPCs))
+			b = append(b, ",\n        .ipcs =  (struct ipc[]) {\n"...)
 			for _, ipc := range vm.IPCs {
-				fmt.Fprintf(&b, "          { .base = 0x%x, .size = 0x%x, .shmem_id = %d },\n",
-					ipc.Base, ipc.Size, ipc.ShmemID)
+				b = appendHex(append(b, "          { .base = 0x"...), ipc.Base)
+				b = appendHex(append(b, ", .size = 0x"...), ipc.Size)
+				b = appendInt(append(b, ", .shmem_id = "...), ipc.ShmemID)
+				b = append(b, " },\n"...)
 			}
-			b.WriteString("        },\n")
+			b = append(b, "        },\n"...)
 		}
-		b.WriteString("      },\n")
-		b.WriteString("    },\n")
+		b = append(b, "      },\n"...)
+		b = append(b, "    },\n"...)
 	}
-	b.WriteString("  },\n")
+	b = append(b, "  },\n"...)
 	if len(c.Shmems) > 0 {
-		fmt.Fprintf(&b, "  .shmemlist_size = %d,\n", len(c.Shmems))
-		b.WriteString("  .shmemlist = (struct shmem[]) {\n")
+		b = appendInt(append(b, "  .shmemlist_size = "...), len(c.Shmems))
+		b = append(b, ",\n  .shmemlist = (struct shmem[]) {\n"...)
 		for i, s := range c.Shmems {
-			fmt.Fprintf(&b, "    [%d] = { .size = 0x%08x },\n", i, s.Size)
+			b = appendInt(append(b, "    ["...), i)
+			b = appendHex08(append(b, "] = { .size = 0x"...), s.Size)
+			b = append(b, " },\n"...)
 		}
-		b.WriteString("  },\n")
+		b = append(b, "  },\n"...)
 	}
-	b.WriteString("};\n")
-	return b.String()
+	return append(b, "};\n"...)
 }
 
-// platformCBytes estimates RenderPlatformC's output length.
-func (p *Platform) platformCBytes() int {
-	return platformFixedBytes + platformRegionBytes*len(p.Regions) +
-		platformClusterBytes*len(p.Clusters)
-}
+// appendInt appends v in decimal, as %d writes it.
+func appendInt(b []byte, v int) []byte { return strconv.AppendInt(b, int64(v), 10) }
 
-// configCBytes estimates RenderConfigC's output length: each VM's name
-// appears four times, and the shmem list adds a header.
-func (c *Config) configCBytes() int {
-	n := configFixedBytes + configShmemBytes*(len(c.Shmems)+1)
-	for _, vm := range c.VMs {
-		n += configVMBytes + 4*len(vm.Name) +
-			configEntryBytes*(len(vm.Regions)+len(vm.Devices)+len(vm.IPCs))
+// appendHex appends v in lower-case hexadecimal, as %x writes it.
+func appendHex(b []byte, v uint64) []byte { return strconv.AppendUint(b, v, 16) }
+
+// appendHex08 appends v as %08x writes it: hexadecimal, zero-padded to
+// at least eight digits.
+func appendHex08(b []byte, v uint64) []byte {
+	for shift := 28; shift >= 4 && v>>shift == 0; shift -= 4 {
+		b = append(b, '0')
 	}
-	return n
+	return appendHex(b, v)
 }
 
 // QEMUArgs synthesizes a qemu-system invocation matching the platform,
 // covering the paper's claim that the generated configurations can also
 // drive QEMU-based virtual platforms (Section V).
 func QEMUArgs(p *Platform, arch string) []string {
+	return strings.Split(string(AppendQEMUArgs(nil, p, arch, "\x00")), "\x00")
+}
+
+// AppendQEMUArgs appends QEMUArgs(p, arch) to dst, the arguments
+// separated by sep. No argument holds a NUL, a quote, a backslash, a
+// control byte, <, > or &, so with sep `", "` the text between two
+// quotes is a JSON string array's body.
+func AppendQEMUArgs(dst []byte, p *Platform, arch, sep string) []byte {
 	var total uint64
 	for _, r := range p.Regions {
 		total += r.Size
 	}
-	machine := "virt"
-	bin := "qemu-system-aarch64"
-	cpu := "cortex-a53"
+	bin, cpu := "qemu-system-aarch64", "cortex-a53"
 	if arch == "rv64" {
-		bin = "qemu-system-riscv64"
-		cpu = "rv64"
+		bin, cpu = "qemu-system-riscv64", "rv64"
 	}
-	return []string{
-		bin,
-		"-machine", machine,
-		"-cpu", cpu,
-		"-smp", fmt.Sprintf("%d", p.CPUNum),
-		"-m", fmt.Sprintf("%dM", total/(1024*1024)),
-		"-nographic",
-		"-serial", "mon:stdio",
-	}
+	b := append(dst, bin...)
+	b = append(append(append(b, sep...), "-machine"...), sep...)
+	b = append(append(b, "virt"...), sep...)
+	b = append(append(append(b, "-cpu"...), sep...), cpu...)
+	b = append(append(append(b, sep...), "-smp"...), sep...)
+	b = appendInt(b, p.CPUNum)
+	b = append(append(append(b, sep...), "-m"...), sep...)
+	b = append(strconv.AppendUint(b, total/(1024*1024), 10), 'M')
+	b = append(append(b, sep...), "-nographic"...)
+	b = append(append(append(b, sep...), "-serial"...), sep...)
+	return append(b, "mon:stdio"...)
 }

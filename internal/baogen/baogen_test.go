@@ -2,7 +2,6 @@ package baogen
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,66 +220,6 @@ func TestQEMUArgs(t *testing.T) {
 	rv := strings.Join(QEMUArgs(p, "rv64"), " ")
 	if !strings.Contains(rv, "qemu-system-riscv64") {
 		t.Errorf("rv64 args = %q", rv)
-	}
-}
-
-// TestRenderSizeEstimatesCoverWidestFields renders every artifact from
-// a configuration whose numbers all take their widest form and checks
-// that each fits the size its renderer passes to Grow, so no builder
-// regrows; on the running example the estimates stay within twice the
-// output.
-func TestRenderSizeEstimatesCoverWidestFields(t *testing.T) {
-	const wide = ^uint64(0)
-	const wideInt = math.MinInt64
-	vm := &VM{
-		Name: "widest-vm", ImageBase: wide, Entry: wide, CPUAffinity: wide, CPUNum: wideInt,
-		Regions: []MemRegion{{wide, wide}, {wide, wide}},
-		Devices: []DevRegion{{wide, wide, wide}, {wide, wide, wide}},
-		IPCs:    []IPC{{wide, wide, wideInt}, {wide, wide, wideInt}},
-	}
-	p := &Platform{
-		CPUNum: wideInt, Regions: vm.Regions, ConsoleBase: wide,
-		Clusters: []Cluster{{wideInt}, {wideInt}},
-	}
-	cfg := &Config{VMs: []*VM{vm, vm}, Shmems: []Shmem{{wide}, {wide}}}
-	check := func(name, out string, estimate int) {
-		t.Helper()
-		if len(out) > estimate {
-			t.Errorf("%s: %d bytes rendered, estimate %d", name, len(out), estimate)
-		}
-	}
-	check("cell", RenderJailhouseCellC(vm), jailhouseCellBytes(vm))
-	check("root", RenderJailhouseRootC(p), jailhouseRootBytes(p))
-	check("platform", p.RenderPlatformC(), p.platformCBytes())
-	check("config", cfg.RenderConfigC(), cfg.configCBytes())
-
-	union := featmodel.PlatformUnion([]featmodel.Configuration{
-		runningexample.VM1Config(), runningexample.VM2Config(),
-	})
-	ex, err := PlatformFromTree(productTree(t, union))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex1, err := VMFromTree("vm1", productTree(t, runningexample.VM1Config()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exCfg := NewConfig([]*VM{ex1})
-	for _, c := range []struct {
-		name     string
-		out      string
-		estimate int
-	}{
-		{"cell", RenderJailhouseCellC(ex1), jailhouseCellBytes(ex1)},
-		{"root", RenderJailhouseRootC(ex), jailhouseRootBytes(ex)},
-		{"platform", ex.RenderPlatformC(), ex.platformCBytes()},
-		{"config", exCfg.RenderConfigC(), exCfg.configCBytes()},
-	} {
-		check("running example "+c.name, c.out, c.estimate)
-		if c.estimate > 2*len(c.out) {
-			t.Errorf("running example %s: estimate %d is over twice the %d bytes rendered",
-				c.name, c.estimate, len(c.out))
-		}
 	}
 }
 

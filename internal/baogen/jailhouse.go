@@ -1,7 +1,7 @@
 package baogen
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -52,104 +52,100 @@ func (f JailhouseMemFlags) String() string {
 
 // RenderJailhouseCellC renders one VM as a Jailhouse non-root cell
 // configuration C file.
-func RenderJailhouseCellC(vm *VM) string {
-	var b strings.Builder
-	b.Grow(jailhouseCellBytes(vm))
-	b.WriteString("#include <jailhouse/cell-config.h>\n\n")
-	b.WriteString("struct {\n")
-	b.WriteString("\tstruct jailhouse_cell_desc cell;\n")
-	fmt.Fprintf(&b, "\t__u64 cpus[1];\n")
-	fmt.Fprintf(&b, "\tstruct jailhouse_memory mem_regions[%d];\n",
+func RenderJailhouseCellC(vm *VM) string { return string(AppendJailhouseCellC(nil, vm)) }
+
+// Region flags of the Jailhouse configurations: RAM, pass-through
+// devices (and the root cell's console), and IPC windows.
+var (
+	jailhouseRAMFlags = JailhouseMemFlags{Read: true, Write: true, Execute: true}.String()
+	jailhouseDevFlags = JailhouseMemFlags{Read: true, Write: true, IO: true}.String()
+	jailhouseIPCFlags = JailhouseMemFlags{Read: true, Write: true}.String() + " | JAILHOUSE_MEM_ROOTSHARED"
+)
+
+// AppendJailhouseCellC appends RenderJailhouseCellC's text to dst.
+func AppendJailhouseCellC(dst []byte, vm *VM) []byte {
+	b := append(dst, "#include <jailhouse/cell-config.h>\n\n"...)
+	b = append(b, "struct {\n"...)
+	b = append(b, "\tstruct jailhouse_cell_desc cell;\n"...)
+	b = append(b, "\t__u64 cpus[1];\n"...)
+	b = appendInt(append(b, "\tstruct jailhouse_memory mem_regions["...),
 		len(vm.Regions)+len(vm.Devices)+len(vm.IPCs))
-	b.WriteString("} __attribute__((packed)) config = {\n")
+	b = append(b, "];\n"...)
+	b = append(b, "} __attribute__((packed)) config = {\n"...)
 
-	b.WriteString("\t.cell = {\n")
-	b.WriteString("\t\t.signature = JAILHOUSE_CELL_DESC_SIGNATURE,\n")
-	b.WriteString("\t\t.revision = JAILHOUSE_CONFIG_REVISION,\n")
-	fmt.Fprintf(&b, "\t\t.name = %q,\n", vm.Name)
-	b.WriteString("\t\t.flags = JAILHOUSE_CELL_PASSIVE_COMMREG,\n")
-	b.WriteString("\t\t.cpu_set_size = sizeof(config.cpus),\n")
-	b.WriteString("\t\t.num_memory_regions = ARRAY_SIZE(config.mem_regions),\n")
-	b.WriteString("\t},\n\n")
+	b = append(b, "\t.cell = {\n"...)
+	b = append(b, "\t\t.signature = JAILHOUSE_CELL_DESC_SIGNATURE,\n"...)
+	b = append(b, "\t\t.revision = JAILHOUSE_CONFIG_REVISION,\n"...)
+	b = strconv.AppendQuote(append(b, "\t\t.name = "...), vm.Name)
+	b = append(b, ",\n"...)
+	b = append(b, "\t\t.flags = JAILHOUSE_CELL_PASSIVE_COMMREG,\n"...)
+	b = append(b, "\t\t.cpu_set_size = sizeof(config.cpus),\n"...)
+	b = append(b, "\t\t.num_memory_regions = ARRAY_SIZE(config.mem_regions),\n"...)
+	b = append(b, "\t},\n\n"...)
 
-	fmt.Fprintf(&b, "\t.cpus = {0b%b},\n\n", vm.CPUAffinity)
+	b = strconv.AppendUint(append(b, "\t.cpus = {0b"...), vm.CPUAffinity, 2)
+	b = append(b, "},\n\n"...)
 
-	b.WriteString("\t.mem_regions = {\n")
-	ram := JailhouseMemFlags{Read: true, Write: true, Execute: true}
-	dev := JailhouseMemFlags{Read: true, Write: true, IO: true}
-	shared := JailhouseMemFlags{Read: true, Write: true}
+	b = append(b, "\t.mem_regions = {\n"...)
 	for _, r := range vm.Regions {
-		writeJailhouseRegion(&b, "RAM", r.Base, r.Base, r.Size, ram.String())
+		b = appendJailhouseRegion(append(b, "\t\t/* RAM"...), r.Base, r.Base, r.Size, jailhouseRAMFlags)
 	}
 	for _, d := range vm.Devices {
-		writeJailhouseRegion(&b, "device", d.PA, d.VA, d.Size, dev.String())
+		b = appendJailhouseRegion(append(b, "\t\t/* device"...), d.PA, d.VA, d.Size, jailhouseDevFlags)
 	}
-	ipcFlags := shared.String() + " | JAILHOUSE_MEM_ROOTSHARED"
 	for _, ipc := range vm.IPCs {
-		writeJailhouseRegion(&b, fmt.Sprintf("ipc shmem %d", ipc.ShmemID),
-			ipc.Base, ipc.Base, ipc.Size, ipcFlags)
+		b = appendInt(append(b, "\t\t/* ipc shmem "...), ipc.ShmemID)
+		b = appendJailhouseRegion(b, ipc.Base, ipc.Base, ipc.Size, jailhouseIPCFlags)
 	}
-	b.WriteString("\t},\n")
-	b.WriteString("};\n")
-	return b.String()
+	b = append(b, "\t},\n"...)
+	return append(b, "};\n"...)
 }
 
-// jailhouseCellBytes estimates RenderJailhouseCellC's output length.
-func jailhouseCellBytes(vm *VM) int {
-	return jailhouseFixedBytes + len(vm.Name) +
-		jailhouseRegionBytes*(len(vm.Regions)+len(vm.Devices)+len(vm.IPCs))
-}
-
-func writeJailhouseRegion(b *strings.Builder, comment string, phys, virt, size uint64, flags string) {
-	fmt.Fprintf(b, "\t\t/* %s */ {\n", comment)
-	fmt.Fprintf(b, "\t\t\t.phys_start = 0x%x,\n", phys)
-	fmt.Fprintf(b, "\t\t\t.virt_start = 0x%x,\n", virt)
-	fmt.Fprintf(b, "\t\t\t.size = 0x%x,\n", size)
-	fmt.Fprintf(b, "\t\t\t.flags = %s,\n", flags)
-	b.WriteString("\t\t},\n")
+// appendJailhouseRegion appends the rest of one mem_regions block,
+// whose opening comment b already holds up to its closing "*/".
+func appendJailhouseRegion(b []byte, phys, virt, size uint64, flags string) []byte {
+	b = appendHex(append(b, " */ {\n\t\t\t.phys_start = 0x"...), phys)
+	b = appendHex(append(b, ",\n\t\t\t.virt_start = 0x"...), virt)
+	b = appendHex(append(b, ",\n\t\t\t.size = 0x"...), size)
+	b = append(append(b, ",\n\t\t\t.flags = "...), flags...)
+	return append(b, ",\n\t\t},\n"...)
 }
 
 // RenderJailhouseRootC renders the platform as the Jailhouse root-cell
 // (system) configuration.
-func RenderJailhouseRootC(p *Platform) string {
-	var b strings.Builder
-	b.Grow(jailhouseRootBytes(p))
-	b.WriteString("#include <jailhouse/cell-config.h>\n\n")
-	b.WriteString("struct {\n")
-	b.WriteString("\tstruct jailhouse_system header;\n")
-	b.WriteString("\t__u64 cpus[1];\n")
-	fmt.Fprintf(&b, "\tstruct jailhouse_memory mem_regions[%d];\n", len(p.Regions)+1)
-	b.WriteString("} __attribute__((packed)) config = {\n")
+func RenderJailhouseRootC(p *Platform) string { return string(AppendJailhouseRootC(nil, p)) }
 
-	b.WriteString("\t.header = {\n")
-	b.WriteString("\t\t.signature = JAILHOUSE_SYSTEM_SIGNATURE,\n")
-	b.WriteString("\t\t.revision = JAILHOUSE_CONFIG_REVISION,\n")
-	b.WriteString("\t\t.root_cell = {\n")
-	b.WriteString("\t\t\t.name = \"root\",\n")
-	b.WriteString("\t\t\t.cpu_set_size = sizeof(config.cpus),\n")
-	b.WriteString("\t\t\t.num_memory_regions = ARRAY_SIZE(config.mem_regions),\n")
-	b.WriteString("\t\t},\n")
-	b.WriteString("\t},\n\n")
+// AppendJailhouseRootC appends RenderJailhouseRootC's text to dst.
+func AppendJailhouseRootC(dst []byte, p *Platform) []byte {
+	b := append(dst, "#include <jailhouse/cell-config.h>\n\n"...)
+	b = append(b, "struct {\n"...)
+	b = append(b, "\tstruct jailhouse_system header;\n"...)
+	b = append(b, "\t__u64 cpus[1];\n"...)
+	b = appendInt(append(b, "\tstruct jailhouse_memory mem_regions["...), len(p.Regions)+1)
+	b = append(b, "];\n"...)
+	b = append(b, "} __attribute__((packed)) config = {\n"...)
+
+	b = append(b, "\t.header = {\n"...)
+	b = append(b, "\t\t.signature = JAILHOUSE_SYSTEM_SIGNATURE,\n"...)
+	b = append(b, "\t\t.revision = JAILHOUSE_CONFIG_REVISION,\n"...)
+	b = append(b, "\t\t.root_cell = {\n"...)
+	b = append(b, "\t\t\t.name = \"root\",\n"...)
+	b = append(b, "\t\t\t.cpu_set_size = sizeof(config.cpus),\n"...)
+	b = append(b, "\t\t\t.num_memory_regions = ARRAY_SIZE(config.mem_regions),\n"...)
+	b = append(b, "\t\t},\n"...)
+	b = append(b, "\t},\n\n"...)
 
 	mask := uint64(1)<<uint(p.CPUNum) - 1
-	fmt.Fprintf(&b, "\t.cpus = {0b%b},\n\n", mask)
+	b = strconv.AppendUint(append(b, "\t.cpus = {0b"...), mask, 2)
+	b = append(b, "},\n\n"...)
 
-	b.WriteString("\t.mem_regions = {\n")
-	ram := JailhouseMemFlags{Read: true, Write: true, Execute: true}
-	dev := JailhouseMemFlags{Read: true, Write: true, IO: true}
+	b = append(b, "\t.mem_regions = {\n"...)
 	for _, r := range p.Regions {
-		writeJailhouseRegion(&b, "RAM", r.Base, r.Base, r.Size, ram.String())
+		b = appendJailhouseRegion(append(b, "\t\t/* RAM"...), r.Base, r.Base, r.Size, jailhouseRAMFlags)
 	}
 	if p.ConsoleBase != 0 {
-		writeJailhouseRegion(&b, "console", p.ConsoleBase, p.ConsoleBase, 0x1000, dev.String())
+		b = appendJailhouseRegion(append(b, "\t\t/* console"...), p.ConsoleBase, p.ConsoleBase, 0x1000, jailhouseDevFlags)
 	}
-	b.WriteString("\t},\n")
-	b.WriteString("};\n")
-	return b.String()
-}
-
-// jailhouseRootBytes estimates RenderJailhouseRootC's output length: one
-// block per region plus the console's.
-func jailhouseRootBytes(p *Platform) int {
-	return jailhouseFixedBytes + jailhouseRegionBytes*(len(p.Regions)+1)
+	b = append(b, "\t},\n"...)
+	return append(b, "};\n"...)
 }

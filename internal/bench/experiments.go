@@ -249,9 +249,9 @@ func RunE7(w io.Writer) error {
 	for _, vm := range report.VMs {
 		fmt.Fprintf(w, "%s: deltas %v\n", vm.Name, vm.Trace)
 	}
-	fmt.Fprintf(w, "--- platform config (Listing 3) ---\n%s", report.PlatformC)
-	fmt.Fprintf(w, "--- VM config (Listing 6) ---\n%s", report.ConfigC)
-	fmt.Fprintf(w, "--- QEMU equivalent ---\n%s\n", strings.Join(report.QEMUArgs, " "))
+	fmt.Fprintf(w, "--- platform config (Listing 3) ---\n%s", report.Artifacts.PlatformC())
+	fmt.Fprintf(w, "--- VM config (Listing 6) ---\n%s", report.Artifacts.ConfigC())
+	fmt.Fprintf(w, "--- QEMU equivalent ---\n%s\n", strings.Join(report.Artifacts.QEMUArgs(), " "))
 	return nil
 }
 

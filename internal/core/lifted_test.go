@@ -92,10 +92,10 @@ func TestLiftedModeRunningExample(t *testing.T) {
 	}
 	// Products are still derived, so the generated artifacts are
 	// byte-identical across modes.
-	if liftedReport.PlatformC != enumReport.PlatformC {
+	if liftedReport.Artifacts.PlatformC() != enumReport.Artifacts.PlatformC() {
 		t.Error("platform C artifact differs between modes")
 	}
-	if liftedReport.ConfigC != enumReport.ConfigC {
+	if liftedReport.Artifacts.ConfigC() != enumReport.Artifacts.ConfigC() {
 		t.Error("config C artifact differs between modes")
 	}
 	if len(liftedReport.VMs) != len(enumReport.VMs) {

@@ -73,13 +73,13 @@ func fingerprint(r *core.Report) string {
 	fmt.Fprintf(&b, "platform trace=%v\n", r.Platform.Trace)
 	b.WriteString(r.Platform.DTS)
 	dump(r.Platform.Violations)
-	b.WriteString(r.PlatformC)
-	b.WriteString(r.ConfigC)
-	b.WriteString(r.JailhouseRootC)
-	for _, c := range r.JailhouseCellsC {
+	b.WriteString(r.Artifacts.PlatformC())
+	b.WriteString(r.Artifacts.ConfigC())
+	b.WriteString(r.Artifacts.JailhouseRootC())
+	for _, c := range r.Artifacts.JailhouseCellsC() {
 		b.WriteString(c)
 	}
-	fmt.Fprintf(&b, "qemu=%v\n", r.QEMUArgs)
+	fmt.Fprintf(&b, "qemu=%v\n", r.Artifacts.QEMUArgs())
 	return b.String()
 }
 

@@ -175,16 +175,9 @@ type Report struct {
 	// under ModeLifted the per-VM and platform Violations stay empty.
 	Lifted []constraints.LiftedFinding
 
-	// Generated artifacts; empty unless OK().
-	PlatformC string
-	ConfigC   string
-	QEMUArgs  []string
-
-	// Jailhouse equivalents (the paper's "others like Jailhouse can
-	// also be supported"): the root-cell config plus one cell config
-	// per VM, indexed like VMs.
-	JailhouseRootC  string
-	JailhouseCellsC []string
+	// Artifacts are the facts the generated artifacts render from;
+	// zero unless OK().
+	Artifacts Artifacts
 
 	// Stats summarizes the solver and cache work of this run. It is
 	// informational — not part of the determinism contract (the
@@ -363,27 +356,21 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 
 	// ---- artifact generation (Listings 3 and 6) ----
 	// Every product passed, so each record holds its artifact facts.
+	// They are assembled here; their texts are rendered only when read
+	// (Artifacts), so a reply writer can render them straight into its
+	// buffer.
 	genSpan := root.StartChild("baogen")
 	defer genSpan.End()
 	if err := report.Platform.facts.PlatformErr; err != nil {
 		return nil, err
 	}
-	platform := report.Platform.facts.Platform
-	report.PlatformC = platform.RenderPlatformC()
-	report.QEMUArgs = baogen.QEMUArgs(platform, "aarch64")
-	report.JailhouseRootC = baogen.RenderJailhouseRootC(platform)
-
 	vms := make([]*baogen.VM, len(report.VMs))
 	for i, vm := range report.VMs {
-		bvm, err := vm.facts.NamedVM(vm.Name)
-		if err != nil {
+		if vms[i], err = vm.facts.NamedVM(vm.Name); err != nil {
 			return nil, err
 		}
-		vms[i] = bvm
-		report.JailhouseCellsC = append(report.JailhouseCellsC,
-			baogen.RenderJailhouseCellC(bvm))
 	}
-	report.ConfigC = baogen.NewConfig(vms).RenderConfigC()
+	report.Artifacts = Artifacts{Platform: report.Platform.facts.Platform, Config: baogen.NewConfig(vms)}
 	report.Stats = st.snapshot()
 	return report, nil
 }

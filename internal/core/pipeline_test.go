@@ -86,7 +86,7 @@ func TestRunningExampleEndToEnd(t *testing.T) {
 		".console = { .base = 0x20000000 }",
 		".core_num = (uint8_t[]) {2}",
 	} {
-		if !strings.Contains(report.PlatformC, want) {
+		if !strings.Contains(report.Artifacts.PlatformC(), want) {
 			t.Errorf("platform C missing %q", want)
 		}
 	}
@@ -100,13 +100,13 @@ func TestRunningExampleEndToEnd(t *testing.T) {
 		".shmem_id = 1",
 		".shmemlist_size = 2",
 	} {
-		if !strings.Contains(report.ConfigC, want) {
+		if !strings.Contains(report.Artifacts.ConfigC(), want) {
 			t.Errorf("config C missing %q", want)
 		}
 	}
 
-	if len(report.QEMUArgs) == 0 || report.QEMUArgs[0] != "qemu-system-aarch64" {
-		t.Errorf("QEMU args = %v", report.QEMUArgs)
+	if args := report.Artifacts.QEMUArgs(); len(args) == 0 || args[0] != "qemu-system-aarch64" {
+		t.Errorf("QEMU args = %v", args)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestPipelineDetectsTruncationWithBlame(t *testing.T) {
 	if !found {
 		t.Errorf("vm1 violations = %v; want an overlap at 0x0", report.VMs[0].Violations)
 	}
-	if report.PlatformC != "" || report.ConfigC != "" {
+	if report.Artifacts.PlatformC() != "" || report.Artifacts.ConfigC() != "" {
 		t.Error("artifacts must not be generated for an invalid product line")
 	}
 }
@@ -227,7 +227,7 @@ func TestPipelineSingleVMNoVirtualDevices(t *testing.T) {
 	if !report.OK() {
 		t.Fatalf("violations: %v", report.AllViolations())
 	}
-	if !strings.Contains(report.ConfigC, ".vmlist_size = 1") {
+	if !strings.Contains(report.Artifacts.ConfigC(), ".vmlist_size = 1") {
 		t.Error("config should have one VM")
 	}
 	// d4 ran (when memory) but d3 did not: the tree keeps 2-cell

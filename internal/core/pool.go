@@ -14,8 +14,8 @@ import (
 // that actually escapes into the response.
 
 // reportPool recycles Report shells between runs. Only memory that
-// never escapes a released report is reused: the struct itself, the
-// VMs slot array and the JailhouseCellsC backing array.
+// never escapes a released report is reused: the struct itself and the
+// VMs slot array.
 var reportPool = sync.Pool{New: func() interface{} { return new(Report) }}
 
 // AcquireReport returns an empty Report drawing on capacity from
@@ -28,9 +28,9 @@ func AcquireReport() *Report {
 
 // Release clears the report and returns its recyclable buffers to the
 // pool. The caller must be completely done with the report AND with
-// every slice read out of it that Release clears (VMs, QEMUArgs,
-// JailhouseCellsC, Allocation) — copy anything that outlives the
-// report first, as the service layer does when building a response.
+// every slice read out of it that Release clears (Allocation, Lifted,
+// VMs) — copy anything that outlives the report first. The service
+// writes its /check reply from the report, then releases it.
 // Releasing is optional: an un-Released report is ordinary garbage.
 func (r *Report) Release() {
 	for i := range r.Allocation {
@@ -46,16 +46,7 @@ func (r *Report) Release() {
 	}
 	r.VMs = r.VMs[:0]
 	r.Platform = PlatformResult{}
-	r.PlatformC, r.ConfigC = "", ""
-	for i := range r.QEMUArgs {
-		r.QEMUArgs[i] = ""
-	}
-	r.QEMUArgs = r.QEMUArgs[:0]
-	r.JailhouseRootC = ""
-	for i := range r.JailhouseCellsC {
-		r.JailhouseCellsC[i] = ""
-	}
-	r.JailhouseCellsC = r.JailhouseCellsC[:0]
+	r.Artifacts = Artifacts{}
 	r.Stats = RunStats{}
 	reportPool.Put(r)
 }

@@ -73,7 +73,8 @@ type Model struct {
 
 	features map[string]*Feature
 	parent   map[string]*Feature
-	order    []string // depth-first feature order
+	depth    map[string]int // edges from the root: 0 for the root
+	order    []string       // depth-first feature order
 
 	encOnce sync.Once // builds enc (encode.go)
 	enc     *Encoding
@@ -88,9 +89,10 @@ func NewModel(root *Feature, constraints ...*Expr) (*Model, error) {
 		Constraints: constraints,
 		features:    make(map[string]*Feature),
 		parent:      make(map[string]*Feature),
+		depth:       make(map[string]int),
 	}
-	var walk func(f, parent *Feature) error
-	walk = func(f, parent *Feature) error {
+	var walk func(f, parent *Feature, depth int) error
+	walk = func(f, parent *Feature, depth int) error {
 		if f.Name == "" {
 			return fmt.Errorf("featmodel: feature with empty name under %q", parentName(parent))
 		}
@@ -104,15 +106,16 @@ func NewModel(root *Feature, constraints ...*Expr) (*Model, error) {
 		if parent != nil {
 			m.parent[f.Name] = parent
 		}
+		m.depth[f.Name] = depth
 		m.order = append(m.order, f.Name)
 		for _, c := range f.Children {
-			if err := walk(c, f); err != nil {
+			if err := walk(c, f, depth+1); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := walk(root, nil); err != nil {
+	if err := walk(root, nil, 0); err != nil {
 		return nil, err
 	}
 	for _, c := range constraints {
@@ -262,7 +265,8 @@ func ConfigOf(names ...string) Configuration {
 // and empty ones skipped, every selected feature selects its ancestors,
 // and the root is selected. A name outside the model is an error.
 func (m *Model) Complete(names []string) (Configuration, error) {
-	cfg := Configuration{m.Root.Name: true}
+	cfg := make(Configuration, m.completeSize(names))
+	cfg[m.Root.Name] = true
 	for _, n := range names {
 		n = strings.TrimSpace(n)
 		if n == "" {
@@ -277,6 +281,17 @@ func (m *Model) Complete(names []string) (Configuration, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// completeSize bounds the size of the configuration Complete builds
+// from names, so its map is sized once: the root plus each name's
+// features up to the root, at most every feature.
+func (m *Model) completeSize(names []string) int {
+	n := 1
+	for _, name := range names {
+		n += m.depth[strings.TrimSpace(name)]
+	}
+	return min(n, len(m.features))
 }
 
 // Sorted returns the selected names sorted lexicographically.

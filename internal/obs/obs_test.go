@@ -236,3 +236,28 @@ func TestConcurrentMetricsAndSpans(t *testing.T) {
 		t.Fatalf("histogram count = %d, want 4000", hv.With("semantic").Count())
 	}
 }
+
+// TestSnapshotAllocs pins what a snapshot allocates: one Attrs copy
+// per span with attributes and one Children slice per span with
+// children, and nothing to read a span's child list, which StartChild
+// only ever appends to.
+func TestSnapshotAllocs(t *testing.T) {
+	root := NewSpan("request")
+	root.SetAttr("mode", "enumerate")
+	for i := 0; i < 3; i++ {
+		vm := root.StartChild("vm")
+		vm.SetAttr("cache", "hit")
+		for j := 0; j < 2; j++ {
+			family := vm.StartChild("family")
+			family.SetAttr("violations", "0")
+			family.End()
+		}
+		vm.End()
+	}
+	root.End()
+	const spans, parents = 10, 4
+	if got := testing.AllocsPerRun(100, func() { _ = root.Snapshot() }); got != spans+parents {
+		t.Errorf("Snapshot: %.0f allocations, want %d (attributes of %d spans, children of %d)",
+			got, spans+parents, spans, parents)
+	}
+}

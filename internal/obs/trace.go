@@ -150,7 +150,9 @@ func (s *Span) snapshotRel(base time.Time) SpanSnapshot {
 		snap.Millis = float64(time.Since(s.start)) / float64(time.Millisecond)
 	}
 	snap.Attrs = append([]Attr(nil), s.attrs...)
-	kids := append([]*Span(nil), s.children...)
+	// StartChild only appends, so the children up to this length stay
+	// as they are: the slice header is a stable view without a copy.
+	kids := s.children
 	s.mu.Unlock()
 	if len(kids) > 0 {
 		snap.Children = make([]SpanSnapshot, len(kids))

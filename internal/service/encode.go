@@ -7,25 +7,29 @@ import (
 	"sync"
 )
 
-// Response encoding. Every reply — /check, /lint, /healthz, /example
-// and the error envelopes — is marshalled compactly by encoding/json
-// into a pooled buffer and then indented in one linear pass. The
-// result is byte for byte what json.Encoder with SetIndent("", "  ")
-// writes (TestWriteJSONMatchesStdlibIndent and FuzzWriteJSON hold it),
-// so the pinned /healthz shape, the CI greps and every client see the
-// same bytes; the stdlib indenter re-runs its scanner state machine
-// over every byte, string bodies included, where appendIndent copies
-// each string literal in bulk.
+// Response encoding. Every reply but /check's — /lint, /healthz,
+// /example and the error envelopes — is marshalled compactly by
+// encoding/json into a pooled buffer and then indented in one linear
+// pass. The result is byte for byte what json.Encoder with
+// SetIndent("", "  ") writes (TestWriteJSONMatchesStdlibIndent and
+// FuzzWriteJSON hold it), so the pinned /healthz shape, the CI greps
+// and every client see the same bytes; the stdlib indenter re-runs its
+// scanner state machine over every byte, string bodies included, where
+// appendIndent copies each string literal in bulk. The /check reply is
+// written straight from the report into the same pooled buffers
+// (reply.go).
 
 // maxPooledJSONBuf caps the buffers returned to the pool: one huge
 // reply must not pin its buffers for the life of the process.
 const maxPooledJSONBuf = 1 << 20
 
-// jsonBuf holds one reply's compact encoding and its indented form.
+// jsonBuf holds one reply's compact encoding and its indented form,
+// and the text of the artifact a /check reply is writing.
 type jsonBuf struct {
-	compact bytes.Buffer
-	enc     *json.Encoder // writes into compact, HTML escaping on
-	out     []byte
+	compact  bytes.Buffer
+	enc      *json.Encoder // writes into compact, HTML escaping on
+	out      []byte
+	artifact []byte
 }
 
 var jsonBufPool = sync.Pool{New: func() any {
@@ -38,19 +42,24 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	jb := jsonBufPool.Get().(*jsonBuf)
-	defer func() {
-		if jb.compact.Cap() <= maxPooledJSONBuf && cap(jb.out) <= maxPooledJSONBuf {
-			jsonBufPool.Put(jb)
-		}
-	}()
+	defer jb.release()
 	jb.compact.Reset()
 	// Encoding of our plain structs cannot fail; ignore the writer error
 	// (the client has gone away).
 	if err := jb.enc.Encode(v); err != nil {
 		return
 	}
-	jb.out = appendIndent(jb.out[:0], jb.compact.Bytes())
+	jb.out = appendIndent(jb.out[:0], jb.compact.Bytes(), 0)
 	_, _ = w.Write(jb.out)
+}
+
+// release returns jb to the pool unless one of its buffers grew too
+// large to keep.
+func (jb *jsonBuf) release() {
+	if jb.compact.Cap() <= maxPooledJSONBuf && cap(jb.out) <= maxPooledJSONBuf &&
+		cap(jb.artifact) <= maxPooledJSONBuf {
+		jsonBufPool.Put(jb)
+	}
 }
 
 // appendIndent appends src, a compact JSON document as json.Encoder
@@ -59,9 +68,9 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 // and two spaces per level after each opening bracket and comma, a
 // space after each colon, and empty objects and arrays kept as {} and
 // []. Bytes that are not punctuation, the trailing newline included,
-// are copied unchanged.
-func appendIndent(dst, src []byte) []byte {
-	depth := 0
+// are copied unchanged. depth is the nesting level src is a value at:
+// 0 for a whole document.
+func appendIndent(dst, src []byte, depth int) []byte {
 	needIndent := false // an opening bracket awaits its first element
 	for i := 0; i < len(src); i++ {
 		c := src[i]

@@ -241,11 +241,11 @@ func checkReply(t testing.TB, req CheckRequest) *CheckResponse {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, _, err := svc.srv.runCheck(context.Background(), &req)
+	res, _, err := svc.srv.runCheck(context.Background(), &req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resp
+	return checkResponse(&res)
 }
 
 // TestWriteJSONAllocs gates the writer's allocations on a warm pool:
@@ -267,8 +267,11 @@ func TestWriteJSONAllocs(t *testing.T) {
 }
 
 // BenchmarkWriteJSON encodes a reply shaped like line-cached's: the 8
-// VMs of the synthetic 8-CPU/24-UART line, against the stdlib indent
-// path it replaced.
+// VMs of the synthetic 8-CPU/24-UART line. writeCheckReply writes it
+// from the report, artifacts rendered on the way; writeJSON and the
+// stdlib indent path encode the CheckResponse the report converts to,
+// artifact strings already rendered, as every /check reply was written
+// before writeCheckReply.
 func BenchmarkWriteJSON(b *testing.B) {
 	p, err := bench.SyntheticProductLine(8, 24, 8)
 	if err != nil {
@@ -278,9 +281,17 @@ func BenchmarkWriteJSON(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	resp := checkResponse(report)
+	res := &checkResult{report: report}
+	resp := checkResponse(res)
 	w := discardWriter{h: http.Header{}}
 	size := int64(len(stdlibIndent(resp)))
+	b.Run("writeCheckReply", func(b *testing.B) {
+		b.SetBytes(size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			writeCheckReply(w, res)
+		}
+	})
 	b.Run("writeJSON", func(b *testing.B) {
 		b.SetBytes(size)
 		b.ReportAllocs()

@@ -177,7 +177,10 @@ type VMResult struct {
 	Violations []Violation `json:"violations,omitempty"`
 }
 
-// CheckResponse is the JSON response of POST /check.
+// CheckResponse is the JSON response of POST /check, the type clients
+// decode it into. The server writes it straight from the pipeline's
+// report (writeCheckReply), in the bytes json.Encoder with two-space
+// indentation writes for this type.
 type CheckResponse struct {
 	OK         bool        `json:"ok"`
 	Allocation []Violation `json:"allocation,omitempty"`
@@ -530,7 +533,7 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	resp, status, err := s.runCheck(r.Context(), &req)
+	res, status, err := s.runCheck(r.Context(), &req)
 	if err != nil {
 		var le *core.LimitError
 		if errors.As(err, &le) {
@@ -542,12 +545,21 @@ func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeCheckReply(w, &res)
+	res.report.Release()
 }
 
-func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckResponse, int, error) {
+// checkResult is a finished /check run: its report and what the reply
+// carries besides it.
+type checkResult struct {
+	report    *core.Report
+	requestID string            // "" when no request scope is in the context
+	trace     *obs.SpanSnapshot // the request's span tree, if it asked for it
+}
+
+func (s *server) runCheck(ctx context.Context, req *CheckRequest) (checkResult, int, error) {
 	if req.CoreDTS == "" || req.Deltas == "" || req.FeatureModel == "" || len(req.VMs) == 0 {
-		return nil, http.StatusBadRequest,
+		return checkResult{}, http.StatusBadRequest,
 			fmt.Errorf("coreDts, deltas, featureModel and vms are all required")
 	}
 	if s.beforeCheck != nil {
@@ -556,12 +568,12 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	markPhase(ctx, "parse")
 	fe, status, err := s.parseFrontEnd(req)
 	if err != nil {
-		return nil, status, err
+		return checkResult{}, status, err
 	}
 	configs := make([]featmodel.Configuration, len(req.VMs))
 	for i, names := range req.VMs {
 		if configs[i], err = fe.model.Complete(names); err != nil {
-			return nil, http.StatusUnprocessableEntity, fmt.Errorf("vm %d selects %w", i+1, err)
+			return checkResult{}, http.StatusUnprocessableEntity, fmt.Errorf("vm %d selects %w", i+1, err)
 		}
 	}
 
@@ -569,7 +581,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	if req.Mode != "" {
 		mode, err = core.ParseMode(req.Mode)
 		if err != nil {
-			return nil, http.StatusBadRequest, err
+			return checkResult{}, http.StatusBadRequest, err
 		}
 	}
 	markCheck(ctx, mode.String())
@@ -596,15 +608,18 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 	}
 	report, err := pipeline.RunContext(ctx, s.opts.Limits)
 	if err != nil {
-		return nil, http.StatusUnprocessableEntity, err
+		return checkResult{}, http.StatusUnprocessableEntity, err
 	}
 	markPhase(ctx, "respond")
 
-	resp := checkResponse(report)
+	res := checkResult{report: report}
 	if sc := scopeFrom(ctx); sc != nil {
-		resp.RequestID = sc.id
+		res.requestID = sc.id
+		// The flight record keeps the stats after the report is
+		// released, so it gets its own copy.
+		stats := report.Stats
+		markCheckOutcome(ctx, cacheTierOf(stats), &stats)
 	}
-	markCheckOutcome(ctx, cacheTierOf(*resp.Stats), resp.Stats)
 	if req.Trace {
 		span := obs.SpanFromContext(ctx)
 		if traceSpan != nil {
@@ -612,46 +627,10 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (*CheckRespons
 		}
 		if span != nil {
 			sn := span.Snapshot()
-			resp.Trace = &sn
+			res.trace = &sn
 		}
 	}
-	return resp, http.StatusOK, nil
-}
-
-// checkResponse copies a finished run's report into its reply and
-// recycles the report shell.
-func checkResponse(report *core.Report) *CheckResponse {
-	stats := report.Stats
-	resp := &CheckResponse{
-		OK:         report.OK(),
-		Stats:      &stats,
-		Allocation: toViolations(report.Allocation),
-		Lifted:     toLiftedFindings(report.Lifted),
-		Platform: VMResult{
-			Name:       "platform",
-			Deltas:     report.Platform.Trace,
-			DTS:        report.Platform.DTS,
-			Violations: toViolations(report.Platform.Violations),
-		},
-		PlatformC:      report.PlatformC,
-		ConfigC:        report.ConfigC,
-		JailhouseRootC: report.JailhouseRootC,
-		// Copied, not aliased: Release clears these two backing arrays
-		// when the report shell goes back to its pool below.
-		JailhouseCellsC: append([]string(nil), report.JailhouseCellsC...),
-		QEMUArgs:        append([]string(nil), report.QEMUArgs...),
-	}
-	for _, vm := range report.VMs {
-		resp.VMs = append(resp.VMs, VMResult{
-			Name:       vm.Name,
-			Deltas:     vm.Trace,
-			DTS:        vm.DTS,
-			Violations: toViolations(vm.Violations),
-		})
-	}
-	// Everything the response needs is copied out; recycle the shell.
-	report.Release()
-	return resp
+	return res, http.StatusOK, nil
 }
 
 // cacheTierOf folds a run's cache counters into the single tier label
@@ -666,44 +645,6 @@ func cacheTierOf(stats core.RunStats) string {
 		return "miss"
 	}
 	return "none"
-}
-
-// toLiftedFindings copies a lifted-mode report's findings into their
-// JSON shape (the witness configuration flattens to its sorted feature
-// names). Nothing aliases the report, so Release stays safe.
-func toLiftedFindings(fs []constraints.LiftedFinding) []LiftedFinding {
-	if len(fs) == 0 {
-		return nil
-	}
-	out := make([]LiftedFinding, 0, len(fs))
-	for _, f := range fs {
-		out = append(out, LiftedFinding{
-			Family: f.Family,
-			Violation: Violation{
-				Path:     f.Violation.Path,
-				Property: f.Violation.Property,
-				Rule:     f.Violation.Rule,
-				Message:  f.Violation.Message,
-				Delta:    f.Violation.Origin.Delta,
-			},
-			Config: f.Config.Sorted(),
-		})
-	}
-	return out
-}
-
-func toViolations(vs []constraints.Violation) []Violation {
-	out := make([]Violation, 0, len(vs))
-	for _, v := range vs {
-		out = append(out, Violation{
-			Path:     v.Path,
-			Property: v.Property,
-			Rule:     v.Rule,
-			Message:  v.Message,
-			Delta:    v.Origin.Delta,
-		})
-	}
-	return out
 }
 
 // LintRequest is the JSON body of POST /lint: a single DTS (plus
@@ -768,7 +709,12 @@ func (s *server) handleLint(w http.ResponseWriter, r *http.Request) {
 			writeLimitError(w, r, err)
 			return
 		}
-		resp.Semantic = toViolations(vs)
+		resp.Semantic = make([]Violation, 0, len(vs))
+		for _, v := range vs {
+			resp.Semantic = append(resp.Semantic, Violation{
+				Path: v.Path, Property: v.Property, Rule: v.Rule, Message: v.Message, Delta: v.Origin.Delta,
+			})
+		}
 	}
 	resp.OK = len(resp.Warnings) == 0 && len(resp.Structural) == 0 && len(resp.Semantic) == 0
 	writeJSON(w, http.StatusOK, resp)
