@@ -97,8 +97,8 @@ func preprocFuzzOptions() preproc.Options {
 // input: preproc.Source never panics and never hangs — macro recursion,
 // unterminated conditionals, include cycles and expansion blow-ups must
 // all come back as *dts.ParseError (the guards wrap dts.ErrTooDeep or
-// dts.ErrSourceTooLarge). Accepted outputs must have a resolvable
-// origin for every line.
+// dts.ErrSourceTooLarge). An accepted output must give every line the
+// origin that preproc.LineOrigins, the per-line oracle, gives it.
 func FuzzPreproc(f *testing.F) {
 	addFileSeeds(f, "seed_pp_*.pp")
 	f.Add("#define A(x) ((x) + 1)\nv = <A(A(2))>;\n")
@@ -115,12 +115,22 @@ func FuzzPreproc(f *testing.F) {
 			}
 			return
 		}
+		_, lines, err := preproc.LineOrigins("fuzz.dts", src, preprocFuzzOptions())
+		if err != nil {
+			t.Fatalf("the per-line oracle rejects what Source accepts: %v", err)
+		}
 		// Text is newline-terminated when non-empty, so the "\n" count
 		// is exactly the number of output lines.
-		for i := 1; i <= strings.Count(res.Text, "\n"); i++ {
-			if file, line := res.Origin(i); file == "" || line <= 0 {
-				t.Fatalf("output line %d has no origin", i)
+		if n := strings.Count(res.Text, "\n"); n != len(lines) {
+			t.Fatalf("%d output lines, %d per-line origins", n, len(lines))
+		}
+		for i, want := range lines {
+			if file, line := res.Origin(i + 1); file != want.File || line != want.Line || line <= 0 {
+				t.Fatalf("output line %d origin = %s:%d, per-line oracle %s:%d", i+1, file, line, want.File, want.Line)
 			}
+		}
+		if file, _ := res.Origin(len(lines) + 1); file != "" {
+			t.Fatalf("line %d past the output has origin %s", len(lines)+1, file)
 		}
 	})
 }

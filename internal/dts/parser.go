@@ -102,8 +102,16 @@ func Parse(file, src string, opts ...ParseOption) (*Tree, error) {
 	return p.tree, nil
 }
 
+// parsed owns every node a parser builds. The parser merges with it as
+// the owner, so a fresh block's properties and children move into the
+// tree instead of being copied: nothing else references them yet. No
+// tree is ever parsed itself, so every other tree's Own still copies a
+// parsed node before writing it.
+var parsed = new(Tree)
+
 func newParser(opts []ParseOption) *parser {
 	p := &parser{tree: NewTree(), maxDepth: 32, maxNodeDepth: defaultMaxNodeDepth}
+	p.tree.Root.owner = parsed
 	for _, o := range opts {
 		o(p)
 	}
@@ -410,19 +418,15 @@ func (p *parser) resolveTopLevel() error {
 func (p *parser) applyTopOp(op topOp) (ok bool, err error) {
 	switch op.kind {
 	case opRootMerge:
-		p.tree.Root.Merge(op.node)
+		p.tree.Root.merge(op.node, parsed)
 	case opNamedNode:
-		if mine := p.tree.Root.Child(op.node.Name); mine != nil {
-			mine.Merge(op.node)
-		} else {
-			p.tree.Root.Children = append(p.tree.Root.Children, op.node)
-		}
+		p.mergeChild(p.tree.Root, op.node)
 	case opRefMerge:
 		target := p.lookupRef(op.ref)
 		if target == nil {
 			return false, nil
 		}
-		target.Merge(op.node)
+		target.merge(op.node, parsed)
 	case opRefDelete:
 		target := p.lookupRef(op.ref)
 		if target == nil {
@@ -529,7 +533,7 @@ func (p *parser) parseNodeBody(name string) (*Node, error) {
 			Msg: fmt.Sprintf("node %s nests deeper than %d: %v",
 				name, p.maxNodeDepth, ErrTooDeep)}
 	}
-	n := &Node{Name: name, Origin: Origin{File: p.lex.file, Line: p.tok.line}}
+	n := &Node{Name: name, Origin: Origin{File: p.lex.file, Line: p.tok.line}, owner: parsed}
 	if _, err := p.expect(tokLBrace); err != nil {
 		return nil, err
 	}
@@ -641,9 +645,11 @@ func (p *parser) parseNodeBody(name string) (*Node, error) {
 	return n, p.advance() // consume '}'
 }
 
+// mergeChild merges a freshly parsed child into parent, moving what it
+// holds (see parsed).
 func (p *parser) mergeChild(parent, child *Node) {
 	if mine := parent.Child(child.Name); mine != nil {
-		mine.Merge(child)
+		mine.merge(child, parsed)
 	} else {
 		parent.Children = append(parent.Children, child)
 	}

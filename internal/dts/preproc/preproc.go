@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 
 	"llhsc/internal/dts"
@@ -82,7 +83,12 @@ type Options struct {
 	MaxExpand int
 }
 
-type origin struct {
+// originRun says that output lines from out on, up to the next run's,
+// come from consecutive lines of file starting at line. A new run
+// starts only where that stops holding: at an include boundary, after
+// a directive or a skipped region.
+type originRun struct {
+	out  int // first output line of the run, 1-based
 	file string
 	line int
 }
@@ -90,18 +96,30 @@ type origin struct {
 // Result is preprocessed source plus the line-origin map.
 type Result struct {
 	// Text is the preprocessed source, ready for dts.Parse.
-	Text    string
-	origins []origin
+	Text  string
+	runs  []originRun
+	lines int // output lines in Text
 }
 
 // Origin maps a 1-based line number of Text to the original file and
 // line it came from; ("", 0) if out of range.
 func (r *Result) Origin(line int) (string, int) {
-	if line < 1 || line > len(r.origins) {
+	if line < 1 || line > r.lines {
 		return "", 0
 	}
-	o := r.origins[line-1]
-	return o.file, o.line
+	i := sort.Search(len(r.runs), func(i int) bool { return r.runs[i].out > line }) - 1
+	run := r.runs[i]
+	return run.file, run.line + line - run.out
+}
+
+// LineOrigins preprocesses src as Source does and also returns the
+// origin of every output line as its own entry: the per-line table that
+// Result's runs compress. It is the oracle the tests and FuzzPreproc
+// check Origin against, and nothing else calls it.
+func LineOrigins(file, src string, opts Options) (*Result, []dts.Origin, error) {
+	var lines []dts.Origin
+	res, err := source(file, src, opts, &lines)
+	return res, lines, err
 }
 
 type macro struct {
@@ -115,8 +133,11 @@ type state struct {
 	opts       Options
 	fs         FS
 	macros     map[string]*macro
-	lines      []string
-	origins    []origin
+	out        strings.Builder // Text, written in place as lines expand
+	lines      int             // lines written to out
+	runs       []originRun
+	perLine    *[]dts.Origin // every line's origin as well, for LineOrigins
+	hide       []string      // macros being expanded, innermost last
 	totalBytes int
 	including  []string // active include chain, for cycle detection
 }
@@ -128,7 +149,11 @@ func errAt(file string, line int, sentinel error, format string, args ...interfa
 
 // Source preprocesses src (named file in diagnostics and origins).
 func Source(file, src string, opts Options) (*Result, error) {
-	s := &state{opts: opts, fs: opts.FS, macros: make(map[string]*macro)}
+	return source(file, src, opts, nil)
+}
+
+func source(file, src string, opts Options, perLine *[]dts.Origin) (*Result, error) {
+	s := &state{opts: opts, fs: opts.FS, macros: make(map[string]*macro), perLine: perLine}
 	if s.fs == nil {
 		s.fs = osFS{}
 	}
@@ -147,11 +172,7 @@ func Source(file, src string, opts Options) (*Result, error) {
 	if err := s.processFile(file, src, 0); err != nil {
 		return nil, err
 	}
-	text := strings.Join(s.lines, "\n")
-	if len(s.lines) > 0 {
-		text += "\n"
-	}
-	return &Result{Text: text, origins: s.origins}, nil
+	return &Result{Text: s.out.String(), runs: s.runs, lines: s.lines}, nil
 }
 
 // File reads and preprocesses a file; quoted includes resolve relative
@@ -168,12 +189,32 @@ func File(path string, opts Options) (*Result, error) {
 	return Source(path, string(src), opts)
 }
 
-// condFrame is one open #ifdef/#ifndef.
+// condFrame is one open conditional group: #ifdef, #ifndef, or an #if
+// inside a skipped group, which nests but is never evaluated.
 type condFrame struct {
 	active   bool // branch currently emitting (parent active too)
 	taken    bool // some branch of this conditional was taken
 	seenElse bool
 	line     int // of the opening directive, for unterminated-ifdef errors
+}
+
+// activeIn reports whether the innermost frame emits; a frame is only
+// ever active when its parent is, so the innermost one decides.
+func activeIn(conds []condFrame) bool {
+	return len(conds) == 0 || conds[len(conds)-1].active
+}
+
+// nextLine returns the line of src starting at *pos and moves *pos past
+// its newline. A trailing newline ends the last line; it does not start
+// an empty one.
+func nextLine(src string, pos *int) string {
+	rest := src[*pos:]
+	if i := strings.IndexByte(rest, '\n'); i >= 0 {
+		*pos += i + 1
+		return rest[:i]
+	}
+	*pos = len(src)
+	return rest
 }
 
 func (s *state) processFile(file, src string, depth int) error {
@@ -188,65 +229,47 @@ func (s *state) processFile(file, src string, depth int) error {
 	}
 	s.including = append(s.including, file)
 	defer func() { s.including = s.including[:len(s.including)-1] }()
+	// Most of a file's lines come through once, so room for all of it
+	// saves the output most of its regrowth.
+	s.out.Grow(len(src))
 
-	lines := strings.Split(src, "\n")
-	// A trailing newline is a line terminator, not an extra empty line:
-	// dropping the final empty element keeps included files from
-	// injecting blank lines into the output.
-	if n := len(lines); n > 0 && lines[n-1] == "" {
-		lines = lines[:n-1]
-	}
 	var conds []condFrame
 	inComment := false
-	active := func() bool {
-		for _, c := range conds {
-			if !c.active {
-				return false
-			}
-		}
-		return true
-	}
-
-	for i := 0; i < len(lines); i++ {
-		lineno := i + 1
-		line := lines[i]
+	for pos, lineno := 0, 1; pos < len(src); lineno++ {
+		line := nextLine(src, &pos)
 
 		if !inComment {
 			if name, rest, ok := directiveOf(line); ok {
 				// Backslash continuations: join the logical line.
-				for strings.HasSuffix(rest, "\\") && i+1 < len(lines) {
-					i++
+				first := lineno
+				for strings.HasSuffix(rest, "\\") && pos < len(src) {
+					lineno++
 					rest = strings.TrimRight(strings.TrimSuffix(rest, "\\"), " \t") +
-						" " + strings.TrimSpace(lines[i])
+						" " + strings.TrimSpace(nextLine(src, &pos))
 				}
-				handled, err := s.directive(file, lineno, name, rest, &conds, active(), depth)
-				if err != nil {
+				if err := s.directive(file, first, name, rest, &conds, depth); err != nil {
 					return err
 				}
-				if handled {
-					continue
-				}
-				// Not a recognized directive: assembler-with-cpp
-				// passthrough (e.g. `#address-cells = <1>;`), expanded
-				// and emitted like any other line below. Continuations
-				// were not joined for these (directiveOf only matches
-				// known names), so `line` is intact.
+				continue
 			}
+			// Not a recognized directive: lines like `#address-cells =
+			// <1>;` are assembler-with-cpp passthrough, expanded and
+			// emitted like any other line below. Continuations are not
+			// joined for these (directiveOf only matches known names).
 		}
 
-		if !active() {
+		if !activeIn(conds) {
 			// Still must track block comments inside skipped regions, or
 			// a `*/` in dead code would desynchronize the scanner.
-			_, inComment = stripComments(line, inComment)
+			inComment = skipComments(line, inComment)
 			continue
 		}
 
-		expanded, nowInComment, err := s.expandLine(file, lineno, line, inComment)
-		if err != nil {
+		var err error
+		if inComment, err = s.expandLine(file, lineno, line, inComment); err != nil {
 			return err
 		}
-		inComment = nowInComment
-		s.emit(expanded, file, lineno)
+		s.endLine(file, lineno)
 	}
 
 	if len(conds) > 0 {
@@ -256,9 +279,20 @@ func (s *state) processFile(file, src string, depth int) error {
 	return nil
 }
 
-func (s *state) emit(text, file string, line int) {
-	s.lines = append(s.lines, text)
-	s.origins = append(s.origins, origin{file, line})
+// endLine ends the output line just expanded from line of file,
+// extending the last origin run when the line continues it.
+func (s *state) endLine(file string, line int) {
+	s.out.WriteByte('\n')
+	s.lines++
+	if s.perLine != nil {
+		*s.perLine = append(*s.perLine, dts.Origin{File: file, Line: line})
+	}
+	if n := len(s.runs); n > 0 {
+		if r := s.runs[n-1]; r.file == file && r.line+s.lines-r.out == line {
+			return
+		}
+	}
+	s.runs = append(s.runs, originRun{out: s.lines, file: file, line: line})
 }
 
 // directiveOf recognizes a preprocessor directive line: optional
@@ -285,77 +319,95 @@ func directiveOf(line string) (name, rest string, ok bool) {
 	return "", "", false
 }
 
-// directive executes one recognized directive. It returns handled=false
-// never — recognition already happened — but keeps the signature
-// uniform with future passthrough cases.
-func (s *state) directive(file string, line int, name, rest string, conds *[]condFrame, active bool, depth int) (bool, error) {
+// directive executes one recognized directive. Conditionals nest in
+// skipped groups too, as in cpp: there an #if only opens a frame that no
+// branch can take, and an #elif only closes its frame's taken branch;
+// neither expression is evaluated. Any other directive in a skipped
+// group is dropped.
+func (s *state) directive(file string, line int, name, rest string, conds *[]condFrame, depth int) error {
+	active := activeIn(*conds)
 	switch name {
 	case "ifdef", "ifndef":
 		if !isIdent(rest) {
-			return true, errAt(file, line, nil, "#%s needs a macro name, got %q", name, rest)
+			return errAt(file, line, nil, "#%s needs a macro name, got %q", name, rest)
 		}
 		_, defined := s.macros[rest]
 		branch := defined == (name == "ifdef")
 		*conds = append(*conds, condFrame{active: active && branch, taken: branch, line: line})
-		return true, nil
+		return nil
 
-	case "else":
+	case "if":
+		if active {
+			return notSupported(file, line, name)
+		}
+		*conds = append(*conds, condFrame{taken: true, line: line})
+		return nil
+
+	case "elif":
 		if len(*conds) == 0 {
-			return true, errAt(file, line, nil, "#else without #ifdef")
+			return errAt(file, line, nil, "#elif without #if")
 		}
 		c := &(*conds)[len(*conds)-1]
 		if c.seenElse {
-			return true, errAt(file, line, nil, "#else after #else")
+			return errAt(file, line, nil, "#elif after #else")
+		}
+		if !c.taken && activeIn((*conds)[:len(*conds)-1]) {
+			return notSupported(file, line, name) // it would decide the group
+		}
+		c.active = false
+		return nil
+
+	case "else":
+		if len(*conds) == 0 {
+			return errAt(file, line, nil, "#else without #ifdef")
+		}
+		c := &(*conds)[len(*conds)-1]
+		if c.seenElse {
+			return errAt(file, line, nil, "#else after #else")
 		}
 		c.seenElse = true
-		c.active = !c.taken && parentActive(*conds)
+		c.active = !c.taken && activeIn((*conds)[:len(*conds)-1])
 		c.taken = true
-		return true, nil
+		return nil
 
 	case "endif":
 		if len(*conds) == 0 {
-			return true, errAt(file, line, nil, "#endif without #ifdef")
+			return errAt(file, line, nil, "#endif without #ifdef")
 		}
 		*conds = (*conds)[:len(*conds)-1]
-		return true, nil
+		return nil
 	}
 
 	if !active {
-		return true, nil
+		return nil
 	}
 
 	switch name {
 	case "include":
-		return true, s.include(file, line, rest, depth)
+		return s.include(file, line, rest, depth)
 	case "define":
-		return true, s.define(file, line, rest)
+		return s.define(file, line, rest)
 	case "undef":
 		if !isIdent(rest) {
-			return true, errAt(file, line, nil, "#undef needs a macro name, got %q", rest)
+			return errAt(file, line, nil, "#undef needs a macro name, got %q", rest)
 		}
 		delete(s.macros, rest)
-		return true, nil
+		return nil
 	case "error":
-		return true, errAt(file, line, nil, "#error %s", rest)
+		return errAt(file, line, nil, "#error %s", rest)
 	case "warning", "pragma", "line":
 		// Accepted and dropped: none of these affect the token stream we
 		// care about, and kernel DTS does not depend on them.
-		return true, nil
-	case "if", "elif":
-		return true, errAt(file, line, nil,
-			"#%s is not supported (only #ifdef/#ifndef conditionals); guard with defined-ness instead", name)
+		return nil
 	}
-	return true, errAt(file, line, nil, "unhandled directive #%s", name)
+	return errAt(file, line, nil, "unhandled directive #%s", name)
 }
 
-// parentActive reports whether every frame but the last is active.
-func parentActive(conds []condFrame) bool {
-	for _, c := range conds[:len(conds)-1] {
-		if !c.active {
-			return false
-		}
-	}
-	return true
+// notSupported rejects an #if or #elif whose expression would decide
+// what is emitted.
+func notSupported(file string, line int, name string) error {
+	return errAt(file, line, nil,
+		"#%s is not supported (only #ifdef/#ifndef conditionals); guard with defined-ness instead", name)
 }
 
 func (s *state) include(file string, line int, rest string, depth int) error {
@@ -390,8 +442,8 @@ func (s *state) include(file string, line int, rest string, depth int) error {
 		candidates = append(candidates, filepath.Join(dir, name))
 	}
 	for _, cand := range candidates {
-		src, err := s.fs.ReadFile(cand)
-		if err != nil {
+		src, ok := s.readFile(cand)
+		if !ok {
 			continue
 		}
 		for _, open := range s.including {
@@ -400,9 +452,20 @@ func (s *state) include(file string, line int, rest string, depth int) error {
 					"include cycle: %s already being processed: %v", cand, dts.ErrTooDeep)
 			}
 		}
-		return s.processFile(cand, string(src), depth+1)
+		return s.processFile(cand, src, depth+1)
 	}
 	return errAt(file, line, nil, "#include %q not found in include paths", name)
+}
+
+// readFile reads an include candidate. A MapFS is read in place, without
+// the copy into []byte and back that its ReadFile would make.
+func (s *state) readFile(name string) (string, bool) {
+	if m, ok := s.fs.(MapFS); ok {
+		src, ok := m[name]
+		return src, ok
+	}
+	src, err := s.fs.ReadFile(name)
+	return string(src), err == nil
 }
 
 func (s *state) define(file string, line int, rest string) error {
@@ -441,15 +504,18 @@ func (s *state) define(file string, line int, rest string) error {
 
 func isIdent(s string) bool { return s != "" && identLen(s) == len(s) }
 
+func isIdentStart(c byte) bool {
+	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
 func identLen(s string) int {
 	i := 0
 	for i < len(s) {
 		c := s[i]
-		alpha := c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
-		if i == 0 && !alpha {
+		if i == 0 && !isIdentStart(c) {
 			return 0
 		}
-		if !alpha && !(c >= '0' && c <= '9') {
+		if !isIdentStart(c) && !(c >= '0' && c <= '9') {
 			break
 		}
 		i++
@@ -457,123 +523,126 @@ func identLen(s string) int {
 	return i
 }
 
-// stripComments walks a line only to track comment state: it returns
-// the line with comment interiors blanked and the block-comment state
-// at the end of the line.
-func stripComments(line string, inComment bool) (string, bool) {
-	var b strings.Builder
-	i := 0
-	for i < len(line) {
-		if inComment {
-			if j := strings.Index(line[i:], "*/"); j >= 0 {
-				i += j + 2
-				inComment = false
-				continue
-			}
-			break
+// stringEnd returns the index just past the string literal that opens
+// at text[i], or len(text) when it does not close.
+func stringEnd(text string, i int) int {
+	j := i + 1
+	for j < len(text) && text[j] != '"' {
+		if text[j] == '\\' && j+1 < len(text) {
+			j++
 		}
-		if strings.HasPrefix(line[i:], "/*") {
-			inComment = true
-			i += 2
-			continue
-		}
-		if strings.HasPrefix(line[i:], "//") {
-			break
-		}
-		b.WriteByte(line[i])
-		i++
+		j++
 	}
-	return b.String(), inComment
+	if j < len(text) {
+		j++ // closing quote
+	}
+	return j
 }
 
-// expandLine macro-expands one source line, respecting string literals
-// and comments. inComment is the block-comment state carried in from
-// the previous line; the updated state is returned.
-func (s *state) expandLine(file string, line int, text string, inComment bool) (string, bool, error) {
-	var b strings.Builder
+// skipComments walks a line of a skipped region only to track comment
+// state: it returns the block-comment state at the end of the line.
+func skipComments(line string, inComment bool) bool {
+	for i := 0; i < len(line); {
+		if inComment {
+			j := strings.Index(line[i:], "*/")
+			if j < 0 {
+				return true
+			}
+			i += j + 2
+			inComment = false
+			continue
+		}
+		j := strings.IndexByte(line[i:], '/')
+		if j < 0 {
+			return false
+		}
+		i += j
+		switch {
+		case strings.HasPrefix(line[i:], "/*"):
+			inComment = true
+			i += 2
+		case strings.HasPrefix(line[i:], "//"):
+			return false
+		default:
+			i++
+		}
+	}
+	return inComment
+}
+
+// expandLine macro-expands one source line into the output, respecting
+// string literals and comments. inComment is the block-comment state
+// carried in from the previous line; the updated state is returned.
+// Text that no macro replaces is written in spans, not byte by byte.
+func (s *state) expandLine(file string, line int, text string, inComment bool) (bool, error) {
 	budget := s.opts.MaxExpand
-	i := 0
+	start, i := 0, 0 // text[start:i] is copied through but not written yet
 	for i < len(text) {
 		if inComment {
-			if j := strings.Index(text[i:], "*/"); j >= 0 {
-				b.WriteString(text[i : i+j+2])
-				i += j + 2
-				inComment = false
-				continue
+			j := strings.Index(text[i:], "*/")
+			if j < 0 {
+				break
 			}
-			b.WriteString(text[i:])
-			i = len(text)
-			break
+			i += j + 2
+			inComment = false
+			continue
 		}
 		c := text[i]
 		switch {
 		case strings.HasPrefix(text[i:], "/*"):
 			inComment = true
-			b.WriteString("/*")
 			i += 2
 		case strings.HasPrefix(text[i:], "//"):
-			b.WriteString(text[i:])
 			i = len(text)
 		case c == '"':
-			j := i + 1
-			for j < len(text) && text[j] != '"' {
-				if text[j] == '\\' && j+1 < len(text) {
-					j++
-				}
-				j++
-			}
-			if j < len(text) {
-				j++ // closing quote
-			}
-			b.WriteString(text[i:j])
-			i = j
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
+			i = stringEnd(text, i)
+		case isIdentStart(c):
 			j := i + identLen(text[i:])
-			word := text[i:j]
-			rest, out, err := s.expandIdent(file, line, word, text[j:], nil, 0, &budget)
-			if err != nil {
-				return "", inComment, err
+			m := s.macros[text[i:j]]
+			if m == nil {
+				i = j
+				continue
 			}
-			b.WriteString(out)
-			text = rest
-			i = 0
+			s.out.WriteString(text[start:i])
+			rest, err := s.expand(m, file, line, text[j:], 0, &budget)
+			if err != nil {
+				return inComment, err
+			}
+			text, start, i = rest, 0, 0
 		default:
-			b.WriteByte(c)
 			i++
 		}
 	}
-	return b.String(), inComment, nil
+	s.out.WriteString(text[start:])
+	return inComment, nil
 }
 
-// expandIdent expands one identifier occurrence. rest is the text
-// following the identifier (consulted for function-like argument
-// lists); it returns the unconsumed remainder and the expansion.
-// hide carries the macros currently being expanded (cpp's blue paint),
-// which is what terminates self-referential macros.
-func (s *state) expandIdent(file string, line int, word, rest string, hide []string, depth int, budget *int) (string, string, error) {
-	m, ok := s.macros[word]
-	if !ok || hidden(hide, word) {
-		return rest, word, nil
-	}
+// expand writes the expansion of macro m into the output. rest is the
+// text following the macro's name (consulted for function-like
+// argument lists); expand returns its unconsumed remainder. s.hide
+// carries the macros currently being expanded (cpp's blue paint), which
+// is what terminates self-referential macros.
+func (s *state) expand(m *macro, file string, line int, rest string, depth int, budget *int) (string, error) {
 	if depth > defaultMaxExpDepth {
-		return "", "", errAt(file, line, dts.ErrTooDeep,
+		return "", errAt(file, line, dts.ErrTooDeep,
 			"macro expansion nested deeper than %d: %v", defaultMaxExpDepth, dts.ErrTooDeep)
 	}
 
 	body := m.body
 	if m.funcLike {
-		args, after, ok, err := scanArgs(file, line, rest, word)
+		args, after, ok, err := scanArgs(file, line, rest, m.name)
 		if err != nil {
-			return "", "", err
+			return "", err
 		}
 		if !ok {
 			// Function-like macro name without an argument list stays a
 			// plain identifier, as in cpp.
-			return rest, word, nil
+			s.out.WriteString(m.name)
+			return rest, nil
 		}
 		if len(args) != len(m.params) && !(len(m.params) == 0 && len(args) == 1 && strings.TrimSpace(args[0]) == "") {
-			return "", "", errAt(file, line, nil,
-				"macro %s expects %d arguments, got %d", word, len(m.params), len(args))
+			return "", errAt(file, line, nil,
+				"macro %s expects %d arguments, got %d", m.name, len(m.params), len(args))
 		}
 		body = substituteParams(body, m.params, args)
 		rest = after
@@ -581,60 +650,48 @@ func (s *state) expandIdent(file string, line int, word, rest string, hide []str
 
 	*budget -= len(body)
 	if *budget < 0 {
-		return "", "", errAt(file, line, dts.ErrSourceTooLarge,
-			"macro expansion of %s exceeds %d bytes: %v", word, s.opts.MaxExpand, dts.ErrSourceTooLarge)
+		return "", errAt(file, line, dts.ErrSourceTooLarge,
+			"macro expansion of %s exceeds %d bytes: %v", m.name, s.opts.MaxExpand, dts.ErrSourceTooLarge)
 	}
 
 	// Rescan the substituted body with this macro hidden.
-	hide = append(hide, word)
-	var b strings.Builder
-	i := 0
+	s.hide = append(s.hide, m.name)
+	start, i := 0, 0 // body[start:i] is copied through but not written yet
 	for i < len(body) {
 		c := body[i]
 		switch {
 		case c == '"':
-			j := i + 1
-			for j < len(body) && body[j] != '"' {
-				if body[j] == '\\' && j+1 < len(body) {
-					j++
-				}
-				j++
-			}
-			if j < len(body) {
-				j++
-			}
-			b.WriteString(body[i:j])
-			i = j
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
+			i = stringEnd(body, i)
+		case isIdentStart(c):
 			j := i + identLen(body[i:])
-			inner := body[i:j]
-			tail := body[j:]
-			// The argument list of a nested invocation may continue in
-			// rest (e.g. `#define A F` used as `A(1)`): when the body
-			// ends right after the identifier, let it consume from rest.
-			if tail == "" {
-				newRest, out, err := s.expandIdent(file, line, inner, rest, hide, depth+1, budget)
-				if err != nil {
-					return "", "", err
-				}
-				b.WriteString(out)
-				rest = newRest
-				i = len(body)
+			inner := s.macros[body[i:j]]
+			if inner == nil || hidden(s.hide, inner.name) {
+				i = j
 				continue
 			}
-			newTail, out, err := s.expandIdent(file, line, inner, tail, hide, depth+1, budget)
-			if err != nil {
-				return "", "", err
+			s.out.WriteString(body[start:i])
+			var err error
+			if j == len(body) {
+				// The argument list of a nested invocation may continue
+				// in rest (e.g. `#define A F` used as `A(1)`): when the
+				// body ends right after the identifier, let it consume
+				// from rest.
+				rest, err = s.expand(inner, file, line, rest, depth+1, budget)
+				body = ""
+			} else {
+				body, err = s.expand(inner, file, line, body[j:], depth+1, budget)
 			}
-			b.WriteString(out)
-			body = newTail
-			i = 0
+			if err != nil {
+				return "", err
+			}
+			start, i = 0, 0
 		default:
-			b.WriteByte(c)
 			i++
 		}
 	}
-	return rest, b.String(), nil
+	s.out.WriteString(body[start:])
+	s.hide = s.hide[:len(s.hide)-1]
+	return rest, nil
 }
 
 func hidden(hide []string, name string) bool {
@@ -696,39 +753,32 @@ func scanArgs(file string, line int, text, macroName string) (args []string, res
 // substituteParams replaces parameter identifiers in a macro body with
 // the given argument texts and resolves ## token pasting by deleting
 // the operator and surrounding whitespace.
-func substituteParams(body string, params, args []string) string {
-	byName := make(map[string]string, len(params))
-	for i, p := range params {
-		if i < len(args) {
-			byName[p] = args[i]
+// argFor returns the argument for parameter word, or word itself when
+// it names no parameter. A repeated parameter name takes its last
+// argument.
+func argFor(word string, params, args []string) string {
+	for k := min(len(params), len(args)) - 1; k >= 0; k-- {
+		if params[k] == word {
+			return args[k]
 		}
 	}
+	return word
+}
+
+func substituteParams(body string, params, args []string) string {
 	var b strings.Builder
 	i := 0
 	for i < len(body) {
 		c := body[i]
 		switch {
 		case c == '"':
-			j := i + 1
-			for j < len(body) && body[j] != '"' {
-				if body[j] == '\\' && j+1 < len(body) {
-					j++
-				}
-				j++
-			}
-			if j < len(body) {
-				j++
-			}
+			j := stringEnd(body, i)
 			b.WriteString(body[i:j])
 			i = j
-		case c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z'):
+		case isIdentStart(c):
 			j := i + identLen(body[i:])
 			word := body[i:j]
-			if arg, ok := byName[word]; ok {
-				b.WriteString(arg)
-			} else {
-				b.WriteString(word)
-			}
+			b.WriteString(argFor(word, params, args))
 			i = j
 		default:
 			b.WriteByte(c)

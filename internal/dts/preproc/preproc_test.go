@@ -2,19 +2,51 @@ package preproc
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"llhsc/internal/dts"
 )
 
+// mustSource preprocesses src and checks its origins against the
+// per-line oracle (checkOrigins), so every input here checks them.
 func mustSource(t *testing.T, file, src string, opts Options) *Result {
 	t.Helper()
 	res, err := Source(file, src, opts)
 	if err != nil {
 		t.Fatalf("Source: %v", err)
 	}
+	checkOrigins(t, res, file, src, opts)
 	return res
+}
+
+// checkOrigins fails unless res, preprocessed from src, has the text of
+// LineOrigins' run and gives every output line the origin in its
+// per-line table, and no origin to the lines just outside the text.
+func checkOrigins(t *testing.T, res *Result, file, src string, opts Options) {
+	t.Helper()
+	oracle, lines, err := LineOrigins(file, src, opts)
+	if err != nil {
+		t.Fatalf("LineOrigins: %v", err)
+	}
+	if oracle.Text != res.Text {
+		t.Fatalf("LineOrigins text differs from Source's:\n%s\nvs\n%s", oracle.Text, res.Text)
+	}
+	if n := strings.Count(res.Text, "\n"); n != len(lines) {
+		t.Fatalf("%d output lines, %d per-line origins", n, len(lines))
+	}
+	for i, want := range lines {
+		if f, l := res.Origin(i + 1); f != want.File || l != want.Line {
+			t.Errorf("%s: output line %d origin = %s:%d, per-line oracle %s:%d", file, i+1, f, l, want.File, want.Line)
+		}
+	}
+	for _, out := range []int{0, len(lines) + 1} {
+		if f, l := res.Origin(out); f != "" || l != 0 {
+			t.Errorf("%s: out-of-range line %d has origin %s:%d", file, out, f, l)
+		}
+	}
 }
 
 func TestObjectMacroExpansion(t *testing.T) {
@@ -129,10 +161,12 @@ func TestIncludeSearchPaths(t *testing.T) {
 		"src/local.dtsi":              "local;\n",
 		"inc/dt-bindings/gpio/gpio.h": "#define GPIO_ACTIVE_HIGH 0\n",
 	}
-	res, err := File("src/board.dts", Options{FS: fs, IncludePaths: []string{"inc"}})
+	opts := Options{FS: fs, IncludePaths: []string{"inc"}}
+	res, err := File("src/board.dts", opts)
 	if err != nil {
 		t.Fatalf("File: %v", err)
 	}
+	checkOrigins(t, res, "src/board.dts", fs["src/board.dts"], opts)
 	if !strings.Contains(res.Text, "local;") || !strings.Contains(res.Text, "board;") {
 		t.Errorf("output:\n%s", res.Text)
 	}
@@ -226,6 +260,10 @@ func TestDirectiveErrors(t *testing.T) {
 		{"#else\n", "#else without"},
 		{"#ifdef A\n#else\n#else\n#endif\n", "#else after #else"},
 		{"#if 1\n#endif\n", "not supported"},
+		{"#ifdef A\n#elif B\n#endif\n", "not supported"},
+		{"#elif B\n", "#elif without"},
+		{"#ifdef A\n#else\n#elif B\n#endif\n", "#elif after #else"},
+		{"#ifdef A\n#if B\n", "unterminated"},
 		{"#error custom message\n", "custom message"},
 		{"#include bare\n", "expects"},
 		{"#define 9bad 1\n", "macro name"},
@@ -317,6 +355,7 @@ func TestParseRemapsErrorPosition(t *testing.T) {
 	// text has different numbering because the #define line vanishes.
 	fs := MapFS{"ok.dtsi": "/ { fine; };\n"}
 	src := "#define X 1\n/dts-v1/;\n#include \"ok.dtsi\"\n/ { broken = ; };\n"
+	mustSource(t, "top.dts", src, Options{FS: fs})
 	_, err := Parse("top.dts", src, Options{FS: fs})
 	var pe *dts.ParseError
 	if !errors.As(err, &pe) {
@@ -330,6 +369,7 @@ func TestParseRemapsErrorPosition(t *testing.T) {
 func TestParseRemapsTreeOrigins(t *testing.T) {
 	fs := MapFS{"soc.dtsi": "/ {\n\tsoc {\n\t\tnested;\n\t};\n};\n"}
 	src := "/dts-v1/;\n#include \"soc.dtsi\"\n/ {\n\ttop-prop;\n};\n"
+	mustSource(t, "top.dts", src, Options{FS: fs})
 	tree, err := Parse("top.dts", src, Options{FS: fs})
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
@@ -364,6 +404,7 @@ func TestKernelStyleEndToEnd(t *testing.T) {
 		"\t};",
 		"};",
 	}, "\n")
+	mustSource(t, "board.dts", src, Options{FS: fs, IncludePaths: []string{"."}})
 	tree, err := Parse("board.dts", src, Options{FS: fs, IncludePaths: []string{"."}})
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
@@ -371,5 +412,95 @@ func TestKernelStyleEndToEnd(t *testing.T) {
 	cells := tree.Lookup("/dev").Property("interrupts").Value.U32s()
 	if len(cells) != 2 || cells[0] != 5 || cells[1] != 4 {
 		t.Errorf("interrupts = %v, want [5 4]", cells)
+	}
+}
+
+// TestSkippedIfNests pins cpp's nesting of conditionals in a skipped
+// group: an #if there opens a frame without evaluating its expression,
+// so its #endif closes that frame and not the enclosing one, and an
+// #elif after a taken branch only ends it.
+func TestSkippedIfNests(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"dead #if", "#ifdef FOO\n#if BAR\n#endif\n#endif\nafter;\n", "after;\n"},
+		{"dead #if with text after it",
+			"#ifdef FOO\n#if BAR\ninner;\n#endif\nouter;\n#endif\nafter;\n", "after;\n"},
+		{"#if/#else in a dead #else",
+			"#define A\n#ifdef A\nthen;\n#else\n#if B\nif-branch;\n#else\nelse-branch;\n#endif\ndead;\n#endif\nafter;\n",
+			"then;\nafter;\n"},
+		{"#elif after a taken branch", "#define A\n#ifdef A\nthen;\n#elif B\nelif;\n#else\nelse;\n#endif\n", "then;\n"},
+		{"#elif in a dead group", "#ifdef FOO\n#ifndef FOO\nx;\n#elif B\ny;\n#endif\n#endif\nafter;\n", "after;\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := mustSource(t, "a.dts", tc.src, Options{}).Text; got != tc.want {
+				t.Errorf("output %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// corpusOptions reads the kernel-style corpus the way the corpus gate
+// does: its root and include/ are the -I directories.
+func corpusOptions(t *testing.T) (string, Options) {
+	const dir = "../../../testdata/corpus"
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir, Options{IncludePaths: []string{dir, filepath.Join(dir, "include")}}
+}
+
+// TestCorpusOriginsMatchPerLineOracle checks Origin against the per-line
+// oracle on every corpus file, with and without the -D that flips
+// board-beta's #ifdef: include boundaries, a header included twice,
+// include guards and skipped regions, multi-line block comments.
+// Backslash continuations are covered by the inputs above; the corpus
+// has none.
+func TestCorpusOriginsMatchPerLineOracle(t *testing.T) {
+	dir, opts := corpusOptions(t)
+	files, err := filepath.Glob(filepath.Join(dir, "*.dts*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no corpus files: %v", err)
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, defines := range []map[string]string{nil, {"HAS_SECOND_UART": ""}} {
+			opts.Defines = defines
+			mustSource(t, f, string(src), opts)
+		}
+	}
+}
+
+// TestCorpusBoardAllocs pins what preprocessing and parsing one corpus
+// board costs, with its whole include tree served from a MapFS as the
+// service serves a request's includes. The output is written into one
+// buffer with run-length origins, includes are read without copies, and
+// the parser moves fresh blocks into its tree; a per-line copy, a
+// per-line builder or a cloned block shows up as a higher count.
+func TestCorpusBoardAllocs(t *testing.T) {
+	dir, _ := corpusOptions(t)
+	fs := MapFS{}
+	for _, name := range []string{"board-alpha.dts", "soc.dtsi", "cpus.dtsi", "skeleton.dtsi",
+		"dt-bindings/gpio/gpio.h", "dt-bindings/interrupt-controller/irq.h", "dt-bindings/clock/demo-clk.h"} {
+		path := filepath.Join(dir, name)
+		if strings.HasPrefix(name, "dt-bindings/") {
+			path = filepath.Join(dir, "include", name)
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs[name] = string(src)
+	}
+	opts := Options{FS: fs, IncludePaths: []string{"."}}
+	parse := func() {
+		if _, err := Parse("board-alpha.dts", fs["board-alpha.dts"], opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const budget = 397
+	if allocs := testing.AllocsPerRun(20, parse); allocs > budget {
+		t.Errorf("preprocessing and parsing board-alpha allocates %.0f times, budget %d", allocs, budget)
 	}
 }

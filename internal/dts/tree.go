@@ -174,7 +174,7 @@ type Node struct {
 	delProps []string
 	delNodes []string
 
-	owner *Tree // the tree Own copied this node for, else nil
+	owner *Tree // the tree Own copied this node for, parsed for a node the parser built, else nil
 }
 
 // BaseName returns the node name without its unit address.
@@ -364,9 +364,11 @@ func (t *Tree) MergeAt(path []*Node, other *Node) {
 	t.Own(path).merge(other, t)
 }
 
-// merge merges other into n. With an owner (MergeAt), n and every node
-// merge descends into are owned by it, and other's properties and new
-// children are shared; without one (Merge), they are copied.
+// merge merges other into n. With an owner (MergeAt, and the parser's
+// merges of fresh blocks, owned by parsed), n and every node merge
+// descends into are owned by it, and other's properties and new
+// children are moved in, not copied; without one (Merge), they are
+// copied.
 func (n *Node) merge(other *Node, owner *Tree) {
 	if other.Label != "" {
 		n.Label = other.Label
