@@ -148,9 +148,6 @@ type RunStats struct {
 func (st *runState) addFamily(name string, fs FamilyStats) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.stats.Families == nil {
-		st.stats.Families = make(map[string]FamilyStats)
-	}
 	st.stats.Families[name] = st.stats.Families[name].add(fs)
 }
 
@@ -176,7 +173,8 @@ func (st *runState) addCache(hit bool) {
 }
 
 // snapshot copies the accumulated stats. A limit stop takes one while
-// other product workers may still be running, hence the lock.
+// other product workers may still be running, hence the lock. Once a
+// run has joined its workers, RunContext reads st.stats in place.
 func (st *runState) snapshot() RunStats {
 	st.mu.Lock()
 	defer st.mu.Unlock()

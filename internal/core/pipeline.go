@@ -257,7 +257,10 @@ type runState struct {
 
 // newRunState starts a run's shared state under limits.
 func (p *Pipeline) newRunState(limits Limits) *runState {
-	st := &runState{limits: limits}
+	// Sized once for every family a run can record: the per-tree ones,
+	// allocation and lifted.
+	st := &runState{limits: limits, stats: RunStats{
+		Families: make(map[string]FamilyStats, len(constraints.Families)+2)}}
 	if p.Cache != nil {
 		k := checkcache.NewHasher()
 		k.Part(p.Identity)
@@ -293,7 +296,9 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	st := p.newRunState(limits)
 	root := obs.SpanFromContext(ctx) // read once; nil disables tracing
 	if p.Metrics != nil {
-		defer func() { p.Metrics.observe(st.snapshot()) }()
+		// However the run ends, every product worker has been joined
+		// by the time this runs, so the stats are read in place.
+		defer func() { p.Metrics.observe(st.stats) }()
 	}
 
 	// ---- resource allocation (Section IV-A) ----
@@ -335,7 +340,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		for i := range p.VMConfigs {
 			var span *obs.Span
 			if root != nil {
-				span = root.StartChild("vm:" + p.vmName(i))
+				span = root.StartChild(p.vmSpanName(i))
 			}
 			if err := p.deriveAndCheckVM(ctx, st, i, &report.VMs[i], span); err != nil {
 				return nil, err
@@ -349,8 +354,10 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		return nil, err
 	}
 
+	// No worker runs any more, so the report takes the stats as they
+	// are; only a limit stop, which may come while others run, copies.
 	if !report.OK() {
-		report.Stats = st.snapshot()
+		report.Stats = st.stats
 		return report, nil
 	}
 
@@ -371,7 +378,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		}
 	}
 	report.Artifacts = Artifacts{Platform: report.Platform.facts.Platform, Config: baogen.NewConfig(vms)}
-	report.Stats = st.snapshot()
+	report.Stats = st.stats
 	return report, nil
 }
 
@@ -387,11 +394,30 @@ func (p *Pipeline) vmName(i int) string {
 	return "vm" + strconv.Itoa(i+1)
 }
 
-// defaultVMNames are the default names of the first 16 VMs, built once,
-// so naming them allocates nothing per run.
-var defaultVMNames = func() (names [16]string) {
+// vmSpanName is the name of VM i's span: "vm:" and its name.
+func (p *Pipeline) vmSpanName(i int) string {
+	if len(p.VMNames) == 0 && i < len(defaultVMSpanNames) {
+		return defaultVMSpanNames[i]
+	}
+	return "vm:" + p.vmName(i)
+}
+
+// defaultVMNames are the default names of the first 16 VMs, and
+// defaultVMSpanNames their span names, built once, so naming them
+// allocates nothing per run.
+var defaultVMNames, defaultVMSpanNames = func() (names, spans [16]string) {
 	for i := range names {
 		names[i] = "vm" + strconv.Itoa(i+1)
+		spans[i] = "vm:" + names[i]
+	}
+	return names, spans
+}()
+
+// familySpanNames are the span names of constraints.Families, in
+// table order, built once for the same reason.
+var familySpanNames = func() (names [len(constraints.Families)]string) {
+	for i, f := range constraints.Families {
+		names[i] = "family:" + f.Name
 	}
 	return names
 }()
@@ -409,7 +435,7 @@ func (p *Pipeline) runProductsParallel(ctx context.Context, st *runState, worker
 	spans := make([]*obs.Span, jobs)
 	if root != nil {
 		for i := range report.VMs {
-			spans[i] = root.StartChild("vm:" + p.vmName(i))
+			spans[i] = root.StartChild(p.vmSpanName(i))
 		}
 		spans[jobs-1] = root.StartChild("platform")
 	}
@@ -665,7 +691,7 @@ func (p *Pipeline) violationsOf(rec *productRecord) []constraints.Violation {
 func (p *Pipeline) checkTree(ctx context.Context, st *runState, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
 	var out []constraints.Violation
 	for i := range constraints.Families {
-		vs, err := p.runFamily(ctx, st, &constraints.Families[i], facts, span)
+		vs, err := p.runFamily(ctx, st, i, facts, span)
 		out = append(out, vs...)
 		if err != nil {
 			return out, err
@@ -674,12 +700,14 @@ func (p *Pipeline) checkTree(ctx context.Context, st *runState, facts *constrain
 	return out, nil
 }
 
-// runFamily executes one family under a child span of span, records its
-// stats and annotates the span with the family's solver work.
-func (p *Pipeline) runFamily(ctx context.Context, st *runState, f *constraints.Family, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
+// runFamily executes family i of constraints.Families under a child
+// span of span, records its stats and annotates the span with the
+// family's solver work.
+func (p *Pipeline) runFamily(ctx context.Context, st *runState, i int, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
+	f := &constraints.Families[i]
 	var fspan *obs.Span
 	if span != nil {
-		fspan = span.StartChild("family:" + f.Name)
+		fspan = span.StartChild(familySpanNames[i])
 		defer fspan.End()
 	}
 	var t0 time.Time

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 )
 
@@ -489,15 +490,10 @@ func (p *parser) finishUnresolved(deferred []topOp) error {
 }
 
 func (p *parser) deleteNode(target *Node) {
-	p.tree.Root.Walk(func(path string, n *Node) bool {
-		for _, c := range n.Children {
-			if c == target {
-				n.RemoveChild(c.Name)
-				return false
-			}
-		}
-		return true
-	})
+	parent := p.tree.Root.find(func(n *Node) bool { return slices.Contains(n.Children, target) })
+	if parent != nil {
+		parent.RemoveChild(target.Name)
+	}
 }
 
 // parseNamedNode parses "[label:] name { ... };" with the leading

@@ -146,15 +146,7 @@ func (t *Tree) Lookup(path string) *Node {
 
 // LookupLabel finds the node carrying the given label, or nil.
 func (t *Tree) LookupLabel(label string) *Node {
-	var found *Node
-	t.Root.Walk(func(path string, n *Node) bool {
-		if n.Label == label {
-			found = n
-			return false
-		}
-		return true
-	})
-	return found
+	return t.Root.find(func(n *Node) bool { return n.Label == label })
 }
 
 // Node is a device node: a named collection of properties and child
@@ -346,6 +338,20 @@ func (n *Node) Walk(fn func(path string, node *Node) bool) {
 		start = "/" + n.Name
 	}
 	rec(start, n)
+}
+
+// find returns the first node of n's subtree, in the order Walk visits
+// them, that match holds for, or nil. Unlike Walk it builds no paths.
+func (n *Node) find(match func(*Node) bool) *Node {
+	if match(n) {
+		return n
+	}
+	for _, c := range n.Children {
+		if found := c.find(match); found != nil {
+			return found
+		}
+	}
+	return nil
 }
 
 // Merge merges other into n with dtc semantics: properties with the

@@ -17,6 +17,11 @@ const DefaultFlightCapacity = 64
 // FlightRecord is one completed request as the flight recorder keeps
 // it: enough to reconstruct what the service was doing in the moments
 // before a crash without holding the request body or the report.
+//
+// A record keeps its request's finished span tree (Tree) rather than a
+// copy of it: once a request is answered its tree never changes again,
+// so the recorder renders Span and PhaseMs from the tree only when the
+// ring is read (Snapshot, WriteJSON, Dump).
 type FlightRecord struct {
 	Seq        uint64             `json:"seq"`
 	Time       string             `json:"time"`
@@ -31,14 +36,34 @@ type FlightRecord struct {
 	PhaseMs    map[string]float64 `json:"phaseMs,omitempty"`
 	Span       *SpanSnapshot      `json:"span,omitempty"`
 	Stats      any                `json:"stats,omitempty"`
+	// Tree, when set and Span is not, is the finished span tree the
+	// record's Span and PhaseMs are read from.
+	Tree *Span `json:"-"`
+}
+
+// render fills Span and PhaseMs from Tree, as a reader sees them.
+func (rec *FlightRecord) render() {
+	if rec.Tree == nil || rec.Span != nil {
+		return
+	}
+	sn := rec.Tree.Snapshot()
+	rec.Span = &sn
+	var buf [16]Phase
+	if phases := rec.Tree.AppendPhases(buf[:0]); len(phases) > 0 {
+		rec.PhaseMs = make(map[string]float64, len(phases))
+		for _, p := range phases {
+			rec.PhaseMs[p.Name] = p.Millis
+		}
+	}
 }
 
 // FlightRecorder is a fixed-capacity concurrent ring buffer of
 // FlightRecords. Writers never block readers for long: Record copies
 // one struct under a mutex, Snapshot copies the ring out under the
-// same mutex, and serialization happens outside it. Every method is
-// safe on a nil *FlightRecorder and does nothing, so the disabled path
-// costs one nil check (the same contract as *Span).
+// same mutex, and rendering the span trees and serialization happen
+// outside it. Every method is safe on a nil *FlightRecorder and does
+// nothing, so the disabled path costs one nil check (the same contract
+// as *Span).
 type FlightRecorder struct {
 	mu       sync.Mutex
 	ring     []FlightRecord
@@ -92,20 +117,26 @@ func (fr *FlightRecorder) Record(rec FlightRecord) uint64 {
 	return rec.Seq
 }
 
-// Snapshot returns the retained records oldest-first.
+// Snapshot returns the retained records oldest-first, each with its
+// Span and PhaseMs rendered from its tree.
 func (fr *FlightRecorder) Snapshot() []FlightRecord {
 	if fr == nil {
 		return nil
 	}
 	fr.mu.Lock()
-	defer fr.mu.Unlock()
 	out := make([]FlightRecord, 0, len(fr.ring))
 	if len(fr.ring) < fr.capacity {
-		return append(out, fr.ring...)
+		out = append(out, fr.ring...)
+	} else {
+		start := int(fr.total % uint64(fr.capacity))
+		out = append(out, fr.ring[start:]...)
+		out = append(out, fr.ring[:start]...)
 	}
-	start := int(fr.total % uint64(fr.capacity))
-	out = append(out, fr.ring[start:]...)
-	return append(out, fr.ring[:start]...)
+	fr.mu.Unlock()
+	for i := range out {
+		out[i].render()
+	}
+	return out
 }
 
 // Total returns the number of records ever written (not just retained).
@@ -138,9 +169,14 @@ type flightDump struct {
 // WriteJSON writes the retained records (oldest-first) as one indented
 // JSON document: {"time","capacity","recorded","records":[...]}.
 func (fr *FlightRecorder) WriteJSON(w io.Writer, reason string) error {
+	return fr.writeJSON(w, reason, time.Now())
+}
+
+// writeJSON is WriteJSON with the document's time given.
+func (fr *FlightRecorder) writeJSON(w io.Writer, reason string, now time.Time) error {
 	d := flightDump{
 		Reason:   reason,
-		Time:     time.Now().UTC().Format(time.RFC3339Nano),
+		Time:     now.UTC().Format(time.RFC3339Nano),
 		Capacity: fr.Capacity(),
 		Recorded: fr.Total(),
 		Records:  fr.Snapshot(),

@@ -1,14 +1,18 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestFlightRecorderWraparound(t *testing.T) {
@@ -189,5 +193,68 @@ func TestLoopbackOnly(t *testing.T) {
 		if rec.Code != tc.want {
 			t.Errorf("remote %q: status = %d, want %d", tc.remote, rec.Code, tc.want)
 		}
+	}
+}
+
+// TestFlightRecordOfTreeMatchesSnapshotShape: a record that keeps its
+// finished span tree serializes byte for byte as a record that was
+// handed a snapshot of the tree and the per-name sums of its direct
+// children, the shape records had before they kept trees — both in the
+// ring as Snapshot returns it and in the JSON document WriteJSON and
+// Dump write.
+func TestFlightRecordOfTreeMatchesSnapshotShape(t *testing.T) {
+	root := NewSpan("request")
+	root.SetAttr("mode", "enumerate")
+	for _, name := range []string{"allocation", "vm:vm1", "vm:vm1", "platform", "<&> "} {
+		c := root.StartChild(name)
+		c.SetInt("n", 7)
+		c.StartChild("family:semantic").End()
+		c.End()
+	}
+	root.End()
+	bare := NewSpan("request") // a request no phase ran for: no phaseMs
+	bare.End()
+
+	base := FlightRecord{Time: "2026-01-02T03:04:05.06Z", RequestID: "id", Method: "POST",
+		Path: "/check", Status: 200, Mode: "enumerate", CacheTier: "none", Outcome: "ok",
+		DurationMs: 1.5, Stats: map[string]int{"cacheHits": 0}}
+	trees, snaps := NewFlightRecorder(4), NewFlightRecorder(4)
+	for _, tree := range []*Span{root, bare} {
+		rec := base
+		rec.Tree = tree
+		trees.Record(rec)
+
+		rec = base
+		sn := tree.Snapshot()
+		rec.Span = &sn
+		for _, c := range sn.Children {
+			if rec.PhaseMs == nil {
+				rec.PhaseMs = map[string]float64{}
+			}
+			rec.PhaseMs[c.Name] += c.Millis
+		}
+		snaps.Record(rec)
+	}
+
+	got, want := trees.Snapshot(), snaps.Snapshot()
+	for i := range got {
+		got[i].Tree = nil
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ring snapshot:\n got %+v\nwant %+v", got, want)
+	}
+	now := time.Date(2026, 1, 2, 3, 4, 6, 0, time.UTC)
+	var gotDoc, wantDoc bytes.Buffer
+	if err := trees.writeJSON(&gotDoc, "panic", now); err != nil {
+		t.Fatal(err)
+	}
+	if err := snaps.writeJSON(&wantDoc, "panic", now); err != nil {
+		t.Fatal(err)
+	}
+	if gotDoc.String() != wantDoc.String() {
+		t.Errorf("flight document:\n got %s\nwant %s", gotDoc.String(), wantDoc.String())
+	}
+	if !strings.Contains(gotDoc.String(), `"phaseMs": {`) || !strings.Contains(gotDoc.String(), `"vm:vm1": `) {
+		t.Errorf("flight document lacks the phase sums:\n%s", gotDoc.String())
 	}
 }

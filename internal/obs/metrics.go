@@ -196,20 +196,29 @@ func (v *vec) with(labelValues ...string) Metric {
 		panic(fmt.Sprintf("obs: expected %d label values, got %d",
 			len(v.labelNames), len(labelValues)))
 	}
-	key := strings.Join(labelValues, "\x00")
+	// The key is built on the stack and looked up without converting
+	// it, so a hit allocates nothing; only a new child copies it.
+	var buf [128]byte
+	key := buf[:0]
+	for i, lv := range labelValues {
+		if i > 0 {
+			key = append(key, 0)
+		}
+		key = append(key, lv...)
+	}
 	v.mu.RLock()
-	m, ok := v.children[key]
+	m, ok := v.children[string(key)]
 	v.mu.RUnlock()
 	if ok {
 		return m
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if m, ok := v.children[key]; ok {
+	if m, ok := v.children[string(key)]; ok {
 		return m
 	}
 	m = v.mk()
-	v.children[key] = m
+	v.children[string(key)] = m
 	return m
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -260,4 +261,146 @@ func TestSnapshotAllocs(t *testing.T) {
 		t.Errorf("Snapshot: %.0f allocations, want %d (attributes of %d spans, children of %d)",
 			got, spans+parents, spans, parents)
 	}
+}
+
+// TestVecHitAllocs: a label lookup that finds its child builds its key
+// on the stack, so it allocates nothing with one label or two — the
+// llhsc_check_seconds{family,tier} observation every family run makes
+// included.
+func TestVecHitAllocs(t *testing.T) {
+	reg := NewRegistry()
+	hv := reg.NewHistogramVec("llhsc_hit_seconds", "h", nil, "family", "tier")
+	cv := reg.NewCounterVec("llhsc_hit_total", "c", "family")
+	family, tier := "semantic", "word"
+	hv.With(family, tier).Observe(0.001)
+	cv.With(family).Inc()
+	if got := testing.AllocsPerRun(100, func() {
+		hv.With(family, tier).Observe(0.001)
+		cv.With(family).Inc()
+	}); got != 0 {
+		t.Errorf("label lookup hits: %.0f allocations, want 0", got)
+	}
+	// A miss still files its child under its own copy of the key.
+	before := hv.With("semantic", "word").Count()
+	hv.With("interrupt", "none").Observe(1)
+	if hv.With("semantic", "word").Count() != before || hv.With("interrupt", "none").Count() != 1 {
+		t.Error("children mixed up after a miss")
+	}
+}
+
+// requestShapedTree builds a tree shaped like a traced /check of the
+// running example: 23 spans under the root and 21 attributes.
+func requestShapedTree() *Span {
+	root := NewSpan("request")
+	root.StartChild("allocation").End()
+	for _, product := range []string{"vm:vm1", "vm:vm2", "platform"} {
+		p := root.StartChild(product)
+		check := p.StartChild("check")
+		derive := check.StartChild("derive")
+		derive.SetInt("deltas", 6)
+		derive.End()
+		for _, f := range []string{"family:syntactic", "family:semantic", "family:memreserve", "family:interrupt"} {
+			fs := check.StartChild(f)
+			fs.SetInt("violations", 0)
+			if f == "family:semantic" {
+				fs.SetInt("pairs", 0)
+				fs.SetInt("pairs_pruned", 10)
+			}
+			fs.End()
+		}
+		check.End()
+		p.End()
+	}
+	root.StartChild("baogen").End()
+	root.End()
+	return root
+}
+
+// TestSpanArenaAllocs pins what a request-shaped tree costs: the root
+// with its arena, two span chunks (8 and 16) and two attribute chunks,
+// however many spans and attributes that is. Integer attributes are
+// kept as numbers, so setting one formats nothing.
+func TestSpanArenaAllocs(t *testing.T) {
+	if got := testing.AllocsPerRun(100, func() { requestShapedTree() }); got != 5 {
+		t.Errorf("a request-shaped span tree: %.0f allocations, want 5", got)
+	}
+}
+
+// TestIntAttrRendering: integer attributes render in decimal wherever
+// a tree is read, the largest value included.
+func TestIntAttrRendering(t *testing.T) {
+	s := NewSpan("r")
+	s.SetInt("max", ^uint64(0))
+	s.SetAttr("s", "")
+	s.SetInt("zero", 0)
+	s.End()
+	want := []Attr{{"max", "18446744073709551615"}, {"s", ""}, {"zero", "0"}}
+	if got := s.Snapshot().Attrs; !reflect.DeepEqual(got, want) {
+		t.Errorf("attrs = %v, want %v", got, want)
+	}
+	var b strings.Builder
+	s.WriteTree(&b)
+	if !strings.Contains(b.String(), "  max=18446744073709551615  s=  zero=0\n") {
+		t.Errorf("tree rendering: %q", b.String())
+	}
+}
+
+// TestAppendPhases: a span's direct children, summed per name in
+// creation order and sorted by name, exactly as a map keyed by name
+// and marshalled in key order gave them; grandchildren do not count.
+func TestAppendPhases(t *testing.T) {
+	if got := (*Span)(nil).AppendPhases(nil); got != nil {
+		t.Errorf("nil span phases = %v", got)
+	}
+	root := NewSpan("request")
+	if got := root.AppendPhases(nil); len(got) != 0 {
+		t.Errorf("childless span phases = %v", got)
+	}
+	for _, name := range []string{"vm:vm2", "allocation", "vm:vm2", "baogen", "vm:vm2", "allocation"} {
+		c := root.StartChild(name)
+		c.StartChild("deeper").End()
+		time.Sleep(50 * time.Microsecond)
+		c.End()
+	}
+	root.End()
+	want := map[string]float64{}
+	for _, c := range root.Snapshot().Children {
+		want[c.Name] += c.Millis
+	}
+	prefix := []Phase{{Name: "kept", Millis: 1}}
+	got := root.AppendPhases(prefix)
+	if len(got) != 4 || got[0] != prefix[0] {
+		t.Fatalf("phases = %v, want the prefix and 3 names", got)
+	}
+	for i, p := range got[1:] {
+		if i > 0 && got[i].Name >= p.Name {
+			t.Errorf("phases not sorted: %v", got)
+		}
+		if p.Millis != want[p.Name] {
+			t.Errorf("phase %s = %v ms, want %v", p.Name, p.Millis, want[p.Name])
+		}
+	}
+}
+
+// TestSnapshotIsCoherentWhileRunning: a snapshot of a live tree never
+// shows a child starting after the moment the snapshot reads, so no
+// running duration comes out negative.
+func TestSnapshotIsCoherentWhileRunning(t *testing.T) {
+	root := NewSpan("root")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			root.StartChild("c")
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		for _, c := range root.Snapshot().Children {
+			if c.Millis < 0 {
+				t.Fatalf("running child reports %v ms", c.Millis)
+			}
+		}
+	}
+	wg.Wait()
 }

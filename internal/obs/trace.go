@@ -5,27 +5,63 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
 
 // Span is one timed phase of a run, with key/value attributes and
-// child spans forming a tree. Spans use the monotonic clock embedded
-// in time.Time, so durations are immune to wall-clock steps.
+// child spans forming a tree. Spans use the monotonic clock, so
+// durations are immune to wall-clock steps.
 //
 // Every method is safe on a nil *Span and does nothing — the disabled
 // path costs one nil check, which is what keeps uninstrumented runs at
 // full speed. Spans are safe for concurrent use: parallel workers may
 // attach children to the same parent, and a scraper may snapshot a
 // tree that is still running.
+//
+// A tree lives in one arena its root owns (spanTree): spans are carved
+// from chunks that never move, so a *Span stays put, and one mutex
+// guards the whole tree. Children and attributes are kept in creation
+// order as circular lists, each entry pointing at the next and the
+// owner at the last, so adding one is a few pointer writes. Integer
+// attributes are kept as numbers and formatted only when rendered.
 type Span struct {
-	mu       sync.Mutex
-	name     string
-	start    time.Time
-	dur      time.Duration
-	ended    bool
-	attrs    []Attr
-	children []*Span
+	tree      *spanTree
+	name      string
+	start     time.Duration // since tree.epoch
+	dur       time.Duration // < 0 while the span runs
+	lastChild *Span         // its next is the first child
+	next      *Span         // the next sibling, circularly
+	lastAttr  *attr         // its next is the first attribute
+}
+
+// spanTree is the arena of one span tree: the root span, the chunks
+// the rest are carved from, and the lock every span of the tree takes.
+type spanTree struct {
+	mu    sync.Mutex
+	epoch time.Time // the root's creation; every start is an offset from it
+	root  Span
+	spans []Span // the unused rest of the newest span chunk
+	attrs []attr // the unused rest of the newest attribute chunk
+	// Sizes of the newest chunks: they double from firstChunk up to
+	// maxChunk, so a tree of n spans takes O(log n) allocations.
+	spanChunk, attrChunk int
+}
+
+const (
+	firstChunk = 8
+	maxChunk   = 512
+)
+
+// attr is one attribute: a string, or an integer (isInt) formatted
+// when rendered.
+type attr struct {
+	key   string
+	str   string
+	num   uint64
+	next  *attr // the span's next attribute, circularly
+	isInt bool
 }
 
 // Attr is one span attribute.
@@ -36,7 +72,21 @@ type Attr struct {
 
 // NewSpan starts a new root span.
 func NewSpan(name string) *Span {
-	return &Span{name: name, start: time.Now()}
+	t := &spanTree{epoch: time.Now()}
+	t.root = Span{tree: t, name: name, dur: -1}
+	return &t.root
+}
+
+// carve returns the next free entry of a chunk, first allocating a
+// chunk of the next size when free is used up; the tree's lock is held.
+func carve[T any](free *[]T, size *int) *T {
+	if len(*free) == 0 {
+		*size = min(max(2**size, firstChunk), maxChunk)
+		*free = make([]T, *size)
+	}
+	e := &(*free)[0]
+	*free = (*free)[1:]
+	return e
 }
 
 // StartChild starts a child span under s. On a nil span it returns
@@ -48,10 +98,19 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now()}
-	s.mu.Lock()
-	s.children = append(s.children, c)
-	s.mu.Unlock()
+	t := s.tree
+	now := time.Since(t.epoch)
+	t.mu.Lock()
+	c := carve(&t.spans, &t.spanChunk)
+	*c = Span{tree: t, name: name, start: now, dur: -1}
+	if s.lastChild == nil {
+		c.next = c
+	} else {
+		c.next = s.lastChild.next
+		s.lastChild.next = c
+	}
+	s.lastChild = c
+	t.mu.Unlock()
 	return c
 }
 
@@ -62,11 +121,13 @@ func (s *Span) Begin() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.start = time.Now()
+	t := s.tree
+	now := time.Since(t.epoch)
+	t.mu.Lock()
+	if s.dur < 0 {
+		s.start = now
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // End records the span's duration. Repeated End calls keep the first.
@@ -74,12 +135,13 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	if !s.ended {
-		s.dur = time.Since(s.start)
-		s.ended = true
+	t := s.tree
+	now := time.Since(t.epoch)
+	t.mu.Lock()
+	if s.dur < 0 {
+		s.dur = max(now-s.start, 0)
 	}
-	s.mu.Unlock()
+	t.mu.Unlock()
 }
 
 // SetAttr attaches (or appends) a string attribute.
@@ -87,9 +149,9 @@ func (s *Span) SetAttr(key, value string) {
 	if s == nil {
 		return
 	}
-	s.mu.Lock()
-	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
-	s.mu.Unlock()
+	s.tree.mu.Lock()
+	s.addAttr(attr{key: key, str: value})
+	s.tree.mu.Unlock()
 }
 
 // SetInt attaches an integer attribute.
@@ -97,7 +159,40 @@ func (s *Span) SetInt(key string, v uint64) {
 	if s == nil {
 		return
 	}
-	s.SetAttr(key, fmt.Sprintf("%d", v))
+	s.tree.mu.Lock()
+	s.addAttr(attr{key: key, num: v, isInt: true})
+	s.tree.mu.Unlock()
+}
+
+// addAttr appends a to s's attributes; the tree's lock is held.
+func (s *Span) addAttr(a attr) {
+	t := s.tree
+	p := carve(&t.attrs, &t.attrChunk)
+	*p = a
+	if s.lastAttr == nil {
+		p.next = p
+	} else {
+		p.next = s.lastAttr.next
+		s.lastAttr.next = p
+	}
+	s.lastAttr = p
+}
+
+func (a *attr) value() string {
+	if a.isInt {
+		return strconv.FormatUint(a.num, 10)
+	}
+	return a.str
+}
+
+// durationAt returns the span's duration, or for a running span its
+// duration at now; the tree's lock is held, and was when now was read,
+// so no span in the tree started after now.
+func (s *Span) durationAt(now time.Duration) time.Duration {
+	if s.dur >= 0 {
+		return s.dur
+	}
+	return now - s.start
 }
 
 // Duration returns the recorded duration, or the running duration for
@@ -106,12 +201,50 @@ func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ended {
-		return s.dur
+	t := s.tree
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return s.durationAt(time.Since(t.epoch))
+}
+
+// firstChild returns s's first child, or nil; the tree's lock is held.
+// The children run from it through next until it comes round again.
+func (s *Span) firstChild() *Span {
+	if s.lastChild == nil {
+		return nil
 	}
-	return time.Since(s.start)
+	return s.lastChild.next
+}
+
+// nextSibling returns the sibling after c under s, or nil after the
+// last; the tree's lock is held.
+func (s *Span) nextSibling(c *Span) *Span {
+	if c == s.lastChild {
+		return nil
+	}
+	return c.next
+}
+
+// firstAttr and nextAttr walk s's attributes as firstChild and
+// nextSibling walk its children; the tree's lock is held.
+func (s *Span) firstAttr() *attr {
+	if s.lastAttr == nil {
+		return nil
+	}
+	return s.lastAttr.next
+}
+
+func (s *Span) nextAttr(a *attr) *attr {
+	if a == s.lastAttr {
+		return nil
+	}
+	return a.next
+}
+
+// millis converts a duration to the float milliseconds every rendering
+// of a span reports.
+func millis(d time.Duration) float64 {
+	return float64(d) / float64(time.Millisecond)
 }
 
 // SpanSnapshot is an immutable copy of a span tree, JSON-ready for the
@@ -132,35 +265,84 @@ func (s *Span) Snapshot() SpanSnapshot {
 	if s == nil {
 		return SpanSnapshot{}
 	}
-	s.mu.Lock()
-	base := s.start
-	s.mu.Unlock()
-	return s.snapshotRel(base)
+	t := s.tree
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return s.snapshot(s.start, time.Since(t.epoch))
 }
 
-// snapshotRel copies the subtree with start offsets relative to base.
-func (s *Span) snapshotRel(base time.Time) SpanSnapshot {
-	s.mu.Lock()
+// snapshot copies the subtree with start offsets relative to base; the
+// tree's lock is held.
+func (s *Span) snapshot(base, now time.Duration) SpanSnapshot {
 	snap := SpanSnapshot{
 		Name:    s.name,
-		StartMs: float64(s.start.Sub(base)) / float64(time.Millisecond),
-		Millis:  float64(s.dur) / float64(time.Millisecond),
+		StartMs: millis(s.start - base),
+		Millis:  millis(s.durationAt(now)),
 	}
-	if !s.ended {
-		snap.Millis = float64(time.Since(s.start)) / float64(time.Millisecond)
+	if s.lastAttr != nil {
+		n := 0
+		for a := s.firstAttr(); a != nil; a = s.nextAttr(a) {
+			n++
+		}
+		snap.Attrs = make([]Attr, 0, n)
+		for a := s.firstAttr(); a != nil; a = s.nextAttr(a) {
+			snap.Attrs = append(snap.Attrs, Attr{Key: a.key, Value: a.value()})
+		}
 	}
-	snap.Attrs = append([]Attr(nil), s.attrs...)
-	// StartChild only appends, so the children up to this length stay
-	// as they are: the slice header is a stable view without a copy.
-	kids := s.children
-	s.mu.Unlock()
-	if len(kids) > 0 {
-		snap.Children = make([]SpanSnapshot, len(kids))
-		for i, c := range kids {
-			snap.Children[i] = c.snapshotRel(base)
+	if s.lastChild != nil {
+		n := 0
+		for c := s.firstChild(); c != nil; c = s.nextSibling(c) {
+			n++
+		}
+		snap.Children = make([]SpanSnapshot, 0, n)
+		for c := s.firstChild(); c != nil; c = s.nextSibling(c) {
+			snap.Children = append(snap.Children, c.snapshot(base, now))
 		}
 	}
 	return snap
+}
+
+// Phase is the total duration, in milliseconds, of a span's direct
+// children of one name.
+type Phase struct {
+	Name   string
+	Millis float64
+}
+
+// AppendPhases appends the durations of s's direct children to dst,
+// summed per name (in creation order) and sorted by name: the
+// request log line's and the flight record's "phaseMs". Unended
+// children report their running duration.
+func (s *Span) AppendPhases(dst []Phase) []Phase {
+	if s == nil {
+		return dst
+	}
+	t := s.tree
+	t.mu.Lock()
+	now := time.Since(t.epoch)
+	from := len(dst)
+	for c := s.firstChild(); c != nil; c = s.nextSibling(c) {
+		dst = append(dst, Phase{Name: c.name, Millis: millis(c.durationAt(now))})
+	}
+	t.mu.Unlock()
+	// An insertion sort keeps equal names in creation order, so each
+	// sum adds in the order the children started.
+	ps := dst[from:]
+	for i := 1; i < len(ps); i++ {
+		for j := i; j > 0 && ps[j].Name < ps[j-1].Name; j-- {
+			ps[j], ps[j-1] = ps[j-1], ps[j]
+		}
+	}
+	n := 0
+	for i, p := range ps {
+		if i > 0 && p.Name == ps[n-1].Name {
+			ps[n-1].Millis += p.Millis
+			continue
+		}
+		ps[n] = p
+		n++
+	}
+	return dst[:from+n]
 }
 
 // PhaseSet returns the sorted, de-duplicated names of every span in
@@ -168,15 +350,10 @@ func (s *Span) snapshotRel(base time.Time) SpanSnapshot {
 // exactly this set.
 func (s *Span) PhaseSet() []string {
 	seen := make(map[string]bool)
-	var walk func(sn SpanSnapshot)
-	walk = func(sn SpanSnapshot) {
-		seen[sn.Name] = true
-		for _, c := range sn.Children {
-			walk(c)
-		}
-	}
 	if s != nil {
-		walk(s.Snapshot())
+		s.tree.mu.Lock()
+		s.names(seen)
+		s.tree.mu.Unlock()
 	}
 	out := make([]string, 0, len(seen))
 	for n := range seen {
@@ -184,6 +361,15 @@ func (s *Span) PhaseSet() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// names adds the names of the subtree's spans to seen; the tree's lock
+// is held.
+func (s *Span) names(seen map[string]bool) {
+	seen[s.name] = true
+	for c := s.firstChild(); c != nil; c = s.nextSibling(c) {
+		c.names(seen)
+	}
 }
 
 // WriteTree renders the span tree with durations and attributes, one

@@ -92,11 +92,15 @@ func TestRequestTimeoutAnswers408(t *testing.T) {
 	}
 }
 
+// TestOverloadAnswers429 also pins the 429 reply byte for byte: NewService
+// renders it once, and it must be what writeJSON writes for the
+// errorResponse it stands for.
 func TestOverloadAnswers429(t *testing.T) {
-	s := &server{
-		opts:     Options{MaxInFlight: 1, MaxBodyBytes: defaultMaxBodyBytes},
-		inflight: make(chan struct{}, 1),
+	svc, err := NewService(Options{MaxInFlight: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
+	s := svc.srv
 	s.inflight <- struct{}{} // occupy the only slot
 
 	rec := httptest.NewRecorder()
@@ -106,8 +110,26 @@ func TestOverloadAnswers429(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", rec.Code)
 	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Error("missing Retry-After header on 429")
+	if got := rec.Header().Get("Retry-After"); got != "1" {
+		t.Errorf("Retry-After = %q on 429, want 1", got)
+	}
+	if got := rec.Header().Get("Content-Type"); got != "application/json" {
+		t.Errorf("Content-Type = %q on 429, want application/json", got)
+	}
+	const want = "{\n" +
+		"  \"error\": \"too many requests in flight (limit 1)\",\n" +
+		"  \"reason\": \"overloaded\",\n" +
+		"  \"retryAfterSeconds\": 1\n" +
+		"}\n"
+	if got := rec.Body.String(); got != want {
+		t.Errorf("429 body = %q, want %q", got, want)
+	}
+	envelope := httptest.NewRecorder()
+	writeJSON(envelope, http.StatusTooManyRequests, errorResponse{
+		Error: "too many requests in flight (limit 1)", Reason: "overloaded", RetryAfter: retryAfterSeconds,
+	})
+	if envelope.Body.String() != want {
+		t.Errorf("writeJSON writes the overload envelope as %q, want %q", envelope.Body.String(), want)
 	}
 	var e errorResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {

@@ -8,9 +8,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -41,17 +41,14 @@ func newServiceMetrics(reg *obs.Registry) *serviceMetrics {
 
 // reqScope is the per-request observability state carried in the
 // context: the correlation ID, the request's root span (nil unless
-// logging or tracing is enabled), the last phase/reason a handler
-// recorded before answering, and the check annotations (mode, cache
-// tier, stats) the flight record picks up. Once the request is
-// answered, snap holds the one snapshot of its span tree and phaseMs
-// its top-level phase durations, shared by the log line and the flight
-// record.
+// logging or the flight recorder is enabled), the last phase/reason a
+// handler recorded before answering, and the check annotations (mode,
+// cache tier, stats) the flight record picks up. Once the request is
+// answered its span tree is finished: the log line reads its phases
+// and the flight record keeps the tree itself.
 type reqScope struct {
-	id      string
-	span    *obs.Span
-	snap    *obs.SpanSnapshot
-	phaseMs map[string]float64
+	id   string
+	span *obs.Span
 
 	mu        sync.Mutex
 	phase     string
@@ -201,29 +198,98 @@ type jsonLogger struct {
 	w  io.Writer
 }
 
-// logLine is the shape of one request log record.
+// logLine is one request log record. appendJSON writes it as
+// json.Marshal wrote the struct it replaced, a string-keyed map for
+// phaseMs included (TestRequestLogLineMatchesMarshal and
+// FuzzRequestLogLine hold it to that).
 type logLine struct {
-	Time       string             `json:"time"`
-	Level      string             `json:"level"`
-	RequestID  string             `json:"requestId"`
-	Method     string             `json:"method"`
-	Path       string             `json:"path"`
-	Status     int                `json:"status"`
-	Class      string             `json:"class"`
-	DurationMs float64            `json:"durationMs"`
-	Phase      string             `json:"phase,omitempty"`
-	Reason     string             `json:"reason,omitempty"`
-	PhaseMs    map[string]float64 `json:"phaseMs,omitempty"`
+	Time       time.Time // written in UTC, RFC 3339 with nanoseconds
+	Level      string
+	RequestID  string
+	Method     string
+	Path       string
+	Status     int
+	Class      string
+	DurationMs float64
+	Phase      string      // omitted when empty
+	Reason     string      // omitted when empty
+	PhaseMs    []obs.Phase // sorted by name, one per name; omitted when empty
 }
 
-func (l *jsonLogger) log(line logLine) {
-	buf, err := json.Marshal(line)
-	if err != nil {
-		return
+// appendJSON appends the line's JSON object and a newline to dst.
+func (l *logLine) appendJSON(dst []byte) []byte {
+	// RFC 3339 text is digits and -:.TZ, none of which JSON escapes.
+	dst = append(dst, `{"time":"`...)
+	dst = l.Time.UTC().AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, `","level":`...)
+	dst = appendJSONString(dst, l.Level)
+	dst = append(dst, `,"requestId":`...)
+	dst = appendJSONString(dst, l.RequestID)
+	dst = append(dst, `,"method":`...)
+	dst = appendJSONString(dst, l.Method)
+	dst = append(dst, `,"path":`...)
+	dst = appendJSONString(dst, l.Path)
+	dst = append(dst, `,"status":`...)
+	dst = strconv.AppendInt(dst, int64(l.Status), 10)
+	dst = append(dst, `,"class":`...)
+	dst = appendJSONString(dst, l.Class)
+	dst = append(dst, `,"durationMs":`...)
+	dst = appendJSONFloat(dst, l.DurationMs)
+	if l.Phase != "" {
+		dst = append(dst, `,"phase":`...)
+		dst = appendJSONString(dst, l.Phase)
 	}
+	if l.Reason != "" {
+		dst = append(dst, `,"reason":`...)
+		dst = appendJSONString(dst, l.Reason)
+	}
+	if len(l.PhaseMs) > 0 {
+		dst = append(dst, `,"phaseMs":{`...)
+		for i, p := range l.PhaseMs {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendJSONString(dst, p.Name)
+			dst = append(dst, ':')
+			dst = appendJSONFloat(dst, p.Millis)
+		}
+		dst = append(dst, '}')
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the
+// shortest representation that reads back as f, in exponent form below
+// 1e-6 and from 1e21, with a one-digit negative exponent unpadded. f
+// must be finite, as a duration is.
+func appendJSONFloat(dst []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 to e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// logBufPool holds the buffers log lines are written into.
+var logBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+func (l *jsonLogger) log(line *logLine) {
+	bp := logBufPool.Get().(*[]byte)
+	*bp = line.appendJSON((*bp)[:0])
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.w.Write(append(buf, '\n'))
+	_, _ = l.w.Write(*bp) // a failing log sink has nowhere to report to
+	l.mu.Unlock()
+	if cap(*bp) <= maxPooledJSONBuf {
+		logBufPool.Put(bp)
+	}
 }
 
 // observe is the outermost middleware: it assigns the X-Request-ID,
@@ -260,13 +326,14 @@ func (s *server) observe(next http.Handler) http.Handler {
 			s.metrics.requestSeconds.With(ep, class).Observe(elapsed.Seconds())
 			s.metrics.requests.With(ep, class).Inc()
 		}
-		if sc.span != nil {
-			sc.span.End()
-			sn := sc.span.Snapshot()
-			sc.snap, sc.phaseMs = &sn, topLevelPhaseMillis(sn)
-		}
+		// From here on the span tree is finished: the handler has
+		// returned, and every product worker with it.
+		sc.span.End()
 		if s.logger != nil {
-			s.logger.log(requestLogLine(r, sc, status, elapsed, start))
+			var phases [16]obs.Phase
+			line := requestLogLine(r, sc, status, elapsed, start)
+			line.PhaseMs = sc.span.AppendPhases(phases[:0])
+			s.logger.log(&line)
 		}
 		if s.flight != nil {
 			s.recordFlight(r, sc, status, elapsed, start)
@@ -300,7 +367,7 @@ func (s *server) recordFlight(r *http.Request, sc *reqScope, status int, elapsed
 			rec.Outcome = "ok"
 		}
 	}
-	rec.PhaseMs, rec.Span = sc.phaseMs, sc.snap
+	rec.Tree = sc.span
 	s.flight.Record(rec)
 	if rec.Outcome == "panic" || strings.HasPrefix(rec.Outcome, "budget:") {
 		s.flight.Dump(rec.Outcome, "")
@@ -313,7 +380,7 @@ func requestLogLine(r *http.Request, sc *reqScope, status int, elapsed time.Dura
 	phase, reason := sc.phase, sc.reason
 	sc.mu.Unlock()
 	line := logLine{
-		Time:       start.UTC().Format(time.RFC3339Nano),
+		Time:       start,
 		Level:      "info",
 		RequestID:  sc.id,
 		Method:     r.Method,
@@ -321,7 +388,6 @@ func requestLogLine(r *http.Request, sc *reqScope, status int, elapsed time.Dura
 		Status:     status,
 		Class:      statusClass(status),
 		DurationMs: float64(elapsed) / float64(time.Millisecond),
-		PhaseMs:    sc.phaseMs,
 	}
 	if status >= 300 {
 		line.Level = "error"
@@ -335,18 +401,4 @@ func requestLogLine(r *http.Request, sc *reqScope, status int, elapsed time.Dura
 		}
 	}
 	return line
-}
-
-// topLevelPhaseMillis flattens the request span's direct children
-// (allocation, vm:<name>, platform, baogen, ...) into a name→duration
-// map for the log line and the flight record.
-func topLevelPhaseMillis(sn obs.SpanSnapshot) map[string]float64 {
-	if len(sn.Children) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(sn.Children))
-	for _, c := range sn.Children {
-		out[c.Name] += c.Millis
-	}
-	return out
 }

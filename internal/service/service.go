@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -113,8 +114,11 @@ const defaultMaxBodyBytes = 4 << 20
 // ROADMAP item 3 deletes it together with that field.
 const DegradeOff = "off"
 
-// retryAfterSeconds is the hint sent with 429/503 responses.
+// retryAfterSeconds is the hint sent with 429/503 responses, and
+// retryAfter the Retry-After header value that carries it.
 const retryAfterSeconds = 1
+
+var retryAfter = strconv.Itoa(retryAfterSeconds)
 
 // CheckRequest is the JSON body of POST /check.
 type CheckRequest struct {
@@ -258,6 +262,7 @@ func NewService(opts Options) (*Service, error) {
 	}
 	if opts.MaxInFlight > 0 {
 		s.inflight = make(chan struct{}, opts.MaxInFlight)
+		s.overloaded = overloadedReply(opts.MaxInFlight)
 	}
 	if opts.Registry != nil {
 		s.metrics = newServiceMetrics(opts.Registry)
@@ -301,11 +306,12 @@ func NewService(opts Options) (*Service, error) {
 func (svc *Service) SetDraining(v bool) { svc.srv.draining.Store(v) }
 
 type server struct {
-	opts     Options
-	inflight chan struct{}     // nil = unlimited
-	cache    *checkcache.Cache // nil = disabled; shared across requests
-	memo     frontEndMemo      // the last parsed /check front end, shared across requests
-	schemas  *schema.Set       // the standard set, shared read-only across requests
+	opts       Options
+	inflight   chan struct{}     // nil = unlimited
+	overloaded []byte            // the 429 reply's body, when inflight is set
+	cache      *checkcache.Cache // nil = disabled; shared across requests
+	memo       frontEndMemo      // the last parsed /check front end, shared across requests
+	schemas    *schema.Set       // the standard set, shared read-only across requests
 
 	draining atomic.Bool // set via Service.SetDraining
 
@@ -350,7 +356,7 @@ func (s *server) guard(h http.HandlerFunc) http.Handler {
 		if s.draining.Load() {
 			markPhase(r.Context(), "admission")
 			markReason(r.Context(), "draining")
-			w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
+			w.Header().Set("Retry-After", retryAfter)
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{
 				Error:      "service is draining ahead of shutdown",
 				Reason:     "draining",
@@ -365,12 +371,10 @@ func (s *server) guard(h http.HandlerFunc) http.Handler {
 			default:
 				markPhase(r.Context(), "admission")
 				markReason(r.Context(), "overloaded")
-				w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
-				writeJSON(w, http.StatusTooManyRequests, errorResponse{
-					Error:      fmt.Sprintf("too many requests in flight (limit %d)", s.opts.MaxInFlight),
-					Reason:     "overloaded",
-					RetryAfter: retryAfterSeconds,
-				})
+				w.Header().Set("Retry-After", retryAfter)
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusTooManyRequests)
+				_, _ = w.Write(s.overloaded) // the client may have gone away
 				return
 			}
 		}
@@ -381,6 +385,21 @@ func (s *server) guard(h http.HandlerFunc) http.Handler {
 		}
 		h(w, r)
 	})
+}
+
+// overloadedReply is the 429 body: the errorResponse writeJSON writes
+// for an overload, rendered once because the limit is fixed.
+func overloadedReply(limit int) []byte {
+	w := replyWriter{}
+	w.open('{')
+	w.key("error")
+	w.str("too many requests in flight (limit " + strconv.Itoa(limit) + ")")
+	w.key("reason")
+	w.str("overloaded")
+	w.key("retryAfterSeconds")
+	w.int(retryAfterSeconds)
+	w.close('}')
+	return append(w.b, '\n')
 }
 
 // writeLimitError maps a limit/cancellation stop to the taxonomy: 408
@@ -414,7 +433,7 @@ func writeLimitError(w http.ResponseWriter, r *http.Request, err error) {
 		reason = "budget:delta-ops"
 	}
 	markReason(r.Context(), reason)
-	w.Header().Set("Retry-After", fmt.Sprint(retryAfterSeconds))
+	w.Header().Set("Retry-After", retryAfter)
 	writeJSON(w, http.StatusServiceUnavailable, errorResponse{
 		Error:      fmt.Sprintf("check incomplete, result unknown: %v", err),
 		Reason:     reason,
