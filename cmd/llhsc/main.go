@@ -26,12 +26,10 @@ import (
 
 	"llhsc/internal/buildinfo"
 	"llhsc/internal/core"
-	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/dts/preproc"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
-	"llhsc/internal/runningexample"
 	"llhsc/internal/schema"
 )
 
@@ -182,15 +180,11 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 	if err != nil {
 		return err
 	}
-	deltas, err := delta.Parse(filepath.Base(*deltasPath), string(deltaSrc))
-	if err != nil {
-		return err
-	}
 	fmSrc, err := os.ReadFile(*fmPath)
 	if err != nil {
 		return err
 	}
-	model, err := featmodel.ParseModel(filepath.Base(*fmPath), string(fmSrc))
+	fe, err := core.ParseFrontEnd("", tree, filepath.Base(*deltasPath), string(deltaSrc), filepath.Base(*fmPath), string(fmSrc))
 	if err != nil {
 		return err
 	}
@@ -201,15 +195,13 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 
 	configs := make([]featmodel.Configuration, len(vms))
 	for i, list := range vms {
-		if configs[i], err = model.Complete(strings.Split(list, ",")); err != nil {
+		if configs[i], err = fe.Model.Complete(strings.Split(list, ",")); err != nil {
 			return fmt.Errorf("vm %d selects %w", i+1, err)
 		}
 	}
 
 	pipeline := &core.Pipeline{
-		Core:      tree,
-		Deltas:    deltas,
-		Model:     model,
+		FrontEnd:  fe,
 		Schemas:   schemas,
 		VMConfigs: configs,
 		Mode:      mode,
@@ -439,27 +431,9 @@ func cmdDemo(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tree, err := runningexample.Tree()
+	pipeline, err := core.RunningExample()
 	if err != nil {
 		return err
-	}
-	deltas, err := runningexample.Deltas()
-	if err != nil {
-		return err
-	}
-	model, err := runningexample.Model()
-	if err != nil {
-		return err
-	}
-	pipeline := &core.Pipeline{
-		Core:    tree,
-		Deltas:  deltas,
-		Model:   model,
-		Schemas: schema.StandardSet(),
-		VMConfigs: []featmodel.Configuration{
-			runningexample.VM1Config(), runningexample.VM2Config(),
-		},
-		VMNames: []string{"vm1", "vm2"},
 	}
 	report, err := pipeline.Run()
 	if err != nil {

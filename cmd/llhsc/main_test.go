@@ -1,7 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
@@ -9,6 +13,7 @@ import (
 	"testing"
 
 	"llhsc/internal/featmodel"
+	"llhsc/internal/service"
 )
 
 const testdata = "../../testdata"
@@ -52,6 +57,65 @@ func TestCheckRejectsUnknownFeature(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), `vm 2 selects unknown feature "cpu@7"`) {
 		t.Fatalf("err = %v, want vm 2's unknown feature cpu@7 rejected", err)
+	}
+}
+
+// TestCheckParseErrorsMatchService runs llhsc check on a malformed
+// delta file and a malformed feature-model file, each named as /check
+// names its input, and requires the error /check answers for the same
+// text: both come from core.ParseFrontEnd, with its "deltas: " or
+// "feature model: " prefix and the parser's position.
+func TestCheckParseErrorsMatchService(t *testing.T) {
+	deltas, err := os.ReadFile(filepath.Join(testdata, "customsbc.deltas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := os.ReadFile(filepath.Join(testdata, "customsbc.fm"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ file, deltas, model, prefix string }{
+		{"deltas", string(deltas) + "\ndelta broken when {\n", string(model), "deltas: deltas:"},
+		{"featuremodel", string(deltas), string(model) + "\nfeature {\n", "feature model: featuremodel:"},
+	} {
+		dir := t.TempDir()
+		for name, text := range map[string]string{"deltas": c.deltas, "featuremodel": c.model} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(text), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cliErr := run([]string{
+			"check",
+			"-core", filepath.Join(testdata, "customsbc.dts"),
+			"-deltas", filepath.Join(dir, "deltas"),
+			"-fm", filepath.Join(dir, "featuremodel"),
+			"-vm", "memory,cpu@0,uart0",
+		})
+
+		rec := httptest.NewRecorder()
+		h := service.NewHandler(service.Options{})
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/example", nil))
+		var req service.CheckRequest
+		if err := json.Unmarshal(rec.Body.Bytes(), &req); err != nil {
+			t.Fatal(err)
+		}
+		req.Deltas, req.FeatureModel = c.deltas, c.model
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/check", bytes.NewReader(body)))
+		var reply struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Code != http.StatusUnprocessableEntity || !strings.HasPrefix(reply.Error, c.prefix) {
+			t.Fatalf("malformed %s: /check answered %d %q, want 422 starting %q", c.file, rec.Code, reply.Error, c.prefix)
+		}
+		if cliErr == nil || cliErr.Error() != reply.Error {
+			t.Errorf("malformed %s: llhsc check = %v, want /check's %q", c.file, cliErr, reply.Error)
+		}
 	}
 }
 

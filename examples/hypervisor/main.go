@@ -15,41 +15,20 @@ import (
 	"llhsc/internal/core"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
-	"llhsc/internal/schema"
 )
 
 func main() {
-	tree, err := runningexample.Tree()
-	if err != nil {
-		log.Fatal(err)
-	}
-	deltas, err := runningexample.Deltas()
-	if err != nil {
-		log.Fatal(err)
-	}
-	model, err := runningexample.Model()
+	pipeline, err := core.RunningExample()
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Println("feature model (Fig. 1a):")
-	fmt.Println(indent(model.Format(), "  "))
-	analyzer := featmodel.NewAnalyzer(model)
-	n, _ := analyzer.CountProducts(0)
+	fmt.Println(indent(pipeline.Model.Format(), "  "))
+	n, _ := featmodel.NewAnalyzer(pipeline.Model).CountProducts(0)
 	fmt.Printf("valid products: %d (the paper reports %d)\n\n",
 		n, runningexample.ProductCount)
 
-	pipeline := &core.Pipeline{
-		Core:    tree,
-		Deltas:  deltas,
-		Model:   model,
-		Schemas: schema.StandardSet(),
-		VMConfigs: []featmodel.Configuration{
-			runningexample.VM1Config(),
-			runningexample.VM2Config(),
-		},
-		VMNames: []string{"vm1", "vm2"},
-	}
 	report, err := pipeline.Run()
 	if err != nil {
 		log.Fatal(err)

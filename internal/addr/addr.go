@@ -125,9 +125,9 @@ func KindOf(deviceType string, compatible []string) Kind {
 	return KindDevice
 }
 
-// nodeKind is KindOf over the node's own device_type and compatible,
+// NodeKind is KindOf over the node's own device_type and compatible,
 // read without allocating.
-func nodeKind(n *dts.Node) Kind {
+func NodeKind(n *dts.Node) Kind {
 	if dt, _ := n.StringValue("device_type"); dt == "memory" {
 		return KindMemory
 	}
@@ -301,7 +301,7 @@ func CollectRegions(t *dts.Tree) ([]Region, error) {
 			childPath := path + "/" + n.Name
 			if reg := n.Property("reg"); reg != nil && sc > 0 {
 				var regErrs []error
-				out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, nodeKind(n), reg.Origin)
+				out, regErrs = DecodeReg(out, childPath, reg.Value.U32s(), ac, sc, tr, NodeKind(n), reg.Origin)
 				errs = append(errs, regErrs...)
 			}
 			childTr := tr

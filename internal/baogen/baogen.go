@@ -257,26 +257,47 @@ func (vm *VM) Named(name string) *VM {
 }
 
 // NewConfig assembles the full hypervisor configuration, deriving the
-// shared-memory list from the VMs' IPC ids (one shmem per distinct id,
-// sized like the largest IPC window that references it).
+// shared-memory list from the VMs' IPC ids: shmem i is sized like the
+// largest IPC window whose id is i. The list is as long as the largest
+// id, so the VMs must pass CheckShmems first.
 func NewConfig(vms []*VM) *Config {
-	maxID := -1
-	sizes := make(map[int]uint64)
+	n := 0
 	for _, vm := range vms {
 		for _, ipc := range vm.IPCs {
-			if ipc.ShmemID > maxID {
-				maxID = ipc.ShmemID
-			}
-			if ipc.Size > sizes[ipc.ShmemID] {
-				sizes[ipc.ShmemID] = ipc.Size
+			n = max(n, ipc.ShmemID+1)
+		}
+	}
+	cfg := &Config{VMs: vms, Shmems: make([]Shmem, n)}
+	for _, vm := range vms {
+		for _, ipc := range vm.IPCs {
+			cfg.Shmems[ipc.ShmemID].Size = max(cfg.Shmems[ipc.ShmemID].Size, ipc.Size)
+		}
+	}
+	return cfg
+}
+
+// CheckShmems holds the VMs' IPC windows to Bao's rule that an IPC's
+// .shmem_id indexes the shmemlist (DESIGN.md §7): every id must be
+// below bound, the number of IPC windows the product line declares,
+// and windows that share an id share one object, so they must agree on
+// its size. A break is a *VMError naming the first such VM and the id.
+func CheckShmems(vms []*VM, bound int) error {
+	first := make([]*IPC, bound) // first[id]: the first window with that id
+	for _, vm := range vms {
+		for i := range vm.IPCs {
+			switch ipc, id := &vm.IPCs[i], vm.IPCs[i].ShmemID; {
+			case id < 0 || id >= bound:
+				return &VMError{VM: vm.Name, Reason: fmt.Sprintf(
+					"has IPC shmem id %d, not below %d, the IPC windows its product line declares", id, bound)}
+			case first[id] == nil:
+				first[id] = ipc
+			case first[id].Size != ipc.Size:
+				return &VMError{VM: vm.Name, Reason: fmt.Sprintf(
+					"has IPC shmem id %d of %#x bytes, where an earlier window has %#x", id, ipc.Size, first[id].Size)}
 			}
 		}
 	}
-	cfg := &Config{VMs: vms}
-	for id := 0; id <= maxID; id++ {
-		cfg.Shmems = append(cfg.Shmems, Shmem{Size: sizes[id]})
-	}
-	return cfg
+	return nil
 }
 
 // RenderPlatformC renders the platform description in the format of the

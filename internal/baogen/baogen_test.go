@@ -273,3 +273,40 @@ func TestFactsMatchBothExtractions(t *testing.T) {
 		t.Errorf("named error = %v", err)
 	}
 }
+
+// TestCheckShmems pins the shmem rule: ids below the bound, windows on
+// one id of one size. A break names the first VM that has it, and the
+// list NewConfig then builds is as long as the largest id.
+func TestCheckShmems(t *testing.T) {
+	vm := func(name string, ipcs ...IPC) *VM { return &VM{Name: name, IPCs: ipcs} }
+	for _, c := range []struct {
+		name string
+		vms  []*VM
+		want string // "" = passes
+	}{
+		{"none", []*VM{vm("a"), vm("b")}, ""},
+		{"dense", []*VM{vm("a", IPC{Size: 1, ShmemID: 1}), vm("b", IPC{Size: 2, ShmemID: 0})}, ""},
+		{"shared", []*VM{vm("a", IPC{Size: 1, ShmemID: 0}), vm("b", IPC{Size: 1, ShmemID: 0})}, ""},
+		{"gap", []*VM{vm("a", IPC{Size: 1, ShmemID: 1})}, ""},
+		{"past the bound", []*VM{vm("a", IPC{ShmemID: 1}), vm("b", IPC{ShmemID: 2})},
+			"baogen: VM b has IPC shmem id 2, not below 2, the IPC windows its product line declares"},
+		{"negative", []*VM{vm("a", IPC{ShmemID: -1})}, "VM a has IPC shmem id -1, not below 2"},
+		{"sizes differ", []*VM{vm("a", IPC{Size: 1, ShmemID: 0}), vm("b", IPC{Size: 0x10, ShmemID: 0})},
+			"baogen: VM b has IPC shmem id 0 of 0x10 bytes, where an earlier window has 0x1"},
+	} {
+		err := CheckShmems(c.vms, 2)
+		if c.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", c.name, err)
+			}
+			continue
+		}
+		if ve, ok := err.(*VMError); !ok || !strings.Contains(ve.Error(), c.want) {
+			t.Errorf("%s: %v; want a *VMError, %q", c.name, err, c.want)
+		}
+	}
+	cfg := NewConfig([]*VM{vm("a", IPC{Size: 1, ShmemID: 1})})
+	if !reflect.DeepEqual(cfg.Shmems, []Shmem{{Size: 0}, {Size: 1}}) {
+		t.Errorf("NewConfig over a gap = %v, want an unused shmem 0", cfg.Shmems)
+	}
+}

@@ -197,16 +197,12 @@ func RunE5(w io.Writer) error {
 // RunE6 reproduces the truncation scenario: products derived without
 // delta d4 must exhibit four memory banks and a collision at 0x0.
 func RunE6(w io.Writer) error {
-	coreTree, err := runningexample.Tree()
-	if err != nil {
-		return err
-	}
-	set, err := runningexample.Deltas()
+	p, err := core.RunningExample()
 	if err != nil {
 		return err
 	}
 	var kept []*delta.Delta
-	for _, d := range set.Deltas {
+	for _, d := range p.Deltas.Deltas {
 		if d.Name != "d4" {
 			kept = append(kept, d)
 		}
@@ -215,7 +211,7 @@ func RunE6(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	product, _, err := smaller.Apply(coreTree, runningexample.VM1Config())
+	product, _, err := smaller.Apply(p.Core, runningexample.VM1Config())
 	if err != nil {
 		return err
 	}
@@ -255,29 +251,11 @@ func RunE7(w io.Writer) error {
 	return nil
 }
 
-// RunningExamplePipeline assembles and runs the paper's pipeline.
+// RunningExamplePipeline runs the paper's pipeline.
 func RunningExamplePipeline() (*core.Report, error) {
-	tree, err := runningexample.Tree()
+	p, err := core.RunningExample()
 	if err != nil {
 		return nil, err
-	}
-	deltas, err := runningexample.Deltas()
-	if err != nil {
-		return nil, err
-	}
-	model, err := runningexample.Model()
-	if err != nil {
-		return nil, err
-	}
-	p := &core.Pipeline{
-		Core:    tree,
-		Deltas:  deltas,
-		Model:   model,
-		Schemas: schema.StandardSet(),
-		VMConfigs: []featmodel.Configuration{
-			runningexample.VM1Config(), runningexample.VM2Config(),
-		},
-		VMNames: []string{"vm1", "vm2"},
 	}
 	return p.Run()
 }

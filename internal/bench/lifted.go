@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"llhsc/internal/constraints"
-	"llhsc/internal/delta"
 	"llhsc/internal/featmodel"
 )
 
@@ -96,14 +95,10 @@ func measureLiftedPoint(cpus, uarts, rounds int) (LiftedPoint, error) {
 
 	// ---- lifted arm: one merged tree, one solver session ----
 	for r := 0; r < rounds; r++ {
-		// A Set keeps its last lift; a fresh one per round times the
-		// lift every round, as the enumerative arm derives every round.
-		set, err := delta.NewSet(pipeline.Deltas.Deltas)
-		if err != nil {
-			return point, err
-		}
+		// Set.Lift keeps nothing, so every round lifts, as the
+		// enumerative arm derives every round.
 		start := time.Now()
-		lt, err := set.Lift(pipeline.Core)
+		lt, err := pipeline.Deltas.Lift(pipeline.Core)
 		if err != nil {
 			return point, fmt.Errorf("bench: lift: %w", err)
 		}

@@ -116,12 +116,12 @@ func SyntheticProductLine(cpus, uarts, vms int) (*core.Pipeline, error) {
 	}
 
 	return &core.Pipeline{
-		Core:      tree,
-		Deltas:    set,
-		Model:     model,
+		FrontEnd: &core.FrontEnd{
+			// The board's size alone determines the core, deltas and model.
+			Identity: fmt.Sprintf("synthetic line: %d CPUs, %d UARTs", cpus, uarts),
+			Core:     tree, Deltas: set, Model: model,
+		},
 		Schemas:   schema.StandardSet(),
 		VMConfigs: configs,
-		// The board's size alone determines the core, deltas and model.
-		Identity: fmt.Sprintf("synthetic line: %d CPUs, %d UARTs", cpus, uarts),
 	}, nil
 }

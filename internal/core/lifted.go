@@ -12,7 +12,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
@@ -74,21 +73,21 @@ func (m *Mode) Set(v string) error {
 	return nil
 }
 
-// runLifted lifts the delta set over the core module and runs the
-// family-based checker once for the whole product line, filling
-// Report.Lifted. With a Cache installed, the findings are kept under
-// the run's key prefix — the Identity (which covers the feature model:
-// which products are valid decides every finding and witness), the
-// schema set and the knobs, the mode among them, so lifted and
-// enumerative results are never served for one another. A hit skips
-// the lift too.
+// runLifted runs the family-based checker once for the whole product
+// line over the front end's lifted tree (FrontEnd.Lifted, which lifts
+// once per front end), filling Report.Lifted. With a Cache installed,
+// the findings are kept under the run's key prefix — the Identity
+// (which covers the feature model: which products are valid decides
+// every finding and witness), the schema set and the knobs, the mode
+// among them, so lifted and enumerative results are never served for
+// one another. A hit skips the lift too.
 func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, root *obs.Span) error {
 	span := root.StartChild("lifted")
 	defer span.End()
 	compute := func() ([]constraints.LiftedFinding, error) {
-		lt, err := p.Deltas.Lift(p.Core)
+		lt, err := p.Lifted()
 		if err != nil {
-			return nil, liftError{err}
+			return nil, err
 		}
 		lc := constraints.NewLiftedChecker(p.Model, p.Schemas)
 		lc.Budget = st.limits.Solver
@@ -121,9 +120,10 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 		st.addCache(hit)
 	}
 	if err != nil {
-		var le liftError
-		if errors.As(err, &le) {
-			return fmt.Errorf("core: lift: %w", le.err)
+		// The front end keeps its lift's error, so this lifts only if a
+		// cache wait failed before this front end lifted.
+		if _, lerr := p.Lifted(); lerr != nil {
+			return fmt.Errorf("core: lift: %w", lerr)
 		}
 		return st.limitError("lifted", err)
 	}
@@ -140,10 +140,3 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 	span.SetInt("findings", uint64(len(report.Lifted)))
 	return nil
 }
-
-// liftError marks a failure to lift the delta set, which is reported
-// as a structural error, not a limit stop.
-type liftError struct{ err error }
-
-func (e liftError) Error() string { return e.err.Error() }
-func (e liftError) Unwrap() error { return e.err }

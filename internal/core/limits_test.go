@@ -46,9 +46,7 @@ func wideDevicePipeline(t *testing.T, n int) *Pipeline {
 		t.Fatal(err)
 	}
 	return &Pipeline{
-		Core:      tree,
-		Deltas:    set,
-		Model:     model,
+		FrontEnd:  &FrontEnd{Core: tree, Deltas: set, Model: model},
 		Schemas:   schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{featmodel.ConfigOf("root")},
 	}

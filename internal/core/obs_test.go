@@ -182,7 +182,7 @@ func TestCheckSecondsTierLabels(t *testing.T) {
 		return b.String()
 	}
 	reserves := scrape(&core.Pipeline{
-		Core: tree, Deltas: deltas, Model: model, Schemas: schema.StandardSet(),
+		FrontEnd: &core.FrontEnd{Core: tree, Deltas: deltas, Model: model}, Schemas: schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{featmodel.ConfigOf("root")},
 	})
 	example := scrape(examplePipeline(t, nil))

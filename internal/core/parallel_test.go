@@ -43,10 +43,8 @@ func examplePipeline(t *testing.T, coreTree *dts.Tree) *core.Pipeline {
 		t.Fatal(err)
 	}
 	return &core.Pipeline{
-		Core:    coreTree,
-		Deltas:  deltas,
-		Model:   model,
-		Schemas: schema.StandardSet(),
+		FrontEnd: &core.FrontEnd{Core: coreTree, Deltas: deltas, Model: model},
+		Schemas:  schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{
 			runningexample.VM1Config(), runningexample.VM2Config(),
 		},

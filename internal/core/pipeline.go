@@ -96,12 +96,9 @@ func (st *runState) limitError(phase string, err error) *LimitError {
 
 // Pipeline is a configured llhsc run.
 type Pipeline struct {
-	// Core is the core-module DTS (Listing 1).
-	Core *dts.Tree
-	// Deltas is the product line's delta-module set (Listing 4).
-	Deltas *delta.Set
-	// Model is the feature model (Fig. 1a).
-	Model *featmodel.Model
+	// FrontEnd is the parsed core module, delta set and feature model,
+	// with their Identity. Pipelines may share one.
+	*FrontEnd
 	// Schemas are the binding schemas for the syntactic checker;
 	// schema.StandardSet() covers the running example.
 	Schemas *schema.Set
@@ -114,11 +111,6 @@ type Pipeline struct {
 	// cache key: a lifted verdict covers the whole product line and
 	// must never be served as a per-tree one, or vice versa.
 	Mode Mode
-	// Identity names the front end — Core, Deltas and Model — in the
-	// cache key: pipelines that share a Cache and an Identity must have
-	// been built from the same inputs. The service passes the digest of
-	// every input its front end parses. Required when Cache is set.
-	Identity string
 	// Metrics, when non-nil, receives each run's aggregate solver and
 	// cache counters (see PipelineMetrics). Safe to share across
 	// pipelines; the server shares one instance across requests.
@@ -217,6 +209,8 @@ func (r *Report) AllViolations() []constraints.Violation {
 // Validate checks that the pipeline is completely configured.
 func (p *Pipeline) Validate() error {
 	switch {
+	case p.FrontEnd == nil:
+		return errors.New("core: missing front end")
 	case p.Core == nil:
 		return errors.New("core: missing core-module DTS")
 	case p.Deltas == nil:
@@ -376,6 +370,9 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 		if vms[i], err = vm.facts.NamedVM(vm.Name); err != nil {
 			return nil, err
 		}
+	}
+	if err := baogen.CheckShmems(vms, p.ipcWindows()); err != nil {
+		return nil, err
 	}
 	report.Artifacts = Artifacts{Platform: report.Platform.facts.Platform, Config: baogen.NewConfig(vms)}
 	report.Stats = st.stats

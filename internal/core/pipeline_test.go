@@ -8,32 +8,16 @@ import (
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
-	"llhsc/internal/schema"
 )
 
 // paperPipeline assembles the full running example.
 func paperPipeline(t *testing.T) *Pipeline {
 	t.Helper()
-	tree, err := runningexample.Tree()
+	p, err := RunningExample()
 	if err != nil {
 		t.Fatal(err)
 	}
-	deltas, err := runningexample.Deltas()
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := runningexample.Model()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Pipeline{
-		Core:      tree,
-		Deltas:    deltas,
-		Model:     model,
-		Schemas:   schema.StandardSet(),
-		VMConfigs: []featmodel.Configuration{runningexample.VM1Config(), runningexample.VM2Config()},
-		VMNames:   []string{"vm1", "vm2"},
-	}
+	return p
 }
 
 func TestRunningExampleEndToEnd(t *testing.T) {
@@ -207,6 +191,16 @@ func TestPipelineValidation(t *testing.T) {
 	}
 
 	full := paperPipeline(t)
+	full.FrontEnd = nil
+	if err := full.Validate(); err == nil || !strings.Contains(err.Error(), "missing front end") {
+		t.Errorf("a nil FrontEnd: Validate = %v, want a missing front end", err)
+	}
+	full.FrontEnd = &FrontEnd{Core: paperPipeline(t).Core}
+	if err := full.Validate(); err == nil || !strings.Contains(err.Error(), "missing delta set") {
+		t.Errorf("a FrontEnd without deltas: Validate = %v, want a missing delta set", err)
+	}
+
+	full = paperPipeline(t)
 	full.VMNames = []string{"only-one"}
 	if err := full.Validate(); err == nil {
 		t.Error("mismatched VMNames should fail validation")

@@ -37,9 +37,9 @@ func runningExample(t *testing.T, drop string) *Pipeline {
 		t.Fatal(err)
 	}
 	return &Pipeline{
-		Core: tree, Deltas: deltas, Model: model, Schemas: schema.StandardSet(),
+		FrontEnd:  &FrontEnd{Identity: "running example without " + drop, Core: tree, Deltas: deltas, Model: model},
+		Schemas:   schema.StandardSet(),
 		VMConfigs: []featmodel.Configuration{runningexample.VM1Config(), runningexample.VM2Config()},
-		Identity:  "running example without " + drop,
 		Cache:     checkcache.New(16),
 	}
 }

@@ -18,7 +18,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
@@ -87,7 +86,9 @@ func (d *Delta) Active(cfg featmodel.Configuration) bool {
 // configuration: the after-relation as index lists and the pairs of
 // deltas whose write sets intersect. It also stamps every fragment with
 // its delta's name, so products share the fragments as they are. A Set
-// is read-only after NewSet, so concurrent product workers share one;
+// is immutable after NewSet: no method writes it, not even Lift, which
+// lifts afresh on every call (core.FrontEnd keeps the one lift a
+// parsed product line needs). So concurrent product workers share one;
 // callers must not edit Deltas, their After lists, their operations or
 // their fragments afterwards.
 type Set struct {
@@ -96,8 +97,6 @@ type Set struct {
 	after  [][]int        // after[i]: the deltas Deltas[i] follows, duplicates kept
 	succ   [][]int        // succ[j]: the deltas that list Deltas[j] in After
 	pairs  []contention   // write-contending pairs, in (i, j) order
-
-	lifted atomic.Pointer[liftMemo] // the last Lift (lifted.go)
 }
 
 // contention is a pair of deltas i < j whose write sets intersect; loc

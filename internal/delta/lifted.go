@@ -105,19 +105,13 @@ func (c *LiftedConflict) String() string {
 // line: the union of every product's tree with presence conditions,
 // plus the application conflicts that enumeration would hit. It shares
 // its property values with the core and the delta fragments it was
-// lifted from, and Lift shares it between callers: it is read-only.
+// lifted from, and core.FrontEnd.Lifted shares it between callers: it
+// is read-only.
 type LiftedTree struct {
 	Root        *LiftedNode
 	MemReserves []dts.MemReserve // deltas cannot edit memreserves; copied from the core
 	Conflicts   []LiftedConflict
 	Order       []string // delta application order used for the merge
-}
-
-// liftMemo is a Set's last Lift: the core it lifted and the result.
-type liftMemo struct {
-	core *dts.Tree
-	lt   *LiftedTree
-	err  error
 }
 
 // Lift applies every delta of the set — regardless of activation — to a
@@ -137,21 +131,9 @@ type liftMemo struct {
 // intermediary counts as ordered here; the declaration-order tie-break
 // keeps application deterministic in those configurations.
 //
-// The set keeps its last result: a Lift of the same core returns the
-// same *LiftedTree without lifting again, so a product line parsed once
-// is lifted once. The tree is shared by every caller and must not be
-// written. Two racing first calls both lift; either result is correct,
-// and the later is kept.
+// Every call lifts afresh; core.FrontEnd.Lifted lifts a parsed product
+// line once and shares the tree.
 func (s *Set) Lift(core *dts.Tree) (*LiftedTree, error) {
-	if m := s.lifted.Load(); m != nil && m.core == core {
-		return m.lt, m.err
-	}
-	lt, err := s.lift(core)
-	s.lifted.Store(&liftMemo{core: core, lt: lt, err: err})
-	return lt, err
-}
-
-func (s *Set) lift(core *dts.Tree) (*LiftedTree, error) {
 	all := make([]bool, len(s.Deltas))
 	for i := range all {
 		all[i] = true

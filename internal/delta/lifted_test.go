@@ -174,56 +174,18 @@ func TestLiftDumpDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := runningexample.Tree() // a second parse: Lift runs again
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := set.Lift(again)
+	b, err := set.Lift(core)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == b {
-		t.Fatal("a second core got the first core's lift")
+		t.Fatal("a second Lift returned the first one's tree: a Set keeps no lift")
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("Lift is not deterministic across runs")
 	}
 	if len(a.Root.Children) == 0 || len(a.Order) == 0 {
 		t.Error("Lift is empty")
-	}
-}
-
-// TestLiftMemoisedPerCore pins the set's lift memo: lifting the same
-// core again returns the same tree without allocating, and a different
-// core gets a lift of its own.
-func TestLiftMemoisedPerCore(t *testing.T) {
-	core, err := runningexample.Tree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	set, _, _ := runningExampleParts(t)
-	first, err := set.Lift(core)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, err := set.Lift(core); err != nil || again != first {
-		t.Fatalf("a second Lift of the same core = %p, %v; want the memoised %p", again, err, first)
-	}
-	if allocs := testing.AllocsPerRun(100, func() { set.Lift(core) }); allocs != 0 {
-		t.Errorf("a memoised Lift allocates %.0f times, want 0", allocs)
-	}
-
-	other := core.Clone()
-	other.Root.Child("memory@40000000").Name = "memory@0"
-	lifted, err := set.Lift(other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lifted == first || lifted.Root.Child("memory@0") == nil || lifted.Root.Child("memory@40000000") != nil {
-		t.Fatal("a different core got the memoised lift")
-	}
-	if back, err := set.Lift(core); err != nil || back == lifted || back.Root.Child("memory@40000000") == nil {
-		t.Fatal("lifting the first core again returned the other core's lift")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"llhsc/internal/delta"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
 )
@@ -98,7 +97,7 @@ func TestFrontEndMemoHitRepliesIdentically(t *testing.T) {
 // TestFrontEndMemoSharedAcrossConcurrentRequests runs enumerate and
 // lifted requests concurrently on one memo entry and checks that none
 // of them wrote the shared core tree, feature model or lifted tree (the
-// delta set's memoised Lift of the core). Run it under -race: a write
+// front end's Lifted). Run it under -race: a write
 // any request makes to the shared front end is a race with the others'
 // reads.
 func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
@@ -114,7 +113,7 @@ func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
 	if fe == nil {
 		t.Fatal("the memo holds nothing after a successful check")
 	}
-	printed, origins, model := fe.core.Print(), fe.core.OriginDump(), fe.model.Format()
+	printed, origins, model := fe.Core.Print(), fe.Core.OriginDump(), fe.Model.Format()
 
 	var bodies [][]byte
 	for _, mode := range []string{"enumerate", "lifted"} {
@@ -147,24 +146,20 @@ func TestFrontEndMemoSharedAcrossConcurrentRequests(t *testing.T) {
 	}
 	wg.Wait()
 
-	if fe.core.Print() != printed || fe.core.OriginDump() != origins {
+	if fe.Core.Print() != printed || fe.Core.OriginDump() != origins {
 		t.Error("concurrent requests wrote the memoised core tree")
 	}
-	if fe.model.Format() != model {
+	if fe.Model.Format() != model {
 		t.Error("concurrent requests wrote the memoised feature model")
 	}
-	if allocs := testing.AllocsPerRun(1, func() { fe.deltas.Lift(fe.core) }); allocs != 0 {
-		t.Errorf("the lifted requests left no memoised lift (Lift allocates %.0f times)", allocs)
+	if allocs := testing.AllocsPerRun(1, func() { fe.Lifted() }); allocs != 0 {
+		t.Errorf("the lifted requests left the front end unlifted (Lifted allocates %.0f times)", allocs)
 	}
-	shared, err := fe.deltas.Lift(fe.core)
+	shared, err := fe.Lifted()
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := delta.NewSet(fe.deltas.Deltas) // same deltas, no memo
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := cold.Lift(fe.core)
+	fresh, err := fe.Deltas.Lift(fe.Core)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +282,7 @@ func TestFrontEndMemoBounds(t *testing.T) {
 		if status, reply := postCheck(t, svc, marshalBody(t, req)); status != http.StatusOK {
 			t.Fatalf("body %d: status %d: %s", i, status, reply)
 		}
-		if e := memo.last.Load(); e == nil || e.key != frontEndKey(&req) {
+		if e := memo.last.Load(); e == nil || e.Identity != frontEndKey(&req) {
 			t.Fatalf("after body %d the memo does not hold that body's front end", i)
 		}
 	}
@@ -327,7 +322,7 @@ func TestFrontEndMemoBounds(t *testing.T) {
 	if status, reply := postCheck(t, svc, body); status != http.StatusOK {
 		t.Fatalf("the same body under the default limit: status %d: %s", status, reply)
 	}
-	if e := memo.last.Load(); e == nil || e.key != frontEndKey(&padded) {
+	if e := memo.last.Load(); e == nil || e.Identity != frontEndKey(&padded) {
 		t.Error("the memo does not hold the expanded body's front end")
 	}
 }

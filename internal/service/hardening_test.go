@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -194,5 +195,60 @@ func TestDefaultHandlerStillChecksExample(t *testing.T) {
 	}
 	if !out.OK {
 		t.Errorf("example product line should check clean: %+v", out)
+	}
+}
+
+// TestCheckBoundsShmemIDs sends the running example with veth1's shmem
+// id changed, in both modes. Bao's .shmem_id indexes the shmemlist, so
+// an id past the IPC windows the product line declares, or one id
+// naming windows of two sizes, answers 422 naming the VM and the id;
+// and a large id costs no more than the example's own id = <1> does,
+// where before the list grew to the id.
+func TestCheckBoundsShmemIDs(t *testing.T) {
+	h := NewHandler(Options{})
+	body := func(mode, id, size string) []byte {
+		req := runningExampleRequest(t)
+		req.Mode = mode
+		req.Deltas = strings.Replace(req.Deltas, "reg = <0x70000000 0x10000000>;\n            id = <1>;",
+			"reg = <0x70000000 "+size+">;\n            id = <"+id+">;", 1)
+		return marshalBody(t, req)
+	}
+	// bytesPerCheck sends b once to fill the front-end memo, then
+	// measures the bytes one more /check of it allocates.
+	bytesPerCheck := func(b []byte) (int, []byte, uint64) {
+		postCheck(t, h, b)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			postCheck(t, h, b)
+		}
+		runtime.ReadMemStats(&after)
+		status, reply := postCheck(t, h, b)
+		return status, reply, (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	for _, mode := range []string{"enumerate", "lifted"} {
+		status, reply, example := bytesPerCheck(body(mode, "1", "0x10000000"))
+		if status != http.StatusOK || !strings.Contains(string(reply), `"ok": true`) {
+			t.Fatalf("%s, id = <1>: %d %s", mode, status, reply)
+		}
+		for _, c := range []struct{ id, size, want string }{
+			{"100000", "0x10000000", "VM vm2 has IPC shmem id 100000, not below 2"},
+			{"0xffffffff", "0x10000000", "VM vm2 has IPC shmem id 4294967295, not below 2"},
+			{"0", "0x8000000", "VM vm2 has IPC shmem id 0 of 0x8000000 bytes, where an earlier window has 0x10000000"},
+		} {
+			status, reply, allocated := bytesPerCheck(body(mode, c.id, c.size))
+			if status != http.StatusUnprocessableEntity || !strings.Contains(string(reply), c.want) {
+				t.Errorf("%s, id = <%s>, size %s: %d %s; want 422 naming %q", mode, c.id, c.size, status, reply, c.want)
+			}
+			if allocated > example {
+				t.Errorf("%s, id = <%s>: a /check allocated %d bytes, more than the %d of id = <1>", mode, c.id, allocated, example)
+			}
+		}
+		// One id may name one object from two VMs when they agree on its size.
+		status, reply = postCheck(t, h, body(mode, "0", "0x10000000"))
+		if status != http.StatusOK || !strings.Contains(string(reply), ".shmemlist_size = 1,") {
+			t.Errorf("%s, both windows on shmem 0: %d %s", mode, status, reply)
+		}
 	}
 }

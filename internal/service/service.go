@@ -269,7 +269,10 @@ func NewService(opts Options) (*Service, error) {
 		s.pipeMetrics = core.NewPipelineMetrics(opts.Registry)
 		buildinfo.Register(opts.Registry)
 		s.cache.RegisterMetrics(opts.Registry)
-		s.memo.registerMetrics(opts.Registry)
+		opts.Registry.Register("llhsc_frontend_memo_hits_total",
+			"/check requests whose core DTS, deltas and feature model came parsed from the front-end memo.", &s.memo.hits)
+		opts.Registry.Register("llhsc_frontend_memo_misses_total",
+			"/check requests that parsed their core DTS, deltas and feature model.", &s.memo.misses)
 		opts.Registry.Register("llhsc_service_draining",
 			"1 while the service answers 503 ahead of shutdown.", obs.FuncGauge(func() float64 {
 				if s.draining.Load() {
@@ -591,7 +594,7 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (checkResult, 
 	}
 	configs := make([]featmodel.Configuration, len(req.VMs))
 	for i, names := range req.VMs {
-		if configs[i], err = fe.model.Complete(names); err != nil {
+		if configs[i], err = fe.Model.Complete(names); err != nil {
 			return checkResult{}, http.StatusUnprocessableEntity, fmt.Errorf("vm %d selects %w", i+1, err)
 		}
 	}
@@ -615,12 +618,9 @@ func (s *server) runCheck(ctx context.Context, req *CheckRequest) (checkResult, 
 
 	markPhase(ctx, "pipeline")
 	pipeline := &core.Pipeline{
-		Core:      fe.core,
-		Deltas:    fe.deltas,
-		Model:     fe.model,
+		FrontEnd:  fe,
 		Schemas:   s.schemas,
 		VMConfigs: configs,
-		Identity:  fe.key,
 		Cache:     s.cache,
 		Metrics:   s.pipeMetrics,
 		Mode:      mode,
