@@ -102,7 +102,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 		"capacity of the check cache, in products (0 = disabled)")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
-		"default checking mode for /check: enumerate (per-product) or lifted (whole product line, one solver session); requests may override per-call")
+		"default checking mode for /check: enumerate (per-product) or lifted (whole product line at once); requests may override per-call")
 	pprofPort := fs.Int("pprof", 0,
 		"expose net/http/pprof on 127.0.0.1:<port> (0 = disabled)")
 	logRequests := fs.Bool("log-requests", true,

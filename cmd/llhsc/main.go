@@ -151,7 +151,7 @@ func cmdCheckOrGenerate(args []string, generate bool) error {
 		"worker count for per-VM checking (0 = GOMAXPROCS, 1 = serial)")
 	var mode core.Mode
 	fs.Var(&mode, "mode",
-		"checking mode: enumerate (derive and check each requested product) or lifted (verify the whole product line in one incremental solver session)")
+		"checking mode: enumerate (derive and check each requested product) or lifted (verify the whole product line at once)")
 	trace := fs.Bool("trace", false,
 		"print the phase span tree and solver statistics to stderr")
 	traceJSON := fs.String("trace-json", "",
@@ -308,8 +308,8 @@ func printTrace(w io.Writer, root *obs.Span, r *core.Report) {
 			fs.Conflicts, fs.Propagations, fs.Restarts)
 	}
 	if ls := r.Stats.Lifted; ls != nil {
-		fmt.Fprintf(w, "lifted       queries=%d pruned=%d word_decided=%d sessions=%d findings=%d\n",
-			ls.Queries, ls.Pruned, ls.WordDecided, ls.Sessions, ls.Findings)
+		fmt.Fprintf(w, "lifted       products=%d queries=%d pruned=%d word_decided=%d sessions=%d findings=%d\n",
+			ls.Products, ls.Queries, ls.Pruned, ls.WordDecided, ls.Sessions, ls.Findings)
 	}
 	if r.Stats.CacheHits+r.Stats.CacheMisses > 0 {
 		fmt.Fprintf(w, "cache        hits=%d misses=%d\n", r.Stats.CacheHits, r.Stats.CacheMisses)

@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"llhsc/internal/core"
 	"llhsc/internal/featmodel"
+	"llhsc/internal/obs"
 	"llhsc/internal/service"
 )
 
@@ -455,4 +457,37 @@ func captureStdout(t *testing.T, f func()) string {
 	f()
 	w.Close()
 	return <-done
+}
+
+// TestTraceStatsLineShowsProducts prints the -trace output of a lifted
+// check of the running example: the lifted span and the lifted stats
+// line name the 12 valid products the guards ranged over, and the
+// stats line no session.
+func TestTraceStatsLineShowsProducts(t *testing.T) {
+	p, err := core.RunningExample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Mode = core.ModeLifted
+	root := obs.NewSpan("check")
+	report, err := p.RunContext(obs.ContextWithSpan(t.Context(), root), core.Limits{})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	printTrace(&b, root, report)
+	want := "lifted       products=12 queries=0 pruned=0 word_decided=1 sessions=0 findings=0\n"
+	if !strings.Contains(b.String(), want) {
+		t.Errorf("trace output lacks %q:\n%s", want, b.String())
+	}
+	spanned := false
+	for _, line := range strings.Split(b.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "lifted" && slices.Contains(f, "products=12") && strings.HasSuffix(f[1], "ms") {
+			spanned = true
+		}
+	}
+	if !spanned {
+		t.Errorf("no lifted span with products=12 in:\n%s", b.String())
+	}
 }

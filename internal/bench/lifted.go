@@ -16,8 +16,10 @@ import (
 // makes the valid-product count exponential in the UART count
 // (cpus x (2^uarts - 1)), so the enumerative arm — derive every
 // product, run every concrete family on each tree — grows with the
-// line while the lifted arm runs one merged-tree solver session whose
-// cost tracks the variability, not the product count. Both arms must
+// line while the lifted arm runs one merged-tree check whose cost
+// tracks the variability, not the product count: over product sets
+// when the feature tree allows at most 64 configurations, else in one
+// solver session. Both arms must
 // agree on the verdict at every sweep point; the synthetic line is
 // clean by construction, so agreement means both report zero findings.
 
@@ -33,11 +35,12 @@ type LiftedPoint struct {
 	// EnumMillis is the enumerative arm's wall time: every product
 	// applied and run through the four concrete checker families.
 	EnumMillis float64
-	// LiftedMillis is the lifted arm's wall time: one lift, one
-	// incremental solver session for the whole line.
+	// LiftedMillis is the lifted arm's wall time: one lift, one lifted
+	// check for the whole line.
 	LiftedMillis float64
 	// LiftedQueries / LiftedPruned are the session's reachability
-	// query and prune counters.
+	// query and prune counters, 0 where the check answers over product
+	// sets.
 	LiftedQueries int
 	LiftedPruned  int
 	// EnumViolations / LiftedFindings are the two arms' finding
@@ -93,7 +96,7 @@ func measureLiftedPoint(cpus, uarts, rounds int) (LiftedPoint, error) {
 		point.EnumViolations = violations
 	}
 
-	// ---- lifted arm: one merged tree, one solver session ----
+	// ---- lifted arm: one merged tree, one lifted check ----
 	for r := 0; r < rounds; r++ {
 		// Set.Lift keeps nothing, so every round lifts, as the
 		// enumerative arm derives every round.

@@ -76,15 +76,17 @@ func TestWordTierSweepUninstrumentedNoPerPairAllocs(t *testing.T) {
 }
 
 // TestLiftedCheckerAllocs bounds the allocations of one lifted check of
-// the running example with the standard schemas (~730 measured).
-// Guards are interned handles composed through memos, reachability
-// verdicts are cached in a slice indexed by handle, and unreachable reg
-// options and schema property options are skipped before any decoding
-// or rule runs, so the check builds no guard expression, guard string or
-// Tseitin gate for a conjunction. The checker reuses one *Model, so its
-// session copies the model's Encoding without building it again. Sat
-// verdicts keep their model as a bitset, decoded only for a finding,
-// and leaf nodes build no interpretation context.
+// the running example with the standard schemas (~251 measured). The
+// line has 12 valid products, so the checker holds them as product
+// sets: the model enumerates them once, on its first check, and every
+// later check builds no solver, Tseitin gate or assumption set, and
+// composes guards by word arithmetic (~561 in a SAT session, which
+// TestLiftedCheckerSessionAllocs bounds on a line past 64 products).
+// Guards are interned handles, and unreachable reg options and schema
+// property options are skipped before any decoding or rule runs, so
+// the check builds no guard expression or guard string. Witnesses are
+// decoded only for findings, and leaf nodes build no interpretation
+// context.
 func TestLiftedCheckerAllocs(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
@@ -94,25 +96,25 @@ func TestLiftedCheckerAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1_200 {
-		t.Errorf("lifted check allocates %.0f allocs/op, want <= 1200", allocs)
+	if allocs > 280 {
+		t.Errorf("lifted check allocates %.0f allocs/op, want <= 280", allocs)
 	}
 }
 
 // TestLiftedCheckerBytes bounds the memory one lifted check of the
-// running example allocates (~64 KB measured). Besides what
-// TestLiftedCheckerAllocs counts, it holds the session's clause arena
-// to the session's size: a full 256-header chunk and 4,096-literal slab
-// for its 36 clauses, a witness map per Sat verdict and contexts under
-// leaf nodes took it to ~108 KB.
+// running example allocates (~22.3 KB measured; ~47 KB in a SAT
+// session, whose clause arena, guard memos and witness bitsets the
+// product sets do without). A full 256-header clause chunk and
+// 4,096-literal slab for the session's 36 clauses, a witness map per
+// Sat verdict and contexts under leaf nodes once took it to ~108 KB.
 func TestLiftedCheckerBytes(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
 	ctx := context.Background()
-	if _, err := lc.CheckContext(ctx, lifted); err != nil { // warm the model's Encoding
+	if _, err := lc.CheckContext(ctx, lifted); err != nil { // enumerate the model's products
 		t.Fatal(err)
 	}
-	const runs, bound = 20, 80_000
+	const runs, bound = 20, 25_000
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -129,8 +131,9 @@ func TestLiftedCheckerBytes(t *testing.T) {
 
 // TestLiftedCheckerAllocsFreshModel is TestLiftedCheckerAllocs with the
 // model parsed on every run, as the service parses it for a product
-// line its front-end memo does not hold, so it also bounds the parse
-// and the one encoding per model (~800 measured).
+// line its front-end memo does not hold, so it also bounds the parse,
+// the one encoding per model and the enumeration of its 12 products
+// (~436 measured).
 func TestLiftedCheckerAllocsFreshModel(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	text := model.Format()
@@ -145,8 +148,50 @@ func TestLiftedCheckerAllocsFreshModel(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 1_320 {
-		t.Errorf("lifted check of a fresh model allocates %.0f allocs/op, want <= 1320", allocs)
+	if allocs > 480 {
+		t.Errorf("lifted check of a fresh model allocates %.0f allocs/op, want <= 480", allocs)
+	}
+}
+
+// TestLiftedCheckerSessionAllocs is the SAT-session twin of
+// TestLiftedCheckerAllocs and TestLiftedCheckerBytes: one lifted check
+// of TestLiftedSchemaPerProperty's line, whose 128 valid products are
+// past the 64 a check holds as product sets, so it asks its 47 queries
+// in one session. The bounds sit just above what the session allocated
+// before the product sets existed (450 allocs and ~51.0 KB measured).
+func TestLiftedCheckerSessionAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates in the solver")
+	}
+	core, set, model, schemas := schemaPerPropertyLine(t)
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLiftedChecker(model, schemas)
+	ctx := context.Background()
+	check := func() {
+		if _, err := lc.CheckContext(ctx, lifted); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check() // the feature tree alone sends the line to a session
+	if st := lc.LastStats(); st.Products != 0 || st.Queries == 0 {
+		t.Fatalf("the 128-product line answered over %d products with %d queries, want a session", st.Products, st.Queries)
+	}
+	if allocs := testing.AllocsPerRun(5, check); allocs > 460 {
+		t.Errorf("lifted session check allocates %.0f allocs/op, want <= 460", allocs)
+	}
+	const runs, bound = 20, 53_500
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		check()
+	}
+	runtime.ReadMemStats(&after)
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / runs; perRun > bound {
+		t.Errorf("lifted session check allocates %d bytes/op, want <= %d", perRun, bound)
 	}
 }
 

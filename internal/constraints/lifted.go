@@ -15,21 +15,26 @@ import (
 )
 
 // This file implements family-based lifted checking (DESIGN.md §14):
-// the three constraint families run once over the variability-aware
-// merged tree (delta.LiftedTree) instead of once per derived product.
-// Every potential violation is guarded by a presence condition, and a
-// single incremental SAT session — seeded with the feature-model
-// formula via featmodel.PresenceEncoder — answers, per violation, the
-// lifted question "does ANY valid configuration exhibit this?" in one
-// assumption solve. A Sat answer decodes to a concrete witness
-// configuration, so reports stay as actionable as enumerative ones.
+// the constraint families run once over the variability-aware merged
+// tree (delta.LiftedTree) instead of once per derived product. Every
+// potential violation is guarded by a presence condition, and a guard
+// algebra (guardAlgebra) answers, per violation, the lifted
+// question "does ANY valid configuration exhibit this?". A line whose
+// feature tree allows at most 64 configurations answers it as a
+// non-empty set of valid products, one bit each, with no solver
+// (featmodel.ProductSets); any other line in one incremental SAT
+// session seeded with the feature-model formula, one assumption solve
+// per distinct guard (featmodel.PresenceEncoder). The checker composes
+// and asks guards only through the interface. Either way a reachable guard
+// decodes to a concrete witness configuration, so reports stay as
+// actionable as enumerative ones.
 //
 // The word-level tier (DESIGN.md §13) keeps its place at the front of
 // the decision ladder: region variants in the merged tree are fully
 // concrete values, so DecideConcretePair settles the geometry of every
-// candidate pair exactly, and the SAT session only ever decides
+// candidate pair exactly, and the encoder only ever decides
 // *reachability* — whether the two artifacts coexist in a valid
-// product. Nothing symbolic about addresses reaches the solver.
+// product. Nothing symbolic about addresses reaches a solver.
 
 // Interpretation contexts are products of guarded choices; this cap
 // bounds their blowup on adversarial inputs, with an honest finding
@@ -37,15 +42,16 @@ import (
 const maxInterpContexts = 16
 
 // LiftedFinding is one family-based verdict: a violation that at least
-// one valid configuration exhibits, plus that configuration (decoded
-// from the solver model — the witness product).
+// one valid configuration exhibits, plus that configuration (the
+// witness product).
 type LiftedFinding struct {
 	// Family names the constraint family: "apply", "semantic",
 	// "schema", "interrupt" or "memreserve".
 	Family    string
 	Violation Violation
-	// Config is a valid configuration exhibiting the violation,
-	// decoded from the SAT model of the lifted query.
+	// Config is a valid configuration exhibiting the violation: the
+	// first valid product in its guard's set, or the SAT model of the
+	// lifted query.
 	Config featmodel.Configuration
 }
 
@@ -53,23 +59,33 @@ func (f LiftedFinding) String() string {
 	return fmt.Sprintf("[%s] %s (config %v)", f.Family, f.Violation, f.Config.Sorted())
 }
 
-// LiftedStats describes the solver work of the most recent lifted
-// check: how many lifted queries the one shared session answered, and
-// how much never reached it.
+// LiftedStats describes the reachability work of the most recent
+// lifted check: how many valid products its guards ranged over, or how
+// many lifted queries the one shared session answered, and how much
+// never reached either.
 type LiftedStats struct {
+	// Products is the number of valid products the guards ranged over
+	// as product sets (featmodel.ProductSets); 0 when a SAT session
+	// answered reachability, or when the model is void.
+	Products int
+	// Sessions is the number of SAT sessions the check opened: 1 when a
+	// featmodel.PresenceEncoder answered reachability, 0 when product
+	// sets did or the check stopped before either was open.
+	Sessions int
 	// Queries is the number of assumption solves issued against the
 	// shared incremental session: one per distinct assumption set, since
-	// guards that flatten to the same set share a cached verdict.
+	// guards that flatten to the same set share a cached verdict. 0
+	// without a session.
 	Queries int
 	// Pruned counts distinct assumption sets the session proved
 	// unsatisfiable — candidate violations (or whole schema selections)
 	// no valid configuration can exhibit, discharged family-wide by one
-	// Unsat answer each.
+	// Unsat answer each. 0 without a session.
 	Pruned int
 	// WordDecided counts the word-level tier's interval-arithmetic
 	// decisions: candidate pairs among the collected region variants,
 	// plus the memreserve rule's reserves and reserve pairs. Disjoint
-	// pairs never reach the session.
+	// pairs never reach the encoder.
 	WordDecided int
 	// Regions is the number of guarded region variants collected: one
 	// per decoded region and kind option of each reg option whose guard
@@ -84,27 +100,45 @@ type LiftedStats struct {
 	Contexts int
 	// Findings is the number of reachable violations reported.
 	Findings int
-	// Solver aggregates the shared session's SAT work.
+	// Solver aggregates the shared session's SAT work (zero without a
+	// session).
 	Solver sat.Stats
+	// Enumeration is the SAT work of enumerating the model's valid
+	// products (featmodel.Model.ProductSets), when this check was the
+	// first on its model to need them, and zero otherwise: the model
+	// keeps its product list, as it keeps its encoding, so the work
+	// belongs to the model rather than to the check, and Solver leaves
+	// it out. A check the enumeration's budget or ctx stopped reports it
+	// here and nothing else.
+	Enumeration sat.Stats
 }
 
 // LiftedChecker verifies all constraint families over an un-derived
-// product line in one incremental solver session. Like the enumerative
-// checkers it is a façade; unlike them it owns a long-lived solver per
-// CheckContext call and is single-goroutine for the duration of a call.
+// product line with one guard encoder per CheckContext call: the
+// model's valid products as sets, or one incremental solver session.
+// Like the enumerative checkers it is a façade; it is
+// single-goroutine for the duration of a call, and checkers on other
+// goroutines may share its Model.
 type LiftedChecker struct {
-	// Model is the feature model whose formula seeds the session.
+	// Model is the feature model that decides which configurations are
+	// valid.
 	Model *featmodel.Model
 	// Schemas, when non-nil, enables the lifted syntactic family.
 	Schemas *schema.Set
-	// Budget bounds the shared session's work per CheckContext call.
+	// Budget bounds the solver work per CheckContext call: the
+	// enumeration of the model's products, if this call is the model's
+	// first, or the session's queries.
 	Budget sat.Budget
+
+	// session forces the SAT session whatever the product count, so
+	// tests can run one corpus under both algebras.
+	session bool
 
 	stats LiftedStats
 }
 
 // NewLiftedChecker returns a checker over m's product line with no
-// session budget.
+// budget.
 func NewLiftedChecker(m *featmodel.Model, schemas *schema.Set) *LiftedChecker {
 	return &LiftedChecker{Model: m, Schemas: schemas}
 }
@@ -122,15 +156,32 @@ func (lc *LiftedChecker) Check(lt *delta.LiftedTree) []LiftedFinding {
 // CheckContext runs every lifted family over the merged tree and
 // returns the reachable violations with their witness configurations,
 // sorted deterministically. A non-nil error (a *sat.LimitError or
-// context error) means the session's budget cut the check short;
+// context error) means the budget or ctx cut the check short;
 // findings confirmed up to that point are still returned.
 func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree) ([]LiftedFinding, error) {
 	lc.stats = LiftedStats{}
-	pe := featmodel.NewPresenceEncoder(lc.Model)
-	pe.SetBudget(lc.Budget)
+	var guards guardAlgebra
+	if !lc.session {
+		ps, work, err := lc.Model.ProductSets(ctx, lc.Budget)
+		lc.stats.Enumeration = work
+		if err != nil {
+			return nil, err
+		}
+		if ps != nil {
+			guards = ps
+			lc.stats.Products = ps.Products()
+		}
+	}
+	var pe *featmodel.PresenceEncoder
+	if guards == nil {
+		pe = featmodel.NewPresenceEncoder(lc.Model)
+		pe.SetBudget(lc.Budget)
+		guards = pe
+		lc.stats.Sessions = 1
+	}
 	r := &liftedRun{
 		lc:      lc,
-		pe:      pe,
+		pe:      guards,
 		ctx:     ctx,
 		seen:    make(map[string]bool),
 		options: make(map[*delta.LiftedProperty][]valueOption),
@@ -144,8 +195,11 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 	r.interrupts(lt)
 	r.memreserve(lt, rootACs, regions)
 
-	lc.stats.Queries = pe.Queries()
-	lc.stats.Solver = pe.Stats()
+	if pe != nil {
+		lc.stats.Queries = pe.Queries()
+		lc.stats.Pruned = pe.Pruned()
+		lc.stats.Solver = pe.Stats()
+	}
 	lc.stats.Findings = len(r.findings)
 	sort.SliceStable(r.findings, func(i, j int) bool {
 		a, b := r.findings[i], r.findings[j]
@@ -166,61 +220,34 @@ func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree)
 	return r.findings, r.err
 }
 
-// reachResult caches one guard's lifted verdict: whether any valid
-// configuration satisfies it, and if so where its witness model sits in
-// liftedRun.models.
-type reachResult struct {
-	known, ok bool
-	lo, hi    int32
-}
-
 // liftedRun is the per-call state of a lifted check.
 type liftedRun struct {
 	lc  *LiftedChecker
-	pe  *featmodel.PresenceEncoder
+	pe  guardAlgebra
 	ctx context.Context
 
 	findings []LiftedFinding
 	seen     map[string]bool                         // finding dedup across contexts and options
-	reach    []reachResult                           // guard handle → cached verdict
-	models   []uint64                                // witness bitsets of the Sat verdicts (AppendModel)
 	options  map[*delta.LiftedProperty][]valueOption // chosenOptions memo
 	err      error                                   // first budget/cancellation error
 }
 
-// reachable asks the shared session whether any valid configuration
-// satisfies guard g (0 = always, i.e. "is the model non-void"), posed
-// as its assumption set, so a conjunction of known literals adds
-// nothing to the session. Verdicts are cached by handle, and equal sets
-// share a handle, so repeated guards — the common case, since a handful
-// of delta activation conditions dominate a merged tree — cost one
-// query total, however they were composed. A Sat verdict keeps its
-// model as a bitset; emitWith decodes it only for a reported finding.
+// reachable asks the encoder whether any valid configuration
+// satisfies guard g (0 = always, i.e. "is the model non-void"). The
+// encoder caches verdicts by handle, and equal guards share a handle,
+// so repeated guards — the common case, since a handful of delta
+// activation conditions dominate a merged tree — cost one answer
+// total, however they were composed. After the first error every guard
+// is unreachable, so the run winds down.
 func (r *liftedRun) reachable(g featmodel.Guard) bool {
 	if r.err != nil {
 		return false
 	}
-	if int(g) < len(r.reach) && r.reach[g].known {
-		return r.reach[g].ok
-	}
-	st, err := r.pe.SolveContext(r.ctx, r.pe.Lits(g)...)
+	ok, err := r.pe.Reachable(r.ctx, g)
 	if err != nil {
 		r.err = err
-		return false
 	}
-	res := reachResult{known: true, ok: st == sat.Sat}
-	if res.ok {
-		res.lo = int32(len(r.models))
-		r.models = r.pe.AppendModel(r.models)
-		res.hi = int32(len(r.models))
-	} else {
-		r.lc.stats.Pruned++
-	}
-	if n := int(g) + 1; n > len(r.reach) {
-		r.reach = append(r.reach, make([]reachResult, n-len(r.reach))...)
-	}
-	r.reach[g] = res
-	return res.ok
+	return ok
 }
 
 // emit reports a violation if its guard is reachable.
@@ -231,27 +258,24 @@ func (r *liftedRun) emit(family string, cond featmodel.Guard, v Violation) {
 }
 
 // emitWith reports a violation that holds under the reachable guard g,
-// with the witness configuration decoded from g's cached model,
-// deduplicating identical findings produced by different
-// interpretation contexts or property options.
+// with g's witness configuration, decoded only now, deduplicating
+// identical findings produced by different interpretation contexts or
+// property options.
 func (r *liftedRun) emitWith(g featmodel.Guard, family string, v Violation) {
 	key := family + "\x00" + v.Path + "\x00" + v.Property + "\x00" + v.Rule + "\x00" + v.Message
 	if r.seen[key] {
 		return
 	}
 	r.seen[key] = true
-	res := r.reach[g]
-	cfg := r.pe.DecodeModel(r.models[res.lo:res.hi])
-	r.findings = append(r.findings, LiftedFinding{Family: family, Violation: v, Config: cfg})
+	r.findings = append(r.findings, LiftedFinding{Family: family, Violation: v, Config: r.pe.Witness(g)})
 }
 
 // sink is the lifted family's rule sink: reports are filtered by the
-// session's reachability oracle and carry the decoded witness.
+// guard algebra's reachability and carry the decoded witness.
 func (r *liftedRun) sink(family string) sink {
 	return sink{
-		pe:    r.pe,
-		reach: r.reachable,
-		emit:  func(g featmodel.Guard, v Violation) { r.emitWith(g, family, v) },
+		run:  r,
+		emit: func(g featmodel.Guard, v Violation) { r.emitWith(g, family, v) },
 	}
 }
 
@@ -289,9 +313,11 @@ type valueOption struct {
 // mutually exclusive chosen-value options under last-writer-wins
 // projection: variant i is chosen exactly when its guard holds and no
 // later variant's guard does (later deltas append later), and the
-// property is absent when no guard holds. Options whose guard is
-// structurally false (an unconditional later variant shadows them) are
-// omitted. A nil property yields the single always-absent option. The
+// property is absent when no guard holds. Options that a later variant
+// whose guard is 0 shadows are omitted: in a session that guard is
+// unconditional, and in the product-set algebra it holds in every valid
+// product, so either way the omitted options hold in no valid product.
+// A nil property yields the single always-absent option. The
 // options are computed once per property per check; callers must not
 // modify the returned slice.
 func (r *liftedRun) chosenOptions(lp *delta.LiftedProperty) []valueOption {
@@ -306,7 +332,7 @@ func (r *liftedRun) chosenOptions(lp *delta.LiftedProperty) []valueOption {
 	return opts
 }
 
-func projectVariants(pe *featmodel.PresenceEncoder, vs []*delta.LiftedVariant) []valueOption {
+func projectVariants(pe guardAlgebra, vs []*delta.LiftedVariant) []valueOption {
 	var opts []valueOption
 	var laterNeg featmodel.Guard // ∧ ¬cond_j for every variant j after i
 	for i := len(vs) - 1; i >= 0; i-- {
@@ -318,8 +344,8 @@ func projectVariants(pe *featmodel.PresenceEncoder, vs []*delta.LiftedVariant) [
 			origin: v.Origin,
 		})
 		if g == 0 {
-			// An unconditional write shadows every earlier variant and
-			// makes absence impossible.
+			// A write in every valid product shadows every earlier
+			// variant and makes absence impossible.
 			return opts
 		}
 		laterNeg = pe.And(laterNeg, pe.Not(g))
@@ -334,7 +360,7 @@ func projectVariants(pe *featmodel.PresenceEncoder, vs []*delta.LiftedVariant) [
 // The options carry no value. The first event is an unconditional
 // creation, so exactly one option holds wherever the node is present,
 // and there are at most creations × events options.
-func originOptions(pe *featmodel.PresenceEncoder, os []delta.LiftedOrigin) []valueOption {
+func originOptions(pe guardAlgebra, os []delta.LiftedOrigin) []valueOption {
 	var opts []valueOption
 	var laterCreations featmodel.Guard // ∧ ¬cond of every creation after i
 	for i := len(os) - 1; i >= 0; i-- {
@@ -560,7 +586,7 @@ func (r *liftedRun) collectLiftedRegions(lt *delta.LiftedTree) ([]cellOption, []
 			// Most cross-property guard combinations are mutually
 			// unsatisfiable (e.g. "veth0 chose this ac" ∧ "veth1 chose
 			// that sc" under an XOR group); prune them through the
-			// session before the cap so reachable contexts are never
+			// encoder before the cap so reachable contexts are never
 			// sacrificed to unreachable ones.
 			if len(childCtxs) > 1 {
 				kept := childCtxs[:0]

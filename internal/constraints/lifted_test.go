@@ -10,9 +10,12 @@ package constraints
 // agree exactly.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"llhsc/internal/conform"
@@ -20,6 +23,7 @@ import (
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
+	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
 
@@ -111,8 +115,48 @@ func productKey(names []string) string {
 	return strings.Join(cp, ",")
 }
 
+// findingKey is a lifted finding without its witness and origin
+// position: what the two guard algebras must agree on.
+type findingKey struct {
+	family, path, property, rule, message string
+}
+
+// checkBothAlgebras runs the lifted check of lt under both guard
+// algebras: the default, which holds a line whose feature tree allows
+// at most 64 configurations as product sets, and the SAT session the unexported
+// session field forces. Their findings must agree in family, path,
+// property, rule and message, in order. It returns both finding lists,
+// default first; the witnesses may differ.
+func checkBothAlgebras(t *testing.T, label string, model *featmodel.Model, schemas *schema.Set, lt *delta.LiftedTree) (sets, session []LiftedFinding) {
+	t.Helper()
+	var keys [2][]findingKey
+	var out [2][]LiftedFinding
+	for i, lc := range []*LiftedChecker{
+		NewLiftedChecker(model, schemas),
+		{Model: model, Schemas: schemas, session: true},
+	} {
+		findings, err := lc.CheckContext(t.Context(), lt)
+		if err != nil {
+			t.Fatalf("%s: lifted check (session %v): %v", label, lc.session, err)
+		}
+		if st := lc.LastStats(); lc.session && st.Products != 0 {
+			t.Errorf("%s: forced session answered over %d products", label, st.Products)
+		}
+		for _, f := range findings {
+			v := f.Violation
+			keys[i] = append(keys[i], findingKey{f.Family, v.Path, v.Property, v.Rule, v.Message})
+		}
+		out[i] = findings
+	}
+	if !reflect.DeepEqual(keys[0], keys[1]) {
+		t.Errorf("%s: the guard algebras disagree:\n  default %v\n  session %v", label, keys[0], keys[1])
+	}
+	return out[0], out[1]
+}
+
 // crossValidate is the harness: enumerate all products, check each
-// concretely, lift once, and compare.
+// concretely, lift once, check it under both guard algebras, and
+// compare.
 func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, model *featmodel.Model, schemas *schema.Set) {
 	t.Helper()
 
@@ -125,11 +169,7 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 	if err != nil {
 		t.Fatalf("%s: lift: %v", label, err)
 	}
-	lc := NewLiftedChecker(model, schemas)
-	findings, cerr := lc.CheckContext(t.Context(), lifted)
-	if cerr != nil {
-		t.Fatalf("%s: lifted check: %v", label, cerr)
-	}
+	findings, sessionFindings := checkBothAlgebras(t, label, model, schemas, lifted)
 	lKeys := liftedKeys(t, findings)
 
 	// Enumerative arm: per-product key sets plus apply failures.
@@ -167,12 +207,13 @@ func crossValidate(t *testing.T, label string, core *dts.Tree, set *delta.Set, m
 			label, len(applyFails))
 	}
 
-	// Soundness: each lifted finding's decoded witness must be a valid
-	// product exhibiting the violation. Witnesses that land on
-	// apply-broken products (possible in randomized corpora, where the
-	// merged value at a double-add is don't-care) are excused — the
-	// enumerative semantics of such products is undefined.
-	for _, f := range findings {
+	// Soundness: each lifted finding's decoded witness, under either
+	// algebra, must be a valid product exhibiting the violation.
+	// Witnesses that land on apply-broken products (possible in
+	// randomized corpora, where the merged value at a double-add is
+	// don't-care) are excused — the enumerative semantics of such
+	// products is undefined.
+	for _, f := range slices.Concat(findings, sessionFindings) {
 		pk := productKey(f.Config.Sorted())
 		if !applyFails[pk] {
 			if _, ok := perProduct[pk]; !ok {
@@ -379,11 +420,7 @@ func perProductValidate(t *testing.T, label string, core *dts.Tree, set *delta.S
 	}
 	for _, p := range products {
 		cfg := featmodel.ConfigOf(p...)
-		lc := NewLiftedChecker(restrictModel(t, model, cfg), schemas)
-		findings, err := lc.CheckContext(t.Context(), lifted)
-		if err != nil {
-			t.Fatalf("%s %v: lifted check: %v", label, p, err)
-		}
+		findings, _ := checkBothAlgebras(t, fmt.Sprintf("%s %v", label, p), restrictModel(t, model, cfg), schemas, lifted)
 		got := make(map[perProductKey]bool)
 		applyFindings := 0
 		for _, f := range findings {
@@ -553,6 +590,28 @@ delta dmem when fa {
 // and its merged tree.
 func liftedRunningExample(tb testing.TB) (*featmodel.Model, *delta.LiftedTree) {
 	tb.Helper()
+	model, err := runningexample.Model()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return model, liftRunningExample(tb)
+}
+
+// liftedSpareExample is liftedRunningExample with three spare optional
+// features in the model (runningexample.SpareModel): the same merged
+// tree over 96 valid products, past the 64 a lifted check holds as
+// product sets, so it checks in a SAT session.
+func liftedSpareExample(tb testing.TB) (*featmodel.Model, *delta.LiftedTree) {
+	tb.Helper()
+	model, err := runningexample.SpareModel(3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return model, liftRunningExample(tb)
+}
+
+func liftRunningExample(tb testing.TB) *delta.LiftedTree {
+	tb.Helper()
 	core, err := runningexample.Tree()
 	if err != nil {
 		tb.Fatal(err)
@@ -561,49 +620,76 @@ func liftedRunningExample(tb testing.TB) (*featmodel.Model, *delta.LiftedTree) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	model, err := runningexample.Model()
-	if err != nil {
-		tb.Fatal(err)
-	}
 	lifted, err := set.Lift(core)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return model, lifted
+	return lifted
 }
 
-// TestLiftedStatsAccounting pins the observability contract: queries
-// counted, word tier engaged, session shared.
+// TestLiftedStatsAccounting pins the observability contract: on the
+// running example's 12 products the guards range over product sets
+// and no query is asked; on the same line past 64 products, queries
+// are counted and the session is shared; the word tier is engaged and
+// regions are collected either way.
 func TestLiftedStatsAccounting(t *testing.T) {
 	model, lifted := liftedRunningExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
 	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
 		t.Fatal(err)
 	}
+	sets := lc.LastStats()
+	if sets.Products != runningexample.ProductCount || sets.Sessions != 0 || sets.Queries != 0 || sets.Pruned != 0 {
+		t.Errorf("running example: %d products, %d sessions, %d queries, %d pruned; want %d, 0, 0, 0",
+			sets.Products, sets.Sessions, sets.Queries, sets.Pruned, runningexample.ProductCount)
+	}
+
+	model, lifted = liftedSpareExample(t)
+	lc = NewLiftedChecker(model, schema.StandardSet())
+	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
+		t.Fatal(err)
+	}
 	st := lc.LastStats()
+	if st.Products != 0 || st.Sessions != 1 {
+		t.Errorf("96-product line: %d products, %d sessions; want 0 and 1", st.Products, st.Sessions)
+	}
 	if st.Queries == 0 {
 		t.Error("lifted check issued no SAT queries")
 	}
-	if st.WordDecided == 0 {
-		t.Error("word tier decided no pairs on the running example")
-	}
-	if st.Regions == 0 {
-		t.Error("no lifted regions collected")
+	for _, st := range []LiftedStats{sets, st} {
+		if st.WordDecided == 0 {
+			t.Error("word tier decided no pairs on the running example")
+		}
+		if st.Regions == 0 {
+			t.Error("no lifted regions collected")
+		}
 	}
 }
 
 // TestLiftedSessionStaysSmall pins the session's growth on the running
-// example: guards are posed as assumption sets, so conjunctions never
-// become clauses, and the session holds the feature model's direct
-// encoding plus one definition per non-conjunctive atom (36 clauses).
+// example past 64 products: guards are posed as assumption sets, so
+// conjunctions never become clauses, and the session holds the feature
+// model's direct encoding plus one definition per non-conjunctive atom
+// (36 clauses, as without the spares, whose clauses the root's unit
+// clause satisfies). On the running example itself there is no session
+// at all.
 func TestLiftedSessionStaysSmall(t *testing.T) {
-	model, lifted := liftedRunningExample(t)
+	model, lifted := liftedSpareExample(t)
 	lc := NewLiftedChecker(model, schema.StandardSet())
 	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
 		t.Fatal(err)
 	}
-	if st := lc.LastStats(); st.Solver.Clauses > 60 {
-		t.Errorf("lifted session ends at %d clauses, want <= 60 (queries %d)", st.Solver.Clauses, st.Queries)
+	if st := lc.LastStats(); st.Queries == 0 || st.Solver.Clauses > 60 {
+		t.Errorf("lifted session ends at %d clauses after %d queries, want <= 60 after some", st.Solver.Clauses, st.Queries)
+	}
+
+	model, lifted = liftedRunningExample(t)
+	lc = NewLiftedChecker(model, schema.StandardSet())
+	if _, err := lc.CheckContext(t.Context(), lifted); err != nil {
+		t.Fatal(err)
+	}
+	if st := lc.LastStats(); st.Products != runningexample.ProductCount || st.Solver != (sat.Stats{}) {
+		t.Errorf("running example: %d products and solver work %+v, want %d and none", st.Products, st.Solver, runningexample.ProductCount)
 	}
 }
 
@@ -1206,5 +1292,103 @@ func TestOriginOptionsStayLinear(t *testing.T) {
 	opts := originOptions(featmodel.NewPresenceEncoder(model), events)
 	if len(opts) > creations*len(events) {
 		t.Errorf("%d origin options, want at most %d", len(opts), creations*len(events))
+	}
+}
+
+// TestLiftedCheckersShareFreshModel runs 8 lifted checks of the E6
+// corpus (the running example without d4, whose products collide) at
+// once over one fresh Model, as concurrent requests over one front end
+// do: whichever check enumerates the 12 products first, every check
+// ranges over them and reports the same findings with the same
+// witnesses, the lowest-indexed product of each guard (run under
+// -race).
+func TestLiftedCheckersShareFreshModel(t *testing.T) {
+	core, err := runningexample.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := runningexample.Deltas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []*delta.Delta
+	for _, d := range set.Deltas {
+		if d.Name != "d4" {
+			kept = append(kept, d)
+		}
+	}
+	e6, err := delta.NewSet(kept)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lifted, err := e6.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := runningexample.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const checkers = 8
+	var wg sync.WaitGroup
+	results := make([][]LiftedFinding, checkers)
+	stats := make([]LiftedStats, checkers)
+	for i := range checkers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			lc := NewLiftedChecker(model, schema.StandardSet())
+			findings, err := lc.CheckContext(context.Background(), lifted)
+			if err != nil {
+				t.Error(err)
+			}
+			results[i], stats[i] = findings, lc.LastStats()
+		}()
+	}
+	wg.Wait()
+	if len(results[0]) == 0 {
+		t.Fatal("the E6 corpus produced no findings")
+	}
+	for i := range checkers {
+		if stats[i].Products != runningexample.ProductCount || stats[i].Queries != 0 {
+			t.Errorf("checker %d: %d products, %d queries; want %d, 0", i, stats[i].Products, stats[i].Queries, runningexample.ProductCount)
+		}
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Errorf("checker %d reports %v, checker 0 %v", i, results[i], results[0])
+		}
+	}
+}
+
+// TestLiftedSessionLineEnumeratesNothing checks fresh models of
+// TestLiftedSchemaPerProperty's 128-product line. Its feature tree
+// allows more than 64 configurations, so a check enumerates no product
+// and answers in one session, and a conflict budget per solve that the
+// session's queries fit within (one more than all of them took) still
+// finishes with the unbudgeted findings.
+func TestLiftedSessionLineEnumeratesNothing(t *testing.T) {
+	core, set, model, schemas := schemaPerPropertyLine(t)
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLiftedChecker(model, schemas)
+	want, err := lc.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := lc.LastStats()
+	if st.Enumeration != (sat.Stats{}) || st.Products != 0 || st.Sessions != 1 || st.Queries == 0 {
+		t.Fatalf("enumeration work %+v, %d products, %d sessions, %d queries; want none, 0, 1 and some",
+			st.Enumeration, st.Products, st.Sessions, st.Queries)
+	}
+	_, _, fresh, _ := schemaPerPropertyLine(t)
+	budget := sat.Budget{MaxConflicts: st.Solver.Conflicts + 1}
+	budgeted := &LiftedChecker{Model: fresh, Schemas: schemas, Budget: budget}
+	got, err := budgeted.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatalf("a %d-conflict budget stopped the check after %+v: %v", budget.MaxConflicts, budgeted.LastStats().Solver, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("budgeted check reports %v, unbudgeted %v", got, want)
 	}
 }

@@ -118,11 +118,11 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 					always = true
 					break
 				}
-				uncovered = s.pe.And(uncovered, s.pe.Not(b.cond))
+				uncovered = s.run.pe.And(uncovered, s.run.pe.Not(b.cond))
 				if covering == 0 {
 					covered = b.cond
 				} else {
-					covered = s.pe.Or(covered, b.cond)
+					covered = s.run.pe.Or(covered, b.cond)
 				}
 				covering++
 			}
@@ -138,7 +138,7 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 			if covering == 0 {
 				break // uncovered in every product: no later point is least
 			}
-			earlier = s.pe.And(earlier, covered)
+			earlier = s.run.pe.And(earlier, covered)
 		}
 	}
 

@@ -2,8 +2,9 @@
 // instead of deriving every product and checking each tree, ModeLifted
 // merges the core and delta modules into one variability-aware tree
 // (delta.LiftedTree) and discharges all constraint families for the
-// WHOLE product line in a single incremental solver session
-// (constraints.LiftedChecker). Products are still derived for the
+// WHOLE product line at once (constraints.LiftedChecker): over the
+// line's valid products as sets when its feature tree allows at most
+// 64 configurations, else in a single incremental solver session. Products are still derived for the
 // requested VMs — their traces, DTS renderings and the Bao artifacts
 // are unchanged — but no per-product family checking runs; the lifted
 // findings, each carrying a concrete witness configuration, are the
@@ -19,6 +20,7 @@ import (
 	"llhsc/internal/checkcache"
 	"llhsc/internal/constraints"
 	"llhsc/internal/obs"
+	"llhsc/internal/sat"
 )
 
 // Mode selects how the pipeline discharges the constraint families.
@@ -30,8 +32,9 @@ const (
 	// original workflow.
 	ModeEnumerate Mode = iota
 	// ModeLifted checks the whole product line at once: one merged tree,
-	// one incremental solver session, one reachability query per
-	// candidate violation. Verdicts cover every valid configuration,
+	// one reachability answer per candidate violation (a product-set
+	// test, or a query of one incremental solver session on a line whose
+	// feature tree allows more than 64 configurations). Verdicts cover every valid configuration,
 	// not just the requested VMs, and each finding decodes to a witness
 	// product (Report.Lifted).
 	ModeLifted
@@ -100,6 +103,15 @@ func (p *Pipeline) runLifted(ctx context.Context, st *runState, report *Report, 
 			p.Metrics.observeFamily("lifted", "lifted", time.Since(t0).Seconds())
 		}
 		stats := lc.LastStats()
+		span.SetInt("products", uint64(stats.Products))
+		if e := stats.Enumeration; e != (sat.Stats{}) {
+			// The model keeps its products, so this work is left out of
+			// the run's stats, as parsing is; the trace and the solver
+			// counters still show it.
+			span.SetInt("enumConflicts", e.Conflicts)
+			span.SetInt("enumPropagations", e.Propagations)
+			p.Metrics.observeSolver("lifted", e)
+		}
 		st.addFamily("lifted", familyStatsFromLifted(stats))
 		st.addLifted(liftedRunStatsFrom(stats))
 		return findings, err

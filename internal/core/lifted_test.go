@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"llhsc/internal/checkcache"
 	"llhsc/internal/constraints"
@@ -20,6 +21,7 @@ import (
 	"llhsc/internal/featmodel"
 	"llhsc/internal/obs"
 	"llhsc/internal/runningexample"
+	"llhsc/internal/sat"
 )
 
 func TestParseMode(t *testing.T) {
@@ -68,8 +70,9 @@ func TestParseMode(t *testing.T) {
 
 // TestLiftedModeRunningExample runs the clean running example in both
 // modes: identical OK verdicts, identical generated artifacts, and the
-// lifted run's stats record exactly one solver session with real query
-// work.
+// lifted run's stats record its 12 products and no solver session. The
+// same line with three spare optional features (96 products) records
+// exactly one solver session with real query work.
 func TestLiftedModeRunningExample(t *testing.T) {
 	enum := examplePipeline(t, nil)
 	enumReport, err := enum.RunContext(context.Background(), core.Limits{})
@@ -103,9 +106,30 @@ func TestLiftedModeRunningExample(t *testing.T) {
 			len(liftedReport.VMs), len(enumReport.VMs))
 	}
 
+	// The running example's 12 products are product sets: no session.
 	ls := liftedReport.Stats.Lifted
 	if ls == nil {
 		t.Fatal("lifted run has nil Stats.Lifted")
+	}
+	if ls.Products != runningexample.ProductCount || ls.Queries != 0 || ls.Sessions != 0 {
+		t.Errorf("lifted run over %d products asked %d queries in %d sessions, want %d, 0, 0",
+			ls.Products, ls.Queries, ls.Sessions, runningexample.ProductCount)
+	}
+
+	// The same line past 64 products checks in one solver session.
+	spareReport, err := spareLiftedPipeline(t).RunContext(context.Background(), core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !spareReport.OK() {
+		t.Fatalf("lifted run of the 96-product line not OK: %+v", spareReport.Lifted)
+	}
+	ls = spareReport.Stats.Lifted
+	if ls == nil {
+		t.Fatal("lifted run of the 96-product line has nil Stats.Lifted")
+	}
+	if ls.Products != 0 {
+		t.Errorf("96-product line answered over %d product sets, want a session", ls.Products)
 	}
 	if ls.Queries == 0 {
 		t.Error("lifted run recorded no reachability queries")
@@ -113,7 +137,7 @@ func TestLiftedModeRunningExample(t *testing.T) {
 	if ls.Sessions != 1 {
 		t.Errorf("lifted run recorded %d solver sessions, want 1", ls.Sessions)
 	}
-	fam, ok := liftedReport.Stats.Families["lifted"]
+	fam, ok := spareReport.Stats.Families["lifted"]
 	if !ok {
 		t.Fatal("no \"lifted\" family in Stats.Families")
 	}
@@ -289,15 +313,45 @@ func TestLiftedCacheKeyFoldsInModel(t *testing.T) {
 	}
 }
 
-// TestLiftedMetrics folds a lifted run into a registry and requires
-// the three llhsc_lifted_* counter families plus the session-reuse
-// gauge in the scrape.
+// spareLiftedPipeline is the running example in lifted mode with three
+// spare optional features in its model: 96 valid products, past the 64
+// a lifted check holds as product sets, so it solves in a session.
+func spareLiftedPipeline(t *testing.T) *core.Pipeline {
+	t.Helper()
+	p := examplePipeline(t, nil)
+	var err error
+	if p.Model, err = runningexample.SpareModel(3); err != nil {
+		t.Fatal(err)
+	}
+	p.Mode = core.ModeLifted
+	return p
+}
+
+// scrapeSample returns the value of the sample line that starts with
+// name (metric name plus labels) in a Prometheus scrape, or "" if
+// there is none.
+func scrapeSample(text, name string) string {
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// TestLiftedMetrics folds a lifted run that solves in a session into a
+// registry and requires the three llhsc_lifted_* counter families plus
+// the session-reuse gauge in the scrape. Two running-example runs over
+// product sets follow, each on a fresh model: one that an expired
+// solver deadline stops while it enumerates the model's products, and
+// one that finishes. Neither may count a session, and the finished
+// one's enumeration must reach the lifted solver counters, although
+// its run stats leave the enumeration out.
 func TestLiftedMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	metrics := core.NewPipelineMetrics(reg)
 
-	p := examplePipeline(t, nil)
-	p.Mode = core.ModeLifted
+	p := spareLiftedPipeline(t)
 	p.Metrics = metrics
 	report, err := p.RunContext(context.Background(), core.Limits{})
 	if err != nil {
@@ -321,6 +375,9 @@ func TestLiftedMetrics(t *testing.T) {
 		}
 	}
 	wantQueries := report.Stats.Lifted.Queries
+	if wantQueries == 0 {
+		t.Fatal("the lifted run asked no queries; the comparison is vacuous")
+	}
 	found := false
 	for _, line := range strings.Split(text, "\n") {
 		if strings.HasPrefix(line, "llhsc_lifted_queries_total ") {
@@ -333,5 +390,36 @@ func TestLiftedMetrics(t *testing.T) {
 	}
 	if !found {
 		t.Error("no llhsc_lifted_queries_total sample in scrape")
+	}
+
+	const props = `llhsc_sat_propagations_total{family="lifted"}`
+	before := scrapeSample(text, props)
+	stopped := examplePipeline(t, nil)
+	stopped.Mode, stopped.Metrics = core.ModeLifted, metrics
+	if _, err := stopped.RunContext(context.Background(), core.Limits{
+		Solver: sat.Budget{Deadline: time.Now().Add(-time.Second)},
+	}); err == nil {
+		t.Fatal("a run under an expired solver deadline finished")
+	}
+	sets := examplePipeline(t, nil)
+	sets.Mode, sets.Metrics = core.ModeLifted, metrics
+	report, err = sets.RunContext(context.Background(), core.Limits{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ls := report.Stats.Lifted; ls.Sessions != 0 || report.Stats.Families["lifted"].Propagations != 0 {
+		t.Errorf("product-set run: %d sessions, %d propagations in its stats; want 0 and 0",
+			ls.Sessions, report.Stats.Families["lifted"].Propagations)
+	}
+	b.Reset()
+	reg.WritePrometheus(&b)
+	text = b.String()
+	if got := scrapeSample(text, "llhsc_lifted_sessions_total"); got != "1" {
+		t.Errorf("llhsc_lifted_sessions_total = %s after one session run, want 1", got)
+	}
+	n0, _ := strconv.ParseUint(before, 10, 64) // no sample yet reads 0
+	after := scrapeSample(text, props)
+	if n1, err := strconv.ParseUint(after, 10, 64); err != nil || n1 <= n0 {
+		t.Errorf("%s = %q, then %q after a fresh model's enumeration; want it to grow", props, before, after)
 	}
 }

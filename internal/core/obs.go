@@ -8,6 +8,7 @@ package core
 import (
 	"llhsc/internal/constraints"
 	"llhsc/internal/obs"
+	"llhsc/internal/sat"
 )
 
 // FamilyStats summarizes the solver work one checker family performed
@@ -76,9 +77,13 @@ func familyStatsFromLifted(st constraints.LiftedStats) FamilyStats {
 }
 
 // LiftedRunStats summarizes a lifted (ModeLifted) run's family-based
-// solver work; RunStats.Lifted is nil for enumerative runs and for
-// lifted runs answered entirely from the check cache.
+// reachability work; RunStats.Lifted is nil for enumerative runs and
+// for lifted runs answered entirely from the check cache.
 type LiftedRunStats struct {
+	// Products is the number of valid products the guards ranged over
+	// as product sets, one bit each; 0 means a solver session answered
+	// reachability or the model is void (see constraints.LiftedStats).
+	Products int `json:"products,omitempty"`
 	// Queries is the number of assumption solves the shared incremental
 	// session answered, one per distinct assumption set (see
 	// constraints.LiftedStats).
@@ -99,28 +104,31 @@ type LiftedRunStats struct {
 	// Findings is the number of reachable violations reported.
 	Findings int `json:"findings"`
 	// Sessions counts solver sessions opened — one per uncached lifted
-	// run. Queries/Sessions is the session-reuse ratio the mode exists
-	// for: the enumerative baseline opens a fresh solver per product
+	// run over a line whose feature tree allows more than 64
+	// configurations, none when product sets answered or the run
+	// stopped before either was open. Queries/Sessions is the session-reuse
+	// ratio: the enumerative baseline opens a fresh solver per product
 	// per family.
 	Sessions int `json:"sessions"`
 }
 
-// liftedRunStatsFrom converts one lifted check's counters, counting the
-// session it opened.
+// liftedRunStatsFrom converts one lifted check's counters.
 func liftedRunStatsFrom(st constraints.LiftedStats) LiftedRunStats {
 	return LiftedRunStats{
+		Products:    st.Products,
 		Queries:     st.Queries,
 		Pruned:      st.Pruned,
 		WordDecided: st.WordDecided,
 		Regions:     st.Regions,
 		Contexts:    st.Contexts,
 		Findings:    st.Findings,
-		Sessions:    1,
+		Sessions:    st.Sessions,
 	}
 }
 
 // add returns the field-wise sum.
 func (ls LiftedRunStats) add(other LiftedRunStats) LiftedRunStats {
+	ls.Products += other.Products
 	ls.Queries += other.Queries
 	ls.Pruned += other.Pruned
 	ls.WordDecided += other.WordDecided
@@ -239,7 +247,7 @@ func NewPipelineMetrics(reg *obs.Registry) *PipelineMetrics {
 		liftedPruned: reg.NewCounter("llhsc_lifted_configs_pruned_total",
 			"Distinct guard assumption sets the lifted session proved unreachable by any valid configuration."),
 		liftedSessions: reg.NewCounter("llhsc_lifted_sessions_total",
-			"Lifted solver sessions opened (one per uncached ModeLifted run)."),
+			"Lifted solver sessions opened (one per uncached ModeLifted run whose feature tree allows more than 64 configurations)."),
 		checkSeconds: reg.NewHistogramVec("llhsc_check_seconds",
 			"Per-family check latency by dominant decision tier (word/sat/lifted/none).",
 			nil, "family", "tier"),
@@ -278,6 +286,17 @@ func familyTier(fs FamilyStats) string {
 	default:
 		return "none"
 	}
+}
+
+// observeSolver adds SAT work the run's stats leave out to family's
+// solver counters. A nil m records nothing.
+func (m *PipelineMetrics) observeSolver(family string, st sat.Stats) {
+	if m == nil {
+		return
+	}
+	m.satConflicts.With(family).Add(st.Conflicts)
+	m.satPropagations.With(family).Add(st.Propagations)
+	m.satRestarts.With(family).Add(st.Restarts)
 }
 
 // observe folds one run's stats into the cross-run counters.

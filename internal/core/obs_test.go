@@ -204,7 +204,8 @@ func TestCheckSecondsTierLabels(t *testing.T) {
 
 // TestPipelineMetricsUnderRaceWithScrape hammers one shared registry
 // from concurrent pipeline runs (enumerative runs with the per-tree
-// fan-out, alternating with lifted runs) while scraping /metrics text
+// fan-out, alternating with lifted runs of the running example past 64
+// products, which solve in a session) while scraping /metrics text
 // in parallel; run under -race this is the tentpole's registry-safety
 // check. It then asserts the scraped lifted SAT propagations match the
 // sum of the per-run reports.
@@ -237,7 +238,8 @@ func TestPipelineMetricsUnderRaceWithScrape(t *testing.T) {
 			p := examplePipeline(t, nil)
 			p.Metrics = metrics
 			if i%2 == 1 {
-				p.Mode = core.ModeLifted
+				p = spareLiftedPipeline(t)
+				p.Metrics = metrics
 			}
 			report, err := p.RunContext(context.Background(), core.Limits{Parallelism: 4})
 			if err != nil {

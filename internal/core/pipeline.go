@@ -45,9 +45,10 @@ import (
 // value imposes no solver or delta limits and uses the default
 // parallelism.
 type Limits struct {
-	// Solver bounds the lifted reachability queries of ModeLifted
-	// (deadline, conflicts, learnt-clause memory); no other family
-	// issues a solver query.
+	// Solver bounds the solves of ModeLifted (deadline, conflicts,
+	// learnt-clause memory): a session's reachability queries, or the
+	// enumeration of a model's valid products on its first lifted check
+	// (DESIGN.md §14). No other family issues a solver query.
 	Solver sat.Budget
 	// MaxDeltaOps caps the number of delta operations applied while
 	// deriving each product (0 = unlimited).
@@ -317,7 +318,7 @@ func (p *Pipeline) RunContext(ctx context.Context, limits Limits) (*Report, erro
 	}
 
 	// ---- family-based lifted checking (DESIGN.md §14) ----
-	// One merged tree, one solver session, the whole product line.
+	// One merged tree, one lifted check, the whole product line.
 	// Products are still derived below for traces, DTS renderings and
 	// artifact facts, but skip their per-tree family checks.
 	if p.Mode == ModeLifted {

@@ -1,6 +1,7 @@
 package featmodel
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -76,29 +77,52 @@ func (a *Analyzer) EnumerateProducts(limit int) ([][]string, bool) {
 }
 
 func (a *Analyzer) enumerate(limit int) ([][]string, bool) {
-	s := a.enc.newSolver()
 	var products [][]string
-	for {
-		if limit > 0 && len(products) >= limit {
-			return products, false
-		}
-		if s.Solve() != sat.Sat {
-			return products, true
-		}
+	// No ctx or budget can stop this enumeration, so it returns no error.
+	complete, _, _ := a.enc.eachProduct(context.Background(), sat.Budget{}, limit, func(s *sat.Solver) {
 		var selected []string
-		blocking := make([]logic.Lit, 0, len(a.model.order))
-		for i, name := range a.model.order {
-			l := logic.Lit(i + 1)
-			if s.Value(l.Var()) {
+		for i, name := range a.enc.names {
+			if s.Value(logic.Var(i + 1)) {
 				selected = append(selected, name)
-				l = -l
 			}
-			blocking = append(blocking, l)
 		}
 		sort.Strings(selected)
 		products = append(products, selected)
+	})
+	return products, complete
+}
+
+// eachProduct enumerates the encoding's valid products with blocking
+// clauses in one fresh solver, under ctx and b: each Sat solve finds a
+// product that no earlier blocking clause excludes, yield reads it off
+// the solver (feature Names()[i] is variable i+1), and the product's
+// negation becomes the next blocking clause. It stops complete at the
+// first Unsat, and incomplete before the solve past limit products
+// when limit > 0. It returns the solver's work, and the
+// *sat.LimitError of a solve that ctx or b stopped.
+func (enc *Encoding) eachProduct(ctx context.Context, b sat.Budget, limit int, yield func(s *sat.Solver)) (complete bool, work sat.Stats, err error) {
+	s := enc.newSolver()
+	s.SetBudget(b)
+	blocking := make([]logic.Lit, len(enc.names))
+	for n := 0; limit <= 0 || n < limit; n++ {
+		st, err := s.SolveContext(ctx)
+		if err != nil {
+			return false, s.Stats(), err
+		}
+		if st != sat.Sat {
+			return true, s.Stats(), nil
+		}
+		yield(s)
+		for i := range blocking {
+			l := logic.Lit(i + 1)
+			if s.Value(l.Var()) {
+				l = -l
+			}
+			blocking[i] = l
+		}
 		if !s.AddClause(blocking...) {
-			return products, true
+			return true, s.Stats(), nil
 		}
 	}
+	return false, s.Stats(), nil
 }

@@ -53,6 +53,19 @@ func (enc *Encoding) newSolver() *sat.Solver {
 	return s
 }
 
+// decode returns the configuration of a feature bitset laid out as
+// PresenceEncoder.AppendModel lays it out: exactly the features whose
+// bit is set.
+func (enc *Encoding) decode(bits []uint64) Configuration {
+	cfg := make(Configuration, len(enc.names))
+	for i, name := range enc.names {
+		if bits[i/64]&(1<<(i%64)) != 0 {
+			cfg[name] = true
+		}
+	}
+	return cfg
+}
+
 // AppendClauses appends the model's CNF to dst, each clause terminated
 // by a 0 literal, and returns the extended arena. The features take the
 // next len(Names()) variables of pool in depth-first order, and

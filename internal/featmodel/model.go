@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"llhsc/internal/logic"
 )
@@ -79,6 +80,8 @@ type Model struct {
 	encOnce sync.Once // builds enc (encode.go)
 	enc     *Encoding
 	encErr  error
+
+	products atomic.Pointer[productList] // enumerated once (products.go)
 }
 
 // NewModel builds a model from a feature tree and optional cross-tree

@@ -9,12 +9,13 @@ import (
 	"llhsc/internal/sat"
 )
 
-// PresenceEncoder is the SAT substrate of family-based lifted checking
-// (DESIGN.md §14). It holds one incremental solver session seeded with
-// the feature model's Encoding and compiles delta activation conditions
-// ("when" clauses and guards derived from them) into *presence
-// literals*: a literal that is true in a model of the session exactly
-// when the guard expression holds in the corresponding configuration.
+// PresenceEncoder is the SAT-session guard algebra of family-based
+// lifted checking (DESIGN.md §14). It holds one incremental solver
+// session seeded with the feature model's Encoding and compiles delta
+// activation conditions ("when" clauses and guards derived from them)
+// into *presence literals*: a literal that is true in a model of the
+// session exactly when the guard expression holds in the corresponding
+// configuration.
 //
 // A lifted violation query is a plain assumption solve against the
 // shared session: Assumptions flattens the guard's top-level
@@ -31,7 +32,9 @@ import (
 // expressions: Guard interns a guard's assumption set once per
 // expression, and And, Not and Or combine handles through memos, so a
 // composed guard is never rebuilt as an expression tree nor flattened
-// again.
+// again. ProductSets has the same methods for Guard, And, Not, Or,
+// Reachable and Witness, without a solver, for a model whose feature
+// tree allows at most MaxProductSet configurations.
 type PresenceEncoder struct {
 	enc    *Encoding
 	pool   logic.Pool // past enc's variables: guard definitions, unknown names
@@ -55,7 +58,18 @@ type PresenceEncoder struct {
 	buf     []logic.Lit         // scratch set
 	key     []byte              // scratch interning key
 
-	queries int // assumption solves issued against the session
+	reach   []reachResult // guard handle → cached verdict (Reachable)
+	models  []uint64      // witness bitsets of the Sat verdicts (AppendModel)
+	queries int           // assumption solves issued against the session
+	pruned  int           // Unsat verdicts among them
+}
+
+// reachResult caches one guard's session verdict: whether any valid
+// configuration satisfies it, and if so where its witness model sits
+// in models.
+type reachResult struct {
+	known, ok bool
+	lo, hi    int32
 }
 
 // NewPresenceEncoder seeds a fresh incremental session with a copy of
@@ -171,13 +185,18 @@ func (pe *PresenceEncoder) atom(e *Expr) logic.Lit {
 	}
 }
 
-// Guard names one interned assumption set of a PresenceEncoder session:
-// sorted, duplicate-free literals whose conjunction holds in a model of
-// the session exactly when the guard it stands for holds in that
-// model's configuration. The zero Guard is the empty set, "always".
-// Equal sets intern to one handle, and handles are small and dense, so
-// per-guard state (the lifted checker's reachability memo) lives in a
-// slice indexed by handle. Handles belong to the encoder that made them.
+// Guard names one interned guard of a guard algebra: a
+// PresenceEncoder session or ProductSets. In a session it is an
+// assumption set: sorted, duplicate-free literals whose conjunction
+// holds in a model of the session exactly when the guard it stands for
+// holds in that model's configuration, and the zero Guard is the empty
+// set, "always". In
+// ProductSets it is the set of valid products the guard selects, and
+// the zero Guard is every valid product, so any guard that holds in
+// every valid product is 0 there. Equal sets intern to one handle, and
+// handles are small and dense, so per-guard state (the session's
+// reachability memo) lives in a slice indexed by handle. Handles
+// belong to the algebra that made them.
 type Guard int32
 
 // Guard returns the handle of Assumptions(nil, e), memoized per
@@ -220,11 +239,12 @@ func (pe *PresenceEncoder) And(a, b Guard) Guard {
 
 // Not returns the handle of the negation of g: the negated literal of a
 // single-literal set, and otherwise the negation of one definition
-// literal of the set's conjunction, encoded once per set. The always
-// guard has no negation a rule ever asks for; Not(0) panics.
+// literal of the set's conjunction, encoded once per set. Not(0) is the
+// negated constant-true literal, which no valid configuration
+// satisfies.
 func (pe *PresenceEncoder) Not(g Guard) Guard {
 	if g == 0 {
-		panic("featmodel: Not of the always guard")
+		return pe.intern1(-pe.True())
 	}
 	return pe.intern1(-pe.conjLit(g))
 }
@@ -381,6 +401,46 @@ func (pe *PresenceEncoder) FeatureLit(name string) logic.Lit {
 	return logic.Lit(v)
 }
 
+// Reachable reports whether some valid configuration satisfies guard g
+// (0 = always, i.e. "is the model non-void"): one assumption solve of
+// g's set under ctx and the session's budget, whose error it returns.
+// A verdict is cached by handle, and equal sets share a handle, so a
+// guard, however it was composed, costs one query. A Sat verdict keeps
+// its model as a bitset for Witness.
+func (pe *PresenceEncoder) Reachable(ctx context.Context, g Guard) (bool, error) {
+	if int(g) < len(pe.reach) && pe.reach[g].known {
+		return pe.reach[g].ok, nil
+	}
+	st, err := pe.SolveContext(ctx, pe.Lits(g)...)
+	if err != nil {
+		return false, err
+	}
+	res := reachResult{known: true, ok: st == sat.Sat}
+	if res.ok {
+		res.lo = int32(len(pe.models))
+		pe.models = pe.AppendModel(pe.models)
+		res.hi = int32(len(pe.models))
+	} else {
+		pe.pruned++
+	}
+	if n := int(g) + 1; n > len(pe.reach) {
+		pe.reach = append(pe.reach, make([]reachResult, n-len(pe.reach))...)
+	}
+	pe.reach[g] = res
+	return res.ok, nil
+}
+
+// Witness returns the model of g's Sat verdict, which Reachable must
+// have found.
+func (pe *PresenceEncoder) Witness(g Guard) Configuration {
+	res := pe.reach[g]
+	return pe.DecodeModel(pe.models[res.lo:res.hi])
+}
+
+// Pruned returns the number of distinct guards the session proved no
+// valid configuration satisfies.
+func (pe *PresenceEncoder) Pruned() int { return pe.pruned }
+
 // SolveContext asks whether any valid configuration satisfies all the
 // given presence literals, honoring ctx cancellation and the session's
 // budget. Every call is counted; see Queries.
@@ -430,13 +490,7 @@ func (pe *PresenceEncoder) AppendModel(dst []uint64) []uint64 {
 // DecodeModel returns the configuration of a model appended by
 // AppendModel: exactly the features whose bit is set.
 func (pe *PresenceEncoder) DecodeModel(model []uint64) Configuration {
-	cfg := make(Configuration, len(pe.enc.names))
-	for i, name := range pe.enc.names {
-		if model[i/64]&(1<<(i%64)) != 0 {
-			cfg[name] = true
-		}
-	}
-	return cfg
+	return pe.enc.decode(model)
 }
 
 // SetBudget forwards a resource budget to the underlying session.

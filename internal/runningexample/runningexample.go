@@ -20,6 +20,8 @@
 package runningexample
 
 import (
+	"fmt"
+
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
@@ -194,6 +196,24 @@ func Model() (*featmodel.Model, error) {
 		featmodel.MustParseExpr("veth0 -> cpu@0"),
 		featmodel.MustParseExpr("veth1 -> cpu@1"),
 	)
+}
+
+// SpareModel is Model with n more optional features under the root,
+// spare0 … spare<n-1>, that no delta reads: the same product line with
+// ProductCount·2^n valid products. Three spares (96 products, and 144
+// configurations of the feature tree alone) take the line past the 64
+// a lifted check holds as product sets (featmodel.MaxProductSet), so it
+// runs in a solver session.
+func SpareModel(n int) (*featmodel.Model, error) {
+	m, err := Model()
+	if err != nil {
+		return nil, err
+	}
+	root := m.Root
+	for i := range n {
+		root.Children = append(root.Children, &featmodel.Feature{Name: fmt.Sprintf("spare%d", i), Group: featmodel.GroupAnd})
+	}
+	return featmodel.NewModel(root, m.Constraints...)
 }
 
 // VM1Config is the Fig. 1b product: cpu@0, both UARTs, veth0.

@@ -80,3 +80,13 @@ func TestConfigsAreValidProducts(t *testing.T) {
 		t.Errorf("VM2Config invalid: %v", lits)
 	}
 }
+
+func TestSpareModelCounts(t *testing.T) {
+	m, err := SpareModel(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := featmodel.NewAnalyzer(m).CountProducts(0); n != 8*ProductCount || n <= featmodel.MaxProductSet {
+		t.Errorf("SpareModel(3) has %d products, want %d (> %d)", n, 8*ProductCount, featmodel.MaxProductSet)
+	}
+}

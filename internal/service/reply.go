@@ -296,6 +296,7 @@ func (w *replyWriter) runStats(st *core.RunStats) {
 	if l := st.Lifted; l != nil {
 		w.key("lifted")
 		w.open('{')
+		w.optInt("products", l.Products)
 		w.key("queries")
 		w.int(l.Queries)
 		w.key("pruned")

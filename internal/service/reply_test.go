@@ -180,7 +180,9 @@ func conformRequests(t *testing.T) map[string]CheckRequest {
 // with SetIndent over the CheckResponse oracle, byte for byte: the
 // running example in both modes, passing and failing, traced, with a
 // request ID and as a warm cache hit; the synthetic 8-CPU/24-UART
-// line passing and failing; and the conformance seeds.
+// line passing and failing; and the conformance seeds. In lifted mode
+// the running example's stats carry its 12 products and the line's,
+// checked in a session, none.
 func TestCheckReplyMatchesStdlib(t *testing.T) {
 	example := runningExampleRequest(t)
 	clash := example
@@ -214,6 +216,7 @@ func TestCheckReplyMatchesStdlib(t *testing.T) {
 		t.Fatal(err)
 	}
 	passed, failed, cached := 0, 0, 0
+	sets, sessions := 0, 0 // lifted replies with and without stats.lifted.products
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			// The second run of each body is a warm hit.
@@ -236,6 +239,11 @@ func TestCheckReplyMatchesStdlib(t *testing.T) {
 				if res.report.Stats.CacheHits > 0 {
 					cached++
 				}
+				if l := res.report.Stats.Lifted; l != nil && l.Products > 0 {
+					sets++
+				} else if l != nil {
+					sessions++
+				}
 				if c.req.Trace && res.trace == nil {
 					t.Error("a traced run carries no trace")
 				}
@@ -245,6 +253,9 @@ func TestCheckReplyMatchesStdlib(t *testing.T) {
 	}
 	if passed == 0 || failed == 0 || cached == 0 {
 		t.Errorf("%d passing, %d failing and %d cached replies; want some of each", passed, failed, cached)
+	}
+	if sets == 0 || sessions == 0 {
+		t.Errorf("%d lifted replies over product sets and %d over a session; want some of each", sets, sessions)
 	}
 }
 

@@ -143,8 +143,8 @@ type CheckRequest struct {
 	// are implied automatically.
 	VMs [][]string `json:"vms"`
 	// Mode overrides the server's default checking mode for this
-	// request: "enumerate" (per-product) or "lifted" (whole product
-	// line in one solver session). Empty keeps the server default;
+	// request: "enumerate" (per-product) or "lifted" (the whole
+	// product line at once). Empty keeps the server default;
 	// anything else answers 400.
 	Mode string `json:"mode,omitempty"`
 	// Trace opts this request into returning its span tree: the

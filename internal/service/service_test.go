@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"llhsc/internal/runningexample"
 )
 
 func newServer(t *testing.T) *httptest.Server {
@@ -136,8 +138,10 @@ delta clash after d6 when uart1 && (veth0 || veth1) {
 
 // TestCheckLiftedMode exercises the per-request mode override: the
 // clean running example passes in lifted mode with lifted metadata in
-// the stats; the clash corpus fails with findings carrying witness
-// configurations; an unknown mode answers 400.
+// the stats (its 12 products, no session), and so does the same line
+// past 64 products (queries in one session); the clash corpus fails
+// with findings carrying witness configurations; an unknown mode
+// answers 400.
 func TestCheckLiftedMode(t *testing.T) {
 	srv := newServer(t)
 	var req CheckRequest
@@ -157,12 +161,39 @@ func TestCheckLiftedMode(t *testing.T) {
 	if out.Stats == nil || out.Stats.Lifted == nil {
 		t.Fatal("lifted-mode response missing lifted stats")
 	}
-	if out.Stats.Lifted.Queries == 0 {
-		t.Error("lifted stats report no solver queries")
+	if l := out.Stats.Lifted; l.Products != runningexample.ProductCount || l.Queries != 0 || l.Sessions != 0 {
+		t.Errorf("lifted stats report %d products, %d queries, %d sessions; want %d, 0, 0",
+			l.Products, l.Queries, l.Sessions, runningexample.ProductCount)
 	}
 	if out.ConfigC == "" {
 		t.Error("passing lifted run generated no artifacts")
 	}
+
+	t.Run("past 64 products", func(t *testing.T) {
+		spare, err := runningexample.SpareModel(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wide := req
+		wide.FeatureModel = spare.Format()
+		var out CheckResponse
+		if resp := postJSON(t, srv.URL+"/check", wide, &out); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/check status %d", resp.StatusCode)
+		}
+		if !out.OK {
+			t.Fatalf("96-product line rejected in lifted mode: %+v", out.Lifted)
+		}
+		if out.Stats == nil || out.Stats.Lifted == nil {
+			t.Fatal("lifted-mode response missing lifted stats")
+		}
+		if out.Stats.Lifted.Queries == 0 {
+			t.Error("lifted stats report no solver queries")
+		}
+		if out.Stats.Lifted.Products != 0 || out.Stats.Lifted.Sessions != 1 {
+			t.Errorf("lifted stats report %d products in %d sessions, want 0 in 1",
+				out.Stats.Lifted.Products, out.Stats.Lifted.Sessions)
+		}
+	})
 
 	t.Run("findings with witnesses", func(t *testing.T) {
 		clash := req
