@@ -93,7 +93,7 @@ func run(ctx context.Context, args []string, ready chan<- string) error {
 	maxBody := fs.Int64("max-body", 4<<20,
 		"max request body size in bytes; larger bodies answer 413")
 	solverConflicts := fs.Uint64("solver-conflicts", 0,
-		"max SAT conflicts per request's solver queries; exhaustion answers 503 (0 = unlimited)")
+		"max SAT conflicts per lifted check, shared by a model's first product enumeration or all of a session's queries; exhaustion answers 503 (0 = unlimited)")
 	shutdownGrace := fs.Duration("shutdown-grace", 15*time.Second,
 		"how long in-flight requests may finish after SIGINT/SIGTERM")
 	parallel := fs.Int("parallel", 0,

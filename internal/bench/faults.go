@@ -265,20 +265,19 @@ func HardRandomCNF(nVars int, seed int64) [][]logic.Lit {
 }
 
 // pathologicalCNFDetection runs the hard random instance under a tight
-// conflict budget: the interesting property is not *what* is detected
-// but that the solver answers a structured Unknown within its budget
-// instead of hanging.
+// conflict budget and a 2 s context timeout: the interesting property
+// is not *what* is detected but that the solver answers a structured
+// Unknown within its bounds instead of hanging.
 func pathologicalCNFDetection() Detection {
 	s := sat.New()
 	for _, cl := range HardRandomCNF(250, 1) {
 		s.AddClause(cl...)
 	}
-	s.SetBudget(sat.Budget{
-		MaxConflicts: 500,
-		Deadline:     time.Now().Add(2 * time.Second),
-	})
-	status := s.Solve()
-	bounded := status == sat.Unknown && s.LastLimit() != nil
+	s.SetBudget(sat.Budget{MaxConflicts: 500})
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	status, err := s.SolveContext(ctx)
+	bounded := status == sat.Unknown && err != nil
 	return Detection{
 		Fault:   FaultPathologicalCNF,
 		LLHSC:   bounded, // reported as a structured limit, not a hang

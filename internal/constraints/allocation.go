@@ -36,10 +36,10 @@ func (c *AllocationChecker) Check(configs []featmodel.Configuration) []Violation
 }
 
 // CheckContext is Check under a context: a canceled context is returned
-// as a *sat.LimitError instead of being folded into the violation list,
-// so callers can distinguish "invalid" from "unknown".
+// as ctx.Err() instead of being folded into the violation list, so
+// callers can distinguish "invalid" from "unknown".
 func (c *AllocationChecker) CheckContext(ctx context.Context, configs []featmodel.Configuration) ([]Violation, error) {
-	if err := pollCanceled(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	mm := featmodel.MultiModel{Base: c.Model, VMs: c.VMs}

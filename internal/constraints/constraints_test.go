@@ -2,7 +2,6 @@ package constraints
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
 
@@ -10,7 +9,6 @@ import (
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
-	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
 
@@ -297,7 +295,7 @@ func TestInterruptChecker(t *testing.T) {
 }
 
 // TestInterruptCheckerCanceled: the pair loop polls the context itself
-// and stops with a typed *sat.LimitError on a canceled one.
+// and stops with context.Canceled on a canceled one.
 func TestInterruptCheckerCanceled(t *testing.T) {
 	tree := mustTree(t, `
 /dts-v1/;
@@ -309,9 +307,8 @@ func TestInterruptCheckerCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	vs, err := InterruptChecker{}.CheckContext(ctx, tree)
-	var lim *sat.LimitError
-	if !errors.As(err, &lim) || lim.Reason != sat.StopCanceled || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (%T), want *sat.LimitError{StopCanceled} wrapping context.Canceled", err, err)
+	if err != context.Canceled {
+		t.Fatalf("err = %v (%T), want context.Canceled", err, err)
 	}
 	if len(vs) != 0 {
 		t.Errorf("canceled check reported %v", vs)
@@ -351,9 +348,52 @@ func TestAllocationSharedCPURejected(t *testing.T) {
 	}
 }
 
+// TestFamiliesCanceled runs every per-tree family on a tree that
+// gives each of them work, first to its violations and then under a
+// canceled context, which each must return as context.Canceled itself
+// with no violations.
+func TestFamiliesCanceled(t *testing.T) {
+	tree := mustTree(t, `
+/dts-v1/;
+/memreserve/ 0x10000000 0x1000;
+/ {
+	#address-cells = <1>;
+	#size-cells = <1>;
+	memory@40000000 {
+		device_type = "memory";
+		reg = <0x40000000 0x20000000>;
+	};
+	memory@0 {
+		reg = <0x0 0x1000>;
+	};
+	uart@1000 {
+		compatible = "ns16550a";
+		reg = <0x1000 0x100>;
+		interrupts = <5>;
+	};
+	uart@1080 {
+		compatible = "ns16550a";
+		reg = <0x1080 0x100>;
+		interrupts = <5>;
+	};
+};
+`)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, f := range Families {
+		if vs, _, err := f.Check(context.Background(), schema.StandardSet(), &TreeFacts{Tree: tree}); err != nil || len(vs) == 0 {
+			t.Errorf("%s: %v, %v; want violations to stop", f.Name, vs, err)
+		}
+		vs, _, err := f.Check(ctx, schema.StandardSet(), &TreeFacts{Tree: tree})
+		if err != context.Canceled || len(vs) != 0 {
+			t.Errorf("%s under a canceled context: %v, %v (%T); want no violations and context.Canceled", f.Name, vs, err, err)
+		}
+	}
+}
+
 // TestAllocationCheckerErrors: a configuration count other than the
 // VM count is reported as allocation:error, and a canceled context as
-// a typed *sat.LimitError with no violations.
+// context.Canceled with no violations.
 func TestAllocationCheckerErrors(t *testing.T) {
 	model, _ := runningexample.Model()
 	c, _ := NewAllocationChecker(model, 2)
@@ -364,9 +404,8 @@ func TestAllocationCheckerErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	vs, err := c.CheckContext(ctx, []featmodel.Configuration{runningexample.VM1Config(), runningexample.VM2Config()})
-	var lim *sat.LimitError
-	if !errors.As(err, &lim) || !errors.Is(err, context.Canceled) || len(vs) != 0 {
-		t.Errorf("canceled check = %v, %v; want a *sat.LimitError wrapping context.Canceled", vs, err)
+	if err != context.Canceled || len(vs) != 0 {
+		t.Errorf("canceled check = %v, %v; want no violations and context.Canceled", vs, err)
 	}
 	if _, err := NewAllocationChecker(model, 0); err == nil {
 		t.Error("zero VMs must be rejected")

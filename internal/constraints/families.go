@@ -35,9 +35,9 @@ func (t *TreeFacts) Regions() ([]addr.Region, error) {
 // Family is one per-tree checker family. Name labels its
 // "family:<Name>" span, its RunStats.Families key and its
 // llhsc_check_seconds family label. Check returns the family's
-// violations and work counters; a non-nil error (a *sat.LimitError)
-// means cancellation cut it short, and the violations found so far are
-// still returned. Only the syntactic family reads schemas.
+// violations and work counters; a non-nil error (ctx.Err()) means
+// cancellation cut it short, and the violations found so far are still
+// returned. Only the syntactic family reads schemas.
 type Family struct {
 	Name  string
 	Check func(ctx context.Context, schemas *schema.Set, t *TreeFacts) ([]Violation, SemanticStats, error)

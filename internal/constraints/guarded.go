@@ -5,7 +5,6 @@ import (
 
 	"llhsc/internal/addr"
 	"llhsc/internal/featmodel"
-	"llhsc/internal/sat"
 )
 
 // The overlap, interrupt and memreserve rules are each written once,
@@ -42,8 +41,8 @@ type guardAlgebra interface {
 	Not(g featmodel.Guard) featmodel.Guard
 	Or(a, b featmodel.Guard) featmodel.Guard
 	// Reachable reports whether some valid configuration satisfies g.
-	// A non-nil error (a *sat.LimitError) means ctx or a budget stopped
-	// the answer.
+	// A non-nil error means ctx (its ctx.Err()) or a budget (a
+	// *sat.LimitError) stopped the answer.
 	Reachable(ctx context.Context, g featmodel.Guard) (bool, error)
 	// Witness returns a valid configuration satisfying g, which
 	// Reachable must have found reachable.
@@ -88,14 +87,4 @@ func (s sink) report(a, b featmodel.Guard, v Violation) {
 	if g, ok := s.holds(a, b); ok {
 		s.emit(g, v)
 	}
-}
-
-// pollCanceled is the per-pair cancellation check of the rule loops,
-// which have no solver to poll the context for them: a done context
-// becomes a *sat.LimitError wrapping its cause.
-func pollCanceled(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return &sat.LimitError{Reason: sat.StopCanceled, Err: err}
-	}
-	return nil
 }

@@ -30,7 +30,7 @@ func (ic InterruptChecker) Check(tree *dts.Tree) []Violation {
 }
 
 // CheckContext is Check under a context, polled once per pair; a
-// non-nil error (a *sat.LimitError) means cancellation cut the pair
+// non-nil error (ctx.Err()) means cancellation cut the pair
 // enumeration short, and the violations found so far are still
 // returned.
 func (ic InterruptChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
@@ -85,7 +85,7 @@ func interruptRule(ctx context.Context, claims []irqClaim, s sink) (int, error) 
 			if a.path == b.path {
 				continue
 			}
-			if err := pollCanceled(ctx); err != nil {
+			if err := ctx.Err(); err != nil {
 				return pairs, err
 			}
 			pairs++

@@ -125,9 +125,12 @@ type LiftedChecker struct {
 	Model *featmodel.Model
 	// Schemas, when non-nil, enables the lifted syntactic family.
 	Schemas *schema.Set
-	// Budget bounds the solver work per CheckContext call: the
-	// enumeration of the model's products, if this call is the model's
-	// first, or the session's queries.
+	// Budget bounds the solver work of one CheckContext call as a
+	// whole: MaxConflicts caps the conflicts of the model's product
+	// enumeration, if this call is the model's first, or of all the
+	// session's queries together. No call does both: a model enumerates
+	// only when its feature tree allows at most MaxProductSet
+	// configurations, and then product sets answer without a session.
 	Budget sat.Budget
 
 	// session forces the SAT session whatever the product count, so
@@ -155,9 +158,9 @@ func (lc *LiftedChecker) Check(lt *delta.LiftedTree) []LiftedFinding {
 
 // CheckContext runs every lifted family over the merged tree and
 // returns the reachable violations with their witness configurations,
-// sorted deterministically. A non-nil error (a *sat.LimitError or
-// context error) means the budget or ctx cut the check short;
-// findings confirmed up to that point are still returned.
+// sorted deterministically. A non-nil error (a *sat.LimitError when
+// the budget ran out, ctx.Err() when ctx was done) means the check was
+// cut short; findings confirmed up to that point are still returned.
 func (lc *LiftedChecker) CheckContext(ctx context.Context, lt *delta.LiftedTree) ([]LiftedFinding, error) {
 	lc.stats = LiftedStats{}
 	var guards guardAlgebra
@@ -722,7 +725,7 @@ func (r *liftedRun) schemaNode(n *delta.LiftedNode, path string, strides []cellO
 		if len(schemas) == 0 || !r.reachable(sg) {
 			continue
 		}
-		if err := pollCanceled(r.ctx); err != nil {
+		if err := r.ctx.Err(); err != nil {
 			r.fail(err)
 			return
 		}

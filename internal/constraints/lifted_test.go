@@ -11,6 +11,7 @@ package constraints
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -1362,9 +1363,9 @@ func TestLiftedCheckersShareFreshModel(t *testing.T) {
 // TestLiftedSessionLineEnumeratesNothing checks fresh models of
 // TestLiftedSchemaPerProperty's 128-product line. Its feature tree
 // allows more than 64 configurations, so a check enumerates no product
-// and answers in one session, and a conflict budget per solve that the
-// session's queries fit within (one more than all of them took) still
-// finishes with the unbudgeted findings.
+// and answers in one session, and a conflict cap that the session's
+// queries fit within (one more than all of them took) still finishes
+// with the unbudgeted findings.
 func TestLiftedSessionLineEnumeratesNothing(t *testing.T) {
 	core, set, model, schemas := schemaPerPropertyLine(t)
 	lifted, err := set.Lift(core)
@@ -1390,5 +1391,147 @@ func TestLiftedSessionLineEnumeratesNothing(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("budgeted check reports %v, unbudgeted %v", got, want)
+	}
+}
+
+// conflictSessionLine is schemaPerPropertyLine's line with a model
+// whose queries need search: fnoreg and fcompat each require four
+// pigeons in three holes, so neither is selectable, and the session
+// proves each guard of theirs unreachable only through conflicts. The
+// pigeon features take the feature tree far past 64 configurations, so
+// one SAT session answers the check.
+func conflictSessionLine(t *testing.T) (*dts.Tree, *delta.Set, *featmodel.Model, *schema.Set) {
+	t.Helper()
+	core, set, _, schemas := schemaPerPropertyLine(t)
+	var b strings.Builder
+	b.WriteString("feature root abstract {\n")
+	for _, f := range []string{"fshift", "flabel", "fextra", "fnoreg", "fcompat", "fstatus", "fwide"} {
+		fmt.Fprintf(&b, "    feature %s\n", f)
+	}
+	const pigeons, holes = 4, 3
+	for _, prefix := range []string{"n", "c"} {
+		for p := range pigeons {
+			for h := range holes {
+				fmt.Fprintf(&b, "    feature %sp%dh%d\n", prefix, p, h)
+			}
+		}
+	}
+	b.WriteString("}\n")
+	for prefix, guard := range map[string]string{"n": "fnoreg", "c": "fcompat"} {
+		for p := range pigeons {
+			fmt.Fprintf(&b, "constraint %s -> (%sp%dh0 || %sp%dh1 || %sp%dh2)\n", guard, prefix, p, prefix, p, prefix, p)
+		}
+		for h := range holes {
+			for p1 := range pigeons {
+				for p2 := p1 + 1; p2 < pigeons; p2++ {
+					fmt.Fprintf(&b, "constraint !(%sp%dh%d && %sp%dh%d)\n", prefix, p1, h, prefix, p2, h)
+				}
+			}
+		}
+	}
+	model, err := featmodel.ParseModel("pigeons.fm", b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return core, set, model, schemas
+}
+
+// TestLiftedConflictCapPerCheck pins -solver-conflicts as one cap per
+// lifted check: on a session line where at least two queries meet
+// conflicts, a cap of the check's whole unbudgeted total T stops it
+// with a conflicts *sat.LimitError, although no single query needs T,
+// and a cap of T+1 finishes with the unbudgeted findings.
+func TestLiftedConflictCapPerCheck(t *testing.T) {
+	core, set, model, schemas := conflictSessionLine(t)
+	lifted, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := NewLiftedChecker(model, schemas)
+	want, err := lc.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := lc.LastStats()
+	total := st.Solver.Conflicts
+	if st.Sessions != 1 || total == 0 {
+		t.Fatalf("%d sessions, %d conflicts; want 1 session that meets conflicts", st.Sessions, total)
+	}
+	// stopped runs the check under a cap and returns how many queries it
+	// asked, the last of them the one the cap stopped.
+	stopped := func(limit uint64) int {
+		t.Helper()
+		_, _, fresh, _ := conflictSessionLine(t)
+		budgeted := &LiftedChecker{Model: fresh, Schemas: schemas, Budget: sat.Budget{MaxConflicts: limit}}
+		_, err := budgeted.CheckContext(t.Context(), lifted)
+		var lim *sat.LimitError
+		if !errors.As(err, &lim) || lim.Reason != sat.StopConflicts {
+			t.Fatalf("a cap of %d of the check's %d conflicts: err = %v, want a %s *sat.LimitError",
+				limit, total, err, sat.StopConflicts)
+		}
+		return budgeted.LastStats().Queries
+	}
+	// The query that meets the check's first conflict comes before the
+	// one that meets its last, so at least two queries meet conflicts.
+	if first, last := stopped(1), stopped(total); first >= last {
+		t.Fatalf("the first and the last conflict fall in queries %d and %d; the line needs two queries with conflicts", first, last)
+	}
+	_, _, fresh, _ := conflictSessionLine(t)
+	budgeted := &LiftedChecker{Model: fresh, Schemas: schemas, Budget: sat.Budget{MaxConflicts: total + 1}}
+	got, err := budgeted.CheckContext(t.Context(), lifted)
+	if err != nil {
+		t.Fatalf("a cap of %d conflicts stopped the check: %v", total+1, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("budgeted check reports %v, unbudgeted %v", got, want)
+	}
+}
+
+// TestLiftedCheckCanceled: a canceled context stops a lifted check with
+// context.Canceled itself, never a *sat.LimitError, whichever part of
+// the check meets it first: a fresh model's product enumeration, a
+// product-set check over a kept product list, or a SAT session.
+func TestLiftedCheckCanceled(t *testing.T) {
+	core, err := runningexample.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := runningexample.Deltas()
+	if err != nil {
+		t.Fatal(err)
+	}
+	example, err := set.Lift(core)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := runningexample.Model()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lineCore, lineSet, lineModel, lineSchemas := schemaPerPropertyLine(t)
+	line, err := lineSet.Lift(lineCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name string
+		lc   *LiftedChecker
+		lt   *delta.LiftedTree
+	}{
+		{"enumeration", NewLiftedChecker(model, schema.StandardSet()), example},
+		{"product sets", NewLiftedChecker(model, schema.StandardSet()), example},
+		{"session", NewLiftedChecker(lineModel, lineSchemas), line},
+	} {
+		if _, err := tc.lc.CheckContext(ctx, tc.lt); err != context.Canceled {
+			t.Errorf("%s: err = %v (%T), want context.Canceled", tc.name, err, err)
+		}
+		if tc.name == "enumeration" {
+			// keep the model's product list for the product-set case
+			if _, err := tc.lc.CheckContext(context.Background(), tc.lt); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -41,8 +41,8 @@ func (mc MemReserveChecker) Check(tree *dts.Tree) []Violation {
 }
 
 // CheckContext is Check under a context, polled once per reserve and
-// per pair; a non-nil error (a *sat.LimitError) means cancellation cut
-// the checks short, and the violations found so far are still returned.
+// per pair; a non-nil error (ctx.Err()) means cancellation cut the
+// checks short, and the violations found so far are still returned.
 func (mc MemReserveChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
 	out, st, err := checkMemReserve(ctx, nil, &TreeFacts{Tree: tree})
 	st.addCounts(mc.Stats)
@@ -88,7 +88,7 @@ func checkMemReserve(ctx context.Context, _ *schema.Set, t *TreeFacts) ([]Violat
 func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guardedRegion, width int, base featmodel.Guard, s sink, st *SemanticStats) error {
 	var points []uint64
 	for i, mr := range reserves {
-		if err := pollCanceled(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		st.WordDecided++
@@ -144,7 +144,7 @@ func memReserveRule(ctx context.Context, reserves []dts.MemReserve, banks []guar
 
 	for i := 0; i < len(reserves); i++ {
 		for j := i + 1; j < len(reserves); j++ {
-			if err := pollCanceled(ctx); err != nil {
+			if err := ctx.Err(); err != nil {
 				return err
 			}
 			st.Pairs++

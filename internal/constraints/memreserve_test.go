@@ -2,11 +2,8 @@ package constraints
 
 import (
 	"context"
-	"errors"
 	"strings"
 	"testing"
-
-	"llhsc/internal/sat"
 )
 
 func TestMemReserveClean(t *testing.T) {
@@ -145,9 +142,8 @@ func TestMemReserveCheckerCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	vs, err := MemReserveChecker{}.CheckContext(ctx, tree)
-	var lim *sat.LimitError
-	if !errors.As(err, &lim) || lim.Reason != sat.StopCanceled || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (%T), want *sat.LimitError{StopCanceled} wrapping context.Canceled", err, err)
+	if err != context.Canceled {
+		t.Fatalf("err = %v (%T), want context.Canceled", err, err)
 	}
 	if len(vs) != 0 {
 		t.Errorf("canceled check reported %v", vs)

@@ -111,8 +111,8 @@ func (sc *SemanticChecker) Check(tree *dts.Tree) ([]Collision, []Violation) {
 	return collisions, violations
 }
 
-// CheckContext is Check under a context. A non-nil error (a
-// *sat.LimitError) means cancellation cut the search short;
+// CheckContext is Check under a context. A non-nil error (ctx.Err())
+// means cancellation cut the search short;
 // collisions and violations found up to that point are still returned.
 func (sc *SemanticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Collision, []Violation, error) {
 	return sc.check(ctx, &TreeFacts{Tree: tree})
@@ -174,7 +174,7 @@ func (sc *SemanticChecker) FindCollisions(regions []addr.Region, width int) []Co
 // set of eligible pairs whose intervals overlap, then the word tier
 // (DecideConcretePair) decides each candidate and computes its witness
 // arithmetically. No solver is built. When the context is canceled it
-// returns the collisions confirmed so far plus a *sat.LimitError;
+// returns the collisions confirmed so far plus ctx.Err();
 // remaining pairs are unchecked.
 func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []addr.Region, width int) ([]Collision, error) {
 	sc.stats = SemanticStats{}
@@ -201,7 +201,7 @@ func (sc *SemanticChecker) FindCollisionsContext(ctx context.Context, regions []
 func (sc *SemanticChecker) decidePairs(ctx context.Context, regions []addr.Region, width int, pairs [][2]int, hit func(pair [2]int, c Collision)) error {
 	sc.stats.Pairs += len(pairs)
 	for _, pair := range pairs {
-		if err := pollCanceled(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		a, b := regions[pair[0]], regions[pair[1]]

@@ -2,14 +2,12 @@ package constraints
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"llhsc/internal/addr"
-	"llhsc/internal/sat"
 )
 
 // TestRegionInterval pins the arithmetic model to overlapTerm's
@@ -190,8 +188,8 @@ func TestSemanticStatsSweepPrunes(t *testing.T) {
 }
 
 // TestFindCollisionsContextCanceled: with no solver to poll the
-// context, the pair loop itself must stop on cancellation with a typed
-// *sat.LimitError wrapping context.Canceled.
+// context, the pair loop itself must stop on cancellation with
+// context.Canceled.
 func TestFindCollisionsContextCanceled(t *testing.T) {
 	regions := []addr.Region{
 		{Base: 0x1000, Size: 0x100, Path: "/a"},
@@ -200,9 +198,8 @@ func TestFindCollisionsContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	out, err := NewSemanticChecker().FindCollisionsContext(ctx, regions, 32)
-	var lim *sat.LimitError
-	if !errors.As(err, &lim) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v (%T), want *sat.LimitError wrapping context.Canceled", err, err)
+	if err != context.Canceled {
+		t.Fatalf("err = %v (%T), want context.Canceled", err, err)
 	}
 	if len(out) != 0 {
 		t.Errorf("canceled search reported collisions %v", out)

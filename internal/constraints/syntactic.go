@@ -51,7 +51,6 @@ import (
 	"context"
 
 	"llhsc/internal/dts"
-	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
 
@@ -117,9 +116,9 @@ func (c *SyntacticChecker) Check(tree *dts.Tree) []Violation {
 	return out
 }
 
-// CheckContext is Check under a context; a non-nil error (a
-// *sat.LimitError) means cancellation cut the tree walk short, and the
-// violations found so far are still returned.
+// CheckContext is Check under a context; a non-nil error (ctx.Err())
+// means cancellation cut the tree walk short, and the violations found
+// so far are still returned.
 func (c *SyntacticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]Violation, error) {
 	vs, err := c.Schemas.ValidateContext(ctx, tree)
 	var out []Violation
@@ -129,10 +128,7 @@ func (c *SyntacticChecker) CheckContext(ctx context.Context, tree *dts.Tree) ([]
 			out[i] = schemaViolation(v)
 		}
 	}
-	if err != nil {
-		return out, &sat.LimitError{Reason: sat.StopCanceled, Err: err}
-	}
-	return out, nil
+	return out, err
 }
 
 // schemaViolation names a schema rule failure as the rule

@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"llhsc/internal/checkcache"
 	"llhsc/internal/constraints"
@@ -342,9 +341,9 @@ func scrapeSample(text, name string) string {
 // TestLiftedMetrics folds a lifted run that solves in a session into a
 // registry and requires the three llhsc_lifted_* counter families plus
 // the session-reuse gauge in the scrape. Two running-example runs over
-// product sets follow, each on a fresh model: one that an expired
-// solver deadline stops while it enumerates the model's products, and
-// one that finishes. Neither may count a session, and the finished
+// product sets follow, each on a fresh model: one that a one-conflict
+// cap stops while it enumerates the model's products, and one that
+// finishes. Neither may count a session, and the finished
 // one's enumeration must reach the lifted solver counters, although
 // its run stats leave the enumeration out.
 func TestLiftedMetrics(t *testing.T) {
@@ -397,9 +396,9 @@ func TestLiftedMetrics(t *testing.T) {
 	stopped := examplePipeline(t, nil)
 	stopped.Mode, stopped.Metrics = core.ModeLifted, metrics
 	if _, err := stopped.RunContext(context.Background(), core.Limits{
-		Solver: sat.Budget{Deadline: time.Now().Add(-time.Second)},
+		Solver: sat.Budget{MaxConflicts: 1},
 	}); err == nil {
-		t.Fatal("a run under an expired solver deadline finished")
+		t.Fatal("a run under a one-conflict cap finished")
 	}
 	sets := examplePipeline(t, nil)
 	sets.Mode, sets.Metrics = core.ModeLifted, metrics

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"llhsc/internal/delta"
 	"llhsc/internal/dts"
@@ -76,8 +75,8 @@ func (c *tripCtx) Err() error {
 
 // TestRunContextCancelMidRun cancels a serial run from inside its first
 // tree's interrupt family — a quarter of the way through an uncanceled
-// run's polls — and requires a *LimitError wrapping context.Canceled,
-// with the run stopping at the next poll.
+// run's polls — and requires a *LimitError wrapping context.Canceled
+// and no *sat.LimitError, with the run stopping at the next poll.
 func TestRunContextCancelMidRun(t *testing.T) {
 	const n = 120
 	p := wideDevicePipeline(t, n)
@@ -97,6 +96,10 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	_, err := p.RunContext(ctx, Limits{Parallelism: 1})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want errors.Is(context.Canceled)", err)
+	}
+	var lim *sat.LimitError
+	if errors.As(err, &lim) {
+		t.Fatalf("err = %v wraps a *sat.LimitError; a cancellation is no budget", err)
 	}
 	if !errors.As(err, &le) {
 		t.Fatalf("err = %T, want *LimitError", err)
@@ -133,19 +136,20 @@ func TestRunContextDeltaOpsCap(t *testing.T) {
 }
 
 func TestRunContextSolverBudget(t *testing.T) {
-	// An already-expired solver deadline stops the first SAT query.
-	// Lifted reachability is the only family that queries a solver.
+	// A one-conflict cap stops the fresh model's product enumeration at
+	// its first conflict. Lifted reachability is the only family that
+	// runs a solver.
 	p := paperPipeline(t)
 	p.Mode = ModeLifted
 	_, err := p.RunContext(context.Background(), Limits{
-		Solver: sat.Budget{Deadline: time.Now().Add(-time.Second)},
+		Solver: sat.Budget{MaxConflicts: 1},
 	})
 	var lim *sat.LimitError
 	if !errors.As(err, &lim) {
 		t.Fatalf("err = %v, want *sat.LimitError", err)
 	}
-	if lim.Reason != sat.StopDeadline {
-		t.Errorf("reason = %q, want %q", lim.Reason, sat.StopDeadline)
+	if lim.Reason != sat.StopConflicts {
+		t.Errorf("reason = %q, want %q", lim.Reason, sat.StopConflicts)
 	}
 }
 

@@ -274,18 +274,14 @@ func (m *PipelineMetrics) observeFamily(family, tier string, seconds float64) {
 	m.checkSeconds.With(family, tier).Observe(seconds)
 }
 
-// familyTier names the decision tier that dominated one family check:
-// "sat" if any query reached a solver, "word" if the interval tier
-// decided everything, "none" for purely structural families.
+// familyTier names the decision tier of one per-tree or allocation
+// family check, neither of which runs a solver: "word" if the interval
+// tier decided something, "none" for purely structural checks.
 func familyTier(fs FamilyStats) string {
-	switch {
-	case fs.SolverCalls > 0:
-		return "sat"
-	case fs.WordDecided > 0:
+	if fs.WordDecided > 0 {
 		return "word"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // observeSolver adds SAT work the run's stats leave out to family's

@@ -20,6 +20,7 @@ import (
 	"llhsc/internal/dts"
 	"llhsc/internal/featmodel"
 	"llhsc/internal/runningexample"
+	"llhsc/internal/sat"
 	"llhsc/internal/schema"
 )
 
@@ -213,6 +214,10 @@ func TestParallelCancellationStopsWorkers(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, does not wrap context.Canceled", err)
+	}
+	var lim *sat.LimitError
+	if errors.As(err, &lim) {
+		t.Errorf("err = %v wraps a *sat.LimitError; a cancellation is no budget", err)
 	}
 	if elapsed > 5*time.Second {
 		t.Errorf("cancellation took %v; workers did not stop promptly", elapsed)

@@ -45,10 +45,12 @@ import (
 // value imposes no solver or delta limits and uses the default
 // parallelism.
 type Limits struct {
-	// Solver bounds the solves of ModeLifted (deadline, conflicts,
-	// learnt-clause memory): a session's reachability queries, or the
-	// enumeration of a model's valid products on its first lifted check
-	// (DESIGN.md §14). No other family issues a solver query.
+	// Solver bounds the solves of ModeLifted (conflicts, learnt-clause
+	// memory) as one budget per lifted check: its MaxConflicts caps all
+	// of a session's reachability queries together, or the enumeration
+	// of a model's valid products on its first lifted check (DESIGN.md
+	// §14). No other family issues a solver query. Time and
+	// cancellation come from the run's context.
 	Solver sat.Budget
 	// MaxDeltaOps caps the number of delta operations applied while
 	// deriving each product (0 = unlimited).
@@ -700,7 +702,7 @@ func (p *Pipeline) checkTree(ctx context.Context, st *runState, facts *constrain
 
 // runFamily executes family i of constraints.Families under a child
 // span of span, records its stats and annotates the span with the
-// family's solver work.
+// family's violations and pair counts.
 func (p *Pipeline) runFamily(ctx context.Context, st *runState, i int, facts *constraints.TreeFacts, span *obs.Span) ([]constraints.Violation, error) {
 	f := &constraints.Families[i]
 	var fspan *obs.Span
@@ -720,10 +722,6 @@ func (p *Pipeline) runFamily(ctx context.Context, st *runState, i int, facts *co
 	st.addFamily(f.Name, fs)
 	if fspan != nil {
 		fspan.SetInt("violations", uint64(len(vs)))
-		if fs.SolverCalls > 0 {
-			fspan.SetInt("solver_calls", uint64(fs.SolverCalls))
-			fspan.SetInt("conflicts", fs.Conflicts)
-		}
 		if fs.Pairs > 0 || fs.PairsPruned > 0 {
 			fspan.SetInt("pairs", uint64(fs.Pairs))
 			fspan.SetInt("pairs_pruned", uint64(fs.PairsPruned))

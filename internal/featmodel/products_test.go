@@ -254,20 +254,38 @@ func TestProductSetsVoidModel(t *testing.T) {
 }
 
 // TestProductListBudget stops the enumeration with an expired
-// deadline and with a canceled context: each returns its
-// *sat.LimitError and keeps nothing, and a later unbudgeted call
-// enumerates the products.
+// context deadline and with a canceled context, each returning
+// ctx.Err() and never a *sat.LimitError, and with a conflict cap of
+// the whole enumeration's conflicts, which its many solves share. No
+// stop keeps anything, a cap one higher finishes, and a later
+// unbudgeted call enumerates the products.
 func TestProductListBudget(t *testing.T) {
+	_, work, err := paperModel(t).ProductSets(context.Background(), sat.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := work.Conflicts
+	if total < 2 {
+		t.Fatalf("the enumeration met %d conflicts; the cap needs at least 2", total)
+	}
 	m := paperModel(t)
-	_, _, err := m.ProductSets(context.Background(), sat.Budget{Deadline: time.Now().Add(-time.Second)})
+	_, _, err = m.ProductSets(context.Background(), sat.Budget{MaxConflicts: total})
 	var lim *sat.LimitError
-	if !errors.As(err, &lim) || lim.Reason != sat.StopDeadline {
-		t.Fatalf("expired deadline: err = %v, want a %s *sat.LimitError", err, sat.StopDeadline)
+	if !errors.As(err, &lim) || lim.Reason != sat.StopConflicts {
+		t.Fatalf("a cap of the enumeration's %d conflicts: err = %v, want a %s *sat.LimitError", total, err, sat.StopConflicts)
+	}
+	if _, _, err := paperModel(t).ProductSets(context.Background(), sat.Budget{MaxConflicts: total + 1}); err != nil {
+		t.Fatalf("a cap of %d conflicts stopped the enumeration: %v", total+1, err)
+	}
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if _, _, err := m.ProductSets(expired, sat.Budget{}); err != context.DeadlineExceeded {
+		t.Fatalf("expired deadline: err = %v (%T), want context.DeadlineExceeded", err, err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := m.ProductSets(ctx, sat.Budget{}); !errors.As(err, &lim) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("canceled context: err = %v, want a *sat.LimitError wrapping context.Canceled", err)
+	if _, _, err := m.ProductSets(ctx, sat.Budget{}); err != context.Canceled {
+		t.Fatalf("canceled context: err = %v (%T), want context.Canceled", err, err)
 	}
 	if m.products.Load() != nil {
 		t.Fatal("a stopped enumeration was kept")

@@ -2,28 +2,23 @@ package sat
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"time"
 
 	"llhsc/internal/logic"
 )
 
-// Budget bounds the resources one Solve call may consume. The zero
-// value imposes no limits. A Solve that stops because a limit was hit
+// Budget bounds the search resources of a solver. The zero value
+// imposes no limits. A Solve that stops because a limit was hit
 // returns Unknown and records a *LimitError retrievable via LastLimit
-// (SolveContext returns it directly).
-//
-// Deadline and Stop are polled every limitCheckInterval propagations,
-// so cancellation latency is bounded by the time the solver needs for
-// that many propagations (microseconds to low milliseconds), never by
-// the total search time.
+// (SolveContext returns it directly). Time and cancellation are not
+// budgets: they come from the context given to SolveContext.
 type Budget struct {
-	// Deadline is the wall-clock instant after which the search stops.
-	// The zero time means no deadline.
-	Deadline time.Time
-	// MaxConflicts stops the search after this many conflicts
-	// (0 = unlimited). It subsumes the legacy Solver.ConflictBudget
-	// field, which is still honored when MaxConflicts is 0.
+	// MaxConflicts stops the search once the solver has met this many
+	// conflicts since SetBudget installed the budget, counted across
+	// every Solve in between (0 = unlimited). A lifted check that asks
+	// many queries of one solver therefore spends one cap, not one per
+	// query.
 	MaxConflicts uint64
 	// MaxLearntLits caps the total number of literals retained across
 	// learnt clauses — a proxy for the learnt-database memory footprint
@@ -32,112 +27,79 @@ type Budget struct {
 	// search that keeps exceeding the cap is not converging within the
 	// caller's memory budget.
 	MaxLearntLits int
-	// Stop aborts the search when the channel is closed (or a value is
-	// sent). Wire a context with Stop: ctx.Done(), or use SolveContext.
-	Stop <-chan struct{}
 }
 
-// limitCheckInterval is how many propagations pass between deadline /
-// stop-flag polls. Must be a power of two.
+// limitCheckInterval is how many propagations pass between polls of
+// the context's Done channel. Must be a power of two. Cancellation
+// latency is bounded by the time the solver needs for that many
+// propagations (microseconds to low milliseconds), never by the total
+// search time.
 const limitCheckInterval = 2048
 
 // Stop reasons reported in LimitError.Reason.
 const (
-	StopDeadline  = "deadline"
 	StopConflicts = "conflicts"
 	StopMemory    = "learnt-memory"
-	StopCanceled  = "canceled"
 )
 
-// LimitError is the typed error explaining an Unknown result: the
-// search was stopped by a resource budget or external cancellation,
-// not by a decision procedure failure.
+// LimitError is the typed error explaining an Unknown result that a
+// Budget caused: the search ran out of a resource, not out of time and
+// not because a decision procedure failed.
 type LimitError struct {
 	// Reason is one of the Stop* constants.
 	Reason string
-	// Err is the underlying cause when one exists (e.g.
-	// context.Canceled or context.DeadlineExceeded from SolveContext).
-	Err error
 }
 
 func (e *LimitError) Error() string {
-	if e.Err != nil {
-		return fmt.Sprintf("sat: solve stopped (%s): %v", e.Reason, e.Err)
-	}
 	return fmt.Sprintf("sat: solve stopped: %s budget exhausted", e.Reason)
 }
 
-// Unwrap returns the underlying cause, if any.
-func (e *LimitError) Unwrap() error { return e.Err }
+// errDone marks a search stopped because the context of SolveContext
+// was done; SolveContext reports ctx.Err() in its place.
+var errDone = errors.New("sat: context done")
 
-// SetBudget installs the budget for subsequent Solve calls. It must
-// not be called while a Solve is running.
-func (s *Solver) SetBudget(b Budget) { s.budget = b }
-
-// Interrupt asks a running Solve to stop at the next limit check,
-// returning Unknown. It is safe to call from another goroutine and is
-// sticky until ClearInterrupt is called.
-func (s *Solver) Interrupt() { s.interrupted.Store(true) }
-
-// ClearInterrupt re-arms the solver after an Interrupt.
-func (s *Solver) ClearInterrupt() { s.interrupted.Store(false) }
-
-// LastLimit returns the limit that stopped the most recent Solve, or
-// nil if it ran to completion.
-func (s *Solver) LastLimit() *LimitError { return s.lastLimit }
-
-// SolveContext runs Solve under the context: cancellation and the
-// context deadline are threaded into the budget (tightening, never
-// loosening, any deadline already set via SetBudget). On a budget or
-// cancellation stop it returns Unknown and a non-nil *LimitError whose
-// Err records ctx.Err() when the context was the cause.
-func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Lit) (Status, error) {
-	saved := s.budget
-	defer func() { s.budget = saved }()
-	if d, ok := ctx.Deadline(); ok {
-		if s.budget.Deadline.IsZero() || d.Before(s.budget.Deadline) {
-			s.budget.Deadline = d
-		}
+// SetBudget installs the budget and starts its conflict count afresh.
+// It must not be called while a Solve is running.
+func (s *Solver) SetBudget(b Budget) {
+	s.budget = b
+	s.confLimit = 0
+	if b.MaxConflicts > 0 {
+		s.confLimit = s.stats.Conflicts + b.MaxConflicts
 	}
-	if ctx.Done() != nil {
-		s.budget.Stop = ctx.Done()
-	}
-	st := s.Solve(assumptions...)
-	if st != Unknown {
-		return st, nil
-	}
-	lim := s.lastLimit
-	if lim == nil {
-		lim = &LimitError{Reason: StopCanceled}
-	}
-	if (lim.Reason == StopCanceled || lim.Reason == StopDeadline) && ctx.Err() != nil {
-		lim.Err = ctx.Err()
-	} else if lim.Reason == StopDeadline && lim.Err == nil {
-		// our wall-clock poll can observe the deadline a moment before
-		// the context's own timer fires; attribute it anyway
-		if d, ok := ctx.Deadline(); ok && !time.Now().Before(d) {
-			lim.Err = context.DeadlineExceeded
-		}
-	}
-	return Unknown, lim
 }
 
-// stopRequested polls the cheap external stop conditions: the sticky
-// interrupt flag, the stop channel, and the wall-clock deadline. It is
-// called every limitCheckInterval propagations and once per conflict.
-func (s *Solver) stopRequested() *LimitError {
-	if s.interrupted.Load() {
-		return &LimitError{Reason: StopCanceled}
+// LastLimit returns the budget limit that stopped the most recent
+// Solve, or nil if it ran to completion or its context stopped it.
+func (s *Solver) LastLimit() *LimitError {
+	lim, _ := s.stopped.(*LimitError)
+	return lim
+}
+
+// SolveContext runs Solve until ctx is done. On a budget stop it
+// returns Unknown and the *LimitError; when ctx stopped the search it
+// returns Unknown and ctx.Err().
+func (s *Solver) SolveContext(ctx context.Context, assumptions ...logic.Lit) (Status, error) {
+	s.done = ctx.Done()
+	st := s.Solve(assumptions...)
+	s.done = nil
+	switch {
+	case st != Unknown:
+		return st, nil
+	case s.stopped == errDone:
+		return Unknown, ctx.Err()
+	default:
+		return Unknown, s.stopped
 	}
-	if s.budget.Stop != nil {
-		select {
-		case <-s.budget.Stop:
-			return &LimitError{Reason: StopCanceled}
-		default:
-		}
+}
+
+// pollDone reports errDone once the running SolveContext's context is
+// done. It is called every limitCheckInterval propagations and before
+// each search starts.
+func (s *Solver) pollDone() error {
+	select {
+	case <-s.done:
+		return errDone
+	default:
+		return nil
 	}
-	if !s.budget.Deadline.IsZero() && time.Now().After(s.budget.Deadline) {
-		return &LimitError{Reason: StopDeadline}
-	}
-	return nil
 }

@@ -41,7 +41,7 @@ func TestBudgetMaxConflicts(t *testing.T) {
 	if lim == nil || lim.Reason != StopConflicts {
 		t.Fatalf("LastLimit = %+v, want reason %q", lim, StopConflicts)
 	}
-	// the budget applies per Solve call: raising it lets the solver finish
+	// a new SetBudget replaces the cap: lifting it lets the solver finish
 	s.SetBudget(Budget{})
 	if got := s.Solve(); got != Unsat {
 		t.Fatalf("unbudgeted re-solve = %v, want Unsat", got)
@@ -51,21 +51,25 @@ func TestBudgetMaxConflicts(t *testing.T) {
 	}
 }
 
+// TestBudgetDeadline: a context whose deadline has already passed
+// stops the solve before it searches, as context.DeadlineExceeded and
+// not as a budget.
 func TestBudgetDeadline(t *testing.T) {
 	s := New()
 	pigeonhole(s, 14)
-	s.SetBudget(Budget{Deadline: time.Now().Add(30 * time.Millisecond)})
-	start := time.Now()
-	got := s.Solve()
-	elapsed := time.Since(start)
-	if got != Unknown {
-		t.Fatalf("Solve = %v, want Unknown (solved pigeonhole-14 in %v?)", got, elapsed)
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	before := s.Stats()
+	st, err := s.SolveContext(ctx)
+	if st != Unknown || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("SolveContext = %v/%v, want Unknown/context.DeadlineExceeded", st, err)
 	}
-	if lim := s.LastLimit(); lim == nil || lim.Reason != StopDeadline {
-		t.Fatalf("LastLimit = %+v, want reason %q", lim, StopDeadline)
+	var lim *LimitError
+	if errors.As(err, &lim) || s.LastLimit() != nil {
+		t.Fatalf("err = %v, LastLimit = %v: an expired deadline is no budget", err, s.LastLimit())
 	}
-	if elapsed > 2*time.Second {
-		t.Errorf("deadline stop took %v, want well under 2s", elapsed)
+	if d := s.Stats().Sub(before); d.Propagations != 0 || d.Conflicts != 0 {
+		t.Errorf("expired deadline still searched: %+v", d)
 	}
 }
 
@@ -95,12 +99,8 @@ func TestSolveContextCancel(t *testing.T) {
 	if st != Unknown {
 		t.Fatalf("SolveContext = %v, want Unknown", st)
 	}
-	var lim *LimitError
-	if !errors.As(err, &lim) || lim.Reason != StopCanceled {
-		t.Fatalf("err = %v, want *LimitError with reason %q", err, StopCanceled)
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want errors.Is(context.Canceled)", err)
+	if err != context.Canceled {
+		t.Fatalf("err = %v (%T), want context.Canceled itself", err, err)
 	}
 	if elapsed > 100*time.Millisecond {
 		t.Errorf("cancellation took %v, want < 100ms", elapsed)
@@ -145,33 +145,117 @@ func TestSolveContextCompletes(t *testing.T) {
 	}
 }
 
+// TestInterruptFromAnotherGoroutine: canceling the context from
+// another goroutine stops a solve running in a third, and leaves
+// nothing behind: the next solve, under a fresh context, searches
+// until its own budget stops it.
 func TestInterruptFromAnotherGoroutine(t *testing.T) {
 	s := New()
 	pigeonhole(s, 14)
-	done := make(chan Status, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	type result struct {
+		st  Status
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
 		time.Sleep(10 * time.Millisecond)
-		s.Interrupt()
+		cancel()
 	}()
-	go func() { done <- s.Solve() }()
+	go func() {
+		st, err := s.SolveContext(ctx)
+		done <- result{st, err}
+	}()
 	select {
-	case st := <-done:
-		if st != Unknown {
-			t.Fatalf("Solve = %v, want Unknown", st)
+	case r := <-done:
+		if r.st != Unknown || r.err != context.Canceled {
+			t.Fatalf("SolveContext = %v/%v, want Unknown/context.Canceled", r.st, r.err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("interrupted solve did not return within 2s")
+		t.Fatal("canceled solve did not return within 2s")
 	}
-	if lim := s.LastLimit(); lim == nil || lim.Reason != StopCanceled {
-		t.Fatalf("LastLimit = %+v, want reason %q", lim, StopCanceled)
+	if lim := s.LastLimit(); lim != nil {
+		t.Fatalf("LastLimit = %+v after a cancellation, want nil", lim)
 	}
-	// re-arming clears the sticky flag: the next solve runs again (a
-	// conflict budget keeps the hard instance bounded)
-	s.ClearInterrupt()
 	s.SetBudget(Budget{MaxConflicts: 10})
-	s.Solve()
-	if lim := s.LastLimit(); lim != nil && lim.Reason == StopCanceled {
-		t.Error("ClearInterrupt did not re-arm the solver")
+	st, err := s.SolveContext(context.Background())
+	var lim *LimitError
+	if st != Unknown || !errors.As(err, &lim) || lim.Reason != StopConflicts {
+		t.Errorf("next solve = %v/%v, want Unknown with a %q *LimitError", st, err, StopConflicts)
+	}
+}
+
+// guardedPigeonhole adds pigeonhole(n) over variables from base+1 on,
+// every clause switched on by the assumption g, so that one solver can
+// hold several instances and each Solve(g) decides one of them.
+func guardedPigeonhole(s *Solver, g logic.Lit, n, base int) {
+	v := func(p, h int) logic.Lit { return logic.Lit(base + p*n + h + 1) }
+	for p := 0; p <= n; p++ {
+		cl := []logic.Lit{-g}
+		for h := 0; h < n; h++ {
+			cl = append(cl, v(p, h))
+		}
+		s.AddClause(cl...)
+	}
+	for h := 0; h < n; h++ {
+		for p1 := 0; p1 <= n; p1++ {
+			for p2 := p1 + 1; p2 <= n; p2++ {
+				s.AddClause(-g, -v(p1, h), -v(p2, h))
+			}
+		}
+	}
+}
+
+// TestConflictCapSpansSolves pins the budget contract a lifted check
+// relies on: MaxConflicts counts every conflict from SetBudget on,
+// across solves, and a new SetBudget starts the count again.
+func TestConflictCapSpansSolves(t *testing.T) {
+	const easy, hard = 1, 2 // guards of pigeonhole 4 and pigeonhole 9
+	build := func() *Solver {
+		s := New()
+		guardedPigeonhole(s, easy, 4, 10)
+		guardedPigeonhole(s, hard, 9, 100)
+		return s
+	}
+	ref := build()
+	if got := ref.Solve(easy); got != Unsat {
+		t.Fatalf("unbudgeted easy solve = %v, want Unsat", got)
+	}
+	c1 := ref.Stats().Conflicts
+	if c1 < 2 {
+		t.Fatalf("easy instance took %d conflicts; the test needs at least 2", c1)
+	}
+	const rest = 3
+	limit := c1 + rest
+
+	s := build()
+	s.SetBudget(Budget{MaxConflicts: limit})
+	if got := s.Solve(easy); got != Unsat || s.Stats().Conflicts != c1 {
+		t.Fatalf("budgeted easy solve = %v after %d conflicts, want Unsat after %d",
+			got, s.Stats().Conflicts, c1)
+	}
+	mid := s.Stats()
+	if got := s.Solve(hard); got != Unknown {
+		t.Fatalf("hard solve = %v, want Unknown", got)
+	}
+	if lim := s.LastLimit(); lim == nil || lim.Reason != StopConflicts {
+		t.Fatalf("LastLimit = %+v, want reason %q", lim, StopConflicts)
+	}
+	if d := s.Stats().Sub(mid).Conflicts; d != rest {
+		t.Fatalf("second solve spent %d conflicts, want the %d the first left of the cap", d, rest)
+	}
+	spent := s.Stats()
+	if got := s.Solve(easy); got != Unknown || s.Stats().Conflicts != spent.Conflicts {
+		t.Fatalf("solve after the cap ran out = %v after %d more conflicts, want Unknown after none",
+			got, s.Stats().Sub(spent).Conflicts)
+	}
+
+	s.SetBudget(Budget{MaxConflicts: limit})
+	if got := s.Solve(hard); got != Unknown {
+		t.Fatalf("hard solve under a fresh budget = %v, want Unknown", got)
+	}
+	if d := s.Stats().Sub(spent).Conflicts; d != limit {
+		t.Fatalf("fresh budget spent %d conflicts, want the whole cap %d", d, limit)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync/atomic"
 
 	"llhsc/internal/logic"
 )
@@ -53,8 +52,8 @@ func (s Status) String() string {
 
 // Stats reports cumulative solver statistics. The counter fields
 // (Decisions, Propagations, Conflicts, Restarts) accumulate across
-// Solve calls and are never reset: Solve's conflict budget is computed
-// as an absolute stopping point (stats.Conflicts + Budget.MaxConflicts,
+// Solve calls and are never reset: SetBudget fixes the conflict cap as
+// an absolute stopping point (stats.Conflicts + Budget.MaxConflicts,
 // the confLimit field), so taking snapshots between calls never
 // perturbs the limit arithmetic — see TestStatsDeltaDoesNotPerturbBudget.
 // Per-call numbers come from Sub over two snapshots.
@@ -195,17 +194,11 @@ type Solver struct {
 	learntGrowth float64
 	learntLits   int // total literals across retained learnt clauses
 
-	// ConflictBudget stops Solve after this many conflicts
-	// (0 = unlimited). Deprecated: prefer SetBudget(Budget{...}),
-	// which also supports deadlines, memory caps and cancellation;
-	// this field is honored when Budget.MaxConflicts is unset.
-	ConflictBudget uint64
-
 	// resource budget state (budget.go)
-	budget      Budget
-	confLimit   uint64 // absolute stats.Conflicts value to stop at (0 = none)
-	interrupted atomic.Bool
-	lastLimit   *LimitError
+	budget    Budget
+	confLimit uint64          // absolute stats.Conflicts value to stop at (0 = none)
+	done      <-chan struct{} // the running SolveContext's ctx.Done()
+	stopped   error           // why the running Solve stopped early: a *LimitError or errDone
 
 	stats Stats
 }
@@ -391,8 +384,8 @@ func (s *Solver) propagate() *clause {
 		p := s.trail[s.qhead] // p is now true
 		s.qhead++
 		s.stats.Propagations++
-		if s.stats.Propagations%limitCheckInterval == 0 && s.lastLimit == nil {
-			s.lastLimit = s.stopRequested()
+		if s.stats.Propagations%limitCheckInterval == 0 && s.stopped == nil {
+			s.stopped = s.pollDone()
 		}
 		ws := s.watches[p.index()]
 		i, j := 0, 0
@@ -705,11 +698,12 @@ func (s *Solver) reduceDB() {
 }
 
 // Solve determines satisfiability of the clause set under the given
-// assumptions (which may be empty). When a budget (SetBudget /
-// ConflictBudget) or external stop cuts the search short, Solve
-// returns Unknown and LastLimit reports why.
+// assumptions (which may be empty). When the Budget installed by
+// SetBudget runs out, Solve returns Unknown and LastLimit reports
+// which limit; the conflict cap keeps counting across Solve calls
+// until the next SetBudget.
 func (s *Solver) Solve(assumptions ...logic.Lit) Status {
-	s.lastLimit = nil
+	s.stopped = nil
 	if !s.okay {
 		s.failed = nil
 		return Unsat
@@ -727,18 +721,12 @@ func (s *Solver) Solve(assumptions ...logic.Lit) Status {
 		s.maxLearnts = float64(len(s.clauses))/3 + 100
 	}
 
-	// absolute conflict count at which to stop (0 = unlimited); the
-	// legacy ConflictBudget field backs Budget.MaxConflicts.
-	maxConf := s.budget.MaxConflicts
-	if maxConf == 0 {
-		maxConf = s.ConflictBudget
-	}
-	s.confLimit = 0
-	if maxConf > 0 {
-		s.confLimit = s.stats.Conflicts + maxConf
-	}
-	if s.lastLimit = s.stopRequested(); s.lastLimit != nil {
+	if s.stopped = s.pollDone(); s.stopped != nil {
 		return Unknown // canceled before the search started
+	}
+	if s.confLimit > 0 && s.stats.Conflicts >= s.confLimit {
+		s.stopped = &LimitError{Reason: StopConflicts}
+		return Unknown // earlier solves spent the cap
 	}
 
 	var restartN uint64
@@ -749,7 +737,7 @@ func (s *Solver) Solve(assumptions ...logic.Lit) Status {
 		if st != Unknown {
 			return st
 		}
-		if s.lastLimit != nil {
+		if s.stopped != nil {
 			s.cancelUntil(0)
 			return Unknown
 		}
@@ -760,13 +748,14 @@ func (s *Solver) Solve(assumptions ...logic.Lit) Status {
 }
 
 // search runs CDCL until a result is found, budget conflicts occur
-// (restart boundary), or a resource limit fires (s.lastLimit set).
+// (restart boundary), or a resource limit or the context stops it
+// (s.stopped set).
 func (s *Solver) search(budget uint64) Status {
 	var conflicts uint64
 	for {
 		conflict := s.propagate()
-		if s.lastLimit != nil {
-			return Unknown // stop flag / deadline observed mid-propagation
+		if s.stopped != nil {
+			return Unknown // context done, observed mid-propagation
 		}
 		if conflict != nil {
 			s.stats.Conflicts++
@@ -796,11 +785,11 @@ func (s *Solver) search(budget uint64) Status {
 			s.varDecay()
 			s.claDecay()
 			if s.confLimit > 0 && s.stats.Conflicts >= s.confLimit {
-				s.lastLimit = &LimitError{Reason: StopConflicts}
+				s.stopped = &LimitError{Reason: StopConflicts}
 				return Unknown
 			}
 			if s.budget.MaxLearntLits > 0 && s.learntLits > s.budget.MaxLearntLits {
-				s.lastLimit = &LimitError{Reason: StopMemory}
+				s.stopped = &LimitError{Reason: StopMemory}
 				return Unknown
 			}
 			if conflicts >= budget {

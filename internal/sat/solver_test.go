@@ -329,7 +329,7 @@ func TestConflictBudget(t *testing.T) {
 	// A hard instance with a tiny budget should return Unknown.
 	n := 8
 	s := New()
-	s.ConflictBudget = 1
+	s.SetBudget(Budget{MaxConflicts: 1})
 	v := func(p, h int) logic.Lit { return logic.Lit(p*n + h + 1) }
 	for p := 0; p <= n; p++ {
 		cl := make([]logic.Lit, n)

@@ -3,38 +3,45 @@ package sat
 import "testing"
 
 // TestStatsDeltaDoesNotPerturbBudget is the regression guard for the
-// confLimit arithmetic: the per-Solve conflict budget is computed as
-// an absolute target relative to the cumulative stats.Conflicts
-// (solver.go), so each budgeted Solve on the same solver must receive
-// its full MaxConflicts allowance even though the counter never
-// resets — and snapshotting stats between calls must not change that.
+// confLimit arithmetic: SetBudget fixes the conflict cap as an absolute
+// target relative to the cumulative stats.Conflicts (budget.go), so the
+// counter never resets and snapshotting stats between solves must not
+// change what the cap allows: the solves after SetBudget share one
+// MaxConflicts, and the next SetBudget grants a whole one again.
 func TestStatsDeltaDoesNotPerturbBudget(t *testing.T) {
 	s := New()
-	s.SetBudget(Budget{MaxConflicts: 5})
 	pigeonhole(s, 9)
+	s.SetBudget(Budget{MaxConflicts: 5})
 
 	before := s.Stats()
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("first Solve = %v, want Unknown", got)
 	}
 	mid := s.Stats()
-	first := mid.Sub(before)
-	if first.Conflicts == 0 || first.Conflicts > 5 {
-		t.Fatalf("first call used %d conflicts, want 1..5", first.Conflicts)
+	if first := mid.Sub(before); first.Conflicts != 5 {
+		t.Fatalf("first call used %d conflicts, want the whole cap of 5", first.Conflicts)
 	}
 
-	// Second call on the same solver: if confLimit were computed from
-	// zero instead of the cumulative counter, the budget would already
-	// be exhausted and this call would stop after 0 conflicts.
+	// Second call on the same solver: the cap is spent, so it stops
+	// before it meets another conflict.
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("second Solve = %v, want Unknown", got)
 	}
-	second := s.Stats().Sub(mid)
-	if second.Conflicts == 0 || second.Conflicts > 5 {
-		t.Fatalf("second call used %d conflicts, want the full 1..5 budget again", second.Conflicts)
+	if second := s.Stats().Sub(mid); second.Conflicts != 0 {
+		t.Fatalf("second call used %d conflicts, want 0: the cap is per budget, not per solve", second.Conflicts)
 	}
 	if lim := s.LastLimit(); lim == nil || lim.Reason != StopConflicts {
 		t.Fatalf("LastLimit = %+v, want reason %q", lim, StopConflicts)
+	}
+
+	// A new SetBudget starts the count from the current total.
+	s.SetBudget(Budget{MaxConflicts: 5})
+	again := s.Stats()
+	if got := s.Solve(); got != Unknown {
+		t.Fatalf("third Solve = %v, want Unknown", got)
+	}
+	if third := s.Stats().Sub(again); third.Conflicts != 5 {
+		t.Fatalf("third call used %d conflicts, want the whole new cap of 5", third.Conflicts)
 	}
 }
 

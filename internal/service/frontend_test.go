@@ -240,7 +240,7 @@ func TestFrontEndMemoSkipsFailedParses(t *testing.T) {
 	badDeltas.Deltas = "delta d1 when {"
 	badModel.FeatureModel = "feature"
 	tooDeep.CoreDTS = "/dts-v1/;\n/ {" + strings.Repeat(" n {", 80) + strings.Repeat(" };", 80) + " };"
-	svc, err := NewService(Options{MaxNodeDepth: 64})
+	svc, err := NewService(Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -83,13 +84,22 @@ func TestRequestTimeoutAnswers408(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	var e errorResponse
-	resp := postJSON(t, srv.URL+"/check", exampleRequest(t, srv), &e)
-	if resp.StatusCode != http.StatusRequestTimeout {
-		t.Fatalf("status = %d, want 408 (body: %+v)", resp.StatusCode, e)
-	}
-	if e.Reason != "request-timeout" {
-		t.Errorf("reason = %q, want request-timeout", e.Reason)
+	// an expired request is a timeout in either mode, reported as the
+	// context's error and never as a solver budget
+	for _, mode := range []string{"enumerate", "lifted"} {
+		req := exampleRequest(t, srv)
+		req.Mode = mode
+		var e errorResponse
+		resp := postJSON(t, srv.URL+"/check", req, &e)
+		if resp.StatusCode != http.StatusRequestTimeout {
+			t.Fatalf("%s: status = %d, want 408 (body: %+v)", mode, resp.StatusCode, e)
+		}
+		if e.Reason != "request-timeout" {
+			t.Errorf("%s: reason = %q, want request-timeout", mode, e.Reason)
+		}
+		if !strings.Contains(e.Error, context.DeadlineExceeded.Error()) || strings.Contains(e.Error, "sat:") {
+			t.Errorf("%s: error = %q, want the context's deadline error and no solver stop", mode, e.Error)
+		}
 	}
 }
 
@@ -150,16 +160,18 @@ func TestOverloadAnswers429(t *testing.T) {
 	}
 }
 
+// TestDeepNestingAnswers413 nests 80 levels, past the parser's default
+// guard of 64.
 func TestDeepNestingAnswers413(t *testing.T) {
-	srv := httptest.NewServer(NewHandler(Options{MaxNodeDepth: 8}))
+	srv := httptest.NewServer(NewHandler(Options{}))
 	defer srv.Close()
 
 	var b strings.Builder
 	b.WriteString("/dts-v1/;\n/ {\n")
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 80; i++ {
 		b.WriteString("n {\n")
 	}
-	for i := 0; i < 20; i++ {
+	for i := 0; i < 80; i++ {
 		b.WriteString("};\n")
 	}
 	b.WriteString("};\n")

@@ -66,8 +66,6 @@ type Options struct {
 	MaxInFlight int
 	// MaxBodyBytes caps the request body (default 4 MiB).
 	MaxBodyBytes int64
-	// MaxNodeDepth caps DTS node nesting (0 = the dts default).
-	MaxNodeDepth int
 	// Limits bounds each pipeline run (solver budgets, delta op cap)
 	// and sets the per-request check parallelism.
 	Limits core.Limits
@@ -409,16 +407,7 @@ func overloadedReply(limit int) []byte {
 // when the request's own deadline (or the client hanging up) caused
 // it, 503 with a retry hint when a configured budget ran out first.
 func writeLimitError(w http.ResponseWriter, r *http.Request, err error) {
-	// The solver's wall-clock poll can observe an expired deadline a
-	// moment before the request context's own timer fires, so an
-	// expired request deadline counts as a request timeout even while
-	// r.Context().Err() is still nil.
-	requestExpired := r.Context().Err() != nil
-	if d, ok := r.Context().Deadline(); ok && !time.Now().Before(d) &&
-		errors.Is(err, context.DeadlineExceeded) {
-		requestExpired = true
-	}
-	if requestExpired {
+	if r.Context().Err() != nil {
 		markReason(r.Context(), "request-timeout")
 		writeJSON(w, http.StatusRequestTimeout, errorResponse{
 			Error:  fmt.Sprintf("request aborted: %v", err),
@@ -533,16 +522,12 @@ func (s *server) parseSource(file, src string, includes, defines map[string]stri
 }
 
 func (s *server) parseOpts(inc dts.Includer) []dts.ParseOption {
-	opts := []dts.ParseOption{
+	return []dts.ParseOption{
 		dts.WithIncluder(inc),
 		// the body cap already bounds one source; includes multiply it,
 		// so cap the total at the same order of magnitude
 		dts.WithMaxSourceBytes(int(s.opts.MaxBodyBytes)),
 	}
-	if s.opts.MaxNodeDepth > 0 {
-		opts = append(opts, dts.WithMaxNodeDepth(s.opts.MaxNodeDepth))
-	}
-	return opts
 }
 
 func (s *server) handleCheck(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -478,5 +480,40 @@ func TestExistsFinite(t *testing.T) {
 	s.Assert(ctx.Not(ctx.BoolVar("P:b")))
 	if got := s.Check(); got != sat.Unsat {
 		t.Fatalf("Check = %v, want Unsat", got)
+	}
+}
+
+// TestCheckContextStops: a done context stops CheckContext and
+// CheckAssumingContext with ctx.Err() itself, never a *sat.LimitError,
+// while a conflict budget that runs out is the *sat.LimitError. Either
+// way the solver answers again afterwards.
+func TestCheckContextStops(t *testing.T) {
+	c, s := newSolverT()
+	// factor 65521 * 65519 over 32-bit vectors, both factors above 1:
+	// no answer without search
+	x, y := c.BVVar("x", 32), c.BVVar("y", 32)
+	s.Assert(c.Eq(c.Mul(x, y), c.BVConst(32, 65521*65519)))
+	s.Assert(c.Ugt(x, c.BVConst(32, 1)))
+	s.Assert(c.Ugt(y, c.BVConst(32, 1)))
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if st, err := s.CheckContext(canceled); st != sat.Unknown || err != context.Canceled {
+		t.Fatalf("CheckContext = %v/%v, want Unknown/context.Canceled", st, err)
+	}
+	if st, err := s.CheckAssumingContext(canceled, c.Ult(x, y)); st != sat.Unknown || err != context.Canceled {
+		t.Fatalf("CheckAssumingContext = %v/%v, want Unknown/context.Canceled", st, err)
+	}
+	if lim := s.LastLimit(); lim != nil {
+		t.Errorf("LastLimit = %v after a cancellation, want nil", lim)
+	}
+	s.SetBudget(sat.Budget{MaxConflicts: 1})
+	st, err := s.CheckContext(context.Background())
+	var lim *sat.LimitError
+	if st != sat.Unknown || !errors.As(err, &lim) || lim.Reason != sat.StopConflicts {
+		t.Fatalf("budgeted CheckContext = %v/%v, want Unknown with a %q *sat.LimitError", st, err, sat.StopConflicts)
+	}
+	s.SetBudget(sat.Budget{})
+	if got := s.CheckAssuming(c.Eq(x, c.BVConst(32, 1))); got != sat.Unsat {
+		t.Errorf("CheckAssuming(x = 1) = %v after the stops, want Unsat", got)
 	}
 }

@@ -27,8 +27,8 @@ import (
 // one Context+Solver pair per goroutine (they are cheap; this is what
 // core.Pipeline's worker pool does). Mutating entry points enforce the
 // contract: concurrent use panics with a diagnostic instead of
-// corrupting state silently. The only exception is Interrupt, which is
-// explicitly safe to call from other goroutines.
+// corrupting state silently. To stop a running check from another
+// goroutine, cancel the context given to CheckContext.
 type Solver struct {
 	ctx *Context
 	sat *sat.Solver
@@ -157,20 +157,17 @@ func (s *Solver) AssertNamed(name string, t *Term) {
 // short; LastLimit explains why.
 func (s *Solver) Check() sat.Status {
 	defer s.enter()()
-	st, _ := s.check(nil, s.sat.Solve)
+	st, _ := s.check(context.Background(), nil)
 	return st
 }
 
-// CheckContext is Check under a context: cancellation and the context
-// deadline bound the underlying SAT search. On a budget or
-// cancellation stop it returns sat.Unknown and a non-nil error (a
-// *sat.LimitError, wrapping ctx.Err() when the context caused it).
+// CheckContext is Check under a context: the SAT search stops once ctx
+// is done. On a stop it returns sat.Unknown and a non-nil error:
+// ctx.Err() when the context stopped it, a *sat.LimitError when the
+// budget ran out.
 func (s *Solver) CheckContext(ctx context.Context) (sat.Status, error) {
 	defer s.enter()()
-	return s.check(nil, func(assumptions ...logic.Lit) sat.Status {
-		st, _ := s.sat.SolveContext(ctx, assumptions...)
-		return st
-	})
+	return s.check(ctx, nil)
 }
 
 // CheckAssuming decides satisfiability of the current assertion set
@@ -181,7 +178,7 @@ func (s *Solver) CheckContext(ctx context.Context) (sat.Status, error) {
 // DESIGN.md §9) cost only the SAT search, not re-encoding.
 func (s *Solver) CheckAssuming(assumptions ...*Term) sat.Status {
 	defer s.enter()()
-	st, _ := s.check(assumptions, s.sat.Solve)
+	st, _ := s.check(context.Background(), assumptions)
 	return st
 }
 
@@ -189,13 +186,10 @@ func (s *Solver) CheckAssuming(assumptions ...*Term) sat.Status {
 // error contract as CheckContext.
 func (s *Solver) CheckAssumingContext(ctx context.Context, assumptions ...*Term) (sat.Status, error) {
 	defer s.enter()()
-	return s.check(assumptions, func(lits ...logic.Lit) sat.Status {
-		st, _ := s.sat.SolveContext(ctx, lits...)
-		return st
-	})
+	return s.check(ctx, assumptions)
 }
 
-func (s *Solver) check(assume []*Term, solve func(...logic.Lit) sat.Status) (sat.Status, error) {
+func (s *Solver) check(ctx context.Context, assume []*Term) (sat.Status, error) {
 	s.checks++
 	assumptions := make([]logic.Lit, 0, len(s.frames)+len(s.named)+len(assume))
 	assumptions = append(assumptions, s.frames...)
@@ -205,7 +199,7 @@ func (s *Solver) check(assume []*Term, solve func(...logic.Lit) sat.Status) (sat
 	for _, t := range assume {
 		assumptions = append(assumptions, s.blastBool(t))
 	}
-	st := solve(assumptions...)
+	st, err := s.sat.SolveContext(ctx, assumptions...)
 	s.lastUnsatNames = nil
 	if st == sat.Unsat {
 		failed := make(map[logic.Lit]bool)
@@ -218,24 +212,15 @@ func (s *Solver) check(assume []*Term, solve func(...logic.Lit) sat.Status) (sat
 			}
 		}
 	}
-	if st == sat.Unknown {
-		if lim := s.sat.LastLimit(); lim != nil {
-			return st, lim
-		}
-		return st, &sat.LimitError{Reason: sat.StopCanceled}
-	}
-	return st, nil
+	return st, err
 }
 
-// SetBudget installs a resource budget on the underlying SAT solver,
-// bounding every subsequent Check.
+// SetBudget installs a resource budget on the underlying SAT solver.
+// Its conflict cap is shared by every Check until the next SetBudget.
 func (s *Solver) SetBudget(b sat.Budget) { s.sat.SetBudget(b) }
 
-// Interrupt asks a running Check to stop (safe from other goroutines).
-func (s *Solver) Interrupt() { s.sat.Interrupt() }
-
-// LastLimit reports why the most recent Check returned Unknown (nil
-// when it completed).
+// LastLimit reports which budget limit made the most recent Check
+// return Unknown (nil when it completed or its context stopped it).
 func (s *Solver) LastLimit() *sat.LimitError { return s.sat.LastLimit() }
 
 // UnsatNames returns, after an unsatisfiable Check, the names of named
