@@ -14,15 +14,25 @@
 // Key are the violation-list form of the same cache, keyed by a hex
 // string.
 //
-// The cache is a bounded LRU with hit/miss/eviction counters and
+// The cache is bounded, with hit/miss/eviction counters and
 // single-flight de-duplication: when several goroutines ask for the
 // same missing key concurrently (the parallel pipeline's platform and
 // VM products, or identical simultaneous /check requests), exactly one
 // computes and the rest wait for its result.
+//
+// Eviction is S3-FIFO (Yang et al., "FIFO queues are all you need for
+// cache eviction", SOSP 2023). A new key enters a small FIFO holding a
+// tenth of the capacity; one not hit again before it reaches the
+// small queue's tail leaves, and its digest goes to a ghost FIFO. A key
+// hit while in the small queue, or asked for again while its digest is
+// in the ghost, joins the main FIFO, which re-queues an entry instead
+// of evicting it while its 2-bit hit counter is non-zero (taking one
+// off the counter each time). A hit only bumps the counter, so a Zipf
+// stream's one-time tail passes through the small queue without
+// pushing its popular keys out, as it would under LRU.
 package checkcache
 
 import (
-	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -108,8 +118,9 @@ type Stats struct {
 }
 
 type entry struct {
-	key Digest
-	val any
+	key  Digest
+	val  any
+	freq uint8 // 2-bit hit counter: a hit adds one, up to 3; main's re-queue takes one; the move to main clears it
 }
 
 // flight is one in-progress computation other callers can wait on.
@@ -119,13 +130,24 @@ type flight struct {
 	err  error
 }
 
-// Cache is a bounded LRU of check results, safe for concurrent use.
+// Cache is a bounded S3-FIFO cache of check results, safe for
+// concurrent use.
 type Cache struct {
 	mu       sync.Mutex
 	capacity int
-	lru      *list.List               // front = most recent; values are *entry
-	entries  map[Digest]*list.Element // key -> lru element
+	smallCap int               // the small queue's share: capacity/10, at least 1
+	entries  map[Digest]*entry // every resident entry, in small or main
+	small    ring[*entry]      // new keys, oldest first
+	main     ring[*entry]      // keys hit again, oldest first
 	inflight map[Digest]*flight
+
+	// ghost holds the digests of the last capacity keys evicted from
+	// the small queue, oldest first in ghostQ. ghost[d] is d's push
+	// number, so a digest that left and re-entered the ghost is dropped
+	// only when its latest push leaves ghostQ.
+	ghost    map[Digest]uint64
+	ghostQ   ring[Digest]
+	ghostSeq uint64 // pushes to ghostQ so far
 
 	// The counters are obs metrics so the same instances can back both
 	// the consistent Stats() snapshot (incremented and read under mu)
@@ -148,9 +170,10 @@ func New(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		lru:      list.New(),
-		entries:  make(map[Digest]*list.Element),
+		smallCap: max(1, capacity/10),
+		entries:  make(map[Digest]*entry),
 		inflight: make(map[Digest]*flight),
+		ghost:    make(map[Digest]uint64),
 	}
 }
 
@@ -168,12 +191,12 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry) {
 	reg.Register("llhsc_checkcache_misses_total",
 		"Check-result cache misses.", &c.misses)
 	reg.Register("llhsc_checkcache_evictions_total",
-		"Check-result cache LRU evictions.", &c.evictions)
+		"Check-result cache evictions (S3-FIFO: from the small or the main queue).", &c.evictions)
 	reg.Register("llhsc_checkcache_entries",
 		"Resident check-result cache entries.", obs.FuncGauge(func() float64 {
 			c.mu.Lock()
 			defer c.mu.Unlock()
-			return float64(c.lru.Len())
+			return float64(c.small.n + c.main.n)
 		}))
 	reg.Register("llhsc_checkcache_capacity",
 		"Configured check-result cache capacity.", obs.FuncGauge(func() float64 {
@@ -209,7 +232,7 @@ func (c *Cache) Stats() Stats {
 		Hits:      c.hits.Value(),
 		Misses:    c.misses.Value(),
 		Evictions: c.evictions.Value(),
-		Entries:   c.lru.Len(),
+		Entries:   c.small.n + c.main.n,
 		Capacity:  c.capacity,
 	}
 	if total := st.Hits + st.Misses; total > 0 {
@@ -248,10 +271,12 @@ func Do[V any](c *Cache, ctx context.Context, key Digest, fn func() (V, error)) 
 			return v, false, err
 		}
 		c.mu.Lock()
-		if el, ok := c.entries[key]; ok {
-			c.lru.MoveToFront(el)
+		if e, ok := c.entries[key]; ok {
+			if e.freq < 3 {
+				e.freq++
+			}
 			c.hits.Inc()
-			val := el.Value.(*entry).val
+			val := e.val
 			c.mu.Unlock()
 			c.observeLookup("memory", t0)
 			return val.(V), true, nil
@@ -314,18 +339,95 @@ func (c *Cache) Do(ctx context.Context, key string, fn func() ([]constraints.Vio
 	return copyViolations(v), hit, err
 }
 
-// insertLocked stores the leader's result, evicting least recently
-// used entries to make room. key is never resident: Do makes a caller
-// the leader only after finding no entry under the same lock hold that
-// registers its flight, and its waiters never insert.
+// insertLocked stores the leader's result, evicting entries to make
+// room. A key whose digest is in the ghost goes straight to the main
+// queue; any other key goes to the small one. key is never resident: Do
+// makes a caller the leader only after finding no entry under the same
+// lock hold that registers its flight, and its waiters never insert.
 func (c *Cache) insertLocked(key Digest, val any) {
-	for c.lru.Len() >= c.capacity {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		delete(c.entries, oldest.Value.(*entry).key)
-		c.evictions.Inc()
+	for c.small.n+c.main.n >= c.capacity {
+		c.evictLocked()
 	}
-	c.entries[key] = c.lru.PushFront(&entry{key: key, val: val})
+	e := &entry{key: key, val: val}
+	c.entries[key] = e
+	if _, ok := c.ghost[key]; ok {
+		delete(c.ghost, key)
+		c.main.push(e)
+		return
+	}
+	c.small.push(e)
+}
+
+// evictLocked evicts one entry. It takes the small queue's oldest while
+// that queue holds its share (or main is empty), moving it to main
+// instead if it was hit; otherwise it takes main's oldest, re-queueing
+// it instead while its counter is non-zero. Each pass either evicts,
+// shortens the small queue or lowers a counter, so the loop ends.
+func (c *Cache) evictLocked() {
+	for {
+		if c.small.n >= c.smallCap || c.main.n == 0 {
+			e := c.small.pop()
+			if e.freq > 0 {
+				e.freq = 0
+				c.main.push(e)
+				continue
+			}
+			delete(c.entries, e.key)
+			c.ghostPushLocked(e.key)
+		} else {
+			e := c.main.pop()
+			if e.freq > 0 {
+				e.freq--
+				c.main.push(e)
+				continue
+			}
+			delete(c.entries, e.key)
+		}
+		c.evictions.Inc()
+		return
+	}
+}
+
+// ghostPushLocked remembers d as evicted from the small queue,
+// forgetting the oldest digest once the ghost holds capacity of them.
+func (c *Cache) ghostPushLocked(d Digest) {
+	if c.ghostQ.n == c.capacity {
+		seq := c.ghostSeq - uint64(c.ghostQ.n)
+		if old := c.ghostQ.pop(); c.ghost[old] == seq {
+			delete(c.ghost, old)
+		}
+	}
+	c.ghost[d] = c.ghostSeq
+	c.ghostQ.push(d)
+	c.ghostSeq++
+}
+
+// A ring is a FIFO queue in a slice that doubles when full, so a cache
+// holds slots for what it has queued, not for its capacity.
+type ring[T any] struct {
+	buf  []T
+	head int // buf[head] is the oldest of the n queued values
+	n    int
+}
+
+func (r *ring[T]) push(v T) {
+	if r.n == len(r.buf) {
+		buf := make([]T, max(4, 2*len(r.buf)))
+		copy(buf[copy(buf, r.buf[r.head:]):], r.buf[:r.head])
+		r.buf, r.head = buf, 0
+	}
+	r.buf[(r.head+r.n)%len(r.buf)] = v
+	r.n++
+}
+
+// pop removes and returns the oldest value; the ring must not be empty.
+func (r *ring[T]) pop() T {
+	v := r.buf[r.head]
+	var zero T
+	r.buf[r.head] = zero // drop the ring's reference to an evicted value
+	r.head = (r.head + 1) % len(r.buf)
+	r.n--
+	return v
 }
 
 // copyViolations guards the cached slice against caller appends. It

@@ -2,6 +2,7 @@ package checkcache
 
 import (
 	"context"
+	"crypto/sha256"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 
 	"llhsc/internal/constraints"
 	"llhsc/internal/dts"
+	"llhsc/internal/obs"
 )
 
 func sampleViolations() []constraints.Violation {
@@ -138,30 +140,118 @@ func TestDoCachesAndCounts(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(2)
-	do := func(key string) bool {
-		_, hit, err := c.Do(context.Background(), key, func() ([]constraints.Violation, error) { return nil, nil })
-		if err != nil {
-			t.Fatal(err)
+// doKey looks key up in c, storing a value when it misses, and reports
+// whether it hit.
+func doKey(t *testing.T, c *Cache, key string) bool {
+	t.Helper()
+	_, hit, err := c.Do(context.Background(), key, func() ([]constraints.Violation, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hit
+}
+
+// TestReusedEntrySurvivesScan: a key hit again after it was stored
+// outlives a scan of more than capacity keys asked for once each. Under
+// LRU the scan pushes it out.
+func TestReusedEntrySurvivesScan(t *testing.T) {
+	const capacity = 20
+	scan := make([]string, 3*capacity)
+	for i := range scan {
+		scan[i] = fmt.Sprintf("scan%d", i)
+	}
+	c := New(capacity)
+	doKey(t, c, "popular")
+	if !doKey(t, c, "popular") {
+		t.Fatal("popular missed right after it was stored")
+	}
+	for _, k := range scan {
+		if doKey(t, c, k) {
+			t.Fatalf("scan key %s hit", k)
 		}
-		return hit
 	}
-	do("a")
-	do("b")
-	if !do("a") { // touches a: b is now LRU
-		t.Fatal("a missing")
+	if !doKey(t, c, "popular") {
+		t.Fatalf("a scan of %d one-hit keys evicted the reused key", len(scan))
 	}
-	do("c") // evicts b
-	if !do("a") {
-		t.Fatal("a should have survived")
+	lru := newLRUOracle(capacity)
+	for _, k := range append([]string{"popular", "popular"}, scan...) {
+		lru.get(sha256.Sum256([]byte(k)))
 	}
-	if do("b") {
-		t.Fatal("b should have been evicted")
+	if lru.get(sha256.Sum256([]byte("popular"))) {
+		t.Fatal("the LRU oracle kept the reused key through the scan: the scan does not test the policy")
 	}
-	// Recomputing b evicted c, the least recently used after a's touch.
-	if st := c.Stats(); st.Evictions != 2 || st.Entries != 2 {
-		t.Fatalf("stats = %+v", st)
+}
+
+// TestGhostAdmitsToMain: a key evicted from the small queue and asked
+// for again leaves the ghost for the main queue, where it outlives the
+// next scan.
+func TestGhostAdmitsToMain(t *testing.T) {
+	const capacity = 10 // a small queue of 1
+	c := New(capacity)
+	doKey(t, c, "returning")
+	for i := 0; i < capacity; i++ {
+		doKey(t, c, fmt.Sprintf("first%d", i))
+	}
+	if doKey(t, c, "returning") {
+		t.Fatal("returning survived a full scan without a hit: it was never in the small queue")
+	}
+	if _, inGhost := c.ghost[sha256.Sum256([]byte("returning"))]; inGhost {
+		t.Fatal("a key admitted from the ghost is still in the ghost")
+	}
+	// In the small queue the key would be the next evicted; in main it
+	// is evicted only after main's older entries, and a scan of new
+	// keys, each evicted from the small queue in turn, never reaches it.
+	for i := 0; i < 3*capacity; i++ {
+		doKey(t, c, fmt.Sprintf("second%d", i))
+	}
+	if !doKey(t, c, "returning") {
+		t.Fatal("a key admitted to main from the ghost was evicted by a scan")
+	}
+}
+
+// TestEntriesCountBothQueues: Stats().Entries and the
+// llhsc_checkcache_entries gauge count the small and the main queue
+// together, and never exceed capacity however the keys churn.
+func TestEntriesCountBothQueues(t *testing.T) {
+	const capacity = 10
+	c := New(capacity)
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	gauge := func() string {
+		var b strings.Builder
+		reg.WritePrometheus(&b)
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, "llhsc_checkcache_entries "); ok {
+				return v
+			}
+		}
+		t.Fatal("no llhsc_checkcache_entries sample")
+		return ""
+	}
+	for i := 0; i < 200; i++ {
+		// A few keys come back often and reach main; the rest pass
+		// through the small queue once.
+		key := fmt.Sprintf("k%d", i)
+		if i%3 == 0 {
+			key = fmt.Sprintf("hot%d", i%4)
+		}
+		doKey(t, c, key)
+		c.mu.Lock()
+		small, main := c.small.n, c.main.n
+		c.mu.Unlock()
+		st := c.Stats()
+		if st.Entries != small+main || st.Entries > capacity {
+			t.Fatalf("after %d lookups: Entries = %d, small %d + main %d, capacity %d", i+1, st.Entries, small, main, capacity)
+		}
+		if g := gauge(); g != fmt.Sprint(st.Entries) {
+			t.Fatalf("after %d lookups: llhsc_checkcache_entries %s, Stats().Entries %d", i+1, g, st.Entries)
+		}
+	}
+	c.mu.Lock()
+	small, main := c.small.n, c.main.n
+	c.mu.Unlock()
+	if small == 0 || main == 0 || small+main != capacity {
+		t.Fatalf("at the end: small %d, main %d; want both queues used and %d entries", small, main, capacity)
 	}
 }
 
@@ -378,50 +468,61 @@ func TestDoWaiterReturnsPromptlyOnCancel(t *testing.T) {
 	}
 }
 
-// Satellite regression: a capacity-1 cache hammered on competing keys
-// races insertions against evictions against in-flight Do calls; under
-// -race this flushes out lock-ordering and shared-slice bugs.
+// TestEvictionVsDoRace hammers small caches with more keys than they
+// hold, so insertions race evictions and in-flight Do calls; under
+// -race this flushes out lock-ordering and shared-slice bugs. A third
+// of the lookups go to a few shared hot keys, which reach the main
+// queue; the rest ask each worker's new cold keys, which enter the
+// small queue, and ask them again two lookups later, from the small
+// queue, from the ghost or after both forgot them. At capacities 2 and
+// 10 both queues churn.
 func TestEvictionVsDoRace(t *testing.T) {
-	c := New(1)
-	keys := []string{Key("a"), Key("b"), Key("c")}
-	vals := map[string][]constraints.Violation{
-		keys[0]: sampleViolations()[:1],
-		keys[1]: sampleViolations(),
-		keys[2]: nil,
+	want := func(k string) []constraints.Violation {
+		return [][]constraints.Violation{sampleViolations()[:1], sampleViolations(), nil}[k[0]%3]
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				k := keys[(w+i)%len(keys)]
-				v, _, err := c.Do(context.Background(), k, func() ([]constraints.Violation, error) {
-					return copyViolations(vals[k]), nil
-				})
-				if err != nil {
-					t.Errorf("Do(%s) err: %v", k, err)
-					return
+	for _, capacity := range []int{1, 2, 10} {
+		c := New(capacity)
+		hot := max(1, capacity/2)
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < 500; i++ {
+					k := Key("cold", fmt.Sprint(w, i))
+					switch i % 3 {
+					case 0:
+						k = Key("hot", fmt.Sprint((w+i)%hot))
+					case 1:
+						k = Key("cold", fmt.Sprint(w, i-2))
+					}
+					v, _, err := c.Do(context.Background(), k, func() ([]constraints.Violation, error) {
+						return copyViolations(want(k)), nil
+					})
+					if err != nil {
+						t.Errorf("Do(%s) err: %v", k, err)
+						return
+					}
+					if !violationsEqual(v, want(k)) {
+						t.Errorf("Do(%s) returned another key's violations: %v", k, v)
+						return
+					}
+					// Mutating the returned slice must never corrupt the
+					// cached copy other goroutines receive.
+					if len(v) > 0 {
+						v[0].Message = "scribbled"
+					}
 				}
-				if !violationsEqual(v, vals[k]) {
-					t.Errorf("Do(%s) returned another key's violations: %v", k, v)
-					return
-				}
-				// Mutating the returned slice must never corrupt the
-				// cached copy other goroutines receive.
-				if len(v) > 0 {
-					v[0].Message = "scribbled"
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	st := c.Stats()
-	if st.Entries != 1 {
-		t.Fatalf("capacity-1 cache holds %d entries", st.Entries)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("competing keys never evicted each other")
+			}(w)
+		}
+		wg.Wait()
+		st := c.Stats()
+		if st.Entries != capacity {
+			t.Errorf("capacity-%d cache holds %d entries", capacity, st.Entries)
+		}
+		if st.Evictions == 0 {
+			t.Errorf("capacity %d: competing keys never evicted each other", capacity)
+		}
 	}
 }
 
@@ -484,5 +585,37 @@ func TestDoHitAllocs(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Errorf("a warm hit allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestDoMissAllocs: a steady-state miss that evicts allocates the entry,
+// the flight and the flight's channel, and nothing more: the queues and
+// the ghost are rings that stop growing once the cache is full, and a
+// ghost insertion stores a digest, not an allocation.
+func TestDoMissAllocs(t *testing.T) {
+	for _, capacity := range []int{1, 10, 256} {
+		c := New(capacity)
+		rec := &record{text: "dts"}
+		fn := func() (*record, error) { return rec, nil }
+		ctx := context.Background()
+		next := 0
+		miss := func() {
+			// Every key is new: each miss evicts a key from the small
+			// queue, whose digest goes to the ghost and pushes its
+			// oldest digest out.
+			if _, hit, _ := Do(c, ctx, recordKey(next, 0), fn); hit {
+				t.Fatal("a new key hit")
+			}
+			next++
+		}
+		for i := 0; i < 4*capacity+100; i++ {
+			miss()
+		}
+		if allocs := testing.AllocsPerRun(1000, miss); allocs != 3 {
+			t.Errorf("capacity %d: a miss that evicts allocates %.0f times, want 3 (entry, flight, channel)", capacity, allocs)
+		}
+		if st := c.Stats(); st.Entries != capacity || len(c.ghost) != capacity {
+			t.Errorf("capacity %d: %d entries and %d ghost digests, want %d of each", capacity, st.Entries, len(c.ghost), capacity)
+		}
 	}
 }

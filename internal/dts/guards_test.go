@@ -20,18 +20,19 @@ func nestedSource(depth int) string {
 	return b.String()
 }
 
+// TestParseDepthGuard pins the guard at 64 levels of node bodies, the
+// root's counting as the first: a root with 63 nested nodes parses and
+// one more level fails with ErrTooDeep.
 func TestParseDepthGuard(t *testing.T) {
-	if _, err := Parse("deep.dts", nestedSource(10)); err != nil {
-		t.Fatalf("10 levels should parse: %v", err)
+	if _, err := Parse("deep.dts", nestedSource(63)); err != nil {
+		t.Fatalf("64 levels should parse: %v", err)
 	}
-	_, err := Parse("deep.dts", nestedSource(200))
+	_, err := Parse("deep.dts", nestedSource(64))
 	if !errors.Is(err, ErrTooDeep) {
-		t.Fatalf("200 levels: err = %v, want ErrTooDeep", err)
+		t.Fatalf("65 levels: err = %v, want ErrTooDeep", err)
 	}
-	// a tighter custom limit
-	_, err = Parse("deep.dts", nestedSource(10), WithMaxNodeDepth(5))
-	if !errors.Is(err, ErrTooDeep) {
-		t.Fatalf("10 levels with limit 5: err = %v, want ErrTooDeep", err)
+	if _, err := Parse("deep.dts", nestedSource(200)); !errors.Is(err, ErrTooDeep) {
+		t.Fatalf("201 levels: err = %v, want ErrTooDeep", err)
 	}
 }
 

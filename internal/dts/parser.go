@@ -13,19 +13,20 @@ import (
 // one of these sentinels, so callers can map them to a "request too
 // large" response with errors.Is.
 var (
-	// ErrTooDeep reports node nesting beyond the configured limit
-	// (default defaultMaxNodeDepth) — deeply nested input would
-	// otherwise exhaust the recursive-descent parser's stack.
+	// ErrTooDeep reports node nesting beyond maxNodeDepth — deeply
+	// nested input would otherwise exhaust the recursive-descent
+	// parser's stack.
 	ErrTooDeep = errors.New("dts: node nesting too deep")
 	// ErrSourceTooLarge reports total source size (including resolved
 	// includes) beyond the limit set with WithMaxSourceBytes.
 	ErrSourceTooLarge = errors.New("dts: source too large")
 )
 
-// defaultMaxNodeDepth bounds node-body nesting. Real device trees are
-// a handful of levels deep; 64 leaves generous headroom while keeping
-// adversarial input from exhausting the goroutine stack.
-const defaultMaxNodeDepth = 64
+// maxNodeDepth bounds node-body nesting, the root's body counted as
+// the first level. Real device trees are a handful of levels deep; 64
+// leaves generous headroom while keeping adversarial input from
+// exhausting the goroutine stack.
+const maxNodeDepth = 64
 
 // Includer resolves /include/ directives to file contents.
 type Includer interface {
@@ -60,18 +61,6 @@ type ParseOption func(*parser)
 // one, includes are an error.
 func WithIncluder(inc Includer) ParseOption {
 	return func(p *parser) { p.includer = inc }
-}
-
-// WithMaxNodeDepth overrides the node-nesting guard (0 restores the
-// default). Exceeding it fails the parse with an error wrapping
-// ErrTooDeep.
-func WithMaxNodeDepth(n int) ParseOption {
-	return func(p *parser) {
-		if n <= 0 {
-			n = defaultMaxNodeDepth
-		}
-		p.maxNodeDepth = n
-	}
 }
 
 // WithMaxSourceBytes caps the total source size, counting every
@@ -111,7 +100,7 @@ func Parse(file, src string, opts ...ParseOption) (*Tree, error) {
 var parsed = new(Tree)
 
 func newParser(opts []ParseOption) *parser {
-	p := &parser{tree: NewTree(), maxDepth: 32, maxNodeDepth: defaultMaxNodeDepth}
+	p := &parser{tree: NewTree(), maxDepth: 32}
 	p.tree.Root.owner = parsed
 	for _, o := range opts {
 		o(p)
@@ -162,8 +151,7 @@ type parser struct {
 	includer Includer
 	maxDepth int // include nesting
 
-	maxNodeDepth   int // node-body nesting guard
-	nodeDepth      int
+	nodeDepth      int // node-body nesting, guarded by maxNodeDepth
 	maxSourceBytes int // cumulative source size guard (0 = unlimited)
 	sourceBytes    int
 
@@ -524,10 +512,10 @@ func (p *parser) parseNamedNode() (*Node, error) {
 func (p *parser) parseNodeBody(name string) (*Node, error) {
 	p.nodeDepth++
 	defer func() { p.nodeDepth-- }()
-	if p.nodeDepth > p.maxNodeDepth {
+	if p.nodeDepth > maxNodeDepth {
 		return nil, &ParseError{File: p.lex.file, Line: p.tok.line, Err: ErrTooDeep,
 			Msg: fmt.Sprintf("node %s nests deeper than %d: %v",
-				name, p.maxNodeDepth, ErrTooDeep)}
+				name, maxNodeDepth, ErrTooDeep)}
 	}
 	n := &Node{Name: name, Origin: Origin{File: p.lex.file, Line: p.tok.line}, owner: parsed}
 	if _, err := p.expect(tokLBrace); err != nil {
