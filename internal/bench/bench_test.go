@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 	"time"
 
@@ -100,49 +98,6 @@ func itoa(i int) string {
 	return string(b)
 }
 
-func TestDetectionMatrixShape(t *testing.T) {
-	matrix, err := DetectionMatrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(matrix) != len(AllFaults()) {
-		t.Fatalf("matrix rows = %d, want %d", len(matrix), len(AllFaults()))
-	}
-	byFault := make(map[Fault]Detection)
-	for _, d := range matrix {
-		byFault[d.Fault] = d
-	}
-
-	// llhsc catches every fault class
-	for f, d := range byFault {
-		if !d.LLHSC {
-			t.Errorf("llhsc missed %v", f)
-		}
-	}
-	// dtc-lint catches exactly the faults visible to a parser:
-	// malformed text and nesting past the recursion guard
-	for f, d := range byFault {
-		if want := f == FaultSyntaxError || f == FaultDeepNesting; d.DtcLint != want {
-			t.Errorf("dtc-lint on %v = %v, want %v", f, d.DtcLint, want)
-		}
-	}
-	// the structural baseline catches the structural faults...
-	for _, f := range []Fault{FaultMissingRequired, FaultBadConst, FaultBadRegArity} {
-		if !byFault[f].Baseline {
-			t.Errorf("baseline missed structural fault %v", f)
-		}
-	}
-	// ...and is blind to the semantic/dependency ones (the paper's core claim)
-	for _, f := range []Fault{
-		FaultAddrOverlap, FaultTruncation, FaultMissingNodeDep,
-		FaultDuplicateIRQ, FaultReserveOutsideRAM,
-	} {
-		if byFault[f].Baseline {
-			t.Errorf("baseline should be blind to %v", f)
-		}
-	}
-}
-
 // TestRobustnessFaultsBounded asserts the two solver/parser-hostile
 // fault classes come back as structured resource-limit stops — within
 // the 2s budget, not hangs or panics.
@@ -224,55 +179,6 @@ func TestRunningExamplePipelineOK(t *testing.T) {
 	}
 }
 
-func TestAllExperimentsRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiments take a few seconds")
-	}
-	for _, e := range Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(&buf); err != nil {
-				t.Fatalf("%s failed: %v\noutput so far:\n%s", e.ID, err, buf.String())
-			}
-			if buf.Len() == 0 {
-				t.Errorf("%s produced no output", e.ID)
-			}
-		})
-	}
-}
-
-func TestE10OutputShape(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunE10(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"address overlap", "64->32-bit truncation", "missing node dependency"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E10 output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestE7EmitsListings(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunE7(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		"struct platform_desc platform",
-		"struct config config",
-		"qemu-system-aarch64",
-		".cpu_num = 2",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("E7 output missing %q", want)
-		}
-	}
-}
-
 func TestSyntheticProductLine(t *testing.T) {
 	pipeline, err := SyntheticProductLine(4, 3, 4)
 	if err != nil {
@@ -304,13 +210,5 @@ func TestSyntheticProductLine(t *testing.T) {
 func TestSyntheticProductLineTooManyVMs(t *testing.T) {
 	if _, err := SyntheticProductLine(2, 2, 3); err == nil {
 		t.Error("3 VMs over 2 CPUs should be rejected at construction")
-	}
-}
-
-func TestMeasureParallelRequiresSerialBaseline(t *testing.T) {
-	for _, counts := range [][]int{nil, {}, {2, 4, 8}, {4, 1}} {
-		if _, err := MeasureParallel(2, counts, 1); err == nil {
-			t.Errorf("MeasureParallel(%v) accepted a worker list without a leading serial baseline", counts)
-		}
 	}
 }

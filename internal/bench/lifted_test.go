@@ -3,7 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
-	"io"
+	"testing"
 	"time"
 
 	"llhsc/internal/constraints"
@@ -154,22 +154,22 @@ func MeasureLifted(cpus int, uartSweep []int, rounds int) (*LiftedResult, error)
 	return res, nil
 }
 
-// RunE16 runs the lifted-checking experiment and prints the sweep
-// table.
-func RunE16(w io.Writer) error {
+// TestE16LiftedMatchesEnumeration is E16's gate: over the UART sweep
+// at 2 CPUs (6, 30, 126 and 510 products), both arms agree on the
+// verdict at every point and lifted checking is faster than
+// enumeration at 510 products. Run with -v for the sweep table.
+func TestE16LiftedMatchesEnumeration(t *testing.T) {
 	res, err := MeasureLifted(2, []int{2, 4, 6, 8}, 2)
 	if err != nil {
-		return err
+		t.Fatal(err)
 	}
-	fmt.Fprintln(w, "family-based lifted checking vs product enumeration (2 CPUs, UART sweep):")
-	fmt.Fprintf(w, "%9s %9s %12s %12s %9s %8s %6s\n",
-		"features", "products", "enumerate", "lifted", "queries", "pruned", "equal")
+	if got := res.Points[len(res.Points)-1].Products; got != 510 {
+		t.Errorf("largest point has %d products, want 510", got)
+	}
+	t.Logf("%9s %9s %12s %12s %9s %8s", "features", "products", "enumerate", "lifted", "queries", "pruned")
 	for _, p := range res.Points {
-		fmt.Fprintf(w, "%9d %9d %10.1fms %10.1fms %9d %8d %6v\n",
-			p.Features, p.Products, p.EnumMillis, p.LiftedMillis,
-			p.LiftedQueries, p.LiftedPruned, p.VerdictsEqual)
+		t.Logf("%9d %9d %10.1fms %10.1fms %9d %8d",
+			p.Features, p.Products, p.EnumMillis, p.LiftedMillis, p.LiftedQueries, p.LiftedPruned)
 	}
-	fmt.Fprintf(w, "largest point: lifted %.1fx faster than enumerating %d products\n",
-		res.Speedup, res.Points[len(res.Points)-1].Products)
-	return nil
+	t.Logf("largest point: lifted %.1fx faster", res.Speedup)
 }

@@ -10,6 +10,16 @@ import (
 	"llhsc/internal/schema"
 )
 
+// RunningExamplePipeline runs the paper's pipeline on the running
+// example (Listings 1–4, the Fig. 1b/1c VMs).
+func RunningExamplePipeline() (*core.Report, error) {
+	p, err := core.RunningExample()
+	if err != nil {
+		return nil, err
+	}
+	return p.Run()
+}
+
 // SyntheticProductLine generates a complete product line for a board
 // with the given number of CPUs (= maximum VMs) and UARTs: the core
 // DTS, the feature model (CPUs exclusive, one UART group), the removal
@@ -125,3 +135,44 @@ func SyntheticProductLine(cpus, uarts, vms int) (*core.Pipeline, error) {
 		VMConfigs: configs,
 	}, nil
 }
+
+// HeavyProductLine is SyntheticProductLine tuned for the parallel
+// speedup experiment E13: every VM selects its exclusive cpu@k plus ALL
+// UARTs, so each derived tree carries the full device population. With
+// near-equal weight per tree (VMs + platform union), the run
+// parallelizes cleanly instead of being dominated by one big platform
+// job (Amdahl).
+//
+// The line's disjoint UART regions give the semantic family no pair to
+// decide (its sweep prunes them all), so every UART also claims
+// heavyIRQsPerUART interrupt lines of its own: the interrupt family
+// compares O(n²) distinct claims per tree, and the line stays valid.
+func HeavyProductLine(vms int) (*core.Pipeline, error) {
+	pipeline, err := SyntheticProductLine(vms, vms, vms)
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; k < vms; k++ {
+		cfg := featmodel.ConfigOf("BigBoard", "memory", "cpus", fmt.Sprintf("cpu@%d", k), "uarts")
+		for u := 0; u < vms; u++ {
+			cfg[fmt.Sprintf("uart%d", u)] = true
+		}
+		pipeline.VMConfigs[k] = cfg
+	}
+	for u := 0; u < vms; u++ {
+		uart := pipeline.Core.Root.Child(fmt.Sprintf("uart@%x", 0x10000000+u*0x10000))
+		if uart == nil {
+			return nil, fmt.Errorf("bench: synthetic line has no uart%d", u)
+		}
+		irqs := make([]uint32, heavyIRQsPerUART)
+		for i := range irqs {
+			irqs[i] = uint32(32 + u*heavyIRQsPerUART + i)
+		}
+		uart.SetProperty(&dts.Property{Name: "interrupts", Value: dts.CellsValue(irqs...)})
+	}
+	return pipeline, nil
+}
+
+// heavyIRQsPerUART sizes HeavyProductLine's interrupt work: claim pairs
+// compared by equality, each polling the context once.
+const heavyIRQsPerUART = 4
