@@ -18,13 +18,33 @@ import (
 	"llhsc/internal/schema"
 )
 
-// The paper's experiments as known answers: each test asserts the
-// measured cells EXPERIMENTS.md quotes for its experiment (timings
-// aside), so a change that moves one fails here.
+// TestAllExperimentsRun runs the paper's experiments as known answers:
+// each subtest asserts the measured cells EXPERIMENTS.md quotes for its
+// experiment (timings aside), so a change that moves one fails here.
+// E8, E9, E11 and E13 are timings only; their Benchmark twins run them.
+func TestAllExperimentsRun(t *testing.T) {
+	for _, e := range []struct {
+		id  string
+		run func(*testing.T)
+	}{
+		{"e1", e1ParseRoundTrip},
+		{"e2", e2InferredModel},
+		{"e3", e3Products},
+		{"e4", e4DeltaOrder},
+		{"e5", e5AddressClash},
+		{"e6", e6Truncation},
+		{"e7", e7Pipeline},
+		{"e10", e10MatchesExperimentsTable},
+		{"e12", e12MoreVMsThanCPUsInfeasible},
+		{"e16", e16LiftedMatchesEnumeration},
+	} {
+		t.Run(e.id, e.run)
+	}
+}
 
-// TestE1ParseRoundTrip: Listings 1+2 parse with the cpus.dtsi include
+// e1ParseRoundTrip: Listings 1+2 parse with the cpus.dtsi include
 // resolved, have the five device nodes, and print → parse is stable.
-func TestE1ParseRoundTrip(t *testing.T) {
+func e1ParseRoundTrip(t *testing.T) {
 	tree, err := runningexample.Tree()
 	if err != nil {
 		t.Fatal(err)
@@ -50,10 +70,10 @@ func TestE1ParseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestE2InferredModel: the Fig. 1a model inferred from Listing 1 plus
+// e2InferredModel: the Fig. 1a model inferred from Listing 1 plus
 // the vEthernet group has exactly the paper's 12 products, is not
 // void, has the root as a core feature and no dead feature.
-func TestE2InferredModel(t *testing.T) {
+func e2InferredModel(t *testing.T) {
 	tree, err := runningexample.Tree()
 	if err != nil {
 		t.Fatal(err)
@@ -84,10 +104,10 @@ func TestE2InferredModel(t *testing.T) {
 	}
 }
 
-// TestE3Products: the Fig. 1b/1c products are valid, both CPUs in one
+// e3Products: the Fig. 1b/1c products are valid, both CPUs in one
 // VM and veth0 without cpu@0 are not; two VMs partition the board and
 // three do not; pinning veth0/veth1 assigns cpu@0/cpu@1.
-func TestE3Products(t *testing.T) {
+func e3Products(t *testing.T) {
 	model, err := runningexample.Model()
 	if err != nil {
 		t.Fatal(err)
@@ -133,9 +153,9 @@ func multiAnalyzer(t *testing.T, model *featmodel.Model, vms int) *featmodel.Mul
 	return ma
 }
 
-// TestE4DeltaOrder: Listing 4's deltas activate and order per VM as
+// e4DeltaOrder: Listing 4's deltas activate and order per VM as
 // EXPERIMENTS.md records (d3 first, the completion deltas after d4).
-func TestE4DeltaOrder(t *testing.T) {
+func e4DeltaOrder(t *testing.T) {
 	deltas, err := runningexample.Deltas()
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +182,10 @@ func TestE4DeltaOrder(t *testing.T) {
 	}
 }
 
-// TestE5AddressClash: the Section I-A clash parses, passes the
+// e5AddressClash: the Section I-A clash parses, passes the
 // structural baseline, and llhsc reports exactly one collision, the
 // second memory bank against the UART at 0x60000000.
-func TestE5AddressClash(t *testing.T) {
+func e5AddressClash(t *testing.T) {
 	src, inc := faultyDTS(FaultAddrOverlap)
 	tree, err := dts.Parse("clash.dts", src, dts.WithIncluder(inc))
 	if err != nil {
@@ -184,11 +204,11 @@ func TestE5AddressClash(t *testing.T) {
 	}
 }
 
-// TestE6Truncation: deriving the Fig. 1b product without d4 leaves its
+// e6Truncation: deriving the Fig. 1b product without d4 leaves its
 // 64-bit memory reg read under d3's 32-bit cells: four banks instead of
 // two, which the structural baseline accepts, and a collision with
 // witness 0x0.
-func TestE6Truncation(t *testing.T) {
+func e6Truncation(t *testing.T) {
 	p, err := core.RunningExample()
 	if err != nil {
 		t.Fatal(err)
@@ -248,10 +268,10 @@ func TestE6Truncation(t *testing.T) {
 	}
 }
 
-// TestE7Pipeline: the whole pipeline passes the running example, and
+// e7Pipeline: the whole pipeline passes the running example, and
 // the Listings 3 and 6 and the QEMU invocation it generates are the
 // running-example goldens of internal/baogen, which pin their text.
-func TestE7Pipeline(t *testing.T) {
+func e7Pipeline(t *testing.T) {
 	report, err := RunningExamplePipeline()
 	if err != nil {
 		t.Fatal(err)
@@ -279,6 +299,33 @@ func TestE7Pipeline(t *testing.T) {
 	qemu := "# aarch64\n" + strings.Join(report.Artifacts.QEMUArgs(), "\n") + "\n# "
 	if !strings.HasPrefix(golden("qemu.txt"), qemu) {
 		t.Errorf("pipeline's QEMU invocation %v differs from the golden's aarch64 one", report.Artifacts.QEMUArgs())
+	}
+}
+
+// TestE7EmitsListings: the pipeline's output carries the paper's facts
+// about Listings 3 and 6, which the goldens do not pin on their own
+// (-update rewrites them from whatever the generator emits): one
+// platform with both CPUs, one config with two single-CPU VMs, and an
+// aarch64 QEMU.
+func TestE7EmitsListings(t *testing.T) {
+	report, err := RunningExamplePipeline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	platform, config := report.Artifacts.PlatformC(), report.Artifacts.ConfigC()
+	for _, want := range []string{"struct platform_desc platform = {", ".cpu_num = 2,"} {
+		if strings.Count(platform, want) != 1 {
+			t.Errorf("platform.c has %q %d times, want once:\n%s", want, strings.Count(platform, want), platform)
+		}
+	}
+	if n := strings.Count(config, "struct config config = {"); n != 1 {
+		t.Errorf("config.c declares the config %d times, want once:\n%s", n, config)
+	}
+	if n := strings.Count(config, ".cpu_num = 1,"); n != 2 {
+		t.Errorf("config.c has %d single-CPU VMs, want 2:\n%s", n, config)
+	}
+	if args := report.Artifacts.QEMUArgs(); len(args) == 0 || args[0] != "qemu-system-aarch64" {
+		t.Errorf("QEMU invocation %v, want qemu-system-aarch64", args)
 	}
 }
 
@@ -311,10 +358,86 @@ func TestDetectionMatrixShape(t *testing.T) {
 	}
 }
 
-// TestE12MoreVMsThanCPUsInfeasible: the static-partitioning bound of
+// e10MatchesExperimentsTable: the E10 table EXPERIMENTS.md prints is
+// the matrix, row for row and mark for mark.
+func e10MatchesExperimentsTable(t *testing.T) {
+	matrix, err := DetectionMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := e10Table(t)
+	if len(rows) != len(matrix) {
+		t.Fatalf("EXPERIMENTS.md's E10 table has %d rows, the matrix %d", len(rows), len(matrix))
+	}
+	mark := map[bool]string{true: "✓", false: "✗"}
+	for i, d := range matrix {
+		want := []string{mark[d.DtcLint], mark[d.Baseline], mark[d.LLHSC], mark[d.Bounded]}
+		if got := rows[i][1:]; !slices.Equal(got, want) {
+			t.Errorf("EXPERIMENTS.md row %q reads %v, the matrix %v", rows[i][0], got, want)
+		}
+	}
+}
+
+// TestE10OutputShape: each row of EXPERIMENTS.md's E10 table is
+// labelled with the name of the matrix's fault in that row, so the
+// three paper rows read "address overlap", "64->32-bit truncation"
+// and "missing node dependency" (the table prints the arrow as →).
+func TestE10OutputShape(t *testing.T) {
+	matrix, err := DetectionMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := e10Table(t)
+	if len(rows) != len(matrix) {
+		t.Fatalf("EXPERIMENTS.md's E10 table has %d rows, the matrix %d", len(rows), len(matrix))
+	}
+	for i, d := range matrix {
+		if label := strings.ReplaceAll(rows[i][0], "→", "->"); !strings.HasPrefix(label, d.Fault.String()) {
+			t.Errorf("EXPERIMENTS.md row %d is %q, want the fault %q", i, rows[i][0], d.Fault)
+		}
+	}
+}
+
+// e10Table returns the body rows of the first table under EXPERIMENTS.md's
+// E10 heading, each as its trimmed cells: the fault, then the marks of
+// dtc-lint, the dt-schema baseline, llhsc and bounded.
+func e10Table(t *testing.T) [][]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(b), "\n## E10 ")
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no E10 section")
+	}
+	var rows [][]string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			if len(rows) > 0 {
+				break
+			}
+			continue
+		}
+		cells := strings.Split(strings.Trim(line, "|"), "|")
+		for i := range cells {
+			cells[i] = strings.TrimSpace(cells[i])
+		}
+		if len(cells) != 5 {
+			t.Fatalf("EXPERIMENTS.md E10 row %q has %d cells, want 5", line, len(cells))
+		}
+		rows = append(rows, cells)
+	}
+	if len(rows) < 2 {
+		t.Fatal("EXPERIMENTS.md's E10 section has no table")
+	}
+	return rows[2:] // header and separator
+}
+
+// e12MoreVMsThanCPUsInfeasible: the static-partitioning bound of
 // E12 on the synthetic board, 4 VMs over 4 exclusive CPUs feasible and
 // 5 not.
-func TestE12MoreVMsThanCPUsInfeasible(t *testing.T) {
+func e12MoreVMsThanCPUsInfeasible(t *testing.T) {
 	pipeline, err := SyntheticProductLine(4, 4, 4)
 	if err != nil {
 		t.Fatal(err)

